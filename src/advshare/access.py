@@ -1,0 +1,116 @@
+"""The share-set rank oracle behind shareability, erasure and access.
+
+Every question the package asks about a share set E reduces to one number:
+``r_E``, the rank of the check matrix H restricted to the 2|E| columns
+owned by E (its x and z parts).  With ``r = n - k`` checks and E' the
+complement of E:
+
+* ``2|E| - r_E`` is the dimension of the dual vectors supported inside E;
+* ``r - r_E'`` is the dimension of the checks supported inside E;
+* J is advance shareable iff ``r_J = 2|J|``;
+* E is a correctable erasure iff ``2|E| - r_E = r - r_E'`` (every dual
+  vector supported on E is already a check);
+* A is qualified iff A' is a correctable erasure, and forbidden iff A is;
+* ``I(R:A) = k + 2|A| - n + r_A' - r_A`` in units of log p, for the secret
+  maximally entangled with a k-qudit reference R (Fattal, Cubitt, Yamamoto,
+  Bravyi and Chuang, "Entanglement in the stabilizer formalism", 2004).
+
+:class:`ShareStructure` caches ``r_E`` by share bitmask (bit ``j - 1`` for
+share j) and fills missing masks with one batched elimination per set
+size.  :meth:`advshare.pauli.StabilizerCode.share_structure` keeps one per
+code.
+"""
+
+from __future__ import annotations
+
+import enum
+from typing import Iterable, Sequence
+
+import numpy as np
+
+from . import gfp
+from .symplectic import validated_shares
+
+
+class AccessLabel(enum.Enum):
+    QUALIFIED = "qualified"
+    FORBIDDEN = "forbidden"
+    INTERMEDIATE = "intermediate"
+
+
+def share_mask(shares: Iterable[int], n: int) -> int:
+    """Bitmask of a validated 1-based share set."""
+    return sum(1 << (j - 1) for j in validated_shares(shares, n))
+
+
+class ShareStructure:
+    """Ranks of column-restricted check matrices, cached by share mask."""
+
+    def __init__(self, p: int, n: int, check_matrix: np.ndarray):
+        self.p = p
+        self.n = n
+        self.num_checks = int(check_matrix.shape[0])
+        self.full = (1 << n) - 1
+        # Row c of the transpose is column c of H: stacking rows selects a
+        # share set's columns, and the transpose has the same rank.
+        self._columns = gfp.as_matrix(check_matrix, p).T.copy()
+        self._ranks: dict[int, int] = {0: 0}
+
+    def ranks(self, masks: Sequence[int]) -> list[int]:
+        """r_E for every share mask E."""
+        missing = [m for m in dict.fromkeys(masks) if m not in self._ranks]
+        by_size: dict[int, list[int]] = {}
+        for m in missing:
+            by_size.setdefault(m.bit_count(), []).append(m)
+        for size, group in by_size.items():
+            owned = [[j for j in range(self.n) if m >> j & 1] for m in group]
+            cols = np.array([s + [self.n + j for j in s] for s in owned])
+            stack = self._columns[cols]  # (batch, 2 * size, num_checks)
+            if 2 * size < self.num_checks:
+                stack = np.swapaxes(stack, 1, 2)  # loop over the shorter side
+            self._ranks.update(zip(group, gfp.batched_rank(stack, self.p).tolist()))
+        return [self._ranks[m] for m in masks]
+
+    def shareable(self, masks: Sequence[int]) -> list[bool]:
+        """Whether each share set can be handed out before the secret."""
+        fits = [m for m in masks if 2 * m.bit_count() <= self.num_checks]
+        ok = {m: rk == 2 * m.bit_count() for m, rk in zip(fits, self.ranks(fits))}
+        return [ok.get(m, False) for m in masks]
+
+    def _rank_pairs(self, masks: Sequence[int]) -> list[tuple[int, int]]:
+        """(r_E, r_E') per mask, filled in one batched query."""
+        complements = [self.full ^ m for m in masks]
+        ranks = self.ranks(list(masks) + complements)
+        return list(zip(ranks[: len(masks)], ranks[len(masks) :]))
+
+    def _erasable(self, size: int, inside: int, outside: int) -> bool:
+        """2|E| - r_E == r - r_E': dual vectors inside E are all checks."""
+        return 2 * size - inside == self.num_checks - outside
+
+    def correctable(self, masks: Sequence[int]) -> list[bool]:
+        """Whether erasing each share set is recoverable."""
+        return [
+            self._erasable(m.bit_count(), inside, outside)
+            for m, (inside, outside) in zip(masks, self._rank_pairs(masks))
+        ]
+
+    def labels(self, masks: Sequence[int]) -> list[AccessLabel]:
+        """Access label of each share set."""
+        out = []
+        for m, (inside, outside) in zip(masks, self._rank_pairs(masks)):
+            size = m.bit_count()
+            if self._erasable(self.n - size, outside, inside):
+                out.append(AccessLabel.QUALIFIED)
+            elif self._erasable(size, inside, outside):
+                out.append(AccessLabel.FORBIDDEN)
+            else:
+                out.append(AccessLabel.INTERMEDIATE)
+        return out
+
+    def mutual_information(self, masks: Sequence[int]) -> list[int]:
+        """I(R:A) in units of log p for each share set A."""
+        k = self.n - self.num_checks
+        return [
+            k + 2 * m.bit_count() - self.n + outside - inside
+            for m, (inside, outside) in zip(masks, self._rank_pairs(masks))
+        ]

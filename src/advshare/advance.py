@@ -25,29 +25,20 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import gfp, symplectic
+from . import gfp
+from .access import share_mask
 from .errors import NotAdvanceShareableError
 from .pauli import PauliOperator, StabilizerCode, commutation_exponent
-from .symplectic import SymplecticCode, min_symplectic_weight, shorten, symplectic_dual
-
-
-def _validated_shares(shares: Iterable[int], n: int) -> tuple[int, ...]:
-    js = tuple(sorted(set(int(j) for j in shares)))
-    for j in js:
-        if not 1 <= j <= n:
-            raise ValueError(f"share index {j} outside 1..{n}")
-    return js
+from .symplectic import min_symplectic_weight, symplectic_dual, validated_shares
 
 
 def is_advance_shareable(code: StabilizerCode, shares: Iterable[int]) -> bool:
-    """Exact criterion: shortening on J removes 2|J| dimensions."""
-    js = _validated_shares(shares, code.n)
-    if not js:
-        return True
-    if 2 * len(js) > code.num_checks:
-        return False
-    shortened = shorten(code.f_space(), js)
-    return shortened.dim == code.num_checks - 2 * len(js)
+    """Exact criterion: shortening on J removes 2|J| dimensions.
+
+    Equivalently the 2|J| columns J owns have full rank in the check
+    matrix; the code's cached share structure answers from that rank.
+    """
+    return code.share_structure().shareable([share_mask(shares, code.n)])[0]
 
 
 def dual_min_weight(
@@ -64,7 +55,7 @@ def is_advance_shareable_sufficient(
 
     True implies :func:`is_advance_shareable`; False decides nothing.
     """
-    js = _validated_shares(shares, code.n)
+    js = validated_shares(shares, code.n)
     if not js:
         return True
     return len(js) < dual_min_weight(code, budget=budget)
@@ -115,7 +106,7 @@ def normal_form(code: StabilizerCode, shares: Iterable[int]) -> NormalForm:
     1, since pivots are normalized); each is checked against the value forced
     by row orthogonality and must be nonzero.
     """
-    js = _validated_shares(shares, code.n)
+    js = validated_shares(shares, code.n)
     p, n = code.p, code.n
     c = len(js)
     if c == 0:
@@ -200,9 +191,6 @@ class EAQECCPlan:
     def secret_shares(self) -> tuple[int, ...]:
         used = set(self.x_positions.values()) | set(self.z_positions.values())
         return tuple(j for j in self.complement if j not in used)
-
-    def wire_of_share(self, share: int) -> int:
-        return self.complement.index(share)
 
     def parameters(self) -> tuple[int, int, int]:
         """(length, logical qudits, entangled pairs) of the assisted code."""
@@ -299,17 +287,15 @@ def enumerate_advance_shareable(
     """
     max_size = min(max_size, code.n)
     threshold = dual_min_weight(code, budget=budget) if max_size >= 1 else 0
-    found = []
-    candidates = []
-    for size in range(1, max_size + 1):
-        candidates.extend(itertools.combinations(range(1, code.n + 1), size))
-    for js in sorted(candidates):
-        if is_advance_shareable(code, js):
-            found.append(
-                ShareableSet(
-                    shares=js,
-                    dimension_criterion=True,
-                    weight_criterion=len(js) < threshold,
-                )
-            )
-    return found
+    candidates = sorted(
+        js
+        for size in range(1, min(max_size, code.num_checks // 2) + 1)
+        for js in itertools.combinations(range(1, code.n + 1), size)
+    )
+    masks = [share_mask(js, code.n) for js in candidates]
+    verdicts = code.share_structure().shareable(masks)
+    return [
+        ShareableSet(shares=js, dimension_criterion=True, weight_criterion=len(js) < threshold)
+        for js, ok in zip(candidates, verdicts)
+        if ok
+    ]

@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import advance, codefile, sim
+from .access import AccessLabel, share_mask
 from .clifford import encoding_circuit
 from .errors import (
     AdvShareError,
@@ -98,19 +99,15 @@ def _analyze_section(code: StabilizerCode, max_size: int, budget: int) -> dict:
     }
 
 
-def _access_table(code: StabilizerCode, mi: dict | None) -> list[dict]:
+def _access_table(
+    subsets: list[tuple[int, ...]], labels: list[AccessLabel], mi: list[int] | None
+) -> list[dict]:
     table = []
-    for size in range(code.n + 1):
-        for subset in itertools.combinations(range(1, code.n + 1), size):
-            entry = {
-                "shares": list(subset),
-                "size": size,
-                "label": sim.classify_access(code, subset).value,
-            }
-            if mi is not None:
-                value = float(mi[subset])
-                entry["mutual_information"] = 0.0 if abs(value) < 1e-12 else value
-            table.append(entry)
+    for i, (subset, label) in enumerate(zip(subsets, labels)):
+        entry = {"shares": list(subset), "size": len(subset), "label": label.value}
+        if mi is not None:
+            entry["mutual_information"] = float(mi[i])
+        table.append(entry)
     return table
 
 
@@ -162,17 +159,17 @@ def _demo_section(
         for size in range(code.n + 1)
         for subset in itertools.combinations(range(1, code.n + 1), size)
     ]
-    mi = None
-    if trials > 0:
-        mi = sim.mutual_information_table(
-            code, shares, subsets, plan=plan, circuit=circuit, budget=budget
-        )
-    section["access_table"] = _access_table(code, mi)
+    # One batched rank query covers every label and mutual information.
+    structure = code.share_structure()
+    masks = [share_mask(subset, code.n) for subset in subsets]
+    labels = structure.labels(masks)
+    mi = structure.mutual_information(masks) if trials > 0 else None
+    section["access_table"] = _access_table(subsets, labels, mi)
     if trials > 0:
         qualified = [
             subset
-            for subset in subsets
-            if sim.classify_access(code, subset) is sim.AccessLabel.QUALIFIED
+            for subset, label in zip(subsets, labels)
+            if label is AccessLabel.QUALIFIED
         ]
         transcript = sim.simulate_protocol(
             code, shares, plan, circuit, seed, trials, qualified, budget=budget

@@ -91,6 +91,45 @@ def rank(m, p: int) -> int:
     return rref(m, p)[1]
 
 
+def batched_rank(stack, p: int) -> np.ndarray:
+    """Rank of every matrix in a ``(batch, rows, cols)`` stack.
+
+    One forward elimination runs over the whole batch at once: for each
+    column, every matrix picks its first unused row with a nonzero entry as
+    the pivot and clears that column from its other unused rows.  Rows are
+    never swapped, so a matrix's rank is its number of pivots.  The loop
+    runs ``cols`` times; pass the transposed stack when columns outnumber
+    rows.
+    """
+    check_modulus(p)
+    a = np.asarray(stack, dtype=np.int64)
+    if a.ndim != 3:
+        raise ValueError(f"expected a 3-d stack, got shape {a.shape}")
+    a = a % p
+    batch, rows, cols = a.shape
+    ranks = np.zeros(batch, dtype=np.int64)
+    if batch == 0 or rows == 0:
+        return ranks
+    # inverse[0] = 0, so a matrix without a pivot in a column clears nothing.
+    inverse = np.array([0] + [inv_scalar(v, p) for v in range(1, p)], dtype=np.int64)
+    every = np.arange(batch)
+    used = np.zeros((batch, rows), dtype=bool)
+    for c in range(cols):
+        candidates = (a[:, :, c] != 0) & ~used
+        found = candidates.any(axis=1)
+        if not found.any():
+            continue
+        pivot = candidates.argmax(axis=1)
+        pivot_rows = a[every, pivot, c:]
+        pivot_rows = (pivot_rows * inverse[pivot_rows[:, 0]][:, None]) % p
+        factors = np.where(candidates, a[:, :, c], 0)
+        factors[every, pivot] = 0
+        a[:, :, c:] = (a[:, :, c:] - factors[:, :, None] * pivot_rows[:, None, :]) % p
+        used[every[found], pivot[found]] = True
+        ranks += found
+    return ranks
+
+
 def kernel(m, p: int) -> np.ndarray:
     """Basis of the right null space, one vector per row.
 

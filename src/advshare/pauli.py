@@ -26,6 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import gfp, symplectic
+from .access import ShareStructure
 from .errors import BudgetExceededError, DependentRowsError, NotCommutativeError
 from .symplectic import SymplecticCode, SymplecticVector
 
@@ -192,6 +193,7 @@ class StabilizerCode:
     n: int
     check_matrix: np.ndarray = field(repr=False)
     _distance: Optional[int] = field(default=None, repr=False, compare=False)
+    _shares: Optional[ShareStructure] = field(default=None, repr=False, compare=False)
 
     @property
     def num_checks(self) -> int:
@@ -208,6 +210,12 @@ class StabilizerCode:
 
     def generators(self) -> list[PauliOperator]:
         return [self.generator(i) for i in range(self.num_checks)]
+
+    def share_structure(self) -> ShareStructure:
+        """The share-set rank oracle of this code, built once and cached."""
+        if self._shares is None:
+            self._shares = ShareStructure(self.p, self.n, self.check_matrix)
+        return self._shares
 
     def f_space(self) -> SymplecticCode:
         """Row space of the check matrix as a symplectic code."""

@@ -26,13 +26,13 @@ generator has odd x.z overlap.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import gfp, symplectic
+from . import gfp
+from .access import AccessLabel, share_mask
 from .advance import EAQECCPlan, construct_eaqecc
 from .clifford import (
     CliffordCircuit,
@@ -42,7 +42,7 @@ from .clifford import (
 )
 from .errors import BudgetExceededError, UncorrectableErasureError
 from .pauli import PauliOperator, StabilizerCode, f_inv, half_turn_parity, zeta
-from .symplectic import SymplecticVector, symplectic_dual
+from .symplectic import SymplecticVector
 
 #: Default cap on dense state sizes (amplitude count p**m).
 DEFAULT_STATE_BUDGET = 4096
@@ -378,25 +378,10 @@ def correctable_erasure(code: StabilizerCode, erased: Iterable[int]) -> bool:
     """Whether losing the given shares is algebraically recoverable.
 
     True iff every dual vector supported on the erased shares already lies
-    in the check row space (no undetectable damage fits in the hole).
+    in the check row space (no undetectable damage fits in the hole); the
+    code's cached share structure compares the two dimensions.
     """
-    err = sorted(set(int(j) for j in erased))
-    for j in err:
-        if not 1 <= j <= code.n:
-            raise ValueError(f"share index {j} outside 1..{code.n}")
-    dual = symplectic_dual(code.f_space())
-    if dual.dim == 0:
-        return True
-    outside = [j for j in range(1, code.n + 1) if j not in set(err)]
-    cols = [j - 1 for j in outside] + [code.n + j - 1 for j in outside]
-    if cols:
-        coeffs = gfp.kernel(dual.generators[:, cols].T, code.p)
-        supported = (coeffs @ dual.generators) % code.p
-    else:
-        supported = dual.generators
-    return all(
-        gfp.in_row_space(code.check_matrix, v, code.p) for v in supported
-    )
+    return code.share_structure().correctable([share_mask(erased, code.n)])[0]
 
 
 @dataclass(frozen=True)
@@ -477,12 +462,6 @@ def erase_and_decode(
 # access structure
 
 
-class AccessLabel(enum.Enum):
-    QUALIFIED = "qualified"
-    FORBIDDEN = "forbidden"
-    INTERMEDIATE = "intermediate"
-
-
 def classify_access(code: StabilizerCode, accessible: Iterable[int]) -> AccessLabel:
     """Label a share set: reconstructs the secret, learns nothing, or ramp.
 
@@ -490,16 +469,7 @@ def classify_access(code: StabilizerCode, accessible: Iterable[int]) -> AccessLa
     set itself could be erased (its complement reconstructs, so by purity
     the set holds nothing); intermediate otherwise.
     """
-    acc = sorted(set(int(j) for j in accessible))
-    for j in acc:
-        if not 1 <= j <= code.n:
-            raise ValueError(f"share index {j} outside 1..{code.n}")
-    complement = [j for j in range(1, code.n + 1) if j not in set(acc)]
-    if correctable_erasure(code, complement):
-        return AccessLabel.QUALIFIED
-    if correctable_erasure(code, acc):
-        return AccessLabel.FORBIDDEN
-    return AccessLabel.INTERMEDIATE
+    return code.share_structure().labels([share_mask(accessible, code.n)])[0]
 
 
 def entropic_audit(

@@ -135,13 +135,18 @@ class SymplecticCode:
         )
 
 
-def _share_columns(shares: Iterable[int], n: int) -> tuple[list[int], list[int]]:
-    """Validated 1-based shares -> (0-based share list, owned column list)."""
-    idx = sorted(set(int(j) for j in shares))
-    for j in idx:
+def validated_shares(shares: Iterable[int], n: int) -> tuple[int, ...]:
+    """Sorted distinct 1-based share indices; raises ValueError outside 1..n."""
+    js = tuple(sorted(set(int(j) for j in shares)))
+    for j in js:
         if not 1 <= j <= n:
             raise ValueError(f"share index {j} outside 1..{n}")
-    zero_based = [j - 1 for j in idx]
+    return js
+
+
+def _share_columns(shares: Iterable[int], n: int) -> tuple[list[int], list[int]]:
+    """Validated 1-based shares -> (0-based share list, owned column list)."""
+    zero_based = [j - 1 for j in validated_shares(shares, n)]
     cols = [j for j in zero_based] + [n + j for j in zero_based]
     return zero_based, cols
 

@@ -1,0 +1,131 @@
+import itertools
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from advshare import gfp
+from advshare.access import AccessLabel, share_mask
+from advshare.advance import (
+    construct_eaqecc,
+    is_advance_shareable,
+    is_advance_shareable_sufficient,
+    normal_form,
+)
+from advshare.clifford import encoding_circuit
+from advshare.pauli import random_stabilizer
+from advshare.sim import classify_access, correctable_erasure, mutual_information_table
+from advshare.symplectic import puncture, shorten, symplectic_dual
+
+ENTRY_POINTS = {
+    "is_advance_shareable": is_advance_shareable,
+    "is_advance_shareable_sufficient": is_advance_shareable_sufficient,
+    "normal_form": normal_form,
+    "construct_eaqecc": construct_eaqecc,
+    "shorten": lambda code, shares: shorten(code.f_space(), shares),
+    "puncture": lambda code, shares: puncture(code.f_space(), shares),
+    "correctable_erasure": correctable_erasure,
+    "classify_access": classify_access,
+}
+
+#: Dense reference states stay at or below this many amplitudes, p**(n+k).
+DENSE_LIMIT = 128
+
+
+@pytest.mark.parametrize("bad", ["zero", "n+1"])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_share_index_out_of_range(five_qubit, entry, bad):
+    index = 0 if bad == "zero" else five_qubit.n + 1
+    message = f"share index {index} outside 1..{five_qubit.n}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ENTRY_POINTS[entry](five_qubit, [1, index])
+
+
+def slow_correctable_erasure(code, erased):
+    """Reference: every dual vector supported on the erased shares is a check."""
+    err = sorted(set(int(j) for j in erased))
+    dual = symplectic_dual(code.f_space())
+    if dual.dim == 0:
+        return True
+    outside = [j for j in range(1, code.n + 1) if j not in set(err)]
+    cols = [j - 1 for j in outside] + [code.n + j - 1 for j in outside]
+    if cols:
+        coeffs = gfp.kernel(dual.generators[:, cols].T, code.p)
+        supported = (coeffs @ dual.generators) % code.p
+    else:
+        supported = dual.generators
+    return all(gfp.in_row_space(code.check_matrix, v, code.p) for v in supported)
+
+
+def dense_max_qudits(p):
+    """Largest n + k with p**(n + k) within DENSE_LIMIT."""
+    m = 0
+    while p ** (m + 1) <= DENSE_LIMIT:
+        m += 1
+    return m
+
+
+@st.composite
+def codes(draw, p, max_n=7, max_qudits=None):
+    """A random [[n, k]]_p code with n <= max_n and n + k <= max_qudits."""
+    max_qudits = 2 * max_n if max_qudits is None else max_qudits
+    n = draw(st.integers(1, min(max_n, max_qudits)))
+    k = draw(st.integers(0, min(n, max_qudits - n)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return random_stabilizer(p, n, n - k, np.random.default_rng(seed))
+
+
+def all_subsets(n):
+    return [s for size in range(n + 1) for s in itertools.combinations(range(1, n + 1), size)]
+
+
+@pytest.mark.parametrize("p", gfp.PRIMES)
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_oracle_matches_shortening_and_dual_reference(p, data):
+    code = data.draw(codes(p))
+    r = code.num_checks
+    subsets = all_subsets(code.n)
+    structure = code.share_structure()
+    masks = [share_mask(s, code.n) for s in subsets]
+    shareable = structure.shareable(masks)
+    correctable = structure.correctable(masks)
+    labels = structure.labels(masks)
+    for subset, ok, fixable, label in zip(subsets, shareable, correctable, labels):
+        expected = 2 * len(subset) <= r and (
+            shorten(code.f_space(), subset).dim == r - 2 * len(subset)
+        )
+        assert ok == expected, subset
+        assert is_advance_shareable(code, subset) == expected
+        assert fixable == slow_correctable_erasure(code, subset), subset
+        assert correctable_erasure(code, subset) == fixable
+        complement = [j for j in range(1, code.n + 1) if j not in subset]
+        if slow_correctable_erasure(code, complement):
+            assert label is AccessLabel.QUALIFIED
+        elif fixable:
+            assert label is AccessLabel.FORBIDDEN
+        else:
+            assert label is AccessLabel.INTERMEDIATE
+        assert classify_access(code, subset) is label
+
+
+@pytest.mark.parametrize("p", gfp.PRIMES)
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mutual_information_matches_dense_reference(p, data):
+    code = data.draw(codes(p, max_qudits=dense_max_qudits(p)))
+    subsets = all_subsets(code.n)
+    closed = code.share_structure().mutual_information(
+        [share_mask(s, code.n) for s in subsets]
+    )
+    singles = [(j,) for j in range(1, code.n + 1) if is_advance_shareable(code, [j])]
+    for shares in [()] + singles[:1]:
+        plan = construct_eaqecc(code, shares)
+        dense = mutual_information_table(
+            code, shares, subsets, plan=plan, circuit=encoding_circuit(plan)
+        )
+        for subset, value in zip(subsets, closed):
+            assert isinstance(value, int)
+            assert abs(dense[subset] - value) < 1e-9, (shares, subset)

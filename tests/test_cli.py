@@ -257,3 +257,20 @@ def test_numbers_round_trip_losslessly(code_dir):
     )
     report = json.loads(out)
     assert json.loads(json.dumps(report)) == report
+
+
+@pytest.mark.parametrize("name, shares", [("five_qubit.code", "5"), ("qutrit_ghz.code", "3")])
+def test_demo_mutual_information_is_exact(code_dir, name, shares):
+    args = ["demo", str(code_dir / name), "--J", shares, "--seed", "4", "--trials", "1", "--json-only"]
+    status, out, _ = run_cli(args)
+    assert status == 0
+    assert run_cli(args)[1] == out
+    report = json.loads(out)
+    k = report["code"]["k"]
+    for entry in report["demo"]["access_table"]:
+        mi = entry["mutual_information"]
+        assert mi == int(mi)
+        if entry["label"] == "qualified":
+            assert mi == 2 * k
+        elif entry["label"] == "forbidden":
+            assert mi == 0

@@ -137,3 +137,29 @@ def test_iter_span_covers_everything():
     seen = {tuple(v) for block in gfp.iter_span(basis, 2) for v in block}
     expected = {tuple((a * basis[0] + b * basis[1]) % 2) for a in range(2) for b in range(2)}
     assert seen == expected
+
+
+@st.composite
+def stacks(draw):
+    p = draw(st.sampled_from(gfp.PRIMES))
+    batch, rows, cols = (draw(st.integers(0, n)) for n in (6, 5, 7))
+    inner = draw(st.integers(0, 6))  # below min(rows, cols) forces rank deficiency
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    left = rng.integers(0, p, size=(batch, rows, inner))
+    right = rng.integers(0, p, size=(batch, inner, cols))
+    return (left @ right) % p, p
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(stacks())
+def test_batched_rank_matches_rank_per_slice(sp):
+    stack, p = sp
+    got = gfp.batched_rank(stack, p)
+    assert got.shape == (stack.shape[0],)
+    for mat, rk in zip(stack, got):
+        assert rk == gfp.rank(mat, p)
+
+
+@pytest.mark.parametrize("shape", [(3, 0, 4), (3, 4, 0), (0, 2, 2), (2, 0, 0)])
+def test_batched_rank_empty_shapes(shape):
+    assert gfp.batched_rank(np.zeros(shape, dtype=np.int64), 5).tolist() == [0] * shape[0]
