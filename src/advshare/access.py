@@ -15,21 +15,34 @@ complement of E:
   maximally entangled with a k-qudit reference R (Fattal, Cubitt, Yamamoto,
   Bravyi and Chuang, "Entanglement in the stabilizer formalism", 2004).
 
+The code distance and the dual minimum weight are the smallest |E| at
+which some E fails to be a correctable erasure, respectively has
+``r_E < 2|E|``; :meth:`ShareStructure.smallest_size` finds them by walking
+share-set sizes, at a cost of share sets visited rather than the ``p**(n+k)``
+vectors of the dual space.
+
 :class:`ShareStructure` caches ``r_E`` by share bitmask (bit ``j - 1`` for
-share j) and fills missing masks with one batched elimination per set
-size.  :meth:`advshare.pauli.StabilizerCode.share_structure` keeps one per
-code.
+share j) and fills missing masks with batched eliminations, one size and
+at most :data:`CHUNK` sets at a time.
+:meth:`advshare.pauli.StabilizerCode.share_structure` keeps one per code.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Sequence
+import itertools
+import math
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import gfp
+from .errors import BudgetExceededError
 from .symplectic import validated_shares
+
+#: Most share sets one batched elimination takes; bounds the stack a rank
+#: query allocates whatever the number of sets asked for.
+CHUNK = 4096
 
 
 class AccessLabel(enum.Enum):
@@ -41,6 +54,19 @@ class AccessLabel(enum.Enum):
 def share_mask(shares: Iterable[int], n: int) -> int:
     """Bitmask of a validated 1-based share set."""
     return sum(1 << (j - 1) for j in validated_shares(shares, n))
+
+
+def masks_of_size(n: int, size: int) -> list[int]:
+    """Bitmasks of every size-``size`` subset of n shares, in lexicographic order."""
+    return [sum(c) for c in itertools.combinations([1 << j for j in range(n)], size)]
+
+
+def check_budget(count: int, budget: int, stage: str, scope: str = "") -> None:
+    """Refuse a stage that would visit ``count`` share sets over ``budget``."""
+    if count > budget:
+        raise BudgetExceededError(
+            f"enumeration limit: {count} share sets{scope} exceed budget {budget} ({stage})"
+        )
 
 
 class ShareStructure:
@@ -63,13 +89,50 @@ class ShareStructure:
         for m in missing:
             by_size.setdefault(m.bit_count(), []).append(m)
         for size, group in by_size.items():
-            owned = [[j for j in range(self.n) if m >> j & 1] for m in group]
-            cols = np.array([s + [self.n + j for j in s] for s in owned])
-            stack = self._columns[cols]  # (batch, 2 * size, num_checks)
-            if 2 * size < self.num_checks:
-                stack = np.swapaxes(stack, 1, 2)  # loop over the shorter side
-            self._ranks.update(zip(group, gfp.batched_rank(stack, self.p).tolist()))
+            for start in range(0, len(group), CHUNK):
+                chunk = group[start : start + CHUNK]
+                stack = self._columns[self._owned_columns(chunk, size)]
+                # stack is (batch, 2 * size, num_checks); loop over the shorter side.
+                if 2 * size < self.num_checks:
+                    stack = np.swapaxes(stack, 1, 2)
+                self._ranks.update(zip(chunk, gfp.batched_rank(stack, self.p).tolist()))
         return [self._ranks[m] for m in masks]
+
+    def _owned_columns(self, masks: Sequence[int], size: int) -> np.ndarray:
+        """(len(masks), 2 * size) indices of the x then z columns of each set."""
+        width = (self.n + 7) // 8
+        raw = b"".join(m.to_bytes(width, "little") for m in masks)
+        bits = np.unpackbits(
+            np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), width),
+            axis=1,
+            bitorder="little",
+        )
+        shares = np.nonzero(bits)[1].reshape(len(masks), size)
+        return np.concatenate([shares, shares + self.n], axis=1)
+
+    def smallest_size(
+        self,
+        holds: Callable[[int, list[int], list[int]], bool],
+        last: int,
+        stage: str,
+        budget: int,
+    ) -> Optional[int]:
+        """The first share-set size w <= last at which ``holds`` is true.
+
+        Sizes w = 1, 2, ... are visited in turn; ``holds(w, masks, ranks)``
+        sees every size-w mask with its r_E, filled by one batched query.
+        Before each size the share sets visited so far, that size included,
+        are checked against ``budget``, and a refusal names ``stage``.
+        Returns None when no size up to ``last`` qualifies.
+        """
+        visited = 0
+        for size in range(1, last + 1):
+            visited += math.comb(self.n, size)
+            check_budget(visited, budget, stage, f" up to size {size}")
+            masks = masks_of_size(self.n, size)
+            if holds(size, masks, self.ranks(masks)):
+                return size
+        return None
 
     def shareable(self, masks: Sequence[int]) -> list[bool]:
         """Whether each share set can be handed out before the secret."""

@@ -29,7 +29,7 @@ from . import gfp
 from .access import share_mask
 from .errors import NotAdvanceShareableError
 from .pauli import PauliOperator, StabilizerCode, commutation_exponent
-from .symplectic import min_symplectic_weight, symplectic_dual, validated_shares
+from .symplectic import validated_shares
 
 
 def is_advance_shareable(code: StabilizerCode, shares: Iterable[int]) -> bool:
@@ -44,8 +44,23 @@ def is_advance_shareable(code: StabilizerCode, shares: Iterable[int]) -> bool:
 def dual_min_weight(
     code: StabilizerCode, budget: int = gfp.DEFAULT_ENUM_BUDGET
 ) -> int:
-    """Minimum symplectic weight of the dual of the check row space."""
-    return min_symplectic_weight(symplectic_dual(code.f_space()), budget=budget)
+    """Minimum symplectic weight of the dual of the check row space.
+
+    The smallest |E| with ``r_E < 2|E|``: the first size at which some
+    share set cannot go out before the secret.  Any set larger than
+    ``floor(r/2)`` qualifies, so only smaller sizes are walked and the
+    answer is at most ``floor(r/2) + 1``.  ``budget`` caps the share sets
+    visited.
+    """
+    last = code.num_checks // 2
+
+    def deficient(size: int, masks: list[int], ranks: list[int]) -> bool:
+        return any(rk < 2 * size for rk in ranks)
+
+    found = code.share_structure().smallest_size(
+        deficient, last, "dual minimum weight", budget
+    )
+    return last + 1 if found is None else found
 
 
 def is_advance_shareable_sufficient(

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import advance, codefile, sim
-from .access import AccessLabel, share_mask
+from .access import AccessLabel, check_budget, share_mask
 from .clifford import encoding_circuit
 from .errors import (
     AdvShareError,
@@ -154,6 +154,7 @@ def _demo_section(
             "gates": [str(g) for g in circuit.gates],
         },
     }
+    check_budget(1 << code.n, enum_budget, "access table")
     subsets = [
         subset
         for size in range(code.n + 1)
@@ -251,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--budget",
             type=int,
             default=None,
-            help="cap on exhaustive scans and dense state sizes",
+            help="cap on share sets visited by the distance, dual-weight and "
+            "access-table walks, and on dense state sizes",
         )
         cmd.add_argument("--json-only", action="store_true")
         if name == "analyze":

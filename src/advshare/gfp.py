@@ -21,7 +21,8 @@ import numpy as np
 
 PRIMES = (2, 3, 5, 7)
 
-#: Default cap on the number of vectors an exhaustive span scan may visit.
+#: Default cap on the vectors an exhaustive span scan, or the share sets a
+#: share-set walk (:mod:`advshare.access`), may visit.
 DEFAULT_ENUM_BUDGET = 2**20
 
 

@@ -262,34 +262,29 @@ def validate_stabilizer(check_matrix, p: int, n: int) -> StabilizerCode:
 def code_distance(
     code: StabilizerCode, budget: int = gfp.DEFAULT_ENUM_BUDGET
 ) -> int:
-    """Minimum symplectic weight over the dual of f(S) minus f(S) itself.
+    """The smallest number of erased qudits the code cannot recover.
 
-    This is the code's erasure-correction figure: fewer than d erased
-    qudits are always recoverable.  Requires k >= 1; the scan is exhaustive
-    over the dual space and refuses when it exceeds the budget.
+    Equals the minimum symplectic weight over the dual of f(S) minus f(S)
+    itself: fewer than d erased qudits are always recoverable.  Requires
+    k >= 1.  Walks share sets E by size and stops at the first size with
+    an uncorrectable erasure, ``2|E| - r_E > r - r_E'``; r_E' is only
+    queried for sets with ``r_E < 2|E|``, since the others hold no dual
+    vector.  ``budget`` caps the share sets visited, at most 2^n - 1; the
+    result is cached on the code.
     """
     if code._distance is not None:
         return code._distance
     if code.k < 1:
         raise ValueError("distance undefined for k = 0 (no logical qudits)")
-    dual = symplectic.symplectic_dual(code.f_space())
-    total = gfp.span_size(dual.dim, code.p)
-    if total > budget:
-        raise BudgetExceededError(
-            f"enumeration limit: {code.p}**{dual.dim} = {total} dual codewords "
-            f"exceeds budget {budget}"
-        )
-    h_rref, _, h_pivots = gfp.rref(code.check_matrix, code.p)
-    best = code.n + 1
-    for block in gfp.iter_span(dual.generators, code.p):
-        # Membership in f(S): reduce by the RREF of H and compare.
-        reconstructed = (block[:, h_pivots] @ h_rref) % code.p
-        outside = np.any(block != reconstructed, axis=1)
-        w = symplectic.symplectic_weight(block[outside], code.n)
-        if w.size:
-            best = min(best, int(w.min()))
-    if best > code.n:
-        raise RuntimeError("no dual vector outside f(S) found despite k >= 1")
+    structure = code.share_structure()
+
+    def uncorrectable(size: int, masks: list[int], ranks: list[int]) -> bool:
+        deficient = [m for m, rk in zip(masks, ranks) if rk < 2 * size]
+        return not all(structure.correctable(deficient))
+
+    best = structure.smallest_size(uncorrectable, code.n, "distance", budget)
+    if best is None:
+        raise RuntimeError("every erasure is correctable despite k >= 1")
     code._distance = best
     return best
 

@@ -6,18 +6,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advshare import gfp
-from advshare.access import AccessLabel, share_mask
+from advshare import access, gfp
+from advshare.access import AccessLabel, ShareStructure, share_mask
 from advshare.advance import (
     construct_eaqecc,
+    dual_min_weight,
     is_advance_shareable,
     is_advance_shareable_sufficient,
     normal_form,
 )
 from advshare.clifford import encoding_circuit
-from advshare.pauli import random_stabilizer
+from advshare.errors import BudgetExceededError
+from advshare.pauli import code_distance, random_stabilizer, validate_stabilizer
 from advshare.sim import classify_access, correctable_erasure, mutual_information_table
-from advshare.symplectic import puncture, shorten, symplectic_dual
+from advshare.symplectic import (
+    min_symplectic_weight,
+    puncture,
+    shorten,
+    symplectic_dual,
+    symplectic_weight,
+)
+from conftest import FIVE_QUBIT_ROWS
+from test_pauli import group_level_distance
 
 ENTRY_POINTS = {
     "is_advance_shareable": is_advance_shareable,
@@ -32,6 +42,12 @@ ENTRY_POINTS = {
 
 #: Dense reference states stay at or below this many amplitudes, p**(n+k).
 DENSE_LIMIT = 128
+
+#: Span references scan at most this many dual vectors, p**(n+k).
+SPAN_LIMIT = 2**14
+
+#: The operator-level distance reference visits p**(2n) Paulis one by one.
+GROUP_LIMIT = 7**4
 
 
 @pytest.mark.parametrize("bad", ["zero", "n+1"])
@@ -59,10 +75,25 @@ def slow_correctable_erasure(code, erased):
     return all(gfp.in_row_space(code.check_matrix, v, code.p) for v in supported)
 
 
-def dense_max_qudits(p):
-    """Largest n + k with p**(n + k) within DENSE_LIMIT."""
+def span_code_distance(code):
+    """Reference: scan the whole dual span for the lightest vector outside f(S)."""
+    dual = symplectic_dual(code.f_space())
+    h_rref, _, h_pivots = gfp.rref(code.check_matrix, code.p)
+    best = code.n + 1
+    for block in gfp.iter_span(dual.generators, code.p):
+        # Membership in f(S): reduce by the RREF of H and compare.
+        reconstructed = (block[:, h_pivots] @ h_rref) % code.p
+        outside = np.any(block != reconstructed, axis=1)
+        w = symplectic_weight(block[outside], code.n)
+        if w.size:
+            best = min(best, int(w.min()))
+    return best
+
+
+def max_qudits(p, limit):
+    """Largest n + k with p**(n + k) within limit."""
     m = 0
-    while p ** (m + 1) <= DENSE_LIMIT:
+    while p ** (m + 1) <= limit:
         m += 1
     return m
 
@@ -115,7 +146,7 @@ def test_oracle_matches_shortening_and_dual_reference(p, data):
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_mutual_information_matches_dense_reference(p, data):
-    code = data.draw(codes(p, max_qudits=dense_max_qudits(p)))
+    code = data.draw(codes(p, max_qudits=max_qudits(p, DENSE_LIMIT)))
     subsets = all_subsets(code.n)
     closed = code.share_structure().mutual_information(
         [share_mask(s, code.n) for s in subsets]
@@ -129,3 +160,58 @@ def test_mutual_information_matches_dense_reference(p, data):
         for subset, value in zip(subsets, closed):
             assert isinstance(value, int)
             assert abs(dense[subset] - value) < 1e-9, (shares, subset)
+
+
+@pytest.mark.parametrize("p", gfp.PRIMES)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_walks_match_span_and_group_references(p, data):
+    code = data.draw(codes(p, max_qudits=max_qudits(p, SPAN_LIMIT)))
+    span = p ** (code.n + code.k)
+    weight = dual_min_weight(code, budget=span)
+    assert weight == min_symplectic_weight(symplectic_dual(code.f_space()))
+    if code.k:
+        d = code_distance(code, budget=span)
+        assert d == span_code_distance(code)
+        assert weight <= d
+        if p ** (2 * code.n) <= GROUP_LIMIT:
+            assert d == group_level_distance(code)
+    # Past the span references: the parent's exact count never refuses.
+    big = data.draw(codes(p))
+    span = p ** (big.n + big.k)
+    weight = dual_min_weight(big, budget=span)
+    assert 1 <= weight <= big.num_checks // 2 + 1
+    if big.k:
+        assert weight <= code_distance(big, budget=span) <= big.n
+
+
+@pytest.mark.parametrize("p", gfp.PRIMES)
+def test_walks_on_empty_check_matrix(p):
+    code = validate_stabilizer(np.zeros((0, 6)), p, 3)
+    assert code_distance(code, budget=3) == span_code_distance(code) == 1
+    assert dual_min_weight(code, budget=0) == 1
+    assert min_symplectic_weight(symplectic_dual(code.f_space())) == 1
+
+
+@pytest.mark.parametrize(
+    "walk, stage, needed",
+    [(code_distance, "distance", 5 + 10 + 10), (dual_min_weight, "dual minimum weight", 5 + 10)],
+)
+def test_walk_budget_names_its_stage(walk, stage, needed):
+    code = validate_stabilizer(FIVE_QUBIT_ROWS, 2, 5)
+    message = f"enumeration limit: 5 share sets up to size 1 exceed budget 4 ({stage})"
+    with pytest.raises(BudgetExceededError, match=re.escape(message)):
+        walk(code, budget=4)
+    with pytest.raises(BudgetExceededError, match=re.escape(f"({stage})")):
+        walk(code, budget=needed - 1)
+    assert walk(code, budget=needed) == 3
+
+
+def test_chunked_ranks_match_rank_per_set(five_qubit, monkeypatch):
+    monkeypatch.setattr(access, "CHUNK", 3)
+    masks = list(range(1 << five_qubit.n))
+    structure = ShareStructure(five_qubit.p, five_qubit.n, five_qubit.check_matrix)
+    for mask, rank in zip(masks, structure.ranks(masks)):
+        shares = [j for j in range(five_qubit.n) if mask >> j & 1]
+        cols = shares + [five_qubit.n + j for j in shares]
+        assert rank == gfp.rank(five_qubit.check_matrix[:, cols], five_qubit.p)

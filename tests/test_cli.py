@@ -100,6 +100,34 @@ def test_budget_exit_code(code_dir):
     assert json.loads(out)["error"]["type"] == "budget"
 
 
+def test_access_table_budget_names_the_table(code_dir):
+    # The distance walk visits 5 + 10 + 10 = 25 sets; the table needs 2^5 = 32.
+    status, out, err = run_cli(
+        ["demo", str(code_dir / "five_qubit.code"), "--J", "1", "--trials", "0",
+         "--budget", "30", "--json-only"]
+    )
+    assert status == 2
+    message = json.loads(out)["error"]["message"]
+    assert message == "enumeration limit: 32 share sets exceed budget 30 (access table)"
+    assert "(access table)" in err
+
+
+def test_ghz20_passes_under_default_budget(tmp_path, schema):
+    # Its dual span has 2^38 vectors; the walks visit 20 and 20 + 190 share sets.
+    path = tmp_path / "ghz20.code"
+    path.write_text("p=2 n=20\n" + "1 " * 20 + "| " + "0 " * 20 + "\n" + "0 " * 20 + "| " + "1 " * 20 + "\n")
+    status, out, _ = run_cli(["validate", str(path), "--json-only"])
+    assert status == 0
+    assert json.loads(out)["code"]["parameters"] == "[[20,18,2]]_2"
+    status, out, _ = run_cli(["analyze", str(path), "--max-size", "1", "--json-only"])
+    assert status == 0
+    report = json.loads(out)
+    jsonschema.validate(report, schema)
+    assert report["code"]["distance"] == 2
+    assert report["advance_shareable"]["dual_min_weight"] == 2
+    assert [s["shares"] for s in report["advance_shareable"]["sets"]] == [[j] for j in range(1, 21)]
+
+
 def test_analyze_example(code_dir, schema):
     status, out, _ = run_cli(
         ["analyze", str(code_dir / "four_qubit_ghz.code"), "--max-size", "1", "--json-only"]
