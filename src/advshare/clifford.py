@@ -25,11 +25,20 @@ peels it into elementary gates column pair by column pair, and finishes with
 a Pauli layer that zeroes every representable phase.  The returned circuit U
 satisfies U g_i U^dag = phase_i * b_i for each source/target pair, with
 phase_i an exact root of unity.
+
+The dense realization compiles a circuit once, on first use, into kernels
+on the p**m wire register and keeps them on the (immutable) circuit: each
+maximal run of monomial gates becomes one gather and one phase vector whose
+entries are exact zeta powers, and each odd same-wire run of Fourier gates
+one p x p matmul.  Applying a circuit moves its wire axes to the front
+once; other axes ride along.  The gate-by-gate dense path lives on in the
+tests as the reference the compiled kernels are checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -83,6 +92,11 @@ class CliffordCircuit:
 
     def __len__(self) -> int:
         return len(self.gates)
+
+    @cached_property
+    def _kernels(self) -> tuple:
+        """Dense kernels that apply the circuit, compiled on first use."""
+        return _compile(self)
 
     def then(self, *gates_: Gate) -> "CliffordCircuit":
         return CliffordCircuit(self.p, self.m, self.gates + tuple(gates_))
@@ -178,41 +192,6 @@ class PhasedPauli:
         )
 
 
-def _conjugate_gate(g: Gate, op: PhasedPauli) -> PhasedPauli:
-    p = op.p
-    x, z, tau = op.x.copy(), op.z.copy(), op.tau
-    if g.kind == "F":
-        q = g.qudits[0]
-        a, b = int(x[q]), int(z[q])
-        x[q], z[q] = (-b) % p, a
-        tau -= 2 * a * b
-    elif g.kind == "P":
-        q, gam = g.qudits[0], g.param % p
-        a = int(x[q])
-        z[q] = (z[q] + gam * a) % p
-        if p == 2:
-            tau += g.param * a
-        else:
-            tau += gam * a * (a - 1)
-    elif g.kind == "MUL":
-        q, gam = g.qudits[0], g.param % p
-        x[q] = (x[q] * gam) % p
-        z[q] = (z[q] * gfp.inv_scalar(gam, p)) % p
-    elif g.kind == "SUM":
-        qc, qt = g.qudits
-        x[qt] = (x[qt] + x[qc]) % p
-        z[qc] = (z[qc] - z[qt]) % p
-    elif g.kind == "X":
-        q = g.qudits[0]
-        tau -= 2 * g.param * int(z[q])
-    elif g.kind == "Z":
-        q = g.qudits[0]
-        tau += 2 * g.param * int(x[q])
-    else:
-        raise ValueError(g.kind)
-    return PhasedPauli(p, x, z, tau)
-
-
 def conjugate_pauli(
     circuit: CliffordCircuit, op: PauliOperator | PhasedPauli
 ) -> PhasedPauli:
@@ -220,9 +199,32 @@ def conjugate_pauli(
     cur = PhasedPauli.from_pauli(op) if isinstance(op, PauliOperator) else op
     if cur.p != circuit.p or cur.x.shape[0] != circuit.m:
         raise ValueError("operator and circuit must share p and wire count")
+    p = cur.p
+    x, z, tau = [int(v) for v in cur.x], [int(v) for v in cur.z], cur.tau
     for g in circuit.gates:
-        cur = _conjugate_gate(g, cur)
-    return cur
+        q = g.qudits[0]
+        if g.kind == "F":
+            a, b = x[q], z[q]
+            x[q], z[q] = (-b) % p, a
+            tau -= 2 * a * b
+        elif g.kind == "P":
+            a = x[q]
+            z[q] = (z[q] + g.param * a) % p
+            tau += g.param * a if p == 2 else g.param * a * (a - 1)
+        elif g.kind == "MUL":
+            x[q] = (x[q] * g.param) % p
+            z[q] = (z[q] * gfp.inv_scalar(g.param, p)) % p
+        elif g.kind == "SUM":
+            qt = g.qudits[1]
+            x[qt] = (x[qt] + x[q]) % p
+            z[q] = (z[q] - z[qt]) % p
+        elif g.kind == "X":
+            tau -= 2 * g.param * z[q]
+        elif g.kind == "Z":
+            tau += 2 * g.param * x[q]
+        else:
+            raise ValueError(g.kind)
+    return PhasedPauli(p, x, z, tau)
 
 
 def symplectic_matrix(circuit: CliffordCircuit) -> np.ndarray:
@@ -254,49 +256,112 @@ def standard_form(m: int) -> np.ndarray:
 # dense realization
 
 
-def _gate_tensor(arr: np.ndarray, g: Gate, p: int, axes: Sequence[int]) -> np.ndarray:
-    """Apply one gate to a complex tensor whose listed axes are qudits."""
-    if g.kind == "F":
-        q = axes[0]
-        f = omega(p) ** np.outer(np.arange(p), np.arange(p)) / np.sqrt(p)
-        arr = np.tensordot(f, arr, axes=([1], [q]))
-        return np.moveaxis(arr, 0, q)
-    if g.kind in ("P", "Z"):
-        q = axes[0]
-        j = np.arange(p)
-        if g.kind == "Z":
-            diag = omega(p) ** (g.param * j)
-        elif p == 2:
-            diag = zeta(2) ** (g.param * j)
+def _fourier_kernel(flat: np.ndarray, p: int, q: int, mat: np.ndarray) -> np.ndarray:
+    view = flat.reshape(p**q, p, -1)
+    return np.matmul(mat, view).reshape(flat.shape)
+
+
+def _monomial_kernel(
+    flat: np.ndarray, index: np.ndarray | None, phase: np.ndarray | None
+) -> np.ndarray:
+    if index is not None:
+        flat = flat[index]
+    if phase is not None:
+        flat = flat * phase[:, None]
+    return flat
+
+
+def _compile(circuit: CliffordCircuit) -> tuple:
+    """Kernels on the (p**m, rest) register view that apply the circuit.
+
+    A maximal run of monomial gates (SUM, MUL, P, X, Z, and F^2 |j> = |-j>)
+    maps |j> to zeta**tau(j) |pi(j)>.  Pushing the register's digit array
+    through the run gives pi and tau, with tau an exact zeta exponent mod
+    2p; the run becomes one gather and one phase vector.  A maximal
+    same-wire run of r Fourier gates is F**(r mod 4): the identity, F^2
+    (monomial), or one p x p matmul with F or F^-1 = conj(F).
+    """
+    p, m = circuit.p, circuit.m
+    # Register index sum_w d_w p**(m-1-w): wire 0 is the most significant digit.
+    place = p ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    start = (np.arange(p**m, dtype=np.int64)[None, :] // place[:, None]) % p
+    roots = zeta(p) ** np.arange(2 * p)
+    fourier = omega(p) ** np.outer(np.arange(p), np.arange(p)) / np.sqrt(p)
+    kernels: list = []
+    digits = tau = None
+
+    def flush():
+        nonlocal digits, tau
+        if digits is None:
+            return
+        # U|j> = zeta**tau[j] |target[j]>, so out[i] = zeta**tau[src[i]] v[src[i]].
+        target = place @ digits
+        src = np.empty_like(target)
+        src[target] = np.arange(target.size)
+        phase = tau[src] % (2 * p)
+        index = None if np.array_equal(src, np.arange(src.size)) else src
+        phases = roots[phase] if phase.any() else None
+        if index is not None or phases is not None:
+            kernels.append(partial(_monomial_kernel, index=index, phase=phases))
+        digits = tau = None
+
+    gates_ = circuit.gates
+    i = 0
+    while i < len(gates_):
+        g = gates_[i]
+        q = g.qudits[0]
+        run = 1
+        while g.kind == "F" and i + run < len(gates_) and gates_[i + run] == g:
+            run += 1
+        i += run
+        if g.kind == "F" and run % 2:
+            flush()
+            mat = fourier if run % 4 == 1 else fourier.conj()
+            kernels.append(partial(_fourier_kernel, p=p, q=q, mat=mat))
+            continue
+        if g.kind == "F" and run % 4 == 0:
+            continue
+        if digits is None:
+            digits, tau = start.copy(), np.zeros(p**m, dtype=np.int64)
+        d = digits[q]
+        if g.kind == "F":  # F^2
+            digits[q] = (-d) % p
+        elif g.kind == "P":
+            tau += g.param * d if p == 2 else g.param * d * (d - 1)
+        elif g.kind == "Z":
+            tau += 2 * g.param * d
+        elif g.kind == "X":
+            digits[q] = (d + g.param) % p
+        elif g.kind == "MUL":
+            digits[q] = (d * g.param) % p
+        elif g.kind == "SUM":
+            qt = g.qudits[1]
+            digits[qt] = (digits[qt] + d) % p
         else:
-            diag = omega(p) ** ((g.param * (j * (j - 1) // 2)) % p)
-        shape = [1] * arr.ndim
-        shape[q] = p
-        return arr * diag.reshape(shape)
-    if g.kind == "X":
-        return np.roll(arr, g.param % p, axis=axes[0])
-    if g.kind == "MUL":
-        gam_inv = gfp.inv_scalar(g.param, p)
-        idx = (gam_inv * np.arange(p)) % p
-        return np.take(arr, idx, axis=axes[0])
-    if g.kind == "SUM":
-        qc, qt = axes
-        moved = np.moveaxis(arr, qc, 0)
-        slices = [np.roll(moved[a], a, axis=qt - 1 if qt > qc else qt) for a in range(p)]
-        return np.moveaxis(np.stack(slices, axis=0), 0, qc)
-    raise ValueError(g.kind)
+            raise ValueError(g.kind)
+    flush()
+    return tuple(kernels)
 
 
 def apply_circuit_tensor(
     arr: np.ndarray, circuit: CliffordCircuit, axes: Sequence[int] | None = None
 ) -> np.ndarray:
-    """Apply the circuit to a tensor; axes[w] is the tensor axis of wire w."""
-    if axes is None:
-        axes = list(range(circuit.m))
+    """Apply the circuit to a tensor; axes[w] is the tensor axis of wire w.
+
+    Axes not listed ride along unchanged.  The circuit's kernels are
+    compiled on first use and kept on the circuit.
+    """
     out = np.asarray(arr, dtype=complex)
-    for g in circuit.gates:
-        out = _gate_tensor(out, g, circuit.p, [axes[q] for q in g.qudits])
-    return out
+    kernels = circuit._kernels
+    if not kernels:
+        return out
+    front = list(range(circuit.m))
+    wires = front if axes is None else list(axes)
+    moved = np.moveaxis(out, wires, front)
+    flat = moved.reshape(circuit.p**circuit.m, -1)
+    for kernel in kernels:
+        flat = kernel(flat)
+    return np.moveaxis(flat.reshape(moved.shape), front, wires)
 
 
 def to_unitary(

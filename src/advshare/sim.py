@@ -251,6 +251,10 @@ def _compose_factors(
     return np.transpose(amp, perm)
 
 
+def _share_tuple(shares: Iterable[int]) -> tuple[int, ...]:
+    return tuple(sorted(set(int(j) for j in shares)))
+
+
 def _check_plan_matches(
     code: StabilizerCode, shares: tuple[int, ...], plan: EAQECCPlan, circuit: CliffordCircuit
 ) -> None:
@@ -268,17 +272,17 @@ def _check_plan_matches(
 
 def _encode_tensor(
     code: StabilizerCode,
-    shares: Iterable[int],
     plan: EAQECCPlan,
     circuit: CliffordCircuit,
     secret_factor: tuple[np.ndarray, tuple[int, ...]] | None,
     extra_labels: Sequence[int],
     budget: int,
 ) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Shared easy-state builder; labels 1..n are shares, extras go first."""
+    """Shared easy-state builder; labels 1..n are shares, extras go first.
+
+    The caller has checked the plan and circuit against the code.
+    """
     p, n = code.p, code.n
-    js = tuple(sorted(set(int(j) for j in shares)))
-    _check_plan_matches(code, js, plan, circuit)
     total_qudits = n + len(extra_labels)
     if p**total_qudits > budget:
         raise BudgetExceededError(
@@ -322,6 +326,18 @@ def encode_advance(
     for later decoding).  The output is an exact joint eigenstate; each
     advance share alone is maximally mixed.
     """
+    _check_plan_matches(code, _share_tuple(shares), plan, circuit)
+    return _encode_advance(code, plan, circuit, secret, budget)
+
+
+def _encode_advance(
+    code: StabilizerCode,
+    plan: EAQECCPlan,
+    circuit: CliffordCircuit,
+    secret: QuditState,
+    budget: int,
+) -> tuple[QuditState, tuple[int, ...]]:
+    """:func:`encode_advance` for a plan and circuit already checked."""
     if secret.p != code.p or secret.m != code.k:
         raise ValueError(f"secret must be {code.k} qudits of dimension {code.p}")
     secret_factor = None
@@ -329,9 +345,7 @@ def encode_advance(
         secret_factor = (secret.tensor(), plan.secret_shares)
     elif not np.allclose(secret.amplitudes, [1.0]):
         raise ValueError("k = 0 code admits only the trivial secret")
-    arr, syndrome = _encode_tensor(
-        code, shares, plan, circuit, secret_factor, (), budget
-    )
+    arr, syndrome = _encode_tensor(code, plan, circuit, secret_factor, (), budget)
     return QuditState(code.p, code.n, arr.reshape(-1)), syndrome
 
 
@@ -348,6 +362,7 @@ def encode_with_reference(
     Entropies of reference-vs-share subsystems quantify exactly how much
     secret information a share set holds.
     """
+    _check_plan_matches(code, _share_tuple(shares), plan, circuit)
     k = code.k
     epr = make_epr(code.p).tensor()
     ref_labels = tuple(-(t + 1) for t in range(k))
@@ -365,7 +380,7 @@ def encode_with_reference(
             labels.extend(lbl2)
         secret_factor = (combined, tuple(labels))
     arr, syndrome = _encode_tensor(
-        code, shares, plan, circuit, secret_factor, ref_labels, budget
+        code, plan, circuit, secret_factor, ref_labels, budget
     )
     return QuditState(code.p, k + code.n, arr.reshape(-1)), syndrome
 
@@ -412,6 +427,10 @@ def erase_and_decode(
     err = sorted(set(int(j) for j in erased))
     if state.p != code.p or state.m != code.n:
         raise ValueError("state does not match the code")
+    if code.p**code.n > budget:
+        raise BudgetExceededError(
+            f"state size {code.p}**{code.n} exceeds budget {budget} (erase and decode)"
+        )
     if not correctable_erasure(code, err):
         raise UncorrectableErasureError(
             f"shares {tuple(err)} carry undetectable damage for this code"
@@ -540,22 +559,34 @@ def reconstruct(
 ) -> QuditState:
     """Recover the secret from a qualified share set.
 
-    Erases the complement, decodes back to the recorded eigenspace, undoes
-    the encoding circuit, and returns the secret register (which must come
-    out pure and disentangled).
+    Checks the plan and circuit against the code, erases the complement,
+    decodes back to the recorded eigenspace, undoes the encoding circuit,
+    and returns the secret register (which must come out pure and
+    disentangled).
     """
+    _check_plan_matches(code, plan.shares, plan, circuit)
     acc = set(int(j) for j in accessible)
     erased = [j for j in range(1, code.n + 1) if j not in acc]
     decoded = erase_and_decode(state, code, syndrome, erased, rng, budget=budget)
-    wire_axes = [s - 1 for s in plan.complement]
-    arr = apply_circuit_tensor(decoded.state.tensor(), circuit.inverse(), axes=wire_axes)
-    secret_axes = [s - 1 for s in plan.secret_shares]
-    rho = reduced_density(QuditState(code.p, code.n, arr.reshape(-1)), secret_axes)
+    rho = _secret_density(decoded.state, plan, circuit.inverse())
     eigvals, eigvecs = np.linalg.eigh(rho)
     top = float(eigvals[-1])
     if top < 1 - 1e-6:
         raise RuntimeError(f"secret register not pure after decoding (purity {top:.6f})")
     return QuditState(code.p, code.k, eigvecs[:, -1])
+
+
+def _secret_density(
+    decoded: QuditState, plan: EAQECCPlan, inverse: CliffordCircuit
+) -> np.ndarray:
+    """Undo the encoding of a decoded state; density of the secret register."""
+    arr = apply_circuit_tensor(
+        decoded.tensor(), inverse, axes=[s - 1 for s in plan.complement]
+    )
+    return reduced_density(
+        QuditState(decoded.p, decoded.m, arr.reshape(-1)),
+        [s - 1 for s in plan.secret_shares],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -596,28 +627,23 @@ def simulate_protocol(
 
     Each accessible set gets ``trials`` independent random secrets; every
     draw comes from one seeded generator, so transcripts rerun bit-exactly.
+    The plan and circuit are checked, and the circuit inverted, once per run.
     """
-    js = tuple(sorted(set(int(j) for j in shares)))
+    js = _share_tuple(shares)
+    _check_plan_matches(code, js, plan, circuit)
+    inverse = circuit.inverse()
     rng = np.random.default_rng(seed)
     records: list[TrialRecord] = []
     reference_syndrome: tuple[int, ...] | None = None
     for acc in accessible_sets:
         for _ in range(trials):
             secret = random_state(code.p, code.k, rng)
-            shared, syndrome = encode_advance(code, js, plan, circuit, secret, budget=budget)
+            shared, syndrome = _encode_advance(code, plan, circuit, secret, budget)
             if reference_syndrome is None:
                 reference_syndrome = syndrome
             erased = tuple(j for j in range(1, code.n + 1) if j not in set(acc))
             decoded = erase_and_decode(shared, code, syndrome, erased, rng, budget=budget)
-            arr = apply_circuit_tensor(
-                decoded.state.tensor(),
-                circuit.inverse(),
-                axes=[s - 1 for s in plan.complement],
-            )
-            rho = reduced_density(
-                QuditState(code.p, code.n, arr.reshape(-1)),
-                [s - 1 for s in plan.secret_shares],
-            )
+            rho = _secret_density(decoded.state, plan, inverse)
             fid = float(np.real(secret.amplitudes.conj() @ rho @ secret.amplitudes))
             records.append(
                 TrialRecord(
@@ -630,7 +656,7 @@ def simulate_protocol(
             )
     if reference_syndrome is None:
         secret = random_state(code.p, code.k, rng)
-        _, reference_syndrome = encode_advance(code, js, plan, circuit, secret, budget=budget)
+        _, reference_syndrome = _encode_advance(code, plan, circuit, secret, budget)
     return ProtocolTranscript(
         p=code.p,
         n=code.n,

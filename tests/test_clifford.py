@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from advshare import gfp
 from advshare.advance import construct_eaqecc
 from advshare.clifford import (
     CliffordCircuit,
     Gate,
     PhasedPauli,
     _action,
+    apply_circuit_tensor,
     conjugate_pauli,
     encoding_circuit,
     gate,
@@ -20,14 +24,132 @@ from advshare.errors import (
     DependentRowsError,
     GramMismatchError,
 )
-from advshare.pauli import PauliOperator, single, to_matrix
+from advshare.pauli import PauliOperator, omega, single, to_matrix, zeta
 from tests_util_circuits import random_circuit
+
+#: Wire registers of the fused-versus-reference sweep hold at most this many
+#: amplitudes; unitaries are compared up to DENSE_UNITARY_LIMIT.
+REGISTER_LIMIT = 4096
+DENSE_UNITARY_LIMIT = 256
 
 
 def random_pauli(p, n, rng):
     return PauliOperator(
         p, rng.integers(0, p, n), rng.integers(0, p, n), int(rng.integers(p))
     )
+
+
+def gate_tensor(arr, g, p, axes):
+    """Reference: apply one gate to a complex tensor whose listed axes are qudits."""
+    if g.kind == "F":
+        q = axes[0]
+        f = omega(p) ** np.outer(np.arange(p), np.arange(p)) / np.sqrt(p)
+        arr = np.tensordot(f, arr, axes=([1], [q]))
+        return np.moveaxis(arr, 0, q)
+    if g.kind in ("P", "Z"):
+        q = axes[0]
+        j = np.arange(p)
+        if g.kind == "Z":
+            diag = omega(p) ** (g.param * j)
+        elif p == 2:
+            diag = zeta(2) ** (g.param * j)
+        else:
+            diag = omega(p) ** ((g.param * (j * (j - 1) // 2)) % p)
+        shape = [1] * arr.ndim
+        shape[q] = p
+        return arr * diag.reshape(shape)
+    if g.kind == "X":
+        return np.roll(arr, g.param % p, axis=axes[0])
+    if g.kind == "MUL":
+        gam_inv = gfp.inv_scalar(g.param, p)
+        idx = (gam_inv * np.arange(p)) % p
+        return np.take(arr, idx, axis=axes[0])
+    if g.kind == "SUM":
+        qc, qt = axes
+        moved = np.moveaxis(arr, qc, 0)
+        slices = [np.roll(moved[a], a, axis=qt - 1 if qt > qc else qt) for a in range(p)]
+        return np.moveaxis(np.stack(slices, axis=0), 0, qc)
+    raise ValueError(g.kind)
+
+
+def slow_apply_circuit_tensor(arr, circuit, axes=None):
+    """Reference: apply the circuit one gate at a time."""
+    if axes is None:
+        axes = list(range(circuit.m))
+    out = np.asarray(arr, dtype=complex)
+    for g in circuit.gates:
+        out = gate_tensor(out, g, circuit.p, [axes[q] for q in g.qudits])
+    return out
+
+
+def slow_to_unitary(circuit):
+    dim = circuit.p**circuit.m
+    eye = np.eye(dim, dtype=complex).reshape((circuit.p,) * circuit.m + (dim,))
+    return slow_apply_circuit_tensor(eye, circuit).reshape(dim, dim)
+
+
+@st.composite
+def fused_cases(draw, p):
+    """A circuit with every gate kind, same-wire F runs of 1-5, and a tensor
+    carrying its wires on shuffled axes among 0-2 extra axes."""
+    m_max = 1
+    while p ** (m_max + 1) <= REGISTER_LIMIT:
+        m_max += 1
+    m = draw(st.integers(1, m_max))
+    kinds = ["F", "P", "MUL", "X", "Z"] + (["SUM"] if m > 1 else [])
+    gates = []
+    for _ in range(draw(st.integers(0, 24))):
+        kind = draw(st.sampled_from(kinds))
+        q = draw(st.integers(0, m - 1))
+        if kind == "F":
+            gates.extend([Gate("F", (q,))] * draw(st.integers(1, 5)))
+        elif kind == "SUM":
+            t = draw(st.integers(0, m - 2))
+            gates.append(Gate("SUM", (q, t + (t >= q))))
+        elif kind == "MUL":
+            gates.append(Gate("MUL", (q,), draw(st.integers(1, p - 1))))
+        elif kind == "P" and p == 2:
+            gates.append(Gate("P", (q,), draw(st.integers(0, 3))))
+        else:
+            gates.append(Gate(kind, (q,), draw(st.integers(0, p - 1))))
+    extra = draw(st.lists(st.integers(1, 3), max_size=2))
+    order = draw(st.permutations(range(m + len(extra))))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return CliffordCircuit(p, m, tuple(gates)), extra, list(order), seed
+
+
+@pytest.mark.parametrize("p", gfp.PRIMES)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fused_kernels_match_gate_by_gate_reference(p, data):
+    circuit, extra, order, seed = data.draw(fused_cases(p))
+    m = circuit.m
+    # Tensor axis order[w] carries wire w; the remaining axes are extras.
+    shape = [0] * (m + len(extra))
+    for w in range(m):
+        shape[order[w]] = p
+    for size, axis in zip(extra, order[m:]):
+        shape[axis] = size
+    rng = np.random.default_rng(seed)
+    arr = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    arr /= np.linalg.norm(arr)
+    before = arr.copy()
+    axes = order[:m]
+    fused = apply_circuit_tensor(arr, circuit, axes=axes)
+    assert fused.shape == arr.shape
+    assert np.abs(fused - slow_apply_circuit_tensor(arr, circuit, axes=axes)).max() < 1e-12
+    assert np.array_equal(arr, before)
+    if p**m <= DENSE_UNITARY_LIMIT:
+        assert np.abs(to_unitary(circuit) - slow_to_unitary(circuit)).max() < 1e-12
+
+
+def test_fused_empty_circuit_and_fourier_cycle():
+    for p in gfp.PRIMES:
+        rng = np.random.default_rng(p)
+        arr = rng.normal(size=(p, 2, p)) + 0j
+        for circuit in (CliffordCircuit(p, 2), CliffordCircuit(p, 2, (gate("F", 1),) * 4)):
+            assert np.abs(apply_circuit_tensor(arr, circuit, axes=[2, 0]) - arr).max() < 1e-12
+            assert np.abs(to_unitary(circuit) - np.eye(p * p)).max() < 1e-12
 
 
 def test_empty_circuit_is_identity():
@@ -118,16 +240,38 @@ def test_sum_spreads_x():
 
 
 def test_symbolic_conjugation_matches_dense(rng):
-    for _ in range(60):
-        p = int(rng.choice([2, 3]))
-        m = int(rng.integers(1, 3))
-        c = random_circuit(p, m, int(rng.integers(0, 9)), rng)
-        a = random_pauli(p, m, rng)
-        img = conjugate_pauli(c, a)
-        u = to_unitary(c)
-        dense = u @ to_matrix(a) @ u.conj().T
-        sym = img.phase_complex() * to_matrix(PauliOperator(p, img.x, img.z))
-        assert np.abs(dense - sym).max() < 1e-10
+    for p in gfp.PRIMES:
+        for _ in range(30):
+            m = int(rng.integers(1, 3))
+            c = random_circuit(p, m, int(rng.integers(0, 12)), rng)
+            a = random_pauli(p, m, rng)
+            img = conjugate_pauli(c, a)
+            u = to_unitary(c)
+            dense = u @ to_matrix(a) @ u.conj().T
+            plain = to_matrix(PauliOperator(p, img.x, img.z))
+            # The exact phase: dense = zeta**tau * X(x) Z(z) with the same tau.
+            lam = np.vdot(plain.reshape(-1), dense.reshape(-1)) / p**m
+            assert round(np.angle(lam) / (np.pi / p)) % (2 * p) == img.tau
+            assert np.abs(dense - img.phase_complex() * plain).max() < 1e-10
+
+
+def test_conjugate_pauli_leaves_its_input_alone(rng):
+    for p in gfp.PRIMES:
+        for _ in range(10):
+            m = int(rng.integers(1, 4))
+            c = random_circuit(p, m, int(rng.integers(0, 12)), rng)
+            a = random_pauli(p, m, rng)
+            phased = PhasedPauli.from_pauli(a)
+            x, z = a.x.copy(), a.z.copy()
+            for op in (a, phased):
+                img = conjugate_pauli(c, op)
+                assert not np.shares_memory(img.x, op.x)
+                assert not np.shares_memory(img.z, op.z)
+                img.x[:] = (img.x + 1) % p
+                img.z[:] = (img.z + 1) % p
+            assert np.array_equal(a.x, x) and np.array_equal(a.z, z)
+            assert np.array_equal(phased.x, x) and np.array_equal(phased.z, z)
+            assert phased.tau == 2 * a.phase
 
 
 def test_gate_actions_match_symbolic_engine():

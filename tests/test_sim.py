@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
+from advshare import sim
 from advshare.advance import construct_eaqecc
-from advshare.clifford import encoding_circuit
+from advshare.clifford import CliffordCircuit, encoding_circuit
 from advshare.errors import BudgetExceededError, UncorrectableErasureError
 from advshare.pauli import PauliOperator, single, to_matrix
 from advshare.sim import (
@@ -156,8 +157,6 @@ def test_encode_budget(four_qubit_pipeline, rng):
 
 def test_encode_rejects_mismatched_circuit(four_qubit_pipeline, rng):
     code, plan, _ = four_qubit_pipeline
-    from advshare.clifford import CliffordCircuit
-
     wrong = CliffordCircuit(2, 3)
     with pytest.raises(ValueError, match="does not map"):
         encode_advance(code, [4], plan, wrong, random_state(2, 2, rng))
@@ -282,6 +281,13 @@ def test_reconstruct_qualified_sets(four_qubit_pipeline, rng):
     assert fidelity(full, secret) > 1 - 1e-9
 
 
+def test_reconstruct_rejects_mismatched_circuit(four_qubit_pipeline, rng):
+    code, plan, circuit = four_qubit_pipeline
+    shared, syndrome = encode_advance(code, [4], plan, circuit, random_state(2, 2, rng))
+    with pytest.raises(ValueError, match="does not map"):
+        reconstruct(shared, code, syndrome, plan, CliffordCircuit(2, 3), [1, 2, 3], rng)
+
+
 def test_reconstruct_five_qubit(five_qubit, rng):
     plan = construct_eaqecc(five_qubit, [5])
     circuit = encoding_circuit(plan)
@@ -350,3 +356,54 @@ def test_simulate_protocol_deterministic(four_qubit_pipeline):
             if rec.correction[j] or rec.correction[code.n + j]
         }
         assert support <= set(rec.erased)
+
+
+def test_simulate_protocol_checks_and_inverts_once_per_run(four_qubit_pipeline, monkeypatch):
+    code, plan, circuit = four_qubit_pipeline
+    calls = {"check": 0, "inverse": 0}
+    check, inverse = sim._check_plan_matches, CliffordCircuit.inverse
+
+    def counted_check(*args):
+        calls["check"] += 1
+        return check(*args)
+
+    def counted_inverse(self):
+        calls["inverse"] += 1
+        return inverse(self)
+
+    monkeypatch.setattr(sim, "_check_plan_matches", counted_check)
+    monkeypatch.setattr(CliffordCircuit, "inverse", counted_inverse)
+    sets = [(1, 2, 3), (2, 3, 4), (1, 3, 4), (1, 2, 3, 4)]
+    transcript = simulate_protocol(
+        code, [4], plan, circuit, seed=3, trials=3, accessible_sets=sets
+    )
+    assert len(transcript.trials) == 12
+    assert all(rec.fidelity > 1 - 1e-9 for rec in transcript.trials)
+    assert calls == {"check": 1, "inverse": 1}
+
+
+def test_simulate_protocol_rejects_mismatched_circuit_first(four_qubit_pipeline, monkeypatch):
+    code, plan, _ = four_qubit_pipeline
+    simulated = []
+    monkeypatch.setattr(sim, "random_state", lambda *args: simulated.append(args))
+    monkeypatch.setattr(sim, "apply_circuit_tensor", lambda *args, **kw: simulated.append(args))
+    with pytest.raises(ValueError, match="does not map"):
+        simulate_protocol(
+            code,
+            [4],
+            plan,
+            CliffordCircuit(2, 3),
+            seed=3,
+            trials=2,
+            accessible_sets=[(1, 2, 3)],
+        )
+    assert simulated == []
+
+
+def test_erase_and_decode_budget_names_its_stage(four_qubit_pipeline, rng):
+    code, plan, circuit = four_qubit_pipeline
+    shared, syndrome = encode_advance(code, [4], plan, circuit, random_state(2, 2, rng))
+    with pytest.raises(BudgetExceededError, match=r"2\*\*4 exceeds budget 15 \(erase and decode\)"):
+        erase_and_decode(shared, code, syndrome, [1], rng, budget=15)
+    result = erase_and_decode(shared, code, syndrome, [1], rng, budget=16)
+    assert fidelity(result.state, shared) > 1 - 1e-9
