@@ -34,6 +34,7 @@ from .errors import (
     CodeFileError,
     DependentRowsError,
     GramMismatchError,
+    InvariantError,
     NotAdvanceShareableError,
     NotCommutativeError,
     UncorrectableErasureError,

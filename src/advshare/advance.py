@@ -27,7 +27,7 @@ import numpy as np
 
 from . import gfp
 from .access import share_mask
-from .errors import NotAdvanceShareableError
+from .errors import InvariantError, NotAdvanceShareableError
 from .pauli import PauliOperator, StabilizerCode, commutation_exponent
 from .symplectic import validated_shares
 
@@ -147,7 +147,7 @@ def normal_form(code: StabilizerCode, shares: Iterable[int]) -> NormalForm:
         pivot = int(h_prime[i, j - 1])
         forced = _mu_from_rows(h_prime[i], h_prime[c + i], n, j, p)
         if pivot != forced or pivot == 0:
-            raise RuntimeError(
+            raise InvariantError(
                 f"normal form invariant violated on share {j}: "
                 f"pivot {pivot}, forced value {forced}"
             )
@@ -273,7 +273,7 @@ def construct_eaqecc(code: StabilizerCode, shares: Iterable[int]) -> EAQECCPlan:
         z_positions=z_positions,
     )
     if not np.array_equal(gram_matrix(plan.source_generators), gram_matrix(plan.target_generators)):
-        raise RuntimeError(
+        raise InvariantError(
             "commutation structure of restricted generators does not match the"
             " single-wire pattern; normal form is inconsistent"
         )

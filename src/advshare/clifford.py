@@ -44,7 +44,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import gfp
-from .errors import BudgetExceededError, DependentRowsError, GramMismatchError
+from .errors import (
+    BudgetExceededError,
+    DependentRowsError,
+    GramMismatchError,
+    InvariantError,
+)
 from .pauli import PauliOperator, omega, zeta
 
 DEFAULT_DENSE_BUDGET = 2**12
@@ -451,7 +456,7 @@ def _complete_basis(vectors: np.ndarray, gram: np.ndarray, p: int) -> np.ndarray
         rhs[len(basis)] = 1  # <c, d> = 1, everything else orthogonal
         d = gfp.solve(rows, rhs, p)
         if d is None:
-            raise RuntimeError("symplectic completion failed: partner system inconsistent")
+            raise InvariantError("symplectic completion failed: partner system inconsistent")
         basis.append(c)
         basis.append(d)
     while len(basis) < two_m:
@@ -467,7 +472,7 @@ def _complete_basis(vectors: np.ndarray, gram: np.ndarray, p: int) -> np.ndarray
         rhs[-1] = 1
         f = gfp.solve(rows2, rhs, p)
         if f is None:
-            raise RuntimeError("symplectic completion failed: no partner for fresh vector")
+            raise InvariantError("symplectic completion failed: no partner for fresh vector")
         basis.append(e)
         basis.append(f)
     return np.array(basis, dtype=np.int64)
@@ -546,11 +551,11 @@ def _decompose_symplectic(matrix: np.ndarray, m: int, p: int) -> list[Gate]:
         if cur[m + q, q]:
             apply(Gate("P", (q,), (p - int(cur[m + q, q])) % p))
         if cur[q, q] != 1 or cur[:, q].sum() != 1:
-            raise RuntimeError(f"column {q} not reduced to a unit vector")
+            raise InvariantError(f"column {q} not reduced to a unit vector")
 
         col2 = cur[:, m + q]
         if col2[m + q] != 1:
-            raise RuntimeError("symplectic pairing broken during reduction")
+            raise InvariantError("symplectic pairing broken during reduction")
         for w in range(q + 1, m):
             if cur[m + w, m + q]:
                 apply(Gate("SUM", (w, q)), times=int(cur[m + w, m + q]))
@@ -564,10 +569,10 @@ def _decompose_symplectic(matrix: np.ndarray, m: int, p: int) -> list[Gate]:
             apply(Gate("P", (q,), gam))
             apply(Gate("F", (q,)))
         if not (cur[:, m + q] == np.eye(2 * m, dtype=np.int64)[:, m + q]).all():
-            raise RuntimeError(f"column {m + q} not reduced to a unit vector")
+            raise InvariantError(f"column {m + q} not reduced to a unit vector")
 
     if not np.array_equal(cur, np.eye(2 * m, dtype=np.int64)):
-        raise RuntimeError("reduction did not reach the identity")
+        raise InvariantError("reduction did not reach the identity")
     gates_: list[Gate] = []
     for g in reversed(ops):
         gates_.extend(_inverse_gates(g, p))
@@ -648,10 +653,10 @@ def synthesize(
     basis_v = _complete_basis(v_rows, gram_v, p)
     t_matrix = (basis_v.T @ _inv_matrix(basis_u.T, p)) % p
     if not np.array_equal((t_matrix.T @ omega_m @ t_matrix) % p, omega_m % p):
-        raise RuntimeError("change of basis is not symplectic")
+        raise InvariantError("change of basis is not symplectic")
     for u, v in zip(u_rows, v_rows):
         if not np.array_equal((t_matrix @ u) % p, v):
-            raise RuntimeError("change of basis does not map source images to target")
+            raise InvariantError("change of basis does not map source images to target")
 
     circuit = CliffordCircuit(p, m, tuple(_decompose_symplectic(t_matrix, m, p)))
 
@@ -660,7 +665,7 @@ def synthesize(
     for src, tgt in zip(source, target):
         img = conjugate_pauli(circuit, src)
         if not (np.array_equal(img.x, tgt.x) and np.array_equal(img.z, tgt.z)):
-            raise RuntimeError("decomposed circuit does not realize the basis change")
+            raise InvariantError("decomposed circuit does not realize the basis change")
         residues.append((img.tau - 2 * tgt.phase) % (2 * p))
     fixable = [i for i, r in enumerate(residues) if r % 2 == 0]
     if fixable:
@@ -670,7 +675,7 @@ def synthesize(
         rhs = np.array([(-residues[i] // 2) % p for i in fixable], dtype=np.int64)
         correction = gfp.solve(rows, rhs, p)
         if correction is None:
-            raise RuntimeError("phase correction system inconsistent")
+            raise InvariantError("phase correction system inconsistent")
         extra = []
         for q in range(m):
             if correction[q]:

@@ -14,6 +14,13 @@ class BudgetExceededError(AdvShareError):
     """
 
 
+class InvariantError(AdvShareError, RuntimeError):
+    """An internal consistency check failed: a defect, never bad input.
+
+    The CLI reports it as an internal error with exit code 3.
+    """
+
+
 class NotCommutativeError(AdvShareError):
     """Two check rows fail the symplectic orthogonality test."""
 

@@ -21,13 +21,18 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
 from . import gfp, symplectic
 from .access import ShareStructure
-from .errors import BudgetExceededError, DependentRowsError, NotCommutativeError
+from .errors import (
+    BudgetExceededError,
+    DependentRowsError,
+    InvariantError,
+    NotCommutativeError,
+)
 from .symplectic import SymplecticCode, SymplecticVector
 
 
@@ -194,6 +199,8 @@ class StabilizerCode:
     check_matrix: np.ndarray = field(repr=False)
     _distance: Optional[int] = field(default=None, repr=False, compare=False)
     _shares: Optional[ShareStructure] = field(default=None, repr=False, compare=False)
+    # Dense gather-and-phase kernels of the generators (sim.PauliKernels).
+    _generator_kernels: Optional[Any] = field(default=None, repr=False, compare=False)
 
     @property
     def num_checks(self) -> int:
@@ -284,7 +291,7 @@ def code_distance(
 
     best = structure.smallest_size(uncorrectable, code.n, "distance", budget)
     if best is None:
-        raise RuntimeError("every erasure is correctable despite k >= 1")
+        raise InvariantError("every erasure is correctable despite k >= 1")
     code._distance = best
     return best
 

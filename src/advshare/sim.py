@@ -16,7 +16,13 @@ The protocol pipeline:
 2. :func:`erase_and_decode` models share loss by measuring the lost qudits
    and resetting them to |0>, measures every generator projectively, solves
    an F_p linear system for a correction supported on the lost shares, and
-   applies it, returning to the recorded eigenspace.
+   applies it, returning to the recorded eigenspace.  A Pauli is monomial,
+   so each generator compiles once per code (:func:`compile_paulis`, kept on
+   the code) into one gather index and one exact phase vector per power
+   t = 0..p-1.  Measuring a generator is one gather that stacks its p powers
+   and one p x p matmul with the projector coefficients lambda**-t / p;
+   every eigenvalue check (after encoding, after correction) is one batched
+   gather over all generators.
 3. :func:`reconstruct` undoes the encoding and extracts the secret register.
 
 Eigenvalues of generators are exact roots of unity written zeta**tau with
@@ -26,6 +32,7 @@ generator has odd x.z overlap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -40,8 +47,15 @@ from .clifford import (
     conjugate_pauli,
     encoding_circuit,
 )
-from .errors import BudgetExceededError, UncorrectableErasureError
-from .pauli import PauliOperator, StabilizerCode, f_inv, half_turn_parity, zeta
+from .errors import BudgetExceededError, InvariantError, UncorrectableErasureError
+from .pauli import (
+    PauliOperator,
+    StabilizerCode,
+    f_inv,
+    half_turn_parity,
+    omega,
+    zeta,
+)
 from .symplectic import SymplecticVector
 
 #: Default cap on dense state sizes (amplitude count p**m).
@@ -110,32 +124,96 @@ def fidelity(a: QuditState, b: QuditState) -> float:
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 
 
-def _apply_pauli_tensor(
-    arr: np.ndarray, op: PauliOperator, axes: Sequence[int] | None = None
+# ---------------------------------------------------------------------------
+# Pauli kernels
+
+
+@dataclass(frozen=True)
+class PauliKernels:
+    """Gather-and-phase form of the powers of r Paulis on the p**n register.
+
+    ``(P_i**t v)[j] = phases[i, t, j] * v[src[i, t, j]]`` for t = 0..p-1;
+    the register index is sum_q d_q p**(n-1-q), qudit 0 the most
+    significant digit.  Each phase is looked up from an exact
+    integer w-exponent mod p.  P_i's eigenvalues are lambda_ij =
+    zeta**taus[i, j], and ``branch[i, j, t] = lambda_ij**-t / p`` are the
+    exact coefficients of the projector onto lambda_ij in the powers of P_i.
+    The table holds r * p * p**n entries, r * p times the state it acts on.
+    """
+
+    p: int
+    src: np.ndarray = field(repr=False)
+    phases: np.ndarray = field(repr=False)
+    taus: np.ndarray = field(repr=False)
+    branch: np.ndarray = field(repr=False)
+
+
+def compile_paulis(p: int, n: int, ops: Sequence[PauliOperator]) -> PauliKernels:
+    """Compile the powers t = 0..p-1 of each Pauli on the p**n register.
+
+    P|d> = w**(phase + z.d) |d + x>, so (P v)[j] = w**e[j] v[s[j]] with
+    digits(s[j]) = digits(j) - x and e[j] = phase + z.(digits(j) - x).
+    P**t = P P**(t-1) composes the gathers step by step and adds the integer
+    exponents mod p; no float phase is rounded along the way.
+    """
+    size = p**n
+    place = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    digits = (np.arange(size, dtype=np.int64)[None, :] // place[:, None]) % p
+    src = np.empty((len(ops), p, size), dtype=np.intp)
+    exps = np.empty((len(ops), p, size), dtype=np.int64)
+    for i, op in enumerate(ops):
+        shifted = (digits - op.x[:, None]) % p
+        step_src = place @ shifted
+        step_exp = (op.phase + op.z @ shifted) % p
+        src[i, 0] = np.arange(size)
+        exps[i, 0] = 0
+        for t in range(1, p):
+            src[i, t] = src[i, t - 1][step_src]
+            exps[i, t] = (step_exp + exps[i, t - 1][step_src]) % p
+    phases = (omega(p) ** np.arange(p))[exps]
+    parity = np.array([half_turn_parity(op) for op in ops], dtype=np.int64)
+    taus = (2 * np.arange(p)[None, :] + parity[:, None]) % (2 * p)
+    turns = (-taus[:, :, None] * np.arange(p)) % (2 * p)
+    branch = (zeta(p) ** np.arange(2 * p))[turns] / p
+    return PauliKernels(p, src, phases, taus, branch)
+
+
+def _generator_kernels(code: StabilizerCode) -> PauliKernels:
+    """The code's compiled check generators, built on first use and cached."""
+    if code._generator_kernels is None:
+        code._generator_kernels = compile_paulis(code.p, code.n, code.generators())
+    return code._generator_kernels
+
+
+def _register(arr: np.ndarray, n: int, axes: Sequence[int] | None) -> np.ndarray:
+    """The (p**n, rest) matrix of a tensor whose n-qudit register sits on axes."""
+    front = list(range(n))
+    wires = front if axes is None else list(axes)
+    moved = np.moveaxis(np.asarray(arr, dtype=complex), wires, front)
+    return moved.reshape(math.prod(moved.shape[:n]), -1)
+
+
+def _unregister(
+    flat: np.ndarray, like: np.ndarray, n: int, axes: Sequence[int] | None
 ) -> np.ndarray:
-    """Apply w^phase X(x) Z(z); Z acts first, X (a cyclic shift) second."""
-    p = op.p
-    if axes is None:
-        axes = list(range(op.n))
-    out = np.asarray(arr, dtype=complex)
-    w = np.exp(2j * np.pi / p)
-    for q, axis in enumerate(axes):
-        if op.z[q]:
-            diag = w ** (int(op.z[q]) * np.arange(p))
-            shape = [1] * out.ndim
-            shape[axis] = p
-            out = out * diag.reshape(shape)
-        if op.x[q]:
-            out = np.roll(out, int(op.x[q]), axis=axis)
-    if op.phase:
-        out = out * (w**op.phase)
-    return out
+    """Inverse of :func:`_register`: flat back to the axis layout of like."""
+    front = list(range(n))
+    wires = front if axes is None else list(axes)
+    moved_shape = np.moveaxis(like, wires, front).shape
+    return np.moveaxis(flat.reshape(moved_shape), front, wires)
+
+
+def _power(flat: np.ndarray, kernels: PauliKernels, i: int, t: int) -> np.ndarray:
+    """P_i**t applied to a (p**n, rest) register matrix."""
+    return flat[kernels.src[i, t]] * kernels.phases[i, t][:, None]
 
 
 def apply_pauli(state: QuditState, op: PauliOperator) -> QuditState:
     if op.p != state.p or op.n != state.m:
         raise ValueError("operator and state must share p and qudit count")
-    return QuditState(state.p, state.m, _apply_pauli_tensor(state.tensor(), op).reshape(-1))
+    kernels = compile_paulis(op.p, op.n, [op])
+    flat = _power(state.amplitudes.reshape(-1, 1), kernels, 0, 1)
+    return QuditState(state.p, state.m, flat.reshape(-1))
 
 
 def apply_circuit(
@@ -167,22 +245,59 @@ def entropy(rho: np.ndarray, p: int) -> float:
 # eigenvalue bookkeeping
 
 
+def _exponents(flat: np.ndarray, kernels: PauliKernels) -> tuple[int, ...]:
+    """tau_i with P_i|psi> = zeta**tau_i |psi> for every compiled Pauli.
+
+    ``flat`` is the (p**n, rest) matrix of |psi>.  All P_i|psi> come from
+    one batched gather and all lambda_i = <psi|P_i|psi> from one product;
+    each generator then passes the three checks in turn, or raises.
+    """
+    p = kernels.p
+    vec = flat.reshape(-1)
+    moved = flat[kernels.src[:, 1]] * kernels.phases[:, 1, :, None]
+    moved = moved.reshape(moved.shape[0], vec.size)
+    lams = moved @ vec.conj()
+    residuals = np.linalg.norm(moved - lams[:, None] * vec, axis=1)
+    taus = []
+    for lam, residual in zip(lams, residuals):
+        lam = complex(lam)
+        if abs(abs(lam) - 1.0) > EIGEN_TOL:
+            raise InvariantError(f"state is not an eigenvector (|<G>| = {abs(lam):.3g})")
+        if residual > 1e-7:
+            raise InvariantError("state is not an eigenvector of the generator")
+        tau = int(round(np.angle(lam) / (np.pi / p))) % (2 * p)
+        if abs(zeta(p) ** tau - lam) > 1e-6:
+            raise InvariantError(f"eigenvalue {lam} is not a 2p-th root of unity")
+        taus.append(tau)
+    return tuple(taus)
+
+
 def _eigenvalue_exponent(
     arr: np.ndarray, op: PauliOperator, axes: Sequence[int] | None = None
 ) -> int:
     """tau with op|psi> = zeta**tau |psi>; raises if |psi> is no eigenvector."""
-    moved = _apply_pauli_tensor(arr, op, axes)
-    lam = complex(np.vdot(arr.reshape(-1), moved.reshape(-1)))
-    if abs(abs(lam) - 1.0) > EIGEN_TOL:
-        raise RuntimeError(f"state is not an eigenvector (|<G>| = {abs(lam):.3g})")
-    if np.linalg.norm(moved.reshape(-1) - lam * arr.reshape(-1)) > 1e-7:
-        raise RuntimeError("state is not an eigenvector of the generator")
-    two_p = 2 * op.p
-    tau = int(round(np.angle(lam) / (np.pi / op.p))) % two_p
-    snapped = zeta(op.p) ** tau
-    if abs(snapped - lam) > 1e-6:
-        raise RuntimeError(f"eigenvalue {lam} is not a 2p-th root of unity")
-    return tau
+    kernels = compile_paulis(op.p, op.n, [op])
+    return _exponents(_register(arr, op.n, axes), kernels)[0]
+
+
+def _measure(
+    flat: np.ndarray, kernels: PauliKernels, i: int, rng: np.random.Generator
+) -> tuple[int, np.ndarray]:
+    """Projectively measure P_i on a (p**n, rest) register matrix.
+
+    The projector onto eigenvalue lambda_j = zeta**tau_j is
+    sum_t lambda_j**-t P_i**t / p: one gather stacks the p powers and one
+    p x p matmul with exact coefficients gives every branch.  Born weights
+    are the squared branch norms.
+    """
+    p = kernels.p
+    stacked = flat[kernels.src[i]] * kernels.phases[i][:, :, None]
+    branches = kernels.branch[i] @ stacked.reshape(p, -1)
+    norms = np.linalg.norm(branches, axis=1)
+    probs = np.clip(norms**2, 0.0, None)
+    probs = probs / probs.sum()
+    pick = int(rng.choice(p, p=probs))
+    return int(kernels.taus[i, pick]), (branches[pick] / norms[pick]).reshape(flat.shape)
 
 
 def measure_pauli(
@@ -196,42 +311,23 @@ def measure_pauli(
     Returns ``(tau, collapsed)`` with the realized eigenvalue zeta**tau.
     Outcomes follow the Born rule under the supplied generator.
     """
-    p = op.p
-    parity = half_turn_parity(op)
-    powers = [np.asarray(arr, dtype=complex)]
-    for _ in range(p - 1):
-        powers.append(_apply_pauli_tensor(powers[-1], op, axes))
-    zp = zeta(p)
-    branches = []
-    probs = []
-    taus = []
-    for j in range(p):
-        tau = (2 * j + parity) % (2 * p)
-        lam = zp**tau
-        branch = sum(lam ** (-t) * powers[t] for t in range(p)) / p
-        weight = float(np.linalg.norm(branch.reshape(-1)) ** 2)
-        branches.append(branch)
-        probs.append(weight)
-        taus.append(tau)
-    probs_arr = np.clip(np.array(probs), 0.0, None)
-    probs_arr = probs_arr / probs_arr.sum()
-    pick = int(rng.choice(p, p=probs_arr))
-    collapsed = branches[pick] / np.linalg.norm(branches[pick].reshape(-1))
-    return taus[pick], collapsed
+    arr = np.asarray(arr, dtype=complex)
+    tau, flat = _measure(_register(arr, op.n, axes), compile_paulis(op.p, op.n, [op]), 0, rng)
+    return tau, _unregister(flat, arr, op.n, axes)
 
 
-def _measure_computational(
-    arr: np.ndarray, axis: int, rng: np.random.Generator
-) -> tuple[int, np.ndarray]:
-    p = arr.shape[axis]
-    moved = np.moveaxis(arr, axis, 0)
-    probs = np.array([float(np.linalg.norm(moved[i]) ** 2) for i in range(p)])
-    probs = np.clip(probs, 0.0, None)
+def _measure_and_reset(
+    amp: np.ndarray, p: int, q: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Measure qudit q of a flat state in the computational basis, reset it to |0>."""
+    view = amp.reshape(p**q, p, -1)
+    weights = np.einsum("aib,aib->i", view.conj(), view).real
+    probs = np.clip(weights, 0.0, None)
     probs = probs / probs.sum()
     outcome = int(rng.choice(p, p=probs))
-    collapsed = np.zeros_like(moved)
-    collapsed[outcome] = moved[outcome] / np.linalg.norm(moved[outcome])
-    return outcome, np.moveaxis(collapsed, 0, axis)
+    reset = np.zeros_like(view)
+    reset[:, 0] = view[:, outcome] / np.sqrt(weights[outcome])
+    return reset.reshape(amp.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +400,7 @@ def _encode_tensor(
     wire_axes = [offset + s - 1 for s in plan.complement]
     arr = apply_circuit_tensor(arr, circuit, axes=wire_axes)
     share_axes = [offset + s - 1 for s in range(1, n + 1)]
-    syndrome = tuple(
-        _eigenvalue_exponent(arr, code.generator(i), axes=share_axes)
-        for i in range(code.num_checks)
-    )
+    syndrome = _exponents(_register(arr, n, share_axes), _generator_kernels(code))
     return arr, syndrome
 
 
@@ -436,20 +529,20 @@ def erase_and_decode(
             f"shares {tuple(err)} carry undetectable damage for this code"
         )
     p, n = code.p, code.n
-    arr = state.tensor()
+    kernels = _generator_kernels(code)
+    amp = state.amplitudes
     for j in err:
-        outcome, arr = _measure_computational(arr, j - 1, rng)
-        if outcome:
-            arr = np.roll(arr, -outcome, axis=j - 1)
+        amp = _measure_and_reset(amp, p, j - 1, rng)
+    flat = amp.reshape(-1, 1)
     measured = []
     for i in range(code.num_checks):
-        tau, arr = measure_pauli(arr, code.generator(i), rng)
+        tau, flat = _measure(flat, kernels, i, rng)
         measured.append(tau)
     deltas = []
     for got, want in zip(measured, syndrome):
         diff = (got - want) % (2 * p)
         if diff % 2:
-            raise RuntimeError("measured syndrome has incompatible phase parity")
+            raise InvariantError("measured syndrome has incompatible phase parity")
         deltas.append((diff // 2) % p)
     h = code.check_matrix
     err0 = [j - 1 for j in err]
@@ -459,19 +552,20 @@ def erase_and_decode(
     rhs = np.array([(-d) % p for d in deltas], dtype=np.int64)
     u = gfp.solve(sys_rows, rhs, p)
     if u is None:
-        raise RuntimeError("no correction supported on the erased shares solves the syndrome")
+        raise InvariantError("no correction supported on the erased shares solves the syndrome")
     full = np.zeros(2 * n, dtype=np.int64)
     for idx, j in enumerate(err0):
         full[j] = u[idx]
         full[n + j] = u[len(err0) + idx]
-    correction = f_inv(SymplecticVector.from_vec(full, p))
-    arr = _apply_pauli_tensor(arr, correction)
+    if full.any():
+        correction = f_inv(SymplecticVector.from_vec(full, p))
+        flat = _power(flat, compile_paulis(p, n, [correction]), 0, 1)
+    restored = _exponents(flat, kernels)
     for i in range(code.num_checks):
-        tau = _eigenvalue_exponent(arr, code.generator(i))
-        if tau != syndrome[i]:
-            raise RuntimeError("correction failed to restore the recorded eigenspace")
+        if restored[i] != syndrome[i]:
+            raise InvariantError("correction failed to restore the recorded eigenspace")
     return DecodeResult(
-        state=QuditState(p, n, arr.reshape(-1)),
+        state=QuditState(p, n, flat.reshape(-1)),
         measured_syndrome=tuple(measured),
         correction=full,
     )
@@ -572,7 +666,7 @@ def reconstruct(
     eigvals, eigvecs = np.linalg.eigh(rho)
     top = float(eigvals[-1])
     if top < 1 - 1e-6:
-        raise RuntimeError(f"secret register not pure after decoding (purity {top:.6f})")
+        raise InvariantError(f"secret register not pure after decoding (purity {top:.6f})")
     return QuditState(code.p, code.k, eigvecs[:, -1])
 
 
@@ -636,12 +730,13 @@ def simulate_protocol(
     records: list[TrialRecord] = []
     reference_syndrome: tuple[int, ...] | None = None
     for acc in accessible_sets:
+        acc_set = set(acc)
         for _ in range(trials):
             secret = random_state(code.p, code.k, rng)
             shared, syndrome = _encode_advance(code, plan, circuit, secret, budget)
             if reference_syndrome is None:
                 reference_syndrome = syndrome
-            erased = tuple(j for j in range(1, code.n + 1) if j not in set(acc))
+            erased = tuple(j for j in range(1, code.n + 1) if j not in acc_set)
             decoded = erase_and_decode(shared, code, syndrome, erased, rng, budget=budget)
             rho = _secret_density(decoded.state, plan, inverse)
             fid = float(np.real(secret.amplitudes.conj() @ rho @ secret.amplitudes))

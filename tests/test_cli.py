@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 from importlib import resources
@@ -302,3 +303,24 @@ def test_demo_mutual_information_is_exact(code_dir, name, shares):
             assert mi == 2 * k
         elif entry["label"] == "forbidden":
             assert mi == 0
+
+
+def test_broken_invariant_exits_3_as_internal_error(code_dir, monkeypatch):
+    from advshare import sim
+
+    compile_paulis = sim.compile_paulis
+
+    def skewed(*args, **kwargs):
+        kernels = compile_paulis(*args, **kwargs)
+        return dataclasses.replace(kernels, phases=kernels.phases * np.exp(0.1j))
+
+    monkeypatch.setattr(sim, "compile_paulis", skewed)
+    status, out, err = run_cli(
+        ["demo", str(code_dir / "four_qubit_ghz.code"), "--J", "4", "--trials", "1", "--json-only"]
+    )
+    assert status == 3
+    error = json.loads(out)["error"]
+    assert error["type"] == "internal"
+    assert error["message"].startswith("eigenvalue ")
+    assert error["message"].endswith(" is not a 2p-th root of unity")
+    assert err == f"internal error: {error['message']}\n"

@@ -1,13 +1,32 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from advshare import sim
-from advshare.advance import construct_eaqecc
+from advshare import gfp, sim
+from advshare.advance import construct_eaqecc, is_advance_shareable
 from advshare.clifford import CliffordCircuit, encoding_circuit
-from advshare.errors import BudgetExceededError, UncorrectableErasureError
-from advshare.pauli import PauliOperator, single, to_matrix
+from advshare.codefile import parse_code_file
+from advshare.errors import (
+    AdvShareError,
+    BudgetExceededError,
+    InvariantError,
+    UncorrectableErasureError,
+)
+from advshare.pauli import (
+    PauliOperator,
+    f_inv,
+    half_turn_parity,
+    random_stabilizer,
+    single,
+    to_matrix,
+    validate_stabilizer,
+    zeta,
+)
+from advshare.symplectic import SymplecticVector
 from advshare.sim import (
     AccessLabel,
     QuditState,
@@ -30,9 +49,155 @@ from advshare.sim import (
     simulate_protocol,
 )
 
+#: Registers of the compiled-Pauli sweep hold at most this many amplitudes.
+KERNEL_REGISTER_LIMIT = 256
+
 # Dense leakage of any two shares of the four-qubit fixture, in log-2 units:
 # exactly half the 2k available correlations (frozen from a dense run).
 TWO_SHARE_LEAKAGE = 2.0
+
+
+# ---------------------------------------------------------------------------
+# slow references: Paulis one qudit at a time
+
+
+def slow_apply_pauli_tensor(arr, op, axes=None):
+    """Reference: apply w^phase X(x) Z(z); Z acts first, X (a cyclic shift) second."""
+    p = op.p
+    if axes is None:
+        axes = list(range(op.n))
+    out = np.asarray(arr, dtype=complex)
+    w = np.exp(2j * np.pi / p)
+    for q, axis in enumerate(axes):
+        if op.z[q]:
+            diag = w ** (int(op.z[q]) * np.arange(p))
+            shape = [1] * out.ndim
+            shape[axis] = p
+            out = out * diag.reshape(shape)
+        if op.x[q]:
+            out = np.roll(out, int(op.x[q]), axis=axis)
+    if op.phase:
+        out = out * (w**op.phase)
+    return out
+
+
+def slow_eigenvalue_exponent(arr, op, axes=None):
+    """Reference: tau with op|psi> = zeta**tau |psi>, from one dense product."""
+    moved = slow_apply_pauli_tensor(arr, op, axes)
+    lam = complex(np.vdot(arr.reshape(-1), moved.reshape(-1)))
+    assert abs(abs(lam) - 1.0) < 1e-9
+    assert np.linalg.norm(moved.reshape(-1) - lam * arr.reshape(-1)) < 1e-7
+    return int(round(np.angle(lam) / (np.pi / op.p))) % (2 * op.p)
+
+
+def slow_measure_pauli(arr, op, rng, axes=None):
+    """Reference: build every power, then every eigen-branch, one at a time."""
+    p = op.p
+    parity = half_turn_parity(op)
+    powers = [np.asarray(arr, dtype=complex)]
+    for _ in range(p - 1):
+        powers.append(slow_apply_pauli_tensor(powers[-1], op, axes))
+    zp = zeta(p)
+    branches, probs, taus = [], [], []
+    for j in range(p):
+        tau = (2 * j + parity) % (2 * p)
+        lam = zp**tau
+        branch = sum(lam ** (-t) * powers[t] for t in range(p)) / p
+        branches.append(branch)
+        probs.append(float(np.linalg.norm(branch.reshape(-1)) ** 2))
+        taus.append(tau)
+    probs_arr = np.clip(np.array(probs), 0.0, None)
+    probs_arr = probs_arr / probs_arr.sum()
+    pick = int(rng.choice(p, p=probs_arr))
+    return taus[pick], branches[pick] / np.linalg.norm(branches[pick].reshape(-1))
+
+
+def slow_erase_and_decode(state, code, syndrome, erased, rng):
+    """Reference decoder: roll-based measure-and-reset, measurement and correction."""
+    p, n = code.p, code.n
+    err = sorted(set(int(j) for j in erased))
+    arr = state.tensor()
+    for j in err:
+        moved = np.moveaxis(arr, j - 1, 0)
+        probs = np.array([float(np.linalg.norm(moved[i]) ** 2) for i in range(p)])
+        probs = np.clip(probs, 0.0, None)
+        outcome = int(rng.choice(p, p=probs / probs.sum()))
+        collapsed = np.zeros_like(moved)
+        collapsed[outcome] = moved[outcome] / np.linalg.norm(moved[outcome])
+        arr = np.roll(np.moveaxis(collapsed, 0, j - 1), -outcome, axis=j - 1)
+    measured = []
+    for g in code.generators():
+        tau, arr = slow_measure_pauli(arr, g, rng)
+        measured.append(tau)
+    deltas = [((got - want) % (2 * p)) // 2 for got, want in zip(measured, syndrome)]
+    h = code.check_matrix
+    err0 = [j - 1 for j in err]
+    rows = np.concatenate([h[:, [n + j for j in err0]], (-h[:, err0]) % p], axis=1)
+    u = gfp.solve(rows, np.array([(-d) % p for d in deltas], dtype=np.int64), p)
+    full = np.zeros(2 * n, dtype=np.int64)
+    for idx, j in enumerate(err0):
+        full[j] = u[idx]
+        full[n + j] = u[len(err0) + idx]
+    arr = slow_apply_pauli_tensor(arr, f_inv(SymplecticVector.from_vec(full, p)))
+    assert tuple(slow_eigenvalue_exponent(arr, g) for g in code.generators()) == syndrome
+    return QuditState(p, n, arr.reshape(-1)), tuple(measured), full
+
+
+def slow_simulate_protocol(code, plan, circuit, seed, trials, accessible_sets):
+    """Reference transcript: the draws of simulate_protocol, decoded by the references."""
+    inverse = circuit.inverse()
+    rng = np.random.default_rng(seed)
+    out = []
+    for acc in accessible_sets:
+        for _ in range(trials):
+            secret = random_state(code.p, code.k, rng)
+            shared, _ = sim._encode_advance(code, plan, circuit, secret, 4096)
+            syndrome = tuple(
+                slow_eigenvalue_exponent(shared.tensor(), g) for g in code.generators()
+            )
+            erased = tuple(j for j in range(1, code.n + 1) if j not in acc)
+            state, measured, correction = slow_erase_and_decode(
+                shared, code, syndrome, erased, rng
+            )
+            rho = sim._secret_density(state, plan, inverse)
+            fid = float(np.real(secret.amplitudes.conj() @ rho @ secret.amplitudes))
+            out.append((syndrome, measured, tuple(int(v) for v in correction), fid))
+    return out
+
+
+def register_layout(p, n, extra, order):
+    """Tensor shape with register qudit q on axis order[q], extras elsewhere."""
+    shape = [0] * (n + len(extra))
+    for q in range(n):
+        shape[order[q]] = p
+    for size, axis in zip(extra, order[n:]):
+        shape[axis] = size
+    return shape
+
+
+def dense_power(arr, op, t, axes):
+    """Reference: to_matrix(op)**t on the register axes of a tensor."""
+    n = op.n
+    front = list(range(n))
+    moved = np.moveaxis(arr, axes, front)
+    flat = np.linalg.matrix_power(to_matrix(op), t) @ moved.reshape(op.p**n, -1)
+    return np.moveaxis(flat.reshape(moved.shape), front, axes)
+
+
+@st.composite
+def pauli_cases(draw, p):
+    """A random Pauli, phase included, and a tensor layout that carries its
+    qudits on shuffled axes among 0-2 extra axes."""
+    n_max = 1
+    while p ** (n_max + 1) <= KERNEL_REGISTER_LIMIT:
+        n_max += 1
+    n = draw(st.integers(1, n_max))
+    digits = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    op = PauliOperator(p, draw(digits), draw(digits), draw(st.integers(0, p - 1)))
+    extra = draw(st.lists(st.integers(1, 3), max_size=2))
+    order = draw(st.permutations(range(n + len(extra))))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return op, extra, list(order), seed
 
 
 @pytest.fixture
@@ -407,3 +572,153 @@ def test_erase_and_decode_budget_names_its_stage(four_qubit_pipeline, rng):
         erase_and_decode(shared, code, syndrome, [1], rng, budget=15)
     result = erase_and_decode(shared, code, syndrome, [1], rng, budget=16)
     assert fidelity(result.state, shared) > 1 - 1e-9
+
+
+# ---------------------------------------------------------------------------
+# compiled Pauli kernels against the slow references
+
+
+@pytest.mark.parametrize("p", gfp.PRIMES)
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_compiled_powers_match_dense_matrix_powers(p, data):
+    op, extra, order, seed = data.draw(pauli_cases(p))
+    n, axes = op.n, order[: op.n]
+    rng = np.random.default_rng(seed)
+    shape = register_layout(p, n, extra, order)
+    arr = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    arr /= np.linalg.norm(arr)
+    before = arr.copy()
+    kernels = sim.compile_paulis(p, n, [op])
+    flat = sim._register(arr, n, axes)
+    for t in range(p):
+        got = sim._unregister(sim._power(flat, kernels, 0, t), arr, n, axes)
+        assert got.shape == arr.shape
+        assert np.abs(got - dense_power(arr, op, t, axes)).max() < 1e-12
+    moved = sim._unregister(sim._power(flat, kernels, 0, 1), arr, n, axes)
+    assert np.abs(moved - slow_apply_pauli_tensor(arr, op, axes)).max() < 1e-12
+    # The same seeded draw picks the same branch as the reference.
+    tau, collapsed = measure_pauli(arr, op, np.random.default_rng(seed), axes=axes)
+    ref_tau, ref = slow_measure_pauli(arr, op, np.random.default_rng(seed), axes=axes)
+    assert tau == ref_tau
+    assert collapsed.shape == arr.shape
+    assert np.abs(collapsed - ref).max() < 1e-12
+    assert np.array_equal(arr, before)
+
+
+@st.composite
+def encoded_cases(draw, p):
+    """A random [[n, k]]_p code with p**(n+k) within the sweep's register
+    limit, a seed, and whether to share its first shareable share in advance."""
+    cap = 1
+    while p ** (cap + 1) <= KERNEL_REGISTER_LIMIT:
+        cap += 1
+    n = draw(st.integers(1, cap))
+    k = draw(st.integers(0, min(n, cap - n)))
+    return n, k, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+
+
+@pytest.mark.parametrize("p", gfp.PRIMES)
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_batched_syndrome_matches_per_generator_reference(p, data):
+    n, k, advance, seed = data.draw(encoded_cases(p))
+    rng = np.random.default_rng(seed)
+    code = random_stabilizer(p, n, n - k, rng)
+    shareable = [j for j in range(1, n + 1) if is_advance_shareable(code, [j])]
+    shares = shareable[:1] if advance else []
+    plan = construct_eaqecc(code, shares)
+    circuit = encoding_circuit(plan)
+    # A k = 0 code takes only the trivial secret (random_state adds a phase).
+    secret = random_state(p, k, rng) if k else QuditState(p, 0, [1.0])
+    state, syndrome = encode_advance(code, shares, plan, circuit, secret)
+    assert syndrome == tuple(slow_eigenvalue_exponent(state.tensor(), g) for g in code.generators())
+    state, syndrome = encode_with_reference(code, shares, plan, circuit)
+    share_axes = list(range(k, k + n))
+    assert syndrome == tuple(
+        slow_eigenvalue_exponent(state.tensor(), g, axes=share_axes)
+        for g in code.generators()
+    )
+
+
+@pytest.mark.parametrize("p", gfp.PRIMES)
+def test_each_eigenvalue_check_raises_on_its_own_failure(p):
+    op = single(p, 1, 0, z=1)
+    eigen = np.zeros(p, dtype=complex)
+    eigen[0] = 1.0
+    assert sim._eigenvalue_exponent(eigen, op) == 0
+    flat = np.full(p, p**-0.5, dtype=complex)
+    with pytest.raises(InvariantError, match=r"not an eigenvector \(\|<G>\| = "):
+        sim._eigenvalue_exponent(flat, op)
+    # |<G>| within 1e-9 of 1, yet the residual of G|psi> - <G>|psi> is ~1e-5.
+    eps = 2e-5
+    near = np.zeros(p, dtype=complex)
+    near[0], near[1] = np.cos(eps), np.sin(eps)
+    with pytest.raises(InvariantError, match="not an eigenvector of the generator"):
+        sim._eigenvalue_exponent(near, op)
+    # An eigenvalue off the 2p-th roots needs a kernel whose phases are off too.
+    kernels = sim.compile_paulis(p, 1, [op])
+    skewed = dataclasses.replace(kernels, phases=kernels.phases * np.exp(0.1j))
+    with pytest.raises(InvariantError, match="is not a 2p-th root of unity"):
+        sim._exponents(eigen.reshape(-1, 1), skewed)
+
+
+def test_erase_and_decode_names_the_broken_invariant(four_qubit_pipeline):
+    code, plan, circuit = four_qubit_pipeline
+    rng = np.random.default_rng(11)
+    shared, syndrome = encode_advance(code, [4], plan, circuit, random_state(2, 2, rng))
+    # X on share 1 flips the all-Z generator; the mixture is no eigenstate of it.
+    flipped = apply_pauli(shared, single(2, 4, 0, x=1)).amplitudes
+    mixed = 1e-3 * shared.amplitudes + flipped
+    perturbed = QuditState(2, 4, mixed / np.linalg.norm(mixed))
+    with pytest.raises(InvariantError, match="no correction supported on the erased shares") as info:
+        erase_and_decode(perturbed, code, syndrome, [], rng)
+    assert isinstance(info.value, RuntimeError) and isinstance(info.value, AdvShareError)
+
+
+def shipped_pipeline(code_dir, name):
+    p, n, rows = parse_code_file((code_dir / f"{name}.code").read_text())
+    code = validate_stabilizer(rows, p, n)
+    shares = next(([j] for j in range(1, n + 1) if is_advance_shareable(code, [j])), [])
+    plan = construct_eaqecc(code, shares)
+    return code, shares, plan, encoding_circuit(plan)
+
+
+@pytest.mark.parametrize("name", ["four_qubit_ghz", "five_qubit", "qutrit_ghz"])
+def test_transcripts_match_the_reference_decoder(code_dir, name):
+    code, shares, plan, circuit = shipped_pipeline(code_dir, name)
+    sets = [
+        subset
+        for size in range(code.n + 1)
+        for subset in itertools.combinations(range(1, code.n + 1), size)
+        if classify_access(code, subset) is AccessLabel.QUALIFIED
+    ]
+    transcript = simulate_protocol(code, shares, plan, circuit, 9, 3, sets)
+    reference = slow_simulate_protocol(code, plan, circuit, 9, 3, sets)
+    assert len(transcript.trials) == len(reference) == 3 * len(sets)
+    assert transcript.syndrome == reference[0][0]
+    for rec, (syndrome, measured, correction, fid) in zip(transcript.trials, reference):
+        assert syndrome == transcript.syndrome
+        assert rec.measured_syndrome == measured
+        assert rec.correction == correction
+        assert abs(rec.fidelity - fid) < 1e-12
+
+
+def test_generator_kernels_compiled_once_per_code(code_dir, monkeypatch):
+    code, shares, plan, circuit = shipped_pipeline(code_dir, "five_qubit")
+    compiled = []
+    compile_paulis = sim.compile_paulis
+
+    def counted(p, n, ops):
+        compiled.append(len(ops))
+        return compile_paulis(p, n, ops)
+
+    monkeypatch.setattr(sim, "compile_paulis", counted)
+    sets = [(1, 2, 3, 4), (2, 3, 4, 5), (1, 2, 3, 4, 5)]
+    simulate_protocol(code, shares, plan, circuit, 4, 3, sets)
+    table = code._generator_kernels
+    simulate_protocol(code, shares, plan, circuit, 5, 2, sets)
+    assert code._generator_kernels is table
+    # One compile of the four generators; every other one is a correction.
+    assert compiled.count(code.num_checks) == 1
+    assert set(compiled) == {code.num_checks, 1}
