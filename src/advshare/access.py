@@ -61,6 +61,11 @@ def masks_of_size(n: int, size: int) -> list[int]:
     return [sum(c) for c in itertools.combinations([1 << j for j in range(n)], size)]
 
 
+def _mask_shares(mask: int, n: int) -> tuple[int, ...]:
+    """The sorted 1-based shares of a bitmask over n shares."""
+    return tuple(j + 1 for j in range(n) if mask >> j & 1)
+
+
 def check_budget(count: int, budget: int, stage: str, scope: str = "") -> None:
     """Refuse a stage that would visit ``count`` share sets over ``budget``."""
     if count > budget:

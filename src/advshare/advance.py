@@ -19,14 +19,13 @@ in general (see the test suite for a recorded counterexample).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import gfp
-from .access import share_mask
+from .access import _mask_shares, masks_of_size, share_mask
 from .errors import InvariantError, NotAdvanceShareableError
 from .pauli import PauliOperator, StabilizerCode, commutation_exponent
 from .symplectic import validated_shares
@@ -300,17 +299,15 @@ def enumerate_advance_shareable(
     effectively capped there.  Each result notes whether the weight shortcut
     alone would have certified it.
     """
-    max_size = min(max_size, code.n)
     threshold = dual_min_weight(code, budget=budget) if max_size >= 1 else 0
-    candidates = sorted(
-        js
+    masks = [
+        mask
         for size in range(1, min(max_size, code.num_checks // 2) + 1)
-        for js in itertools.combinations(range(1, code.n + 1), size)
-    )
-    masks = [share_mask(js, code.n) for js in candidates]
+        for mask in masks_of_size(code.n, size)
+    ]
     verdicts = code.share_structure().shareable(masks)
+    shareable = sorted(_mask_shares(mask, code.n) for mask, ok in zip(masks, verdicts) if ok)
     return [
         ShareableSet(shares=js, dimension_criterion=True, weight_criterion=len(js) < threshold)
-        for js, ok in zip(candidates, verdicts)
-        if ok
+        for js in shareable
     ]

@@ -17,7 +17,6 @@ unless ``--json-only``.  Share indices are 1-based.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 from pathlib import Path
@@ -25,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import advance, codefile, sim
-from .access import AccessLabel, check_budget, share_mask
+from .access import AccessLabel, _mask_shares, check_budget, masks_of_size
 from .clifford import encoding_circuit
 from .errors import (
     AdvShareError,
@@ -155,14 +154,11 @@ def _demo_section(
         },
     }
     check_budget(1 << code.n, enum_budget, "access table")
-    subsets = [
-        subset
-        for size in range(code.n + 1)
-        for subset in itertools.combinations(range(1, code.n + 1), size)
-    ]
+    # Masks run by size, each size in lexicographic share order.
+    masks = [mask for size in range(code.n + 1) for mask in masks_of_size(code.n, size)]
+    subsets = [_mask_shares(mask, code.n) for mask in masks]
     # One batched rank query covers every label and mutual information.
     structure = code.share_structure()
-    masks = [share_mask(subset, code.n) for subset in subsets]
     labels = structure.labels(masks)
     mi = structure.mutual_information(masks) if trials > 0 else None
     section["access_table"] = _access_table(subsets, labels, mi)

@@ -37,6 +37,7 @@ tests as the reference the compiled kernels are checked against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Iterable, Sequence
@@ -51,8 +52,6 @@ from .errors import (
     InvariantError,
 )
 from .pauli import PauliOperator, omega, zeta
-
-DEFAULT_DENSE_BUDGET = 2**12
 
 GATE_KINDS = ("F", "P", "MUL", "SUM", "X", "Z")
 
@@ -261,6 +260,32 @@ def standard_form(m: int) -> np.ndarray:
 # dense realization
 
 
+def _place_digits(p: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Place values and (m, p**m) digits of the register; wire 0 is most significant."""
+    place = p ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    return place, (np.arange(p**m, dtype=np.int64)[None, :] // place[:, None]) % p
+
+
+def _wire_order(ndim: int, m: int, axes: Sequence[int] | None) -> list[int]:
+    """Axis permutation putting the register's m axes first, the rest after in order."""
+    wires = list(range(m)) if axes is None else [a % ndim for a in axes]
+    return wires + [a for a in range(ndim) if a not in wires]
+
+
+def _register(arr: np.ndarray, m: int, axes: Sequence[int] | None) -> np.ndarray:
+    """The (p**m, rest) matrix of a tensor whose m-wire register sits on axes."""
+    moved = arr.transpose(_wire_order(arr.ndim, m, axes))
+    return moved.reshape(math.prod(moved.shape[:m]), -1)
+
+
+def _unregister(
+    flat: np.ndarray, like: np.ndarray, m: int, axes: Sequence[int] | None
+) -> np.ndarray:
+    """Inverse of :func:`_register`: flat back to the axis layout of like."""
+    order = _wire_order(like.ndim, m, axes)
+    return flat.reshape([like.shape[a] for a in order]).transpose(np.argsort(order))
+
+
 def _fourier_kernel(flat: np.ndarray, p: int, q: int, mat: np.ndarray) -> np.ndarray:
     view = flat.reshape(p**q, p, -1)
     return np.matmul(mat, view).reshape(flat.shape)
@@ -287,9 +312,7 @@ def _compile(circuit: CliffordCircuit) -> tuple:
     (monomial), or one p x p matmul with F or F^-1 = conj(F).
     """
     p, m = circuit.p, circuit.m
-    # Register index sum_w d_w p**(m-1-w): wire 0 is the most significant digit.
-    place = p ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    start = (np.arange(p**m, dtype=np.int64)[None, :] // place[:, None]) % p
+    place, start = _place_digits(p, m)
     roots = zeta(p) ** np.arange(2 * p)
     fourier = omega(p) ** np.outer(np.arange(p), np.arange(p)) / np.sqrt(p)
     kernels: list = []
@@ -360,17 +383,14 @@ def apply_circuit_tensor(
     kernels = circuit._kernels
     if not kernels:
         return out
-    front = list(range(circuit.m))
-    wires = front if axes is None else list(axes)
-    moved = np.moveaxis(out, wires, front)
-    flat = moved.reshape(circuit.p**circuit.m, -1)
+    flat = _register(out, circuit.m, axes)
     for kernel in kernels:
         flat = kernel(flat)
-    return np.moveaxis(flat.reshape(moved.shape), front, wires)
+    return _unregister(flat, out, circuit.m, axes)
 
 
 def to_unitary(
-    circuit: CliffordCircuit, budget: int = DEFAULT_DENSE_BUDGET
+    circuit: CliffordCircuit, budget: int = gfp.DEFAULT_STATE_BUDGET
 ) -> np.ndarray:
     """Dense unitary of the circuit, dimension p**m."""
     dim = circuit.p**circuit.m

@@ -25,6 +25,9 @@ PRIMES = (2, 3, 5, 7)
 #: share-set walk (:mod:`advshare.access`), may visit.
 DEFAULT_ENUM_BUDGET = 2**20
 
+#: Default cap on dense state and matrix sizes (amplitude count p**m).
+DEFAULT_STATE_BUDGET = 2**12
+
 
 def check_modulus(p: int) -> int:
     if p not in PRIMES:

@@ -169,7 +169,7 @@ def _single_qudit_matrices(p: int) -> tuple[np.ndarray, np.ndarray]:
     return x, z
 
 
-def to_matrix(a: PauliOperator, budget: int = 2**12) -> np.ndarray:
+def to_matrix(a: PauliOperator, budget: int = gfp.DEFAULT_STATE_BUDGET) -> np.ndarray:
     """Dense complex matrix of the operator; dimension p**n must fit budget."""
     dim = a.p**a.n
     if dim > budget:

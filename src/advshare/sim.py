@@ -2,8 +2,11 @@
 
 States live on m qudits of dimension p as complex vectors of length p**m,
 tensor axis q holding qudit q (share s occupies axis s-1 on n-share
-states).  Everything here is exact linear algebra at desk scale; budgets
-refuse rather than approximate.
+states).  The (p**m, rest) register layout that kernels act on lives in
+:mod:`advshare.clifford`.  Share sets are read by
+:func:`advshare.symplectic.validated_shares`: a share outside 1..n raises.
+Everything here is exact linear algebra at desk scale; budgets refuse
+rather than approximate.
 
 The protocol pipeline:
 
@@ -25,6 +28,10 @@ The protocol pipeline:
    gather over all generators.
 3. :func:`reconstruct` undoes the encoding and extracts the secret register.
 
+:func:`encode_with_reference` fills the secret wires with k pairs to a
+reference R through the same state builder; :func:`entropic_audit` is one
+row of :func:`mutual_information_table`, I(R : A) from that encoding.
+
 Eigenvalues of generators are exact roots of unity written zeta**tau with
 zeta = exp(i*pi/p); tau is even (a plain w power) unless p = 2 and a
 generator has odd x.z overlap.
@@ -32,7 +39,6 @@ generator has odd x.z overlap.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -43,11 +49,15 @@ from .access import AccessLabel, share_mask
 from .advance import EAQECCPlan, construct_eaqecc
 from .clifford import (
     CliffordCircuit,
+    _place_digits,
+    _register,
+    _unregister,
     apply_circuit_tensor,
     conjugate_pauli,
     encoding_circuit,
 )
 from .errors import BudgetExceededError, InvariantError, UncorrectableErasureError
+from .gfp import DEFAULT_STATE_BUDGET
 from .pauli import (
     PauliOperator,
     StabilizerCode,
@@ -56,10 +66,7 @@ from .pauli import (
     omega,
     zeta,
 )
-from .symplectic import SymplecticVector
-
-#: Default cap on dense state sizes (amplitude count p**m).
-DEFAULT_STATE_BUDGET = 4096
+from .symplectic import SymplecticVector, validated_shares
 
 NORM_TOL = 1e-10
 EIGEN_TOL = 1e-9
@@ -87,20 +94,6 @@ class QuditState:
 
     def tensor(self) -> np.ndarray:
         return self.amplitudes.reshape((self.p,) * self.m)
-
-    @classmethod
-    def computational(cls, p: int, digits: Sequence[int]) -> "QuditState":
-        m = len(digits)
-        amp = np.zeros(p**m, dtype=complex)
-        idx = 0
-        for d in digits:
-            idx = idx * p + int(d) % p
-        amp[idx] = 1.0
-        return cls(p, m, amp)
-
-    @classmethod
-    def from_tensor(cls, arr: np.ndarray, p: int) -> "QuditState":
-        return cls(p, arr.ndim, arr.reshape(-1))
 
 
 def random_state(p: int, m: int, rng: np.random.Generator) -> QuditState:
@@ -157,8 +150,7 @@ def compile_paulis(p: int, n: int, ops: Sequence[PauliOperator]) -> PauliKernels
     exponents mod p; no float phase is rounded along the way.
     """
     size = p**n
-    place = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    digits = (np.arange(size, dtype=np.int64)[None, :] // place[:, None]) % p
+    place, digits = _place_digits(p, n)
     src = np.empty((len(ops), p, size), dtype=np.intp)
     exps = np.empty((len(ops), p, size), dtype=np.int64)
     for i, op in enumerate(ops):
@@ -183,24 +175,6 @@ def _generator_kernels(code: StabilizerCode) -> PauliKernels:
     if code._generator_kernels is None:
         code._generator_kernels = compile_paulis(code.p, code.n, code.generators())
     return code._generator_kernels
-
-
-def _register(arr: np.ndarray, n: int, axes: Sequence[int] | None) -> np.ndarray:
-    """The (p**n, rest) matrix of a tensor whose n-qudit register sits on axes."""
-    front = list(range(n))
-    wires = front if axes is None else list(axes)
-    moved = np.moveaxis(np.asarray(arr, dtype=complex), wires, front)
-    return moved.reshape(math.prod(moved.shape[:n]), -1)
-
-
-def _unregister(
-    flat: np.ndarray, like: np.ndarray, n: int, axes: Sequence[int] | None
-) -> np.ndarray:
-    """Inverse of :func:`_register`: flat back to the axis layout of like."""
-    front = list(range(n))
-    wires = front if axes is None else list(axes)
-    moved_shape = np.moveaxis(like, wires, front).shape
-    return np.moveaxis(flat.reshape(moved_shape), front, wires)
 
 
 def _power(flat: np.ndarray, kernels: PauliKernels, i: int, t: int) -> np.ndarray:
@@ -277,7 +251,7 @@ def _eigenvalue_exponent(
 ) -> int:
     """tau with op|psi> = zeta**tau |psi>; raises if |psi> is no eigenvector."""
     kernels = compile_paulis(op.p, op.n, [op])
-    return _exponents(_register(arr, op.n, axes), kernels)[0]
+    return _exponents(_register(np.asarray(arr, dtype=complex), op.n, axes), kernels)[0]
 
 
 def _measure(
@@ -347,10 +321,6 @@ def _compose_factors(
     return np.transpose(amp, perm)
 
 
-def _share_tuple(shares: Iterable[int]) -> tuple[int, ...]:
-    return tuple(sorted(set(int(j) for j in shares)))
-
-
 def _check_plan_matches(
     code: StabilizerCode, shares: tuple[int, ...], plan: EAQECCPlan, circuit: CliffordCircuit
 ) -> None:
@@ -370,13 +340,14 @@ def _encode_tensor(
     code: StabilizerCode,
     plan: EAQECCPlan,
     circuit: CliffordCircuit,
-    secret_factor: tuple[np.ndarray, tuple[int, ...]] | None,
+    secret_factors: Sequence[tuple[np.ndarray, tuple[int, ...]]],
     extra_labels: Sequence[int],
     budget: int,
 ) -> tuple[np.ndarray, tuple[int, ...]]:
     """Shared easy-state builder; labels 1..n are shares, extras go first.
 
-    The caller has checked the plan and circuit against the code.
+    Each secret factor is a tensor with one label per axis.  The caller has
+    checked the plan and circuit against the code.
     """
     p, n = code.p, code.n
     total_qudits = n + len(extra_labels)
@@ -392,8 +363,7 @@ def _encode_tensor(
         factors.append((epr, (j, partner)))
     for z_share in plan.zero_shares:
         factors.append((ket0, (z_share,)))
-    if secret_factor is not None:
-        factors.append(secret_factor)
+    factors.extend(secret_factors)
     order = list(extra_labels) + list(range(1, n + 1))
     arr = _compose_factors(factors, order)
     offset = len(extra_labels)
@@ -419,7 +389,7 @@ def encode_advance(
     for later decoding).  The output is an exact joint eigenstate; each
     advance share alone is maximally mixed.
     """
-    _check_plan_matches(code, _share_tuple(shares), plan, circuit)
+    _check_plan_matches(code, validated_shares(shares, code.n), plan, circuit)
     return _encode_advance(code, plan, circuit, secret, budget)
 
 
@@ -433,12 +403,10 @@ def _encode_advance(
     """:func:`encode_advance` for a plan and circuit already checked."""
     if secret.p != code.p or secret.m != code.k:
         raise ValueError(f"secret must be {code.k} qudits of dimension {code.p}")
-    secret_factor = None
-    if code.k:
-        secret_factor = (secret.tensor(), plan.secret_shares)
-    elif not np.allclose(secret.amplitudes, [1.0]):
+    if not code.k and not np.allclose(secret.amplitudes, [1.0]):
         raise ValueError("k = 0 code admits only the trivial secret")
-    arr, syndrome = _encode_tensor(code, plan, circuit, secret_factor, (), budget)
+    secret_factors = [(secret.tensor(), plan.secret_shares)] if code.k else []
+    arr, syndrome = _encode_tensor(code, plan, circuit, secret_factors, (), budget)
     return QuditState(code.p, code.n, arr.reshape(-1)), syndrome
 
 
@@ -455,26 +423,12 @@ def encode_with_reference(
     Entropies of reference-vs-share subsystems quantify exactly how much
     secret information a share set holds.
     """
-    _check_plan_matches(code, _share_tuple(shares), plan, circuit)
+    _check_plan_matches(code, validated_shares(shares, code.n), plan, circuit)
     k = code.k
     epr = make_epr(code.p).tensor()
     ref_labels = tuple(-(t + 1) for t in range(k))
-    factors: list[tuple[np.ndarray, tuple[int, ...]]] = [
-        (epr, (ref_labels[t], plan.secret_shares[t])) for t in range(k)
-    ]
-    secret_factor = None
-    if k:
-        # Secret wires are claimed by the reference pairs; fold them in as a
-        # single multi-factor component.
-        combined = factors[0][0]
-        labels = list(factors[0][1])
-        for arr2, lbl2 in factors[1:]:
-            combined = np.multiply.outer(combined, arr2)
-            labels.extend(lbl2)
-        secret_factor = (combined, tuple(labels))
-    arr, syndrome = _encode_tensor(
-        code, plan, circuit, secret_factor, ref_labels, budget
-    )
+    pairs = [(epr, (ref, s)) for ref, s in zip(ref_labels, plan.secret_shares)]
+    arr, syndrome = _encode_tensor(code, plan, circuit, pairs, ref_labels, budget)
     return QuditState(code.p, k + code.n, arr.reshape(-1)), syndrome
 
 
@@ -517,7 +471,7 @@ def erase_and_decode(
     Raises :class:`UncorrectableErasureError` when the erased set fails the
     algebraic criterion.
     """
-    err = sorted(set(int(j) for j in erased))
+    err = validated_shares(erased, code.n)
     if state.p != code.p or state.m != code.n:
         raise ValueError("state does not match the code")
     if code.p**code.n > budget:
@@ -526,7 +480,7 @@ def erase_and_decode(
         )
     if not correctable_erasure(code, err):
         raise UncorrectableErasureError(
-            f"shares {tuple(err)} carry undetectable damage for this code"
+            f"shares {err} carry undetectable damage for this code"
         )
     p, n = code.p, code.n
     kernels = _generator_kernels(code)
@@ -597,33 +551,27 @@ def entropic_audit(
 
     The secret is maximally entangled with a k-qudit reference R before
     encoding; the returned value is S(R) + S(A) - S(RA) in units of log p.
-    2k means A reconstructs perfectly, 0 means A holds nothing.
+    2k means A reconstructs perfectly, 0 means A holds nothing.  This is
+    the one-row :func:`mutual_information_table`.
     """
-    js = tuple(sorted(set(int(j) for j in shares)))
-    if plan is None:
-        plan = construct_eaqecc(code, js)
-    if circuit is None:
-        circuit = encoding_circuit(plan)
-    state, _ = encode_with_reference(code, js, plan, circuit, budget=budget)
-    k = code.k
-    acc_axes = [k + int(j) - 1 for j in accessible]
-    ref_axes = list(range(k))
-    rho_r = reduced_density(state, ref_axes)
-    rho_a = reduced_density(state, acc_axes)
-    rho_ra = reduced_density(state, ref_axes + acc_axes)
-    return entropy(rho_r, code.p) + entropy(rho_a, code.p) - entropy(rho_ra, code.p)
+    acc = validated_shares(accessible, code.n)
+    return mutual_information_table(code, shares, [acc], plan, circuit, budget)[acc]
 
 
 def mutual_information_table(
     code: StabilizerCode,
     shares: Iterable[int],
-    subsets: Sequence[tuple[int, ...]],
+    subsets: Sequence[Iterable[int]],
     plan: EAQECCPlan | None = None,
     circuit: CliffordCircuit | None = None,
     budget: int = DEFAULT_STATE_BUDGET,
 ) -> dict[tuple[int, ...], float]:
-    """I(R : A) for many share sets from a single reference encoding."""
-    js = tuple(sorted(set(int(j) for j in shares)))
+    """I(R : A) for many share sets from a single reference encoding.
+
+    Keys are the sorted distinct shares of each subset.
+    """
+    js = validated_shares(shares, code.n)
+    accs = [validated_shares(subset, code.n) for subset in subsets]
     if plan is None:
         plan = construct_eaqecc(code, js)
     if circuit is None:
@@ -633,11 +581,11 @@ def mutual_information_table(
     ref_axes = list(range(k))
     s_r = entropy(reduced_density(state, ref_axes), code.p)
     table: dict[tuple[int, ...], float] = {}
-    for subset in subsets:
-        acc_axes = [k + int(j) - 1 for j in subset]
+    for acc in accs:
+        acc_axes = [k + j - 1 for j in acc]
         s_a = entropy(reduced_density(state, acc_axes), code.p)
         s_ra = entropy(reduced_density(state, ref_axes + acc_axes), code.p)
-        table[tuple(sorted(int(j) for j in subset))] = s_r + s_a - s_ra
+        table[acc] = s_r + s_a - s_ra
     return table
 
 
@@ -659,7 +607,7 @@ def reconstruct(
     disentangled).
     """
     _check_plan_matches(code, plan.shares, plan, circuit)
-    acc = set(int(j) for j in accessible)
+    acc = validated_shares(accessible, code.n)
     erased = [j for j in range(1, code.n + 1) if j not in acc]
     decoded = erase_and_decode(state, code, syndrome, erased, rng, budget=budget)
     rho = _secret_density(decoded.state, plan, circuit.inverse())
@@ -723,26 +671,26 @@ def simulate_protocol(
     draw comes from one seeded generator, so transcripts rerun bit-exactly.
     The plan and circuit are checked, and the circuit inverted, once per run.
     """
-    js = _share_tuple(shares)
+    js = validated_shares(shares, code.n)
     _check_plan_matches(code, js, plan, circuit)
     inverse = circuit.inverse()
     rng = np.random.default_rng(seed)
     records: list[TrialRecord] = []
     reference_syndrome: tuple[int, ...] | None = None
     for acc in accessible_sets:
-        acc_set = set(acc)
+        acc = validated_shares(acc, code.n)
+        erased = tuple(j for j in range(1, code.n + 1) if j not in acc)
         for _ in range(trials):
             secret = random_state(code.p, code.k, rng)
             shared, syndrome = _encode_advance(code, plan, circuit, secret, budget)
             if reference_syndrome is None:
                 reference_syndrome = syndrome
-            erased = tuple(j for j in range(1, code.n + 1) if j not in acc_set)
             decoded = erase_and_decode(shared, code, syndrome, erased, rng, budget=budget)
             rho = _secret_density(decoded.state, plan, inverse)
             fid = float(np.real(secret.amplitudes.conj() @ rho @ secret.amplitudes))
             records.append(
                 TrialRecord(
-                    accessible=tuple(sorted(acc)),
+                    accessible=acc,
                     erased=erased,
                     measured_syndrome=decoded.measured_syndrome,
                     correction=tuple(int(v) for v in decoded.correction),

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from advshare import gfp, sim
 from advshare.advance import construct_eaqecc, is_advance_shareable
-from advshare.clifford import CliffordCircuit, encoding_circuit
+from advshare.clifford import CliffordCircuit, _register, _unregister, encoding_circuit
 from advshare.codefile import parse_code_file
 from advshare.errors import (
     AdvShareError,
@@ -435,6 +435,69 @@ def test_audit_agrees_with_labels(four_qubit_pipeline):
             assert 1e-6 < value < 4.0 - 1e-6
 
 
+@pytest.mark.parametrize("bad", [0, 5, 99])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "reconstruct",
+        "erase_and_decode",
+        "entropic_audit",
+        "mutual_information_table",
+        "encode_with_reference",
+        "simulate_protocol",
+    ],
+)
+def test_share_sets_are_validated_and_canonical(four_qubit_pipeline, name, bad):
+    code, plan, circuit = four_qubit_pipeline
+    secret = random_state(2, 2, np.random.default_rng(1))
+    shared, syndrome = encode_advance(code, [4], plan, circuit, secret)
+
+    def amplitudes(state):
+        return tuple(state.amplitudes)
+
+    # name -> (call on a share list, a sorted share set, the same set repeated and unordered)
+    cases = {
+        "reconstruct": (
+            lambda js: amplitudes(
+                reconstruct(shared, code, syndrome, plan, circuit, js, np.random.default_rng(7))
+            ),
+            [1, 2, 3],
+            [3, 1, 2, 1],
+        ),
+        "erase_and_decode": (
+            lambda js: amplitudes(
+                erase_and_decode(shared, code, syndrome, js, np.random.default_rng(7)).state
+            ),
+            [2],
+            [2, 2],
+        ),
+        "entropic_audit": (
+            lambda js: entropic_audit(code, [4], js, plan=plan, circuit=circuit),
+            [1, 2],
+            [2, 1, 2],
+        ),
+        "mutual_information_table": (
+            lambda js: mutual_information_table(code, [4], [js], plan=plan, circuit=circuit),
+            [1, 3],
+            [3, 3, 1],
+        ),
+        "encode_with_reference": (
+            lambda js: amplitudes(encode_with_reference(code, js, plan, circuit)[0]),
+            [4],
+            [4, 4],
+        ),
+        "simulate_protocol": (
+            lambda js: simulate_protocol(code, [4], plan, circuit, 7, 1, [js]),
+            [1, 2, 4],
+            [4, 2, 1, 2],
+        ),
+    }
+    call, canonical, spelled = cases[name]
+    with pytest.raises(ValueError, match=rf"share index {bad} outside 1\.\.4"):
+        call(canonical + [bad])
+    assert call(spelled) == call(canonical)
+
+
 def test_reconstruct_qualified_sets(four_qubit_pipeline, rng):
     code, plan, circuit = four_qubit_pipeline
     secret = random_state(2, 2, rng)
@@ -590,12 +653,12 @@ def test_compiled_powers_match_dense_matrix_powers(p, data):
     arr /= np.linalg.norm(arr)
     before = arr.copy()
     kernels = sim.compile_paulis(p, n, [op])
-    flat = sim._register(arr, n, axes)
+    flat = _register(arr, n, axes)
     for t in range(p):
-        got = sim._unregister(sim._power(flat, kernels, 0, t), arr, n, axes)
+        got = _unregister(sim._power(flat, kernels, 0, t), arr, n, axes)
         assert got.shape == arr.shape
         assert np.abs(got - dense_power(arr, op, t, axes)).max() < 1e-12
-    moved = sim._unregister(sim._power(flat, kernels, 0, 1), arr, n, axes)
+    moved = _unregister(sim._power(flat, kernels, 0, 1), arr, n, axes)
     assert np.abs(moved - slow_apply_pauli_tensor(arr, op, axes)).max() < 1e-12
     # The same seeded draw picks the same branch as the reference.
     tau, collapsed = measure_pauli(arr, op, np.random.default_rng(seed), axes=axes)
