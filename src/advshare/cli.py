@@ -17,6 +17,7 @@ unless ``--json-only``.  Share indices are 1-based.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -261,10 +262,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser :func:`run` reuses; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def run(argv: list[str] | None = None, stdout=None, stderr=None) -> int:
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     enum_budget = args.budget if args.budget is not None else DEFAULT_ENUM_BUDGET
     state_budget = args.budget if args.budget is not None else sim.DEFAULT_STATE_BUDGET
     report: dict = {"schema_version": SCHEMA_VERSION, "command": args.command}

@@ -15,7 +15,12 @@ The protocol pipeline:
    complement), |0> ancillas, and the secret on the remaining wires.  The
    encoding circuit then rotates the complement wires into the code frame,
    leaving an exact joint eigenstate of every check generator; the observed
-   eigenvalues are recorded as the syndrome reference.
+   eigenvalues are recorded as the syndrome reference.  The encoding is
+   fixed before the secret exists, so :func:`simulate_protocol` builds the
+   encoding isometry V (p**n x p**k) once per run, from the Choi state of
+   :func:`encode_with_reference`, and encodes each trial's secret with one
+   matvec; when p**(n+k) exceeds the state budget it encodes each secret
+   through the circuit instead.
 2. :func:`erase_and_decode` models share loss by measuring the lost qudits
    and resetting them to |0>, measures every generator projectively, solves
    an F_p linear system for a correction supported on the lost shares, and
@@ -27,6 +32,9 @@ The protocol pipeline:
    every eigenvalue check (after encoding, after correction) is one batched
    gather over all generators.
 3. :func:`reconstruct` undoes the encoding and extracts the secret register.
+   :func:`simulate_protocol` needs no inverse circuit: a decoded state lies
+   in the recorded eigenspace, which is the image of V, so its fidelity is
+   its overlap with the encoded state, |<V secret|psi>|**2.
 
 :func:`encode_with_reference` fills the secret wires with k pairs to a
 reference R through the same state builder; :func:`entropic_audit` is one
@@ -246,14 +254,6 @@ def _exponents(flat: np.ndarray, kernels: PauliKernels) -> tuple[int, ...]:
     return tuple(taus)
 
 
-def _eigenvalue_exponent(
-    arr: np.ndarray, op: PauliOperator, axes: Sequence[int] | None = None
-) -> int:
-    """tau with op|psi> = zeta**tau |psi>; raises if |psi> is no eigenvector."""
-    kernels = compile_paulis(op.p, op.n, [op])
-    return _exponents(_register(np.asarray(arr, dtype=complex), op.n, axes), kernels)[0]
-
-
 def _measure(
     flat: np.ndarray, kernels: PauliKernels, i: int, rng: np.random.Generator
 ) -> tuple[int, np.ndarray]:
@@ -401,13 +401,17 @@ def _encode_advance(
     budget: int,
 ) -> tuple[QuditState, tuple[int, ...]]:
     """:func:`encode_advance` for a plan and circuit already checked."""
+    _check_secret(code, secret)
+    secret_factors = [(secret.tensor(), plan.secret_shares)] if code.k else []
+    arr, syndrome = _encode_tensor(code, plan, circuit, secret_factors, (), budget)
+    return QuditState(code.p, code.n, arr.reshape(-1)), syndrome
+
+
+def _check_secret(code: StabilizerCode, secret: QuditState) -> None:
     if secret.p != code.p or secret.m != code.k:
         raise ValueError(f"secret must be {code.k} qudits of dimension {code.p}")
     if not code.k and not np.allclose(secret.amplitudes, [1.0]):
         raise ValueError("k = 0 code admits only the trivial secret")
-    secret_factors = [(secret.tensor(), plan.secret_shares)] if code.k else []
-    arr, syndrome = _encode_tensor(code, plan, circuit, secret_factors, (), budget)
-    return QuditState(code.p, code.n, arr.reshape(-1)), syndrome
 
 
 def encode_with_reference(
@@ -424,12 +428,35 @@ def encode_with_reference(
     secret information a share set holds.
     """
     _check_plan_matches(code, validated_shares(shares, code.n), plan, circuit)
-    k = code.k
+    arr, syndrome = _encode_choi(code, plan, circuit, budget)
+    return QuditState(code.p, code.k + code.n, arr.reshape(-1)), syndrome
+
+
+def _encode_choi(
+    code: StabilizerCode, plan: EAQECCPlan, circuit: CliffordCircuit, budget: int
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """:func:`encode_with_reference` for a plan and circuit already checked."""
     epr = make_epr(code.p).tensor()
-    ref_labels = tuple(-(t + 1) for t in range(k))
+    ref_labels = tuple(-(t + 1) for t in range(code.k))
     pairs = [(epr, (ref, s)) for ref, s in zip(ref_labels, plan.secret_shares)]
-    arr, syndrome = _encode_tensor(code, plan, circuit, pairs, ref_labels, budget)
-    return QuditState(code.p, k + code.n, arr.reshape(-1)), syndrome
+    return _encode_tensor(code, plan, circuit, pairs, ref_labels, budget)
+
+
+def _encoding_isometry(
+    code: StabilizerCode, plan: EAQECCPlan, circuit: CliffordCircuit, budget: int
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The encoding isometry V (p**n x p**k) and the syndrome of its image.
+
+    Row s of the Choi state, reference axes first, is V|s> / sqrt(p**k), so
+    one circuit call encodes every basis secret and one eigenvalue check
+    covers every column.
+    """
+    p, n, k = code.p, code.n, code.k
+    arr, syndrome = _encode_choi(code, plan, circuit, budget)
+    v = np.sqrt(p**k) * arr.reshape(p**k, p**n).T
+    if np.abs(v.conj().T @ v - np.eye(p**k)).max() > NORM_TOL:
+        raise InvariantError("encoding is not an isometry (V^dagger V != I)")
+    return v, syndrome
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +505,7 @@ def erase_and_decode(
         raise BudgetExceededError(
             f"state size {code.p}**{code.n} exceeds budget {budget} (erase and decode)"
         )
-    if not correctable_erasure(code, err):
+    if not code.share_structure().correctable([sum(1 << (j - 1) for j in err)])[0]:
         raise UncorrectableErasureError(
             f"shares {err} carry undetectable damage for this code"
         )
@@ -669,11 +696,25 @@ def simulate_protocol(
 
     Each accessible set gets ``trials`` independent random secrets; every
     draw comes from one seeded generator, so transcripts rerun bit-exactly.
-    The plan and circuit are checked, and the circuit inverted, once per run.
+    The plan and circuit are checked once per run.  When p**(n+k) fits the
+    budget, one circuit call builds the encoding isometry V and each secret
+    encodes as ``V @ secret``; otherwise each secret runs the circuit.  The
+    fidelity of a decoded state is its overlap with the encoded state.
     """
     js = validated_shares(shares, code.n)
     _check_plan_matches(code, js, plan, circuit)
-    inverse = circuit.inverse()
+    if code.p ** (code.n + code.k) <= budget:
+        isometry, image_syndrome = _encoding_isometry(code, plan, circuit, budget)
+
+        def encode(secret: QuditState) -> tuple[QuditState, tuple[int, ...]]:
+            _check_secret(code, secret)
+            return QuditState(code.p, code.n, isometry @ secret.amplitudes), image_syndrome
+
+    else:
+
+        def encode(secret: QuditState) -> tuple[QuditState, tuple[int, ...]]:
+            return _encode_advance(code, plan, circuit, secret, budget)
+
     rng = np.random.default_rng(seed)
     records: list[TrialRecord] = []
     reference_syndrome: tuple[int, ...] | None = None
@@ -681,25 +722,21 @@ def simulate_protocol(
         acc = validated_shares(acc, code.n)
         erased = tuple(j for j in range(1, code.n + 1) if j not in acc)
         for _ in range(trials):
-            secret = random_state(code.p, code.k, rng)
-            shared, syndrome = _encode_advance(code, plan, circuit, secret, budget)
+            shared, syndrome = encode(random_state(code.p, code.k, rng))
             if reference_syndrome is None:
                 reference_syndrome = syndrome
             decoded = erase_and_decode(shared, code, syndrome, erased, rng, budget=budget)
-            rho = _secret_density(decoded.state, plan, inverse)
-            fid = float(np.real(secret.amplitudes.conj() @ rho @ secret.amplitudes))
             records.append(
                 TrialRecord(
                     accessible=acc,
                     erased=erased,
                     measured_syndrome=decoded.measured_syndrome,
                     correction=tuple(int(v) for v in decoded.correction),
-                    fidelity=fid,
+                    fidelity=fidelity(shared, decoded.state),
                 )
             )
     if reference_syndrome is None:
-        secret = random_state(code.p, code.k, rng)
-        _, reference_syndrome = _encode_advance(code, plan, circuit, secret, budget)
+        _, reference_syndrome = encode(random_state(code.p, code.k, rng))
     return ProtocolTranscript(
         p=code.p,
         n=code.n,

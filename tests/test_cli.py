@@ -227,6 +227,20 @@ def test_demo_same_seed_byte_identical(code_dir):
     assert first == second
 
 
+def test_run_reuses_one_parser_without_carrying_options(code_dir, monkeypatch):
+    assert cli.build_parser() is not cli.build_parser()
+    built = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    path = str(code_dir / "five_qubit.code")
+    run_cli(["demo", path, "--J", "5", "--seed", "7", "--trials", "2", "--json-only"])
+    _, out, _ = run_cli(["demo", path, "--json-only"])
+    assert built == [1]
+    demo = json.loads(out)["demo"]
+    assert (demo["shares"], demo["seed"], demo["trials"]) == ([], 0, 1)
+
+
 def test_demo_five_qubit_qualified_fidelities(code_dir):
     _, out, _ = run_cli(
         [

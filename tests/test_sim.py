@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from advshare import gfp, sim
+from advshare.access import _mask_shares, masks_of_size
 from advshare.advance import construct_eaqecc, is_advance_shareable
 from advshare.clifford import CliffordCircuit, _register, _unregister, encoding_circuit
 from advshare.codefile import parse_code_file
@@ -88,6 +89,12 @@ def slow_eigenvalue_exponent(arr, op, axes=None):
     assert abs(abs(lam) - 1.0) < 1e-9
     assert np.linalg.norm(moved.reshape(-1) - lam * arr.reshape(-1)) < 1e-7
     return int(round(np.angle(lam) / (np.pi / op.p))) % (2 * op.p)
+
+
+def eigenvalue_exponent(arr, op, axes=None):
+    """The compiled batched check :func:`sim._exponents`, for one Pauli."""
+    kernels = sim.compile_paulis(op.p, op.n, [op])
+    return sim._exponents(_register(np.asarray(arr, dtype=complex), op.n, axes), kernels)[0]
 
 
 def slow_measure_pauli(arr, op, rng, axes=None):
@@ -360,6 +367,27 @@ def test_erase_two_shares_refused(four_qubit_pipeline, rng):
         erase_and_decode(shared, code, syndrome, [1, 2], rng)
 
 
+def test_erase_and_decode_validates_its_erased_set_once(four_qubit_pipeline, rng, monkeypatch):
+    from advshare import access
+
+    code, plan, circuit = four_qubit_pipeline
+    shared, syndrome = encode_advance(code, [4], plan, circuit, random_state(2, 2, rng))
+    calls = []
+    validated = sim.validated_shares
+
+    def counted(shares, n):
+        calls.append(tuple(shares))
+        return validated(shares, n)
+
+    monkeypatch.setattr(sim, "validated_shares", counted)
+    monkeypatch.setattr(access, "validated_shares", counted)
+    result = erase_and_decode(shared, code, syndrome, [2, 2], rng)
+    assert calls == [(2, 2)]
+    assert fidelity(result.state, shared) > 1 - 1e-9
+    with pytest.raises(UncorrectableErasureError, match=r"shares \(1, 2\) carry undetectable"):
+        erase_and_decode(shared, code, syndrome, [2, 1], rng)
+
+
 def test_correctable_erasure_thresholds(five_qubit):
     for single_loss in range(1, 6):
         assert correctable_erasure(five_qubit, [single_loss])
@@ -586,10 +614,10 @@ def test_simulate_protocol_deterministic(four_qubit_pipeline):
         assert support <= set(rec.erased)
 
 
-def test_simulate_protocol_checks_and_inverts_once_per_run(four_qubit_pipeline, monkeypatch):
+def test_simulate_protocol_checks_once_and_never_inverts(four_qubit_pipeline, monkeypatch):
     code, plan, circuit = four_qubit_pipeline
-    calls = {"check": 0, "inverse": 0}
-    check, inverse = sim._check_plan_matches, CliffordCircuit.inverse
+    calls = {"check": 0, "inverse": 0, "circuit": 0}
+    check, inverse, apply = sim._check_plan_matches, CliffordCircuit.inverse, sim.apply_circuit_tensor
 
     def counted_check(*args):
         calls["check"] += 1
@@ -599,15 +627,76 @@ def test_simulate_protocol_checks_and_inverts_once_per_run(four_qubit_pipeline, 
         calls["inverse"] += 1
         return inverse(self)
 
+    def counted_apply(*args, **kw):
+        calls["circuit"] += 1
+        return apply(*args, **kw)
+
     monkeypatch.setattr(sim, "_check_plan_matches", counted_check)
     monkeypatch.setattr(CliffordCircuit, "inverse", counted_inverse)
+    monkeypatch.setattr(sim, "apply_circuit_tensor", counted_apply)
     sets = [(1, 2, 3), (2, 3, 4), (1, 3, 4), (1, 2, 3, 4)]
-    transcript = simulate_protocol(
-        code, [4], plan, circuit, seed=3, trials=3, accessible_sets=sets
-    )
-    assert len(transcript.trials) == 12
-    assert all(rec.fidelity > 1 - 1e-9 for rec in transcript.trials)
-    assert calls == {"check": 1, "inverse": 1}
+    # 2**(4+2) amplitudes fit a budget of 2**6 or more: one circuit call
+    # builds V.  Below, each of the 12 trials runs the circuit.
+    for budget, circuit_calls in [(sim.DEFAULT_STATE_BUDGET, 1), (2**6, 1), (2**6 - 1, 12)]:
+        calls.update(check=0, inverse=0, circuit=0)
+        transcript = simulate_protocol(
+            code, [4], plan, circuit, seed=3, trials=3, accessible_sets=sets, budget=budget
+        )
+        assert len(transcript.trials) == 12
+        assert all(rec.fidelity > 1 - 1e-9 for rec in transcript.trials)
+        assert calls == {"check": 1, "inverse": 0, "circuit": circuit_calls}
+
+
+def test_simulate_protocol_refuses_a_non_isometric_encoding(four_qubit_pipeline, monkeypatch):
+    code, plan, circuit = four_qubit_pipeline
+    encode_choi = sim._encode_choi
+
+    def skewed(*args):
+        arr, syndrome = encode_choi(*args)
+        rows = arr.reshape(code.p**code.k, -1).copy()
+        rows[1] += 1e-6 * rows[0]
+        return rows.reshape(arr.shape), syndrome
+
+    monkeypatch.setattr(sim, "_encode_choi", skewed)
+    with pytest.raises(InvariantError, match="not an isometry"):
+        simulate_protocol(code, [4], plan, circuit, seed=3, trials=1, accessible_sets=[(1, 2, 3)])
+
+
+def test_protocol_fidelity_is_the_circuit_fidelity_off_the_secret(four_qubit_pipeline, monkeypatch):
+    """A logical X on the decoded state keeps it in V's image but moves the
+    secret: the overlap fidelity must still equal <secret|rho|secret> from
+    the inverse circuit and partial trace."""
+    code, plan, circuit = four_qubit_pipeline
+    decode = sim.erase_and_decode
+    logical = PauliOperator(2, [1, 1, 0, 0], [0, 0, 0, 0])
+    seen = []
+
+    def off_secret(state, *args, **kwargs):
+        result = decode(state, *args, **kwargs)
+        moved = apply_pauli(result.state, logical)
+        seen.append((state, moved))
+        return dataclasses.replace(result, state=moved)
+
+    monkeypatch.setattr(sim, "erase_and_decode", off_secret)
+    sets = [(1, 2, 3), (2, 3, 4), (1, 2, 3, 4)]
+    transcript = simulate_protocol(code, [4], plan, circuit, 7, 3, sets)
+    inverse = circuit.inverse()
+    for rec, (shared, moved) in zip(transcript.trials, seen, strict=True):
+        secret = sim._secret_density(shared, plan, inverse)
+        rho = sim._secret_density(moved, plan, inverse)
+        assert abs(rec.fidelity - float(np.real(np.trace(secret @ rho)))) < 1e-12
+    assert min(rec.fidelity for rec in transcript.trials) < 0.9
+
+
+@pytest.mark.parametrize("sets", [[], [(1, 2, 3)]])
+def test_simulate_protocol_keeps_the_k0_secret_check(sets):
+    # The three-qubit GHZ state: XXX, ZZI, IZZ; k = 0, so V always fits.
+    rows = [[1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 0], [0, 0, 0, 0, 1, 1]]
+    code = validate_stabilizer(rows, 2, 3)
+    plan = construct_eaqecc(code, [])
+    circuit = encoding_circuit(plan)
+    with pytest.raises(ValueError, match="k = 0 code admits only the trivial secret"):
+        simulate_protocol(code, [], plan, circuit, 1, 1, sets)
 
 
 def test_simulate_protocol_rejects_mismatched_circuit_first(four_qubit_pipeline, monkeypatch):
@@ -709,16 +798,16 @@ def test_each_eigenvalue_check_raises_on_its_own_failure(p):
     op = single(p, 1, 0, z=1)
     eigen = np.zeros(p, dtype=complex)
     eigen[0] = 1.0
-    assert sim._eigenvalue_exponent(eigen, op) == 0
+    assert eigenvalue_exponent(eigen, op) == 0
     flat = np.full(p, p**-0.5, dtype=complex)
     with pytest.raises(InvariantError, match=r"not an eigenvector \(\|<G>\| = "):
-        sim._eigenvalue_exponent(flat, op)
+        eigenvalue_exponent(flat, op)
     # |<G>| within 1e-9 of 1, yet the residual of G|psi> - <G>|psi> is ~1e-5.
     eps = 2e-5
     near = np.zeros(p, dtype=complex)
     near[0], near[1] = np.cos(eps), np.sin(eps)
     with pytest.raises(InvariantError, match="not an eigenvector of the generator"):
-        sim._eigenvalue_exponent(near, op)
+        eigenvalue_exponent(near, op)
     # An eigenvalue off the 2p-th roots needs a kernel whose phases are off too.
     kernels = sim.compile_paulis(p, 1, [op])
     skewed = dataclasses.replace(kernels, phases=kernels.phases * np.exp(0.1j))
@@ -785,3 +874,50 @@ def test_generator_kernels_compiled_once_per_code(code_dir, monkeypatch):
     # One compile of the four generators; every other one is a correction.
     assert compiled.count(code.num_checks) == 1
     assert set(compiled) == {code.num_checks, 1}
+
+
+#: Registers of the protocol sweep hold at most this many amplitudes, V included.
+PROTOCOL_REGISTER_LIMIT = 4096
+
+
+@st.composite
+def protocol_cases(draw, p):
+    """A random [[n, k >= 1]]_p code with p**(n+k) within the protocol
+    sweep's limit, and a seed for the code, its sets and the transcript."""
+    cap = 2
+    while p ** (cap + 1) <= PROTOCOL_REGISTER_LIMIT:
+        cap += 1
+    n = draw(st.integers(1, cap - 1))
+    k = draw(st.integers(1, min(n, cap - n)))
+    return n, k, draw(st.integers(0, 2**32 - 1))
+
+
+@pytest.mark.parametrize("p", gfp.PRIMES)
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_protocol_sweep_matches_the_reference_at_both_budgets(p, data):
+    n, k, seed = data.draw(protocol_cases(p))
+    rng = np.random.default_rng(seed)
+    code = random_stabilizer(p, n, n - k, rng)
+    masks = [m for size in range(n + 1) for m in masks_of_size(n, size)]
+    labels = code.share_structure().labels(masks)
+    qualified = [m for m, label in zip(masks, labels) if label is AccessLabel.QUALIFIED]
+    picks = rng.choice(len(qualified), size=min(3, len(qualified)), replace=False)
+    sets = [_mask_shares(qualified[i], n) for i in sorted(picks)]
+    shareable = [j for j in range(1, n + 1) if is_advance_shareable(code, [j])]
+    for shares in [[]] + [shareable[:1]] * bool(shareable):
+        plan = construct_eaqecc(code, shares)
+        circuit = encoding_circuit(plan)
+        fast = simulate_protocol(code, shares, plan, circuit, seed, 2, sets)
+        # At p**n the isometry does not fit, and each secret runs the circuit.
+        unfit = simulate_protocol(code, shares, plan, circuit, seed, 2, sets, budget=p**n)
+        reference = slow_simulate_protocol(code, plan, circuit, seed, 2, sets)
+        assert fast.syndrome == unfit.syndrome == reference[0][0]
+        assert len(fast.trials) == len(unfit.trials) == len(reference) == 2 * len(sets)
+        for rec, other, (_, measured, correction, fid) in zip(
+            fast.trials, unfit.trials, reference
+        ):
+            assert rec.measured_syndrome == other.measured_syndrome == measured
+            assert rec.correction == other.correction == correction
+            assert abs(rec.fidelity - fid) < 1e-12
+            assert abs(other.fidelity - fid) < 1e-12
