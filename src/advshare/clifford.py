@@ -17,7 +17,13 @@ For odd p the phase gate multiplies |j> by w^{g * j(j-1)/2}; for p = 2 it is
 diag(1, i^g).  Conjugating a Pauli through a circuit therefore stays inside
 the group generated by zeta = exp(i*pi/p) (a 2p-th root of unity): phases
 are tracked exactly as integer exponents of zeta, which are even whenever
-the result is a plain w power.
+the result is a plain w power.  Each gate's action on (x | z) and on that
+exponent is written once: :func:`conjugate_pauli` runs it on the integers
+of one Pauli, and :func:`symplectic_matrix` and the synthesis reduction run
+it in place on the rows of a 2m x 2m matrix whose columns are f-images.
+
+A circuit checks each gate's kind, wire count and wires when it is built;
+the text form rejects a line without its kind's integer fields.
 
 Synthesis completes the f-images of two generator tuples with equal
 commutation structure to symplectic bases, forms the change-of-basis matrix,
@@ -53,7 +59,16 @@ from .errors import (
 )
 from .pauli import PauliOperator, omega, zeta
 
-GATE_KINDS = ("F", "P", "MUL", "SUM", "X", "Z")
+#: kind -> (wire count, whether the text form carries a parameter)
+_ARITY = {
+    "F": (1, False),
+    "P": (1, True),
+    "MUL": (1, True),
+    "SUM": (2, False),
+    "X": (1, True),
+    "Z": (1, True),
+}
+GATE_KINDS = tuple(_ARITY)
 
 
 @dataclass(frozen=True)
@@ -64,14 +79,12 @@ class Gate:
 
     def __str__(self) -> str:
         fields = [self.kind, *map(str, self.qudits)]
-        if self.kind in ("P", "MUL", "X", "Z"):
+        if _ARITY.get(self.kind, (0, False))[1]:
             fields.append(str(self.param))
         return " ".join(fields)
 
 
 def gate(kind: str, *qudits: int, param: int = 0) -> Gate:
-    if kind not in GATE_KINDS:
-        raise ValueError(f"unknown gate kind {kind!r}")
     return Gate(kind, tuple(int(q) for q in qudits), int(param))
 
 
@@ -86,6 +99,11 @@ class CliffordCircuit:
     def __post_init__(self):
         gfp.check_modulus(self.p)
         for g in self.gates:
+            if g.kind not in _ARITY:
+                raise ValueError(f"unknown gate kind {g.kind!r}")
+            wires = _ARITY[g.kind][0]
+            if len(g.qudits) != wires:
+                raise ValueError(f"gate {g.kind} takes {wires} wire(s), got {len(g.qudits)}")
             for q in g.qudits:
                 if not 0 <= q < self.m:
                     raise ValueError(f"gate {g} addresses wire {q} outside 0..{self.m - 1}")
@@ -121,16 +139,17 @@ class CliffordCircuit:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            parts = line.split()
-            kind = parts[0].upper()
-            if kind == "SUM":
-                gates_.append(gate(kind, int(parts[1]), int(parts[2])))
-            elif kind == "F":
-                gates_.append(gate(kind, int(parts[1])))
-            elif kind in ("P", "MUL", "X", "Z"):
-                gates_.append(gate(kind, int(parts[1]), param=int(parts[2])))
-            else:
+            kind, *fields = line.split()
+            kind = kind.upper()
+            if kind not in _ARITY:
                 raise ValueError(f"unknown gate line {raw!r}")
+            wires, has_param = _ARITY[kind]
+            if len(fields) != wires + has_param or not all(
+                f.removeprefix("-").isdecimal() for f in fields
+            ):
+                raise ValueError(f"gate line {raw!r} needs {wires + has_param} integer fields")
+            nums = [int(f) for f in fields]
+            gates_.append(Gate(kind, tuple(nums[:wires]), *nums[wires:]))
         return cls(p, m, tuple(gates_))
 
 
@@ -146,9 +165,7 @@ def _inverse_gates(g: Gate, p: int) -> list[Gate]:
         return [Gate("MUL", g.qudits, gfp.inv_scalar(g.param, p))]
     if g.kind == "SUM":
         return [g] * (p - 1)
-    if g.kind in ("X", "Z"):
-        return [Gate(g.kind, g.qudits, (-g.param) % p)]
-    raise ValueError(g.kind)
+    return [Gate(g.kind, g.qudits, (-g.param) % p)]  # X, Z
 
 
 # ---------------------------------------------------------------------------
@@ -206,45 +223,46 @@ def conjugate_pauli(
     p = cur.p
     x, z, tau = [int(v) for v in cur.x], [int(v) for v in cur.z], cur.tau
     for g in circuit.gates:
-        q = g.qudits[0]
-        if g.kind == "F":
-            a, b = x[q], z[q]
-            x[q], z[q] = (-b) % p, a
-            tau -= 2 * a * b
-        elif g.kind == "P":
-            a = x[q]
-            z[q] = (z[q] + g.param * a) % p
-            tau += g.param * a if p == 2 else g.param * a * (a - 1)
-        elif g.kind == "MUL":
-            x[q] = (x[q] * g.param) % p
-            z[q] = (z[q] * gfp.inv_scalar(g.param, p)) % p
-        elif g.kind == "SUM":
-            qt = g.qudits[1]
-            x[qt] = (x[qt] + x[q]) % p
-            z[q] = (z[q] - z[qt]) % p
-        elif g.kind == "X":
-            tau -= 2 * g.param * z[q]
-        elif g.kind == "Z":
-            tau += 2 * g.param * x[q]
-        else:
-            raise ValueError(g.kind)
+        tau += _conjugate_wires(g, x, z, p)
     return PhasedPauli(p, x, z, tau)
+
+
+def _conjugate_wires(g: Gate, x, z, p: int):
+    """Conjugate (x | z) through one gate in place; return the tau increment.
+
+    x and z are indexed by wire: lists of ints for one Pauli, or the x and z
+    row blocks of an integer matrix whose columns are f-images, where the
+    increment comes back per column and the matrix callers ignore it.
+    """
+    q = g.qudits[0]
+    if g.kind == "F":
+        a, b = x[q] * 1, z[q] * 1  # copies: rows of an array are views
+        x[q], z[q] = (-b) % p, a
+        return -2 * a * b
+    if g.kind == "P":
+        a = x[q]
+        z[q] = (z[q] + g.param * a) % p
+        return g.param * a if p == 2 else g.param * a * (a - 1)
+    if g.kind == "MUL":
+        x[q] = (x[q] * g.param) % p
+        z[q] = (z[q] * gfp.inv_scalar(g.param, p)) % p
+        return 0
+    if g.kind == "SUM":
+        qt = g.qudits[1]
+        x[qt] = (x[qt] + x[q]) % p
+        z[q] = (z[q] - z[qt]) % p
+        return 0
+    if g.kind == "X":
+        return -2 * g.param * z[q]
+    return 2 * g.param * x[q]  # Z
 
 
 def symplectic_matrix(circuit: CliffordCircuit) -> np.ndarray:
     """The 2m x 2m matrix of the circuit's action on f-images (columns)."""
     m, p = circuit.m, circuit.p
-    out = np.zeros((2 * m, 2 * m), dtype=np.int64)
-    for col in range(2 * m):
-        x = np.zeros(m, dtype=np.int64)
-        z = np.zeros(m, dtype=np.int64)
-        if col < m:
-            x[col] = 1
-        else:
-            z[col - m] = 1
-        img = conjugate_pauli(circuit, PhasedPauli(p, x, z))
-        out[:m, col] = img.x
-        out[m:, col] = img.z
+    out = np.eye(2 * m, dtype=np.int64)
+    for g in circuit.gates:
+        _conjugate_wires(g, out[:m], out[m:], p)
     return out
 
 
@@ -365,8 +383,6 @@ def _compile(circuit: CliffordCircuit) -> tuple:
         elif g.kind == "SUM":
             qt = g.qudits[1]
             digits[qt] = (digits[qt] + d) % p
-        else:
-            raise ValueError(g.kind)
     flush()
     return tuple(kernels)
 
@@ -501,37 +517,15 @@ def _complete_basis(vectors: np.ndarray, gram: np.ndarray, p: int) -> np.ndarray
 def _inv_matrix(m: np.ndarray, p: int) -> np.ndarray:
     size = m.shape[0]
     aug = np.concatenate([m % p, np.eye(size, dtype=np.int64)], axis=1)
-    r, rk, _ = gfp.rref(aug, p)
-    if rk < size:
-        raise ValueError("matrix is singular")
+    r, _, pivots = gfp.rref(aug, p)
+    # [m | I] always has full rank; m is invertible iff every pivot lies in m.
+    if pivots != list(range(size)):
+        raise InvariantError("matrix is singular")
     return r[:, size:]
 
 
 # ---------------------------------------------------------------------------
 # decomposition of a symplectic matrix into gates
-
-
-def _action(g: Gate, m: int, p: int) -> np.ndarray:
-    """Symplectic matrix of a single gate (acts on column vectors)."""
-    a = np.eye(2 * m, dtype=np.int64)
-    if g.kind == "F":
-        q = g.qudits[0]
-        a[q, q] = 0
-        a[m + q, m + q] = 0
-        a[q, m + q] = (-1) % p
-        a[m + q, q] = 1
-    elif g.kind == "P":
-        q = g.qudits[0]
-        a[m + q, q] = g.param % p
-    elif g.kind == "MUL":
-        q = g.qudits[0]
-        a[q, q] = g.param % p
-        a[m + q, m + q] = gfp.inv_scalar(g.param, p)
-    elif g.kind == "SUM":
-        qc, qt = g.qudits
-        a[qt, qc] = 1
-        a[m + qc, m + qt] = (-1) % p
-    return a % p
 
 
 def _decompose_symplectic(matrix: np.ndarray, m: int, p: int) -> list[Gate]:
@@ -544,10 +538,8 @@ def _decompose_symplectic(matrix: np.ndarray, m: int, p: int) -> list[Gate]:
     ops: list[Gate] = []
 
     def apply(g: Gate, times: int = 1):
-        nonlocal cur
-        act = _action(g, m, p)
         for _ in range(times % (4 * p)):
-            cur = (act @ cur) % p
+            _conjugate_wires(g, cur[:m], cur[m:], p)
             ops.append(g)
 
     for q in range(m):

@@ -16,11 +16,14 @@ The protocol pipeline:
    encoding circuit then rotates the complement wires into the code frame,
    leaving an exact joint eigenstate of every check generator; the observed
    eigenvalues are recorded as the syndrome reference.  The encoding is
-   fixed before the secret exists, so :func:`simulate_protocol` builds the
-   encoding isometry V (p**n x p**k) once per run, from the Choi state of
-   :func:`encode_with_reference`, and encodes each trial's secret with one
-   matvec; when p**(n+k) exceeds the state budget it encodes each secret
-   through the circuit instead.
+   fixed before the secret exists, so every secret is a column of one
+   encoding isometry V (p**n x p**k).  One builder encodes the columns of
+   a secret matrix with one circuit call, the column index riding along
+   as a trailing axis, and checks the eigenvalues once for the block: one
+   secret is its one-column call, V its identity-matrix call.
+   :func:`simulate_protocol` builds V once per run and encodes each
+   trial's secret with one matvec; when p**(n+k) exceeds the state budget
+   it encodes each secret as one column instead.
 2. :func:`erase_and_decode` models share loss by measuring the lost qudits
    and resetting them to |0>, measures every generator projectively, solves
    an F_p linear system for a correction supported on the lost shares, and
@@ -36,9 +39,10 @@ The protocol pipeline:
    in the recorded eigenspace, which is the image of V, so its fidelity is
    its overlap with the encoded state, |<V secret|psi>|**2.
 
-:func:`encode_with_reference` fills the secret wires with k pairs to a
-reference R through the same state builder; :func:`entropic_audit` is one
-row of :func:`mutual_information_table`, I(R : A) from that encoding.
+:func:`encode_with_reference` is the Choi state, the secret wires
+maximally entangled with a k-qudit reference R: V transposed and scaled by
+p**(-k/2).  :func:`entropic_audit` is one row of
+:func:`mutual_information_table`, I(R : A) from that encoding.
 
 Eigenvalues of generators are exact roots of unity written zeta**tau with
 zeta = exp(i*pi/p); tau is even (a plain w power) unless p = 2 and a
@@ -308,19 +312,6 @@ def _measure_and_reset(
 # encoding
 
 
-def _compose_factors(
-    factors: Sequence[tuple[np.ndarray, tuple[int, ...]]], order: Sequence[int]
-) -> np.ndarray:
-    """Outer-product factors carrying axis labels, then sort axes by order."""
-    amp = np.array(1.0 + 0j)
-    labels: list[int] = []
-    for arr, axis_labels in factors:
-        amp = np.multiply.outer(amp, arr)
-        labels.extend(axis_labels)
-    perm = [labels.index(lbl) for lbl in order]
-    return np.transpose(amp, perm)
-
-
 def _check_plan_matches(
     code: StabilizerCode, shares: tuple[int, ...], plan: EAQECCPlan, circuit: CliffordCircuit
 ) -> None:
@@ -336,42 +327,47 @@ def _check_plan_matches(
             raise ValueError("circuit does not map the preparation frame to the code frame")
 
 
-def _encode_tensor(
+def _check_secret(code: StabilizerCode, secret: QuditState) -> None:
+    if secret.p != code.p or secret.m != code.k:
+        raise ValueError(f"secret must be {code.k} qudits of dimension {code.p}")
+    if not code.k and not np.allclose(secret.amplitudes, [1.0]):
+        raise ValueError("k = 0 code admits only the trivial secret")
+
+
+def _encode(
     code: StabilizerCode,
     plan: EAQECCPlan,
     circuit: CliffordCircuit,
-    secret_factors: Sequence[tuple[np.ndarray, tuple[int, ...]]],
-    extra_labels: Sequence[int],
+    secrets: np.ndarray,
     budget: int,
 ) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Shared easy-state builder; labels 1..n are shares, extras go first.
+    """Encode each column of a (p**k, b) secret matrix with one circuit call.
 
-    Each secret factor is a tensor with one label per axis.  The caller has
+    The easy state holds a maximally entangled pair per advance share, |0>
+    on each zero share and the secret on the secret shares; the column
+    index rides along as a trailing axis.  Returns the (p**n, b) encoded
+    columns and the syndrome of the normalised block, which is one joint
+    eigenstate only if every column shares the eigenvalues.  The caller has
     checked the plan and circuit against the code.
     """
     p, n = code.p, code.n
-    total_qudits = n + len(extra_labels)
-    if p**total_qudits > budget:
-        raise BudgetExceededError(
-            f"state size {p}**{total_qudits} exceeds budget {budget}"
-        )
-    epr = make_epr(p).tensor()
-    ket0 = np.zeros(p, dtype=complex)
-    ket0[0] = 1.0
-    factors: list[tuple[np.ndarray, tuple[int, ...]]] = []
+    width = secrets.shape[1]
+    if p**n * width > budget:
+        columns = "" if width == 1 else f" x {width}"
+        raise BudgetExceededError(f"state size {p}**{n}{columns} exceeds budget {budget}")
+    # einsum's integer labels: share s is label s, the column index label 0.
+    pair, ket0 = make_epr(p).tensor(), np.eye(p)[0]
+    operands: list = []
     for j, partner in plan.epr_pairs:
-        factors.append((epr, (j, partner)))
+        operands += [pair, [j, partner]]
     for z_share in plan.zero_shares:
-        factors.append((ket0, (z_share,)))
-    factors.extend(secret_factors)
-    order = list(extra_labels) + list(range(1, n + 1))
-    arr = _compose_factors(factors, order)
-    offset = len(extra_labels)
-    wire_axes = [offset + s - 1 for s in plan.complement]
-    arr = apply_circuit_tensor(arr, circuit, axes=wire_axes)
-    share_axes = [offset + s - 1 for s in range(1, n + 1)]
-    syndrome = _exponents(_register(arr, n, share_axes), _generator_kernels(code))
-    return arr, syndrome
+        operands += [ket0, [z_share]]
+    operands += [secrets.reshape((p,) * code.k + (width,)), [*plan.secret_shares, 0]]
+    easy = np.einsum(*operands, [*range(1, n + 1), 0])
+    arr = apply_circuit_tensor(easy, circuit, axes=[s - 1 for s in plan.complement])
+    flat = arr.reshape(p**n, width)
+    syndrome = _exponents(flat / np.linalg.norm(flat), _generator_kernels(code))
+    return flat, syndrome
 
 
 def encode_advance(
@@ -390,28 +386,9 @@ def encode_advance(
     advance share alone is maximally mixed.
     """
     _check_plan_matches(code, validated_shares(shares, code.n), plan, circuit)
-    return _encode_advance(code, plan, circuit, secret, budget)
-
-
-def _encode_advance(
-    code: StabilizerCode,
-    plan: EAQECCPlan,
-    circuit: CliffordCircuit,
-    secret: QuditState,
-    budget: int,
-) -> tuple[QuditState, tuple[int, ...]]:
-    """:func:`encode_advance` for a plan and circuit already checked."""
     _check_secret(code, secret)
-    secret_factors = [(secret.tensor(), plan.secret_shares)] if code.k else []
-    arr, syndrome = _encode_tensor(code, plan, circuit, secret_factors, (), budget)
-    return QuditState(code.p, code.n, arr.reshape(-1)), syndrome
-
-
-def _check_secret(code: StabilizerCode, secret: QuditState) -> None:
-    if secret.p != code.p or secret.m != code.k:
-        raise ValueError(f"secret must be {code.k} qudits of dimension {code.p}")
-    if not code.k and not np.allclose(secret.amplitudes, [1.0]):
-        raise ValueError("k = 0 code admits only the trivial secret")
+    flat, syndrome = _encode(code, plan, circuit, secret.amplitudes[:, None], budget)
+    return QuditState(code.p, code.n, flat[:, 0]), syndrome
 
 
 def encode_with_reference(
@@ -425,21 +402,13 @@ def encode_with_reference(
 
     The output has k reference qudits on axes 0..k-1, then the n shares.
     Entropies of reference-vs-share subsystems quantify exactly how much
-    secret information a share set holds.
+    secret information a share set holds.  This Choi state is
+    sum_s |s> V|s> / sqrt(p**k), the encoding isometry V transposed.
     """
     _check_plan_matches(code, validated_shares(shares, code.n), plan, circuit)
-    arr, syndrome = _encode_choi(code, plan, circuit, budget)
-    return QuditState(code.p, code.k + code.n, arr.reshape(-1)), syndrome
-
-
-def _encode_choi(
-    code: StabilizerCode, plan: EAQECCPlan, circuit: CliffordCircuit, budget: int
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    """:func:`encode_with_reference` for a plan and circuit already checked."""
-    epr = make_epr(code.p).tensor()
-    ref_labels = tuple(-(t + 1) for t in range(code.k))
-    pairs = [(epr, (ref, s)) for ref, s in zip(ref_labels, plan.secret_shares)]
-    return _encode_tensor(code, plan, circuit, pairs, ref_labels, budget)
+    v, syndrome = _encoding_isometry(code, plan, circuit, budget)
+    choi = v.T.reshape(-1) / np.sqrt(v.shape[1])
+    return QuditState(code.p, code.k + code.n, choi), syndrome
 
 
 def _encoding_isometry(
@@ -447,14 +416,12 @@ def _encoding_isometry(
 ) -> tuple[np.ndarray, tuple[int, ...]]:
     """The encoding isometry V (p**n x p**k) and the syndrome of its image.
 
-    Row s of the Choi state, reference axes first, is V|s> / sqrt(p**k), so
-    one circuit call encodes every basis secret and one eigenvalue check
-    covers every column.
+    Column s is V|s>: one circuit call encodes every basis secret and one
+    eigenvalue check covers every column.
     """
-    p, n, k = code.p, code.n, code.k
-    arr, syndrome = _encode_choi(code, plan, circuit, budget)
-    v = np.sqrt(p**k) * arr.reshape(p**k, p**n).T
-    if np.abs(v.conj().T @ v - np.eye(p**k)).max() > NORM_TOL:
+    eye = np.eye(code.p**code.k, dtype=complex)
+    v, syndrome = _encode(code, plan, circuit, eye, budget)
+    if np.abs(v.conj().T @ v - eye).max() > NORM_TOL:
         raise InvariantError("encoding is not an isometry (V^dagger V != I)")
     return v, syndrome
 
@@ -703,17 +670,16 @@ def simulate_protocol(
     """
     js = validated_shares(shares, code.n)
     _check_plan_matches(code, js, plan, circuit)
+    isometry = None
     if code.p ** (code.n + code.k) <= budget:
         isometry, image_syndrome = _encoding_isometry(code, plan, circuit, budget)
 
-        def encode(secret: QuditState) -> tuple[QuditState, tuple[int, ...]]:
-            _check_secret(code, secret)
+    def encode(secret: QuditState) -> tuple[QuditState, tuple[int, ...]]:
+        _check_secret(code, secret)
+        if isometry is not None:
             return QuditState(code.p, code.n, isometry @ secret.amplitudes), image_syndrome
-
-    else:
-
-        def encode(secret: QuditState) -> tuple[QuditState, tuple[int, ...]]:
-            return _encode_advance(code, plan, circuit, secret, budget)
+        flat, syndrome = _encode(code, plan, circuit, secret.amplitudes[:, None], budget)
+        return QuditState(code.p, code.n, flat[:, 0]), syndrome
 
     rng = np.random.default_rng(seed)
     records: list[TrialRecord] = []

@@ -9,7 +9,7 @@ from advshare.clifford import (
     CliffordCircuit,
     Gate,
     PhasedPauli,
-    _action,
+    _inv_matrix,
     apply_circuit_tensor,
     conjugate_pauli,
     encoding_circuit,
@@ -23,6 +23,7 @@ from advshare.errors import (
     BudgetExceededError,
     DependentRowsError,
     GramMismatchError,
+    InvariantError,
 )
 from advshare.pauli import PauliOperator, omega, single, to_matrix, zeta
 from tests_util_circuits import random_circuit
@@ -203,8 +204,12 @@ def test_text_round_trip(rng):
 
 
 def test_text_rejects_unknown_gate():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown gate line 'H 0'"):
         CliffordCircuit.from_text("H 0", 2, 1)
+    for line in ("SUM 0", "P 0", "F", "SUM 0 1 2", "F 0 1", "X 0 a", "MUL 0 1.5"):
+        with pytest.raises(ValueError, match=f"gate line '{line}' needs"):
+            CliffordCircuit.from_text(f"F 0\n{line}\n", 2, 2)
+    assert CliffordCircuit.from_text("X 1 -1  # comment", 3, 2).gates == (Gate("X", (1,), -1),)
 
 
 def test_circuit_validates_wires_and_params():
@@ -214,6 +219,19 @@ def test_circuit_validates_wires_and_params():
         CliffordCircuit(2, 2, (gate("MUL", 0, param=2),))
     with pytest.raises(ValueError):
         CliffordCircuit(2, 2, (gate("SUM", 1, 1),))
+    with pytest.raises(ValueError, match="unknown gate kind 'H'"):
+        CliffordCircuit(2, 1, (Gate("H", (0,)),))
+    for bad in (Gate("SUM", (0,)), Gate("F", (0, 1)), Gate("X", ()), Gate("SUM", (0, 1, 2))):
+        with pytest.raises(ValueError, match=f"gate {bad.kind} takes"):
+            CliffordCircuit(2, 3, (bad,))
+
+
+def test_singular_change_of_basis_is_an_invariant_error():
+    singular = np.array([[1, 2], [2, 4]], dtype=np.int64)
+    with pytest.raises(InvariantError, match="singular"):
+        _inv_matrix(singular, 3)
+    m = np.array([[1, 2], [0, 1]], dtype=np.int64)
+    assert np.array_equal((m @ _inv_matrix(m, 3)) % 3, np.eye(2, dtype=np.int64))
 
 
 def test_conjugate_identity_circuit(rng):
@@ -274,20 +292,17 @@ def test_conjugate_pauli_leaves_its_input_alone(rng):
             assert phased.tau == 2 * a.phase
 
 
-def test_gate_actions_match_symbolic_engine():
-    for p in (2, 3):
-        m = 2
-        for g in (
-            gate("F", 0),
-            gate("P", 1, param=1),
-            gate("MUL", 0, param=p - 1),
-            gate("SUM", 0, 1),
-            gate("SUM", 1, 0),
-            gate("X", 0, param=1),
-            gate("Z", 1, param=1),
-        ):
-            c = CliffordCircuit(p, m, (g,))
-            assert np.array_equal(symplectic_matrix(c), _action(g, m, p) % p)
+def test_gate_actions_match_symbolic_engine(rng):
+    """The matrix path (rows of an array) and the one-Pauli path (ints) agree:
+    column j of symplectic_matrix is the conjugated unit Pauli e_j."""
+    for p in gfp.PRIMES:
+        for _ in range(10):
+            m = int(rng.integers(1, 5))
+            c = random_circuit(p, m, int(rng.integers(0, 16)), rng)
+            s = symplectic_matrix(c)
+            for col, unit in enumerate(np.eye(2 * m, dtype=np.int64)):
+                img = conjugate_pauli(c, PhasedPauli(p, unit[:m], unit[m:]))
+                assert np.array_equal(s[:, col], np.concatenate([img.x, img.z]))
 
 
 def test_circuits_preserve_symplectic_form(rng):

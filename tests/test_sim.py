@@ -158,7 +158,7 @@ def slow_simulate_protocol(code, plan, circuit, seed, trials, accessible_sets):
     for acc in accessible_sets:
         for _ in range(trials):
             secret = random_state(code.p, code.k, rng)
-            shared, _ = sim._encode_advance(code, plan, circuit, secret, 4096)
+            shared, _ = encode_advance(code, plan.shares, plan, circuit, secret, 4096)
             syndrome = tuple(
                 slow_eigenvalue_exponent(shared.tensor(), g) for g in code.generators()
             )
@@ -649,15 +649,15 @@ def test_simulate_protocol_checks_once_and_never_inverts(four_qubit_pipeline, mo
 
 def test_simulate_protocol_refuses_a_non_isometric_encoding(four_qubit_pipeline, monkeypatch):
     code, plan, circuit = four_qubit_pipeline
-    encode_choi = sim._encode_choi
+    encode = sim._encode
 
     def skewed(*args):
-        arr, syndrome = encode_choi(*args)
-        rows = arr.reshape(code.p**code.k, -1).copy()
-        rows[1] += 1e-6 * rows[0]
-        return rows.reshape(arr.shape), syndrome
+        columns, syndrome = encode(*args)
+        columns = columns.copy()
+        columns[:, 1] += 1e-6 * columns[:, 0]
+        return columns, syndrome
 
-    monkeypatch.setattr(sim, "_encode_choi", skewed)
+    monkeypatch.setattr(sim, "_encode", skewed)
     with pytest.raises(InvariantError, match="not an isometry"):
         simulate_protocol(code, [4], plan, circuit, seed=3, trials=1, accessible_sets=[(1, 2, 3)])
 
@@ -921,3 +921,24 @@ def test_protocol_sweep_matches_the_reference_at_both_budgets(p, data):
             assert rec.correction == other.correction == correction
             assert abs(rec.fidelity - fid) < 1e-12
             assert abs(other.fidelity - fid) < 1e-12
+
+
+@pytest.mark.parametrize("p", gfp.PRIMES)
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_reference_encoding_holds_each_basis_secret(p, data):
+    """Row s of the Choi state, scaled by sqrt(p**k), is the one-secret
+    encoding of |s>: the batched columns and the single column agree."""
+    n, k, seed = data.draw(protocol_cases(p))
+    rng = np.random.default_rng(seed)
+    code = random_stabilizer(p, n, n - k, rng)
+    shareable = [j for j in range(1, n + 1) if is_advance_shareable(code, [j])]
+    for shares in [[]] + [shareable[:1]] * bool(shareable):
+        plan = construct_eaqecc(code, shares)
+        circuit = encoding_circuit(plan)
+        choi, syndrome = encode_with_reference(code, shares, plan, circuit)
+        rows = np.sqrt(p**k) * choi.amplitudes.reshape(p**k, p**n)
+        for s, basis in enumerate(np.eye(p**k)):
+            shared, alone = encode_advance(code, shares, plan, circuit, QuditState(p, k, basis))
+            assert alone == syndrome
+            assert np.abs(rows[s] - shared.amplitudes).max() < 1e-12
