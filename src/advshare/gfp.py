@@ -169,6 +169,53 @@ def solve(m, b, p: int) -> Optional[np.ndarray]:
     return x
 
 
+def solution_maps(stack, p: int) -> np.ndarray:
+    """For each matrix m of a ``(batch, rows, cols)`` stack, the (cols, rows)
+    matrix S with ``S @ b % p == solve(m, b, p)`` for every b that has a
+    solution.
+
+    One Gauss-Jordan elimination of every ``[m | I]`` runs over the whole
+    batch at once: for each column of m, every matrix picks an unused row
+    with a nonzero entry as the pivot, normalises it and clears the column
+    from all its other rows.  The pivot rows then hold the reduced row
+    echelon form of m, which is unique, so for b = m x the reduced b is
+    that form applied to x whatever the pivot order: each pivot variable
+    takes its pivot row of the identity part and each free variable is 0,
+    as in :func:`solve`.  S says nothing about solvability: check
+    ``m @ x == b`` before using x.
+    """
+    check_modulus(p)
+    a = np.asarray(stack, dtype=np.int64) % p
+    if a.ndim != 3:
+        raise ValueError(f"expected a 3-d stack, got shape {a.shape}")
+    batch, rows, cols = a.shape
+    eye = np.broadcast_to(np.eye(rows, dtype=np.int64), (batch, rows, rows))
+    a = np.concatenate([a, eye], axis=2)
+    inverse = np.array([0] + [inv_scalar(v, p) for v in range(1, p)], dtype=np.int64)
+    every = np.arange(batch)
+    used = np.zeros((batch, rows), dtype=bool)
+    maps = np.zeros((batch, cols, rows), dtype=np.int64)
+    pivot_rows = np.full((batch, cols), -1)
+    for c in range(cols):
+        candidates = (a[:, :, c] != 0) & ~used
+        found = candidates.any(axis=1)
+        if not found.any():
+            continue
+        pivot = candidates.argmax(axis=1)
+        row = a[every, pivot]
+        row = (row * inverse[row[:, c]][:, None]) % p
+        factors = np.where(found[:, None], a[:, :, c], 0)
+        factors[every, pivot] = 0
+        a = (a - factors[:, :, None] * row[:, None, :]) % p
+        a[every[found], pivot[found]] = row[found]
+        used[every[found], pivot[found]] = True
+        pivot_rows[found, c] = pivot[found]
+    for c in range(cols):
+        has = pivot_rows[:, c] >= 0
+        maps[has, c] = a[every[has], pivot_rows[has, c], cols:]
+    return maps
+
+
 def in_row_space(m, v, p: int) -> bool:
     """Whether v lies in the row space of m."""
     a = as_matrix(m, p)

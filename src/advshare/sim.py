@@ -19,21 +19,31 @@ The protocol pipeline:
    fixed before the secret exists, so every secret is a column of one
    encoding isometry V (p**n x p**k).  One builder encodes the columns of
    a secret matrix with one circuit call, the column index riding along
-   as a trailing axis, and checks the eigenvalues once for the block: one
-   secret is its one-column call, V its identity-matrix call.
-   :func:`simulate_protocol` builds V once per run and encodes each
-   trial's secret with one matvec; when p**(n+k) exceeds the state budget
-   it encodes each secret as one column instead.
+   as a trailing axis, and checks every column's eigenvalues in one batch:
+   one secret is its one-column call, V its identity-matrix call.
+   :func:`simulate_protocol` builds V once per run and encodes each block
+   of trials' secrets with one matmul; when p**(n+k) exceeds the state
+   budget it encodes each block with one circuit call instead.
 2. :func:`erase_and_decode` models share loss by measuring the lost qudits
    and resetting them to |0>, measures every generator projectively, solves
    an F_p linear system for a correction supported on the lost shares, and
    applies it, returning to the recorded eigenspace.  A Pauli is monomial,
    so each generator compiles once per code (:func:`compile_paulis`, kept on
    the code) into one gather index and one exact phase vector per power
-   t = 0..p-1.  Measuring a generator is one gather that stacks its p powers
+   t = 1..p-1.  Measuring a generator is one gather that stacks its p powers
    and one p x p matmul with the projector coefficients lambda**-t / p;
    every eigenvalue check (after encoding, after correction) is one batched
-   gather over all generators.
+   gather over all generators.  One block decoder does this for the
+   (p**n, b) columns of b trials at once, and :func:`erase_and_decode` is
+   its one-column call.  :func:`simulate_protocol` checks every erased set
+   with one batched query and eliminates each distinct set once, into a
+   map from syndrome shifts to the correction :func:`gfp.solve` would
+   return.  It draws each trial's randomness in a fixed order: the secret,
+   then one uniform per erased qudit (ascending) and one per generator.
+   An outcome is count(cdf <= u) over the normalised cumulative Born
+   weights, which is how ``Generator.choice`` spends one ``random()``
+   draw.  Blocks are max(1, budget // p**n) columns wide, so no block
+   exceeds the state budget.
 3. :func:`reconstruct` undoes the encoding and extracts the secret register.
    :func:`simulate_protocol` needs no inverse circuit: a decoded state lies
    in the recorded eigenspace, which is the image of V, so its fidelity is
@@ -73,12 +83,11 @@ from .gfp import DEFAULT_STATE_BUDGET
 from .pauli import (
     PauliOperator,
     StabilizerCode,
-    f_inv,
     half_turn_parity,
     omega,
     zeta,
 )
-from .symplectic import SymplecticVector, validated_shares
+from .symplectic import validated_shares
 
 NORM_TOL = 1e-10
 EIGEN_TOL = 1e-9
@@ -137,13 +146,14 @@ def fidelity(a: QuditState, b: QuditState) -> float:
 class PauliKernels:
     """Gather-and-phase form of the powers of r Paulis on the p**n register.
 
-    ``(P_i**t v)[j] = phases[i, t, j] * v[src[i, t, j]]`` for t = 0..p-1;
-    the register index is sum_q d_q p**(n-1-q), qudit 0 the most
-    significant digit.  Each phase is looked up from an exact
-    integer w-exponent mod p.  P_i's eigenvalues are lambda_ij =
-    zeta**taus[i, j], and ``branch[i, j, t] = lambda_ij**-t / p`` are the
-    exact coefficients of the projector onto lambda_ij in the powers of P_i.
-    The table holds r * p * p**n entries, r * p times the state it acts on.
+    ``(P_i**t v)[j] = phases[i, t-1, j] * v[src[i, t-1, j]]`` for
+    t = 1..p-1; the identity power t = 0 is not stored.  The register index
+    is sum_q d_q p**(n-1-q), qudit 0 the most significant digit.  Each
+    phase is looked up from an exact integer w-exponent mod p.  P_i's
+    eigenvalues are lambda_ij = zeta**taus[i, j], and
+    ``branch[i, j, t] = lambda_ij**-t / p`` are the exact coefficients of
+    the projector onto lambda_ij in the powers of P_i.  The table holds
+    r * (p-1) * p**n entries of 20 bytes (int32 index, complex phase).
     """
 
     p: int
@@ -154,7 +164,7 @@ class PauliKernels:
 
 
 def compile_paulis(p: int, n: int, ops: Sequence[PauliOperator]) -> PauliKernels:
-    """Compile the powers t = 0..p-1 of each Pauli on the p**n register.
+    """Compile the powers t = 1..p-1 of each Pauli on the p**n register.
 
     P|d> = w**(phase + z.d) |d + x>, so (P v)[j] = w**e[j] v[s[j]] with
     digits(s[j]) = digits(j) - x and e[j] = phase + z.(digits(j) - x).
@@ -163,15 +173,14 @@ def compile_paulis(p: int, n: int, ops: Sequence[PauliOperator]) -> PauliKernels
     """
     size = p**n
     place, digits = _place_digits(p, n)
-    src = np.empty((len(ops), p, size), dtype=np.intp)
-    exps = np.empty((len(ops), p, size), dtype=np.int64)
+    src = np.empty((len(ops), p - 1, size), dtype=np.int32)
+    exps = np.empty((len(ops), p - 1, size), dtype=np.int8)
     for i, op in enumerate(ops):
         shifted = (digits - op.x[:, None]) % p
         step_src = place @ shifted
         step_exp = (op.phase + op.z @ shifted) % p
-        src[i, 0] = np.arange(size)
-        exps[i, 0] = 0
-        for t in range(1, p):
+        src[i, 0], exps[i, 0] = step_src, step_exp
+        for t in range(1, p - 1):
             src[i, t] = src[i, t - 1][step_src]
             exps[i, t] = (step_exp + exps[i, t - 1][step_src]) % p
     phases = (omega(p) ** np.arange(p))[exps]
@@ -191,7 +200,9 @@ def _generator_kernels(code: StabilizerCode) -> PauliKernels:
 
 def _power(flat: np.ndarray, kernels: PauliKernels, i: int, t: int) -> np.ndarray:
     """P_i**t applied to a (p**n, rest) register matrix."""
-    return flat[kernels.src[i, t]] * kernels.phases[i, t][:, None]
+    if t == 0:
+        return flat.copy()
+    return flat[kernels.src[i, t - 1]] * kernels.phases[i, t - 1][:, None]
 
 
 def apply_pauli(state: QuditState, op: PauliOperator) -> QuditState:
@@ -231,51 +242,76 @@ def entropy(rho: np.ndarray, p: int) -> float:
 # eigenvalue bookkeeping
 
 
-def _exponents(flat: np.ndarray, kernels: PauliKernels) -> tuple[int, ...]:
-    """tau_i with P_i|psi> = zeta**tau_i |psi> for every compiled Pauli.
+def _exponents(flat: np.ndarray, kernels: PauliKernels) -> np.ndarray:
+    """tau_ic with P_i|psi_c> = zeta**tau_ic |psi_c>, for every compiled Pauli
+    and every unit column of the (p**n, b) matrix ``flat``.
 
-    ``flat`` is the (p**n, rest) matrix of |psi>.  All P_i|psi> come from
-    one batched gather and all lambda_i = <psi|P_i|psi> from one product;
-    each generator then passes the three checks in turn, or raises.
+    All P_i|psi_c> come from one batched gather and all
+    lambda_ic = <psi_c|P_i|psi_c> from one product.  The first failing
+    column, generators in order, raises the first of the three checks it
+    fails.
     """
     p = kernels.p
-    vec = flat.reshape(-1)
-    moved = flat[kernels.src[:, 1]] * kernels.phases[:, 1, :, None]
-    moved = moved.reshape(moved.shape[0], vec.size)
-    lams = moved @ vec.conj()
-    residuals = np.linalg.norm(moved - lams[:, None] * vec, axis=1)
-    taus = []
-    for lam, residual in zip(lams, residuals):
-        lam = complex(lam)
-        if abs(abs(lam) - 1.0) > EIGEN_TOL:
+    moved = flat[kernels.src[:, 0]] * kernels.phases[:, 0, :, None]
+    lams = np.einsum("ijc,jc->ic", moved, flat.conj())
+    residuals = np.linalg.norm(moved - lams[:, None, :] * flat, axis=1)
+    taus = np.rint(np.angle(lams) / (np.pi / p)).astype(np.int64) % (2 * p)
+    off = np.abs(np.abs(lams) - 1.0) > EIGEN_TOL
+    loose = residuals > 1e-7
+    skew = np.abs(zeta(p) ** taus - lams) > 1e-6
+    failed = np.argwhere((off | loose | skew).T)
+    if failed.size:
+        c, i = failed[0]
+        lam = complex(lams[i, c])
+        if off[i, c]:
             raise InvariantError(f"state is not an eigenvector (|<G>| = {abs(lam):.3g})")
-        if residual > 1e-7:
+        if loose[i, c]:
             raise InvariantError("state is not an eigenvector of the generator")
-        tau = int(round(np.angle(lam) / (np.pi / p))) % (2 * p)
-        if abs(zeta(p) ** tau - lam) > 1e-6:
-            raise InvariantError(f"eigenvalue {lam} is not a 2p-th root of unity")
-        taus.append(tau)
-    return tuple(taus)
+        raise InvariantError(f"eigenvalue {lam} is not a 2p-th root of unity")
+    return taus
+
+
+def _pick(weights: np.ndarray, uniforms: np.ndarray | float, step: str) -> np.ndarray:
+    """Born-rule outcomes along the last axis of ``weights``, one uniform each.
+
+    The outcome is ``count(cdf <= u)`` with the normalised cumulative
+    weights: exactly how ``Generator.choice(p, p=w)`` spends its one
+    ``random()`` draw, so a zero-weight outcome is never picked.  Weights
+    that sum to 0 or are not finite raise, naming the step.
+    """
+    totals = weights.sum(axis=-1, keepdims=True)
+    bad = ~(np.isfinite(totals) & (totals > 0))
+    if bad.any():
+        raise InvariantError(f"{step} outcome weights sum to {totals[bad][0]}")
+    cdf = np.cumsum(weights / totals, axis=-1)
+    cdf /= cdf[..., -1:]
+    return (cdf <= np.asarray(uniforms)[..., None]).sum(axis=-1)
+
+
+def _branches(flat: np.ndarray, kernels: PauliKernels, i: int) -> np.ndarray:
+    """The p eigen-branches of P_i on a (p**n, rest) register matrix.
+
+    The projector onto lambda_j = zeta**tau_j is sum_t lambda_j**-t P_i**t / p:
+    one gather stacks the p powers and one p x p matmul with exact
+    coefficients gives every branch, shape (p, p**n, rest).
+    """
+    p = kernels.p
+    stacked = np.concatenate([flat[None], flat[kernels.src[i]] * kernels.phases[i][:, :, None]])
+    return (kernels.branch[i] @ stacked.reshape(p, -1)).reshape((p,) + flat.shape)
 
 
 def _measure(
     flat: np.ndarray, kernels: PauliKernels, i: int, rng: np.random.Generator
 ) -> tuple[int, np.ndarray]:
-    """Projectively measure P_i on a (p**n, rest) register matrix.
+    """Projectively measure P_i on a (p**n, rest) register matrix, one state.
 
-    The projector onto eigenvalue lambda_j = zeta**tau_j is
-    sum_t lambda_j**-t P_i**t / p: one gather stacks the p powers and one
-    p x p matmul with exact coefficients gives every branch.  Born weights
-    are the squared branch norms.
+    Born weights are the squared branch norms; one ``rng.random()`` picks.
     """
-    p = kernels.p
-    stacked = flat[kernels.src[i]] * kernels.phases[i][:, :, None]
-    branches = kernels.branch[i] @ stacked.reshape(p, -1)
-    norms = np.linalg.norm(branches, axis=1)
-    probs = np.clip(norms**2, 0.0, None)
-    probs = probs / probs.sum()
-    pick = int(rng.choice(p, p=probs))
-    return int(kernels.taus[i, pick]), (branches[pick] / norms[pick]).reshape(flat.shape)
+    branches = _branches(flat, kernels, i)
+    rows = branches.reshape(kernels.p, -1)
+    weights = np.einsum("tj,tj->t", rows.conj(), rows).real
+    pick = int(_pick(weights, rng.random(), "generator measurement"))
+    return int(kernels.taus[i, pick]), branches[pick] / np.sqrt(weights[pick])
 
 
 def measure_pauli(
@@ -292,20 +328,6 @@ def measure_pauli(
     arr = np.asarray(arr, dtype=complex)
     tau, flat = _measure(_register(arr, op.n, axes), compile_paulis(op.p, op.n, [op]), 0, rng)
     return tau, _unregister(flat, arr, op.n, axes)
-
-
-def _measure_and_reset(
-    amp: np.ndarray, p: int, q: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Measure qudit q of a flat state in the computational basis, reset it to |0>."""
-    view = amp.reshape(p**q, p, -1)
-    weights = np.einsum("aib,aib->i", view.conj(), view).real
-    probs = np.clip(weights, 0.0, None)
-    probs = probs / probs.sum()
-    outcome = int(rng.choice(p, p=probs))
-    reset = np.zeros_like(view)
-    reset[:, 0] = view[:, outcome] / np.sqrt(weights[outcome])
-    return reset.reshape(amp.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -346,9 +368,9 @@ def _encode(
     The easy state holds a maximally entangled pair per advance share, |0>
     on each zero share and the secret on the secret shares; the column
     index rides along as a trailing axis.  Returns the (p**n, b) encoded
-    columns and the syndrome of the normalised block, which is one joint
-    eigenstate only if every column shares the eigenvalues.  The caller has
-    checked the plan and circuit against the code.
+    columns and their syndrome: every column must be an eigenstate of every
+    generator, all with the same eigenvalues.  The caller has checked the
+    plan and circuit against the code.
     """
     p, n = code.p, code.n
     width = secrets.shape[1]
@@ -366,8 +388,10 @@ def _encode(
     easy = np.einsum(*operands, [*range(1, n + 1), 0])
     arr = apply_circuit_tensor(easy, circuit, axes=[s - 1 for s in plan.complement])
     flat = arr.reshape(p**n, width)
-    syndrome = _exponents(flat / np.linalg.norm(flat), _generator_kernels(code))
-    return flat, syndrome
+    taus = _exponents(flat, _generator_kernels(code))
+    if (taus != taus[:, :1]).any():
+        raise InvariantError("encoded columns do not share one syndrome")
+    return flat, tuple(int(t) for t in taus[:, 0])
 
 
 def encode_advance(
@@ -447,6 +471,136 @@ class DecodeResult:
     correction: np.ndarray = field(repr=False)
 
 
+@dataclass(frozen=True)
+class _Erasure:
+    """A correctable erased share set and the F_p map from syndrome shifts
+    to its correction.
+
+    A correction Q on the erased shares must satisfy
+    <f(Q), h_i>_s = -delta_i for every generator row h_i.  ``solver``
+    (2n x r) maps the right-hand sides to the (x | z) vector of the
+    particular solution :func:`gfp.solve` returns; its rows off the erased
+    shares are 0.
+    """
+
+    shares: tuple[int, ...]
+    solver: np.ndarray = field(repr=False)
+
+
+def _symplectic_rows(code: StabilizerCode) -> np.ndarray:
+    """[h_z | -h_x]: the row i times an (x | z) vector is <f(Q), h_i>_s."""
+    h, n = code.check_matrix, code.n
+    return np.concatenate([h[:, n:], -h[:, :n]], axis=1) % code.p
+
+
+def _erasures(
+    code: StabilizerCode, sets: Sequence[tuple[int, ...]]
+) -> dict[tuple[int, ...], _Erasure]:
+    """The decoding data of each distinct erased set (validated share tuples).
+
+    One batched share-structure query checks that every set is correctable
+    before any elimination; then one :func:`gfp.solution_maps` call per set
+    size eliminates every set of that size.
+    """
+    distinct = list(dict.fromkeys(sets))
+    masks = [sum(1 << (j - 1) for j in err) for err in distinct]
+    for err, ok in zip(distinct, code.share_structure().correctable(masks)):
+        if not ok:
+            raise UncorrectableErasureError(
+                f"shares {err} carry undetectable damage for this code"
+            )
+    n, rows = code.n, _symplectic_rows(code)
+    by_size: dict[int, list[tuple[int, ...]]] = {}
+    for err in distinct:
+        by_size.setdefault(len(err), []).append(err)
+    out = {}
+    for size, group in by_size.items():
+        # Row g: the x slots of set g's erased qudits, then their z slots.
+        err0 = np.array(group, dtype=np.intp).reshape(len(group), size) - 1
+        slots = np.concatenate([err0, n + err0], axis=1)
+        maps = gfp.solution_maps(rows[:, slots].transpose(1, 0, 2), code.p)
+        for err, slot, solver in zip(group, slots, maps):
+            full = np.zeros((2 * n, rows.shape[0]), dtype=np.int64)
+            full[slot] = solver
+            out[err] = _Erasure(err, full)
+    return out
+
+
+def _apply_corrections(flat: np.ndarray, corrections: np.ndarray, p: int) -> np.ndarray:
+    """Column c of ``flat`` times X(x_c) Z(z_c), (x_c | z_c) column c of
+    ``corrections``: one gather index and one exact phase vector for all."""
+    n = corrections.shape[0] // 2
+    place, digits = _place_digits(p, n)
+    shifted = (digits[:, :, None] - corrections[:n, None, :]) % p
+    src = np.tensordot(place, shifted, axes=1)
+    exps = np.einsum("qc,qjc->jc", corrections[n:], shifted) % p
+    return flat[src, np.arange(flat.shape[1])] * (omega(p) ** np.arange(p))[exps]
+
+
+def _decode_block(
+    code: StabilizerCode,
+    flat: np.ndarray,
+    syndrome: tuple[int, ...],
+    erased: Sequence[_Erasure],
+    uniforms: Sequence[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Erase, measure and correct the (p**n, b) columns of b trials at once.
+
+    Column c loses the shares of ``erased[c]`` and spends ``uniforms[c]``:
+    one uniform per erased qudit in ascending order, then one per
+    generator, each picking an outcome by :func:`_pick`.  Per qudit, one
+    einsum weighs every column that loses it and one slice assignment
+    resets it to |0>; per generator, one gather and one p x p matmul give
+    every column's branches.  Returns the decoded columns, the (r, b)
+    measured exponents and the (2n, b) corrections; ``flat`` is not
+    modified.
+    """
+    p, n, r = code.p, code.n, code.num_checks
+    kernels = _generator_kernels(code)
+    b = flat.shape[1]
+    every = np.arange(b)
+    lost = np.zeros((n, b), dtype=bool)
+    erase_u, measure_u = np.zeros((n, b)), np.empty((r, b))
+    for c, (erasure, u) in enumerate(zip(erased, uniforms)):
+        qudits = [j - 1 for j in erasure.shares]
+        lost[qudits, c] = True
+        erase_u[qudits, c] = u[: len(qudits)]
+        measure_u[:, c] = u[len(qudits) :]
+    flat = flat.copy()
+    for q in range(n):
+        cols = np.flatnonzero(lost[q])
+        if not cols.size:
+            continue
+        view = flat.reshape(p**q, p, -1, b)
+        hit = view[..., cols]
+        weights = np.einsum("aibc,aibc->ci", hit.conj(), hit).real
+        outcome = _pick(weights, erase_u[q, cols], "erasure")
+        kept = hit[:, outcome, :, np.arange(cols.size)]
+        hit[:] = 0
+        hit[:, 0] = np.moveaxis(kept, 0, -1) / np.sqrt(weights[np.arange(cols.size), outcome])
+        view[..., cols] = hit
+    measured = np.empty((r, b), dtype=np.int64)
+    for i in range(r):
+        branches = _branches(flat, kernels, i)
+        weights = np.einsum("tjc,tjc->ct", branches.conj(), branches).real
+        pick = _pick(weights, measure_u[i], "generator measurement")
+        measured[i] = kernels.taus[i, pick]
+        flat = branches[pick, :, every].T / np.sqrt(weights[every, pick])
+    want = np.array(syndrome, dtype=np.int64).reshape(r, 1)
+    diff = (measured - want) % (2 * p)
+    if (diff % 2).any():
+        raise InvariantError("measured syndrome has incompatible phase parity")
+    rhs = (-(diff // 2)) % p
+    solvers = np.stack([erasure.solver for erasure in erased])
+    corrections = np.einsum("cqr,rc->qc", solvers, rhs) % p
+    if ((_symplectic_rows(code) @ corrections - rhs) % p).any():
+        raise InvariantError("no correction supported on the erased shares solves the syndrome")
+    flat = _apply_corrections(flat, corrections, p)
+    if (_exponents(flat, kernels) != want).any():
+        raise InvariantError("correction failed to restore the recorded eigenspace")
+    return flat, measured, corrections
+
+
 def erase_and_decode(
     state: QuditState,
     code: StabilizerCode,
@@ -461,6 +615,8 @@ def erase_and_decode(
     erasure channel; the decoder conditions on measured syndromes, so one
     branch exercises the full logic).  A Pauli correction supported on the
     erased shares moves the measured syndrome back to the recorded one.
+    This is the one-column call of the block decoder; it draws its
+    ``e + r`` uniforms up front.
 
     Raises :class:`UncorrectableErasureError` when the erased set fails the
     algebraic criterion.
@@ -472,50 +628,15 @@ def erase_and_decode(
         raise BudgetExceededError(
             f"state size {code.p}**{code.n} exceeds budget {budget} (erase and decode)"
         )
-    if not code.share_structure().correctable([sum(1 << (j - 1) for j in err)])[0]:
-        raise UncorrectableErasureError(
-            f"shares {err} carry undetectable damage for this code"
-        )
-    p, n = code.p, code.n
-    kernels = _generator_kernels(code)
-    amp = state.amplitudes
-    for j in err:
-        amp = _measure_and_reset(amp, p, j - 1, rng)
-    flat = amp.reshape(-1, 1)
-    measured = []
-    for i in range(code.num_checks):
-        tau, flat = _measure(flat, kernels, i, rng)
-        measured.append(tau)
-    deltas = []
-    for got, want in zip(measured, syndrome):
-        diff = (got - want) % (2 * p)
-        if diff % 2:
-            raise InvariantError("measured syndrome has incompatible phase parity")
-        deltas.append((diff // 2) % p)
-    h = code.check_matrix
-    err0 = [j - 1 for j in err]
-    # Unknowns: x then z components on the erased shares.  The correction Q
-    # must satisfy <f(Q), h_i>_s = -delta_i for every generator row h_i.
-    sys_rows = np.concatenate([h[:, [n + j for j in err0]], (-h[:, err0]) % p], axis=1)
-    rhs = np.array([(-d) % p for d in deltas], dtype=np.int64)
-    u = gfp.solve(sys_rows, rhs, p)
-    if u is None:
-        raise InvariantError("no correction supported on the erased shares solves the syndrome")
-    full = np.zeros(2 * n, dtype=np.int64)
-    for idx, j in enumerate(err0):
-        full[j] = u[idx]
-        full[n + j] = u[len(err0) + idx]
-    if full.any():
-        correction = f_inv(SymplecticVector.from_vec(full, p))
-        flat = _power(flat, compile_paulis(p, n, [correction]), 0, 1)
-    restored = _exponents(flat, kernels)
-    for i in range(code.num_checks):
-        if restored[i] != syndrome[i]:
-            raise InvariantError("correction failed to restore the recorded eigenspace")
+    erasure = _erasures(code, [err])[err]
+    uniforms = rng.random(len(err) + code.num_checks)
+    flat, measured, corrections = _decode_block(
+        code, state.amplitudes[:, None], syndrome, [erasure], [uniforms]
+    )
     return DecodeResult(
-        state=QuditState(p, n, flat.reshape(-1)),
-        measured_syndrome=tuple(measured),
-        correction=full,
+        state=QuditState(code.p, code.n, flat[:, 0]),
+        measured_syndrome=tuple(int(t) for t in measured[:, 0]),
+        correction=corrections[:, 0],
     )
 
 
@@ -663,50 +784,70 @@ def simulate_protocol(
 
     Each accessible set gets ``trials`` independent random secrets; every
     draw comes from one seeded generator, so transcripts rerun bit-exactly.
-    The plan and circuit are checked once per run.  When p**(n+k) fits the
-    budget, one circuit call builds the encoding isometry V and each secret
-    encodes as ``V @ secret``; otherwise each secret runs the circuit.  The
-    fidelity of a decoded state is its overlap with the encoded state.
+    The plan and circuit are checked once per run, and one batched query
+    checks every erased set before any draw.  Each trial draws its secret,
+    then ``e + r`` uniforms for its decoder.  Trials run in blocks of
+    ``max(1, budget // p**n)`` columns: a block is encoded as
+    ``V @ secrets`` when the isometry V (p**(n+k)) fits the budget, else by
+    one circuit call, and decoded by one block-decoder call.  The fidelity
+    of a decoded column is its overlap with the encoded column.
     """
     js = validated_shares(shares, code.n)
     _check_plan_matches(code, js, plan, circuit)
+    p, n, k = code.p, code.n, code.k
     isometry = None
-    if code.p ** (code.n + code.k) <= budget:
+    if p ** (n + k) <= budget:
         isometry, image_syndrome = _encoding_isometry(code, plan, circuit, budget)
 
-    def encode(secret: QuditState) -> tuple[QuditState, tuple[int, ...]]:
-        _check_secret(code, secret)
+    def encode(secrets: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
         if isometry is not None:
-            return QuditState(code.p, code.n, isometry @ secret.amplitudes), image_syndrome
-        flat, syndrome = _encode(code, plan, circuit, secret.amplitudes[:, None], budget)
-        return QuditState(code.p, code.n, flat[:, 0]), syndrome
+            return isometry @ secrets, image_syndrome
+        return _encode(code, plan, circuit, secrets, budget)
 
+    runs: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    for acc in accessible_sets:
+        acc = validated_shares(acc, n)
+        runs += [(acc, tuple(j for j in range(1, n + 1) if j not in acc))] * trials
+    erasures = _erasures(code, [erased for _, erased in runs])
     rng = np.random.default_rng(seed)
+
+    def draw_secret() -> np.ndarray:
+        secret = random_state(p, k, rng)
+        _check_secret(code, secret)
+        return secret.amplitudes
+
+    width = max(1, budget // p**n)
     records: list[TrialRecord] = []
     reference_syndrome: tuple[int, ...] | None = None
-    for acc in accessible_sets:
-        acc = validated_shares(acc, code.n)
-        erased = tuple(j for j in range(1, code.n + 1) if j not in acc)
-        for _ in range(trials):
-            shared, syndrome = encode(random_state(code.p, code.k, rng))
-            if reference_syndrome is None:
-                reference_syndrome = syndrome
-            decoded = erase_and_decode(shared, code, syndrome, erased, rng, budget=budget)
+    for start in range(0, len(runs), width):
+        block = runs[start : start + width]
+        secrets, uniforms = [], []
+        for _, erased in block:
+            secrets.append(draw_secret())
+            uniforms.append(rng.random(len(erased) + code.num_checks))
+        encoded, syndrome = encode(np.stack(secrets, axis=1))
+        if reference_syndrome is None:
+            reference_syndrome = syndrome
+        decoded, measured, corrections = _decode_block(
+            code, encoded, syndrome, [erasures[erased] for _, erased in block], uniforms
+        )
+        fidelities = np.abs(np.einsum("jc,jc->c", encoded.conj(), decoded)) ** 2
+        for c, (acc, erased) in enumerate(block):
             records.append(
                 TrialRecord(
                     accessible=acc,
                     erased=erased,
-                    measured_syndrome=decoded.measured_syndrome,
-                    correction=tuple(int(v) for v in decoded.correction),
-                    fidelity=fidelity(shared, decoded.state),
+                    measured_syndrome=tuple(int(t) for t in measured[:, c]),
+                    correction=tuple(int(v) for v in corrections[:, c]),
+                    fidelity=float(fidelities[c]),
                 )
             )
     if reference_syndrome is None:
-        _, reference_syndrome = encode(random_state(code.p, code.k, rng))
+        _, reference_syndrome = encode(draw_secret()[:, None])
     return ProtocolTranscript(
-        p=code.p,
-        n=code.n,
-        k=code.k,
+        p=p,
+        n=n,
+        k=k,
         shares=js,
         seed=seed,
         syndrome=reference_syndrome,

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -338,3 +339,22 @@ def test_broken_invariant_exits_3_as_internal_error(code_dir, monkeypatch):
     assert error["message"].startswith("eigenvalue ")
     assert error["message"].endswith(" is not a 2p-th root of unity")
     assert err == f"internal error: {error['message']}\n"
+
+
+@pytest.mark.parametrize("name", ["four_qubit_ghz", "five_qubit", "qutrit_ghz"])
+def test_demo_transcripts_match_the_golden_reports(code_dir, name):
+    """``demo --J 1 --trials 3 --seed 7`` against committed reference
+    reports: every integer exactly, fidelities within 1e-12."""
+    golden = json.loads((Path(__file__).parent / "golden" / f"demo_{name}.json").read_text())
+    argv = ["demo", str(code_dir / f"{name}.code"), "--J", "1", "--trials", "3", "--seed", "7"]
+    status, out, _ = run_cli(argv + ["--json-only"])
+    assert status == 0
+    demo = json.loads(out)["demo"]
+    for key in ("shares", "seed", "trials", "syndrome", "access_table"):
+        assert demo[key] == golden[key]
+    assert len(demo["transcripts"]) == len(golden["transcripts"])
+    for got, want in zip(demo["transcripts"], golden["transcripts"]):
+        for key in ("accessible", "erased", "measured_syndromes", "corrections"):
+            assert got[key] == want[key]
+        assert len(got["fidelities"]) == len(want["fidelities"])
+        assert np.abs(np.subtract(got["fidelities"], want["fidelities"])).max() < 1e-12

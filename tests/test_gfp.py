@@ -163,3 +163,24 @@ def test_batched_rank_matches_rank_per_slice(sp):
 @pytest.mark.parametrize("shape", [(3, 0, 4), (3, 4, 0), (0, 2, 2), (2, 0, 0)])
 def test_batched_rank_empty_shapes(shape):
     assert gfp.batched_rank(np.zeros(shape, dtype=np.int64), 5).tolist() == [0] * shape[0]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(stacks(), st.integers(0, 2**32 - 1))
+def test_solution_maps_give_the_solve_particular_solution(sp, seed):
+    """S @ b is the very solution gfp.solve returns for a solvable b, and
+    fails the substitution check for an unsolvable one."""
+    stack, p = sp
+    batch, rows, cols = stack.shape
+    maps = gfp.solution_maps(stack, p)
+    assert maps.shape == (batch, cols, rows)
+    rng = np.random.default_rng(seed)
+    for mat, s in zip(stack, maps):
+        solvable = (mat @ rng.integers(0, p, size=(cols, 3))) % p
+        for b in [*solvable.T, *rng.integers(0, p, size=(3, rows))]:
+            x = gfp.solve(mat, b, p)
+            y = (s @ b) % p
+            if x is None:
+                assert ((mat @ y - b) % p).any()
+            else:
+                assert np.array_equal(x, y)

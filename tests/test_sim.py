@@ -94,7 +94,7 @@ def slow_eigenvalue_exponent(arr, op, axes=None):
 def eigenvalue_exponent(arr, op, axes=None):
     """The compiled batched check :func:`sim._exponents`, for one Pauli."""
     kernels = sim.compile_paulis(op.p, op.n, [op])
-    return sim._exponents(_register(np.asarray(arr, dtype=complex), op.n, axes), kernels)[0]
+    return sim._exponents(_register(np.asarray(arr, dtype=complex), op.n, axes), kernels)[0, 0]
 
 
 def slow_measure_pauli(arr, op, rng, axes=None):
@@ -636,8 +636,9 @@ def test_simulate_protocol_checks_once_and_never_inverts(four_qubit_pipeline, mo
     monkeypatch.setattr(sim, "apply_circuit_tensor", counted_apply)
     sets = [(1, 2, 3), (2, 3, 4), (1, 3, 4), (1, 2, 3, 4)]
     # 2**(4+2) amplitudes fit a budget of 2**6 or more: one circuit call
-    # builds V.  Below, each of the 12 trials runs the circuit.
-    for budget, circuit_calls in [(sim.DEFAULT_STATE_BUDGET, 1), (2**6, 1), (2**6 - 1, 12)]:
+    # builds V.  Below, blocks of 63 // 2**4 = 3 trials run the circuit once
+    # each, 4 calls for the 12 trials.
+    for budget, circuit_calls in [(sim.DEFAULT_STATE_BUDGET, 1), (2**6, 1), (2**6 - 1, 4)]:
         calls.update(check=0, inverse=0, circuit=0)
         transcript = simulate_protocol(
             code, [4], plan, circuit, seed=3, trials=3, accessible_sets=sets, budget=budget
@@ -645,6 +646,22 @@ def test_simulate_protocol_checks_once_and_never_inverts(four_qubit_pipeline, mo
         assert len(transcript.trials) == 12
         assert all(rec.fidelity > 1 - 1e-9 for rec in transcript.trials)
         assert calls == {"check": 1, "inverse": 0, "circuit": circuit_calls}
+
+
+def test_simulate_protocol_refuses_an_uncorrectable_set_before_any_draw(
+    four_qubit_pipeline, monkeypatch
+):
+    code, plan, circuit = four_qubit_pipeline
+    drawn = []
+    monkeypatch.setattr(sim, "random_state", lambda *args: drawn.append(args))
+    sets = [(1, 2, 3), (3, 4)]
+    with pytest.raises(UncorrectableErasureError, match=r"^shares \(1, 2\) carry undetectable"):
+        simulate_protocol(code, [4], plan, circuit, seed=3, trials=2, accessible_sets=sets)
+    assert drawn == []
+    # Without trials nothing is erased, so nothing is refused.
+    monkeypatch.undo()
+    transcript = simulate_protocol(code, [4], plan, circuit, seed=3, trials=0, accessible_sets=sets)
+    assert transcript.trials == ()
 
 
 def test_simulate_protocol_refuses_a_non_isometric_encoding(four_qubit_pipeline, monkeypatch):
@@ -662,22 +679,42 @@ def test_simulate_protocol_refuses_a_non_isometric_encoding(four_qubit_pipeline,
         simulate_protocol(code, [4], plan, circuit, seed=3, trials=1, accessible_sets=[(1, 2, 3)])
 
 
+def test_encode_refuses_columns_with_different_syndromes(four_qubit_pipeline, monkeypatch):
+    """X on share 1 keeps an encoded column an eigenstate but flips the
+    all-Z generator: a block whose columns disagree must not pass."""
+    code, plan, circuit = four_qubit_pipeline
+    apply = sim.apply_circuit_tensor
+    flip = sim.compile_paulis(2, 4, [single(2, 4, 0, x=1)])
+
+    def flipped(*args, **kwargs):
+        flat = apply(*args, **kwargs).reshape(16, -1).copy()
+        flat[:, 1:] = sim._power(flat[:, 1:], flip, 0, 1)
+        return flat
+
+    monkeypatch.setattr(sim, "apply_circuit_tensor", flipped)
+    with pytest.raises(InvariantError, match="encoded columns do not share one syndrome"):
+        simulate_protocol(code, [4], plan, circuit, seed=3, trials=1, accessible_sets=[(1, 2, 3)])
+
+
 def test_protocol_fidelity_is_the_circuit_fidelity_off_the_secret(four_qubit_pipeline, monkeypatch):
     """A logical X on the decoded state keeps it in V's image but moves the
     secret: the overlap fidelity must still equal <secret|rho|secret> from
     the inverse circuit and partial trace."""
     code, plan, circuit = four_qubit_pipeline
-    decode = sim.erase_and_decode
+    decode = sim._decode_block
     logical = PauliOperator(2, [1, 1, 0, 0], [0, 0, 0, 0])
     seen = []
 
-    def off_secret(state, *args, **kwargs):
-        result = decode(state, *args, **kwargs)
-        moved = apply_pauli(result.state, logical)
-        seen.append((state, moved))
-        return dataclasses.replace(result, state=moved)
+    def off_secret(code, flat, *args):
+        decoded, measured, corrections = decode(code, flat, *args)
+        moved = np.empty_like(decoded)
+        for c in range(flat.shape[1]):
+            shared = QuditState(2, 4, flat[:, c])
+            moved[:, c] = apply_pauli(QuditState(2, 4, decoded[:, c]), logical).amplitudes
+            seen.append((shared, QuditState(2, 4, moved[:, c])))
+        return moved, measured, corrections
 
-    monkeypatch.setattr(sim, "erase_and_decode", off_secret)
+    monkeypatch.setattr(sim, "_decode_block", off_secret)
     sets = [(1, 2, 3), (2, 3, 4), (1, 2, 3, 4)]
     transcript = simulate_protocol(code, [4], plan, circuit, 7, 3, sets)
     inverse = circuit.inverse()
@@ -836,20 +873,57 @@ def shipped_pipeline(code_dir, name):
     return code, shares, plan, encoding_circuit(plan)
 
 
-@pytest.mark.parametrize("name", ["four_qubit_ghz", "five_qubit", "qutrit_ghz"])
-def test_transcripts_match_the_reference_decoder(code_dir, name):
-    code, shares, plan, circuit = shipped_pipeline(code_dir, name)
-    sets = [
+def qualified_sets(code):
+    """Every qualified share set, by size, each size in lexicographic order."""
+    return [
         subset
         for size in range(code.n + 1)
         for subset in itertools.combinations(range(1, code.n + 1), size)
         if classify_access(code, subset) is AccessLabel.QUALIFIED
     ]
+
+
+@pytest.mark.parametrize("name", ["four_qubit_ghz", "five_qubit", "qutrit_ghz"])
+def test_transcripts_match_the_reference_decoder(code_dir, name):
+    code, shares, plan, circuit = shipped_pipeline(code_dir, name)
+    sets = qualified_sets(code)
     transcript = simulate_protocol(code, shares, plan, circuit, 9, 3, sets)
     reference = slow_simulate_protocol(code, plan, circuit, 9, 3, sets)
     assert len(transcript.trials) == len(reference) == 3 * len(sets)
     assert transcript.syndrome == reference[0][0]
     for rec, (syndrome, measured, correction, fid) in zip(transcript.trials, reference):
+        assert syndrome == transcript.syndrome
+        assert rec.measured_syndrome == measured
+        assert rec.correction == correction
+        assert abs(rec.fidelity - fid) < 1e-12
+
+
+#: Shor's [[9,1,3]]_2 code: Z1Z2 and Z2Z3 tie the Z outcomes of qudits 1-3,
+#: and likewise within 4-6 and 7-9.
+SHOR_ROWS = [
+    [0] * 9 + [1, 1, 0, 0, 0, 0, 0, 0, 0],
+    [0] * 9 + [0, 1, 1, 0, 0, 0, 0, 0, 0],
+    [0] * 9 + [0, 0, 0, 1, 1, 0, 0, 0, 0],
+    [0] * 9 + [0, 0, 0, 0, 1, 1, 0, 0, 0],
+    [0] * 9 + [0, 0, 0, 0, 0, 0, 1, 1, 0],
+    [0] * 9 + [0, 0, 0, 0, 0, 0, 0, 1, 1],
+    [1, 1, 1, 1, 1, 1, 0, 0, 0] + [0] * 9,
+    [0, 0, 0, 1, 1, 1, 1, 1, 1] + [0] * 9,
+]
+
+
+def test_correlated_erasures_match_the_reference_decoder():
+    """Two erased qudits tied by a stabilizer: the outcome of the second
+    follows from the first, so only the reference's ascending order
+    spends each uniform on the same qudit."""
+    code = validate_stabilizer(SHOR_ROWS, 2, 9)
+    plan = construct_eaqecc(code, [])
+    circuit = encoding_circuit(plan)
+    losses = [(1, 2), (2, 3), (4, 6), (7, 9)]
+    sets = [tuple(j for j in range(1, 10) if j not in lost) for lost in losses]
+    transcript = simulate_protocol(code, [], plan, circuit, 9, 3, sets)
+    reference = slow_simulate_protocol(code, plan, circuit, 9, 3, sets)
+    for rec, (syndrome, measured, correction, fid) in zip(transcript.trials, reference, strict=True):
         assert syndrome == transcript.syndrome
         assert rec.measured_syndrome == measured
         assert rec.correction == correction
@@ -871,9 +945,102 @@ def test_generator_kernels_compiled_once_per_code(code_dir, monkeypatch):
     table = code._generator_kernels
     simulate_protocol(code, shares, plan, circuit, 5, 2, sets)
     assert code._generator_kernels is table
-    # One compile of the four generators; every other one is a correction.
+    # One compile of the four generators; corrections compile nothing.
     assert compiled.count(code.num_checks) == 1
-    assert set(compiled) == {code.num_checks, 1}
+    assert set(compiled) == {code.num_checks}
+
+
+# ---------------------------------------------------------------------------
+# block decoding
+
+
+@pytest.mark.parametrize("p", gfp.PRIMES)
+def test_pick_spends_one_draw_as_choice_does(p):
+    """_pick on one rng.random() picks what rng.choice(p, p=w) picks, zero
+    weights included, and choice spends exactly that one double: a numpy
+    that changes either breaks every seeded transcript, and fails here."""
+    rng = np.random.default_rng(p)
+    rows, uniforms = [], []
+    for _ in range(500):
+        weights = rng.random(p) * (rng.random(p) < 0.6)
+        if not weights.any():
+            weights[rng.integers(p)] = 1.0
+        seed = int(rng.integers(2**32))
+        chooser = np.random.default_rng(seed)
+        want = chooser.choice(p, p=weights / weights.sum())
+        draws = np.random.default_rng(seed)
+        u = draws.random()
+        assert sim._pick(weights / weights.sum(), u, "test") == want
+        assert chooser.random() == draws.random()
+        rows.append(weights)
+        uniforms.append(u)
+    # Batched over rows, unnormalised weights pick the same outcomes.
+    one_by_one = [sim._pick(w, u, "test") for w, u in zip(rows, uniforms)]
+    assert sim._pick(np.array(rows), np.array(uniforms), "test").tolist() == one_by_one
+
+
+def test_zero_or_nan_weights_raise_naming_the_step(four_qubit_pipeline, rng):
+    code, plan, circuit = four_qubit_pipeline
+    shared, syndrome = encode_advance(code, [4], plan, circuit, random_state(2, 2, rng))
+    # A defect upstream could hand the decoder such a state; QuditState would not build it.
+    nan_state = QuditState(2, 4, shared.amplitudes)
+    object.__setattr__(nan_state, "amplitudes", np.full(16, np.nan + 0j))
+    with pytest.raises(InvariantError, match="^erasure outcome weights sum to nan"):
+        erase_and_decode(nan_state, code, syndrome, [1], rng)
+    with pytest.raises(InvariantError, match="^generator measurement outcome weights sum to nan"):
+        erase_and_decode(nan_state, code, syndrome, [], rng)
+    with pytest.raises(InvariantError, match="^generator measurement outcome weights sum to 0"):
+        measure_pauli(np.zeros((2,) * 4), code.generator(0), rng)
+    # In a block, one zero column among good ones raises at the first step.
+    erasures = sim._erasures(code, [(1,), ()])
+    flat = np.stack([shared.amplitudes, np.zeros(16), shared.amplitudes], axis=1)
+    for erased, step in [((1,), "erasure"), ((), "generator measurement")]:
+        uniforms = [rng.random(len(erased) + code.num_checks) for _ in range(3)]
+        with pytest.raises(InvariantError, match=f"^{step} outcome weights sum to 0"):
+            sim._decode_block(code, flat, syndrome, [erasures[erased]] * 3, uniforms)
+
+
+@pytest.mark.parametrize("name", ["four_qubit_ghz", "five_qubit", "qutrit_ghz"])
+def test_transcripts_do_not_depend_on_the_block_width(code_dir, name, monkeypatch):
+    """One column per block (budget p**n), two or more, and the default
+    budget give the same transcript; no block's register exceeds the budget."""
+    code, shares, plan, circuit = shipped_pipeline(code_dir, name)
+    sets = qualified_sets(code)
+    decode = sim._decode_block
+    registers = []
+
+    def recorded(code, flat, *args):
+        registers.append(flat.size)
+        return decode(code, flat, *args)
+
+    monkeypatch.setattr(sim, "_decode_block", recorded)
+    size = code.p**code.n
+    transcripts = []
+    for budget in (size, 2 * size, sim.DEFAULT_STATE_BUDGET):
+        registers.clear()
+        transcripts.append(simulate_protocol(code, shares, plan, circuit, 9, 3, sets, budget))
+        assert max(registers) <= budget
+        assert sum(registers) == size * 3 * len(sets)
+        if budget == size:
+            assert set(registers) == {size}
+    one = transcripts[0]
+    for transcript in transcripts[1:]:
+        assert transcript.syndrome == one.syndrome
+        for rec, ref in zip(transcript.trials, one.trials, strict=True):
+            assert (rec.accessible, rec.erased) == (ref.accessible, ref.erased)
+            assert rec.measured_syndrome == ref.measured_syndrome
+            assert rec.correction == ref.correction
+            assert abs(rec.fidelity - ref.fidelity) < 1e-12
+
+
+def test_generator_table_of_a_16_qubit_code_is_at_most_half_the_full_table():
+    """Every power with an intp index and a complex phase would take
+    r * p * p**n * 24 bytes (47 MB here); the stored table takes at most half."""
+    code = random_stabilizer(2, 16, 15, np.random.default_rng(1))
+    kernels = sim._generator_kernels(code)
+    full = code.num_checks * 2 * 2**16 * 24
+    tables = (kernels.src, kernels.phases, kernels.taus, kernels.branch)
+    assert sum(table.nbytes for table in tables) <= full / 2
 
 
 #: Registers of the protocol sweep hold at most this many amplitudes, V included.
