@@ -11,15 +11,18 @@ Three subcommands over check-matrix files (see :mod:`advshare.codefile`):
 One JSON document goes to stdout (schema shipped as
 ``advshare/schema/report.schema.json``); a human summary goes to stderr
 unless ``--json-only``.  Share indices are 1-based.  Exit codes: 0 success,
-1 invalid input, 2 budget exceeded, 3 internal invariant violation.
+1 invalid input, 2 budget exceeded, 3 internal invariant violation.  A
+negative ``--budget``, ``--max-size`` or ``--trials`` is invalid input with
+the usual JSON report; an argparse usage error prints argparse's message on
+stderr, writes no report and also exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +58,61 @@ _INPUT_ERRORS = (
     ValueError,
     OSError,
 )
+
+_INFINITY = float("inf")
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """Exactly ``json.dumps(value, indent=2)``, without the stdlib's
+    pure-Python indenting encoder.
+
+    Each container's items are rendered recursively and joined in one
+    ``str.join``; ``indent`` is the newline and indentation its closing
+    bracket sits on.  Strings go through the stdlib's ASCII escaper, ints
+    and floats through ``int.__repr__`` and ``float.__repr__``, and NaN
+    and +-Infinity are spelled as ``json`` spells them.  Tuples are
+    written as lists; dict keys must be strings, as in every report.  Any
+    other type raises ``TypeError``, as ``json.dumps`` does.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == _INFINITY:
+            return "Infinity"
+        if value == -_INFINITY:
+            return "-Infinity"
+        return float.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key, v in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(encode_basestring_ascii(key) + ": " + _json_text(v, inner))
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _emit(report: dict, stdout) -> None:
+    """Write the report as ``json.dumps(report, indent=2)`` and a newline."""
+    print(_json_text(report), file=stdout)
 
 
 def _parameters_string(code: StabilizerCode, distance: int | None) -> str:
@@ -236,8 +294,21 @@ def _parse_shares(text: str | None) -> tuple[int, ...]:
         raise ValueError(f"cannot parse share list {text!r}") from None
 
 
+class _UsageError(Exception):
+    """An argparse usage error; its text is what argparse would print."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises usage errors instead of exiting with argparse's status 2,
+    which is this CLI's budget code; :func:`run` turns them into exit 1.
+    Subparsers are built from the same class."""
+
+    def error(self, message):
+        raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="advshare",
         description="Advance-sharing analysis for stabilizer-based quantum secret sharing",
     )
@@ -262,6 +333,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_counts(args: argparse.Namespace) -> None:
+    """Refuse a negative --budget, --max-size or --trials as invalid input."""
+    for option in ("budget", "max_size", "trials"):
+        value = getattr(args, option, None)
+        if value is not None and value < 0:
+            flag = "--" + option.replace("_", "-")
+            raise ValueError(f"{flag} must be at least 0, got {value}")
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The one parser :func:`run` reuses; parsing leaves it unchanged."""
@@ -271,11 +351,16 @@ def _parser() -> argparse.ArgumentParser:
 def run(argv: list[str] | None = None, stdout=None, stderr=None) -> int:
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except _UsageError as exc:
+        print(exc, end="", file=stderr)
+        return EXIT_INVALID
     enum_budget = args.budget if args.budget is not None else DEFAULT_ENUM_BUDGET
     state_budget = args.budget if args.budget is not None else sim.DEFAULT_STATE_BUDGET
     report: dict = {"schema_version": SCHEMA_VERSION, "command": args.command}
     try:
+        _check_counts(args)
         code = _load(args.file)
         report["code"] = _code_section(code, enum_budget)
         if args.command == "analyze":
@@ -289,20 +374,20 @@ def run(argv: list[str] | None = None, stdout=None, stderr=None) -> int:
             )
     except BudgetExceededError as exc:
         report["error"] = {"type": "budget", "message": str(exc)}
-        print(json.dumps(report, indent=2), file=stdout)
+        _emit(report, stdout)
         print(f"budget exceeded: {exc}", file=stderr)
         return EXIT_BUDGET
     except _INPUT_ERRORS as exc:
         report["error"] = {"type": "invalid-input", "message": str(exc)}
-        print(json.dumps(report, indent=2), file=stdout)
+        _emit(report, stdout)
         print(f"error: {exc}", file=stderr)
         return EXIT_INVALID
     except (AdvShareError, RuntimeError, AssertionError) as exc:
         report["error"] = {"type": "internal", "message": str(exc)}
-        print(json.dumps(report, indent=2), file=stdout)
+        _emit(report, stdout)
         print(f"internal error: {exc}", file=stderr)
         return EXIT_INTERNAL
-    print(json.dumps(report, indent=2), file=stdout)
+    _emit(report, stdout)
     if not args.json_only:
         _summarize(report, stderr)
     return EXIT_OK

@@ -26,7 +26,8 @@ A circuit checks each gate's kind, wire count and wires when it is built;
 the text form rejects a line without its kind's integer fields.
 
 Synthesis completes the f-images of two generator tuples with equal
-commutation structure to symplectic bases, forms the change-of-basis matrix,
+commutation structure to symplectic bases, each in one Gauss-Jordan
+elimination, forms the change-of-basis matrix,
 peels it into elementary gates column pair by column pair, and finishes with
 a Pauli layer that zeroes every representable phase.  The returned circuit U
 satisfies U g_i U^dag = phase_i * b_i for each source/target pair, with
@@ -279,9 +280,13 @@ def standard_form(m: int) -> np.ndarray:
 
 
 def _place_digits(p: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Place values and (m, p**m) digits of the register; wire 0 is most significant."""
+    """Place values and (m, p**m) digits of the register; wire 0 is most significant.
+
+    Digits are int8 (p <= 7), an eighth of int64 digits; a product of
+    digits that could leave int8 must be widened where it is formed.
+    """
     place = p ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    return place, (np.arange(p**m, dtype=np.int64)[None, :] // place[:, None]) % p
+    return place, np.indices((p,) * m, dtype=np.int8).reshape(m, p**m)
 
 
 def _wire_order(ndim: int, m: int, axes: Sequence[int] | None) -> list[int]:
@@ -368,7 +373,8 @@ def _compile(circuit: CliffordCircuit) -> tuple:
         if g.kind == "F" and run % 4 == 0:
             continue
         if digits is None:
-            digits, tau = start.copy(), np.zeros(p**m, dtype=np.int64)
+            # Gate parameters are any ints, so work on int64 digits.
+            digits, tau = start.astype(np.int64), np.zeros(p**m, dtype=np.int64)
         d = digits[q]
         if g.kind == "F":  # F^2
             digits[q] = (-d) % p
@@ -461,13 +467,80 @@ def _span_reduction(gram: np.ndarray, p: int):
     return pairs, radical
 
 
-def _orthogonality_rows(vectors: Sequence[np.ndarray], p: int) -> np.ndarray:
-    """Rows r with r @ d = <v, d>_s for each constraint vector v."""
-    rows = []
-    for v in vectors:
-        m = v.shape[0] // 2
-        rows.append(np.concatenate([(-v[m:]) % p, v[:m]]))
-    return np.array(rows, dtype=np.int64).reshape(len(rows), -1)
+def _orthogonality_rows(vectors: np.ndarray, p: int) -> np.ndarray:
+    """Rows r with r @ d = <v, d>_s for each constraint vector v (a row of vectors)."""
+    m = vectors.shape[1] // 2
+    return np.concatenate([(-vectors[:, m:]) % p, vectors[:, :m]], axis=1)
+
+
+class _OrthogonalityForm:
+    """Gauss-Jordan form ``[R | E]`` of the orthogonality rows of a growing
+    list of constraint vectors.
+
+    Constraint i enters as its orthogonality row next to the unit vector
+    e_i, so every row operation keeps ``R = E @ A`` for the rows A added so
+    far.  The first ``rank`` rows of ``rows`` each hold a pivot 1 in a
+    column that is zero in every other of them: they are the reduced row
+    echelon form of A, which is unique, so what is read off them does not
+    depend on the order the constraints came in.  A constraint that
+    reduces to a zero row of R is dependent; its E part goes to
+    ``dependent``.
+    """
+
+    def __init__(self, two_m: int, capacity: int, p: int):
+        self.p, self.two_m, self.count, self.rank = p, two_m, 0, 0
+        self.rows = np.zeros((capacity, two_m + capacity), dtype=np.int64)
+        self.cols = np.zeros(two_m, dtype=np.intp)
+        self.dependent: list[np.ndarray] = []
+
+    def add(self, v: np.ndarray) -> int:
+        """Reduce v's orthogonality row against the stored pivots; its index."""
+        p, two_m, k = self.p, self.two_m, self.rank
+        m = two_m // 2
+        row = np.zeros(self.rows.shape[1], dtype=np.int64)
+        row[:m] = -v[m:]
+        row[m:two_m] = v[:m]
+        row[two_m + self.count] = 1
+        pivots = self.rows[:k]
+        row = (row - row[self.cols[:k]] @ pivots) % p
+        nonzero = np.flatnonzero(row[:two_m])
+        if nonzero.size:
+            c = nonzero[0]
+            row = (row * gfp.inv_scalar(int(row[c]), p)) % p
+            pivots[:] = (pivots - pivots[:, c, None] * row) % p
+            self.rows[k], self.cols[k] = row, c
+            self.rank += 1
+        else:
+            self.dependent.append(row[two_m:])
+        self.count += 1
+        return self.count - 1
+
+    def partner(self, i: int) -> np.ndarray | None:
+        """The d that ``gfp.solve`` finds with <v_i, d> = 1 and <v_j, d> = 0
+        for every other constraint j, or None if there is none.
+
+        The reduced right-hand side is column i of E: each pivot variable
+        takes its row's entry and each free variable is 0.  The system is
+        inconsistent when a dependent row has a nonzero entry there.
+        """
+        if any(e[i] for e in self.dependent):
+            return None
+        k = self.rank
+        d = np.zeros(self.two_m, dtype=np.int64)
+        d[self.cols[:k]] = self.rows[:k, self.two_m + i]
+        return d
+
+    def fresh(self) -> np.ndarray:
+        """``gfp.kernel(A)[0]``: 1 at the first free column c and -R[row, c]
+        at each pivot column."""
+        k = self.rank
+        free = np.ones(self.two_m, dtype=bool)
+        free[self.cols[:k]] = False
+        c = np.argmax(free)
+        e = np.zeros(self.two_m, dtype=np.int64)
+        e[c] = 1
+        e[self.cols[:k]] = (-self.rows[:k, c]) % self.p
+        return e
 
 
 def _complete_basis(vectors: np.ndarray, gram: np.ndarray, p: int) -> np.ndarray:
@@ -477,40 +550,35 @@ def _complete_basis(vectors: np.ndarray, gram: np.ndarray, p: int) -> np.ndarray
     the span, then each radical vector with a solved partner, then fresh
     pairs from the orthogonal complement.  The arrangement (hence the Gram
     of the result) depends only on the input Gram.
+
+    One Gauss-Jordan form of the orthogonality rows serves the whole
+    completion: the pair and radical vectors enter first, then each partner
+    and fresh vector as it is found, each by one reduction against the
+    stored pivots.  Partners and fresh vectors are read off the form; they
+    are exactly what one ``gfp.solve`` or ``gfp.kernel`` call per vector
+    on the same rows returns.
     """
     two_m = vectors.shape[1]
     pairs, radical = _span_reduction(gram, p)
-    basis: list[np.ndarray] = []
-    for a, b in pairs:
-        basis.append((a @ vectors) % p)
-        basis.append((b @ vectors) % p)
+    basis = [(w @ vectors) % p for pair in pairs for w in pair]
     radical_vecs = [(c @ vectors) % p for c in radical]
+    form = _OrthogonalityForm(two_m, max(len(basis) + 2 * len(radical_vecs), two_m), p)
+    first = len(basis)
+    for v in basis + radical_vecs:
+        form.add(v)
     for j, c in enumerate(radical_vecs):
-        constraints = basis + radical_vecs[j:]
-        rows = _orthogonality_rows(constraints, p)
-        rhs = np.zeros(len(constraints), dtype=np.int64)
-        rhs[len(basis)] = 1  # <c, d> = 1, everything else orthogonal
-        d = gfp.solve(rows, rhs, p)
+        d = form.partner(first + j)  # <c, d> = 1, everything else orthogonal
         if d is None:
             raise InvariantError("symplectic completion failed: partner system inconsistent")
-        basis.append(c)
-        basis.append(d)
+        form.add(d)
+        basis += [c, d]
     while len(basis) < two_m:
-        rows = _orthogonality_rows(basis, p)
-        if rows.size == 0:
-            e = np.zeros(two_m, dtype=np.int64)
-            e[0] = 1
-        else:
-            null = gfp.kernel(rows, p)
-            e = null[0]
-        rows2 = _orthogonality_rows(basis + [e], p)
-        rhs = np.zeros(len(basis) + 1, dtype=np.int64)
-        rhs[-1] = 1
-        f = gfp.solve(rows2, rhs, p)
+        e = form.fresh()
+        f = form.partner(form.add(e))
         if f is None:
             raise InvariantError("symplectic completion failed: no partner for fresh vector")
-        basis.append(e)
-        basis.append(f)
+        form.add(f)
+        basis += [e, f]
     return np.array(basis, dtype=np.int64)
 
 
@@ -681,7 +749,7 @@ def synthesize(
         residues.append((img.tau - 2 * tgt.phase) % (2 * p))
     fixable = [i for i, r in enumerate(residues) if r % 2 == 0]
     if fixable:
-        rows = _orthogonality_rows([v_rows[i] for i in fixable], p)
+        rows = _orthogonality_rows(v_rows[fixable], p)
         # Conjugating an operator with image v by the Pauli layer of image w
         # shifts its w-exponent by <v, w>_s = rows @ w.
         rhs = np.array([(-residues[i] // 2) % p for i in fixable], dtype=np.int64)

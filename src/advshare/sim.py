@@ -169,21 +169,36 @@ def compile_paulis(p: int, n: int, ops: Sequence[PauliOperator]) -> PauliKernels
     P|d> = w**(phase + z.d) |d + x>, so (P v)[j] = w**e[j] v[s[j]] with
     digits(s[j]) = digits(j) - x and e[j] = phase + z.(digits(j) - x).
     P**t = P P**(t-1) composes the gathers step by step and adds the integer
-    exponents mod p; no float phase is rounded along the way.
+    exponents mod p; no float phase is rounded along the way.  Digits are
+    int8 and each power is written straight into the table, so compiling
+    needs little beyond the table itself.
     """
-    size = p**n
+    r = len(ops)
     place, digits = _place_digits(p, n)
-    src = np.empty((len(ops), p - 1, size), dtype=np.int32)
-    exps = np.empty((len(ops), p - 1, size), dtype=np.int8)
+    roots = omega(p) ** np.arange(p)
+    src = np.empty((r, p - 1, p**n), dtype=np.int32)
+    phases = np.empty((r, p - 1, p**n), dtype=complex)
+    shifts = np.array([op.x for op in ops], dtype=np.int8).reshape(r, n, 1)
+    weights = np.empty((r, 2, n), dtype=np.int64)
+    weights[:, 0] = place
+    weights[:, 1] = np.reshape([op.z for op in ops], (r, n))
+    shifted = np.empty_like(digits)
     for i, op in enumerate(ops):
-        shifted = (digits - op.x[:, None]) % p
-        step_src = place @ shifted
-        step_exp = (op.phase + op.z @ shifted) % p
-        src[i, 0], exps[i, 0] = step_src, step_exp
-        for t in range(1, p - 1):
-            src[i, t] = src[i, t - 1][step_src]
-            exps[i, t] = (step_exp + exps[i, t - 1][step_src]) % p
-    phases = (omega(p) ** np.arange(p))[exps]
+        np.subtract(digits, shifts[i], out=shifted)
+        shifted %= p
+        # einsum widens the int8 digits to int32 one buffer at a time, never
+        # as a whole (n, p**n) copy the way a matmul would.
+        step_src, step_exp = np.einsum(
+            "aq,qj->aj", weights[i], shifted, dtype=np.int32, casting="same_kind"
+        )
+        step_exp = (step_exp + op.phase) % p
+        power_src, power_exp = step_src, step_exp
+        for t in range(p - 1):
+            if t:
+                power_src = power_src[step_src]
+                power_exp = (step_exp + power_exp[step_src]) % p
+            src[i, t] = power_src
+            np.take(roots, power_exp, out=phases[i, t])
     parity = np.array([half_turn_parity(op) for op in ops], dtype=np.int64)
     taus = (2 * np.arange(p)[None, :] + parity[:, None]) % (2 * p)
     turns = (-taus[:, :, None] * np.arange(p)) % (2 * p)

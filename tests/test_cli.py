@@ -7,6 +7,8 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from advshare import cli
 from advshare.codefile import format_code_file, parse_code_file
@@ -358,3 +360,108 @@ def test_demo_transcripts_match_the_golden_reports(code_dir, name):
             assert got[key] == want[key]
         assert len(got["fidelities"]) == len(want["fidelities"])
         assert np.abs(np.subtract(got["fidelities"], want["fidelities"])).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "command, option, value",
+    [("demo", "--trials", "-1"), ("analyze", "--max-size", "-1"), ("validate", "--budget", "-3")],
+)
+def test_negative_counts_are_invalid_input(code_dir, schema, command, option, value):
+    argv = [command, str(code_dir / "five_qubit.code"), option, value, "--json-only"]
+    status, out, err = run_cli(argv)
+    assert status == 1
+    report = json.loads(out)
+    jsonschema.validate(report, schema)
+    message = f"{option} must be at least 0, got {value}"
+    assert report["error"] == {"type": "invalid-input", "message": message}
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, usage, message",
+    [
+        (["demo", "x.code", "--trials", "x"], "usage: advshare demo ",
+         "advshare demo: error: argument --trials: invalid int value: 'x'\n"),
+        (["frobnicate"], "usage: advshare ", "advshare: error: argument command: invalid choice: "),
+        (["validate", "x.code", "--bogus"], "usage: advshare ",
+         "advshare: error: unrecognized arguments: --bogus\n"),
+    ],
+)
+def test_usage_errors_exit_1_with_argparse_message(argv, usage, message):
+    # Exit 2 is the budget code, so a usage error must not borrow it.
+    status, out, err = run_cli(argv)
+    assert status == 1
+    assert out == ""
+    assert err.startswith(usage)
+    assert message in err
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["demo", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: advshare demo ")
+
+
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2**200), max_value=2**200)
+    | st.floats()
+    | st.sampled_from([-0.0, 0.0, 1e-300, 1e300, 5e-324, float("nan"), float("inf"), float("-inf")])
+    | st.text()
+    | st.text(alphabet=st.sampled_from('"\\/\x00\x1f\x7f\n\t\r\b\féü€😀 \ud800'))
+)
+_JSON_KEYS = st.text(alphabet=st.sampled_from('ab"\\\n\x01é😀'), max_size=4) | st.text()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.recursive(
+        _JSON_SCALARS,
+        lambda inner: st.lists(inner, max_size=5)
+        | st.lists(inner, max_size=3).map(tuple)
+        | st.dictionaries(_JSON_KEYS, inner, max_size=5),
+        max_leaves=40,
+    )
+)
+def test_report_writer_matches_json_dumps(tree):
+    assert cli._json_text(tree) == json.dumps(tree, indent=2)
+
+
+def test_report_writer_refuses_what_json_refuses():
+    for bad in (np.int64(3), [np.bool_(True)], {"a": {1, 2}}, {"a": object()}):
+        with pytest.raises(TypeError):
+            json.dumps(bad, indent=2)
+        with pytest.raises(TypeError):
+            cli._json_text(bad)
+    # Reports key every dict by a string; the writer refuses any other key.
+    with pytest.raises(TypeError):
+        cli._json_text({1: 2})
+    # A float subclass is a float to both.
+    assert cli._json_text([np.float64(0.5)]) == json.dumps([np.float64(0.5)], indent=2)
+
+
+def test_every_shipped_report_is_written_as_json_dumps(code_dir, monkeypatch):
+    """validate, analyze and demo on each shipped code, plus a budget and an
+    invalid-input error report: the writer's bytes are json.dumps's."""
+    reports = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda report, out: reports.append(report) or emit(report, out))
+    runs = []
+    for path in sorted(code_dir.glob("*.code")):
+        runs += [
+            ["validate", str(path)],
+            ["analyze", str(path), "--max-size", "2"],
+            ["demo", str(path), "--J", "1", "--trials", "2", "--seed", "3"],
+        ]
+    runs += [
+        ["analyze", str(code_dir / "five_qubit.code"), "--budget", "4"],
+        ["demo", str(code_dir / "five_qubit.code"), "--trials", "-1"],
+    ]
+    for argv in runs:
+        status, out, _ = run_cli(argv + ["--json-only"])
+        assert out == json.dumps(reports[-1], indent=2) + "\n"
+    assert len(reports) == len(runs)
+    assert {r.get("error", {}).get("type") for r in reports} == {None, "budget", "invalid-input"}

@@ -9,7 +9,10 @@ from advshare.clifford import (
     CliffordCircuit,
     Gate,
     PhasedPauli,
+    _complete_basis,
     _inv_matrix,
+    _orthogonality_rows,
+    _span_reduction,
     apply_circuit_tensor,
     conjugate_pauli,
     encoding_circuit,
@@ -87,6 +90,46 @@ def slow_to_unitary(circuit):
     dim = circuit.p**circuit.m
     eye = np.eye(dim, dtype=complex).reshape((circuit.p,) * circuit.m + (dim,))
     return slow_apply_circuit_tensor(eye, circuit).reshape(dim, dim)
+
+
+def slow_complete_basis(vectors, gram, p):
+    """Reference: complete a tuple to a symplectic basis with one
+    ``gfp.solve`` or ``gfp.kernel`` elimination per completed vector."""
+    two_m = vectors.shape[1]
+    pairs, radical = _span_reduction(gram, p)
+
+    def rows_of(constraints):
+        stacked = np.array(constraints, dtype=np.int64).reshape(len(constraints), two_m)
+        return _orthogonality_rows(stacked, p)
+
+    basis = []
+    for a, b in pairs:
+        basis.append((a @ vectors) % p)
+        basis.append((b @ vectors) % p)
+    radical_vecs = [(c @ vectors) % p for c in radical]
+    for j, c in enumerate(radical_vecs):
+        constraints = basis + radical_vecs[j:]
+        rhs = np.zeros(len(constraints), dtype=np.int64)
+        rhs[len(basis)] = 1  # <c, d> = 1, everything else orthogonal
+        d = gfp.solve(rows_of(constraints), rhs, p)
+        if d is None:
+            raise InvariantError("symplectic completion failed: partner system inconsistent")
+        basis.append(c)
+        basis.append(d)
+    while len(basis) < two_m:
+        if basis:
+            e = gfp.kernel(rows_of(basis), p)[0]
+        else:
+            e = np.zeros(two_m, dtype=np.int64)
+            e[0] = 1
+        rhs = np.zeros(len(basis) + 1, dtype=np.int64)
+        rhs[-1] = 1
+        f = gfp.solve(rows_of(basis + [e]), rhs, p)
+        if f is None:
+            raise InvariantError("symplectic completion failed: no partner for fresh vector")
+        basis.append(e)
+        basis.append(f)
+    return np.array(basis, dtype=np.int64)
 
 
 @st.composite
@@ -232,6 +275,51 @@ def test_singular_change_of_basis_is_an_invariant_error():
         _inv_matrix(singular, 3)
     m = np.array([[1, 2], [0, 1]], dtype=np.int64)
     assert np.array_equal((m @ _inv_matrix(m, 3)) % 3, np.eye(2, dtype=np.int64))
+
+
+@st.composite
+def completion_cases(draw, p):
+    """Tuples of f-images on m wires: empty, isotropic (every vector in the
+    radical), a full symplectic basis, random independent, or dependent."""
+    m = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["empty", "isotropic", "full", "independent", "dependent"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # Columns of a random symplectic matrix form a symplectic basis.
+    sp = symplectic_matrix(random_circuit(p, m, 4 * m, rng)).T % p
+    if kind == "empty":
+        rows = np.zeros((0, 2 * m), dtype=np.int64)
+    elif kind == "isotropic":
+        # Images of the x-only unit vectors span an isotropic subspace.
+        rows = sp[rng.permutation(m)[: draw(st.integers(1, m))]]
+    elif kind == "full":
+        rows = sp[rng.permutation(2 * m)]
+    else:
+        rows = np.zeros((0, 2 * m), dtype=np.int64)
+        for _ in range(draw(st.integers(1, 2 * m))):
+            cand = rng.integers(0, p, 2 * m)
+            if gfp.rank(np.vstack([rows, cand]), p) > rows.shape[0]:
+                rows = np.vstack([rows, cand])
+        if kind == "dependent":
+            combo = rng.integers(0, p, rows.shape[0]) @ rows % p
+            rows = np.insert(rows, draw(st.integers(0, rows.shape[0])), combo, axis=0)
+    return rows
+
+
+@pytest.mark.parametrize("p", gfp.PRIMES)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_completion_matches_one_elimination_per_vector(p, data):
+    rows = data.draw(completion_cases(p))
+    gram = (rows @ standard_form(rows.shape[1] // 2) @ rows.T) % p
+    try:
+        want = slow_complete_basis(rows, gram, p)
+    except (DependentRowsError, InvariantError) as exc:
+        with pytest.raises(type(exc)) as got:
+            _complete_basis(rows, gram, p)
+        assert str(got.value) == str(exc)
+        return
+    got = _complete_basis(rows, gram, p)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_conjugate_identity_circuit(rng):

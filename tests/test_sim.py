@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from advshare.pauli import (
     PauliOperator,
     f_inv,
     half_turn_parity,
+    omega,
     random_stabilizer,
     single,
     to_matrix,
@@ -1041,6 +1043,34 @@ def test_generator_table_of_a_16_qubit_code_is_at_most_half_the_full_table():
     full = code.num_checks * 2 * 2**16 * 24
     tables = (kernels.src, kernels.phases, kernels.taus, kernels.branch)
     assert sum(table.nbytes for table in tables) <= full / 2
+
+
+
+@pytest.mark.parametrize("p, n", [(2, 14), (3, 8), (5, 5), (7, 4)])
+def test_generator_table_compiles_within_130_percent_of_its_size(p, n):
+    """The digit arrays are int8 and widen a buffer at a time, so compiling
+    the table of a random [[n, 1]]_p code peaks at most 1.3 times the table
+    (tracemalloc sees numpy's allocations); every entry matches the closed
+    form P**t |d> = w**(t*phase + t*z.d - z.x*t(t+1)/2) |d + t*x>."""
+    code = random_stabilizer(p, n, n - 1, np.random.default_rng(1))
+    ops = code.generators()
+    tracemalloc.start()
+    try:
+        kernels = sim.compile_paulis(p, n, ops)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * (kernels.src.nbytes + kernels.phases.nbytes)
+    digits = np.indices((p,) * n).reshape(n, -1)
+    place = p ** np.arange(n - 1, -1, -1)
+    for i, op in enumerate(ops):
+        zx = int(op.z @ op.x)
+        for t in range(1, p):
+            src = place @ ((digits - t * op.x[:, None]) % p)
+            exps = (t * op.phase + t * (op.z @ digits) - zx * t * (t + 1) // 2) % p
+            assert kernels.src.dtype == np.int32
+            assert np.array_equal(kernels.src[i, t - 1], src)
+            assert np.array_equal(kernels.phases[i, t - 1], omega(p) ** exps)
 
 
 #: Registers of the protocol sweep hold at most this many amplitudes, V included.
