@@ -23,7 +23,8 @@ vectors of the dual space.
 
 :class:`ShareStructure` caches ``r_E`` by share bitmask (bit ``j - 1`` for
 share j) and fills missing masks with batched eliminations, one size and
-at most :data:`CHUNK` sets at a time.
+at most :data:`CHUNK` sets at a time: :func:`advshare.gfp.packed_rank` on
+bit-packed columns at p = 2, :func:`advshare.gfp.batched_rank` at odd p.
 :meth:`advshare.pauli.StabilizerCode.share_structure` keeps one per code.
 """
 
@@ -85,6 +86,8 @@ class ShareStructure:
         # Row c of the transpose is column c of H: stacking rows selects a
         # share set's columns, and the transpose has the same rank.
         self._columns = gfp.as_matrix(check_matrix, p).T.copy()
+        # At p = 2 each column is also one row of uint64 words, a bit per check.
+        self._words = gfp.pack_bits(self._columns) if p == 2 else None
         self._ranks: dict[int, int] = {0: 0}
 
     def ranks(self, masks: Sequence[int]) -> list[int]:
@@ -96,12 +99,19 @@ class ShareStructure:
         for size, group in by_size.items():
             for start in range(0, len(group), CHUNK):
                 chunk = group[start : start + CHUNK]
-                stack = self._columns[self._owned_columns(chunk, size)]
-                # stack is (batch, 2 * size, num_checks); loop over the shorter side.
-                if 2 * size < self.num_checks:
-                    stack = np.swapaxes(stack, 1, 2)
-                self._ranks.update(zip(chunk, gfp.batched_rank(stack, self.p).tolist()))
+                self._ranks.update(zip(chunk, self._chunk_ranks(chunk, size).tolist()))
         return [self._ranks[m] for m in masks]
+
+    def _chunk_ranks(self, masks: Sequence[int], size: int) -> np.ndarray:
+        """r_E for share masks that all have ``size`` shares."""
+        owned = self._owned_columns(masks, size)
+        if self._words is not None:
+            return gfp.packed_rank(self._words[owned])
+        stack = self._columns[owned]
+        # stack is (batch, 2 * size, num_checks); loop over the shorter side.
+        if 2 * size < self.num_checks:
+            stack = np.swapaxes(stack, 1, 2)
+        return gfp.batched_rank(stack, self.p)
 
     def _owned_columns(self, masks: Sequence[int], size: int) -> np.ndarray:
         """(len(masks), 2 * size) indices of the x then z columns of each set."""

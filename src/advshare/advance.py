@@ -19,13 +19,14 @@ in general (see the test suite for a recorded counterexample).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import gfp
-from .access import _mask_shares, masks_of_size, share_mask
+from .access import _mask_shares, check_budget, masks_of_size, share_mask
 from .errors import InvariantError, NotAdvanceShareableError
 from .pauli import PauliOperator, StabilizerCode, commutation_exponent
 from .symplectic import validated_shares
@@ -297,14 +298,14 @@ def enumerate_advance_shareable(
 
     Sets beyond ``floor((n-k)/2)`` shares can never pass, so ``max_size`` is
     effectively capped there.  Each result notes whether the weight shortcut
-    alone would have certified it.
+    alone would have certified it.  ``budget`` caps the share sets the
+    dual-weight walk visits, and separately the candidate sets ranked here.
     """
     threshold = dual_min_weight(code, budget=budget) if max_size >= 1 else 0
-    masks = [
-        mask
-        for size in range(1, min(max_size, code.num_checks // 2) + 1)
-        for mask in masks_of_size(code.n, size)
-    ]
+    last = min(max_size, code.num_checks // 2)
+    candidates = sum(math.comb(code.n, size) for size in range(1, last + 1))
+    check_budget(candidates, budget, "advance-shareable sets", f" up to size {last}")
+    masks = [mask for size in range(1, last + 1) for mask in masks_of_size(code.n, size)]
     verdicts = code.share_structure().shareable(masks)
     shareable = sorted(_mask_shares(mask, code.n) for mask, ok in zip(masks, verdicts) if ok)
     return [

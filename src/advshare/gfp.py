@@ -1,12 +1,16 @@
 """Linear algebra over the prime field F_p for small p.
 
 Scalars are plain Python ints in ``[0, p)``, vectors and matrices are integer
-numpy arrays taken modulo ``p``.  Every routine takes the modulus explicitly
-and returns freshly allocated arrays; nothing is mutated in place.
+numpy arrays taken modulo ``p``.  Every routine takes the modulus explicitly,
+except the F_2 pair :func:`pack_bits` / :func:`packed_rank`, and returns
+freshly allocated arrays; nothing is mutated in place.
 
-Supported moduli are the small primes 2, 3, 5 and 7: exhaustive codeword
-scans elsewhere in the package cap problem sizes long before larger fields
-become interesting.
+Supported moduli are the small primes 2, 3, 5 and 7.  The share-set walks
+of :mod:`advshare.access` visit up to sum_w C(n, w) sets and rank each one,
+so they cap problem sizes long before larger fields become interesting.
+Those ranks come from :func:`batched_rank` at odd p and, at p = 2, from
+:func:`packed_rank`, which holds each row as uint64 words, one bit per
+entry, and eliminates by XOR.
 
 Elimination is deterministic: the pivot for each column is the first row with
 a nonzero entry, and pivots are normalized to 1, so reduced forms are
@@ -131,6 +135,51 @@ def batched_rank(stack, p: int) -> np.ndarray:
         a[:, :, c:] = (a[:, :, c:] - factors[:, :, None] * pivot_rows[:, None, :]) % p
         used[every[found], pivot[found]] = True
         ranks += found
+    return ranks
+
+
+def pack_bits(m) -> np.ndarray:
+    """The 0/1 entries of the last axis packed into uint64 words.
+
+    Entry c lands in bit ``c % 64`` of word ``c // 64``; an axis of length
+    L becomes ``ceil(L / 64)`` words, the last one zero-padded.
+    """
+    a = np.asarray(m, dtype=np.int64) % 2
+    bytes_ = np.packbits(a.astype(np.uint8), axis=-1, bitorder="little")
+    words = -(-a.shape[-1] // 64)
+    pad = [(0, 0)] * (a.ndim - 1) + [(0, 8 * words - bytes_.shape[-1])]
+    return np.pad(bytes_, pad).view("<u8").astype(np.uint64)
+
+
+def packed_rank(stack) -> np.ndarray:
+    """F_2 rank of every matrix in a ``(batch, rows, words)`` stack of rows
+    packed by :func:`pack_bits`.
+
+    One forward elimination runs over the whole batch at once: for each bit
+    that some row carries, every matrix picks its first row with that bit
+    set as the pivot and XORs it into each of its rows with the bit set,
+    the pivot row included.  A pivot row is thereby zeroed and never chosen
+    again, so a matrix's rank is its number of pivots.
+    """
+    a = np.array(stack, dtype=np.uint64)
+    if a.ndim != 3:
+        raise ValueError(f"expected a 3-d stack, got shape {a.shape}")
+    batch, _, words = a.shape
+    ranks = np.zeros(batch, dtype=np.int64)
+    if a.size == 0:
+        return ranks
+    every = np.arange(batch)
+    present = np.bitwise_or.reduce(a, axis=(0, 1))
+    for w in range(words):
+        bits = int(present[w])
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            has = (a[:, :, w] & np.uint64(low)) != 0
+            pivot_rows = a[every, has.argmax(axis=1)]
+            # A matrix without the bit picks row 0, which lacks it too.
+            ranks += (pivot_rows[:, w] & np.uint64(low)) != 0
+            a ^= pivot_rows[:, None, :] * has[:, :, None]
     return ranks
 
 

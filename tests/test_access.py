@@ -16,6 +16,7 @@ from advshare.advance import (
     normal_form,
 )
 from advshare.clifford import encoding_circuit
+from advshare.codefile import parse_code_file
 from advshare.errors import BudgetExceededError
 from advshare.pauli import code_distance, random_stabilizer, validate_stabilizer
 from advshare.sim import classify_access, correctable_erasure, mutual_information_table
@@ -215,3 +216,35 @@ def test_chunked_ranks_match_rank_per_set(five_qubit, monkeypatch):
         shares = [j for j in range(five_qubit.n) if mask >> j & 1]
         cols = shares + [five_qubit.n + j for j in shares]
         assert rank == gfp.rank(five_qubit.check_matrix[:, cols], five_qubit.p)
+
+
+@pytest.mark.parametrize("checks, n", [(70, 40), (130, 70)])
+def test_packed_ranks_match_rank_per_set_past_one_word(checks, n, monkeypatch):
+    """p = 2 structures over more than 64 checks rank on several words per column."""
+    monkeypatch.setattr(access, "CHUNK", 5)
+    rng = np.random.default_rng([checks, n])
+    h = rng.integers(0, 2, size=(checks, 2 * n))
+    h[checks // 2] = h[0] ^ h[1]  # a dependent row
+    structure = ShareStructure(2, n, h)
+    sizes = [0, 1, 2, 17, checks // 2, checks // 2 + 3, n - 1, n]
+    masks = [
+        share_mask(rng.choice(np.arange(1, n + 1), size=size, replace=False).tolist(), n)
+        for size in sizes
+        for _ in range(4)
+    ]
+    for mask, rank in zip(masks, structure.ranks(masks)):
+        shares = [j for j in range(n) if mask >> j & 1]
+        assert rank == gfp.rank(h[:, shares + [n + j for j in shares]], 2)
+
+
+@pytest.mark.parametrize("name", ["five_qubit", "four_qubit_ghz"])
+def test_packed_ranks_match_rank_per_set_on_shipped_codes(name, code_dir, monkeypatch):
+    monkeypatch.setattr(access, "CHUNK", 2)
+    p, n, rows = parse_code_file((code_dir / f"{name}.code").read_text())
+    assert p == 2
+    h = np.asarray(rows)
+    structure = ShareStructure(p, n, h)
+    masks = list(range(1 << n))
+    for mask, rank in zip(masks, structure.ranks(masks)):
+        shares = [j for j in range(n) if mask >> j & 1]
+        assert rank == gfp.rank(h[:, shares + [n + j for j in shares]], p)

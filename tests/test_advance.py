@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from advshare.advance import (
     is_advance_shareable_sufficient,
     normal_form,
 )
-from advshare.errors import NotAdvanceShareableError
+from advshare.errors import BudgetExceededError, NotAdvanceShareableError
 from advshare.pauli import PauliOperator, random_stabilizer, validate_stabilizer
 from advshare.symplectic import shorten
 
@@ -207,3 +208,30 @@ def test_enumerate_five_qubit(five_qubit):
     assert all(s.weight_criterion for s in sets)
     names = [s.shares for s in sets]
     assert names == sorted(names)
+
+
+def lone_z_plus_ghz(n):
+    """Z_1 plus a GHZ code on shares 2..n: dual weight 1, r = n, k = 0."""
+    rows = np.zeros((n, 2 * n), dtype=np.int64)
+    rows[0, n] = 1
+    for j in range(1, n - 1):
+        rows[j, n + j] = rows[j, n + j + 1] = 1
+    rows[n - 1, 1:n] = 1
+    return validate_stabilizer(rows, 2, n)
+
+
+def test_enumerate_budget_names_its_stage():
+    """The candidate list is budgeted too, not only the dual-weight walk,
+    which here stops at size 1 after 20 sets."""
+    code = lone_z_plus_ghz(20)
+    assert dual_min_weight(code, budget=20) == 1
+    message = (
+        "enumeration limit: 60459 share sets up to size 6 exceed budget 100"
+        " (advance-shareable sets)"
+    )
+    with pytest.raises(BudgetExceededError, match=re.escape(message)):
+        enumerate_advance_shareable(code, 6, budget=100)
+    with pytest.raises(BudgetExceededError, match=re.escape("(advance-shareable sets)")):
+        enumerate_advance_shareable(code, 2, budget=20 + 190 - 1)
+    found = enumerate_advance_shareable(code, 2, budget=20 + 190)
+    assert found and all(s.dimension_criterion and not s.weight_criterion for s in found)

@@ -165,6 +165,45 @@ def test_batched_rank_empty_shapes(shape):
     assert gfp.batched_rank(np.zeros(shape, dtype=np.int64), 5).tolist() == [0] * shape[0]
 
 
+@st.composite
+def bit_stacks(draw):
+    """0/1 stacks whose row length hits one word, a full word and several."""
+    batch, rows = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    cols = draw(st.sampled_from([0, 1, 63, 64, 65, 130]) | st.integers(0, 9))
+    inner = draw(st.integers(0, 7))  # below min(rows, cols) forces rank deficiency
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    left = rng.integers(0, 2, size=(batch, rows, inner))
+    right = rng.integers(0, 2, size=(batch, inner, cols))
+    return (left @ right) % 2
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(bit_stacks())
+def test_packed_rank_matches_rank_per_slice(stack):
+    words = gfp.pack_bits(stack)
+    assert words.dtype == np.uint64
+    assert words.shape == stack.shape[:2] + (-(-stack.shape[2] // 64),)
+    batch, rows, cols = stack.shape
+    for bits, packed in zip(stack.reshape(batch * rows, cols), words.reshape(batch * rows, words.shape[2])):
+        as_int = sum(int(w) << (64 * i) for i, w in enumerate(packed))
+        assert as_int == sum(int(b) << c for c, b in enumerate(bits))
+    got = gfp.packed_rank(words)
+    assert got.shape == (stack.shape[0],)
+    for mat, rk in zip(stack, got):
+        assert rk == gfp.rank(mat, 2)
+
+
+@pytest.mark.parametrize("shape", [(3, 0, 1), (3, 4, 0), (0, 2, 2), (2, 0, 0)])
+def test_packed_rank_empty_shapes(shape):
+    assert gfp.packed_rank(np.zeros(shape, dtype=np.uint64)).tolist() == [0] * shape[0]
+
+
+def test_packed_rank_uses_the_top_bit_of_a_word():
+    top = np.uint64(1) << np.uint64(63)
+    stack = np.array([[[top, 0], [top, 1]], [[top, 1], [top, 1]]], dtype=np.uint64)
+    assert gfp.packed_rank(stack).tolist() == [2, 1]
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(stacks(), st.integers(0, 2**32 - 1))
 def test_solution_maps_give_the_solve_particular_solution(sp, seed):
