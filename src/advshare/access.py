@@ -23,8 +23,9 @@ vectors of the dual space.
 
 :class:`ShareStructure` caches ``r_E`` by share bitmask (bit ``j - 1`` for
 share j) and fills missing masks with batched eliminations, one size and
-at most :data:`CHUNK` sets at a time: :func:`advshare.gfp.packed_rank` on
-bit-packed columns at p = 2, :func:`advshare.gfp.batched_rank` at odd p.
+at most :data:`CHUNK` sets, holding at most :data:`CHUNK_ENTRIES` entries,
+at a time: :func:`advshare.gfp.packed_rank` on bit-packed columns at
+p = 2, :func:`advshare.gfp.batched_rank` at odd p.
 :meth:`advshare.pauli.StabilizerCode.share_structure` keeps one per code.
 """
 
@@ -39,11 +40,17 @@ import numpy as np
 
 from . import gfp
 from .errors import BudgetExceededError
-from .symplectic import validated_shares
+from .symplectic import owned_columns, validated_shares
 
-#: Most share sets one batched elimination takes; bounds the stack a rank
-#: query allocates whatever the number of sets asked for.
+#: Most share sets one batched elimination takes.
 CHUNK = 4096
+
+#: Most entries one batched elimination allocates: per share set of size
+#: |E|, its n unpacked mask bits, 2|E| column indices and 2|E| stack rows.
+#: Bounds the memory of a rank query whatever its sets' sizes.  Codes on at
+#: most 10 shares, or at p = 2 on at most 51 shares and 64 checks, still
+#: rank :data:`CHUNK` sets to a chunk.
+CHUNK_ENTRIES = 1 << 20
 
 
 class AccessLabel(enum.Enum):
@@ -88,6 +95,7 @@ class ShareStructure:
         self._columns = gfp.as_matrix(check_matrix, p).T.copy()
         # At p = 2 each column is also one row of uint64 words, a bit per check.
         self._words = gfp.pack_bits(self._columns) if p == 2 else None
+        self._row_entries = (self._words if p == 2 else self._columns).shape[1]
         self._ranks: dict[int, int] = {0: 0}
 
     def ranks(self, masks: Sequence[int]) -> list[int]:
@@ -97,8 +105,10 @@ class ShareStructure:
         for m in missing:
             by_size.setdefault(m.bit_count(), []).append(m)
         for size, group in by_size.items():
-            for start in range(0, len(group), CHUNK):
-                chunk = group[start : start + CHUNK]
+            per_set = self.n + 2 * size * (1 + self._row_entries)
+            step = max(1, min(CHUNK, CHUNK_ENTRIES // per_set))
+            for start in range(0, len(group), step):
+                chunk = group[start : start + step]
                 self._ranks.update(zip(chunk, self._chunk_ranks(chunk, size).tolist()))
         return [self._ranks[m] for m in masks]
 
@@ -122,8 +132,7 @@ class ShareStructure:
             axis=1,
             bitorder="little",
         )
-        shares = np.nonzero(bits)[1].reshape(len(masks), size)
-        return np.concatenate([shares, shares + self.n], axis=1)
+        return owned_columns(np.nonzero(bits)[1].reshape(len(masks), size) + 1, self.n)
 
     def smallest_size(
         self,

@@ -28,8 +28,8 @@ import numpy as np
 from . import gfp
 from .access import _mask_shares, check_budget, masks_of_size, share_mask
 from .errors import InvariantError, NotAdvanceShareableError
-from .pauli import PauliOperator, StabilizerCode, commutation_exponent
-from .symplectic import validated_shares
+from .pauli import PauliOperator, StabilizerCode, single
+from .symplectic import complement, owned_columns, product_matrix, validated_shares
 
 
 def is_advance_shareable(code: StabilizerCode, shares: Iterable[int]) -> bool:
@@ -103,14 +103,13 @@ def _mu_from_rows(
 ) -> int:
     """The pivot value forced on the x row by orthogonality against the z row.
 
-    Sums x_row[j] * z_row[n+j] - z_row[j] * x_row[n+j] over all shares
-    except ``skip_share``.
+    The symplectic product of the two rows with ``skip_share``'s columns
+    zeroed: x_row[j] * z_row[n+j] - x_row[n+j] * z_row[j] summed over all
+    other shares j.
     """
-    j = skip_share - 1
-    ax, az = x_row[:n].copy(), x_row[n:].copy()
-    bx, bz = z_row[:n].copy(), z_row[n:].copy()
-    ax[j] = az[j] = bx[j] = bz[j] = 0
-    return int((ax @ bz - az @ bx) % p)
+    masked = np.stack([x_row, z_row])
+    masked[:, owned_columns([skip_share], n)] = 0
+    return int(product_matrix(masked[:1], masked[1:], p)[0, 0])
 
 
 def normal_form(code: StabilizerCode, shares: Iterable[int]) -> NormalForm:
@@ -124,14 +123,7 @@ def normal_form(code: StabilizerCode, shares: Iterable[int]) -> NormalForm:
     js = validated_shares(shares, code.n)
     p, n = code.p, code.n
     c = len(js)
-    if c == 0:
-        r, _, _ = gfp.rref(code.check_matrix, p)
-        return NormalForm(p, n, (), r, ())
-    x_cols = [j - 1 for j in js]
-    z_cols = [n + j - 1 for j in js]
-    owned = x_cols + z_cols
-    rest = [col for col in range(2 * n) if col not in set(owned)]
-    perm = owned + rest
+    perm = np.concatenate([owned_columns(js, n), owned_columns(complement(js, n), n)])
     reduced, rank, pivots = gfp.rref(code.check_matrix[:, perm], p)
     if pivots[: 2 * c] != list(range(2 * c)):
         raise NotAdvanceShareableError(
@@ -144,7 +136,7 @@ def normal_form(code: StabilizerCode, shares: Iterable[int]) -> NormalForm:
     h_prime[c : 2 * c] = (-h_prime[c : 2 * c]) % p
     mu = []
     for i, j in enumerate(js):
-        pivot = int(h_prime[i, j - 1])
+        pivot = int(h_prime[i, perm[i]])
         forced = _mu_from_rows(h_prime[i], h_prime[c + i], n, j, p)
         if pivot != forced or pivot == 0:
             raise InvariantError(
@@ -190,8 +182,7 @@ class EAQECCPlan:
 
     @property
     def complement(self) -> tuple[int, ...]:
-        in_j = set(self.shares)
-        return tuple(j for j in range(1, self.n + 1) if j not in in_j)
+        return complement(self.shares, self.n)
 
     @property
     def epr_pairs(self) -> tuple[tuple[int, int], ...]:
@@ -213,11 +204,12 @@ class EAQECCPlan:
 
 
 def gram_matrix(generators: Sequence[PauliOperator]) -> np.ndarray:
-    g = np.zeros((len(generators), len(generators)), dtype=np.int64)
-    for i, a in enumerate(generators):
-        for j, b in enumerate(generators):
-            g[i, j] = commutation_exponent(a, b)
-    return g
+    """Commutation exponents e_ij with g_i g_j = w^e_ij g_j g_i."""
+    if not generators:
+        return np.zeros((0, 0), dtype=np.int64)
+    p = generators[0].p
+    rows = np.array([np.concatenate([g.x, g.z]) for g in generators])
+    return (-product_matrix(rows, rows, p)) % p
 
 
 def construct_eaqecc(code: StabilizerCode, shares: Iterable[int]) -> EAQECCPlan:
@@ -231,35 +223,20 @@ def construct_eaqecc(code: StabilizerCode, shares: Iterable[int]) -> EAQECCPlan:
     p, n, c = nf.p, nf.n, nf.m
     js = nf.shares
     rows = code.num_checks
-    complement = tuple(j for j in range(1, n + 1) if j not in set(js))
-    m = len(complement)
-    keep_x = [j - 1 for j in complement]
-    keep_z = [n + j - 1 for j in complement]
+    wires = complement(js, n)
+    m = len(wires)
+    restricted = nf.h_prime[:, owned_columns(wires, n)]
+    source = tuple(PauliOperator(p, row[:m], row[m:]) for row in restricted)
 
-    source = tuple(
-        PauliOperator(p, nf.h_prime[i, keep_x], nf.h_prime[i, keep_z])
-        for i in range(rows)
+    # Wire w of the smaller system is share wires[w]: pair i sits on wire i,
+    # and the bare Z of row r on wire r - c.
+    x_positions = {js[i]: wires[i] for i in range(c)}
+    z_positions = {r: wires[r - c] for r in range(2 * c, rows)}
+    target = (
+        [single(p, m, i, x=nf.mu[i]) for i in range(c)]
+        + [single(p, m, i, z=1) for i in range(c)]
+        + [single(p, m, r - c, z=1) for r in range(2 * c, rows)]
     )
-
-    x_positions = {js[i]: complement[i] for i in range(c)}
-    z_positions = {r: complement[c + (r - 2 * c)] for r in range(2 * c, rows)}
-
-    target = []
-    for i in range(c):
-        wire = complement.index(x_positions[js[i]])
-        xv = np.zeros(m, dtype=np.int64)
-        xv[wire] = nf.mu[i]
-        target.append(PauliOperator(p, xv, np.zeros(m, dtype=np.int64)))
-    for i in range(c):
-        wire = complement.index(x_positions[js[i]])
-        zv = np.zeros(m, dtype=np.int64)
-        zv[wire] = 1
-        target.append(PauliOperator(p, np.zeros(m, dtype=np.int64), zv))
-    for r in range(2 * c, rows):
-        wire = complement.index(z_positions[r])
-        zv = np.zeros(m, dtype=np.int64)
-        zv[wire] = 1
-        target.append(PauliOperator(p, np.zeros(m, dtype=np.int64), zv))
 
     plan = EAQECCPlan(
         p=p,

@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -59,6 +59,7 @@ from .errors import (
     InvariantError,
 )
 from .pauli import PauliOperator, omega, zeta
+from .symplectic import orthogonality_rows, product_matrix
 
 #: kind -> (wire count, whether the text form carries a parameter)
 _ARITY = {
@@ -467,12 +468,6 @@ def _span_reduction(gram: np.ndarray, p: int):
     return pairs, radical
 
 
-def _orthogonality_rows(vectors: np.ndarray, p: int) -> np.ndarray:
-    """Rows r with r @ d = <v, d>_s for each constraint vector v (a row of vectors)."""
-    m = vectors.shape[1] // 2
-    return np.concatenate([(-vectors[:, m:]) % p, vectors[:, :m]], axis=1)
-
-
 class _OrthogonalityForm:
     """Gauss-Jordan form ``[R | E]`` of the orthogonality rows of a growing
     list of constraint vectors.
@@ -496,10 +491,8 @@ class _OrthogonalityForm:
     def add(self, v: np.ndarray) -> int:
         """Reduce v's orthogonality row against the stored pivots; its index."""
         p, two_m, k = self.p, self.two_m, self.rank
-        m = two_m // 2
         row = np.zeros(self.rows.shape[1], dtype=np.int64)
-        row[:m] = -v[m:]
-        row[m:two_m] = v[:m]
+        row[:two_m] = orthogonality_rows(v, p)
         row[two_m + self.count] = 1
         pivots = self.rows[:k]
         row = (row - row[self.cols[:k]] @ pivots) % p
@@ -717,9 +710,8 @@ def synthesize(
 
     u_rows = _f_rows(source)
     v_rows = _f_rows(target)
-    omega_m = standard_form(m)
-    gram_u = (u_rows @ omega_m @ u_rows.T) % p
-    gram_v = (v_rows @ omega_m @ v_rows.T) % p
+    gram_u = product_matrix(u_rows, u_rows, p)
+    gram_v = product_matrix(v_rows, v_rows, p)
     if not np.array_equal(gram_u, gram_v):
         raise GramMismatchError(
             "source and target commutation-exponent matrices differ"
@@ -732,6 +724,7 @@ def synthesize(
     basis_u = _complete_basis(u_rows, gram_u, p)
     basis_v = _complete_basis(v_rows, gram_v, p)
     t_matrix = (basis_v.T @ _inv_matrix(basis_u.T, p)) % p
+    omega_m = standard_form(m)
     if not np.array_equal((t_matrix.T @ omega_m @ t_matrix) % p, omega_m % p):
         raise InvariantError("change of basis is not symplectic")
     for u, v in zip(u_rows, v_rows):
@@ -749,7 +742,7 @@ def synthesize(
         residues.append((img.tau - 2 * tgt.phase) % (2 * p))
     fixable = [i for i, r in enumerate(residues) if r % 2 == 0]
     if fixable:
-        rows = _orthogonality_rows(v_rows[fixable], p)
+        rows = orthogonality_rows(v_rows[fixable], p)
         # Conjugating an operator with image v by the Pauli layer of image w
         # shifts its w-exponent by <v, w>_s = rows @ w.
         rhs = np.array([(-residues[i] // 2) % p for i in fixable], dtype=np.int64)

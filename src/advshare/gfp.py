@@ -32,6 +32,9 @@ DEFAULT_ENUM_BUDGET = 2**20
 #: Default cap on dense state and matrix sizes (amplitude count p**m).
 DEFAULT_STATE_BUDGET = 2**12
 
+#: Vectors per block that :func:`iter_span` yields.
+SPAN_BLOCK = 1 << 14
+
 
 def check_modulus(p: int) -> int:
     if p not in PRIMES:
@@ -282,12 +285,9 @@ def row_space_equal(a, b, p: int) -> bool:
     return ra.shape == rb.shape and bool(np.array_equal(ra, rb))
 
 
-def span_size(dim: int, p: int) -> int:
-    return p**dim
-
-
-def iter_span(basis, p: int, chunk: int = 1 << 14) -> Iterator[np.ndarray]:
-    """Yield all p**dim vectors of the span of ``basis`` in blocks.
+def iter_span(basis, p: int) -> Iterator[np.ndarray]:
+    """Yield all p**dim vectors of the span of ``basis`` in blocks of
+    :data:`SPAN_BLOCK`.
 
     Coefficient tuples are enumerated in mixed-radix order (last coefficient
     fastest), so the zero vector is always the first entry of the first
@@ -295,12 +295,12 @@ def iter_span(basis, p: int, chunk: int = 1 << 14) -> Iterator[np.ndarray]:
     """
     a = as_matrix(basis, p)
     dim = a.shape[0]
-    total = span_size(dim, p)
+    total = p**dim
     if dim == 0:
         yield np.zeros((1, a.shape[1]), dtype=np.int64)
         return
     radix = p ** np.arange(dim - 1, -1, -1, dtype=np.int64)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+    for start in range(0, total, SPAN_BLOCK):
+        idx = np.arange(start, min(start + SPAN_BLOCK, total), dtype=np.int64)
         coeffs = (idx[:, None] // radix[None, :]) % p
         yield (coeffs @ a) % p

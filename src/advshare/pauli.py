@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from typing import Any, Optional
 
 import numpy as np
 
@@ -276,8 +276,10 @@ def code_distance(
     k >= 1.  Walks share sets E by size and stops at the first size with
     an uncorrectable erasure, ``2|E| - r_E > r - r_E'``; r_E' is only
     queried for sets with ``r_E < 2|E|``, since the others hold no dual
-    vector.  ``budget`` caps the share sets visited, at most 2^n - 1; the
-    result is cached on the code.
+    vector, and not at all at a size where some set has ``2|E| - r_E > r``,
+    since ``r - r_E' <= r`` makes that set uncorrectable.  ``budget`` caps
+    the share sets visited, at most 2^n - 1; the result is cached on the
+    code.
     """
     if code._distance is not None:
         return code._distance
@@ -286,6 +288,8 @@ def code_distance(
     structure = code.share_structure()
 
     def uncorrectable(size: int, masks: list[int], ranks: list[int]) -> bool:
+        if 2 * size - min(ranks) > code.num_checks:
+            return True
         deficient = [m for m, rk in zip(masks, ranks) if rk < 2 * size]
         return not all(structure.correctable(deficient))
 
@@ -313,9 +317,7 @@ def random_stabilizer(
         if rows.shape[0] == 0:
             candidates = np.eye(2 * n, dtype=np.int64)
         else:
-            gx, gz = rows[:, :n], rows[:, n:]
-            constraint = np.concatenate([(-gz) % p, gx], axis=1)
-            candidates = gfp.kernel(constraint, p)
+            candidates = gfp.kernel(symplectic.orthogonality_rows(rows, p), p)
         coeffs = rng.integers(0, p, size=candidates.shape[0])
         candidate = (coeffs @ candidates) % p
         if not candidate.any():

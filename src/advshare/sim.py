@@ -87,7 +87,7 @@ from .pauli import (
     omega,
     zeta,
 )
-from .symplectic import validated_shares
+from .symplectic import complement, orthogonality_rows, owned_columns, validated_shares
 
 NORM_TOL = 1e-10
 EIGEN_TOL = 1e-9
@@ -504,8 +504,7 @@ class _Erasure:
 
 def _symplectic_rows(code: StabilizerCode) -> np.ndarray:
     """[h_z | -h_x]: the row i times an (x | z) vector is <f(Q), h_i>_s."""
-    h, n = code.check_matrix, code.n
-    return np.concatenate([h[:, n:], -h[:, :n]], axis=1) % code.p
+    return (-orthogonality_rows(code.check_matrix, code.p)) % code.p
 
 
 def _erasures(
@@ -529,10 +528,9 @@ def _erasures(
     for err in distinct:
         by_size.setdefault(len(err), []).append(err)
     out = {}
-    for size, group in by_size.items():
+    for group in by_size.values():
         # Row g: the x slots of set g's erased qudits, then their z slots.
-        err0 = np.array(group, dtype=np.intp).reshape(len(group), size) - 1
-        slots = np.concatenate([err0, n + err0], axis=1)
+        slots = owned_columns(group, n)
         maps = gfp.solution_maps(rows[:, slots].transpose(1, 0, 2), code.p)
         for err, slot, solver in zip(group, slots, maps):
             full = np.zeros((2 * n, rows.shape[0]), dtype=np.int64)
@@ -738,7 +736,7 @@ def reconstruct(
     """
     _check_plan_matches(code, plan.shares, plan, circuit)
     acc = validated_shares(accessible, code.n)
-    erased = [j for j in range(1, code.n + 1) if j not in acc]
+    erased = complement(acc, code.n)
     decoded = erase_and_decode(state, code, syndrome, erased, rng, budget=budget)
     rho = _secret_density(decoded.state, plan, circuit.inverse())
     eigvals, eigvecs = np.linalg.eigh(rho)
@@ -822,7 +820,7 @@ def simulate_protocol(
     runs: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     for acc in accessible_sets:
         acc = validated_shares(acc, n)
-        runs += [(acc, tuple(j for j in range(1, n + 1) if j not in acc))] * trials
+        runs += [(acc, complement(acc, n))] * trials
     erasures = _erasures(code, [erased for _, erased in runs])
     rng = np.random.default_rng(seed)
 

@@ -9,12 +9,17 @@ The symplectic inner product of ``(a|b)`` and ``(c|d)`` is
 ``a.d - b.c  (mod p)``; it vanishes exactly when the corresponding Pauli
 operators commute.  Shortening and puncturing always remove a share's x and
 z coordinates together.
+
+This module is the only one that knows the layout: every other module
+reads a share's columns from :func:`owned_columns`, the shares outside a
+set from :func:`complement`, and symplectic products from
+:func:`product_matrix` and :func:`orthogonality_rows`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -81,6 +86,12 @@ def product_matrix(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return (ax @ bz.T - az @ bx.T) % p
 
 
+def orthogonality_rows(vectors: np.ndarray, p: int) -> np.ndarray:
+    """Rows ``[-v_z | v_x]``: row i times d is <v_i, d>_s."""
+    vx, vz = _split(np.asarray(vectors))
+    return np.concatenate([(-vz) % p, vx], axis=-1)
+
+
 def symplectic_weight(vectors: np.ndarray, n: int) -> np.ndarray:
     """Number of shares where (x_i, z_i) != (0, 0), per row."""
     v = np.asarray(vectors)
@@ -144,11 +155,20 @@ def validated_shares(shares: Iterable[int], n: int) -> tuple[int, ...]:
     return js
 
 
-def _share_columns(shares: Iterable[int], n: int) -> tuple[list[int], list[int]]:
-    """Validated 1-based shares -> (0-based share list, owned column list)."""
-    zero_based = [j - 1 for j in validated_shares(shares, n)]
-    cols = [j for j in zero_based] + [n + j for j in zero_based]
-    return zero_based, cols
+def owned_columns(shares, n: int) -> np.ndarray:
+    """The 0-based x columns, then the z columns, of 1-based shares.
+
+    ``shares`` may carry leading batch axes: an ``(..., m)`` array of
+    shares gives ``(..., 2m)`` columns.  Shares are not validated here.
+    """
+    zero_based = np.asarray(shares, dtype=np.intp) - 1
+    return np.concatenate([zero_based, zero_based + n], axis=-1)
+
+
+def complement(shares: Iterable[int], n: int) -> tuple[int, ...]:
+    """The 1-based shares of 1..n outside ``shares``, in ascending order."""
+    inside = set(shares)
+    return tuple(j for j in range(1, n + 1) if j not in inside)
 
 
 def symplectic_dual(code: SymplecticCode) -> SymplecticCode:
@@ -156,31 +176,28 @@ def symplectic_dual(code: SymplecticCode) -> SymplecticCode:
     p, n = code.p, code.n
     if code.dim == 0:
         return SymplecticCode(p, n, np.eye(2 * n, dtype=np.int64))
-    gx, gz = _split(code.generators)
-    # <g, v>_s = 0 for all g  <=>  [-gz | gx] @ v = 0.
-    constraint = np.concatenate([(-gz) % p, gx], axis=1)
-    return SymplecticCode(p, n, gfp.kernel(constraint, p))
+    return SymplecticCode(p, n, gfp.kernel(orthogonality_rows(code.generators, p), p))
 
 
 def shorten(code: SymplecticCode, shares: Iterable[int]) -> SymplecticCode:
     """Codewords vanishing on the given shares, with those shares deleted."""
-    zero_based, cols = _share_columns(shares, code.n)
-    if not zero_based:
+    js = validated_shares(shares, code.n)
+    if not js:
         return code
-    sub = code.generators[:, cols]
+    sub = code.generators[:, owned_columns(js, code.n)]
     coeffs = gfp.kernel(sub.T, code.p)
     selected = (coeffs @ code.generators) % code.p
-    keep = [c for c in range(2 * code.n) if c not in set(cols)]
-    return SymplecticCode(code.p, code.n - len(zero_based), selected[:, keep])
+    keep = owned_columns(complement(js, code.n), code.n)
+    return SymplecticCode(code.p, code.n - len(js), selected[:, keep])
 
 
 def puncture(code: SymplecticCode, shares: Iterable[int]) -> SymplecticCode:
     """Delete the given shares' coordinates from every codeword."""
-    zero_based, cols = _share_columns(shares, code.n)
-    if not zero_based:
+    js = validated_shares(shares, code.n)
+    if not js:
         return code
-    keep = [c for c in range(2 * code.n) if c not in set(cols)]
-    return SymplecticCode(code.p, code.n - len(zero_based), code.generators[:, keep])
+    keep = owned_columns(complement(js, code.n), code.n)
+    return SymplecticCode(code.p, code.n - len(js), code.generators[:, keep])
 
 
 def min_symplectic_weight(
@@ -193,7 +210,7 @@ def min_symplectic_weight(
     """
     if code.dim == 0:
         raise ValueError("minimum weight of the zero space is undefined")
-    total = gfp.span_size(code.dim, code.p)
+    total = code.p**code.dim
     if total > budget:
         raise BudgetExceededError(
             f"enumeration limit: {code.p}**{code.dim} = {total} codewords "

@@ -218,6 +218,40 @@ def test_chunked_ranks_match_rank_per_set(five_qubit, monkeypatch):
         assert rank == gfp.rank(five_qubit.check_matrix[:, cols], five_qubit.p)
 
 
+@pytest.mark.parametrize("p, checks", [(2, 3), (2, 70), (3, 4)])
+def test_rank_chunks_stay_within_the_entry_limit(p, checks, monkeypatch):
+    """Complements of small sets are large: each elimination takes only as
+    many of them as fit the entry limit, and the ranks do not change."""
+    n = 12
+    h = np.random.default_rng([p, checks]).integers(0, p, size=(checks, 2 * n))
+    structure = ShareStructure(p, n, h)
+    row_entries = (structure._words if p == 2 else structure._columns).shape[1]
+    per_set = n + 2 * (n - 1) * (1 + row_entries)
+    monkeypatch.setattr(access, "CHUNK_ENTRIES", 3 * per_set)
+    chunks = []
+    chunk_ranks = structure._chunk_ranks
+
+    def recorded(masks, size):
+        chunks.append((len(masks), size))
+        return chunk_ranks(masks, size)
+
+    monkeypatch.setattr(structure, "_chunk_ranks", recorded)
+    masks = [structure.full ^ m for size in (1, 2) for m in access.masks_of_size(n, size)]
+    for mask, rank in zip(masks, structure.ranks(masks)):
+        shares = [j for j in range(n) if mask >> j & 1]
+        assert rank == gfp.rank(h[:, shares + [n + j for j in shares]], p)
+    assert len(chunks) > 2
+    for count, size in chunks:
+        assert count * (n + 2 * size * (1 + row_entries)) <= access.CHUNK_ENTRIES
+
+
+def test_distance_skips_complements_of_sets_beyond_the_check_count():
+    """A size with 2|E| - r_E > r is uncorrectable without r_E'."""
+    code = validate_stabilizer(np.zeros((0, 12), dtype=np.int64), 2, 6)
+    assert code_distance(code) == 1
+    assert max(mask.bit_count() for mask in code.share_structure()._ranks) == 1
+
+
 @pytest.mark.parametrize("checks, n", [(70, 40), (130, 70)])
 def test_packed_ranks_match_rank_per_set_past_one_word(checks, n, monkeypatch):
     """p = 2 structures over more than 64 checks rank on several words per column."""

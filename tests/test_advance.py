@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from advshare import gfp
 from advshare.advance import (
@@ -14,8 +16,14 @@ from advshare.advance import (
     is_advance_shareable_sufficient,
     normal_form,
 )
+from advshare.codefile import parse_code_file
 from advshare.errors import BudgetExceededError, NotAdvanceShareableError
-from advshare.pauli import PauliOperator, random_stabilizer, validate_stabilizer
+from advshare.pauli import (
+    PauliOperator,
+    commutation_exponent,
+    random_stabilizer,
+    validate_stabilizer,
+)
 from advshare.symplectic import shorten
 
 # Sufficient-check converse failure: two independent XX/ZZ blocks plus an
@@ -235,3 +243,74 @@ def test_enumerate_budget_names_its_stage():
         enumerate_advance_shareable(code, 2, budget=20 + 190 - 1)
     found = enumerate_advance_shareable(code, 2, budget=20 + 190)
     assert found and all(s.dimension_criterion and not s.weight_criterion for s in found)
+
+
+def reference_gram(generators):
+    """The commutation-exponent table, one commutation_exponent per pair."""
+    g = np.zeros((len(generators), len(generators)), dtype=np.int64)
+    for i, a in enumerate(generators):
+        for j, b in enumerate(generators):
+            g[i, j] = commutation_exponent(a, b)
+    return g
+
+
+def reference_targets(plan):
+    """The target generators built wire by wire, each wire found by looking
+    its share up in the complement of J."""
+    p, n, c = plan.p, plan.n, plan.c
+    complement = tuple(j for j in range(1, n + 1) if j not in set(plan.shares))
+    m = len(complement)
+
+    def on(share, x, z):
+        xv, zv = np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64)
+        xv[complement.index(share)], zv[complement.index(share)] = x, z
+        return PauliOperator(p, xv, zv)
+
+    rows = len(plan.source_generators)
+    return (
+        [on(plan.x_positions[j], plan.normal.mu[i], 0) for i, j in enumerate(plan.shares)]
+        + [on(plan.x_positions[j], 0, 1) for j in plan.shares]
+        + [on(plan.z_positions[r], 0, 1) for r in range(2 * c, rows)]
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_gram_matrix_matches_the_pairwise_table(data):
+    p = data.draw(st.sampled_from(gfp.PRIMES), label="p")
+    n = data.draw(st.integers(1, 5), label="n")
+    count = data.draw(st.integers(0, 6), label="count")
+    part = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    generators = [
+        PauliOperator(p, data.draw(part), data.draw(part), data.draw(st.integers(0, p - 1)))
+        for _ in range(count)
+    ]
+    gram = gram_matrix(generators)
+    assert gram.shape == (count, count)
+    assert np.array_equal(gram, reference_gram(generators))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_plan_targets_match_the_wire_lookup_on_random_codes(data):
+    p = data.draw(st.sampled_from(gfp.PRIMES), label="p")
+    n = data.draw(st.integers(1, 5), label="n")
+    rows = data.draw(st.integers(0, n), label="rows")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    code = random_stabilizer(p, n, rows, np.random.default_rng([p, n, rows, seed]))
+    for size in range(rows // 2 + 1):
+        for shares in itertools.combinations(range(1, n + 1), size):
+            if is_advance_shareable(code, shares):
+                plan = construct_eaqecc(code, shares)
+                assert list(plan.target_generators) == reference_targets(plan)
+
+
+@pytest.mark.parametrize("name", ["five_qubit", "four_qubit_ghz", "qutrit_ghz"])
+def test_plan_targets_match_the_wire_lookup_on_shipped_codes(name, code_dir):
+    p, n, rows = parse_code_file((code_dir / f"{name}.code").read_text())
+    code = validate_stabilizer(rows, p, n)
+    found = enumerate_advance_shareable(code, n)
+    assert found
+    for shares in [()] + [s.shares for s in found]:
+        plan = construct_eaqecc(code, shares)
+        assert list(plan.target_generators) == reference_targets(plan)

@@ -11,7 +11,6 @@ from advshare.clifford import (
     PhasedPauli,
     _complete_basis,
     _inv_matrix,
-    _orthogonality_rows,
     _span_reduction,
     apply_circuit_tensor,
     conjugate_pauli,
@@ -29,6 +28,7 @@ from advshare.errors import (
     InvariantError,
 )
 from advshare.pauli import PauliOperator, omega, single, to_matrix, zeta
+from advshare.symplectic import orthogonality_rows
 from tests_util_circuits import random_circuit
 
 #: Wire registers of the fused-versus-reference sweep hold at most this many
@@ -100,7 +100,7 @@ def slow_complete_basis(vectors, gram, p):
 
     def rows_of(constraints):
         stacked = np.array(constraints, dtype=np.int64).reshape(len(constraints), two_m)
-        return _orthogonality_rows(stacked, p)
+        return orthogonality_rows(stacked, p)
 
     basis = []
     for a, b in pairs:

@@ -2,13 +2,18 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from advshare import gfp
 from advshare.errors import BudgetExceededError
 from advshare.symplectic import (
     SymplecticCode,
     SymplecticVector,
+    complement,
     min_symplectic_weight,
+    orthogonality_rows,
+    owned_columns,
     product_matrix,
     puncture,
     shorten,
@@ -248,3 +253,43 @@ def test_product_matrix_consistency(rng):
             u = SymplecticVector.from_vec(a[i], p)
             v = SymplecticVector.from_vec(b[j], p)
             assert table[i, j] == symplectic_product(u, v)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_layout_helpers_match_the_comprehensions(data):
+    """owned_columns and complement against the list comprehensions they
+    replace, on the empty set, the full set, a drawn set and a batch."""
+    n = data.draw(st.integers(1, 8), label="n")
+    drawn = tuple(sorted(data.draw(st.sets(st.integers(1, n)), label="shares")))
+    for js in [(), tuple(range(1, n + 1)), drawn]:
+        assert owned_columns(js, n).tolist() == [j - 1 for j in js] + [n + j - 1 for j in js]
+        assert complement(js, n) == tuple(j for j in range(1, n + 1) if j not in set(js))
+    size = data.draw(st.integers(0, n), label="size")
+    batch = data.draw(
+        st.lists(st.lists(st.integers(1, n), min_size=size, max_size=size), min_size=1, max_size=4),
+        label="batch",
+    )
+    stacked = owned_columns(batch, n)
+    assert stacked.shape == (len(batch), 2 * size)
+    for row, shares in zip(stacked, batch):
+        assert row.tolist() == [j - 1 for j in shares] + [n + j - 1 for j in shares]
+    assert np.array_equal(owned_columns([batch, batch], n), np.stack([stacked, stacked]))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_orthogonality_rows_give_the_symplectic_product(data):
+    p = data.draw(st.sampled_from(gfp.PRIMES), label="p")
+    n = data.draw(st.integers(1, 5), label="n")
+    count = data.draw(st.integers(0, 4), label="count")
+    entries = st.lists(st.integers(0, p - 1), min_size=2 * n, max_size=2 * n)
+    vectors = np.array(data.draw(st.lists(entries, min_size=count, max_size=count)), dtype=np.int64)
+    vectors = vectors.reshape(count, 2 * n)
+    d = np.array(data.draw(entries, label="d"), dtype=np.int64)
+    rows = orthogonality_rows(vectors, p)
+    assert rows.shape == (count, 2 * n)
+    dv = SymplecticVector.from_vec(d, p)
+    for v, row in zip(vectors, rows):
+        assert int(row @ d % p) == symplectic_product(SymplecticVector.from_vec(v, p), dv)
+        assert np.array_equal(orthogonality_rows(v, p), row)
