@@ -21,11 +21,16 @@ which some E fails to be a correctable erasure, respectively has
 share-set sizes, at a cost of share sets visited rather than the ``p**(n+k)``
 vectors of the dual space.
 
-:class:`ShareStructure` caches ``r_E`` by share bitmask (bit ``j - 1`` for
-share j) and fills missing masks with batched eliminations, one size and
-at most :data:`CHUNK` sets, holding at most :data:`CHUNK_ENTRIES` entries,
-at a time: :func:`advshare.gfp.packed_rank` on bit-packed columns at
-p = 2, :func:`advshare.gfp.batched_rank` at odd p.
+A share set is a sorted row of distinct 1-based shares (not validated
+here), and a query takes the rows of m sets of one size w.
+:func:`share_sets` lists every w-set in lexicographic order, in which row i
+of size w and row ``C(n, w) - 1 - i`` of size ``n - w`` are complements.
+:class:`ShareStructure` keeps one array of r_E per size ranked in full
+(:meth:`ShareStructure.level`): the walks and the 2^n access table read r_E'
+of a size as ``level(n - w)[::-1]``, and a query on given sets reads a kept
+level by row index.  Everything else is eliminated in batches of at most
+:data:`CHUNK_ENTRIES` entries: :func:`advshare.gfp.packed_rank` on
+bit-packed columns at p = 2, :func:`advshare.gfp.batched_rank` at odd p.
 :meth:`advshare.pauli.StabilizerCode.share_structure` keeps one per code.
 """
 
@@ -34,22 +39,18 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import gfp
 from .errors import BudgetExceededError
-from .symplectic import owned_columns, validated_shares
-
-#: Most share sets one batched elimination takes.
-CHUNK = 4096
+from .symplectic import owned_columns
 
 #: Most entries one batched elimination allocates: per share set of size
-#: |E|, its n unpacked mask bits, 2|E| column indices and 2|E| stack rows.
-#: Bounds the memory of a rank query whatever its sets' sizes.  Codes on at
-#: most 10 shares, or at p = 2 on at most 51 shares and 64 checks, still
-#: rank :data:`CHUNK` sets to a chunk.
+#: |E|, 2|E| column indices and 2|E| stack rows, plus n membership flags
+#: when the sets are complements.  Bounds the memory of a rank query
+#: whatever its sets' sizes.
 CHUNK_ENTRIES = 1 << 20
 
 
@@ -59,19 +60,25 @@ class AccessLabel(enum.Enum):
     INTERMEDIATE = "intermediate"
 
 
-def share_mask(shares: Iterable[int], n: int) -> int:
-    """Bitmask of a validated 1-based share set."""
-    return sum(1 << (j - 1) for j in validated_shares(shares, n))
+_LABELS = list(AccessLabel)
 
 
-def masks_of_size(n: int, size: int) -> list[int]:
-    """Bitmasks of every size-``size`` subset of n shares, in lexicographic order."""
-    return [sum(c) for c in itertools.combinations([1 << j for j in range(n)], size)]
+def share_sets(n: int, w: int) -> np.ndarray:
+    """Every w-subset of the shares 1..n, one per row, in lexicographic order."""
+    count = math.comb(n, w)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(1, n + 1), w))
+    return np.fromiter(flat, dtype=np.intp, count=count * w).reshape(count, w)
 
 
-def _mask_shares(mask: int, n: int) -> tuple[int, ...]:
-    """The sorted 1-based shares of a bitmask over n shares."""
-    return tuple(j + 1 for j in range(n) if mask >> j & 1)
+def _row_index(sets: np.ndarray, n: int) -> np.ndarray:
+    """The row of each sorted w-set in ``share_sets(n, w)``:
+    ``C(n, w) - 1 - sum_i C(n - s_i, w - i)`` over 0-based positions i."""
+    count, w = sets.shape
+    index = np.full(count, math.comb(n, w) - 1, dtype=np.int64)
+    for i in range(w):
+        after, at = np.unique(n - sets[:, i], return_inverse=True)
+        index -= np.array([math.comb(int(a), w - i) for a in after], dtype=np.int64)[at]
+    return index
 
 
 def check_budget(count: int, budget: int, stage: str, scope: str = "") -> None:
@@ -83,121 +90,111 @@ def check_budget(count: int, budget: int, stage: str, scope: str = "") -> None:
 
 
 class ShareStructure:
-    """Ranks of column-restricted check matrices, cached by share mask."""
+    """Ranks of column-restricted check matrices, kept one size at a time."""
 
     def __init__(self, p: int, n: int, check_matrix: np.ndarray):
         self.p = p
         self.n = n
         self.num_checks = int(check_matrix.shape[0])
-        self.full = (1 << n) - 1
         # Row c of the transpose is column c of H: stacking rows selects a
         # share set's columns, and the transpose has the same rank.
         self._columns = gfp.as_matrix(check_matrix, p).T.copy()
         # At p = 2 each column is also one row of uint64 words, a bit per check.
         self._words = gfp.pack_bits(self._columns) if p == 2 else None
         self._row_entries = (self._words if p == 2 else self._columns).shape[1]
-        self._ranks: dict[int, int] = {0: 0}
+        self._levels: dict[int, np.ndarray] = {0: np.zeros(1, dtype=np.int64)}
 
-    def ranks(self, masks: Sequence[int]) -> list[int]:
-        """r_E for every share mask E."""
-        missing = [m for m in dict.fromkeys(masks) if m not in self._ranks]
-        by_size: dict[int, list[int]] = {}
-        for m in missing:
-            by_size.setdefault(m.bit_count(), []).append(m)
-        for size, group in by_size.items():
-            per_set = self.n + 2 * size * (1 + self._row_entries)
-            step = max(1, min(CHUNK, CHUNK_ENTRIES // per_set))
-            for start in range(0, len(group), step):
-                chunk = group[start : start + step]
-                self._ranks.update(zip(chunk, self._chunk_ranks(chunk, size).tolist()))
-        return [self._ranks[m] for m in masks]
+    def level(self, w: int) -> np.ndarray:
+        """r_E of every w-set, in :func:`share_sets` order; ranked once and kept."""
+        if w not in self._levels:
+            self._levels[w] = self._eliminate(share_sets(self.n, w), False)
+        return self._levels[w]
 
-    def _chunk_ranks(self, masks: Sequence[int], size: int) -> np.ndarray:
-        """r_E for share masks that all have ``size`` shares."""
-        owned = self._owned_columns(masks, size)
+    def ranks(self, sets) -> np.ndarray:
+        """r_E of each of m sorted w-sets, given as an ``(m, w)`` array or a
+        list of m tuples: read from a kept level by row index, else eliminated."""
+        sets = np.asarray(sets, dtype=np.intp)
+        if sets.shape[1] not in self._levels:
+            return self._eliminate(sets, False)
+        return self._levels[sets.shape[1]][_row_index(sets, self.n)]
+
+    def complement_ranks(self, sets) -> np.ndarray:
+        """r_E' of each of m sorted w-sets, given as for :meth:`ranks`."""
+        sets = np.asarray(sets, dtype=np.intp)
+        if self.n - sets.shape[1] not in self._levels:
+            return self._eliminate(sets, True)
+        return self._levels[self.n - sets.shape[1]][::-1][_row_index(sets, self.n)]
+
+    def pair(self, sets) -> tuple[int, np.ndarray, np.ndarray]:
+        """(w, r_E, r_E') of m sorted w-sets, given as for :meth:`ranks`."""
+        sets = np.asarray(sets, dtype=np.intp)
+        return sets.shape[1], self.ranks(sets), self.complement_ranks(sets)
+
+    def _eliminate(self, sets: np.ndarray, outside: bool) -> np.ndarray:
+        """r_E of each row, or r_E' if ``outside``, in chunks of at most
+        :data:`CHUNK_ENTRIES` entries."""
+        count, w = sets.shape
+        size = self.n - w if outside else w
+        per_set = (self.n if outside else 0) + 2 * size * (1 + self._row_entries)
+        step = max(1, CHUNK_ENTRIES // max(1, per_set))
+        out = np.empty(count, dtype=np.int64)
+        for start in range(0, count, step):
+            chunk = sets[start : start + step]
+            if outside:
+                member = np.zeros((len(chunk), self.n), dtype=bool)
+                member[np.arange(len(chunk))[:, None], chunk - 1] = True
+                chunk = np.nonzero(~member)[1].reshape(len(chunk), size) + 1
+            out[start : start + step] = self._chunk_ranks(chunk)
+        return out
+
+    def _chunk_ranks(self, sets: np.ndarray) -> np.ndarray:
+        """r_E for the rows of one chunk of equally sized sets."""
+        owned = owned_columns(sets, self.n)
         if self._words is not None:
             return gfp.packed_rank(self._words[owned])
         stack = self._columns[owned]
         # stack is (batch, 2 * size, num_checks); loop over the shorter side.
-        if 2 * size < self.num_checks:
+        if owned.shape[1] < self.num_checks:
             stack = np.swapaxes(stack, 1, 2)
         return gfp.batched_rank(stack, self.p)
 
-    def _owned_columns(self, masks: Sequence[int], size: int) -> np.ndarray:
-        """(len(masks), 2 * size) indices of the x then z columns of each set."""
-        width = (self.n + 7) // 8
-        raw = b"".join(m.to_bytes(width, "little") for m in masks)
-        bits = np.unpackbits(
-            np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), width),
-            axis=1,
-            bitorder="little",
-        )
-        return owned_columns(np.nonzero(bits)[1].reshape(len(masks), size) + 1, self.n)
-
     def smallest_size(
         self,
-        holds: Callable[[int, list[int], list[int]], bool],
+        holds: Callable[[int, np.ndarray, np.ndarray], bool],
         last: int,
         stage: str,
         budget: int,
     ) -> Optional[int]:
         """The first share-set size w <= last at which ``holds`` is true.
 
-        Sizes w = 1, 2, ... are visited in turn; ``holds(w, masks, ranks)``
-        sees every size-w mask with its r_E, filled by one batched query.
+        Sizes w = 1, 2, ... are visited in turn; ``holds(w, sets, ranks)``
+        sees every w-set (:func:`share_sets`) and its r_E, kept as ``level(w)``.
         Before each size the share sets visited so far, that size included,
         are checked against ``budget``, and a refusal names ``stage``.
         Returns None when no size up to ``last`` qualifies.
         """
         visited = 0
-        for size in range(1, last + 1):
-            visited += math.comb(self.n, size)
-            check_budget(visited, budget, stage, f" up to size {size}")
-            masks = masks_of_size(self.n, size)
-            if holds(size, masks, self.ranks(masks)):
-                return size
+        for w in range(1, last + 1):
+            visited += math.comb(self.n, w)
+            check_budget(visited, budget, stage, f" up to size {w}")
+            sets = share_sets(self.n, w)
+            if w not in self._levels:
+                self._levels[w] = self._eliminate(sets, False)
+            if holds(w, sets, self._levels[w]):
+                return w
         return None
 
-    def shareable(self, masks: Sequence[int]) -> list[bool]:
-        """Whether each share set can be handed out before the secret."""
-        fits = [m for m in masks if 2 * m.bit_count() <= self.num_checks]
-        ok = {m: rk == 2 * m.bit_count() for m, rk in zip(fits, self.ranks(fits))}
-        return [ok.get(m, False) for m in masks]
+    def correctable(self, w: int, inside: np.ndarray, outside: np.ndarray) -> np.ndarray:
+        """2|E| - r_E == r - r_E': every dual vector inside E is a check."""
+        return 2 * w - inside == self.num_checks - outside
 
-    def _rank_pairs(self, masks: Sequence[int]) -> list[tuple[int, int]]:
-        """(r_E, r_E') per mask, filled in one batched query."""
-        complements = [self.full ^ m for m in masks]
-        ranks = self.ranks(list(masks) + complements)
-        return list(zip(ranks[: len(masks)], ranks[len(masks) :]))
+    def labels(self, w: int, inside: np.ndarray, outside: np.ndarray) -> list[AccessLabel]:
+        """Access label of each w-set from its r_E and r_E'."""
+        qualified = self.correctable(self.n - w, outside, inside)
+        forbidden = self.correctable(w, inside, outside)
+        return [_LABELS[c] for c in np.select([qualified, forbidden], [0, 1], 2).tolist()]
 
-    def _erasable(self, size: int, inside: int, outside: int) -> bool:
-        """2|E| - r_E == r - r_E': dual vectors inside E are all checks."""
-        return 2 * size - inside == self.num_checks - outside
-
-    def correctable(self, masks: Sequence[int]) -> list[bool]:
-        """Whether erasing each share set is recoverable."""
-        return [
-            self._erasable(m.bit_count(), inside, outside)
-            for m, (inside, outside) in zip(masks, self._rank_pairs(masks))
-        ]
-
-    def labels(self, masks: Sequence[int]) -> list[AccessLabel]:
-        """Access label of each share set."""
-        out = []
-        for m, (inside, outside) in zip(masks, self._rank_pairs(masks)):
-            size = m.bit_count()
-            if self._erasable(self.n - size, outside, inside):
-                out.append(AccessLabel.QUALIFIED)
-            elif self._erasable(size, inside, outside):
-                out.append(AccessLabel.FORBIDDEN)
-            else:
-                out.append(AccessLabel.INTERMEDIATE)
-        return out
-
-    def mutual_information(self, masks: Sequence[int]) -> list[int]:
-        """I(R:A) in units of log p for each share set A."""
-        k = self.n - self.num_checks
-        return [
-            k + 2 * m.bit_count() - self.n + outside - inside
-            for m, (inside, outside) in zip(masks, self._rank_pairs(masks))
-        ]
+    def mutual_information(self, w: int, inside: np.ndarray, outside: np.ndarray) -> np.ndarray:
+        """I(R:A) in units of log p of each w-set A from its r_A and r_A'."""
+        # k + 2|A| - n = 2|A| - r.
+        return 2 * w - self.num_checks + outside - inside

@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import gfp
-from .access import _mask_shares, check_budget, masks_of_size, share_mask
+from .access import check_budget, share_sets
 from .errors import InvariantError, NotAdvanceShareableError
 from .pauli import PauliOperator, StabilizerCode, single
 from .symplectic import complement, owned_columns, product_matrix, validated_shares
@@ -38,7 +38,8 @@ def is_advance_shareable(code: StabilizerCode, shares: Iterable[int]) -> bool:
     Equivalently the 2|J| columns J owns have full rank in the check
     matrix; the code's cached share structure answers from that rank.
     """
-    return code.share_structure().shareable([share_mask(shares, code.n)])[0]
+    js = validated_shares(shares, code.n)
+    return bool(code.share_structure().ranks([js])[0] == 2 * len(js))
 
 
 def dual_min_weight(
@@ -54,8 +55,8 @@ def dual_min_weight(
     """
     last = code.num_checks // 2
 
-    def deficient(size: int, masks: list[int], ranks: list[int]) -> bool:
-        return any(rk < 2 * size for rk in ranks)
+    def deficient(w: int, sets: np.ndarray, ranks: np.ndarray) -> bool:
+        return bool((ranks < 2 * w).any())
 
     found = code.share_structure().smallest_size(
         deficient, last, "dual minimum weight", budget
@@ -282,9 +283,12 @@ def enumerate_advance_shareable(
     last = min(max_size, code.num_checks // 2)
     candidates = sum(math.comb(code.n, size) for size in range(1, last + 1))
     check_budget(candidates, budget, "advance-shareable sets", f" up to size {last}")
-    masks = [mask for size in range(1, last + 1) for mask in masks_of_size(code.n, size)]
-    verdicts = code.share_structure().shareable(masks)
-    shareable = sorted(_mask_shares(mask, code.n) for mask, ok in zip(masks, verdicts) if ok)
+    structure = code.share_structure()
+    shareable = sorted(
+        tuple(js)
+        for w in range(1, last + 1)
+        for js in share_sets(code.n, w)[structure.level(w) == 2 * w].tolist()
+    )
     return [
         ShareableSet(shares=js, dimension_criterion=True, weight_criterion=len(js) < threshold)
         for js in shareable

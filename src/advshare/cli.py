@@ -25,10 +25,8 @@ import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-import numpy as np
-
 from . import advance, codefile, sim
-from .access import AccessLabel, _mask_shares, check_budget, masks_of_size
+from .access import AccessLabel, check_budget, share_sets
 from .clifford import encoding_circuit
 from .errors import (
     AdvShareError,
@@ -158,11 +156,11 @@ def _analyze_section(code: StabilizerCode, max_size: int, budget: int) -> dict:
 
 
 def _access_table(
-    subsets: list[tuple[int, ...]], labels: list[AccessLabel], mi: list[int] | None
+    subsets: list[list[int]], labels: list[AccessLabel], mi: list[int] | None
 ) -> list[dict]:
     table = []
     for i, (subset, label) in enumerate(zip(subsets, labels)):
-        entry = {"shares": list(subset), "size": len(subset), "label": label.value}
+        entry = {"shares": subset, "size": len(subset), "label": label.value}
         if mi is not None:
             entry["mutual_information"] = float(mi[i])
         table.append(entry)
@@ -213,14 +211,17 @@ def _demo_section(
         },
     }
     check_budget(1 << code.n, enum_budget, "access table")
-    # Masks run by size, each size in lexicographic share order.
-    masks = [mask for size in range(code.n + 1) for mask in masks_of_size(code.n, size)]
-    subsets = [_mask_shares(mask, code.n) for mask in masks]
-    # One batched rank query covers every label and mutual information.
+    # Sets run by size, each size in lexicographic share order; one level of
+    # ranks per size, read forwards and reversed, gives every label and
+    # mutual information.
     structure = code.share_structure()
-    labels = structure.labels(masks)
-    mi = structure.mutual_information(masks) if trials > 0 else None
-    section["access_table"] = _access_table(subsets, labels, mi)
+    subsets, labels, mi = [], [], []
+    for w in range(code.n + 1):
+        ranks = w, structure.level(w), structure.level(code.n - w)[::-1]
+        subsets += share_sets(code.n, w).tolist()
+        labels += structure.labels(*ranks)
+        mi += structure.mutual_information(*ranks).tolist()
+    section["access_table"] = _access_table(subsets, labels, mi if trials > 0 else None)
     if trials > 0:
         qualified = [
             subset

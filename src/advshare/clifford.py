@@ -268,14 +268,6 @@ def symplectic_matrix(circuit: CliffordCircuit) -> np.ndarray:
     return out
 
 
-def standard_form(m: int) -> np.ndarray:
-    """Matrix of the symplectic product: <u, v>_s = u^T Omega v."""
-    omega_m = np.zeros((2 * m, 2 * m), dtype=np.int64)
-    omega_m[:m, m:] = np.eye(m, dtype=np.int64)
-    omega_m[m:, :m] = -np.eye(m, dtype=np.int64)
-    return omega_m
-
-
 # ---------------------------------------------------------------------------
 # dense realization
 
@@ -575,16 +567,6 @@ def _complete_basis(vectors: np.ndarray, gram: np.ndarray, p: int) -> np.ndarray
     return np.array(basis, dtype=np.int64)
 
 
-def _inv_matrix(m: np.ndarray, p: int) -> np.ndarray:
-    size = m.shape[0]
-    aug = np.concatenate([m % p, np.eye(size, dtype=np.int64)], axis=1)
-    r, _, pivots = gfp.rref(aug, p)
-    # [m | I] always has full rank; m is invertible iff every pivot lies in m.
-    if pivots != list(range(size)):
-        raise InvariantError("matrix is singular")
-    return r[:, size:]
-
-
 # ---------------------------------------------------------------------------
 # decomposition of a symplectic matrix into gates
 
@@ -723,9 +705,14 @@ def synthesize(
     # Grams of f-images and equal commutation matrices coincide.
     basis_u = _complete_basis(u_rows, gram_u, p)
     basis_v = _complete_basis(v_rows, gram_v, p)
-    t_matrix = (basis_v.T @ _inv_matrix(basis_u.T, p)) % p
-    omega_m = standard_form(m)
-    if not np.array_equal((t_matrix.T @ omega_m @ t_matrix) % p, omega_m % p):
+    # Hyperbolic pairs give a Gram G with G^-1 = G^T, so the inverse of
+    # basis_u^T is G^T times basis_u's orthogonality rows.
+    gram = product_matrix(basis_u, basis_u, p)
+    t_matrix = (basis_v.T @ gram.T @ orthogonality_rows(basis_u, p)) % p
+    # t^T Omega t == Omega, with Omega read from the symplectic product.
+    unit = np.eye(2 * m, dtype=np.int64)
+    preserved = product_matrix(t_matrix.T, t_matrix.T, p) == product_matrix(unit, unit, p)
+    if not preserved.all():
         raise InvariantError("change of basis is not symplectic")
     for u, v in zip(u_rows, v_rows):
         if not np.array_equal((t_matrix @ u) % p, v):

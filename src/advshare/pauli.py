@@ -287,11 +287,12 @@ def code_distance(
         raise ValueError("distance undefined for k = 0 (no logical qudits)")
     structure = code.share_structure()
 
-    def uncorrectable(size: int, masks: list[int], ranks: list[int]) -> bool:
-        if 2 * size - min(ranks) > code.num_checks:
+    def uncorrectable(w: int, sets: np.ndarray, ranks: np.ndarray) -> bool:
+        if 2 * w - ranks.min() > code.num_checks:
             return True
-        deficient = [m for m, rk in zip(masks, ranks) if rk < 2 * size]
-        return not all(structure.correctable(deficient))
+        deficient = ranks < 2 * w
+        outside = structure.complement_ranks(sets[deficient])
+        return not structure.correctable(w, ranks[deficient], outside).all()
 
     best = structure.smallest_size(uncorrectable, code.n, "distance", budget)
     if best is None:

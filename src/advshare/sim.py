@@ -36,7 +36,8 @@ The protocol pipeline:
    gather over all generators.  One block decoder does this for the
    (p**n, b) columns of b trials at once, and :func:`erase_and_decode` is
    its one-column call.  :func:`simulate_protocol` checks every erased set
-   with one batched query and eliminates each distinct set once, into a
+   with one rank query per set size (the access table's kept levels answer
+   it by row index) and eliminates each distinct set once, into a
    map from syndrome shifts to the correction :func:`gfp.solve` would
    return.  It draws each trial's randomness in a fixed order: the secret,
    then one uniform per erased qudit (ascending) and one per generator.
@@ -67,7 +68,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import gfp
-from .access import AccessLabel, share_mask
+from .access import AccessLabel
 from .advance import EAQECCPlan, construct_eaqecc
 from .clifford import (
     CliffordCircuit,
@@ -476,7 +477,8 @@ def correctable_erasure(code: StabilizerCode, erased: Iterable[int]) -> bool:
     in the check row space (no undetectable damage fits in the hole); the
     code's cached share structure compares the two dimensions.
     """
-    return code.share_structure().correctable([share_mask(erased, code.n)])[0]
+    structure = code.share_structure()
+    return bool(structure.correctable(*structure.pair([validated_shares(erased, code.n)]))[0])
 
 
 @dataclass(frozen=True)
@@ -512,21 +514,25 @@ def _erasures(
 ) -> dict[tuple[int, ...], _Erasure]:
     """The decoding data of each distinct erased set (validated share tuples).
 
-    One batched share-structure query checks that every set is correctable
-    before any elimination; then one :func:`gfp.solution_maps` call per set
-    size eliminates every set of that size.
+    One share-structure query per set size checks that every set is
+    correctable before any elimination, and the first failing set in input
+    order is named; then one :func:`gfp.solution_maps` call per set size
+    eliminates every set of that size.
     """
     distinct = list(dict.fromkeys(sets))
-    masks = [sum(1 << (j - 1) for j in err) for err in distinct]
-    for err, ok in zip(distinct, code.share_structure().correctable(masks)):
-        if not ok:
+    by_size: dict[int, list[tuple[int, ...]]] = {}
+    for err in distinct:
+        by_size.setdefault(len(err), []).append(err)
+    structure = code.share_structure()
+    ok: dict[tuple[int, ...], bool] = {}
+    for group in by_size.values():
+        ok.update(zip(group, structure.correctable(*structure.pair(group)).tolist()))
+    for err in distinct:
+        if not ok[err]:
             raise UncorrectableErasureError(
                 f"shares {err} carry undetectable damage for this code"
             )
     n, rows = code.n, _symplectic_rows(code)
-    by_size: dict[int, list[tuple[int, ...]]] = {}
-    for err in distinct:
-        by_size.setdefault(len(err), []).append(err)
     out = {}
     for group in by_size.values():
         # Row g: the x slots of set g's erased qudits, then their z slots.
@@ -664,7 +670,8 @@ def classify_access(code: StabilizerCode, accessible: Iterable[int]) -> AccessLa
     set itself could be erased (its complement reconstructs, so by purity
     the set holds nothing); intermediate otherwise.
     """
-    return code.share_structure().labels([share_mask(accessible, code.n)])[0]
+    structure = code.share_structure()
+    return structure.labels(*structure.pair([validated_shares(accessible, code.n)]))[0]
 
 
 def entropic_audit(
@@ -797,8 +804,8 @@ def simulate_protocol(
 
     Each accessible set gets ``trials`` independent random secrets; every
     draw comes from one seeded generator, so transcripts rerun bit-exactly.
-    The plan and circuit are checked once per run, and one batched query
-    checks every erased set before any draw.  Each trial draws its secret,
+    The plan and circuit are checked once per run, and one rank query per
+    set size checks every erased set before any draw.  Each trial draws its secret,
     then ``e + r`` uniforms for its decoder.  Trials run in blocks of
     ``max(1, budget // p**n)`` columns: a block is encoded as
     ``V @ secrets`` when the isometry V (p**(n+k)) fits the budget, else by

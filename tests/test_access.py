@@ -1,3 +1,4 @@
+import io
 import itertools
 import re
 
@@ -6,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advshare import access, gfp
-from advshare.access import AccessLabel, ShareStructure, share_mask
+from advshare import access, cli, gfp
+from advshare.access import AccessLabel, ShareStructure, share_sets
 from advshare.advance import (
     construct_eaqecc,
     dual_min_weight,
@@ -121,10 +122,13 @@ def test_oracle_matches_shortening_and_dual_reference(p, data):
     r = code.num_checks
     subsets = all_subsets(code.n)
     structure = code.share_structure()
-    masks = [share_mask(s, code.n) for s in subsets]
-    shareable = structure.shareable(masks)
-    correctable = structure.correctable(masks)
-    labels = structure.labels(masks)
+    shareable, correctable, labels = [], [], []
+    for w in range(code.n + 1):
+        inside, outside = structure.level(w), structure.level(code.n - w)[::-1]
+        ranks = w, inside, outside
+        shareable += (inside == 2 * w).tolist()
+        correctable += structure.correctable(*ranks).tolist()
+        labels += structure.labels(*ranks)
     for subset, ok, fixable, label in zip(subsets, shareable, correctable, labels):
         expected = 2 * len(subset) <= r and (
             shorten(code.f_space(), subset).dim == r - 2 * len(subset)
@@ -149,9 +153,11 @@ def test_oracle_matches_shortening_and_dual_reference(p, data):
 def test_mutual_information_matches_dense_reference(p, data):
     code = data.draw(codes(p, max_qudits=max_qudits(p, DENSE_LIMIT)))
     subsets = all_subsets(code.n)
-    closed = code.share_structure().mutual_information(
-        [share_mask(s, code.n) for s in subsets]
-    )
+    structure = code.share_structure()
+    closed = []
+    for w in range(code.n + 1):
+        inside, outside = structure.level(w), structure.level(code.n - w)[::-1]
+        closed += structure.mutual_information(w, inside, outside).tolist()
     singles = [(j,) for j in range(1, code.n + 1) if is_advance_shareable(code, [j])]
     for shares in [()] + singles[:1]:
         plan = construct_eaqecc(code, shares)
@@ -208,14 +214,26 @@ def test_walk_budget_names_its_stage(walk, stage, needed):
     assert walk(code, budget=needed) == 3
 
 
+
+
+def rank_on(h, shares, p):
+    """Reference r_E: :func:`gfp.rank` of the columns the 1-based shares own."""
+    n = h.shape[1] // 2
+    return gfp.rank(h[:, [j - 1 for j in shares] + [n + j - 1 for j in shares]], p)
+
+
+def complement_of(shares, n):
+    return [j for j in range(1, n + 1) if j not in shares]
+
+
 def test_chunked_ranks_match_rank_per_set(five_qubit, monkeypatch):
-    monkeypatch.setattr(access, "CHUNK", 3)
-    masks = list(range(1 << five_qubit.n))
-    structure = ShareStructure(five_qubit.p, five_qubit.n, five_qubit.check_matrix)
-    for mask, rank in zip(masks, structure.ranks(masks)):
-        shares = [j for j in range(five_qubit.n) if mask >> j & 1]
-        cols = shares + [five_qubit.n + j for j in shares]
-        assert rank == gfp.rank(five_qubit.check_matrix[:, cols], five_qubit.p)
+    """Every level of the five-qubit code, at most three sets to an elimination."""
+    monkeypatch.setattr(access, "CHUNK_ENTRIES", 12)
+    h, n = five_qubit.check_matrix, five_qubit.n
+    structure = ShareStructure(five_qubit.p, n, h)
+    for w in range(n + 1):
+        for shares, rank in zip(share_sets(n, w).tolist(), structure.level(w)):
+            assert rank == rank_on(h, shares, five_qubit.p)
 
 
 @pytest.mark.parametrize("p, checks", [(2, 3), (2, 70), (3, 4)])
@@ -231,54 +249,148 @@ def test_rank_chunks_stay_within_the_entry_limit(p, checks, monkeypatch):
     chunks = []
     chunk_ranks = structure._chunk_ranks
 
-    def recorded(masks, size):
-        chunks.append((len(masks), size))
-        return chunk_ranks(masks, size)
+    def recorded(sets):
+        chunks.append(sets.shape)
+        return chunk_ranks(sets)
 
     monkeypatch.setattr(structure, "_chunk_ranks", recorded)
-    masks = [structure.full ^ m for size in (1, 2) for m in access.masks_of_size(n, size)]
-    for mask, rank in zip(masks, structure.ranks(masks)):
-        shares = [j for j in range(n) if mask >> j & 1]
-        assert rank == gfp.rank(h[:, shares + [n + j for j in shares]], p)
-    assert len(chunks) > 2
+    for w in (1, 2):
+        sets = share_sets(n, w)
+        inside, outside = structure.ranks(sets), structure.complement_ranks(sets)
+        for shares, rank, rank_out in zip(sets.tolist(), inside, outside):
+            assert rank == rank_on(h, shares, p)
+            assert rank_out == rank_on(h, complement_of(shares, n), p)
+    assert len(chunks) > 4
     for count, size in chunks:
-        assert count * (n + 2 * size * (1 + row_entries)) <= access.CHUNK_ENTRIES
+        # Sizes above 2 are complements, which also hold n membership flags.
+        flags = n if size > 2 else 0
+        assert count * (flags + 2 * size * (1 + row_entries)) <= access.CHUNK_ENTRIES
 
 
-def test_distance_skips_complements_of_sets_beyond_the_check_count():
-    """A size with 2|E| - r_E > r is uncorrectable without r_E'."""
-    code = validate_stabilizer(np.zeros((0, 12), dtype=np.int64), 2, 6)
-    assert code_distance(code) == 1
-    assert max(mask.bit_count() for mask in code.share_structure()._ranks) == 1
+def record_eliminations(monkeypatch):
+    """The size of the sets ranked by each batched elimination, in call order."""
+    sizes = []
+    chunk_ranks = ShareStructure._chunk_ranks
+
+    def recorded(self, sets):
+        sizes.append(sets.shape[1])
+        return chunk_ranks(self, sets)
+
+    monkeypatch.setattr(ShareStructure, "_chunk_ranks", recorded)
+    return sizes
+
+
+def test_distance_skips_complements_of_sets_beyond_the_check_count(monkeypatch):
+    """A size with 2|E| - r_E > r is uncorrectable without r_E': a rowless
+    code ranks its single shares, keeps level 1 and builds no complement,
+    also on 30000 shares."""
+    sizes = record_eliminations(monkeypatch)
+    for n in (6, 30000):
+        code = validate_stabilizer(np.zeros((0, 2 * n), dtype=np.int64), 2, n)
+        assert code_distance(code) == 1
+        assert sorted(code.share_structure()._levels) == [0, 1]
+        assert sizes == [1]
+        sizes.clear()
 
 
 @pytest.mark.parametrize("checks, n", [(70, 40), (130, 70)])
 def test_packed_ranks_match_rank_per_set_past_one_word(checks, n, monkeypatch):
     """p = 2 structures over more than 64 checks rank on several words per column."""
-    monkeypatch.setattr(access, "CHUNK", 5)
+    monkeypatch.setattr(access, "CHUNK_ENTRIES", 2000)
     rng = np.random.default_rng([checks, n])
     h = rng.integers(0, 2, size=(checks, 2 * n))
     h[checks // 2] = h[0] ^ h[1]  # a dependent row
     structure = ShareStructure(2, n, h)
-    sizes = [0, 1, 2, 17, checks // 2, checks // 2 + 3, n - 1, n]
-    masks = [
-        share_mask(rng.choice(np.arange(1, n + 1), size=size, replace=False).tolist(), n)
-        for size in sizes
-        for _ in range(4)
-    ]
-    for mask, rank in zip(masks, structure.ranks(masks)):
-        shares = [j for j in range(n) if mask >> j & 1]
-        assert rank == gfp.rank(h[:, shares + [n + j for j in shares]], 2)
+    for size in [0, 1, 2, 17, checks // 2, checks // 2 + 3, n - 1, n]:
+        picks = [rng.choice(np.arange(1, n + 1), size=size, replace=False) for _ in range(4)]
+        sets = np.sort(np.array(picks, dtype=np.intp).reshape(4, size), axis=1)
+        inside, outside = structure.ranks(sets), structure.complement_ranks(sets)
+        for shares, rank, rank_out in zip(sets.tolist(), inside, outside):
+            assert rank == rank_on(h, shares, 2)
+            assert rank_out == rank_on(h, complement_of(shares, n), 2)
 
 
 @pytest.mark.parametrize("name", ["five_qubit", "four_qubit_ghz"])
 def test_packed_ranks_match_rank_per_set_on_shipped_codes(name, code_dir, monkeypatch):
-    monkeypatch.setattr(access, "CHUNK", 2)
+    monkeypatch.setattr(access, "CHUNK_ENTRIES", 8)
     p, n, rows = parse_code_file((code_dir / f"{name}.code").read_text())
     assert p == 2
     h = np.asarray(rows)
     structure = ShareStructure(p, n, h)
-    masks = list(range(1 << n))
-    for mask, rank in zip(masks, structure.ranks(masks)):
-        shares = [j for j in range(n) if mask >> j & 1]
-        assert rank == gfp.rank(h[:, shares + [n + j for j in shares]], p)
+    for w in range(n + 1):
+        inside, outside = structure.level(w), structure.level(n - w)[::-1]
+        for shares, rank, rank_out in zip(share_sets(n, w).tolist(), inside, outside):
+            assert rank == rank_on(h, shares, p)
+            assert rank_out == rank_on(h, complement_of(shares, n), p)
+
+
+@pytest.mark.parametrize("p", gfp.PRIMES)
+def test_share_sets_pair_each_row_with_its_complement(p):
+    """In lexicographic order row i of size w and row C(n, w) - 1 - i of
+    size n - w are complements, for every n <= 10 and w; so the reversed
+    level n - w holds r_E' of level w's sets, and a set's row index finds it."""
+    for n in range(1, 11):
+        h = np.random.default_rng([p, n]).integers(0, p, size=(min(n, 3), 2 * n))
+        structure = ShareStructure(p, n, h)
+        for w in range(n + 1):
+            sets = share_sets(n, w)
+            assert sets.tolist() == [list(c) for c in itertools.combinations(range(1, n + 1), w)]
+            for row, other in zip(sets.tolist(), share_sets(n, n - w)[::-1].tolist()):
+                assert sorted(row + other) == list(range(1, n + 1))
+            assert np.array_equal(access._row_index(sets, n), np.arange(len(sets)))
+            direct = ShareStructure(p, n, h).complement_ranks(sets)
+            assert np.array_equal(direct, structure.level(n - w)[::-1])
+
+
+@pytest.mark.parametrize("p, fewest_checks", [(2, 0), (2, 65), (3, 0), (5, 0), (7, 0)])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_kept_levels_and_direct_eliminations_match_rank_per_set(p, fewest_checks, data):
+    """r_E and r_E' read from kept levels equal those eliminated directly,
+    and both equal :func:`gfp.rank` on each set: empty and full sets
+    included, and at p = 2 also past 64 checks (several packed words)."""
+    n = data.draw(st.integers(1, 8))
+    checks = data.draw(st.integers(fewest_checks, fewest_checks + 10))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    h = rng.integers(0, p, size=(checks, 2 * n))
+    for w in sorted({0, data.draw(st.integers(0, n)), n}):
+        picks = [rng.choice(np.arange(1, n + 1), size=w, replace=False) for _ in range(5)]
+        sets = np.sort(np.array(picks, dtype=np.intp).reshape(5, w), axis=1)
+        direct = ShareStructure(p, n, h)
+        got_direct = direct.ranks(sets), direct.complement_ranks(sets)
+        assert sorted(direct._levels) == [0]
+        kept = ShareStructure(p, n, h)
+        kept.level(w), kept.level(n - w)
+        got_kept = kept.ranks(sets), kept.complement_ranks(sets)
+        for i, shares in enumerate(sets.tolist()):
+            assert got_direct[0][i] == got_kept[0][i] == rank_on(h, shares, p)
+            outside = rank_on(h, complement_of(shares, n), p)
+            assert got_direct[1][i] == got_kept[1][i] == outside
+
+
+def five_qudit_code(p):
+    """The [[5,1,3]]_p code: cyclic shifts of X Z Z^-1 X^-1 I."""
+    x, z = np.array([1, 0, 0, p - 1, 0]), np.array([0, 1, p - 1, 0, 0])
+    rows = [np.concatenate([np.roll(x, s), np.roll(z, s)]) for s in range(4)]
+    return validate_stabilizer(np.array(rows), p, 5)
+
+
+@pytest.mark.parametrize("shares", ["1", "none"])
+@pytest.mark.parametrize("p", gfp.PRIMES)
+def test_demo_without_trials_eliminates_each_size_once(p, shares, tmp_path, monkeypatch):
+    """The distance walk, the J query and the access table read one set of
+    kept levels.  On the [[5,1,3]]_p codes the walk finds every r_E' it
+    needs in a kept level too, so `demo --trials 0` eliminates each size
+    1..5 exactly once (size 0 is never eliminated)."""
+    code = five_qudit_code(p)
+    assert code_distance(code) == 3
+    lines = [f"p={p} n=5"] + [
+        " ".join(map(str, row[:5])) + " | " + " ".join(map(str, row[5:]))
+        for row in code.check_matrix
+    ]
+    path = tmp_path / "five_qudit.code"
+    path.write_text("\n".join(lines) + "\n")
+    sizes = record_eliminations(monkeypatch)
+    argv = ["demo", str(path), "--J", shares, "--trials", "0"]
+    assert cli.run(argv, stdout=io.StringIO(), stderr=io.StringIO()) == 0
+    assert sorted(sizes) == [1, 2, 3, 4, 5]

@@ -3,20 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advshare import gfp
+from advshare import clifford, gfp
 from advshare.advance import construct_eaqecc
 from advshare.clifford import (
     CliffordCircuit,
     Gate,
     PhasedPauli,
     _complete_basis,
-    _inv_matrix,
     _span_reduction,
     apply_circuit_tensor,
     conjugate_pauli,
     encoding_circuit,
     gate,
-    standard_form,
     symplectic_matrix,
     synthesize,
     to_unitary,
@@ -28,7 +26,7 @@ from advshare.errors import (
     InvariantError,
 )
 from advshare.pauli import PauliOperator, omega, single, to_matrix, zeta
-from advshare.symplectic import orthogonality_rows
+from advshare.symplectic import orthogonality_rows, product_matrix
 from tests_util_circuits import random_circuit
 
 #: Wire registers of the fused-versus-reference sweep hold at most this many
@@ -269,12 +267,45 @@ def test_circuit_validates_wires_and_params():
             CliffordCircuit(2, 3, (bad,))
 
 
-def test_singular_change_of_basis_is_an_invariant_error():
-    singular = np.array([[1, 2], [2, 4]], dtype=np.int64)
-    with pytest.raises(InvariantError, match="singular"):
-        _inv_matrix(singular, 3)
-    m = np.array([[1, 2], [0, 1]], dtype=np.int64)
-    assert np.array_equal((m @ _inv_matrix(m, 3)) % 3, np.eye(2, dtype=np.int64))
+def test_singular_change_of_basis_is_an_invariant_error(monkeypatch):
+    """A completion that is not a basis cannot pass synthesis's checks."""
+    complete_basis = clifford._complete_basis
+
+    def singular(vectors, gram, p):
+        basis = complete_basis(vectors, gram, p)
+        basis[-1] = basis[0]
+        return basis
+
+    monkeypatch.setattr(clifford, "_complete_basis", singular)
+    source = [single(3, 2, 0, x=1), single(3, 2, 1, z=1)]
+    with pytest.raises(InvariantError, match="^change of basis"):
+        synthesize(source, source)
+
+
+@pytest.mark.parametrize(
+    "p, pair, message",
+    [(2, 0, "does not map source images"), (3, 0, "is not symplectic"), (3, 1, "is not symplectic")],
+)
+def test_reordered_change_of_basis_is_an_invariant_error(p, pair, message, monkeypatch):
+    """Swap one hyperbolic pair of the source completion only.  The first
+    pair holds the source image, so the map misses the target, and at odd p,
+    where <f, e> = -<e, f>, it also breaks the form; the last pair is fresh,
+    so only the symplectic check can see it."""
+    complete_basis = clifford._complete_basis
+    calls = []
+
+    def reordered(vectors, gram, p):
+        basis = complete_basis(vectors, gram, p)
+        calls.append(basis)
+        order = list(range(len(basis)))
+        if len(calls) == 1:
+            order[2 * pair : 2 * pair + 2] = [2 * pair + 1, 2 * pair]
+        return basis[order]
+
+    monkeypatch.setattr(clifford, "_complete_basis", reordered)
+    with pytest.raises(InvariantError, match=f"^change of basis {message}"):
+        synthesize([single(p, 2, 0, x=1)], [single(p, 2, 1, x=1)])
+    assert len(calls) == 2
 
 
 @st.composite
@@ -310,7 +341,7 @@ def completion_cases(draw, p):
 @given(data=st.data())
 def test_completion_matches_one_elimination_per_vector(p, data):
     rows = data.draw(completion_cases(p))
-    gram = (rows @ standard_form(rows.shape[1] // 2) @ rows.T) % p
+    gram = product_matrix(rows, rows, p)
     try:
         want = slow_complete_basis(rows, gram, p)
     except (DependentRowsError, InvariantError) as exc:
@@ -399,8 +430,8 @@ def test_circuits_preserve_symplectic_form(rng):
         m = int(rng.integers(1, 4))
         c = random_circuit(p, m, int(rng.integers(0, 12)), rng)
         s = symplectic_matrix(c)
-        omega = standard_form(m) % p
-        assert np.array_equal((s.T @ standard_form(m) @ s) % p, omega)
+        unit = np.eye(2 * m, dtype=np.int64)
+        assert np.array_equal(product_matrix(s.T, s.T, p), product_matrix(unit, unit, p))
 
 
 def test_synthesize_source_equals_target(rng):

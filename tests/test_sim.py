@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from advshare import gfp, sim
-from advshare.access import _mask_shares, masks_of_size
+from advshare.access import share_sets
 from advshare.advance import construct_eaqecc, is_advance_shareable
 from advshare.clifford import CliffordCircuit, _register, _unregister, encoding_circuit
 from advshare.codefile import parse_code_file
@@ -370,8 +370,6 @@ def test_erase_two_shares_refused(four_qubit_pipeline, rng):
 
 
 def test_erase_and_decode_validates_its_erased_set_once(four_qubit_pipeline, rng, monkeypatch):
-    from advshare import access
-
     code, plan, circuit = four_qubit_pipeline
     shared, syndrome = encode_advance(code, [4], plan, circuit, random_state(2, 2, rng))
     calls = []
@@ -382,12 +380,25 @@ def test_erase_and_decode_validates_its_erased_set_once(four_qubit_pipeline, rng
         return validated(shares, n)
 
     monkeypatch.setattr(sim, "validated_shares", counted)
-    monkeypatch.setattr(access, "validated_shares", counted)
     result = erase_and_decode(shared, code, syndrome, [2, 2], rng)
     assert calls == [(2, 2)]
     assert fidelity(result.state, shared) > 1 - 1e-9
     with pytest.raises(UncorrectableErasureError, match=r"shares \(1, 2\) carry undetectable"):
         erase_and_decode(shared, code, syndrome, [2, 1], rng)
+
+
+@pytest.mark.parametrize("p", gfp.PRIMES)
+def test_erasures_name_the_first_uncorrectable_set_in_input_order(p):
+    """Sets are checked one size at a time, but the error names the first
+    failing set of the input: (1, 3), although the size-1 group, checked
+    first, fails too, at (3,)."""
+    # Z1 Z2 and X1 X2^-1 tie shares 1 and 2 together; share 3 is bare.
+    code = validate_stabilizer(np.array([[0, 0, 0, 1, 1, 0], [1, p - 1, 0, 0, 0, 0]]), p, 3)
+    with pytest.raises(UncorrectableErasureError, match=r"^shares \(1, 3\) carry"):
+        sim._erasures(code, [(1,), (1, 3), (3,)])
+    with pytest.raises(UncorrectableErasureError, match=r"^shares \(3,\) carry"):
+        sim._erasures(code, [(1, 2), (1,), (3,), (1, 3)])
+    assert list(sim._erasures(code, [(1,), (1, 2), (2,), (1,)])) == [(1,), (2,), (1, 2)]
 
 
 def test_correctable_erasure_thresholds(five_qubit):
@@ -1096,11 +1107,18 @@ def test_protocol_sweep_matches_the_reference_at_both_budgets(p, data):
     n, k, seed = data.draw(protocol_cases(p))
     rng = np.random.default_rng(seed)
     code = random_stabilizer(p, n, n - k, rng)
-    masks = [m for size in range(n + 1) for m in masks_of_size(n, size)]
-    labels = code.share_structure().labels(masks)
-    qualified = [m for m, label in zip(masks, labels) if label is AccessLabel.QUALIFIED]
+    structure = code.share_structure()
+    qualified = [
+        tuple(acc)
+        for w in range(n + 1)
+        for acc, label in zip(
+            share_sets(n, w).tolist(),
+            structure.labels(w, structure.level(w), structure.level(n - w)[::-1]),
+        )
+        if label is AccessLabel.QUALIFIED
+    ]
     picks = rng.choice(len(qualified), size=min(3, len(qualified)), replace=False)
-    sets = [_mask_shares(qualified[i], n) for i in sorted(picks)]
+    sets = [qualified[i] for i in sorted(picks)]
     shareable = [j for j in range(1, n + 1) if is_advance_shareable(code, [j])]
     for shares in [[]] + [shareable[:1]] * bool(shareable):
         plan = construct_eaqecc(code, shares)
