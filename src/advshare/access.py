@@ -152,11 +152,7 @@ class ShareStructure:
         owned = owned_columns(sets, self.n)
         if self._words is not None:
             return gfp.packed_rank(self._words[owned])
-        stack = self._columns[owned]
-        # stack is (batch, 2 * size, num_checks); loop over the shorter side.
-        if owned.shape[1] < self.num_checks:
-            stack = np.swapaxes(stack, 1, 2)
-        return gfp.batched_rank(stack, self.p)
+        return gfp.batched_rank(self._columns[owned], self.p)
 
     def smallest_size(
         self,

@@ -11,10 +11,13 @@ Three subcommands over check-matrix files (see :mod:`advshare.codefile`):
 One JSON document goes to stdout (schema shipped as
 ``advshare/schema/report.schema.json``); a human summary goes to stderr
 unless ``--json-only``.  Share indices are 1-based.  Exit codes: 0 success,
-1 invalid input, 2 budget exceeded, 3 internal invariant violation.  A
-negative ``--budget``, ``--max-size`` or ``--trials`` is invalid input with
-the usual JSON report; an argparse usage error prints argparse's message on
-stderr, writes no report and also exits 1.
+1 invalid input, 2 budget exceeded, 3 internal error.  Only the inputs are
+checked as input: the counts (a negative ``--budget``, ``--max-size`` or
+``--trials``), the code file, and for ``demo`` the ``--J`` shares (parsed,
+in range and advance shareable) and ``--trials`` on a k = 0 code, which
+has no secret to share.  Any error raised after those checks is internal.
+Every refusal writes the usual JSON report; an argparse usage error prints
+argparse's message on stderr, writes no report and also exits 1.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from .errors import (
     DependentRowsError,
     NotAdvanceShareableError,
     NotCommutativeError,
-    UncorrectableErasureError,
 )
 from .gfp import DEFAULT_ENUM_BUDGET
 from .pauli import StabilizerCode, code_distance, validate_stabilizer
@@ -52,10 +54,11 @@ _INPUT_ERRORS = (
     NotCommutativeError,
     DependentRowsError,
     NotAdvanceShareableError,
-    UncorrectableErasureError,
     ValueError,
     OSError,
 )
+
+_REPORTED_ERRORS = (AdvShareError, ValueError, OSError, RuntimeError, AssertionError)
 
 _INFINITY = float("inf")
 
@@ -167,6 +170,19 @@ def _access_table(
     return table
 
 
+def _demo_shares(code: StabilizerCode, text: str, trials: int) -> tuple[int, ...]:
+    """The ``--J`` shares, refused unless parsed, in range and advance
+    shareable; trials on a k = 0 code are refused too."""
+    shares = _parse_shares(text)
+    if not advance.is_advance_shareable(code, shares):
+        raise NotAdvanceShareableError(
+            f"shares {shares} are not advance shareable for this code"
+        )
+    if trials > 0 and code.k == 0:
+        raise ValueError("k = 0 code admits only the trivial secret")
+    return shares
+
+
 def _demo_section(
     code: StabilizerCode,
     shares: tuple[int, ...],
@@ -175,10 +191,6 @@ def _demo_section(
     enum_budget: int,
     budget: int,
 ) -> dict:
-    if not advance.is_advance_shareable(code, shares):
-        raise NotAdvanceShareableError(
-            f"shares {shares} are not advance shareable for this code"
-        )
     plan = advance.construct_eaqecc(code, shares)
     circuit = encoding_circuit(plan)
     nf = plan.normal
@@ -360,16 +372,21 @@ def run(argv: list[str] | None = None, stdout=None, stderr=None) -> int:
     enum_budget = args.budget if args.budget is not None else DEFAULT_ENUM_BUDGET
     state_budget = args.budget if args.budget is not None else sim.DEFAULT_STATE_BUDGET
     report: dict = {"schema_version": SCHEMA_VERSION, "command": args.command}
+    # True while an input is being checked: only then is an error invalid input.
+    checking = True
     try:
         _check_counts(args)
         code = _load(args.file)
+        checking = False
         report["code"] = _code_section(code, enum_budget)
         if args.command == "analyze":
             report["advance_shareable"] = _analyze_section(
                 code, args.max_size, enum_budget
             )
         elif args.command == "demo":
-            shares = _parse_shares(args.J)
+            checking = True
+            shares = _demo_shares(code, args.J, args.trials)
+            checking = False
             report["demo"] = _demo_section(
                 code, shares, args.seed, args.trials, enum_budget, state_budget
             )
@@ -378,12 +395,12 @@ def run(argv: list[str] | None = None, stdout=None, stderr=None) -> int:
         _emit(report, stdout)
         print(f"budget exceeded: {exc}", file=stderr)
         return EXIT_BUDGET
-    except _INPUT_ERRORS as exc:
-        report["error"] = {"type": "invalid-input", "message": str(exc)}
-        _emit(report, stdout)
-        print(f"error: {exc}", file=stderr)
-        return EXIT_INVALID
-    except (AdvShareError, RuntimeError, AssertionError) as exc:
+    except _REPORTED_ERRORS as exc:
+        if checking and isinstance(exc, _INPUT_ERRORS):
+            report["error"] = {"type": "invalid-input", "message": str(exc)}
+            _emit(report, stdout)
+            print(f"error: {exc}", file=stderr)
+            return EXIT_INVALID
         report["error"] = {"type": "internal", "message": str(exc)}
         _emit(report, stdout)
         print(f"internal error: {exc}", file=stderr)

@@ -10,7 +10,9 @@ of :mod:`advshare.access` visit up to sum_w C(n, w) sets and rank each one,
 so they cap problem sizes long before larger fields become interesting.
 Those ranks come from :func:`batched_rank` at odd p and, at p = 2, from
 :func:`packed_rank`, which holds each row as uint64 words, one bit per
-entry, and eliminates by XOR.
+entry, and eliminates by XOR.  :func:`batched_rank` and
+:func:`solution_maps` share one batched Gauss-Jordan core that returns each
+matrix's pivot rows; :func:`rref` keeps its own single-matrix loop.
 
 Elimination is deterministic: the pivot for each column is the first row with
 a nonzero entry, and pivots are normalized to 1, so reduced forms are
@@ -102,27 +104,20 @@ def rank(m, p: int) -> int:
     return rref(m, p)[1]
 
 
-def batched_rank(stack, p: int) -> np.ndarray:
-    """Rank of every matrix in a ``(batch, rows, cols)`` stack.
+def _reduce(a: np.ndarray, p: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jordan elimination of the first ``cols`` columns of every matrix
+    in a ``(batch, rows, width)`` int64 stack reduced mod p, in place.
 
-    One forward elimination runs over the whole batch at once: for each
-    column, every matrix picks its first unused row with a nonzero entry as
-    the pivot and clears that column from its other unused rows.  Rows are
-    never swapped, so a matrix's rank is its number of pivots.  The loop
-    runs ``cols`` times; pass the transposed stack when columns outnumber
-    rows.
+    For each column, every matrix picks its first row with a nonzero entry
+    that holds no earlier pivot and clears that column from all its other
+    rows.  Rows are neither swapped nor normalised: ``pivot_row[b, c]`` is
+    the row of matrix b holding column c's pivot, or -1 if it has none, and
+    that row times the inverse of its pivot entry, ``v ** (p - 2)`` by
+    Fermat, is a row of the reduced row echelon form.  Returns
+    ``(a, pivot_row)``.
     """
-    check_modulus(p)
-    a = np.asarray(stack, dtype=np.int64)
-    if a.ndim != 3:
-        raise ValueError(f"expected a 3-d stack, got shape {a.shape}")
-    a = a % p
-    batch, rows, cols = a.shape
-    ranks = np.zeros(batch, dtype=np.int64)
-    if batch == 0 or rows == 0:
-        return ranks
-    # inverse[0] = 0, so a matrix without a pivot in a column clears nothing.
-    inverse = np.array([0] + [inv_scalar(v, p) for v in range(1, p)], dtype=np.int64)
+    batch, rows, _ = a.shape
+    pivot_row = np.full((batch, cols), -1, dtype=np.intp)
     every = np.arange(batch)
     used = np.zeros((batch, rows), dtype=bool)
     for c in range(cols):
@@ -131,14 +126,33 @@ def batched_rank(stack, p: int) -> np.ndarray:
         if not found.any():
             continue
         pivot = candidates.argmax(axis=1)
-        pivot_rows = a[every, pivot, c:]
-        pivot_rows = (pivot_rows * inverse[pivot_rows[:, 0]][:, None]) % p
-        factors = np.where(candidates, a[:, :, c], 0)
+        row = a[every, pivot, c:]
+        # A matrix without a pivot here scales by 0 and clears nothing.  The
+        # pivot row is 0 left of c, so only columns c.. change.  Factors stay
+        # unreduced (below p**(p-1)), and the update reduces once.
+        factors = a[:, :, c] * (row[:, 0] ** (p - 2) * found)[:, None]
         factors[every, pivot] = 0
-        a[:, :, c:] = (a[:, :, c:] - factors[:, :, None] * pivot_rows[:, None, :]) % p
+        a[:, :, c:] = (a[:, :, c:] - factors[:, :, None] * row[:, None, :]) % p
         used[every[found], pivot[found]] = True
-        ranks += found
-    return ranks
+        pivot_row[found, c] = pivot[found]
+    return a, pivot_row
+
+
+def batched_rank(stack, p: int) -> np.ndarray:
+    """Rank of every matrix in a ``(batch, rows, cols)`` stack.
+
+    One elimination (:func:`_reduce`) runs over the whole batch at once, on
+    the transposed stack when columns outnumber rows, so it loops over the
+    shorter side; a matrix's rank is its number of pivots.
+    """
+    check_modulus(p)
+    a = np.asarray(stack, dtype=np.int64)
+    if a.ndim != 3:
+        raise ValueError(f"expected a 3-d stack, got shape {a.shape}")
+    if a.shape[2] > a.shape[1]:
+        a = np.swapaxes(a, 1, 2)
+    a = a % p
+    return (_reduce(a, p, a.shape[2])[1] >= 0).sum(axis=1)
 
 
 def pack_bits(m) -> np.ndarray:
@@ -226,15 +240,13 @@ def solution_maps(stack, p: int) -> np.ndarray:
     matrix S with ``S @ b % p == solve(m, b, p)`` for every b that has a
     solution.
 
-    One Gauss-Jordan elimination of every ``[m | I]`` runs over the whole
-    batch at once: for each column of m, every matrix picks an unused row
-    with a nonzero entry as the pivot, normalises it and clears the column
-    from all its other rows.  The pivot rows then hold the reduced row
-    echelon form of m, which is unique, so for b = m x the reduced b is
-    that form applied to x whatever the pivot order: each pivot variable
-    takes its pivot row of the identity part and each free variable is 0,
-    as in :func:`solve`.  S says nothing about solvability: check
-    ``m @ x == b`` before using x.
+    One Gauss-Jordan elimination (:func:`_reduce`) of every ``[m | I]``
+    runs over the whole batch at once.  Each pivot row, times the inverse
+    of its pivot, is a row of the reduced row echelon form of m, which is
+    unique, so for b = m x the reduced b is that form applied to x whatever
+    the pivot order: each pivot variable takes its pivot row of the
+    identity part and each free variable is 0, as in :func:`solve`.  S says
+    nothing about solvability: check ``m @ x == b`` before using x.
     """
     check_modulus(p)
     a = np.asarray(stack, dtype=np.int64) % p
@@ -242,29 +254,12 @@ def solution_maps(stack, p: int) -> np.ndarray:
         raise ValueError(f"expected a 3-d stack, got shape {a.shape}")
     batch, rows, cols = a.shape
     eye = np.broadcast_to(np.eye(rows, dtype=np.int64), (batch, rows, rows))
-    a = np.concatenate([a, eye], axis=2)
-    inverse = np.array([0] + [inv_scalar(v, p) for v in range(1, p)], dtype=np.int64)
-    every = np.arange(batch)
-    used = np.zeros((batch, rows), dtype=bool)
+    a, pivot_row = _reduce(np.concatenate([a, eye], axis=2), p, cols)
+    which, col = np.nonzero(pivot_row >= 0)
+    pivots = a[which, pivot_row[which, col]]
+    scale = pivots[np.arange(col.size), col] ** (p - 2)
     maps = np.zeros((batch, cols, rows), dtype=np.int64)
-    pivot_rows = np.full((batch, cols), -1)
-    for c in range(cols):
-        candidates = (a[:, :, c] != 0) & ~used
-        found = candidates.any(axis=1)
-        if not found.any():
-            continue
-        pivot = candidates.argmax(axis=1)
-        row = a[every, pivot]
-        row = (row * inverse[row[:, c]][:, None]) % p
-        factors = np.where(found[:, None], a[:, :, c], 0)
-        factors[every, pivot] = 0
-        a = (a - factors[:, :, None] * row[:, None, :]) % p
-        a[every[found], pivot[found]] = row[found]
-        used[every[found], pivot[found]] = True
-        pivot_rows[found, c] = pivot[found]
-    for c in range(cols):
-        has = pivot_rows[:, c] >= 0
-        maps[has, c] = a[every[has], pivot_rows[has, c], cols:]
+    maps[which, col] = pivots[:, cols:] * scale[:, None] % p
     return maps
 
 

@@ -69,9 +69,6 @@ class PauliOperator:
     def n(self) -> int:
         return int(self.x.shape[0])
 
-    def is_identity(self) -> bool:
-        return self.phase == 0 and not self.x.any() and not self.z.any()
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PauliOperator):
             return NotImplemented

@@ -37,13 +37,14 @@ The protocol pipeline:
    (p**n, b) columns of b trials at once, and :func:`erase_and_decode` is
    its one-column call.  :func:`simulate_protocol` checks every erased set
    with one rank query per set size (the access table's kept levels answer
-   it by row index) and eliminates each distinct set once, into a
-   map from syndrome shifts to the correction :func:`gfp.solve` would
-   return.  It draws each trial's randomness in a fixed order: the secret,
-   then one uniform per erased qudit (ascending) and one per generator.
-   An outcome is count(cdf <= u) over the normalised cumulative Born
-   weights, which is how ``Generator.choice`` spends one ``random()``
-   draw.  Blocks are max(1, budget // p**n) columns wide, so no block
+   it by row index) and eliminates each distinct set once, into a plain
+   (2n x r) array that maps syndrome shifts to the correction
+   :func:`gfp.solve` would return; a block stacks its columns' maps and
+   applies them with one product.  It draws each trial's randomness in a
+   fixed order: the secret, then one uniform per erased qudit (ascending)
+   and one per generator.  An outcome is count(cdf <= u) over the
+   normalised cumulative Born weights, which is how ``Generator.choice``
+   spends one ``random()`` draw.  Blocks are max(1, budget // p**n) columns wide, so no block
    exceeds the state budget.
 3. :func:`reconstruct` undoes the encoding and extracts the secret register.
    :func:`simulate_protocol` needs no inverse circuit: a decoded state lies
@@ -214,19 +215,12 @@ def _generator_kernels(code: StabilizerCode) -> PauliKernels:
     return code._generator_kernels
 
 
-def _power(flat: np.ndarray, kernels: PauliKernels, i: int, t: int) -> np.ndarray:
-    """P_i**t applied to a (p**n, rest) register matrix."""
-    if t == 0:
-        return flat.copy()
-    return flat[kernels.src[i, t - 1]] * kernels.phases[i, t - 1][:, None]
-
-
 def apply_pauli(state: QuditState, op: PauliOperator) -> QuditState:
     if op.p != state.p or op.n != state.m:
         raise ValueError("operator and state must share p and qudit count")
-    kernels = compile_paulis(op.p, op.n, [op])
-    flat = _power(state.amplitudes.reshape(-1, 1), kernels, 0, 1)
-    return QuditState(state.p, state.m, flat.reshape(-1))
+    xz = np.concatenate([op.x, op.z])[:, None]
+    flat = _apply_corrections(state.amplitudes[:, None], xz, op.p)
+    return QuditState(state.p, state.m, flat[:, 0] * omega(op.p) ** op.phase)
 
 
 def apply_circuit(
@@ -488,22 +482,6 @@ class DecodeResult:
     correction: np.ndarray = field(repr=False)
 
 
-@dataclass(frozen=True)
-class _Erasure:
-    """A correctable erased share set and the F_p map from syndrome shifts
-    to its correction.
-
-    A correction Q on the erased shares must satisfy
-    <f(Q), h_i>_s = -delta_i for every generator row h_i.  ``solver``
-    (2n x r) maps the right-hand sides to the (x | z) vector of the
-    particular solution :func:`gfp.solve` returns; its rows off the erased
-    shares are 0.
-    """
-
-    shares: tuple[int, ...]
-    solver: np.ndarray = field(repr=False)
-
-
 def _symplectic_rows(code: StabilizerCode) -> np.ndarray:
     """[h_z | -h_x]: the row i times an (x | z) vector is <f(Q), h_i>_s."""
     return (-orthogonality_rows(code.check_matrix, code.p)) % code.p
@@ -511,13 +489,17 @@ def _symplectic_rows(code: StabilizerCode) -> np.ndarray:
 
 def _erasures(
     code: StabilizerCode, sets: Sequence[tuple[int, ...]]
-) -> dict[tuple[int, ...], _Erasure]:
-    """The decoding data of each distinct erased set (validated share tuples).
+) -> dict[tuple[int, ...], np.ndarray]:
+    """The correction map of each distinct erased set (validated share tuples).
 
-    One share-structure query per set size checks that every set is
-    correctable before any elimination, and the first failing set in input
-    order is named; then one :func:`gfp.solution_maps` call per set size
-    eliminates every set of that size.
+    A correction Q on the erased shares must satisfy
+    <f(Q), h_i>_s = -delta_i for every generator row h_i.  A set's map
+    (2n x r) takes the right-hand sides to the (x | z) vector of the
+    particular solution :func:`gfp.solve` returns; its rows off the erased
+    shares are 0.  One share-structure query per set size checks that every
+    set is correctable before any elimination, and the first failing set in
+    input order is named; then one :func:`gfp.solution_maps` call per set
+    size eliminates every set of that size.
     """
     distinct = list(dict.fromkeys(sets))
     by_size: dict[int, list[tuple[int, ...]]] = {}
@@ -539,9 +521,8 @@ def _erasures(
         slots = owned_columns(group, n)
         maps = gfp.solution_maps(rows[:, slots].transpose(1, 0, 2), code.p)
         for err, slot, solver in zip(group, slots, maps):
-            full = np.zeros((2 * n, rows.shape[0]), dtype=np.int64)
-            full[slot] = solver
-            out[err] = _Erasure(err, full)
+            out[err] = np.zeros((2 * n, rows.shape[0]), dtype=np.int64)
+            out[err][slot] = solver
     return out
 
 
@@ -560,12 +541,14 @@ def _decode_block(
     code: StabilizerCode,
     flat: np.ndarray,
     syndrome: tuple[int, ...],
-    erased: Sequence[_Erasure],
+    erased: Sequence[tuple[int, ...]],
+    maps: np.ndarray,
     uniforms: Sequence[np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Erase, measure and correct the (p**n, b) columns of b trials at once.
 
-    Column c loses the shares of ``erased[c]`` and spends ``uniforms[c]``:
+    Column c loses the shares ``erased[c]``, corrects by the map
+    ``maps[c]`` from :func:`_erasures` and spends ``uniforms[c]``:
     one uniform per erased qudit in ascending order, then one per
     generator, each picking an outcome by :func:`_pick`.  Per qudit, one
     einsum weighs every column that loses it and one slice assignment
@@ -580,8 +563,8 @@ def _decode_block(
     every = np.arange(b)
     lost = np.zeros((n, b), dtype=bool)
     erase_u, measure_u = np.zeros((n, b)), np.empty((r, b))
-    for c, (erasure, u) in enumerate(zip(erased, uniforms)):
-        qudits = [j - 1 for j in erasure.shares]
+    for c, (shares, u) in enumerate(zip(erased, uniforms)):
+        qudits = [j - 1 for j in shares]
         lost[qudits, c] = True
         erase_u[qudits, c] = u[: len(qudits)]
         measure_u[:, c] = u[len(qudits) :]
@@ -610,8 +593,7 @@ def _decode_block(
     if (diff % 2).any():
         raise InvariantError("measured syndrome has incompatible phase parity")
     rhs = (-(diff // 2)) % p
-    solvers = np.stack([erasure.solver for erasure in erased])
-    corrections = np.einsum("cqr,rc->qc", solvers, rhs) % p
+    corrections = np.einsum("cqr,rc->qc", maps, rhs) % p
     if ((_symplectic_rows(code) @ corrections - rhs) % p).any():
         raise InvariantError("no correction supported on the erased shares solves the syndrome")
     flat = _apply_corrections(flat, corrections, p)
@@ -647,10 +629,10 @@ def erase_and_decode(
         raise BudgetExceededError(
             f"state size {code.p}**{code.n} exceeds budget {budget} (erase and decode)"
         )
-    erasure = _erasures(code, [err])[err]
+    maps = _erasures(code, [err])[err][None]
     uniforms = rng.random(len(err) + code.num_checks)
     flat, measured, corrections = _decode_block(
-        code, state.amplitudes[:, None], syndrome, [erasure], [uniforms]
+        code, state.amplitudes[:, None], syndrome, [err], maps, [uniforms]
     )
     return DecodeResult(
         state=QuditState(code.p, code.n, flat[:, 0]),
@@ -841,15 +823,17 @@ def simulate_protocol(
     reference_syndrome: tuple[int, ...] | None = None
     for start in range(0, len(runs), width):
         block = runs[start : start + width]
+        lost = [erased for _, erased in block]
         secrets, uniforms = [], []
-        for _, erased in block:
+        for erased in lost:
             secrets.append(draw_secret())
             uniforms.append(rng.random(len(erased) + code.num_checks))
         encoded, syndrome = encode(np.stack(secrets, axis=1))
         if reference_syndrome is None:
             reference_syndrome = syndrome
+        maps = np.stack([erasures[erased] for erased in lost])
         decoded, measured, corrections = _decode_block(
-            code, encoded, syndrome, [erasures[erased] for _, erased in block], uniforms
+            code, encoded, syndrome, lost, maps, uniforms
         )
         fidelities = np.abs(np.einsum("jc,jc->c", encoded.conj(), decoded)) ** 2
         for c, (acc, erased) in enumerate(block):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from advshare import cli
 from advshare.codefile import format_code_file, parse_code_file
-from advshare.errors import CodeFileError
+from advshare.errors import CodeFileError, UncorrectableErasureError
 from advshare.pauli import validate_stabilizer
 
 
@@ -341,6 +341,68 @@ def test_broken_invariant_exits_3_as_internal_error(code_dir, monkeypatch):
     assert error["message"].startswith("eigenvalue ")
     assert error["message"].endswith(" is not a 2p-th root of unity")
     assert err == f"internal error: {error['message']}\n"
+
+
+def _raise(error):
+    def raising(*args, **kwargs):
+        raise error
+
+    return raising
+
+
+@pytest.mark.parametrize(
+    "target, error",
+    [
+        ("encoding_circuit", ValueError("plan has no circuit")),
+        ("simulate_protocol", UncorrectableErasureError("shares (1,) carry undetectable damage")),
+    ],
+)
+def test_errors_after_the_input_checks_exit_3_as_internal(code_dir, monkeypatch, target, error):
+    """A ValueError or UncorrectableErasureError raised once the counts,
+    the code file and --J have passed is a fault, not invalid input."""
+    monkeypatch.setattr(cli if target == "encoding_circuit" else cli.sim, target, _raise(error))
+    argv = ["demo", str(code_dir / "five_qubit.code"), "--J", "1", "--trials", "1", "--json-only"]
+    status, out, err = run_cli(argv)
+    assert status == 3
+    report = json.loads(out)
+    assert report["error"] == {"type": "internal", "message": str(error)}
+    assert report["code"]["parameters"] == "[[5,1,3]]_2"
+    assert err == f"internal error: {error}\n"
+
+
+@pytest.mark.parametrize(
+    "shares, message",
+    [
+        ("x", "cannot parse share list 'x'"),
+        ("6", "share index 6 outside 1..5"),
+        ("1,2,3", "shares (1, 2, 3) are not advance shareable for this code"),
+    ],
+)
+def test_bad_shares_are_invalid_input_with_the_code_section(code_dir, shares, message):
+    argv = ["demo", str(code_dir / "five_qubit.code"), "--J", shares, "--json-only"]
+    status, out, err = run_cli(argv)
+    assert status == 1
+    report = json.loads(out)
+    assert report["error"] == {"type": "invalid-input", "message": message}
+    assert report["code"]["parameters"] == "[[5,1,3]]_2"
+    assert err == f"error: {message}\n"
+
+
+def test_trials_on_a_k0_code_are_invalid_input(tmp_path):
+    """A k = 0 code has no secret to share: trials on it are refused as
+    input, with the code section, and zero trials still run."""
+    path = tmp_path / "ghz3.code"
+    path.write_text("p=2 n=3\n1 1 1 | 0 0 0\n0 0 0 | 1 1 0\n0 0 0 | 0 1 1\n")
+    status, out, err = run_cli(["demo", str(path), "--trials", "1", "--json-only"])
+    assert status == 1
+    report = json.loads(out)
+    assert report["error"] == {
+        "type": "invalid-input",
+        "message": "k = 0 code admits only the trivial secret",
+    }
+    assert report["code"]["k"] == 0
+    status, _, _ = run_cli(["demo", str(path), "--trials", "0", "--json-only"])
+    assert status == 0
 
 
 @pytest.mark.parametrize("name", ["four_qubit_ghz", "five_qubit", "qutrit_ghz"])

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from advshare import gfp
@@ -140,9 +140,12 @@ def test_iter_span_covers_everything():
 
 
 @st.composite
-def stacks(draw):
+def stacks(draw, wide=False):
+    """(stack, p); a wide stack has more columns than rows."""
     p = draw(st.sampled_from(gfp.PRIMES))
     batch, rows, cols = (draw(st.integers(0, n)) for n in (6, 5, 7))
+    if wide:
+        cols = rows + draw(st.integers(1, 8))
     inner = draw(st.integers(0, 6))  # below min(rows, cols) forces rank deficiency
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     left = rng.integers(0, p, size=(batch, rows, inner))
@@ -151,13 +154,37 @@ def stacks(draw):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(stacks())
+@given(stacks() | stacks(wide=True))
 def test_batched_rank_matches_rank_per_slice(sp):
     stack, p = sp
     got = gfp.batched_rank(stack, p)
     assert got.shape == (stack.shape[0],)
     for mat, rk in zip(stack, got):
         assert rk == gfp.rank(mat, p)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(stacks() | stacks(wide=True))
+@example((np.zeros((0, 3, 4), dtype=np.int64), 7))
+@example((np.zeros((3, 0, 4), dtype=np.int64), 5))
+@example((np.zeros((3, 4, 0), dtype=np.int64), 3))
+@example((np.ones((2, 3, 3), dtype=np.int64), 2))
+def test_reduce_pivot_rows_scale_to_the_rref_rows(sp):
+    """The core's pivot columns are rref's, and each pivot row times the
+    inverse of its pivot is the matching row of rref's reduced form."""
+    stack, p = sp
+    batch, rows, cols = stack.shape
+    a = stack.astype(np.int64)
+    reduced, pivot_row = gfp._reduce(a, p, cols)
+    assert reduced is a
+    assert pivot_row.shape == (batch, cols)
+    for mat, mat_reduced, where in zip(stack, reduced, pivot_row):
+        r, rank, pivots = gfp.rref(mat, p)
+        assert np.flatnonzero(where >= 0).tolist() == pivots
+        pivots = np.array(pivots, dtype=np.intp)
+        held = mat_reduced[where[pivots]]
+        inverses = [gfp.inv_scalar(int(v), p) for v in held[np.arange(rank), pivots]]
+        assert np.array_equal(held * np.array(inverses, dtype=np.int64)[:, None] % p, r[:rank])
 
 
 @pytest.mark.parametrize("shape", [(3, 0, 4), (3, 4, 0), (0, 2, 2), (2, 0, 0)])

@@ -701,7 +701,7 @@ def test_encode_refuses_columns_with_different_syndromes(four_qubit_pipeline, mo
 
     def flipped(*args, **kwargs):
         flat = apply(*args, **kwargs).reshape(16, -1).copy()
-        flat[:, 1:] = sim._power(flat[:, 1:], flip, 0, 1)
+        flat[:, 1:] = flat[flip.src[0, 0], 1:] * flip.phases[0, 0][:, None]
         return flat
 
     monkeypatch.setattr(sim, "apply_circuit_tensor", flipped)
@@ -793,11 +793,14 @@ def test_compiled_powers_match_dense_matrix_powers(p, data):
     before = arr.copy()
     kernels = sim.compile_paulis(p, n, [op])
     flat = _register(arr, n, axes)
+    powers = [flat] + [
+        flat[src] * phases[:, None] for src, phases in zip(kernels.src[0], kernels.phases[0])
+    ]
     for t in range(p):
-        got = _unregister(sim._power(flat, kernels, 0, t), arr, n, axes)
+        got = _unregister(powers[t], arr, n, axes)
         assert got.shape == arr.shape
         assert np.abs(got - dense_power(arr, op, t, axes)).max() < 1e-12
-    moved = _unregister(sim._power(flat, kernels, 0, 1), arr, n, axes)
+    moved = _unregister(powers[1], arr, n, axes)
     assert np.abs(moved - slow_apply_pauli_tensor(arr, op, axes)).max() < 1e-12
     # The same seeded draw picks the same branch as the reference.
     tau, collapsed = measure_pauli(arr, op, np.random.default_rng(seed), axes=axes)
@@ -1009,8 +1012,9 @@ def test_zero_or_nan_weights_raise_naming_the_step(four_qubit_pipeline, rng):
     flat = np.stack([shared.amplitudes, np.zeros(16), shared.amplitudes], axis=1)
     for erased, step in [((1,), "erasure"), ((), "generator measurement")]:
         uniforms = [rng.random(len(erased) + code.num_checks) for _ in range(3)]
+        maps = np.stack([erasures[erased]] * 3)
         with pytest.raises(InvariantError, match=f"^{step} outcome weights sum to 0"):
-            sim._decode_block(code, flat, syndrome, [erasures[erased]] * 3, uniforms)
+            sim._decode_block(code, flat, syndrome, [erased] * 3, maps, uniforms)
 
 
 @pytest.mark.parametrize("name", ["four_qubit_ghz", "five_qubit", "qutrit_ghz"])
