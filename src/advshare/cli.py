@@ -12,10 +12,12 @@ One JSON document goes to stdout (schema shipped as
 ``advshare/schema/report.schema.json``); a human summary goes to stderr
 unless ``--json-only``.  Share indices are 1-based.  Exit codes: 0 success,
 1 invalid input, 2 budget exceeded, 3 internal error.  Only the inputs are
-checked as input: the counts (a negative ``--budget``, ``--max-size`` or
-``--trials``), the code file, and for ``demo`` the ``--J`` shares (parsed,
-in range and advance shareable) and ``--trials`` on a k = 0 code, which
-has no secret to share.  Any error raised after those checks is internal.
+checked as input: the counts (a negative ``--budget``, ``--max-size``,
+``--trials`` or ``--seed``), the code file, and for ``demo`` the ``--J``
+shares (parsed, in range and advance shareable) and ``--trials`` on a
+k = 0 code, which the protocol cannot run yet: it has only the trivial
+secret, and the simulator draws it with a random global phase that the
+encoder rejects.  Any error raised after those checks is internal.
 Every refusal writes the usual JSON report; an argparse usage error prints
 argparse's message on stderr, writes no report and also exits 1.
 """
@@ -59,6 +61,24 @@ _INPUT_ERRORS = (
 )
 
 _REPORTED_ERRORS = (AdvShareError, ValueError, OSError, RuntimeError, AssertionError)
+
+
+class _InputError(Exception):
+    """Bad input, found by an input check; :func:`run` exits 1 on it."""
+
+
+def _input_check(check):
+    """Make ``check`` raise its input errors as :class:`_InputError`."""
+
+    @functools.wraps(check)
+    def checked(*args):
+        try:
+            return check(*args)
+        except _INPUT_ERRORS as exc:
+            raise _InputError(str(exc)) from exc
+
+    return checked
+
 
 _INFINITY = float("inf")
 
@@ -121,6 +141,7 @@ def _parameters_string(code: StabilizerCode, distance: int | None) -> str:
     return f"[[{code.n},{code.k},{d}]]_{code.p}"
 
 
+@_input_check
 def _load(path: str) -> StabilizerCode:
     text = Path(path).read_text(encoding="utf-8")
     p, n, rows = codefile.parse_code_file(text)
@@ -170,6 +191,7 @@ def _access_table(
     return table
 
 
+@_input_check
 def _demo_shares(code: StabilizerCode, text: str, trials: int) -> tuple[int, ...]:
     """The ``--J`` shares, refused unless parsed, in range and advance
     shareable; trials on a k = 0 code are refused too."""
@@ -347,12 +369,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_counts(args: argparse.Namespace) -> None:
-    """Refuse a negative --budget, --max-size or --trials as invalid input."""
-    for option in ("budget", "max_size", "trials"):
+    """Refuse a negative --budget, --max-size, --trials or --seed as input."""
+    for option in ("budget", "max_size", "trials", "seed"):
         value = getattr(args, option, None)
         if value is not None and value < 0:
             flag = "--" + option.replace("_", "-")
-            raise ValueError(f"{flag} must be at least 0, got {value}")
+            raise _InputError(f"{flag} must be at least 0, got {value}")
 
 
 @functools.cache
@@ -372,35 +394,30 @@ def run(argv: list[str] | None = None, stdout=None, stderr=None) -> int:
     enum_budget = args.budget if args.budget is not None else DEFAULT_ENUM_BUDGET
     state_budget = args.budget if args.budget is not None else sim.DEFAULT_STATE_BUDGET
     report: dict = {"schema_version": SCHEMA_VERSION, "command": args.command}
-    # True while an input is being checked: only then is an error invalid input.
-    checking = True
     try:
         _check_counts(args)
         code = _load(args.file)
-        checking = False
         report["code"] = _code_section(code, enum_budget)
         if args.command == "analyze":
             report["advance_shareable"] = _analyze_section(
                 code, args.max_size, enum_budget
             )
         elif args.command == "demo":
-            checking = True
             shares = _demo_shares(code, args.J, args.trials)
-            checking = False
             report["demo"] = _demo_section(
                 code, shares, args.seed, args.trials, enum_budget, state_budget
             )
+    except _InputError as exc:
+        report["error"] = {"type": "invalid-input", "message": str(exc)}
+        _emit(report, stdout)
+        print(f"error: {exc}", file=stderr)
+        return EXIT_INVALID
     except BudgetExceededError as exc:
         report["error"] = {"type": "budget", "message": str(exc)}
         _emit(report, stdout)
         print(f"budget exceeded: {exc}", file=stderr)
         return EXIT_BUDGET
     except _REPORTED_ERRORS as exc:
-        if checking and isinstance(exc, _INPUT_ERRORS):
-            report["error"] = {"type": "invalid-input", "message": str(exc)}
-            _emit(report, stdout)
-            print(f"error: {exc}", file=stderr)
-            return EXIT_INVALID
         report["error"] = {"type": "internal", "message": str(exc)}
         _emit(report, stdout)
         print(f"internal error: {exc}", file=stderr)

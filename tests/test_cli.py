@@ -426,7 +426,12 @@ def test_demo_transcripts_match_the_golden_reports(code_dir, name):
 
 @pytest.mark.parametrize(
     "command, option, value",
-    [("demo", "--trials", "-1"), ("analyze", "--max-size", "-1"), ("validate", "--budget", "-3")],
+    [
+        ("demo", "--trials", "-1"),
+        ("demo", "--seed", "-1"),
+        ("analyze", "--max-size", "-1"),
+        ("validate", "--budget", "-3"),
+    ],
 )
 def test_negative_counts_are_invalid_input(code_dir, schema, command, option, value):
     argv = [command, str(code_dir / "five_qubit.code"), option, value, "--json-only"]
