@@ -184,11 +184,16 @@ class ShareStructure:
         """2|E| - r_E == r - r_E': every dual vector inside E is a check."""
         return 2 * w - inside == self.num_checks - outside
 
-    def labels(self, w: int, inside: np.ndarray, outside: np.ndarray) -> list[AccessLabel]:
-        """Access label of each w-set from its r_E and r_E'."""
+    def label_codes(self, w: int, inside: np.ndarray, outside: np.ndarray) -> np.ndarray:
+        """Access label of each w-set from its r_E and r_E', as its index in
+        :class:`AccessLabel`: 0 qualified, 1 forbidden, 2 intermediate."""
         qualified = self.correctable(self.n - w, outside, inside)
         forbidden = self.correctable(w, inside, outside)
-        return [_LABELS[c] for c in np.select([qualified, forbidden], [0, 1], 2).tolist()]
+        return np.select([qualified, forbidden], [0, 1], 2)
+
+    def labels(self, w: int, inside: np.ndarray, outside: np.ndarray) -> list[AccessLabel]:
+        """Access label of each w-set from its r_E and r_E'."""
+        return [_LABELS[c] for c in self.label_codes(w, inside, outside).tolist()]
 
     def mutual_information(self, w: int, inside: np.ndarray, outside: np.ndarray) -> np.ndarray:
         """I(R:A) in units of log p of each w-set A from its r_A and r_A'."""

@@ -82,6 +82,54 @@ def _input_check(check):
 
 _INFINITY = float("inf")
 
+#: Access labels by their index in :class:`AccessLabel`, and each label's
+#: JSON text.
+_LABEL_NAMES = tuple(label.value for label in AccessLabel)
+_LABEL_TEXT = {name: encode_basestring_ascii(name) for name in _LABEL_NAMES}
+
+
+class _AccessRows(list):
+    """The rows of a ``demo`` access table, a plain list of dicts.
+
+    Each row holds ``"shares"`` (a list of ints), ``"size"`` (its length)
+    and ``"label"`` (an :class:`AccessLabel` value), and in every row or in
+    none ``"mutual_information"`` (a finite float), in that key order.
+    :func:`_json_text` writes them from one template per row shape.
+    """
+
+
+def _row_template(size: int, informed: bool, indent: str) -> str:
+    """The ``%``-template of an access-table row of ``size`` shares, closed
+    at ``indent``: ``%d`` per share, then ``%s`` for the label's JSON text,
+    then ``%r`` for the mutual information if ``informed``."""
+    inner, deeper = indent + "  ", indent + "    "
+    shares = "[" + deeper + ("," + deeper).join(["%d"] * size) + inner + "]" if size else "[]"
+    fields = ['"shares": ' + shares, f'"size": {size}', '"label": %s']
+    if informed:
+        fields.append('"mutual_information": %r')
+    return "{" + inner + ("," + inner).join(fields) + indent + "}"
+
+
+def _rows_text(rows: _AccessRows, indent: str) -> str:
+    """``_json_text(list(rows), indent)`` with one format call per row."""
+    if not rows:
+        return "[]"
+    inner = indent + "  "
+    informed = "mutual_information" in rows[0]
+    templates: dict[int, str] = {}
+    items = []
+    for row in rows:
+        shares = row["shares"]
+        template = templates.get(len(shares))
+        if template is None:
+            template = templates[len(shares)] = _row_template(len(shares), informed, inner)
+        label = _LABEL_TEXT[row["label"]]
+        if informed:
+            items.append(template % (*shares, label, row["mutual_information"]))
+        else:
+            items.append(template % (*shares, label))
+    return "[" + inner + ("," + inner).join(items) + indent + "]"
+
 
 def _json_text(value, indent: str = "\n") -> str:
     """Exactly ``json.dumps(value, indent=2)``, without the stdlib's
@@ -93,7 +141,9 @@ def _json_text(value, indent: str = "\n") -> str:
     and floats through ``int.__repr__`` and ``float.__repr__``, and NaN
     and +-Infinity are spelled as ``json`` spells them.  Tuples are
     written as lists; dict keys must be strings, as in every report.  Any
-    other type raises ``TypeError``, as ``json.dumps`` does.
+    other type raises ``TypeError``, as ``json.dumps`` does.  An
+    :class:`_AccessRows` table is written by :func:`_rows_text`, which
+    gives the same text.
     """
     if isinstance(value, str):
         return encode_basestring_ascii(value)
@@ -113,6 +163,8 @@ def _json_text(value, indent: str = "\n") -> str:
         if value == -_INFINITY:
             return "-Infinity"
         return float.__repr__(value)
+    if type(value) is _AccessRows:
+        return _rows_text(value, indent)
     inner = indent + "  "
     if isinstance(value, (list, tuple)):
         if not value:
@@ -179,18 +231,6 @@ def _analyze_section(code: StabilizerCode, max_size: int, budget: int) -> dict:
     }
 
 
-def _access_table(
-    subsets: list[list[int]], labels: list[AccessLabel], mi: list[int] | None
-) -> list[dict]:
-    table = []
-    for i, (subset, label) in enumerate(zip(subsets, labels)):
-        entry = {"shares": subset, "size": len(subset), "label": label.value}
-        if mi is not None:
-            entry["mutual_information"] = float(mi[i])
-        table.append(entry)
-    return table
-
-
 @_input_check
 def _demo_shares(code: StabilizerCode, text: str, trials: int) -> tuple[int, ...]:
     """The ``--J`` shares, refused unless parsed, in range and advance
@@ -246,22 +286,26 @@ def _demo_section(
     }
     check_budget(1 << code.n, enum_budget, "access table")
     # Sets run by size, each size in lexicographic share order; one level of
-    # ranks per size, read forwards and reversed, gives every label and
-    # mutual information.
+    # ranks per size, read forwards and reversed, gives every label and, when
+    # trials run, the mutual information and the qualified sets.
     structure = code.share_structure()
-    subsets, labels, mi = [], [], []
+    table = section["access_table"] = _AccessRows()
+    qualified = []
     for w in range(code.n + 1):
         ranks = w, structure.level(w), structure.level(code.n - w)[::-1]
-        subsets += share_sets(code.n, w).tolist()
-        labels += structure.labels(*ranks)
-        mi += structure.mutual_information(*ranks).tolist()
-    section["access_table"] = _access_table(subsets, labels, mi if trials > 0 else None)
-    if trials > 0:
-        qualified = [
-            subset
-            for subset, label in zip(subsets, labels)
-            if label is AccessLabel.QUALIFIED
+        sets = share_sets(code.n, w)
+        label_codes = structure.label_codes(*ranks)
+        rows = [
+            {"shares": s, "size": w, "label": _LABEL_NAMES[c]}
+            for s, c in zip(sets.tolist(), label_codes.tolist())
         ]
+        if trials > 0:
+            mi = structure.mutual_information(*ranks).astype(float).tolist()
+            for row, i in zip(rows, mi):
+                row["mutual_information"] = i
+            qualified += sets[label_codes == 0].tolist()
+        table += rows
+    if trials > 0:
         transcript = sim.simulate_protocol(
             code, shares, plan, circuit, seed, trials, qualified, budget=budget
         )

@@ -575,15 +575,28 @@ def _decompose_symplectic(matrix: np.ndarray, m: int, p: int) -> list[Gate]:
     """Elementary gates realizing a symplectic matrix.
 
     Reduces the matrix to the identity by left-applying gate actions, one
-    column pair per wire, then returns the inverses in reverse order.
+    column pair per wire, then returns the inverses in reverse order.  A
+    gate applied ``times`` times is one row operation: a ``SUM`` power adds
+    ``times`` multiples, and F^2 negates its wire's rows.
     """
     cur = matrix.copy() % p
     ops: list[Gate] = []
 
     def apply(g: Gate, times: int = 1):
-        for _ in range(times % (4 * p)):
+        # Only SUM and F come with times > 1.
+        if times == 1:
             _conjugate_wires(g, cur[:m], cur[m:], p)
-            ops.append(g)
+        elif g.kind == "SUM":
+            q, qt = g.qudits
+            cur[qt] = (cur[qt] + times * cur[q]) % p
+            cur[m + q] = (cur[m + q] - times * cur[m + qt]) % p
+        else:
+            q = g.qudits[0]
+            if times % 4 >= 2:
+                cur[q], cur[m + q] = (-cur[q]) % p, (-cur[m + q]) % p
+            if times % 2:
+                _conjugate_wires(g, cur[:m], cur[m:], p)
+        ops.extend([g] * times)
 
     for q in range(m):
         col = cur[:, q]

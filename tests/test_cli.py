@@ -11,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from advshare import cli
+from advshare.access import share_sets
 from advshare.codefile import format_code_file, parse_code_file
 from advshare.errors import CodeFileError, UncorrectableErasureError
-from advshare.pauli import validate_stabilizer
+from advshare.pauli import random_stabilizer, validate_stabilizer
 
 
 def run_cli(argv):
@@ -532,3 +533,67 @@ def test_every_shipped_report_is_written_as_json_dumps(code_dir, monkeypatch):
         assert out == json.dumps(reports[-1], indent=2) + "\n"
     assert len(reports) == len(runs)
     assert {r.get("error", {}).get("type") for r in reports} == {None, "budget", "invalid-input"}
+
+
+@st.composite
+def access_rows(draw):
+    """Access-table rows on n shares, sizes 0..n in any order, every row
+    with a float mutual information or none."""
+    n = draw(st.integers(0, 6))
+    informed = draw(st.booleans())
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        shares = sorted(draw(st.sets(st.integers(1, n), max_size=n))) if n else []
+        label = draw(st.sampled_from(cli._LABEL_NAMES))
+        row = {"shares": shares, "size": len(shares), "label": label}
+        if informed:
+            row["mutual_information"] = draw(
+                st.integers(-n, n).map(float) | st.floats(allow_nan=False, allow_infinity=False)
+            )
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rows=access_rows(), depth=st.sampled_from(["bare", "list", "report"]))
+def test_access_rows_are_written_as_json_dumps(rows, depth):
+    """The template path writes what json.dumps and the generic path write,
+    at three nesting depths; the strategy includes the empty table and the
+    empty ``"shares": []`` row."""
+    nest = {
+        "bare": lambda t: t,
+        "list": lambda t: [t, {"a": t}],
+        "report": lambda t: {"demo": {"shares": [], "access_table": t}, "x": 1},
+    }[depth]
+    assert cli._rows_text(cli._AccessRows(rows), "\n") == json.dumps(rows, indent=2)
+    fast = nest(cli._AccessRows(rows))
+    text = cli._json_text(fast)
+    assert text == json.dumps(fast, indent=2)
+    assert text == cli._json_text(nest(list(rows)))
+
+
+@pytest.mark.parametrize("p, n, trials", [(2, 12, 0), (3, 9, 0), (5, 7, 0), (7, 6, 0), (3, 4, 1)])
+def test_large_access_tables_are_written_as_json_dumps(tmp_path, monkeypatch, p, n, trials):
+    """Random codes wider than any shipped one: the written report is
+    json.dumps of the report, and the summary counts every label."""
+    code = random_stabilizer(p, n, n - 1, np.random.default_rng([p, n]))
+    path = tmp_path / "random.code"
+    path.write_text(format_code_file(code), encoding="utf-8")
+    reports = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda report, out: reports.append(report) or emit(report, out))
+    status, out, err = run_cli(["demo", str(path), "--J", "none", "--trials", str(trials)])
+    assert status == 0
+    assert out == json.dumps(reports[0], indent=2) + "\n"
+    table = json.loads(out)["demo"]["access_table"]
+    assert len(table) == 2**n
+    order = [s for w in range(n + 1) for s in share_sets(n, w).tolist()]
+    assert [row["shares"] for row in table] == order
+    assert all(("mutual_information" in row) == (trials > 0) for row in table)
+    structure = code.share_structure()
+    counts: dict[str, int] = {}
+    for w in range(n + 1):
+        for label in structure.labels(w, structure.level(w), structure.level(n - w)[::-1]):
+            counts[label.value] = counts.get(label.value, 0) + 1
+    line = "access table: " + ", ".join(f"{v} {k}" for k, v in sorted(counts.items()))
+    assert line in err.splitlines()

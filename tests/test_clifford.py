@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from advshare import clifford, gfp
-from advshare.advance import construct_eaqecc
+from advshare.advance import construct_eaqecc, is_advance_shareable
 from advshare.clifford import (
     CliffordCircuit,
     Gate,
@@ -25,7 +25,7 @@ from advshare.errors import (
     GramMismatchError,
     InvariantError,
 )
-from advshare.pauli import PauliOperator, omega, single, to_matrix, zeta
+from advshare.pauli import PauliOperator, omega, random_stabilizer, single, to_matrix, zeta
 from advshare.symplectic import orthogonality_rows, product_matrix
 from tests_util_circuits import random_circuit
 
@@ -500,6 +500,68 @@ def test_synthesize_random_tuples_full_contract(rng):
                 assert abs(lam - 1) < 1e-9
             verified += 1
     assert verified >= 50
+
+
+def loop_decompose_symplectic(matrix, m, p):
+    """Reference: ``clifford._decompose_symplectic`` with a gate applied
+    ``times`` times as that many full matrix updates."""
+    cur = matrix.copy() % p
+    ops = []
+
+    def apply(g, times=1):
+        for _ in range(times % (4 * p)):
+            clifford._conjugate_wires(g, cur[:m], cur[m:], p)
+            ops.append(g)
+
+    for q in range(m):
+        col = cur[:, q]
+        if not col[q:m].any():
+            w = q + int(np.nonzero(col[m + q :])[0][0])
+            apply(Gate("F", (w,)))
+        col = cur[:, q]
+        if col[q] == 0:
+            w = q + int(np.nonzero(col[q + 1 : m])[0][0]) + 1
+            apply(Gate("SUM", (w, q)))
+        if cur[q, q] != 1:
+            apply(Gate("MUL", (q,), gfp.inv_scalar(int(cur[q, q]), p)))
+        for w in range(q + 1, m):
+            if cur[w, q]:
+                apply(Gate("SUM", (q, w)), times=p - int(cur[w, q]))
+        for w in range(q + 1, m):
+            if cur[m + w, q]:
+                apply(Gate("F", (w,)))
+                apply(Gate("SUM", (q, w)), times=p - int(cur[w, q]))
+        if cur[m + q, q]:
+            apply(Gate("P", (q,), (p - int(cur[m + q, q])) % p))
+        for w in range(q + 1, m):
+            if cur[m + w, m + q]:
+                apply(Gate("SUM", (w, q)), times=int(cur[m + w, m + q]))
+            if cur[w, m + q]:
+                apply(Gate("F", (w,)))
+                apply(Gate("SUM", (w, q)), times=int(cur[m + w, m + q]))
+        if cur[q, m + q]:
+            gam = int(cur[q, m + q])
+            apply(Gate("F", (q,)), times=1 if p == 2 else 3)
+            apply(Gate("P", (q,), gam))
+            apply(Gate("F", (q,)))
+    assert np.array_equal(cur, np.eye(2 * m, dtype=np.int64))
+    return [h for g in reversed(ops) for h in clifford._inverse_gates(g, p)]
+
+
+@pytest.mark.parametrize("p", gfp.PRIMES)
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.integers(1, 6), rows_short=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+def test_decomposition_matches_the_gate_by_gate_loop(p, n, rows_short, seed):
+    """Encoders of random codes: one row operation per gate power gives the
+    loop's gate list, and the gates realize the encoder's matrix."""
+    code = random_stabilizer(p, n, max(0, n - rows_short), np.random.default_rng(seed))
+    shares = [1] if is_advance_shareable(code, [1]) else []
+    circuit = encoding_circuit(construct_eaqecc(code, shares))
+    # The trailing X/Z layer acts trivially on f-images.
+    matrix = symplectic_matrix(circuit)
+    gates = clifford._decompose_symplectic(matrix, circuit.m, p)
+    assert gates == loop_decompose_symplectic(matrix, circuit.m, p)
+    assert np.array_equal(symplectic_matrix(CliffordCircuit(p, circuit.m, tuple(gates))), matrix)
 
 
 def test_encoding_circuit_example_contract(four_qubit):
