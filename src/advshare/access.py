@@ -29,8 +29,10 @@ of size w and row ``C(n, w) - 1 - i`` of size ``n - w`` are complements.
 (:meth:`ShareStructure.level`): the walks and the 2^n access table read r_E'
 of a size as ``level(n - w)[::-1]``, and a query on given sets reads a kept
 level by row index.  Everything else is eliminated in batches of at most
-:data:`CHUNK_ENTRIES` entries: :func:`advshare.gfp.packed_rank` on
-bit-packed columns at p = 2, :func:`advshare.gfp.batched_rank` at odd p.
+:data:`CHUNK_ENTRIES` entries, by a kernel that loops over the cheaper side
+of each set's matrix in narrow words: :func:`advshare.gfp.packed_rank` on
+bit-packed columns at p = 2, :func:`advshare.gfp.batched_rank` on uint8
+columns at odd p.
 :meth:`advshare.pauli.StabilizerCode.share_structure` keeps one per code.
 """
 
@@ -74,11 +76,15 @@ def _row_index(sets: np.ndarray, n: int) -> np.ndarray:
     """The row of each sorted w-set in ``share_sets(n, w)``:
     ``C(n, w) - 1 - sum_i C(n - s_i, w - i)`` over 0-based positions i."""
     count, w = sets.shape
-    index = np.full(count, math.comb(n, w) - 1, dtype=np.int64)
-    for i in range(w):
-        after, at = np.unique(n - sets[:, i], return_inverse=True)
-        index -= np.array([math.comb(int(a), w - i) for a in after], dtype=np.int64)[at]
-    return index
+    # n - s_i - (w - i) runs over -1 .. n - w - 1, so row j + 1 of the table,
+    # column k, holds C(j + k, k); row 0 holds C(k - 1, k) = 0 for k >= 1.
+    # Its largest entry is C(n, w), the level's own size.
+    table = np.ones((n - w + 2, w + 1), dtype=np.int64)
+    table[0] = 0
+    for k in range(1, w + 1):
+        table[1:, k] = np.cumsum(table[1:, k - 1])
+    i = np.arange(w)
+    return table[-1, w] - 1 - table[n - w + 1 + i - sets, w - i].sum(axis=1)
 
 
 def check_budget(count: int, budget: int, stage: str, scope: str = "") -> None:
@@ -97,8 +103,9 @@ class ShareStructure:
         self.n = n
         self.num_checks = int(check_matrix.shape[0])
         # Row c of the transpose is column c of H: stacking rows selects a
-        # share set's columns, and the transpose has the same rank.
-        self._columns = gfp.as_matrix(check_matrix, p).T.copy()
+        # share set's columns, and the transpose has the same rank.  Entries
+        # are below 7, so a uint8 gather feeds the narrow kernels directly.
+        self._columns = gfp.as_matrix(check_matrix, p).T.astype(np.uint8, order="C")
         # At p = 2 each column is also one row of uint64 words, a bit per check.
         self._words = gfp.pack_bits(self._columns) if p == 2 else None
         self._row_entries = (self._words if p == 2 else self._columns).shape[1]

@@ -8,15 +8,17 @@ freshly allocated arrays; nothing is mutated in place.
 Supported moduli are the small primes 2, 3, 5 and 7.  The share-set walks
 of :mod:`advshare.access` visit up to sum_w C(n, w) sets and rank each one,
 so they cap problem sizes long before larger fields become interesting.
-Those ranks come from :func:`batched_rank` at odd p and, at p = 2, from
-:func:`packed_rank`, which holds each row as uint64 words, one bit per
-entry, and eliminates by XOR.  :func:`batched_rank` and
-:func:`solution_maps` share one batched Gauss-Jordan core that returns each
-matrix's pivot rows; :func:`rref` keeps its own single-matrix loop.
+Those ranks come from two forward eliminations that loop over the cheaper
+side of each matrix in narrow words: :func:`batched_rank` on uint8 entries
+at odd p, and at p = 2 :func:`packed_rank`, which holds each row as uint64
+words, one bit per entry, and eliminates by XOR.  :func:`solution_maps`
+runs the batched int64 Gauss-Jordan core :func:`_reduce`, which returns
+each matrix's pivot rows; :func:`rref` keeps its own single-matrix loop.
 
-Elimination is deterministic: the pivot for each column is the first row with
-a nonzero entry, and pivots are normalized to 1, so reduced forms are
-reproducible across runs.
+Reduced forms are deterministic: the pivot for each column is the first row
+with a nonzero entry, and pivots are normalized to 1, so they are
+reproducible across runs.  A rank does not depend on the pivots, so the
+rank kernels pick whichever is cheapest.
 """
 
 from __future__ import annotations
@@ -106,7 +108,9 @@ def rank(m, p: int) -> int:
 
 def _reduce(a: np.ndarray, p: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Jordan elimination of the first ``cols`` columns of every matrix
-    in a ``(batch, rows, width)`` int64 stack reduced mod p, in place.
+    in a ``(batch, rows, width)`` int64 stack reduced mod p, in place: the
+    core of :func:`solution_maps`, which needs the reduced rows, not only
+    their number (ranks come from :func:`batched_rank`).
 
     For each column, every matrix picks its first row with a nonzero entry
     that holds no earlier pivot and clears that column from all its other
@@ -138,21 +142,56 @@ def _reduce(a: np.ndarray, p: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
     return a, pivot_row
 
 
+#: ``_INVERSES[p][v]`` is the inverse of v mod p, and 0 for v = 0.
+_INVERSES = {
+    2: np.array([0, 1], dtype=np.uint8),
+    3: np.array([0, 1, 2], dtype=np.uint8),
+    5: np.array([0, 1, 3, 2, 4], dtype=np.uint8),
+    7: np.array([0, 1, 4, 5, 2, 3, 6], dtype=np.uint8),
+}
+
+
 def batched_rank(stack, p: int) -> np.ndarray:
     """Rank of every matrix in a ``(batch, rows, cols)`` stack.
 
-    One elimination (:func:`_reduce`) runs over the whole batch at once, on
-    the transposed stack when columns outnumber rows, so it loops over the
-    shorter side; a matrix's rank is its number of pivots.
+    One forward elimination runs over the whole batch at once, on uint8
+    entries laid out ``(short, long, batch)``: it steps along the shorter
+    side of each matrix, and every update runs along the batch.  At each
+    step every matrix picks a line (a row or column of the longer side) with
+    a nonzero entry, scales it to a pivot of 1 and clears the step from every
+    line, the pivot line included.  A pivot line is thereby zeroed and never
+    chosen again, so a matrix's rank is the number of steps that found a
+    pivot.
     """
     check_modulus(p)
-    a = np.asarray(stack, dtype=np.int64)
+    a = np.asarray(stack)
     if a.ndim != 3:
         raise ValueError(f"expected a 3-d stack, got shape {a.shape}")
-    if a.shape[2] > a.shape[1]:
-        a = np.swapaxes(a, 1, 2)
-    a = a % p
-    return (_reduce(a, p, a.shape[2])[1] >= 0).sum(axis=1)
+    order = (1, 2, 0) if a.shape[2] > a.shape[1] else (2, 1, 0)
+    view = a.transpose(order)
+    # Reduced before narrowing, so that negative or large entries do not wrap.
+    a = np.remainder(view, p, out=np.empty(view.shape, dtype=np.uint8), casting="unsafe")
+    steps, _, batch = a.shape
+    ranks = np.zeros(batch, dtype=np.int64)
+    every = np.arange(batch)
+    inverses = _INVERSES[p]
+    # Entries are kept only up to congruence mod p: an update adds at most
+    # p * (p - 1), and the block is reduced when the next one could pass 255.
+    bound = p - 1
+    for c in range(steps):
+        column = a[c] % p
+        pivots = a[c:, column.argmax(axis=0), every] % p
+        # A matrix without a pivot here picks a line that is 0 at c, which
+        # scales to zero and clears nothing.
+        lead = pivots[0]
+        ranks += lead != 0
+        pivots = pivots[1:] * inverses[lead] % p
+        if bound + p * (p - 1) > 255:
+            a[c + 1 :] %= p
+            bound = p - 1
+        a[c + 1 :] += (p - column) * pivots[:, None, :]
+        bound += p * (p - 1)
+    return ranks
 
 
 def pack_bits(m) -> np.ndarray:
@@ -172,21 +211,41 @@ def packed_rank(stack) -> np.ndarray:
     """F_2 rank of every matrix in a ``(batch, rows, words)`` stack of rows
     packed by :func:`pack_bits`.
 
-    One forward elimination runs over the whole batch at once: for each bit
-    that some row carries, every matrix picks its first row with that bit
-    set as the pivot and XORs it into each of its rows with the bit set,
-    the pivot row included.  A pivot row is thereby zeroed and never chosen
-    again, so a matrix's rank is its number of pivots.
+    One forward elimination runs over the whole batch at once, along the
+    side of the stack that costs less: its rows, or the bits that some row
+    carries.
+
+    * Row by row, when rows fit one word and are fewer than twice those
+      bits: row i's lowest set bit is its pivot, and row i is XORed into
+      each later row with that bit.  No later row keeps an earlier pivot, so
+      the rows left nonzero when their turn comes are independent and a
+      matrix's rank is their number.  Step i touches only the rows after i,
+      about rows**2 / 2 row updates in all, against bits * rows below.
+    * Bit by bit otherwise: for each bit, every matrix picks its first row
+      with that bit set as the pivot and XORs it into each of its rows with
+      the bit set, the pivot row included.  A pivot row is thereby zeroed
+      and never chosen again, so a matrix's rank is its number of pivots.
     """
-    a = np.array(stack, dtype=np.uint64)
+    a = np.asarray(stack, dtype=np.uint64)
     if a.ndim != 3:
         raise ValueError(f"expected a 3-d stack, got shape {a.shape}")
-    batch, _, words = a.shape
+    batch, rows, words = a.shape
     ranks = np.zeros(batch, dtype=np.int64)
     if a.size == 0:
         return ranks
-    every = np.arange(batch)
     present = np.bitwise_or.reduce(a, axis=(0, 1))
+    if words == 1 and rows < 2 * int(present[0]).bit_count():
+        # One row of the whole batch at a time, contiguous along the batch.
+        a = a[:, :, 0].T.copy()
+        for i in range(rows):
+            row = a[i]
+            ranks += row != 0
+            low = row & (~row + np.uint64(1))
+            later = a[i + 1 :]
+            later ^= row * ((later & low) != 0)
+        return ranks
+    a = a.copy()
+    every = np.arange(batch)
     for w in range(words):
         bits = int(present[w])
         while bits:

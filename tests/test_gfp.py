@@ -153,11 +153,41 @@ def stacks(draw, wide=False):
     return (left @ right) % p, p
 
 
+@pytest.mark.parametrize("p", gfp.PRIMES)
+def test_inverse_tables_match_inv_scalar(p):
+    table = gfp._INVERSES[p]
+    assert table.dtype == np.uint8
+    assert table.tolist() == [0] + [gfp.inv_scalar(v, p) for v in range(1, p)]
+
+
+def upper_triangular(size, p):
+    """Full rank, with p - 1 above the diagonal: each pivot line scales to
+    p - 1 entries that every later line takes p times, so uint8 entries grow
+    by p * (p - 1) a step until the kernel reduces them."""
+    m = np.triu(np.full((size, size), p - 1, dtype=np.int64), 1) + np.eye(size, dtype=np.int64)
+    deficient = m.copy()
+    deficient[-1] = deficient[0]
+    return np.stack([m, deficient, m.T])
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(stacks() | stacks(wide=True))
+@example((np.full((2, 6, 9), 6, dtype=np.int64), 7))
+@example((upper_triangular(16, 7), 7))
+@example((upper_triangular(16, 5), 5))
+@example((upper_triangular(20, 3), 3))
+@example((np.random.default_rng(3).integers(-300, 300, size=(4, 5, 6)), 5))
+@example((np.array([[[1, 2], [-6, -5]], [[1, 1], [260, 1]]]), 7))  # rank 2 if narrowed unreduced
+@example((np.random.default_rng(4).integers(0, 3, size=(3, 2, 11)).astype(np.uint8), 3))
 def test_batched_rank_matches_rank_per_slice(sp):
+    """Ranks on uint8 entries: every entry 6 at p = 7, and many unreduced
+    steps that take entries up to 216 (upper_triangular); entries that are
+    negative or at least p, which must not wrap when narrowed; and wide
+    stacks, which the kernel transposes.  The input stays as it was."""
     stack, p = sp
+    before = stack.copy()
     got = gfp.batched_rank(stack, p)
+    assert np.array_equal(stack, before)
     assert got.shape == (stack.shape[0],)
     for mat, rk in zip(stack, got):
         assert rk == gfp.rank(mat, p)
@@ -194,8 +224,9 @@ def test_batched_rank_empty_shapes(shape):
 
 @st.composite
 def bit_stacks(draw):
-    """0/1 stacks whose row length hits one word, a full word and several."""
-    batch, rows = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    """0/1 stacks whose row length hits one word, a full word and several,
+    with rows on either side of the row-by-row / bit-by-bit choice."""
+    batch, rows = draw(st.integers(0, 6)), draw(st.integers(0, 12))
     cols = draw(st.sampled_from([0, 1, 63, 64, 65, 130]) | st.integers(0, 9))
     inner = draw(st.integers(0, 7))  # below min(rows, cols) forces rank deficiency
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -204,8 +235,16 @@ def bit_stacks(draw):
     return (left @ right) % 2
 
 
+#: 0/1 entries for the examples below.  Rows that are alike in their first
+#: word and random past it have full rank only if the kernel reads every word.
+RANDOM_BITS = np.random.default_rng(5).integers(0, 2, size=(30, 40, 66))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(bit_stacks())
+@example(RANDOM_BITS[:, :, :64])  # row by row
+@example(RANDOM_BITS[:, :, :20])  # bit by bit
+@example(np.concatenate([np.ones((30, 12, 64), dtype=np.int64), RANDOM_BITS[:, :12]], axis=2))  # several words
 def test_packed_rank_matches_rank_per_slice(stack):
     words = gfp.pack_bits(stack)
     assert words.dtype == np.uint64
@@ -214,7 +253,9 @@ def test_packed_rank_matches_rank_per_slice(stack):
     for bits, packed in zip(stack.reshape(batch * rows, cols), words.reshape(batch * rows, words.shape[2])):
         as_int = sum(int(w) << (64 * i) for i, w in enumerate(packed))
         assert as_int == sum(int(b) << c for c, b in enumerate(bits))
+    before = words.copy()
     got = gfp.packed_rank(words)
+    assert np.array_equal(words, before)
     assert got.shape == (stack.shape[0],)
     for mat, rk in zip(stack, got):
         assert rk == gfp.rank(mat, 2)
@@ -229,6 +270,10 @@ def test_packed_rank_uses_the_top_bit_of_a_word():
     top = np.uint64(1) << np.uint64(63)
     stack = np.array([[[top, 0], [top, 1]], [[top, 1], [top, 1]]], dtype=np.uint64)
     assert gfp.packed_rank(stack).tolist() == [2, 1]
+    # Two one-word rows carrying three bits go row by row; in the first
+    # matrix the only pivot is bit 63, which clears the second row.
+    stack = np.array([[[top], [top]], [[3], [top]], [[top | np.uint64(2)], [top]]], dtype=np.uint64)
+    assert gfp.packed_rank(stack).tolist() == [1, 2, 2]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
