@@ -10,7 +10,12 @@ Three subcommands over check-matrix files (see :mod:`advshare.codefile`):
 
 One JSON document goes to stdout (schema shipped as
 ``advshare/schema/report.schema.json``); a human summary goes to stderr
-unless ``--json-only``.  Share indices are 1-based.  Exit codes: 0 success,
+unless ``--json-only``.  The report's bytes are ``json.dumps(report,
+indent=2)``'s, written by :func:`_json_text`: recursively, except that the
+access table and the advance-shareable sets are written from one
+``%``-template per set size, and a list of plain ints or plain strings
+(matrix rows, syndromes, the circuit's gates, one ``str`` per run of equal
+gates) in one ``str.join``.  Share indices are 1-based.  Exit codes: 0 success,
 1 invalid input, 2 budget exceeded, 3 internal error.  Only the inputs are
 checked as input: the counts (a negative ``--budget``, ``--max-size``,
 ``--trials`` or ``--seed``), the code file, and for ``demo`` the ``--J``
@@ -98,15 +103,39 @@ class _AccessRows(list):
     """
 
 
+class _ShareableRows(list):
+    """The ``analyze`` rows of advance-shareable sets, a plain list of dicts.
+
+    Each row holds ``"shares"`` (a list of ints) and ``"certificates"``, a
+    dict of the bools ``"theorem1"`` and ``"theorem2"``, in that key order.
+    :func:`_json_text` writes them from one template per set size.
+    """
+
+
+def _shares_template(size: int, indent: str) -> str:
+    """The ``%``-template of a list of ``size`` ints closed at ``indent``."""
+    inner = indent + "  "
+    return "[" + inner + ("," + inner).join(["%d"] * size) + indent + "]" if size else "[]"
+
+
 def _row_template(size: int, informed: bool, indent: str) -> str:
     """The ``%``-template of an access-table row of ``size`` shares, closed
     at ``indent``: ``%d`` per share, then ``%s`` for the label's JSON text,
     then ``%r`` for the mutual information if ``informed``."""
-    inner, deeper = indent + "  ", indent + "    "
-    shares = "[" + deeper + ("," + deeper).join(["%d"] * size) + inner + "]" if size else "[]"
-    fields = ['"shares": ' + shares, f'"size": {size}', '"label": %s']
+    inner = indent + "  "
+    fields = ['"shares": ' + _shares_template(size, inner), f'"size": {size}', '"label": %s']
     if informed:
         fields.append('"mutual_information": %r')
+    return "{" + inner + ("," + inner).join(fields) + indent + "}"
+
+
+def _shareable_template(size: int, indent: str) -> str:
+    """The ``%``-template of an ``analyze`` row of ``size`` shares, closed at
+    ``indent``: ``%d`` per share, then ``%s`` for each certificate's JSON
+    text."""
+    inner, deeper = indent + "  ", indent + "    "
+    certificates = "{" + deeper + '"theorem1": %s,' + deeper + '"theorem2": %s' + inner + "}"
+    fields = ['"shares": ' + _shares_template(size, inner), '"certificates": ' + certificates]
     return "{" + inner + ("," + inner).join(fields) + indent + "}"
 
 
@@ -131,6 +160,28 @@ def _rows_text(rows: _AccessRows, indent: str) -> str:
     return "[" + inner + ("," + inner).join(items) + indent + "]"
 
 
+def _shareable_text(rows: _ShareableRows, indent: str) -> str:
+    """``_json_text(list(rows), indent)`` with one format call per row."""
+    if not rows:
+        return "[]"
+    inner = indent + "  "
+    templates: dict[int, str] = {}
+    items = []
+    for row in rows:
+        shares, certificates = row["shares"], row["certificates"]
+        template = templates.get(len(shares))
+        if template is None:
+            template = templates[len(shares)] = _shareable_template(len(shares), inner)
+        theorems = _json_text(certificates["theorem1"]), _json_text(certificates["theorem2"])
+        items.append(template % (*shares, *theorems))
+    return "[" + inner + ("," + inner).join(items) + indent + "]"
+
+
+#: List subclasses written from templates, and the writer of each.
+_TEMPLATED = {_AccessRows: _rows_text, _ShareableRows: _shareable_text}
+_PLAIN_INTS, _PLAIN_STRS = {int}, {str}
+
+
 def _json_text(value, indent: str = "\n") -> str:
     """Exactly ``json.dumps(value, indent=2)``, without the stdlib's
     pure-Python indenting encoder.
@@ -140,10 +191,12 @@ def _json_text(value, indent: str = "\n") -> str:
     bracket sits on.  Strings go through the stdlib's ASCII escaper, ints
     and floats through ``int.__repr__`` and ``float.__repr__``, and NaN
     and +-Infinity are spelled as ``json`` spells them.  Tuples are
-    written as lists; dict keys must be strings, as in every report.  Any
-    other type raises ``TypeError``, as ``json.dumps`` does.  An
-    :class:`_AccessRows` table is written by :func:`_rows_text`, which
-    gives the same text.
+    written as lists, and a list whose items are all plain ``int`` (no
+    bools or subclasses) or all plain ``str`` in one ``str.join``; dict
+    keys must be strings, as in every report.  Any other type raises
+    ``TypeError``, as ``json.dumps`` does.  An :class:`_AccessRows` table and a
+    :class:`_ShareableRows` list are written by :func:`_rows_text` and
+    :func:`_shareable_text`, which give the same text.
     """
     if isinstance(value, str):
         return encode_basestring_ascii(value)
@@ -163,13 +216,20 @@ def _json_text(value, indent: str = "\n") -> str:
         if value == -_INFINITY:
             return "-Infinity"
         return float.__repr__(value)
-    if type(value) is _AccessRows:
-        return _rows_text(value, indent)
+    templated = _TEMPLATED.get(type(value))
+    if templated is not None:
+        return templated(value, indent)
     inner = indent + "  "
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        items = [_json_text(v, inner) for v in value]
+        types = set(map(type, value))
+        if types == _PLAIN_INTS:
+            items = map(int.__repr__, value)
+        elif types == _PLAIN_STRS:
+            items = map(encode_basestring_ascii, value)
+        else:
+            items = [_json_text(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(items) + indent + "]"
     if isinstance(value, dict):
         if not value:
@@ -218,7 +278,7 @@ def _analyze_section(code: StabilizerCode, max_size: int, budget: int) -> dict:
     return {
         "max_size": max_size,
         "dual_min_weight": threshold,
-        "sets": [
+        "sets": _ShareableRows(
             {
                 "shares": list(s.shares),
                 "certificates": {
@@ -227,7 +287,7 @@ def _analyze_section(code: StabilizerCode, max_size: int, budget: int) -> dict:
                 },
             }
             for s in sets
-        ],
+        ),
     }
 
 
@@ -281,7 +341,7 @@ def _demo_section(
         },
         "circuit": {
             "wires": code.n - plan.c,
-            "gates": [str(g) for g in circuit.gates],
+            "gates": [text for g, count in circuit.runs for text in [str(g)] * count],
         },
     }
     check_budget(1 << code.n, enum_budget, "access table")

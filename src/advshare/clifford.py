@@ -18,18 +18,26 @@ diag(1, i^g).  Conjugating a Pauli through a circuit therefore stays inside
 the group generated by zeta = exp(i*pi/p) (a 2p-th root of unity): phases
 are tracked exactly as integer exponents of zeta, which are even whenever
 the result is a plain w power.  Each gate's action on (x | z) and on that
-exponent is written once: :func:`conjugate_pauli` runs it on the integers
-of one Pauli, and :func:`symplectic_matrix` and the synthesis reduction run
-it in place on the rows of a 2m x 2m matrix whose columns are f-images.
+exponent, powers included, is written once in :func:`_conjugate_wires`:
+:func:`conjugate_pauli` runs it on the integers of one Pauli,
+:func:`symplectic_matrix` on the rows of a 2m x 2m matrix whose columns are
+f-images, and the synthesis reduction on each such column as the integers
+of one Pauli.
 
-A circuit checks each gate's kind, wire count and wires when it is built;
-the text form rejects a line without its kind's integer fields.
+A circuit keeps its gates as maximal runs of equal consecutive gates
+(:attr:`CliffordCircuit.runs`, built once), and everything that walks a
+circuit walks the runs, one gate power per run: conjugation, the
+symplectic matrix, the inverse, the dense compiler and the kind, wire and
+parameter checks a circuit makes when it is built (:meth:`then` checks only
+the gates it appends).  The text form rejects a line without its kind's
+integer fields.
 
-Synthesis completes the f-images of two generator tuples with equal
-commutation structure to symplectic bases, each in one Gauss-Jordan
-elimination, forms the change-of-basis matrix,
-peels it into elementary gates column pair by column pair, and finishes with
-a Pauli layer that zeroes every representable phase.  The returned circuit U
+Synthesis reduces the common Gram of two generator tuples with equal
+commutation structure once, completes each tuple's f-images to a
+symplectic basis in one Gauss-Jordan elimination (which also refuses a
+dependent tuple), forms the change-of-basis matrix, peels it into
+elementary gates column pair by column pair, and finishes with a Pauli
+layer that zeroes every representable phase.  The returned circuit U
 satisfies U g_i U^dag = phase_i * b_i for each source/target pair, with
 phase_i an exact root of unity.
 
@@ -100,7 +108,7 @@ class CliffordCircuit:
 
     def __post_init__(self):
         gfp.check_modulus(self.p)
-        for g in self.gates:
+        for g, _ in self.runs:
             if g.kind not in _ARITY:
                 raise ValueError(f"unknown gate kind {g.kind!r}")
             wires = _ARITY[g.kind][0]
@@ -118,17 +126,38 @@ class CliffordCircuit:
         return len(self.gates)
 
     @cached_property
+    def runs(self) -> tuple[tuple[Gate, int], ...]:
+        """The gates as maximal runs of equal consecutive gates, ``(gate, count)``."""
+        runs: list[tuple[Gate, int]] = []
+        last, count = None, 0
+        for g in self.gates:
+            if g is last or g == last:
+                count += 1
+                continue
+            if count:
+                runs.append((last, count))
+            last, count = g, 1
+        if count:
+            runs.append((last, count))
+        return tuple(runs)
+
+    @cached_property
     def _kernels(self) -> tuple:
         """Dense kernels that apply the circuit, compiled on first use."""
         return _compile(self)
 
     def then(self, *gates_: Gate) -> "CliffordCircuit":
-        return CliffordCircuit(self.p, self.m, self.gates + tuple(gates_))
+        """This circuit followed by gates_; only the new gates are checked."""
+        CliffordCircuit(self.p, self.m, gates_)
+        out = object.__new__(CliffordCircuit)
+        for name, value in (("p", self.p), ("m", self.m), ("gates", self.gates + gates_)):
+            object.__setattr__(out, name, value)
+        return out
 
     def inverse(self) -> "CliffordCircuit":
         inv: list[Gate] = []
-        for g in reversed(self.gates):
-            inv.extend(_inverse_gates(g, self.p))
+        for g, count in reversed(self.runs):
+            inv += _inverse_gates(g, self.p) * count
         return CliffordCircuit(self.p, self.m, tuple(inv))
 
     def to_text(self) -> str:
@@ -224,47 +253,58 @@ def conjugate_pauli(
         raise ValueError("operator and circuit must share p and wire count")
     p = cur.p
     x, z, tau = [int(v) for v in cur.x], [int(v) for v in cur.z], cur.tau
-    for g in circuit.gates:
-        tau += _conjugate_wires(g, x, z, p)
+    for g, count in circuit.runs:
+        tau += _conjugate_wires(g, x, z, p, count)
     return PhasedPauli(p, x, z, tau)
 
 
-def _conjugate_wires(g: Gate, x, z, p: int):
-    """Conjugate (x | z) through one gate in place; return the tau increment.
+def _conjugate_wires(g: Gate, x, z, p: int, times: int = 1):
+    """Conjugate (x | z) through g**times in place; return the tau increment.
 
     x and z are indexed by wire: lists of ints for one Pauli, or the x and z
     row blocks of an integer matrix whose columns are f-images, where the
-    increment comes back per column and the matrix callers ignore it.
+    increment comes back per column and the matrix callers ignore it.  F
+    goes by ``times % 4``, F^2 being a sign flip that adds nothing to tau;
+    ``P``, ``SUM``, ``X`` and ``Z`` powers multiply their parameter, and
+    a ``MUL`` power raises it.
     """
     q = g.qudits[0]
     if g.kind == "F":
+        turns = times % 4
+        if not turns:
+            return 0
         a, b = x[q] * 1, z[q] * 1  # copies: rows of an array are views
-        x[q], z[q] = (-b) % p, a
-        return -2 * a * b
+        if turns >= 2:
+            a, b = -a, -b
+        if turns % 2:
+            x[q], z[q] = (-b) % p, a % p
+            return -2 * a * b
+        x[q], z[q] = a % p, b % p
+        return 0
     if g.kind == "P":
-        a = x[q]
-        z[q] = (z[q] + g.param * a) % p
-        return g.param * a if p == 2 else g.param * a * (a - 1)
+        a, c = x[q], g.param * times
+        z[q] = (z[q] + c * a) % p
+        return c * a if p == 2 else c * a * (a - 1)
     if g.kind == "MUL":
-        x[q] = (x[q] * g.param) % p
-        z[q] = (z[q] * gfp.inv_scalar(g.param, p)) % p
+        x[q] = (x[q] * pow(g.param, times, p)) % p
+        z[q] = (z[q] * pow(g.param, -times, p)) % p
         return 0
     if g.kind == "SUM":
         qt = g.qudits[1]
-        x[qt] = (x[qt] + x[q]) % p
-        z[q] = (z[q] - z[qt]) % p
+        x[qt] = (x[qt] + times * x[q]) % p
+        z[q] = (z[q] - times * z[qt]) % p
         return 0
     if g.kind == "X":
-        return -2 * g.param * z[q]
-    return 2 * g.param * x[q]  # Z
+        return -2 * times * g.param * z[q]
+    return 2 * times * g.param * x[q]  # Z
 
 
 def symplectic_matrix(circuit: CliffordCircuit) -> np.ndarray:
     """The 2m x 2m matrix of the circuit's action on f-images (columns)."""
     m, p = circuit.m, circuit.p
     out = np.eye(2 * m, dtype=np.int64)
-    for g in circuit.gates:
-        _conjugate_wires(g, out[:m], out[m:], p)
+    for g, count in circuit.runs:
+        _conjugate_wires(g, out[:m], out[m:], p, count)
     return out
 
 
@@ -323,8 +363,9 @@ def _compile(circuit: CliffordCircuit) -> tuple:
     A maximal run of monomial gates (SUM, MUL, P, X, Z, and F^2 |j> = |-j>)
     maps |j> to zeta**tau(j) |pi(j)>.  Pushing the register's digit array
     through the run gives pi and tau, with tau an exact zeta exponent mod
-    2p; the run becomes one gather and one phase vector.  A maximal
-    same-wire run of r Fourier gates is F**(r mod 4): the identity, F^2
+    2p; the run becomes one gather and one phase vector.  The circuit is
+    walked by its runs of equal gates, each pushed through as one power.
+    A run of r Fourier gates is F**(r mod 4): the identity, F^2
     (monomial), or one p x p matmul with F or F^-1 = conj(F).
     """
     p, m = circuit.p, circuit.m
@@ -349,15 +390,8 @@ def _compile(circuit: CliffordCircuit) -> tuple:
             kernels.append(partial(_monomial_kernel, index=index, phase=phases))
         digits = tau = None
 
-    gates_ = circuit.gates
-    i = 0
-    while i < len(gates_):
-        g = gates_[i]
+    for g, run in circuit.runs:
         q = g.qudits[0]
-        run = 1
-        while g.kind == "F" and i + run < len(gates_) and gates_[i + run] == g:
-            run += 1
-        i += run
         if g.kind == "F" and run % 2:
             flush()
             mat = fourier if run % 4 == 1 else fourier.conj()
@@ -372,16 +406,16 @@ def _compile(circuit: CliffordCircuit) -> tuple:
         if g.kind == "F":  # F^2
             digits[q] = (-d) % p
         elif g.kind == "P":
-            tau += g.param * d if p == 2 else g.param * d * (d - 1)
+            tau += run * g.param * d if p == 2 else run * g.param * d * (d - 1)
         elif g.kind == "Z":
-            tau += 2 * g.param * d
+            tau += 2 * run * g.param * d
         elif g.kind == "X":
-            digits[q] = (d + g.param) % p
+            digits[q] = (d + run * g.param) % p
         elif g.kind == "MUL":
-            digits[q] = (d * g.param) % p
+            digits[q] = (d * pow(g.param, run, p)) % p
         elif g.kind == "SUM":
             qt = g.qudits[1]
-            digits[qt] = (digits[qt] + d) % p
+            digits[qt] = (digits[qt] + run * d) % p
     flush()
     return tuple(kernels)
 
@@ -528,29 +562,36 @@ class _OrthogonalityForm:
         return e
 
 
-def _complete_basis(vectors: np.ndarray, gram: np.ndarray, p: int) -> np.ndarray:
+def _complete_basis(
+    vectors: np.ndarray, pairs: list, radical: list, p: int
+) -> np.ndarray:
     """Extend a tuple to a full symplectic basis with canonical Gram.
 
-    The output rows come in hyperbolic pairs: first the pairs found inside
-    the span, then each radical vector with a solved partner, then fresh
-    pairs from the orthogonal complement.  The arrangement (hence the Gram
-    of the result) depends only on the input Gram.
+    ``pairs`` and ``radical`` are :func:`_span_reduction` of the tuple's
+    Gram.  The output rows come in hyperbolic pairs: first the pairs found
+    inside the span, then each radical vector with a solved partner, then
+    fresh pairs from the orthogonal complement.  The arrangement (hence the
+    Gram of the result) depends only on the input Gram.
 
     One Gauss-Jordan form of the orthogonality rows serves the whole
     completion: the pair and radical vectors enter first, then each partner
     and fresh vector as it is found, each by one reduction against the
-    stored pivots.  Partners and fresh vectors are read off the form; they
-    are exactly what one ``gfp.solve`` or ``gfp.kernel`` call per vector
-    on the same rows returns.
+    stored pivots.  The pair and radical vectors are an invertible change
+    of the input rows, so a dependent tuple leaves a dependent row there,
+    and raises ``DependentRowsError`` before any partner is solved.
+    Partners and fresh vectors are read off the form; they are exactly what
+    one ``gfp.solve`` or ``gfp.kernel`` call per vector on the same rows
+    returns.
     """
     two_m = vectors.shape[1]
-    pairs, radical = _span_reduction(gram, p)
     basis = [(w @ vectors) % p for pair in pairs for w in pair]
     radical_vecs = [(c @ vectors) % p for c in radical]
     form = _OrthogonalityForm(two_m, max(len(basis) + 2 * len(radical_vecs), two_m), p)
     first = len(basis)
     for v in basis + radical_vecs:
         form.add(v)
+    if form.dependent:
+        raise DependentRowsError("generator f-images are linearly dependent")
     for j, c in enumerate(radical_vecs):
         d = form.partner(first + j)  # <c, d> = 1, everything else orthogonal
         if d is None:
@@ -575,75 +616,62 @@ def _decompose_symplectic(matrix: np.ndarray, m: int, p: int) -> list[Gate]:
     """Elementary gates realizing a symplectic matrix.
 
     Reduces the matrix to the identity by left-applying gate actions, one
-    column pair per wire, then returns the inverses in reverse order.  A
-    gate applied ``times`` times is one row operation: a ``SUM`` power adds
-    ``times`` multiples, and F^2 negates its wire's rows.
+    column pair per wire, then returns the inverses in reverse order.  The
+    working matrix is its 2m columns, each the (x, z) lists of ints of an
+    f-image, and a gate applied ``times`` times conjugates every column
+    once through :func:`_conjugate_wires`.
     """
-    cur = matrix.copy() % p
-    ops: list[Gate] = []
+    reduced = np.asarray(matrix) % p
+    cols = [(reduced[:m, j].tolist(), reduced[m:, j].tolist()) for j in range(2 * m)]
+    ops: list[tuple[Gate, int]] = []
 
     def apply(g: Gate, times: int = 1):
-        # Only SUM and F come with times > 1.
-        if times == 1:
-            _conjugate_wires(g, cur[:m], cur[m:], p)
-        elif g.kind == "SUM":
-            q, qt = g.qudits
-            cur[qt] = (cur[qt] + times * cur[q]) % p
-            cur[m + q] = (cur[m + q] - times * cur[m + qt]) % p
-        else:
-            q = g.qudits[0]
-            if times % 4 >= 2:
-                cur[q], cur[m + q] = (-cur[q]) % p, (-cur[m + q]) % p
-            if times % 2:
-                _conjugate_wires(g, cur[:m], cur[m:], p)
-        ops.extend([g] * times)
+        for x, z in cols:
+            _conjugate_wires(g, x, z, p, times)
+        ops.append((g, times))
 
     for q in range(m):
-        col = cur[:, q]
-        if not col[q:m].any():
-            w = q + int(np.nonzero(col[m + q :])[0][0])
-            apply(Gate("F", (w,)))
-        col = cur[:, q]
-        if col[q] == 0:
-            w = q + int(np.nonzero(col[q + 1 : m])[0][0]) + 1
-            apply(Gate("SUM", (w, q)))
-        if cur[q, q] != 1:
-            apply(Gate("MUL", (q,), gfp.inv_scalar(int(cur[q, q]), p)))
+        x, z = cols[q]
+        if not any(x[q:]):
+            apply(Gate("F", (next(w for w in range(q, m) if z[w]),)))
+        if x[q] == 0:
+            apply(Gate("SUM", (next(w for w in range(q + 1, m) if x[w]), q)))
+        if x[q] != 1:
+            apply(Gate("MUL", (q,), gfp.inv_scalar(x[q], p)))
         for w in range(q + 1, m):
-            if cur[w, q]:
-                apply(Gate("SUM", (q, w)), times=p - int(cur[w, q]))
+            if x[w]:
+                apply(Gate("SUM", (q, w)), p - x[w])
         for w in range(q + 1, m):
-            if cur[m + w, q]:
+            if z[w]:
                 apply(Gate("F", (w,)))
-                apply(Gate("SUM", (q, w)), times=p - int(cur[w, q]))
-        if cur[m + q, q]:
-            apply(Gate("P", (q,), (p - int(cur[m + q, q])) % p))
-        if cur[q, q] != 1 or cur[:, q].sum() != 1:
+                apply(Gate("SUM", (q, w)), p - x[w])
+        if z[q]:
+            apply(Gate("P", (q,), (p - z[q]) % p))
+        if x[q] != 1 or sum(x) + sum(z) != 1:
             raise InvariantError(f"column {q} not reduced to a unit vector")
 
-        col2 = cur[:, m + q]
-        if col2[m + q] != 1:
+        x, z = cols[m + q]
+        if z[q] != 1:
             raise InvariantError("symplectic pairing broken during reduction")
         for w in range(q + 1, m):
-            if cur[m + w, m + q]:
-                apply(Gate("SUM", (w, q)), times=int(cur[m + w, m + q]))
-            if cur[w, m + q]:
+            if z[w]:
+                apply(Gate("SUM", (w, q)), z[w])
+            if x[w]:
                 apply(Gate("F", (w,)))
-                apply(Gate("SUM", (w, q)), times=int(cur[m + w, m + q]))
-        if cur[q, m + q]:
-            gam = int(cur[q, m + q])
-            f_inv_count = 1 if p == 2 else 3
-            apply(Gate("F", (q,)), times=f_inv_count)
+                apply(Gate("SUM", (w, q)), z[w])
+        if x[q]:
+            gam = x[q]
+            apply(Gate("F", (q,)), 1 if p == 2 else 3)
             apply(Gate("P", (q,), gam))
             apply(Gate("F", (q,)))
-        if not (cur[:, m + q] == np.eye(2 * m, dtype=np.int64)[:, m + q]).all():
+        if any(x) or z[q] != 1 or sum(z) != 1:
             raise InvariantError(f"column {m + q} not reduced to a unit vector")
 
-    if not np.array_equal(cur, np.eye(2 * m, dtype=np.int64)):
+    if [x + z for x, z in cols] != np.eye(2 * m, dtype=np.int64).tolist():
         raise InvariantError("reduction did not reach the identity")
     gates_: list[Gate] = []
-    for g in reversed(ops):
-        gates_.extend(_inverse_gates(g, p))
+    for g, times in reversed(ops):
+        gates_ += _inverse_gates(g, p) * times
     return gates_
 
 
@@ -711,13 +739,13 @@ def synthesize(
         raise GramMismatchError(
             "source and target commutation-exponent matrices differ"
         )
-    if gfp.rank(u_rows, p) < len(source) or gfp.rank(v_rows, p) < len(target):
-        raise DependentRowsError("generator f-images are linearly dependent")
 
     # Commutation exponents are the negated symplectic products, so equal
-    # Grams of f-images and equal commutation matrices coincide.
-    basis_u = _complete_basis(u_rows, gram_u, p)
-    basis_v = _complete_basis(v_rows, gram_v, p)
+    # Grams of f-images and equal commutation matrices coincide, and one
+    # reduction of the Gram serves both completions.
+    pairs, radical = _span_reduction(gram_u, p)
+    basis_u = _complete_basis(u_rows, pairs, radical, p)
+    basis_v = _complete_basis(v_rows, pairs, radical, p)
     # Hyperbolic pairs give a Gram G with G^-1 = G^T, so the inverse of
     # basis_u^T is G^T times basis_u's orthogonality rows.
     gram = product_matrix(basis_u, basis_u, p)

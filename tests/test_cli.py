@@ -1,4 +1,5 @@
 import dataclasses
+import enum
 import io
 import json
 from importlib import resources
@@ -7,7 +8,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from advshare import cli
@@ -471,6 +472,11 @@ def test_help_still_exits_0(capsys):
     assert capsys.readouterr().out.startswith("usage: advshare demo ")
 
 
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
 _JSON_SCALARS = (
     st.none()
     | st.booleans()
@@ -494,6 +500,13 @@ _JSON_KEYS = st.text(alphabet=st.sampled_from('ab"\\\n\x01é😀'), max_size=4) 
         max_leaves=40,
     )
 )
+@example([True, False, True])
+@example([1, True, 0, False])
+@example([0, False, 2])
+@example([_Level.LOW, _Level.HIGH])
+@example([1, _Level.HIGH, 3])
+@example({"a": [_Level.HIGH], "b": [2**70, -(2**200), 0, -1]})
+@example([[2**64, 3], [True], []])
 def test_report_writer_matches_json_dumps(tree):
     assert cli._json_text(tree) == json.dumps(tree, indent=2)
 
@@ -567,6 +580,42 @@ def test_access_rows_are_written_as_json_dumps(rows, depth):
     }[depth]
     assert cli._rows_text(cli._AccessRows(rows), "\n") == json.dumps(rows, indent=2)
     fast = nest(cli._AccessRows(rows))
+    text = cli._json_text(fast)
+    assert text == json.dumps(fast, indent=2)
+    assert text == cli._json_text(nest(list(rows)))
+
+
+@st.composite
+def shareable_rows(draw):
+    """``analyze`` rows on n shares: sets of every size 1..n, both values of
+    each certificate."""
+    n = draw(st.integers(1, 7))
+    rows = []
+    for _ in range(draw(st.integers(0, 10))):
+        size = draw(st.integers(1, n))
+        shares = sorted(draw(st.sets(st.integers(1, n), min_size=size, max_size=size)))
+        rows.append(
+            {
+                "shares": shares,
+                "certificates": {"theorem1": draw(st.booleans()), "theorem2": draw(st.booleans())},
+            }
+        )
+    return rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rows=shareable_rows(), depth=st.sampled_from(["bare", "list", "report"]))
+def test_shareable_rows_are_written_as_json_dumps(rows, depth):
+    """The ``analyze`` template path writes what json.dumps and the generic
+    path write, at three nesting depths; the strategy includes the empty
+    list."""
+    nest = {
+        "bare": lambda t: t,
+        "list": lambda t: [t, {"a": t}],
+        "report": lambda t: {"advance_shareable": {"max_size": 2, "sets": t}, "x": 1},
+    }[depth]
+    assert cli._shareable_text(cli._ShareableRows(rows), "\n") == json.dumps(rows, indent=2)
+    fast = nest(cli._ShareableRows(rows))
     text = cli._json_text(fast)
     assert text == json.dumps(fast, indent=2)
     assert text == cli._json_text(nest(list(rows)))

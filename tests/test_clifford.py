@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from advshare import clifford, gfp
 from advshare.advance import construct_eaqecc, is_advance_shareable
 from advshare.clifford import (
+    GATE_KINDS,
     CliffordCircuit,
     Gate,
     PhasedPauli,
@@ -90,11 +91,12 @@ def slow_to_unitary(circuit):
     return slow_apply_circuit_tensor(eye, circuit).reshape(dim, dim)
 
 
-def slow_complete_basis(vectors, gram, p):
+def slow_complete_basis(vectors, pairs, radical, p):
     """Reference: complete a tuple to a symplectic basis with one
     ``gfp.solve`` or ``gfp.kernel`` elimination per completed vector."""
     two_m = vectors.shape[1]
-    pairs, radical = _span_reduction(gram, p)
+    if gfp.rank(vectors, p) < vectors.shape[0]:
+        raise DependentRowsError("generator f-images are linearly dependent")
 
     def rows_of(constraints):
         stacked = np.array(constraints, dtype=np.int64).reshape(len(constraints), two_m)
@@ -271,8 +273,8 @@ def test_singular_change_of_basis_is_an_invariant_error(monkeypatch):
     """A completion that is not a basis cannot pass synthesis's checks."""
     complete_basis = clifford._complete_basis
 
-    def singular(vectors, gram, p):
-        basis = complete_basis(vectors, gram, p)
+    def singular(vectors, pairs, radical, p):
+        basis = complete_basis(vectors, pairs, radical, p)
         basis[-1] = basis[0]
         return basis
 
@@ -294,8 +296,8 @@ def test_reordered_change_of_basis_is_an_invariant_error(p, pair, message, monke
     complete_basis = clifford._complete_basis
     calls = []
 
-    def reordered(vectors, gram, p):
-        basis = complete_basis(vectors, gram, p)
+    def reordered(vectors, pairs, radical, p):
+        basis = complete_basis(vectors, pairs, radical, p)
         calls.append(basis)
         order = list(range(len(basis)))
         if len(calls) == 1:
@@ -341,16 +343,122 @@ def completion_cases(draw, p):
 @given(data=st.data())
 def test_completion_matches_one_elimination_per_vector(p, data):
     rows = data.draw(completion_cases(p))
-    gram = product_matrix(rows, rows, p)
+    pairs, radical = _span_reduction(product_matrix(rows, rows, p), p)
     try:
-        want = slow_complete_basis(rows, gram, p)
+        want = slow_complete_basis(rows, pairs, radical, p)
     except (DependentRowsError, InvariantError) as exc:
         with pytest.raises(type(exc)) as got:
-            _complete_basis(rows, gram, p)
+            _complete_basis(rows, pairs, radical, p)
         assert str(got.value) == str(exc)
         return
-    got = _complete_basis(rows, gram, p)
+    got = _complete_basis(rows, pairs, radical, p)
     assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def loop_conjugate_pauli(circuit, op):
+    """Reference: conjugate through the circuit one gate at a time."""
+    cur = PhasedPauli.from_pauli(op) if isinstance(op, PauliOperator) else op
+    p = circuit.p
+    x, z, tau = [int(v) for v in cur.x], [int(v) for v in cur.z], cur.tau
+    for g in circuit.gates:
+        tau += clifford._conjugate_wires(g, x, z, p)
+    return PhasedPauli(p, x, z, tau)
+
+
+def loop_symplectic_matrix(circuit):
+    m, p = circuit.m, circuit.p
+    out = np.eye(2 * m, dtype=np.int64)
+    for g in circuit.gates:
+        clifford._conjugate_wires(g, out[:m], out[m:], p)
+    return out
+
+
+def loop_inverse(circuit):
+    return [h for g in reversed(circuit.gates) for h in clifford._inverse_gates(g, circuit.p)]
+
+
+@st.composite
+def run_circuits(draw, p):
+    """Circuits made of runs of 1..2p+1 equal gates of every kind, some runs
+    broken by an equal gate on another wire, and a seed for test Paulis."""
+    m = draw(st.integers(2, 4))
+    gates = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(GATE_KINDS))
+        q = draw(st.integers(0, m - 1))
+        wires = (q, (q + draw(st.integers(1, m - 1))) % m) if kind == "SUM" else (q,)
+        if kind in ("F", "SUM"):
+            param = 0
+        elif kind == "MUL":
+            param = draw(st.integers(1, p - 1))
+        elif kind == "P" and p == 2:
+            param = draw(st.integers(0, 3))
+        else:
+            param = draw(st.integers(0, p - 1))
+        g = Gate(kind, wires, param)
+        # The same gate on wires shifted by s: equal in all but its wires.
+        s = draw(st.integers(1, m - 1))
+        breaker = Gate(kind, tuple((w + s) % m for w in wires), param)
+        length = draw(st.integers(1, 2 * p + 1))
+        run = [g] * length
+        if draw(st.booleans()):
+            run.insert(draw(st.integers(0, length)), breaker)
+        gates += run
+    return CliffordCircuit(p, m, tuple(gates)), draw(st.integers(0, 2**32 - 1))
+
+
+@pytest.mark.parametrize("p", gfp.PRIMES)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_runs_and_powers_match_the_gate_by_gate_walk(p, data):
+    """A run of equal gates goes through ``_conjugate_wires`` as one power:
+    conjugation (with its exact tau), the symplectic matrix, the inverse and
+    the dense kernels match walking the gates one at a time."""
+    circuit, seed = data.draw(run_circuits(p))
+    runs = circuit.runs
+    assert [g for g, count in runs for _ in range(count)] == list(circuit.gates)
+    assert all(count >= 1 for _, count in runs)
+    assert all(a != b for (a, _), (b, _) in zip(runs, runs[1:]))
+    rng = np.random.default_rng(seed)
+    for _ in range(4):
+        a = random_pauli(p, circuit.m, rng)
+        got, want = conjugate_pauli(circuit, a), loop_conjugate_pauli(circuit, a)
+        assert got == want and got.tau == want.tau
+    assert np.array_equal(symplectic_matrix(circuit), loop_symplectic_matrix(circuit))
+    assert list(circuit.inverse().gates) == loop_inverse(circuit)
+    if p**circuit.m <= DENSE_UNITARY_LIMIT:
+        assert np.abs(to_unitary(circuit) - slow_to_unitary(circuit)).max() < 1e-12
+
+
+def test_then_checks_the_gates_it_appends():
+    base = CliffordCircuit(3, 2, (gate("F", 0), gate("SUM", 0, 1)))
+    extra = (gate("X", 1, param=2), gate("Z", 1, param=2))
+    joined = base.then(*extra)
+    assert joined == CliffordCircuit(3, 2, base.gates + extra)
+    assert joined.runs == CliffordCircuit(3, 2, base.gates + extra).runs
+    for bad in (
+        gate("F", 2),
+        gate("MUL", 0, param=3),
+        gate("SUM", 1, 1),
+        Gate("H", (0,)),
+        Gate("SUM", (0,)),
+    ):
+        with pytest.raises(ValueError) as direct:
+            CliffordCircuit(3, 2, base.gates + (gate("X", 0, param=1), bad))
+        with pytest.raises(ValueError) as appended:
+            base.then(gate("X", 0, param=1), bad)
+        assert str(appended.value) == str(direct.value)
+
+
+@pytest.mark.parametrize("dependent", ["source", "target"])
+def test_synthesize_refuses_a_dependent_tuple_with_its_message(dependent):
+    """Equal Grams, one tuple dependent: the completion's own elimination
+    refuses it before any partner is solved."""
+    bad = [single(3, 2, 0, x=1), single(3, 2, 0, x=2)]
+    good = [single(3, 2, 0, z=1), single(3, 2, 1, x=1)]
+    source, target = (bad, good) if dependent == "source" else (good, bad)
+    with pytest.raises(DependentRowsError, match="^generator f-images are linearly dependent$"):
+        synthesize(source, target)
 
 
 def test_conjugate_identity_circuit(rng):
