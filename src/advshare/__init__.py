@@ -16,6 +16,7 @@ from .advance import (
     is_advance_shareable,
     is_advance_shareable_sufficient,
     normal_form,
+    shareable_by_size,
 )
 from .clifford import (
     CliffordCircuit,

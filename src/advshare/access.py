@@ -15,24 +15,23 @@ complement of E:
   maximally entangled with a k-qudit reference R (Fattal, Cubitt, Yamamoto,
   Bravyi and Chuang, "Entanglement in the stabilizer formalism", 2004).
 
-The code distance and the dual minimum weight are the smallest |E| at
-which some E fails to be a correctable erasure, respectively has
-``r_E < 2|E|``; :meth:`ShareStructure.smallest_size` finds them by walking
-share-set sizes, at a cost of share sets visited rather than the ``p**(n+k)``
-vectors of the dual space.
+The code distance and the dual minimum weight are the smallest |E| at which
+some E fails to be a correctable erasure, respectively has ``r_E < 2|E|``;
+:meth:`ShareStructure.smallest_size` finds them by walking share-set sizes,
+at a cost of share sets visited rather than the ``p**(n+k)`` dual vectors.
 
 A share set is a sorted row of distinct 1-based shares (not validated
 here), and a query takes the rows of m sets of one size w.
 :func:`share_sets` lists every w-set in lexicographic order, in which row i
 of size w and row ``C(n, w) - 1 - i`` of size ``n - w`` are complements.
-:class:`ShareStructure` keeps one array of r_E per size ranked in full
-(:meth:`ShareStructure.level`): the walks and the 2^n access table read r_E'
-of a size as ``level(n - w)[::-1]``, and a query on given sets reads a kept
-level by row index.  Everything else is eliminated in batches of at most
-:data:`CHUNK_ENTRIES` entries, by a kernel that loops over the cheaper side
-of each set's matrix in narrow words: :func:`advshare.gfp.packed_rank` on
-bit-packed columns at p = 2, :func:`advshare.gfp.batched_rank` on uint8
-columns at odd p.
+:class:`ShareStructure` keeps each size's listing and array of r_E
+(:meth:`ShareStructure.sets`, :meth:`ShareStructure.level`), so every walk
+lists a size once per code and reads r_E' as ``level(n - w)[::-1]``; a
+query on given sets reads a kept level by row index.  Everything else is
+eliminated in batches of at most :data:`CHUNK_ENTRIES` entries, by a kernel
+that loops over the cheaper side of each set's matrix in narrow words:
+:func:`advshare.gfp.packed_rank` on bit-packed columns at p = 2,
+:func:`advshare.gfp.batched_rank` on uint8 columns at odd p.
 :meth:`advshare.pauli.StabilizerCode.share_structure` keeps one per code.
 """
 
@@ -99,8 +98,7 @@ class ShareStructure:
     """Ranks of column-restricted check matrices, kept one size at a time."""
 
     def __init__(self, p: int, n: int, check_matrix: np.ndarray):
-        self.p = p
-        self.n = n
+        self.p, self.n = p, n
         self.num_checks = int(check_matrix.shape[0])
         # Row c of the transpose is column c of H: stacking rows selects a
         # share set's columns, and the transpose has the same rank.  Entries
@@ -109,12 +107,19 @@ class ShareStructure:
         # At p = 2 each column is also one row of uint64 words, a bit per check.
         self._words = gfp.pack_bits(self._columns) if p == 2 else None
         self._row_entries = (self._words if p == 2 else self._columns).shape[1]
+        self._sets: dict[int, np.ndarray] = {}
         self._levels: dict[int, np.ndarray] = {0: np.zeros(1, dtype=np.int64)}
+
+    def sets(self, w: int) -> np.ndarray:
+        """``share_sets(n, w)``, listed once and kept beside ``level(w)``."""
+        if w not in self._sets:
+            self._sets[w] = share_sets(self.n, w)
+        return self._sets[w]
 
     def level(self, w: int) -> np.ndarray:
         """r_E of every w-set, in :func:`share_sets` order; ranked once and kept."""
         if w not in self._levels:
-            self._levels[w] = self._eliminate(share_sets(self.n, w), False)
+            self._levels[w] = self._eliminate(self.sets(w), False)
         return self._levels[w]
 
     def ranks(self, sets) -> np.ndarray:
@@ -170,20 +175,16 @@ class ShareStructure:
     ) -> Optional[int]:
         """The first share-set size w <= last at which ``holds`` is true.
 
-        Sizes w = 1, 2, ... are visited in turn; ``holds(w, sets, ranks)``
-        sees every w-set (:func:`share_sets`) and its r_E, kept as ``level(w)``.
-        Before each size the share sets visited so far, that size included,
-        are checked against ``budget``, and a refusal names ``stage``.
-        Returns None when no size up to ``last`` qualifies.
+        Sizes w = 1, 2, ... are visited in turn; ``holds(w, sets(w), level(w))``
+        sees every w-set and its r_E.  Before each size the share sets visited
+        so far, that size included, are checked against ``budget``, and a
+        refusal names ``stage``.  Returns None when no size up to ``last`` does.
         """
         visited = 0
         for w in range(1, last + 1):
             visited += math.comb(self.n, w)
             check_budget(visited, budget, stage, f" up to size {w}")
-            sets = share_sets(self.n, w)
-            if w not in self._levels:
-                self._levels[w] = self._eliminate(sets, False)
-            if holds(w, sets, self._levels[w]):
+            if holds(w, self.sets(w), self.level(w)):
                 return w
         return None
 
@@ -193,10 +194,9 @@ class ShareStructure:
 
     def label_codes(self, w: int, inside: np.ndarray, outside: np.ndarray) -> np.ndarray:
         """Access label of each w-set from its r_E and r_E', as its index in
-        :class:`AccessLabel`: 0 qualified, 1 forbidden, 2 intermediate."""
-        qualified = self.correctable(self.n - w, outside, inside)
+        :class:`AccessLabel`: 0 qualified (even if forbidden), 1 forbidden, 2 intermediate."""
         forbidden = self.correctable(w, inside, outside)
-        return np.select([qualified, forbidden], [0, 1], 2)
+        return (2 - forbidden) * ~self.correctable(self.n - w, outside, inside)
 
     def labels(self, w: int, inside: np.ndarray, outside: np.ndarray) -> list[AccessLabel]:
         """Access label of each w-set from its r_E and r_E'."""

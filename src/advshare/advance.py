@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import gfp
-from .access import check_budget, share_sets
+from .access import check_budget
 from .errors import InvariantError, NotAdvanceShareableError
 from .pauli import PauliOperator, StabilizerCode, single
 from .symplectic import complement, owned_columns, product_matrix, validated_shares
@@ -51,8 +51,10 @@ def dual_min_weight(
     share set cannot go out before the secret.  Any set larger than
     ``floor(r/2)`` qualifies, so only smaller sizes are walked and the
     answer is at most ``floor(r/2) + 1``.  ``budget`` caps the share sets
-    visited.
+    visited; the result is cached on the code.
     """
+    if code._dual_weight is not None:
+        return code._dual_weight
     last = code.num_checks // 2
 
     def deficient(w: int, sets: np.ndarray, ranks: np.ndarray) -> bool:
@@ -61,7 +63,8 @@ def dual_min_weight(
     found = code.share_structure().smallest_size(
         deficient, last, "dual minimum weight", budget
     )
-    return last + 1 if found is None else found
+    code._dual_weight = last + 1 if found is None else found
+    return code._dual_weight
 
 
 def is_advance_shareable_sufficient(
@@ -269,26 +272,34 @@ class ShareableSet:
     weight_criterion: bool
 
 
+def shareable_by_size(
+    code: StabilizerCode, max_size: int, budget: int = gfp.DEFAULT_ENUM_BUDGET
+) -> list[np.ndarray]:
+    """Every shareable J with 1 <= |J| <= max_size, as one array per size
+    w = 1, 2, ..., its rows in :func:`advshare.access.share_sets` order.
+
+    Sets beyond ``floor((n-k)/2)`` shares can never pass, so ``max_size`` is
+    effectively capped there.  ``budget`` caps the candidate sets ranked.
+    """
+    last = min(max_size, code.num_checks // 2)
+    candidates = sum(math.comb(code.n, size) for size in range(1, last + 1))
+    check_budget(candidates, budget, "advance-shareable sets", f" up to size {last}")
+    structure = code.share_structure()
+    return [structure.sets(w)[structure.level(w) == 2 * w] for w in range(1, last + 1)]
+
+
 def enumerate_advance_shareable(
     code: StabilizerCode, max_size: int, budget: int = gfp.DEFAULT_ENUM_BUDGET
 ) -> list[ShareableSet]:
     """All nonempty shareable J with |J| <= max_size, lexicographically.
 
-    Sets beyond ``floor((n-k)/2)`` shares can never pass, so ``max_size`` is
-    effectively capped there.  Each result notes whether the weight shortcut
-    alone would have certified it.  ``budget`` caps the share sets the
-    dual-weight walk visits, and separately the candidate sets ranked here.
+    The sets of :func:`shareable_by_size`; each result notes whether the
+    weight shortcut alone would have certified it.  ``budget`` caps the share
+    sets the dual-weight walk visits, and separately the candidate sets.
     """
     threshold = dual_min_weight(code, budget=budget) if max_size >= 1 else 0
-    last = min(max_size, code.num_checks // 2)
-    candidates = sum(math.comb(code.n, size) for size in range(1, last + 1))
-    check_budget(candidates, budget, "advance-shareable sets", f" up to size {last}")
-    structure = code.share_structure()
-    shareable = sorted(
-        tuple(js)
-        for w in range(1, last + 1)
-        for js in share_sets(code.n, w)[structure.level(w) == 2 * w].tolist()
-    )
+    levels = shareable_by_size(code, max_size, budget)
+    shareable = sorted(tuple(js) for sets in levels for js in sets.tolist())
     return [
         ShareableSet(shares=js, dimension_criterion=True, weight_criterion=len(js) < threshold)
         for js in shareable

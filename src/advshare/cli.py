@@ -11,11 +11,13 @@ Three subcommands over check-matrix files (see :mod:`advshare.codefile`):
 One JSON document goes to stdout (schema shipped as
 ``advshare/schema/report.schema.json``); a human summary goes to stderr
 unless ``--json-only``.  The report's bytes are ``json.dumps(report,
-indent=2)``'s, written by :func:`_json_text`: recursively, except that the
-access table and the advance-shareable sets are written from one
-``%``-template per set size, and a list of plain ints or plain strings
-(matrix rows, syndromes, the circuit's gates, one ``str`` per run of equal
-gates) in one ``str.join``.  Share indices are 1-based.  Exit codes: 0 success,
+indent=2)``'s, written by :func:`_json_text`: recursively, except that a
+list of plain ints or plain strings (matrix rows, syndromes, the circuit's
+gates, one ``str`` per run of equal gates) goes in one ``str.join``, and
+the access table and the advance-shareable sets are held per set size as
+columns and written from one ``%``-template per size.  :func:`_emit` sends
+the report out piece by piece, the access table one size at a time, so no
+string of the whole report is built.  Share indices are 1-based.  Exit codes: 0 success,
 1 invalid input, 2 budget exceeded, 3 internal error.  Only the inputs are
 checked as input: the counts (a negative ``--budget``, ``--max-size``,
 ``--trials`` or ``--seed``), the code file, and for ``demo`` the ``--J``
@@ -35,8 +37,10 @@ import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
+import numpy as np
+
 from . import advance, codefile, sim
-from .access import AccessLabel, check_budget, share_sets
+from .access import AccessLabel, check_budget
 from .clifford import encoding_circuit
 from .errors import (
     AdvShareError,
@@ -87,29 +91,11 @@ def _input_check(check):
 
 _INFINITY = float("inf")
 
-#: Access labels by their index in :class:`AccessLabel`, and each label's
-#: JSON text.
+#: Access labels by their index in :class:`AccessLabel`, as names and as
+#: JSON text, and JSON's bools by the bool.
 _LABEL_NAMES = tuple(label.value for label in AccessLabel)
-_LABEL_TEXT = {name: encode_basestring_ascii(name) for name in _LABEL_NAMES}
-
-
-class _AccessRows(list):
-    """The rows of a ``demo`` access table, a plain list of dicts.
-
-    Each row holds ``"shares"`` (a list of ints), ``"size"`` (its length)
-    and ``"label"`` (an :class:`AccessLabel` value), and in every row or in
-    none ``"mutual_information"`` (a finite float), in that key order.
-    :func:`_json_text` writes them from one template per row shape.
-    """
-
-
-class _ShareableRows(list):
-    """The ``analyze`` rows of advance-shareable sets, a plain list of dicts.
-
-    Each row holds ``"shares"`` (a list of ints) and ``"certificates"``, a
-    dict of the bools ``"theorem1"`` and ``"theorem2"``, in that key order.
-    :func:`_json_text` writes them from one template per set size.
-    """
+_LABEL_TEXTS = tuple(map(encode_basestring_ascii, _LABEL_NAMES))
+_BOOL_TEXTS = ("false", "true")
 
 
 def _shares_template(size: int, indent: str) -> str:
@@ -139,46 +125,66 @@ def _shareable_template(size: int, indent: str) -> str:
     return "{" + inner + ("," + inner).join(fields) + indent + "}"
 
 
-def _rows_text(rows: _AccessRows, indent: str) -> str:
-    """``_json_text(list(rows), indent)`` with one format call per row."""
-    if not rows:
-        return "[]"
-    inner = indent + "  "
-    informed = "mutual_information" in rows[0]
-    templates: dict[int, str] = {}
-    items = []
-    for row in rows:
-        shares = row["shares"]
-        template = templates.get(len(shares))
-        if template is None:
-            template = templates[len(shares)] = _row_template(len(shares), informed, inner)
-        label = _LABEL_TEXT[row["label"]]
-        if informed:
-            items.append(template % (*shares, label, row["mutual_information"]))
-        else:
-            items.append(template % (*shares, label))
-    return "[" + inner + ("," + inner).join(items) + indent + "]"
+class _SizedRows:
+    """A report's list of rows of one shape, held per set size as columns.
+
+    ``sizes`` holds one tuple per set size: an ``(m, w)`` array of share
+    sets, then that size's other columns, m values each.  :meth:`pieces`
+    writes each size from one ``%``-template over its zipped columns
+    (``_texts``), with no per-row dict.
+    """
+
+    def __init__(self, sizes: list[tuple]):
+        self.sizes = sizes
+
+    def pieces(self, indent: str):
+        """The list's JSON text closed at ``indent``, one piece per block."""
+        inner = indent + "  "
+        opening, sep = "[" + inner, "," + inner
+        for block in self._blocks(inner):
+            yield opening + sep.join(block)
+            opening = sep
+        yield indent + "]" if opening == sep else "[]"
+
+    def _blocks(self, inner: str):
+        """The row texts at ``inner``, one block per nonempty size."""
+        return (self._texts(inner, *size) for size in self.sizes if len(size[0]))
 
 
-def _shareable_text(rows: _ShareableRows, indent: str) -> str:
-    """``_json_text(list(rows), indent)`` with one format call per row."""
-    if not rows:
-        return "[]"
-    inner = indent + "  "
-    templates: dict[int, str] = {}
-    items = []
-    for row in rows:
-        shares, certificates = row["shares"], row["certificates"]
-        template = templates.get(len(shares))
-        if template is None:
-            template = templates[len(shares)] = _shareable_template(len(shares), inner)
-        theorems = _json_text(certificates["theorem1"]), _json_text(certificates["theorem2"])
-        items.append(template % (*shares, *theorems))
-    return "[" + inner + ("," + inner).join(items) + indent + "]"
+class _AccessTable(_SizedRows):
+    """The ``demo`` access table: per size its sets, their label codes
+    (indices in :class:`AccessLabel`) and, when trials run, their mutual
+    information as floats."""
+
+    @staticmethod
+    def _texts(inner: str, sets, codes, *information):
+        template = _row_template(sets.shape[1], bool(information), inner)
+        columns = [*sets.T.tolist(), map(_LABEL_TEXTS.__getitem__, codes.tolist())]
+        return map(template.__mod__, zip(*columns, *(i.tolist() for i in information)))
 
 
-#: List subclasses written from templates, and the writer of each.
-_TEMPLATED = {_AccessRows: _rows_text, _ShareableRows: _shareable_text}
+class _ShareableSets(_SizedRows):
+    """The ``analyze`` advance-shareable sets: per size the sets and their
+    two certificates as bools, written as one block in lexicographic share
+    order, which interleaves the sizes."""
+
+    def shares(self) -> list[list[int]]:
+        """Each row's shares, in row order."""
+        return sorted(s for sets, *_ in self.sizes for s in sets.tolist())
+
+    def _blocks(self, inner: str):
+        rows = sorted(
+            row for size in self.sizes for row in zip(size[0].tolist(), self._texts(inner, *size))
+        )
+        return [[text for _, text in rows]] if rows else []
+
+    @staticmethod
+    def _texts(inner: str, sets, theorem1, theorem2):
+        template = _shareable_template(sets.shape[1], inner)
+        bools = [map(_BOOL_TEXTS.__getitem__, c.tolist()) for c in (theorem1, theorem2)]
+        return map(template.__mod__, zip(*sets.T.tolist(), *bools))
+
+
 _PLAIN_INTS, _PLAIN_STRS = {int}, {str}
 
 
@@ -194,9 +200,8 @@ def _json_text(value, indent: str = "\n") -> str:
     written as lists, and a list whose items are all plain ``int`` (no
     bools or subclasses) or all plain ``str`` in one ``str.join``; dict
     keys must be strings, as in every report.  Any other type raises
-    ``TypeError``, as ``json.dumps`` does.  An :class:`_AccessRows` table and a
-    :class:`_ShareableRows` list are written by :func:`_rows_text` and
-    :func:`_shareable_text`, which give the same text.
+    ``TypeError``, as ``json.dumps`` does, except held rows
+    (:class:`_SizedRows`), which are joined from their pieces.
     """
     if isinstance(value, str):
         return encode_basestring_ascii(value)
@@ -216,9 +221,8 @@ def _json_text(value, indent: str = "\n") -> str:
         if value == -_INFINITY:
             return "-Infinity"
         return float.__repr__(value)
-    templated = _TEMPLATED.get(type(value))
-    if templated is not None:
-        return templated(value, indent)
+    if isinstance(value, _SizedRows):
+        return "".join(value.pieces(indent))
     inner = indent + "  "
     if isinstance(value, (list, tuple)):
         if not value:
@@ -243,9 +247,27 @@ def _json_text(value, indent: str = "\n") -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+def _pieces(value, indent: str = "\n"):
+    """``_json_text(value, indent)`` in pieces: a dict item by item, and held
+    rows one size at a time."""
+    if isinstance(value, _SizedRows):
+        yield from value.pieces(indent)
+    elif isinstance(value, dict) and value:
+        inner, opening = indent + "  ", "{"
+        for key, v in value.items():
+            yield opening + inner + encode_basestring_ascii(key) + ": "
+            yield from _pieces(v, inner)
+            opening = ","
+        yield indent + "}"
+    else:
+        yield _json_text(value, indent)
+
+
 def _emit(report: dict, stdout) -> None:
-    """Write the report as ``json.dumps(report, indent=2)`` and a newline."""
-    print(_json_text(report), file=stdout)
+    """Write the report as ``json.dumps(report, indent=2)`` and a newline,
+    piece by piece, so no string of the whole report is built."""
+    stdout.writelines(_pieces(report))
+    stdout.write("\n")
 
 
 def _parameters_string(code: StabilizerCode, distance: int | None) -> str:
@@ -268,27 +290,17 @@ def _code_section(code: StabilizerCode, budget: int) -> dict:
         "k": code.k,
         "distance": distance,
         "parameters": _parameters_string(code, distance),
-        "check_matrix": [[int(v) for v in row] for row in code.check_matrix],
+        "check_matrix": code.check_matrix.tolist(),
     }
 
 
 def _analyze_section(code: StabilizerCode, max_size: int, budget: int) -> dict:
     threshold = advance.dual_min_weight(code, budget=budget)
-    sets = advance.enumerate_advance_shareable(code, max_size, budget=budget)
-    return {
-        "max_size": max_size,
-        "dual_min_weight": threshold,
-        "sets": _ShareableRows(
-            {
-                "shares": list(s.shares),
-                "certificates": {
-                    "theorem1": s.dimension_criterion,
-                    "theorem2": s.weight_criterion,
-                },
-            }
-            for s in sets
-        ),
-    }
+    # The exact criterion holds for every listed set, the weight shortcut
+    # for every set below the dual minimum weight.
+    levels = advance.shareable_by_size(code, max_size, budget=budget)
+    sizes = [(s, np.ones(len(s), bool), np.full(len(s), s.shape[1] < threshold)) for s in levels]
+    return {"max_size": max_size, "dual_min_weight": threshold, "sets": _ShareableSets(sizes)}
 
 
 @_input_check
@@ -325,7 +337,7 @@ def _demo_section(
         "normal_form": {
             "shares": list(nf.shares),
             "mu": list(nf.mu),
-            "h_prime": [[int(v) for v in row] for row in nf.h_prime],
+            "h_prime": nf.h_prime.tolist(),
         },
         "plan": {
             "parameters": f"[[{code.n - plan.c},{code.k},{d};{plan.c}]]_{code.p}",
@@ -349,23 +361,14 @@ def _demo_section(
     # ranks per size, read forwards and reversed, gives every label and, when
     # trials run, the mutual information and the qualified sets.
     structure = code.share_structure()
-    table = section["access_table"] = _AccessRows()
-    qualified = []
+    sizes = []
     for w in range(code.n + 1):
         ranks = w, structure.level(w), structure.level(code.n - w)[::-1]
-        sets = share_sets(code.n, w)
-        label_codes = structure.label_codes(*ranks)
-        rows = [
-            {"shares": s, "size": w, "label": _LABEL_NAMES[c]}
-            for s, c in zip(sets.tolist(), label_codes.tolist())
-        ]
-        if trials > 0:
-            mi = structure.mutual_information(*ranks).astype(float).tolist()
-            for row, i in zip(rows, mi):
-                row["mutual_information"] = i
-            qualified += sets[label_codes == 0].tolist()
-        table += rows
+        information = [structure.mutual_information(*ranks).astype(float)] if trials > 0 else []
+        sizes.append((structure.sets(w), structure.label_codes(*ranks), *information))
+    section["access_table"] = _AccessTable(sizes)
     if trials > 0:
+        qualified = [s for sets, codes, _ in sizes for s in sets[codes == 0].tolist()]
         transcript = sim.simulate_protocol(
             code, shares, plan, circuit, seed, trials, qualified, budget=budget
         )
@@ -393,7 +396,7 @@ def _summarize(report: dict, stream) -> None:
     print(f"code: {code['parameters']}", file=stream)
     if "advance_shareable" in report:
         section = report["advance_shareable"]
-        names = [",".join(map(str, s["shares"])) for s in section["sets"]]
+        names = [",".join(map(str, s)) for s in section["sets"].shares()]
         print(
             f"advance-shareable sets up to size {section['max_size']} "
             f"(dual min weight {section['dual_min_weight']}): "
@@ -407,14 +410,10 @@ def _summarize(report: dict, stream) -> None:
             f"plan {demo['plan']['parameters']} circuit {len(demo['circuit']['gates'])} gates",
             file=stream,
         )
-        counts: dict[str, int] = {}
-        for entry in demo["access_table"]:
-            counts[entry["label"]] = counts.get(entry["label"], 0) + 1
-        print(
-            "access table: "
-            + ", ".join(f"{v} {k}" for k, v in sorted(counts.items())),
-            file=stream,
-        )
+        sizes = demo["access_table"].sizes
+        counts = sum(np.bincount(size[1], minlength=len(_LABEL_NAMES)) for size in sizes)
+        labels = sorted(zip(_LABEL_NAMES, counts.tolist()))
+        print("access table: " + ", ".join(f"{v} {k}" for k, v in labels if v), file=stream)
         if "transcripts" in demo:
             worst = min(t["min_fidelity"] for t in demo["transcripts"])
             print(

@@ -195,6 +195,7 @@ class StabilizerCode:
     n: int
     check_matrix: np.ndarray = field(repr=False)
     _distance: Optional[int] = field(default=None, repr=False, compare=False)
+    _dual_weight: Optional[int] = field(default=None, repr=False, compare=False)
     _shares: Optional[ShareStructure] = field(default=None, repr=False, compare=False)
     # Dense gather-and-phase kernels of the generators (sim.PauliKernels).
     _generator_kernels: Optional[Any] = field(default=None, repr=False, compare=False)

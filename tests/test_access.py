@@ -147,6 +147,42 @@ def test_oracle_matches_shortening_and_dual_reference(p, data):
         assert classify_access(code, subset) is label
 
 
+def select_label_codes(structure, w, inside, outside):
+    """Reference access-label codes by ``np.select``: qualified takes
+    precedence over forbidden, and anything else is intermediate."""
+    qualified = structure.correctable(structure.n - w, outside, inside)
+    forbidden = structure.correctable(w, inside, outside)
+    return np.select([qualified, forbidden], [0, 1], 2)
+
+
+@pytest.mark.parametrize("p", gfp.PRIMES)
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_label_codes_match_the_select_reference(p, data):
+    """Every level of a random code and of a k = 0 code, where every set is
+    both qualified and forbidden and so labelled qualified; then arbitrary
+    rank arrays."""
+    code = data.draw(codes(p))
+    n = code.n
+    k0 = random_stabilizer(p, n, n, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+    for structure in (code.share_structure(), k0.share_structure()):
+        for w in range(n + 1):
+            ranks = w, structure.level(w), structure.level(n - w)[::-1]
+            got = structure.label_codes(*ranks)
+            assert got.dtype.kind == "i"
+            assert np.array_equal(got, select_label_codes(structure, *ranks))
+            if structure is k0.share_structure():
+                assert structure.correctable(*ranks).all() and not got.any()
+    w = data.draw(st.integers(0, n))
+    inside, outside = (
+        np.array(data.draw(st.lists(st.integers(0, 2 * n), min_size=6, max_size=6)))
+        for _ in range(2)
+    )
+    structure = code.share_structure()
+    got = structure.label_codes(w, inside, outside)
+    assert np.array_equal(got, select_label_codes(structure, w, inside, outside))
+
+
 @pytest.mark.parametrize("p", gfp.PRIMES)
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(data=st.data())

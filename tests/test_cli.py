@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from advshare import cli
-from advshare.access import share_sets
+from advshare.access import ShareStructure, share_sets
 from advshare.codefile import format_code_file, parse_code_file
 from advshare.errors import CodeFileError, UncorrectableErasureError
 from advshare.pauli import random_stabilizer, validate_stabilizer
@@ -524,9 +524,36 @@ def test_report_writer_refuses_what_json_refuses():
     assert cli._json_text([np.float64(0.5)]) == json.dumps([np.float64(0.5)], indent=2)
 
 
+def plain_rows(value):
+    """A copy of a report with its held rows written out as plain dicts, in
+    row order: the form ``json.dumps`` writes."""
+    if isinstance(value, cli._AccessTable):
+        rows = []
+        for sets, codes, *information in value.sizes:
+            columns = sets.tolist(), codes.tolist(), *(i.tolist() for i in information)
+            for shares, label, *mi in zip(*columns):
+                row = {"shares": shares, "size": len(shares), "label": cli._LABEL_NAMES[label]}
+                rows.append(dict(row, mutual_information=mi[0]) if mi else row)
+        return rows
+    if isinstance(value, cli._ShareableSets):
+        rows = [
+            {"shares": shares, "certificates": {"theorem1": one, "theorem2": two}}
+            for sets, *theorems in value.sizes
+            for shares, one, two in zip(sets.tolist(), *(t.tolist() for t in theorems))
+        ]
+        return sorted(rows, key=lambda row: row["shares"])
+    if isinstance(value, dict):
+        return {key: plain_rows(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [plain_rows(v) for v in value]
+    return value
+
+
 def test_every_shipped_report_is_written_as_json_dumps(code_dir, monkeypatch):
     """validate, analyze and demo on each shipped code, plus a budget and an
-    invalid-input error report: the writer's bytes are json.dumps's."""
+    invalid-input error report: the writer's bytes are json.dumps's of the
+    report with its held rows as plain dicts, and the streamed bytes are
+    ``_json_text``'s."""
     reports = []
     emit = cli._emit
     monkeypatch.setattr(cli, "_emit", lambda report, out: reports.append(report) or emit(report, out))
@@ -543,82 +570,135 @@ def test_every_shipped_report_is_written_as_json_dumps(code_dir, monkeypatch):
     ]
     for argv in runs:
         status, out, _ = run_cli(argv + ["--json-only"])
-        assert out == json.dumps(reports[-1], indent=2) + "\n"
+        assert out == json.dumps(plain_rows(reports[-1]), indent=2) + "\n"
+        assert out == cli._json_text(reports[-1]) + "\n"
     assert len(reports) == len(runs)
     assert {r.get("error", {}).get("type") for r in reports} == {None, "budget", "invalid-input"}
 
 
+class _Writes(io.StringIO):
+    """A text stream that keeps the length of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+def test_emit_streams_the_access_table_one_size_at_a_time(tmp_path):
+    """The report reaches the stream in pieces, one or more per set size,
+    and none holds a third of it: on 10 shares the largest size,
+    C(10, 5) = 252 of 1024 rows, is about a quarter of the table."""
+    code = random_stabilizer(2, 10, 9, np.random.default_rng(10))
+    path = tmp_path / "random.code"
+    path.write_text(format_code_file(code), encoding="utf-8")
+    out = _Writes()
+    argv = ["demo", str(path), "--J", "none", "--trials", "0", "--json-only"]
+    assert cli.run(argv, stdout=out) == 0
+    assert len(json.loads(out.getvalue())["demo"]["access_table"]) == 2**10
+    assert len(out.sizes) > 11
+    assert max(out.sizes) < len(out.getvalue()) // 3
+
+
 @st.composite
-def access_rows(draw):
-    """Access-table rows on n shares, sizes 0..n in any order, every row
-    with a float mutual information or none."""
-    n = draw(st.integers(0, 6))
+def access_tables(draw):
+    """An access table held per size on n shares, n from 0 to 7: sizes in any
+    order, any subset of each size's sets (so sizes may be empty), label
+    codes, and a float mutual information in every size or in none."""
+    n = draw(st.integers(0, 7))
     informed = draw(st.booleans())
-    rows = []
-    for _ in range(draw(st.integers(0, 12))):
-        shares = sorted(draw(st.sets(st.integers(1, n), max_size=n))) if n else []
-        label = draw(st.sampled_from(cli._LABEL_NAMES))
-        row = {"shares": shares, "size": len(shares), "label": label}
+    sizes = []
+    for w in draw(st.permutations(range(n + 1))):
+        listing = share_sets(n, w)
+        keep = draw(st.lists(st.booleans(), min_size=len(listing), max_size=len(listing)))
+        sets = listing[np.array(keep, dtype=bool)]
+        codes = draw(st.lists(st.integers(0, 2), min_size=len(sets), max_size=len(sets)))
+        size = (sets, np.array(codes, dtype=np.int64))
         if informed:
-            row["mutual_information"] = draw(
-                st.integers(-n, n).map(float) | st.floats(allow_nan=False, allow_infinity=False)
+            values = st.integers(-n, n).map(float) | st.floats(
+                allow_nan=False, allow_infinity=False
             )
-        rows.append(row)
-    return rows
+            mi = draw(st.lists(values, min_size=len(sets), max_size=len(sets)))
+            size += (np.array(mi, dtype=float),)
+        sizes.append(size)
+    return cli._AccessTable(sizes)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(rows=access_rows(), depth=st.sampled_from(["bare", "list", "report"]))
-def test_access_rows_are_written_as_json_dumps(rows, depth):
-    """The template path writes what json.dumps and the generic path write,
-    at three nesting depths; the strategy includes the empty table and the
-    empty ``"shares": []`` row."""
+@given(table=access_tables(), depth=st.sampled_from(["bare", "list", "report"]))
+def test_access_rows_are_written_as_json_dumps(table, depth):
+    """The per-size template path writes what json.dumps and the generic
+    path write for the same rows as plain dicts, at three nesting depths,
+    whole or streamed; the strategy includes the empty table, empty sizes
+    and the empty ``"shares": []`` row."""
     nest = {
         "bare": lambda t: t,
         "list": lambda t: [t, {"a": t}],
         "report": lambda t: {"demo": {"shares": [], "access_table": t}, "x": 1},
     }[depth]
-    assert cli._rows_text(cli._AccessRows(rows), "\n") == json.dumps(rows, indent=2)
-    fast = nest(cli._AccessRows(rows))
-    text = cli._json_text(fast)
-    assert text == json.dumps(fast, indent=2)
-    assert text == cli._json_text(nest(list(rows)))
+    rows = plain_rows(table)
+    assert "".join(table.pieces("\n")) == json.dumps(rows, indent=2)
+    text = cli._json_text(nest(table))
+    assert text == json.dumps(nest(rows), indent=2)
+    assert text == cli._json_text(nest(rows))
+    assert text == "".join(cli._pieces(nest(table)))
 
 
 @st.composite
-def shareable_rows(draw):
-    """``analyze`` rows on n shares: sets of every size 1..n, both values of
-    each certificate."""
+def shareable_sets(draw):
+    """``analyze`` sets held per size on n shares: any subset of each size
+    1..n in any order, both values of each certificate."""
     n = draw(st.integers(1, 7))
-    rows = []
-    for _ in range(draw(st.integers(0, 10))):
-        size = draw(st.integers(1, n))
-        shares = sorted(draw(st.sets(st.integers(1, n), min_size=size, max_size=size)))
-        rows.append(
-            {
-                "shares": shares,
-                "certificates": {"theorem1": draw(st.booleans()), "theorem2": draw(st.booleans())},
-            }
-        )
-    return rows
+    sizes = []
+    for w in draw(st.permutations(range(1, n + 1))):
+        listing = share_sets(n, w)
+        keep = draw(st.lists(st.booleans(), min_size=len(listing), max_size=len(listing)))
+        sets = listing[np.array(keep, dtype=bool)]
+        bools = st.lists(st.booleans(), min_size=len(sets), max_size=len(sets))
+        theorems = [np.array(draw(bools), dtype=bool) for _ in range(2)]
+        sizes.append((sets, *theorems))
+    return cli._ShareableSets(sizes)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(rows=shareable_rows(), depth=st.sampled_from(["bare", "list", "report"]))
-def test_shareable_rows_are_written_as_json_dumps(rows, depth):
+@given(sets=shareable_sets(), depth=st.sampled_from(["bare", "list", "report"]))
+def test_shareable_rows_are_written_as_json_dumps(sets, depth):
     """The ``analyze`` template path writes what json.dumps and the generic
-    path write, at three nesting depths; the strategy includes the empty
-    list."""
+    path write for the same rows as plain dicts in lexicographic share
+    order, at three nesting depths; the strategy includes the empty list."""
     nest = {
         "bare": lambda t: t,
         "list": lambda t: [t, {"a": t}],
         "report": lambda t: {"advance_shareable": {"max_size": 2, "sets": t}, "x": 1},
     }[depth]
-    assert cli._shareable_text(cli._ShareableRows(rows), "\n") == json.dumps(rows, indent=2)
-    fast = nest(cli._ShareableRows(rows))
-    text = cli._json_text(fast)
-    assert text == json.dumps(fast, indent=2)
-    assert text == cli._json_text(nest(list(rows)))
+    rows = plain_rows(sets)
+    assert [row["shares"] for row in rows] == sets.shares()
+    assert "".join(sets.pieces("\n")) == json.dumps(rows, indent=2)
+    text = cli._json_text(nest(sets))
+    assert text == json.dumps(nest(rows), indent=2)
+    assert text == cli._json_text(nest(rows))
+    assert text == "".join(cli._pieces(nest(sets)))
+
+
+def test_analyze_walks_the_dual_weight_once(code_dir, monkeypatch):
+    """The dual minimum weight is cached on the code: ``analyze`` walks it
+    once, for its own field and for the weight certificates."""
+    stages = []
+    walk = ShareStructure.smallest_size
+
+    def counted(self, holds, last, stage, budget):
+        stages.append(stage)
+        return walk(self, holds, last, stage, budget)
+
+    monkeypatch.setattr(ShareStructure, "smallest_size", counted)
+    for path in sorted(code_dir.glob("*.code")):
+        stages.clear()
+        status, out, _ = run_cli(["analyze", str(path), "--max-size", "2", "--json-only"])
+        assert status == 0
+        assert stages.count("dual minimum weight") == 1
 
 
 @pytest.mark.parametrize("p, n, trials", [(2, 12, 0), (3, 9, 0), (5, 7, 0), (7, 6, 0), (3, 4, 1)])
@@ -633,7 +713,8 @@ def test_large_access_tables_are_written_as_json_dumps(tmp_path, monkeypatch, p,
     monkeypatch.setattr(cli, "_emit", lambda report, out: reports.append(report) or emit(report, out))
     status, out, err = run_cli(["demo", str(path), "--J", "none", "--trials", str(trials)])
     assert status == 0
-    assert out == json.dumps(reports[0], indent=2) + "\n"
+    assert out == json.dumps(plain_rows(reports[0]), indent=2) + "\n"
+    assert out == cli._json_text(reports[0]) + "\n"
     table = json.loads(out)["demo"]["access_table"]
     assert len(table) == 2**n
     order = [s for w in range(n + 1) for s in share_sets(n, w).tolist()]
