@@ -16,7 +16,7 @@ from .advance import (
     is_advance_shareable,
     is_advance_shareable_sufficient,
     normal_form,
-    shareable_by_size,
+    shareable_sets,
 )
 from .clifford import (
     CliffordCircuit,

@@ -272,11 +272,11 @@ class ShareableSet:
     weight_criterion: bool
 
 
-def shareable_by_size(
+def shareable_sets(
     code: StabilizerCode, max_size: int, budget: int = gfp.DEFAULT_ENUM_BUDGET
-) -> list[np.ndarray]:
-    """Every shareable J with 1 <= |J| <= max_size, as one array per size
-    w = 1, 2, ..., its rows in :func:`advshare.access.share_sets` order.
+) -> list[tuple[int, ...]]:
+    """Every shareable J with 1 <= |J| <= max_size, lexicographically, as
+    share tuples: each size's sets, merged.
 
     Sets beyond ``floor((n-k)/2)`` shares can never pass, so ``max_size`` is
     effectively capped there.  ``budget`` caps the candidate sets ranked.
@@ -285,7 +285,8 @@ def shareable_by_size(
     candidates = sum(math.comb(code.n, size) for size in range(1, last + 1))
     check_budget(candidates, budget, "advance-shareable sets", f" up to size {last}")
     structure = code.share_structure()
-    return [structure.sets(w)[structure.level(w) == 2 * w] for w in range(1, last + 1)]
+    levels = (structure.sets(w)[structure.level(w) == 2 * w] for w in range(1, last + 1))
+    return sorted(js for sets in levels for js in map(tuple, sets.tolist()))
 
 
 def enumerate_advance_shareable(
@@ -293,14 +294,12 @@ def enumerate_advance_shareable(
 ) -> list[ShareableSet]:
     """All nonempty shareable J with |J| <= max_size, lexicographically.
 
-    The sets of :func:`shareable_by_size`; each result notes whether the
+    The sets of :func:`shareable_sets`; each result notes whether the
     weight shortcut alone would have certified it.  ``budget`` caps the share
     sets the dual-weight walk visits, and separately the candidate sets.
     """
     threshold = dual_min_weight(code, budget=budget) if max_size >= 1 else 0
-    levels = shareable_by_size(code, max_size, budget)
-    shareable = sorted(tuple(js) for sets in levels for js in sets.tolist())
     return [
         ShareableSet(shares=js, dimension_criterion=True, weight_criterion=len(js) < threshold)
-        for js in shareable
+        for js in shareable_sets(code, max_size, budget)
     ]

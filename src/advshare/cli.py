@@ -13,11 +13,13 @@ One JSON document goes to stdout (schema shipped as
 unless ``--json-only``.  The report's bytes are ``json.dumps(report,
 indent=2)``'s, written by :func:`_json_text`: recursively, except that a
 list of plain ints or plain strings (matrix rows, syndromes, the circuit's
-gates, one ``str`` per run of equal gates) goes in one ``str.join``, and
-the access table and the advance-shareable sets are held per set size as
-columns and written from one ``%``-template per size.  :func:`_emit` sends
-the report out piece by piece, the access table one size at a time, so no
-string of the whole report is built.  Share indices are 1-based.  Exit codes: 0 success,
+gates, one ``str`` per run of equal gates) goes in one ``str.join``.  The
+access table (held per set size as columns) and the advance-shareable sets
+(one list in lexicographic order) are written from one ``%``-template per
+set size, which :func:`_json_text` itself writes from a row whose varying
+fields are unquoted slots (:class:`_Slot`).  :func:`_emit` sends the report
+out piece by piece, the access table one size at a time, so no string of
+the whole report is built.  Share indices are 1-based.  Exit codes: 0 success,
 1 invalid input, 2 budget exceeded, 3 internal error.  Only the inputs are
 checked as input: the counts (a negative ``--budget``, ``--max-size``,
 ``--trials`` or ``--seed``), the code file, and for ``demo`` the ``--J``
@@ -92,50 +94,22 @@ def _input_check(check):
 _INFINITY = float("inf")
 
 #: Access labels by their index in :class:`AccessLabel`, as names and as
-#: JSON text, and JSON's bools by the bool.
+#: JSON text.
 _LABEL_NAMES = tuple(label.value for label in AccessLabel)
 _LABEL_TEXTS = tuple(map(encode_basestring_ascii, _LABEL_NAMES))
-_BOOL_TEXTS = ("false", "true")
 
 
-def _shares_template(size: int, indent: str) -> str:
-    """The ``%``-template of a list of ``size`` ints closed at ``indent``."""
-    inner = indent + "  "
-    return "[" + inner + ("," + inner).join(["%d"] * size) + indent + "]" if size else "[]"
+class _Slot(str):
+    """A ``%`` conversion (``%d``, ``%s``, ``%r``) that :func:`_json_text`
+    writes unquoted, so that a row with slots writes its own template."""
 
 
-def _row_template(size: int, informed: bool, indent: str) -> str:
-    """The ``%``-template of an access-table row of ``size`` shares, closed
-    at ``indent``: ``%d`` per share, then ``%s`` for the label's JSON text,
-    then ``%r`` for the mutual information if ``informed``."""
-    inner = indent + "  "
-    fields = ['"shares": ' + _shares_template(size, inner), f'"size": {size}', '"label": %s']
-    if informed:
-        fields.append('"mutual_information": %r')
-    return "{" + inner + ("," + inner).join(fields) + indent + "}"
+class _HeldRows:
+    """A report's list of rows of one shape, held outside any per-row dict.
 
-
-def _shareable_template(size: int, indent: str) -> str:
-    """The ``%``-template of an ``analyze`` row of ``size`` shares, closed at
-    ``indent``: ``%d`` per share, then ``%s`` for each certificate's JSON
-    text."""
-    inner, deeper = indent + "  ", indent + "    "
-    certificates = "{" + deeper + '"theorem1": %s,' + deeper + '"theorem2": %s' + inner + "}"
-    fields = ['"shares": ' + _shares_template(size, inner), '"certificates": ' + certificates]
-    return "{" + inner + ("," + inner).join(fields) + indent + "}"
-
-
-class _SizedRows:
-    """A report's list of rows of one shape, held per set size as columns.
-
-    ``sizes`` holds one tuple per set size: an ``(m, w)`` array of share
-    sets, then that size's other columns, m values each.  :meth:`pieces`
-    writes each size from one ``%``-template over its zipped columns
-    (``_texts``), with no per-row dict.
+    :meth:`pieces` writes the rows in blocks, each block from ``%``-templates
+    that :func:`_json_text` writes from a row with slots (``_blocks``).
     """
-
-    def __init__(self, sizes: list[tuple]):
-        self.sizes = sizes
 
     def pieces(self, indent: str):
         """The list's JSON text closed at ``indent``, one piece per block."""
@@ -146,43 +120,49 @@ class _SizedRows:
             opening = sep
         yield indent + "]" if opening == sep else "[]"
 
-    def _blocks(self, inner: str):
-        """The row texts at ``inner``, one block per nonempty size."""
-        return (self._texts(inner, *size) for size in self.sizes if len(size[0]))
 
+class _AccessTable(_HeldRows):
+    """The ``demo`` access table, held per set size as columns.
 
-class _AccessTable(_SizedRows):
-    """The ``demo`` access table: per size its sets, their label codes
-    (indices in :class:`AccessLabel`) and, when trials run, their mutual
-    information as floats."""
+    ``sizes`` holds one tuple per set size: an ``(m, w)`` array of share
+    sets, their label codes (indices in :class:`AccessLabel`) and, when
+    trials run, their mutual information as floats.  Each nonempty size is
+    one block, written from one template over its zipped columns.
+    """
 
-    @staticmethod
-    def _texts(inner: str, sets, codes, *information):
-        template = _row_template(sets.shape[1], bool(information), inner)
-        columns = [*sets.T.tolist(), map(_LABEL_TEXTS.__getitem__, codes.tolist())]
-        return map(template.__mod__, zip(*columns, *(i.tolist() for i in information)))
-
-
-class _ShareableSets(_SizedRows):
-    """The ``analyze`` advance-shareable sets: per size the sets and their
-    two certificates as bools, written as one block in lexicographic share
-    order, which interleaves the sizes."""
-
-    def shares(self) -> list[list[int]]:
-        """Each row's shares, in row order."""
-        return sorted(s for sets, *_ in self.sizes for s in sets.tolist())
+    def __init__(self, sizes: list[tuple]):
+        self.sizes = sizes
 
     def _blocks(self, inner: str):
-        rows = sorted(
-            row for size in self.sizes for row in zip(size[0].tolist(), self._texts(inner, *size))
-        )
-        return [[text for _, text in rows]] if rows else []
+        for sets, codes, *information in self.sizes:
+            if len(sets):
+                w = sets.shape[1]
+                row = {"shares": [_Slot("%d")] * w, "size": w, "label": _Slot("%s")}
+                if information:
+                    row["mutual_information"] = _Slot("%r")
+                columns = [*sets.T.tolist(), map(_LABEL_TEXTS.__getitem__, codes.tolist())]
+                columns += (i.tolist() for i in information)
+                yield map(_json_text(row, inner).__mod__, zip(*columns))
 
-    @staticmethod
-    def _texts(inner: str, sets, theorem1, theorem2):
-        template = _shareable_template(sets.shape[1], inner)
-        bools = [map(_BOOL_TEXTS.__getitem__, c.tolist()) for c in (theorem1, theorem2)]
-        return map(template.__mod__, zip(*sets.T.tolist(), *bools))
+
+class _ShareableSets(_HeldRows):
+    """The ``analyze`` advance-shareable sets, as share tuples in
+    lexicographic order, with the dual minimum weight.  Every listed set
+    passes the exact criterion (Theorem 1), and the weight shortcut
+    (Theorem 2) certifies exactly the sets below the dual minimum weight,
+    so both certificates are constant for a size."""
+
+    def __init__(self, sets: list[tuple[int, ...]], dual_weight: int):
+        self.sets = sets
+        self.dual_weight = dual_weight
+
+    def _blocks(self, inner: str):
+        templates = {}
+        for w in set(map(len, self.sets)):
+            certificates = {"theorem1": True, "theorem2": w < self.dual_weight}
+            row = {"shares": [_Slot("%d")] * w, "certificates": certificates}
+            templates[w] = _json_text(row, inner)
+        return [[templates[len(s)] % s for s in self.sets]] if self.sets else []
 
 
 _PLAIN_INTS, _PLAIN_STRS = {int}, {str}
@@ -201,10 +181,11 @@ def _json_text(value, indent: str = "\n") -> str:
     bools or subclasses) or all plain ``str`` in one ``str.join``; dict
     keys must be strings, as in every report.  Any other type raises
     ``TypeError``, as ``json.dumps`` does, except held rows
-    (:class:`_SizedRows`), which are joined from their pieces.
+    (:class:`_HeldRows`), which are joined from their pieces.  A
+    :class:`_Slot` is written as it stands, unquoted.
     """
     if isinstance(value, str):
-        return encode_basestring_ascii(value)
+        return value if type(value) is _Slot else encode_basestring_ascii(value)
     if value is None:
         return "null"
     if value is True:
@@ -221,7 +202,7 @@ def _json_text(value, indent: str = "\n") -> str:
         if value == -_INFINITY:
             return "-Infinity"
         return float.__repr__(value)
-    if isinstance(value, _SizedRows):
+    if isinstance(value, _HeldRows):
         return "".join(value.pieces(indent))
     inner = indent + "  "
     if isinstance(value, (list, tuple)):
@@ -250,7 +231,7 @@ def _json_text(value, indent: str = "\n") -> str:
 def _pieces(value, indent: str = "\n"):
     """``_json_text(value, indent)`` in pieces: a dict item by item, and held
     rows one size at a time."""
-    if isinstance(value, _SizedRows):
+    if isinstance(value, _HeldRows):
         yield from value.pieces(indent)
     elif isinstance(value, dict) and value:
         inner, opening = indent + "  ", "{"
@@ -270,9 +251,13 @@ def _emit(report: dict, stdout) -> None:
     stdout.write("\n")
 
 
-def _parameters_string(code: StabilizerCode, distance: int | None) -> str:
+def _parameters_string(code: StabilizerCode, distance: int | None, pairs: int | None = None) -> str:
+    """``[[n,k,d]]_p``, or with ``pairs`` the assisted ``[[n-c,k,d;c]]_p``;
+    d is ``?`` when unknown."""
     d = "?" if distance is None else str(distance)
-    return f"[[{code.n},{code.k},{d}]]_{code.p}"
+    if pairs is None:
+        return f"[[{code.n},{code.k},{d}]]_{code.p}"
+    return f"[[{code.n - pairs},{code.k},{d};{pairs}]]_{code.p}"
 
 
 @_input_check
@@ -296,11 +281,8 @@ def _code_section(code: StabilizerCode, budget: int) -> dict:
 
 def _analyze_section(code: StabilizerCode, max_size: int, budget: int) -> dict:
     threshold = advance.dual_min_weight(code, budget=budget)
-    # The exact criterion holds for every listed set, the weight shortcut
-    # for every set below the dual minimum weight.
-    levels = advance.shareable_by_size(code, max_size, budget=budget)
-    sizes = [(s, np.ones(len(s), bool), np.full(len(s), s.shape[1] < threshold)) for s in levels]
-    return {"max_size": max_size, "dual_min_weight": threshold, "sets": _ShareableSets(sizes)}
+    sets = _ShareableSets(advance.shareable_sets(code, max_size, budget=budget), threshold)
+    return {"max_size": max_size, "dual_min_weight": threshold, "sets": sets}
 
 
 @_input_check
@@ -324,12 +306,11 @@ def _demo_section(
     trials: int,
     enum_budget: int,
     budget: int,
+    distance: int | None,
 ) -> dict:
     plan = advance.construct_eaqecc(code, shares)
     circuit = encoding_circuit(plan)
     nf = plan.normal
-    distance = code_distance(code, budget=enum_budget) if code.k >= 1 else None
-    d = "?" if distance is None else str(distance)
     section: dict = {
         "shares": list(shares),
         "seed": seed,
@@ -340,7 +321,7 @@ def _demo_section(
             "h_prime": nf.h_prime.tolist(),
         },
         "plan": {
-            "parameters": f"[[{code.n - plan.c},{code.k},{d};{plan.c}]]_{code.p}",
+            "parameters": _parameters_string(code, distance, plan.c),
             "length": code.n - plan.c,
             "logical": code.k,
             "pairs": plan.c,
@@ -396,7 +377,7 @@ def _summarize(report: dict, stream) -> None:
     print(f"code: {code['parameters']}", file=stream)
     if "advance_shareable" in report:
         section = report["advance_shareable"]
-        names = [",".join(map(str, s)) for s in section["sets"].shares()]
+        names = [",".join(map(str, s)) for s in section["sets"].sets]
         print(
             f"advance-shareable sets up to size {section['max_size']} "
             f"(dual min weight {section['dual_min_weight']}): "
@@ -507,8 +488,9 @@ def run(argv: list[str] | None = None, stdout=None, stderr=None) -> int:
             )
         elif args.command == "demo":
             shares = _demo_shares(code, args.J, args.trials)
+            distance = report["code"]["distance"]
             report["demo"] = _demo_section(
-                code, shares, args.seed, args.trials, enum_budget, state_budget
+                code, shares, args.seed, args.trials, enum_budget, state_budget, distance
             )
     except _InputError as exc:
         report["error"] = {"type": "invalid-input", "message": str(exc)}

@@ -324,11 +324,7 @@ def solution_maps(stack, p: int) -> np.ndarray:
 
 def in_row_space(m, v, p: int) -> bool:
     """Whether v lies in the row space of m."""
-    a = as_matrix(m, p)
-    w = as_vector(v, p)
-    if a.shape[0] == 0:
-        return not w.any()
-    return solve(a.T, w, p) is not None
+    return solve(as_matrix(m, p).T, v, p) is not None
 
 
 def row_space_equal(a, b, p: int) -> bool:

@@ -246,8 +246,6 @@ def validate_stabilizer(check_matrix, p: int, n: int) -> StabilizerCode:
     h = gfp.as_matrix(check_matrix, p) if np.size(check_matrix) else np.zeros(
         (0, 2 * n), dtype=np.int64
     )
-    if h.shape[0] == 0:
-        h = h.reshape(0, 2 * n)
     if h.shape[1] != 2 * n:
         raise ValueError(f"check matrix needs {2 * n} columns, got {h.shape[1]}")
     if h.shape[0] > n:

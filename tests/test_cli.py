@@ -164,6 +164,30 @@ def test_analyze_five_qubit_pairs(code_dir):
     assert len(sets) == 15
 
 
+FIVE_QUBIT_PAIRS = "{1} {1,2} {1,3} {1,4} {1,5} {2} {2,3} {2,4} {2,5} {3} {3,4} {3,5} {4} {4,5} {5}"
+
+
+@pytest.mark.parametrize("max_size, names", [("2", FIVE_QUBIT_PAIRS), ("0", "none")])
+def test_analyze_summary_names_the_sets_in_order(code_dir, max_size, names):
+    status, _, err = run_cli(["analyze", str(code_dir / "five_qubit.code"), "--max-size", max_size])
+    assert status == 0
+    assert err == (
+        "code: [[5,1,3]]_2\n"
+        f"advance-shareable sets up to size {max_size} (dual min weight 3): {names}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "shares, parameters", [("none", "[[5,1,3;0]]_2"), ("1,2", "[[3,1,3;2]]_2")]
+)
+def test_demo_plan_parameters_count_the_pairs(code_dir, shares, parameters):
+    argv = ["demo", str(code_dir / "five_qubit.code"), "--J", shares, "--trials", "0"]
+    status, out, err = run_cli(argv)
+    assert status == 0
+    assert json.loads(out)["demo"]["plan"]["parameters"] == parameters
+    assert f"plan {parameters} circuit " in err
+
+
 def test_demo_reports_protocol(code_dir, schema):
     status, out, err = run_cli(
         [
@@ -536,12 +560,13 @@ def plain_rows(value):
                 rows.append(dict(row, mutual_information=mi[0]) if mi else row)
         return rows
     if isinstance(value, cli._ShareableSets):
-        rows = [
-            {"shares": shares, "certificates": {"theorem1": one, "theorem2": two}}
-            for sets, *theorems in value.sizes
-            for shares, one, two in zip(sets.tolist(), *(t.tolist() for t in theorems))
+        return [
+            {
+                "shares": list(shares),
+                "certificates": {"theorem1": True, "theorem2": len(shares) < value.dual_weight},
+            }
+            for shares in value.sets
         ]
-        return sorted(rows, key=lambda row: row["shares"])
     if isinstance(value, dict):
         return {key: plain_rows(v) for key, v in value.items()}
     if isinstance(value, list):
@@ -649,18 +674,14 @@ def test_access_rows_are_written_as_json_dumps(table, depth):
 
 @st.composite
 def shareable_sets(draw):
-    """``analyze`` sets held per size on n shares: any subset of each size
-    1..n in any order, both values of each certificate."""
+    """``analyze`` sets on n shares: any subset of the nonempty sets in
+    lexicographic order, and a dual minimum weight in 1..n+1, so that both
+    values of theorem2 appear.  theorem1 is true for every listed set."""
     n = draw(st.integers(1, 7))
-    sizes = []
-    for w in draw(st.permutations(range(1, n + 1))):
-        listing = share_sets(n, w)
-        keep = draw(st.lists(st.booleans(), min_size=len(listing), max_size=len(listing)))
-        sets = listing[np.array(keep, dtype=bool)]
-        bools = st.lists(st.booleans(), min_size=len(sets), max_size=len(sets))
-        theorems = [np.array(draw(bools), dtype=bool) for _ in range(2)]
-        sizes.append((sets, *theorems))
-    return cli._ShareableSets(sizes)
+    listing = sorted(tuple(s) for w in range(1, n + 1) for s in share_sets(n, w).tolist())
+    keep = draw(st.lists(st.booleans(), min_size=len(listing), max_size=len(listing)))
+    sets = [s for s, kept in zip(listing, keep) if kept]
+    return cli._ShareableSets(sets, draw(st.integers(1, n + 1)))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -675,8 +696,9 @@ def test_shareable_rows_are_written_as_json_dumps(sets, depth):
         "report": lambda t: {"advance_shareable": {"max_size": 2, "sets": t}, "x": 1},
     }[depth]
     rows = plain_rows(sets)
-    assert [row["shares"] for row in rows] == sets.shares()
-    assert "".join(sets.pieces("\n")) == json.dumps(rows, indent=2)
+    written = "".join(sets.pieces("\n"))
+    assert [row["shares"] for row in json.loads(written)] == sorted(map(list, sets.sets))
+    assert written == json.dumps(rows, indent=2)
     text = cli._json_text(nest(sets))
     assert text == json.dumps(nest(rows), indent=2)
     assert text == cli._json_text(nest(rows))

@@ -132,6 +132,15 @@ def test_solve_substitution(mp, pyrandom):
     assert np.array_equal((m @ x) % p, b)
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_in_row_space_of_no_rows(p):
+    # Only the zero vector lies in the span of no rows, whatever p is.
+    empty = np.zeros((0, 3), dtype=np.int64)
+    assert gfp.in_row_space(empty, [0, 0, 0], p)
+    assert not gfp.in_row_space(empty, [0, 1, 0], p)
+    assert gfp.in_row_space(empty, [2, 0, 2], p) == (p == 2)
+
+
 def test_iter_span_covers_everything():
     basis = np.array([[1, 0, 1], [0, 1, 1]])
     seen = {tuple(v) for block in gfp.iter_span(basis, 2) for v in block}

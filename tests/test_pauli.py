@@ -170,9 +170,19 @@ def test_validate_rejects_dependent_rows():
 
 
 def test_validate_empty_check_matrix():
-    code = validate_stabilizer(np.zeros((0, 6)), 2, 3)
-    assert code.k == 3
-    assert code_distance(code) == 1
+    # Any input with no entries is read as no rows on the 2n = 6 columns.
+    for rows in (np.zeros((0, 6)), [], [[]]):
+        code = validate_stabilizer(rows, 2, 3)
+        assert code.k == 3
+        assert code.check_matrix.shape == (0, 6)
+        assert code_distance(code) == 1
+
+
+def test_validate_rejects_the_wrong_shape():
+    with pytest.raises(ValueError, match="check matrix needs 6 columns, got 4"):
+        validate_stabilizer([[1, 0, 0, 0]], 2, 3)
+    with pytest.raises(DependentRowsError, match="3 generators on 2 qudits"):
+        validate_stabilizer(np.eye(3, 4, dtype=int), 2, 2)
 
 
 def test_distance_four_qubit(four_qubit):

@@ -336,6 +336,20 @@ def test_encode_rejects_mismatched_circuit(four_qubit_pipeline, rng):
         encode_advance(code, [4], plan, wrong, random_state(2, 2, rng))
 
 
+def test_encode_rejects_a_plan_or_circuit_built_for_something_else(four_qubit_pipeline, rng):
+    """The plan must be built for these shares and span this stabilizer, and
+    the circuit must run on the plan's n - c wires."""
+    code, plan, circuit = four_qubit_pipeline
+    secret = random_state(2, 2, rng)
+    with pytest.raises(ValueError, match="plan does not match the code and share set"):
+        encode_advance(code, [4], construct_eaqecc(code, [3]), circuit, secret)
+    zero = dataclasses.replace(plan.normal, h_prime=np.zeros_like(plan.normal.h_prime))
+    with pytest.raises(ValueError, match="plan check rows span a different stabilizer"):
+        encode_advance(code, [4], dataclasses.replace(plan, normal=zero), circuit, secret)
+    with pytest.raises(ValueError, match="circuit shape does not match the plan"):
+        encode_advance(code, [4], plan, CliffordCircuit(2, 4), secret)
+
+
 def test_erase_nothing_is_identity(four_qubit_pipeline, rng):
     code, plan, circuit = four_qubit_pipeline
     secret = random_state(2, 2, rng)
