@@ -73,7 +73,6 @@ from .sim import (
 )
 from .symplectic import (
     SymplecticCode,
-    SymplecticVector,
     min_symplectic_weight,
     puncture,
     shorten,

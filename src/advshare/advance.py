@@ -28,7 +28,7 @@ import numpy as np
 from . import gfp
 from .access import check_budget
 from .errors import InvariantError, NotAdvanceShareableError
-from .pauli import PauliOperator, StabilizerCode, single
+from .pauli import PauliOperator, StabilizerCode, f_inv, f_map, single
 from .symplectic import complement, owned_columns, product_matrix, validated_shares
 
 
@@ -212,7 +212,7 @@ def gram_matrix(generators: Sequence[PauliOperator]) -> np.ndarray:
     if not generators:
         return np.zeros((0, 0), dtype=np.int64)
     p = generators[0].p
-    rows = np.array([np.concatenate([g.x, g.z]) for g in generators])
+    rows = np.array([f_map(g) for g in generators])
     return (-product_matrix(rows, rows, p)) % p
 
 
@@ -230,7 +230,7 @@ def construct_eaqecc(code: StabilizerCode, shares: Iterable[int]) -> EAQECCPlan:
     wires = complement(js, n)
     m = len(wires)
     restricted = nf.h_prime[:, owned_columns(wires, n)]
-    source = tuple(PauliOperator(p, row[:m], row[m:]) for row in restricted)
+    source = tuple(f_inv(row, p) for row in restricted)
 
     # Wire w of the smaller system is share wires[w]: pair i sits on wire i,
     # and the bare Z of row r on wire r - c.

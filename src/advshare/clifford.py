@@ -22,15 +22,16 @@ exponent, powers included, is written once in :func:`_conjugate_wires`:
 :func:`conjugate_pauli` runs it on the integers of one Pauli,
 :func:`symplectic_matrix` on the rows of a 2m x 2m matrix whose columns are
 f-images, and the synthesis reduction on each such column as the integers
-of one Pauli.
+of one Pauli.  Operators become f-image rows, and rows become operators,
+only through :func:`advshare.pauli.f_map` and :func:`advshare.pauli.f_inv`.
 
 A circuit keeps its gates as maximal runs of equal consecutive gates
 (:attr:`CliffordCircuit.runs`, built once), and everything that walks a
 circuit walks the runs, one gate power per run: conjugation, the
 symplectic matrix, the inverse, the dense compiler and the kind, wire and
-parameter checks a circuit makes when it is built (:meth:`then` checks only
-the gates it appends).  The text form rejects a line without its kind's
-integer fields.
+parameter checks a circuit makes when it is built.  The inverse of a circuit
+and the gates of a decomposition are both undone runs, one helper's work.
+The text form rejects a line without its kind's integer fields.
 
 Synthesis reduces the common Gram of two generator tuples with equal
 commutation structure once, completes each tuple's f-images to a
@@ -66,7 +67,7 @@ from .errors import (
     GramMismatchError,
     InvariantError,
 )
-from .pauli import PauliOperator, omega, zeta
+from .pauli import PauliOperator, f_inv, f_map, omega, zeta
 from .symplectic import orthogonality_rows, product_matrix
 
 #: kind -> (wire count, whether the text form carries a parameter)
@@ -146,19 +147,8 @@ class CliffordCircuit:
         """Dense kernels that apply the circuit, compiled on first use."""
         return _compile(self)
 
-    def then(self, *gates_: Gate) -> "CliffordCircuit":
-        """This circuit followed by gates_; only the new gates are checked."""
-        CliffordCircuit(self.p, self.m, gates_)
-        out = object.__new__(CliffordCircuit)
-        for name, value in (("p", self.p), ("m", self.m), ("gates", self.gates + gates_)):
-            object.__setattr__(out, name, value)
-        return out
-
     def inverse(self) -> "CliffordCircuit":
-        inv: list[Gate] = []
-        for g, count in reversed(self.runs):
-            inv += _inverse_gates(g, self.p) * count
-        return CliffordCircuit(self.p, self.m, tuple(inv))
+        return CliffordCircuit(self.p, self.m, tuple(_undo(self.runs, self.p)))
 
     def to_text(self) -> str:
         return "\n".join(str(g) for g in self.gates)
@@ -197,6 +187,14 @@ def _inverse_gates(g: Gate, p: int) -> list[Gate]:
     if g.kind == "SUM":
         return [g] * (p - 1)
     return [Gate(g.kind, g.qudits, (-g.param) % p)]  # X, Z
+
+
+def _undo(runs: Sequence[tuple[Gate, int]], p: int) -> list[Gate]:
+    """The gates undoing ``(gate, times)`` runs: each run inverted, last run first."""
+    gates_: list[Gate] = []
+    for g, times in reversed(runs):
+        gates_ += _inverse_gates(g, p) * times
+    return gates_
 
 
 # ---------------------------------------------------------------------------
@@ -669,20 +667,11 @@ def _decompose_symplectic(matrix: np.ndarray, m: int, p: int) -> list[Gate]:
 
     if [x + z for x, z in cols] != np.eye(2 * m, dtype=np.int64).tolist():
         raise InvariantError("reduction did not reach the identity")
-    gates_: list[Gate] = []
-    for g, times in reversed(ops):
-        gates_ += _inverse_gates(g, p) * times
-    return gates_
+    return _undo(ops, p)
 
 
 # ---------------------------------------------------------------------------
 # synthesis
-
-
-def _f_rows(ops: Sequence[PauliOperator]) -> np.ndarray:
-    return np.array([np.concatenate([a.x, a.z]) for a in ops], dtype=np.int64).reshape(
-        len(ops), -1
-    )
 
 
 def synthesize(
@@ -731,8 +720,8 @@ def synthesize(
     if len(source) > 2 * m:
         raise ValueError(f"{len(source)} generators cannot be independent on {m} wires")
 
-    u_rows = _f_rows(source)
-    v_rows = _f_rows(target)
+    u_rows = np.array([f_map(a) for a in source])
+    v_rows = np.array([f_map(a) for a in target])
     gram_u = product_matrix(u_rows, u_rows, p)
     gram_v = product_matrix(v_rows, v_rows, p)
     if not np.array_equal(gram_u, gram_v):
@@ -759,7 +748,8 @@ def synthesize(
         if not np.array_equal((t_matrix @ u) % p, v):
             raise InvariantError("change of basis does not map source images to target")
 
-    circuit = CliffordCircuit(p, m, tuple(_decompose_symplectic(t_matrix, m, p)))
+    gates_ = tuple(_decompose_symplectic(t_matrix, m, p))
+    circuit = CliffordCircuit(p, m, gates_)
 
     # Zero out every representable phase with a trailing Pauli layer.
     residues = []
@@ -777,13 +767,14 @@ def synthesize(
         correction = gfp.solve(rows, rhs, p)
         if correction is None:
             raise InvariantError("phase correction system inconsistent")
-        extra = []
-        for q in range(m):
-            if correction[q]:
-                extra.append(Gate("X", (q,), int(correction[q])))
-            if correction[m + q]:
-                extra.append(Gate("Z", (q,), int(correction[m + q])))
-        circuit = circuit.then(*extra)
+        layer = f_inv(correction, p)
+        extra = tuple(
+            Gate(kind, (q,), int(e))
+            for q in range(m)
+            for kind, e in (("X", layer.x[q]), ("Z", layer.z[q]))
+            if e
+        )
+        circuit = CliffordCircuit(p, m, gates_ + extra)
     return circuit
 
 

@@ -9,9 +9,12 @@ kept in the canonical form ``w^t X(a) Z(b)`` with ``t`` mod p and exponent
 vectors ``a, b`` in F_p^n; multiplication reorders factors with the rule
 ``Z(b) X(c) = w^{<b,c>} X(c) Z(b)``.
 
-Stripping the phase gives the homomorphism onto F_p^{2n}: ``w^t X(a) Z(b)``
-maps to the symplectic vector ``(a | b)``.  Commutation is then read off the
-symplectic product: ``P Q = w^e Q P`` with ``e = -<f(P), f(Q)>_s``.
+Stripping the phase gives the homomorphism f onto F_p^{2n}: ``w^t X(a) Z(b)``
+maps to the plain array ``(a | b)`` in the ``(x | z)`` layout of
+:mod:`advshare.symplectic`.  :func:`f_map` and :func:`f_inv` are the one
+bridge between operators and rows: every conversion in the library goes
+through them.  Commutation is then read off the symplectic product:
+``P Q = w^e Q P`` with ``e = -<f(P), f(Q)>_s``.
 
 Wire order for dense matrices matches tensor-factor order: qudit 0 is the
 leftmost Kronecker factor.
@@ -33,7 +36,7 @@ from .errors import (
     InvariantError,
     NotCommutativeError,
 )
-from .symplectic import SymplecticCode, SymplecticVector
+from .symplectic import SymplecticCode, split, symplectic_product
 
 
 def omega(p: int) -> complex:
@@ -129,16 +132,20 @@ def pauli_inverse(a: PauliOperator) -> PauliOperator:
 def commutation_exponent(a: PauliOperator, b: PauliOperator) -> int:
     """The exponent e with a b = w^e b a; zero iff the operators commute."""
     _check_pair(a, b)
-    return int((a.z @ b.x - b.z @ a.x) % a.p)
+    return -symplectic_product(f_map(a), f_map(b), a.p) % a.p
 
 
-def f_map(a: PauliOperator) -> SymplecticVector:
-    """Strip the phase: w^t X(a) Z(b) -> (a | b)."""
-    return SymplecticVector(a.p, a.x, a.z)
+def f_map(a: PauliOperator) -> np.ndarray:
+    """Strip the phase: w^t X(a) Z(b) -> the (x | z) vector (a | b)."""
+    return np.concatenate([a.x, a.z])
 
 
-def f_inv(v: SymplecticVector, phase: int = 0) -> PauliOperator:
-    return PauliOperator(v.p, v.x, v.z, phase)
+def f_inv(v, p: int, phase: int = 0) -> PauliOperator:
+    """The operator w^phase X(a) Z(b) of an (x | z) vector v = (a | b)."""
+    v = gfp.as_vector(v, p)
+    if v.shape[0] % 2:
+        raise ValueError(f"an (x | z) vector has even length, got {v.shape[0]}")
+    return PauliOperator(p, *split(v), phase)
 
 
 def weight(a: PauliOperator) -> int:
@@ -210,8 +217,7 @@ class StabilizerCode:
 
     def generator(self, i: int) -> PauliOperator:
         """The i-th (0-based) check row as a phase-free Pauli."""
-        row = self.check_matrix[i]
-        return PauliOperator(self.p, row[: self.n], row[self.n :])
+        return f_inv(self.check_matrix[i], self.p)
 
     def generators(self) -> list[PauliOperator]:
         return [self.generator(i) for i in range(self.num_checks)]
@@ -241,11 +247,12 @@ def validate_stabilizer(check_matrix, p: int, n: int) -> StabilizerCode:
 
     Rejects dependent rows outright (the row count defines k downstream, so
     silently reducing would hide caller errors) and reports the first
-    non-commuting row pair by 1-based indices.
+    non-commuting row pair by 1-based indices.  An empty 1-d input (``[]``)
+    means no rows; a 2-d input keeps its shape.
     """
-    h = gfp.as_matrix(check_matrix, p) if np.size(check_matrix) else np.zeros(
-        (0, 2 * n), dtype=np.int64
-    )
+    if np.ndim(check_matrix) == 1 and not np.size(check_matrix):
+        check_matrix = np.zeros((0, 2 * n), dtype=np.int64)
+    h = gfp.as_matrix(check_matrix, p)
     if h.shape[1] != 2 * n:
         raise ValueError(f"check matrix needs {2 * n} columns, got {h.shape[1]}")
     if h.shape[0] > n:

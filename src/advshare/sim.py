@@ -85,6 +85,7 @@ from .gfp import DEFAULT_STATE_BUDGET
 from .pauli import (
     PauliOperator,
     StabilizerCode,
+    f_map,
     half_turn_parity,
     omega,
     zeta,
@@ -218,7 +219,7 @@ def _generator_kernels(code: StabilizerCode) -> PauliKernels:
 def apply_pauli(state: QuditState, op: PauliOperator) -> QuditState:
     if op.p != state.p or op.n != state.m:
         raise ValueError("operator and state must share p and qudit count")
-    xz = np.concatenate([op.x, op.z])[:, None]
+    xz = f_map(op)[:, None]
     flat = _apply_corrections(state.amplitudes[:, None], xz, op.p)
     return QuditState(state.p, state.m, flat[:, 0] * omega(op.p) ** op.phase)
 

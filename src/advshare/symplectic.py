@@ -10,10 +10,13 @@ The symplectic inner product of ``(a|b)`` and ``(c|d)`` is
 operators commute.  Shortening and puncturing always remove a share's x and
 z coordinates together.
 
-This module is the only one that knows the layout: every other module
-reads a share's columns from :func:`owned_columns`, the shares outside a
-set from :func:`complement`, and symplectic products from
-:func:`product_matrix` and :func:`orthogonality_rows`.
+This module is the only one that knows the layout.  A vector is a plain
+array, and :func:`split` gives its x and z halves.  Every other module reads
+a share's columns from :func:`owned_columns`, the shares outside a set from
+:func:`complement`, and symplectic products from :func:`symplectic_product`,
+:func:`product_matrix` and :func:`orthogonality_rows`.  A Pauli operator
+enters the layout only through :func:`advshare.pauli.f_map` and leaves it
+only through :func:`advshare.pauli.f_inv`.
 """
 
 from __future__ import annotations
@@ -27,68 +30,31 @@ from . import gfp
 from .errors import BudgetExceededError
 
 
-def _split(vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def split(vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The x and z halves of (x | z) vectors along the last axis."""
     n = vec.shape[-1] // 2
     return vec[..., :n], vec[..., n:]
 
 
-@dataclass(frozen=True)
-class SymplecticVector:
-    """A vector (x | z) in F_p^{2n}."""
-
-    p: int
-    x: np.ndarray
-    z: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", gfp.as_vector(self.x, self.p))
-        object.__setattr__(self, "z", gfp.as_vector(self.z, self.p))
-        if self.x.shape != self.z.shape:
-            raise ValueError("x and z parts must have equal length")
-
-    @property
-    def n(self) -> int:
-        return int(self.x.shape[0])
-
-    @property
-    def vec(self) -> np.ndarray:
-        return np.concatenate([self.x, self.z])
-
-    @classmethod
-    def from_vec(cls, vec, p: int) -> "SymplecticVector":
-        v = gfp.as_vector(vec, p)
-        if v.shape[0] % 2:
-            raise ValueError("combined vector must have even length")
-        x, z = _split(v)
-        return cls(p, x, z)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SymplecticVector):
-            return NotImplemented
-        return (
-            self.p == other.p
-            and np.array_equal(self.x, other.x)
-            and np.array_equal(self.z, other.z)
-        )
-
-
-def symplectic_product(u: SymplecticVector, v: SymplecticVector) -> int:
-    """<u, v>_s = <u.x, v.z> - <u.z, v.x> mod p."""
-    if u.p != v.p or u.n != v.n:
-        raise ValueError("operands must share modulus and length")
-    return int((u.x @ v.z - u.z @ v.x) % u.p)
+def symplectic_product(u, v, p: int) -> int:
+    """<u, v>_s = <u_x, v_z> - <u_z, v_x> mod p of two (x | z) vectors."""
+    u, v = gfp.as_vector(u, p), gfp.as_vector(v, p)
+    if u.shape != v.shape or u.shape[0] % 2:
+        raise ValueError("operands must be (x | z) vectors of one even length")
+    (ux, uz), (vx, vz) = split(u), split(v)
+    return int((ux @ vz - uz @ vx) % p)
 
 
 def product_matrix(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """All pairwise symplectic products of rows of a against rows of b."""
-    ax, az = _split(gfp.as_matrix(a, p))
-    bx, bz = _split(gfp.as_matrix(b, p))
+    ax, az = split(gfp.as_matrix(a, p))
+    bx, bz = split(gfp.as_matrix(b, p))
     return (ax @ bz.T - az @ bx.T) % p
 
 
 def orthogonality_rows(vectors: np.ndarray, p: int) -> np.ndarray:
     """Rows ``[-v_z | v_x]``: row i times d is <v_i, d>_s."""
-    vx, vz = _split(np.asarray(vectors))
+    vx, vz = split(np.asarray(vectors))
     return np.concatenate([(-vz) % p, vx], axis=-1)
 
 
@@ -117,17 +83,6 @@ class SymplecticCode:
             raise ValueError(f"expected {2 * self.n} columns, got {g.shape[1]}")
         r, rk, _ = gfp.rref(g, self.p)
         object.__setattr__(self, "generators", r[:rk])
-
-    @classmethod
-    def from_rows(cls, rows, p: int, n: int | None = None) -> "SymplecticCode":
-        g = gfp.as_matrix(rows, p)
-        if n is None:
-            n = g.shape[1] // 2
-        return cls(p, n, g)
-
-    @classmethod
-    def zero(cls, p: int, n: int) -> "SymplecticCode":
-        return cls(p, n, np.zeros((0, 2 * n), dtype=np.int64))
 
     @property
     def dim(self) -> int:

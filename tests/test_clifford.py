@@ -267,6 +267,17 @@ def test_circuit_validates_wires_and_params():
     for bad in (Gate("SUM", (0,)), Gate("F", (0, 1)), Gate("X", ()), Gate("SUM", (0, 1, 2))):
         with pytest.raises(ValueError, match=f"gate {bad.kind} takes"):
             CliffordCircuit(2, 3, (bad,))
+    # A bad gate after valid ones is refused as it would be alone.
+    valid = (gate("F", 0), gate("SUM", 0, 1), gate("X", 0, param=1))
+    for bad, message in (
+        (gate("F", 2), "gate F 2 addresses wire 2 outside 0..1"),
+        (gate("MUL", 0, param=3), "MUL parameter must be invertible"),
+        (gate("SUM", 1, 1), "SUM control and target must differ"),
+        (Gate("H", (0,)), "unknown gate kind 'H'"),
+        (Gate("SUM", (0,)), "gate SUM takes 2 wire"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            CliffordCircuit(3, 2, valid + (bad,))
 
 
 def test_singular_change_of_basis_is_an_invariant_error(monkeypatch):
@@ -428,26 +439,6 @@ def test_runs_and_powers_match_the_gate_by_gate_walk(p, data):
     assert list(circuit.inverse().gates) == loop_inverse(circuit)
     if p**circuit.m <= DENSE_UNITARY_LIMIT:
         assert np.abs(to_unitary(circuit) - slow_to_unitary(circuit)).max() < 1e-12
-
-
-def test_then_checks_the_gates_it_appends():
-    base = CliffordCircuit(3, 2, (gate("F", 0), gate("SUM", 0, 1)))
-    extra = (gate("X", 1, param=2), gate("Z", 1, param=2))
-    joined = base.then(*extra)
-    assert joined == CliffordCircuit(3, 2, base.gates + extra)
-    assert joined.runs == CliffordCircuit(3, 2, base.gates + extra).runs
-    for bad in (
-        gate("F", 2),
-        gate("MUL", 0, param=3),
-        gate("SUM", 1, 1),
-        Gate("H", (0,)),
-        Gate("SUM", (0,)),
-    ):
-        with pytest.raises(ValueError) as direct:
-            CliffordCircuit(3, 2, base.gates + (gate("X", 0, param=1), bad))
-        with pytest.raises(ValueError) as appended:
-            base.then(gate("X", 0, param=1), bad)
-        assert str(appended.value) == str(direct.value)
 
 
 @pytest.mark.parametrize("dependent", ["source", "target"])

@@ -121,13 +121,18 @@ def test_commutation_example_generators(four_qubit):
 
 
 def test_f_map_round_trip(rng):
-    assert not f_map(identity(2, 3)).vec.any()
+    assert not f_map(identity(2, 3)).any()
     m1 = PauliOperator(2, [1, 1, 1, 1], [0, 0, 0, 0])
-    assert np.array_equal(f_map(m1).vec, [1, 1, 1, 1, 0, 0, 0, 0])
+    assert np.array_equal(f_map(m1), [1, 1, 1, 1, 0, 0, 0, 0])
     for _ in range(20):
         p = int(rng.choice([2, 3, 5]))
         a = random_pauli(p, 3, rng)
-        assert f_inv(f_map(a), a.phase) == a
+        assert f_inv(f_map(a), p, a.phase) == a
+
+
+def test_f_inv_refuses_an_odd_length():
+    with pytest.raises(ValueError, match="even length, got 3"):
+        f_inv([1, 0, 1], 2)
 
 
 def test_f_is_a_homomorphism(rng):
@@ -135,14 +140,14 @@ def test_f_is_a_homomorphism(rng):
         p = int(rng.choice([2, 3]))
         a, b = random_pauli(p, 3, rng), random_pauli(p, 3, rng)
         assert np.array_equal(
-            f_map(pauli_mul(a, b)).vec, (f_map(a).vec + f_map(b).vec) % p
+            f_map(pauli_mul(a, b)), (f_map(a) + f_map(b)) % p
         )
 
 
 def test_weight_counts_active_wires():
     a = PauliOperator(3, [1, 0, 2], [0, 0, 1])
     assert weight(a) == 2
-    assert symplectic_weight(f_map(a).vec, 3) == 2
+    assert symplectic_weight(f_map(a), 3) == 2
 
 
 def test_half_turn_parity():
@@ -170,12 +175,15 @@ def test_validate_rejects_dependent_rows():
 
 
 def test_validate_empty_check_matrix():
-    # Any input with no entries is read as no rows on the 2n = 6 columns.
-    for rows in (np.zeros((0, 6)), [], [[]]):
+    # Only an empty 1-d input means no rows; a 2-d input keeps its shape.
+    for rows in (np.zeros((0, 6)), []):
         code = validate_stabilizer(rows, 2, 3)
         assert code.k == 3
         assert code.check_matrix.shape == (0, 6)
         assert code_distance(code) == 1
+    for rows, columns in (([[]], 0), (np.zeros((0, 4)), 4), (np.zeros((2, 0)), 0)):
+        with pytest.raises(ValueError, match=f"check matrix needs 6 columns, got {columns}"):
+            validate_stabilizer(rows, 2, 3)
 
 
 def test_validate_rejects_the_wrong_shape():

@@ -29,7 +29,6 @@ from advshare.pauli import (
     validate_stabilizer,
     zeta,
 )
-from advshare.symplectic import SymplecticVector
 from advshare.sim import (
     AccessLabel,
     QuditState,
@@ -147,7 +146,7 @@ def slow_erase_and_decode(state, code, syndrome, erased, rng):
     for idx, j in enumerate(err0):
         full[j] = u[idx]
         full[n + j] = u[len(err0) + idx]
-    arr = slow_apply_pauli_tensor(arr, f_inv(SymplecticVector.from_vec(full, p)))
+    arr = slow_apply_pauli_tensor(arr, f_inv(full, p))
     assert tuple(slow_eigenvalue_exponent(arr, g) for g in code.generators()) == syndrome
     return QuditState(p, n, arr.reshape(-1)), tuple(measured), full
 

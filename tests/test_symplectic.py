@@ -9,7 +9,6 @@ from advshare import gfp
 from advshare.errors import BudgetExceededError
 from advshare.symplectic import (
     SymplecticCode,
-    SymplecticVector,
     complement,
     min_symplectic_weight,
     orthogonality_rows,
@@ -43,7 +42,7 @@ def brute_dual(code):
         ) % code.p
         if not prods.any():
             vecs.append(v)
-    return SymplecticCode.from_rows(np.array(vecs).reshape(len(vecs), -1), code.p, code.n)
+    return SymplecticCode(code.p, code.n, np.array(vecs).reshape(len(vecs), -1))
 
 
 def brute_shorten(code, shares):
@@ -58,9 +57,7 @@ def brute_shorten(code, shares):
             )
             if zeroed:
                 rows.append(v[cols])
-    return SymplecticCode.from_rows(
-        np.array(rows).reshape(len(rows), -1), code.p, len(keep)
-    )
+    return SymplecticCode(code.p, len(keep), np.array(rows).reshape(len(rows), -1))
 
 
 def support_min_weight(code):
@@ -92,37 +89,43 @@ def random_code(p, n, dim, rng):
         stacked = np.vstack([rows, cand])
         if gfp.rank(stacked, p) == stacked.shape[0]:
             rows = stacked
-    return SymplecticCode.from_rows(rows, p, n)
+    return SymplecticCode(p, n, rows)
 
 
 def test_self_product_vanishes(rng):
     for p in (2, 3, 5):
-        v = SymplecticVector.from_vec(rng.integers(0, p, 8), p)
-        assert symplectic_product(v, v) == 0
+        v = rng.integers(0, p, 8)
+        assert symplectic_product(v, v, p) == 0
 
 
 def test_product_on_all_x_all_z_rows():
-    u = SymplecticVector(2, [1, 1, 1, 1], [0, 0, 0, 0])
-    v = SymplecticVector(2, [0, 0, 0, 0], [1, 1, 1, 1])
-    assert symplectic_product(u, v) == 0  # 4 mod 2
+    u = [1, 1, 1, 1, 0, 0, 0, 0]
+    v = [0, 0, 0, 0, 1, 1, 1, 1]
+    assert symplectic_product(u, v, 2) == 0  # 4 mod 2
 
 
 def test_product_single_coordinate_qutrit():
-    u = SymplecticVector(3, [1, 0], [0, 0])
-    v = SymplecticVector(3, [0, 0], [1, 0])
-    assert symplectic_product(u, v) == 1
+    u = [1, 0, 0, 0]
+    v = [0, 0, 1, 0]
+    assert symplectic_product(u, v, 3) == 1
+
+
+def test_product_refuses_odd_or_unequal_lengths():
+    with pytest.raises(ValueError, match="one even length"):
+        symplectic_product([1, 0, 1], [0, 1, 0], 2)
+    with pytest.raises(ValueError, match="one even length"):
+        symplectic_product([1, 0], [0, 1, 0, 0], 2)
 
 
 def test_antisymmetry(rng):
     for _ in range(50):
         p = int(rng.choice([2, 3, 5]))
-        u = SymplecticVector.from_vec(rng.integers(0, p, 6), p)
-        v = SymplecticVector.from_vec(rng.integers(0, p, 6), p)
-        assert (symplectic_product(u, v) + symplectic_product(v, u)) % p == 0
+        u, v = rng.integers(0, p, 6), rng.integers(0, p, 6)
+        assert (symplectic_product(u, v, p) + symplectic_product(v, u, p)) % p == 0
 
 
 def test_dual_of_zero_space():
-    dual = symplectic_dual(SymplecticCode.zero(3, 2))
+    dual = symplectic_dual(SymplecticCode(3, 2, np.zeros((0, 4))))
     assert dual.dim == 4
 
 
@@ -131,7 +134,7 @@ def test_dual_of_four_qubit_matches_printed_basis(four_qubit):
     assert dual.dim == 6
     for row in EXAMPLE6_DUAL_BASIS:
         assert dual.contains(row)
-    assert dual == SymplecticCode.from_rows(np.array(EXAMPLE6_DUAL_BASIS), 2, 4)
+    assert dual == SymplecticCode(2, 4, EXAMPLE6_DUAL_BASIS)
 
 
 def test_dual_dimensions_and_double_dual(rng):
@@ -179,7 +182,7 @@ def test_shorten_matches_exhaustive_and_dimension_bound(rng):
 
 
 def test_puncture_plain_deletion():
-    code = SymplecticCode.from_rows([[0, 0, 1, 1, 0, 0, 0, 0]], 2, 4)
+    code = SymplecticCode(2, 4, [[0, 0, 1, 1, 0, 0, 0, 0]])
     punc = puncture(code, [4])
     assert punc.n == 3
     assert np.array_equal(punc.generators, [[0, 0, 1, 0, 0, 0]])
@@ -211,7 +214,7 @@ def test_min_weight_four_qubit_dual(four_qubit):
 
 
 def test_min_weight_single_generator():
-    code = SymplecticCode.from_rows([[1, 1, 1, 1, 0, 0, 0, 0]], 2, 4)
+    code = SymplecticCode(2, 4, [[1, 1, 1, 1, 0, 0, 0, 0]])
     assert min_symplectic_weight(code) == 4
 
 
@@ -229,7 +232,7 @@ def test_min_weight_budget_refusal(five_qubit):
 
 def test_min_weight_zero_space_rejected():
     with pytest.raises(ValueError):
-        min_symplectic_weight(SymplecticCode.zero(2, 2))
+        min_symplectic_weight(SymplecticCode(2, 2, np.zeros((0, 4))))
 
 
 def test_min_weight_against_support_oracle(rng, four_qubit, five_qubit):
@@ -250,9 +253,7 @@ def test_product_matrix_consistency(rng):
     table = product_matrix(a, b, p)
     for i in range(3):
         for j in range(2):
-            u = SymplecticVector.from_vec(a[i], p)
-            v = SymplecticVector.from_vec(b[j], p)
-            assert table[i, j] == symplectic_product(u, v)
+            assert table[i, j] == symplectic_product(a[i], b[j], p)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -289,7 +290,6 @@ def test_orthogonality_rows_give_the_symplectic_product(data):
     d = np.array(data.draw(entries, label="d"), dtype=np.int64)
     rows = orthogonality_rows(vectors, p)
     assert rows.shape == (count, 2 * n)
-    dv = SymplecticVector.from_vec(d, p)
     for v, row in zip(vectors, rows):
-        assert int(row @ d % p) == symplectic_product(SymplecticVector.from_vec(v, p), dv)
+        assert int(row @ d % p) == symplectic_product(v, d, p)
         assert np.array_equal(orthogonality_rows(v, p), row)
