@@ -51,10 +51,8 @@ def dual_min_weight(
     share set cannot go out before the secret.  Any set larger than
     ``floor(r/2)`` qualifies, so only smaller sizes are walked and the
     answer is at most ``floor(r/2) + 1``.  ``budget`` caps the share sets
-    visited; the result is cached on the code.
+    visited; a repeated call re-reads the levels the share structure kept.
     """
-    if code._dual_weight is not None:
-        return code._dual_weight
     last = code.num_checks // 2
 
     def deficient(w: int, sets: np.ndarray, ranks: np.ndarray) -> bool:
@@ -63,8 +61,7 @@ def dual_min_weight(
     found = code.share_structure().smallest_size(
         deficient, last, "dual minimum weight", budget
     )
-    code._dual_weight = last + 1 if found is None else found
-    return code._dual_weight
+    return last + 1 if found is None else found
 
 
 def is_advance_shareable_sufficient(
@@ -158,12 +155,13 @@ class EAQECCPlan:
     ``source_generators`` are the normal-form rows restricted to the
     complement of J: they generate the group the encoding unitary must
     realize.  ``target_generators`` live on the same ``n - |J|`` wires but
-    act on single wires only: X^{mu_i} and Z on wire ``x_positions[j_i]``
-    for each pair, plus a bare Z on ``z_positions[r]`` for every remaining
-    row.  Both tuples have identical pairwise commutation exponents.
+    act on single wires only: X^{mu_i} and Z on wire i for pair i, plus a
+    bare Z on wire r - c for every remaining row r >= 2c.  Both tuples have
+    identical pairwise commutation exponents.
 
-    Positions are 1-based share labels.  Wire ``w`` of the smaller system
-    corresponds to ``complement[w]``.
+    Wire ``w`` of the smaller system is share ``complement[w]``, so the
+    wire layout is a slicing of the complement: the c sender shares, then
+    the ell zero shares, then the secret shares.
     """
 
     p: int
@@ -173,8 +171,6 @@ class EAQECCPlan:
     normal: NormalForm
     source_generators: tuple[PauliOperator, ...]
     target_generators: tuple[PauliOperator, ...]
-    x_positions: dict[int, int]
-    z_positions: dict[int, int]
 
     @property
     def c(self) -> int:
@@ -191,16 +187,15 @@ class EAQECCPlan:
     @property
     def epr_pairs(self) -> tuple[tuple[int, int], ...]:
         """(advance share, sender share) pairs holding entangled states."""
-        return tuple((j, self.x_positions[j]) for j in self.shares)
+        return tuple(zip(self.shares, self.complement))
 
     @property
     def zero_shares(self) -> tuple[int, ...]:
-        return tuple(self.z_positions[r] for r in sorted(self.z_positions))
+        return self.complement[self.c : self.c + self.ell]
 
     @property
     def secret_shares(self) -> tuple[int, ...]:
-        used = set(self.x_positions.values()) | set(self.z_positions.values())
-        return tuple(j for j in self.complement if j not in used)
+        return self.complement[self.c + self.ell :]
 
     def parameters(self) -> tuple[int, int, int]:
         """(length, logical qudits, entangled pairs) of the assisted code."""
@@ -232,27 +227,14 @@ def construct_eaqecc(code: StabilizerCode, shares: Iterable[int]) -> EAQECCPlan:
     restricted = nf.h_prime[:, owned_columns(wires, n)]
     source = tuple(f_inv(row, p) for row in restricted)
 
-    # Wire w of the smaller system is share wires[w]: pair i sits on wire i,
-    # and the bare Z of row r on wire r - c.
-    x_positions = {js[i]: wires[i] for i in range(c)}
-    z_positions = {r: wires[r - c] for r in range(2 * c, rows)}
+    # Pair i sits on wire i, and the bare Z of row r on wire r - c.
     target = (
         [single(p, m, i, x=nf.mu[i]) for i in range(c)]
         + [single(p, m, i, z=1) for i in range(c)]
         + [single(p, m, r - c, z=1) for r in range(2 * c, rows)]
     )
 
-    plan = EAQECCPlan(
-        p=p,
-        n=n,
-        k=code.k,
-        shares=js,
-        normal=nf,
-        source_generators=source,
-        target_generators=tuple(target),
-        x_positions=x_positions,
-        z_positions=z_positions,
-    )
+    plan = EAQECCPlan(p, n, code.k, js, nf, source, tuple(target))
     if not np.array_equal(gram_matrix(plan.source_generators), gram_matrix(plan.target_generators)):
         raise InvariantError(
             "commutation structure of restricted generators does not match the"
@@ -266,8 +248,6 @@ class ShareableSet:
     """One advance-shareable set with its certificates."""
 
     shares: tuple[int, ...]
-    #: exact shortening-dimension criterion (always True for listed sets)
-    dimension_criterion: bool
     #: weight-based sufficient criterion, |J| < d_min of the dual
     weight_criterion: bool
 
@@ -300,6 +280,6 @@ def enumerate_advance_shareable(
     """
     threshold = dual_min_weight(code, budget=budget) if max_size >= 1 else 0
     return [
-        ShareableSet(shares=js, dimension_criterion=True, weight_criterion=len(js) < threshold)
+        ShareableSet(shares=js, weight_criterion=len(js) < threshold)
         for js in shareable_sets(code, max_size, budget)
     ]

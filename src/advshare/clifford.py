@@ -67,7 +67,7 @@ from .errors import (
     GramMismatchError,
     InvariantError,
 )
-from .pauli import PauliOperator, f_inv, f_map, omega, zeta
+from .pauli import PauliOperator, exponent_vectors, f_inv, f_map, omega, zeta
 from .symplectic import orthogonality_rows, product_matrix
 
 #: kind -> (wire count, whether the text form carries a parameter)
@@ -215,8 +215,9 @@ class PhasedPauli:
     tau: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "x", gfp.as_vector(self.x, self.p))
-        object.__setattr__(self, "z", gfp.as_vector(self.z, self.p))
+        x, z = exponent_vectors(self.x, self.z, self.p)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "z", z)
         object.__setattr__(self, "tau", int(self.tau) % (2 * self.p))
 
     @classmethod
@@ -616,15 +617,16 @@ def _decompose_symplectic(matrix: np.ndarray, m: int, p: int) -> list[Gate]:
     Reduces the matrix to the identity by left-applying gate actions, one
     column pair per wire, then returns the inverses in reverse order.  The
     working matrix is its 2m columns, each the (x, z) lists of ints of an
-    f-image, and a gate applied ``times`` times conjugates every column
-    once through :func:`_conjugate_wires`.
+    f-image.  A gate applied ``times`` times conjugates each unfinished
+    column once through :func:`_conjugate_wires`: step q's gates act on
+    wires q and up, and columns j and m + j (j < q) are units on wire j.
     """
     reduced = np.asarray(matrix) % p
     cols = [(reduced[:m, j].tolist(), reduced[m:, j].tolist()) for j in range(2 * m)]
     ops: list[tuple[Gate, int]] = []
 
     def apply(g: Gate, times: int = 1):
-        for x, z in cols:
+        for x, z in cols[q:m] + cols[m + q :]:
             _conjugate_wires(g, x, z, p, times)
         ops.append((g, times))
 

@@ -144,10 +144,7 @@ def _reduce(a: np.ndarray, p: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
 
 #: ``_INVERSES[p][v]`` is the inverse of v mod p, and 0 for v = 0.
 _INVERSES = {
-    2: np.array([0, 1], dtype=np.uint8),
-    3: np.array([0, 1, 2], dtype=np.uint8),
-    5: np.array([0, 1, 3, 2, 4], dtype=np.uint8),
-    7: np.array([0, 1, 4, 5, 2, 3, 6], dtype=np.uint8),
+    p: np.array([0] + [inv_scalar(v, p) for v in range(1, p)], dtype=np.uint8) for p in PRIMES
 }
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -52,6 +52,14 @@ def zeta(p: int) -> complex:
     return np.exp(1j * np.pi / p)
 
 
+def exponent_vectors(x, z, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """x and z as F_p vectors; a Pauli's two exponent vectors have equal length."""
+    x, z = gfp.as_vector(x, p), gfp.as_vector(z, p)
+    if x.shape != z.shape:
+        raise ValueError("x and z exponent vectors must have equal length")
+    return x, z
+
+
 @dataclass(frozen=True)
 class PauliOperator:
     """Canonical form w^phase * X(x) Z(z) on n qudits."""
@@ -62,10 +70,9 @@ class PauliOperator:
     phase: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "x", gfp.as_vector(self.x, self.p))
-        object.__setattr__(self, "z", gfp.as_vector(self.z, self.p))
-        if self.x.shape != self.z.shape:
-            raise ValueError("x and z exponent vectors must have equal length")
+        x, z = exponent_vectors(self.x, self.z, self.p)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "z", z)
         object.__setattr__(self, "phase", int(self.phase) % self.p)
 
     @property
@@ -104,6 +111,8 @@ def identity(p: int, n: int) -> PauliOperator:
 
 def single(p: int, n: int, wire: int, x: int = 0, z: int = 0) -> PauliOperator:
     """X^x Z^z on one wire (0-based), identity elsewhere."""
+    if not 0 <= wire < n:
+        raise ValueError(f"wire {wire} outside 0..{n - 1}")
     xv = np.zeros(n, dtype=np.int64)
     zv = np.zeros(n, dtype=np.int64)
     xv[wire] = x
@@ -201,11 +210,7 @@ class StabilizerCode:
     p: int
     n: int
     check_matrix: np.ndarray = field(repr=False)
-    _distance: Optional[int] = field(default=None, repr=False, compare=False)
-    _dual_weight: Optional[int] = field(default=None, repr=False, compare=False)
     _shares: Optional[ShareStructure] = field(default=None, repr=False, compare=False)
-    # Dense gather-and-phase kernels of the generators (sim.PauliKernels).
-    _generator_kernels: Optional[Any] = field(default=None, repr=False, compare=False)
 
     @property
     def num_checks(self) -> int:
@@ -281,11 +286,9 @@ def code_distance(
     queried for sets with ``r_E < 2|E|``, since the others hold no dual
     vector, and not at all at a size where some set has ``2|E| - r_E > r``,
     since ``r - r_E' <= r`` makes that set uncorrectable.  ``budget`` caps
-    the share sets visited, at most 2^n - 1; the result is cached on the
-    code.
+    the share sets visited, at most 2^n - 1; a repeated call re-reads the
+    levels the share structure kept.
     """
-    if code._distance is not None:
-        return code._distance
     if code.k < 1:
         raise ValueError("distance undefined for k = 0 (no logical qudits)")
     structure = code.share_structure()
@@ -300,7 +303,6 @@ def code_distance(
     best = structure.smallest_size(uncorrectable, code.n, "distance", budget)
     if best is None:
         raise InvariantError("every erasure is correctable despite k >= 1")
-    code._distance = best
     return best
 
 

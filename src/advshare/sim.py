@@ -28,9 +28,9 @@ The protocol pipeline:
    and resetting them to |0>, measures every generator projectively, solves
    an F_p linear system for a correction supported on the lost shares, and
    applies it, returning to the recorded eigenspace.  A Pauli is monomial,
-   so each generator compiles once per code (:func:`compile_paulis`, kept on
-   the code) into one gather index and one exact phase vector per power
-   t = 1..p-1.  Measuring a generator is one gather that stacks its p powers
+   so :func:`compile_paulis` turns each generator into one gather index and
+   one exact phase vector per power t = 1..p-1, once per protocol run.
+   Measuring a generator is one gather that stacks its p powers
    and one p x p matmul with the projector coefficients lambda**-t / p;
    every eigenvalue check (after encoding, after correction) is one batched
    gather over all generators.  One block decoder does this for the
@@ -209,13 +209,6 @@ def compile_paulis(p: int, n: int, ops: Sequence[PauliOperator]) -> PauliKernels
     return PauliKernels(p, src, phases, taus, branch)
 
 
-def _generator_kernels(code: StabilizerCode) -> PauliKernels:
-    """The code's compiled check generators, built on first use and cached."""
-    if code._generator_kernels is None:
-        code._generator_kernels = compile_paulis(code.p, code.n, code.generators())
-    return code._generator_kernels
-
-
 def apply_pauli(state: QuditState, op: PauliOperator) -> QuditState:
     if op.p != state.p or op.n != state.m:
         raise ValueError("operator and state must share p and qudit count")
@@ -373,6 +366,7 @@ def _encode(
     circuit: CliffordCircuit,
     secrets: np.ndarray,
     budget: int,
+    kernels: PauliKernels,
 ) -> tuple[np.ndarray, tuple[int, ...]]:
     """Encode each column of a (p**k, b) secret matrix with one circuit call.
 
@@ -399,7 +393,7 @@ def _encode(
     easy = np.einsum(*operands, [*range(1, n + 1), 0])
     arr = apply_circuit_tensor(easy, circuit, axes=[s - 1 for s in plan.complement])
     flat = arr.reshape(p**n, width)
-    taus = _exponents(flat, _generator_kernels(code))
+    taus = _exponents(flat, kernels)
     if (taus != taus[:, :1]).any():
         raise InvariantError("encoded columns do not share one syndrome")
     return flat, tuple(int(t) for t in taus[:, 0])
@@ -422,7 +416,8 @@ def encode_advance(
     """
     _check_plan_matches(code, validated_shares(shares, code.n), plan, circuit)
     _check_secret(code, secret)
-    flat, syndrome = _encode(code, plan, circuit, secret.amplitudes[:, None], budget)
+    kernels = compile_paulis(code.p, code.n, code.generators())
+    flat, syndrome = _encode(code, plan, circuit, secret.amplitudes[:, None], budget, kernels)
     return QuditState(code.p, code.n, flat[:, 0]), syndrome
 
 
@@ -441,13 +436,18 @@ def encode_with_reference(
     sum_s |s> V|s> / sqrt(p**k), the encoding isometry V transposed.
     """
     _check_plan_matches(code, validated_shares(shares, code.n), plan, circuit)
-    v, syndrome = _encoding_isometry(code, plan, circuit, budget)
+    kernels = compile_paulis(code.p, code.n, code.generators())
+    v, syndrome = _encoding_isometry(code, plan, circuit, budget, kernels)
     choi = v.T.reshape(-1) / np.sqrt(v.shape[1])
     return QuditState(code.p, code.k + code.n, choi), syndrome
 
 
 def _encoding_isometry(
-    code: StabilizerCode, plan: EAQECCPlan, circuit: CliffordCircuit, budget: int
+    code: StabilizerCode,
+    plan: EAQECCPlan,
+    circuit: CliffordCircuit,
+    budget: int,
+    kernels: PauliKernels,
 ) -> tuple[np.ndarray, tuple[int, ...]]:
     """The encoding isometry V (p**n x p**k) and the syndrome of its image.
 
@@ -455,7 +455,7 @@ def _encoding_isometry(
     eigenvalue check covers every column.
     """
     eye = np.eye(code.p**code.k, dtype=complex)
-    v, syndrome = _encode(code, plan, circuit, eye, budget)
+    v, syndrome = _encode(code, plan, circuit, eye, budget, kernels)
     if np.abs(v.conj().T @ v - eye).max() > NORM_TOL:
         raise InvariantError("encoding is not an isometry (V^dagger V != I)")
     return v, syndrome
@@ -545,6 +545,7 @@ def _decode_block(
     erased: Sequence[tuple[int, ...]],
     maps: np.ndarray,
     uniforms: Sequence[np.ndarray],
+    kernels: PauliKernels,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Erase, measure and correct the (p**n, b) columns of b trials at once.
 
@@ -559,7 +560,6 @@ def _decode_block(
     modified.
     """
     p, n, r = code.p, code.n, code.num_checks
-    kernels = _generator_kernels(code)
     b = flat.shape[1]
     every = np.arange(b)
     lost = np.zeros((n, b), dtype=bool)
@@ -632,8 +632,9 @@ def erase_and_decode(
         )
     maps = _erasures(code, [err])[err][None]
     uniforms = rng.random(len(err) + code.num_checks)
+    kernels = compile_paulis(code.p, code.n, code.generators())
     flat, measured, corrections = _decode_block(
-        code, state.amplitudes[:, None], syndrome, [err], maps, [uniforms]
+        code, state.amplitudes[:, None], syndrome, [err], maps, [uniforms], kernels
     )
     return DecodeResult(
         state=QuditState(code.p, code.n, flat[:, 0]),
@@ -764,11 +765,6 @@ class TrialRecord:
 
 @dataclass(frozen=True)
 class ProtocolTranscript:
-    p: int
-    n: int
-    k: int
-    shares: tuple[int, ...]
-    seed: int
     syndrome: tuple[int, ...]
     trials: tuple[TrialRecord, ...]
 
@@ -787,25 +783,26 @@ def simulate_protocol(
 
     Each accessible set gets ``trials`` independent random secrets; every
     draw comes from one seeded generator, so transcripts rerun bit-exactly.
-    The plan and circuit are checked once per run, and one rank query per
-    set size checks every erased set before any draw.  Each trial draws its secret,
-    then ``e + r`` uniforms for its decoder.  Trials run in blocks of
-    ``max(1, budget // p**n)`` columns: a block is encoded as
-    ``V @ secrets`` when the isometry V (p**(n+k)) fits the budget, else by
-    one circuit call, and decoded by one block-decoder call.  The fidelity
-    of a decoded column is its overlap with the encoded column.
+    The plan and circuit are checked and the generators compiled once per
+    run, and one rank query per set size checks every erased set before
+    any draw.  Each trial draws its secret, then ``e + r`` uniforms for its
+    decoder.  Trials run in blocks of ``max(1, budget // p**n)`` columns: a
+    block is encoded as ``V @ secrets`` when the isometry V (p**(n+k)) fits
+    the budget, else by one circuit call, and decoded by one block-decoder
+    call.  The fidelity of a decoded column is its overlap with the encoded
+    column.
     """
-    js = validated_shares(shares, code.n)
-    _check_plan_matches(code, js, plan, circuit)
+    _check_plan_matches(code, validated_shares(shares, code.n), plan, circuit)
     p, n, k = code.p, code.n, code.k
+    kernels = compile_paulis(p, n, code.generators())
     isometry = None
     if p ** (n + k) <= budget:
-        isometry, image_syndrome = _encoding_isometry(code, plan, circuit, budget)
+        isometry, image_syndrome = _encoding_isometry(code, plan, circuit, budget, kernels)
 
     def encode(secrets: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
         if isometry is not None:
             return isometry @ secrets, image_syndrome
-        return _encode(code, plan, circuit, secrets, budget)
+        return _encode(code, plan, circuit, secrets, budget, kernels)
 
     runs: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     for acc in accessible_sets:
@@ -834,7 +831,7 @@ def simulate_protocol(
             reference_syndrome = syndrome
         maps = np.stack([erasures[erased] for erased in lost])
         decoded, measured, corrections = _decode_block(
-            code, encoded, syndrome, lost, maps, uniforms
+            code, encoded, syndrome, lost, maps, uniforms, kernels
         )
         fidelities = np.abs(np.einsum("jc,jc->c", encoded.conj(), decoded)) ** 2
         for c, (acc, erased) in enumerate(block):
@@ -849,12 +846,4 @@ def simulate_protocol(
             )
     if reference_syndrome is None:
         _, reference_syndrome = encode(draw_secret()[:, None])
-    return ProtocolTranscript(
-        p=p,
-        n=n,
-        k=k,
-        shares=js,
-        seed=seed,
-        syndrome=reference_syndrome,
-        trials=tuple(records),
-    )
+    return ProtocolTranscript(syndrome=reference_syndrome, trials=tuple(records))

@@ -160,8 +160,8 @@ def test_plan_matches_worked_example(four_qubit):
         PauliOperator(2, [1, 0, 0], [0, 0, 0]),
         PauliOperator(2, [0, 0, 0], [1, 0, 0]),
     )
-    assert plan.x_positions == {4: 1}
-    assert plan.z_positions == {}
+    assert dict(plan.epr_pairs) == {4: 1}
+    assert plan.zero_shares == ()
     assert plan.epr_pairs == ((4, 1),)
     assert plan.secret_shares == (2, 3)
 
@@ -193,8 +193,8 @@ def test_plan_gram_preservation_randomized(rng):
                         gram_matrix(plan.source_generators),
                         gram_matrix(plan.target_generators),
                     )
-                    positions = list(plan.x_positions.values()) + list(
-                        plan.z_positions.values()
+                    positions = [partner for _, partner in plan.epr_pairs] + list(
+                        plan.zero_shares
                     )
                     assert len(positions) == len(set(positions))
                     assert plan.ell == code.num_checks - 2 * size
@@ -205,7 +205,7 @@ def test_plan_gram_preservation_randomized(rng):
 def test_enumerate_on_example(four_qubit):
     singles = enumerate_advance_shareable(four_qubit, 1)
     assert [s.shares for s in singles] == [(1,), (2,), (3,), (4,)]
-    assert all(s.dimension_criterion and s.weight_criterion for s in singles)
+    assert all(is_advance_shareable(four_qubit, s.shares) and s.weight_criterion for s in singles)
     pairs_too = enumerate_advance_shareable(four_qubit, 2)
     assert [s.shares for s in pairs_too] == [(1,), (2,), (3,), (4,)]
 
@@ -242,7 +242,9 @@ def test_enumerate_budget_names_its_stage():
     with pytest.raises(BudgetExceededError, match=re.escape("(advance-shareable sets)")):
         enumerate_advance_shareable(code, 2, budget=20 + 190 - 1)
     found = enumerate_advance_shareable(code, 2, budget=20 + 190)
-    assert found and all(s.dimension_criterion and not s.weight_criterion for s in found)
+    assert found and all(
+        is_advance_shareable(code, s.shares) and not s.weight_criterion for s in found
+    )
 
 
 def reference_gram(generators):
@@ -266,11 +268,12 @@ def reference_targets(plan):
         xv[complement.index(share)], zv[complement.index(share)] = x, z
         return PauliOperator(p, xv, zv)
 
+    partner = dict(plan.epr_pairs)
     rows = len(plan.source_generators)
     return (
-        [on(plan.x_positions[j], plan.normal.mu[i], 0) for i, j in enumerate(plan.shares)]
-        + [on(plan.x_positions[j], 0, 1) for j in plan.shares]
-        + [on(plan.z_positions[r], 0, 1) for r in range(2 * c, rows)]
+        [on(partner[j], plan.normal.mu[i], 0) for i, j in enumerate(plan.shares)]
+        + [on(partner[j], 0, 1) for j in plan.shares]
+        + [on(plan.zero_shares[r - 2 * c], 0, 1) for r in range(2 * c, rows)]
     )
 
 

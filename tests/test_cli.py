@@ -706,8 +706,8 @@ def test_shareable_rows_are_written_as_json_dumps(sets, depth):
 
 
 def test_analyze_walks_the_dual_weight_once(code_dir, monkeypatch):
-    """The dual minimum weight is cached on the code: ``analyze`` walks it
-    once, for its own field and for the weight certificates."""
+    """``analyze`` walks the dual minimum weight once, for its own field and
+    for the weight certificates."""
     stages = []
     walk = ShareStructure.smallest_size
 

@@ -684,3 +684,7 @@ def test_phased_pauli_odd_phase_not_a_plain_pauli():
     assert img.tau == 1
     with pytest.raises(ValueError):
         img.as_pauli()
+    # Unequal x and z lengths are refused, as PauliOperator refuses them.
+    for z in ([1], [1, 1, 1]):
+        with pytest.raises(ValueError, match="must have equal length"):
+            PhasedPauli(2, [1, 0], z)

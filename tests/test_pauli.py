@@ -133,6 +133,12 @@ def test_f_map_round_trip(rng):
 def test_f_inv_refuses_an_odd_length():
     with pytest.raises(ValueError, match="even length, got 3"):
         f_inv([1, 0, 1], 2)
+    # The other builders refuse malformed exponents and wires too.
+    with pytest.raises(ValueError, match="must have equal length"):
+        PauliOperator(2, [1, 0], [1])
+    for wire in (-1, 3):
+        with pytest.raises(ValueError, match=f"wire {wire} outside 0..2"):
+            single(2, 3, wire, x=1)
 
 
 def test_f_is_a_homomorphism(rng):

@@ -959,7 +959,7 @@ def test_correlated_erasures_match_the_reference_decoder():
         assert abs(rec.fidelity - fid) < 1e-12
 
 
-def test_generator_kernels_compiled_once_per_code(code_dir, monkeypatch):
+def test_generator_kernels_compiled_once_per_run(code_dir, monkeypatch):
     code, shares, plan, circuit = shipped_pipeline(code_dir, "five_qubit")
     compiled = []
     compile_paulis = sim.compile_paulis
@@ -971,12 +971,9 @@ def test_generator_kernels_compiled_once_per_code(code_dir, monkeypatch):
     monkeypatch.setattr(sim, "compile_paulis", counted)
     sets = [(1, 2, 3, 4), (2, 3, 4, 5), (1, 2, 3, 4, 5)]
     simulate_protocol(code, shares, plan, circuit, 4, 3, sets)
-    table = code._generator_kernels
     simulate_protocol(code, shares, plan, circuit, 5, 2, sets)
-    assert code._generator_kernels is table
-    # One compile of the four generators; corrections compile nothing.
-    assert compiled.count(code.num_checks) == 1
-    assert set(compiled) == {code.num_checks}
+    # One compile of the four generators per run; corrections compile nothing.
+    assert compiled == [code.num_checks] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -1022,12 +1019,13 @@ def test_zero_or_nan_weights_raise_naming_the_step(four_qubit_pipeline, rng):
         measure_pauli(np.zeros((2,) * 4), code.generator(0), rng)
     # In a block, one zero column among good ones raises at the first step.
     erasures = sim._erasures(code, [(1,), ()])
+    kernels = sim.compile_paulis(code.p, code.n, code.generators())
     flat = np.stack([shared.amplitudes, np.zeros(16), shared.amplitudes], axis=1)
     for erased, step in [((1,), "erasure"), ((), "generator measurement")]:
         uniforms = [rng.random(len(erased) + code.num_checks) for _ in range(3)]
         maps = np.stack([erasures[erased]] * 3)
         with pytest.raises(InvariantError, match=f"^{step} outcome weights sum to 0"):
-            sim._decode_block(code, flat, syndrome, [erased] * 3, maps, uniforms)
+            sim._decode_block(code, flat, syndrome, [erased] * 3, maps, uniforms, kernels)
 
 
 @pytest.mark.parametrize("name", ["four_qubit_ghz", "five_qubit", "qutrit_ghz"])
@@ -1067,7 +1065,7 @@ def test_generator_table_of_a_16_qubit_code_is_at_most_half_the_full_table():
     """Every power with an intp index and a complex phase would take
     r * p * p**n * 24 bytes (47 MB here); the stored table takes at most half."""
     code = random_stabilizer(2, 16, 15, np.random.default_rng(1))
-    kernels = sim._generator_kernels(code)
+    kernels = sim.compile_paulis(code.p, code.n, code.generators())
     full = code.num_checks * 2 * 2**16 * 24
     tables = (kernels.src, kernels.phases, kernels.taus, kernels.branch)
     assert sum(table.nbytes for table in tables) <= full / 2
