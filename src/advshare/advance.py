@@ -234,7 +234,15 @@ def construct_eaqecc(code: StabilizerCode, shares: Iterable[int]) -> EAQECCPlan:
         + [single(p, m, r - c, z=1) for r in range(2 * c, rows)]
     )
 
-    plan = EAQECCPlan(p, n, code.k, js, nf, source, tuple(target))
+    plan = EAQECCPlan(
+        p=p,
+        n=n,
+        k=code.k,
+        shares=js,
+        normal=nf,
+        source_generators=source,
+        target_generators=tuple(target),
+    )
     if not np.array_equal(gram_matrix(plan.source_generators), gram_matrix(plan.target_generators)):
         raise InvariantError(
             "commutation structure of restricted generators does not match the"

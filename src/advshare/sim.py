@@ -29,7 +29,8 @@ The protocol pipeline:
    an F_p linear system for a correction supported on the lost shares, and
    applies it, returning to the recorded eigenspace.  A Pauli is monomial,
    so :func:`compile_paulis` turns each generator into one gather index and
-   one exact phase vector per power t = 1..p-1, once per protocol run.
+   one exact phase vector per power t = 1..p-1, once per protocol run and
+   only after the state is known to fit the budget.
    Measuring a generator is one gather that stacks its p powers
    and one p x p matmul with the projector coefficients lambda**-t / p;
    every eigenvalue check (after encoding, after correction) is one batched
@@ -360,12 +361,19 @@ def _check_secret(code: StabilizerCode, secret: QuditState) -> None:
         raise ValueError("k = 0 code admits only the trivial secret")
 
 
+def _check_state_fits(p: int, n: int, width: int, budget: int) -> None:
+    """Refuse ``width`` columns of p**n amplitudes over the state budget;
+    callers check before compiling the generators, whose tables grow with p**n."""
+    if p**n * width > budget:
+        columns = "" if width == 1 else f" x {width}"
+        raise BudgetExceededError(f"state size {p}**{n}{columns} exceeds budget {budget}")
+
+
 def _encode(
     code: StabilizerCode,
     plan: EAQECCPlan,
     circuit: CliffordCircuit,
     secrets: np.ndarray,
-    budget: int,
     kernels: PauliKernels,
 ) -> tuple[np.ndarray, tuple[int, ...]]:
     """Encode each column of a (p**k, b) secret matrix with one circuit call.
@@ -375,13 +383,11 @@ def _encode(
     index rides along as a trailing axis.  Returns the (p**n, b) encoded
     columns and their syndrome: every column must be an eigenstate of every
     generator, all with the same eigenvalues.  The caller has checked the
-    plan and circuit against the code.
+    plan and circuit against the code and the b columns against the budget
+    with :func:`_check_state_fits`, before compiling ``kernels``.
     """
     p, n = code.p, code.n
     width = secrets.shape[1]
-    if p**n * width > budget:
-        columns = "" if width == 1 else f" x {width}"
-        raise BudgetExceededError(f"state size {p}**{n}{columns} exceeds budget {budget}")
     # einsum's integer labels: share s is label s, the column index label 0.
     pair, ket0 = make_epr(p).tensor(), np.eye(p)[0]
     operands: list = []
@@ -416,8 +422,9 @@ def encode_advance(
     """
     _check_plan_matches(code, validated_shares(shares, code.n), plan, circuit)
     _check_secret(code, secret)
+    _check_state_fits(code.p, code.n, 1, budget)
     kernels = compile_paulis(code.p, code.n, code.generators())
-    flat, syndrome = _encode(code, plan, circuit, secret.amplitudes[:, None], budget, kernels)
+    flat, syndrome = _encode(code, plan, circuit, secret.amplitudes[:, None], kernels)
     return QuditState(code.p, code.n, flat[:, 0]), syndrome
 
 
@@ -436,8 +443,9 @@ def encode_with_reference(
     sum_s |s> V|s> / sqrt(p**k), the encoding isometry V transposed.
     """
     _check_plan_matches(code, validated_shares(shares, code.n), plan, circuit)
+    _check_state_fits(code.p, code.n, code.p**code.k, budget)
     kernels = compile_paulis(code.p, code.n, code.generators())
-    v, syndrome = _encoding_isometry(code, plan, circuit, budget, kernels)
+    v, syndrome = _encoding_isometry(code, plan, circuit, kernels)
     choi = v.T.reshape(-1) / np.sqrt(v.shape[1])
     return QuditState(code.p, code.k + code.n, choi), syndrome
 
@@ -446,7 +454,6 @@ def _encoding_isometry(
     code: StabilizerCode,
     plan: EAQECCPlan,
     circuit: CliffordCircuit,
-    budget: int,
     kernels: PauliKernels,
 ) -> tuple[np.ndarray, tuple[int, ...]]:
     """The encoding isometry V (p**n x p**k) and the syndrome of its image.
@@ -455,7 +462,7 @@ def _encoding_isometry(
     eigenvalue check covers every column.
     """
     eye = np.eye(code.p**code.k, dtype=complex)
-    v, syndrome = _encode(code, plan, circuit, eye, budget, kernels)
+    v, syndrome = _encode(code, plan, circuit, eye, kernels)
     if np.abs(v.conj().T @ v - eye).max() > NORM_TOL:
         raise InvariantError("encoding is not an isometry (V^dagger V != I)")
     return v, syndrome
@@ -783,9 +790,10 @@ def simulate_protocol(
 
     Each accessible set gets ``trials`` independent random secrets; every
     draw comes from one seeded generator, so transcripts rerun bit-exactly.
-    The plan and circuit are checked and the generators compiled once per
-    run, and one rank query per set size checks every erased set before
-    any draw.  Each trial draws its secret, then ``e + r`` uniforms for its
+    The plan and circuit are checked, one rank query per set size checks
+    every erased set, and one p**n column is checked against the budget;
+    only then are the generators compiled, once per run, before any draw.
+    Each trial draws its secret, then ``e + r`` uniforms for its
     decoder.  Trials run in blocks of ``max(1, budget // p**n)`` columns: a
     block is encoded as ``V @ secrets`` when the isometry V (p**(n+k)) fits
     the budget, else by one circuit call, and decoded by one block-decoder
@@ -794,21 +802,23 @@ def simulate_protocol(
     """
     _check_plan_matches(code, validated_shares(shares, code.n), plan, circuit)
     p, n, k = code.p, code.n, code.k
-    kernels = compile_paulis(p, n, code.generators())
-    isometry = None
-    if p ** (n + k) <= budget:
-        isometry, image_syndrome = _encoding_isometry(code, plan, circuit, budget, kernels)
-
-    def encode(secrets: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-        if isometry is not None:
-            return isometry @ secrets, image_syndrome
-        return _encode(code, plan, circuit, secrets, budget, kernels)
-
     runs: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     for acc in accessible_sets:
         acc = validated_shares(acc, n)
         runs += [(acc, complement(acc, n))] * trials
     erasures = _erasures(code, [erased for _, erased in runs])
+    # One column must fit; blocks of max(1, budget // p**n) then fit too.
+    _check_state_fits(p, n, 1, budget)
+    kernels = compile_paulis(p, n, code.generators())
+    isometry = None
+    if p ** (n + k) <= budget:
+        isometry, image_syndrome = _encoding_isometry(code, plan, circuit, kernels)
+
+    def encode(secrets: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+        if isometry is not None:
+            return isometry @ secrets, image_syndrome
+        return _encode(code, plan, circuit, secrets, kernels)
+
     rng = np.random.default_rng(seed)
 
     def draw_secret() -> np.ndarray:

@@ -160,7 +160,6 @@ def test_plan_matches_worked_example(four_qubit):
         PauliOperator(2, [1, 0, 0], [0, 0, 0]),
         PauliOperator(2, [0, 0, 0], [1, 0, 0]),
     )
-    assert dict(plan.epr_pairs) == {4: 1}
     assert plan.zero_shares == ()
     assert plan.epr_pairs == ((4, 1),)
     assert plan.secret_shares == (2, 3)
@@ -173,9 +172,23 @@ def test_plan_empty_share_set(four_qubit):
     assert plan.epr_pairs == ()
     assert plan.zero_shares == (1, 2)
     assert plan.secret_shares == (3, 4)
-    for tgt in plan.target_generators:
-        assert not tgt.x.any()
-        assert int(np.count_nonzero(tgt.z)) == 1
+    assert_wire_layout(plan)
+
+
+def assert_wire_layout(plan):
+    """Each Z target sits on one wire; read back as shares, those wires are
+    the pair partners, then the zero shares, and the wires no target
+    touches carry the secret.  Pair i's X target shares its Z's wire."""
+    c = plan.c
+    z_targets = plan.target_generators[c:]
+    assert all(not t.x.any() and np.count_nonzero(t.z) == 1 for t in z_targets)
+    for x_target, z_target in zip(plan.target_generators[:c], z_targets):
+        assert not x_target.z.any()
+        assert set(np.flatnonzero(x_target.x)) <= set(np.flatnonzero(z_target.z))
+    touched = [plan.complement[int(np.flatnonzero(t.z)[0])] for t in z_targets]
+    assert [j for j, _ in plan.epr_pairs] == list(plan.shares)
+    assert touched == [partner for _, partner in plan.epr_pairs] + list(plan.zero_shares)
+    assert plan.secret_shares == tuple(s for s in plan.complement if s not in touched)
 
 
 def test_plan_gram_preservation_randomized(rng):
@@ -193,10 +206,7 @@ def test_plan_gram_preservation_randomized(rng):
                         gram_matrix(plan.source_generators),
                         gram_matrix(plan.target_generators),
                     )
-                    positions = [partner for _, partner in plan.epr_pairs] + list(
-                        plan.zero_shares
-                    )
-                    assert len(positions) == len(set(positions))
+                    assert_wire_layout(plan)
                     assert plan.ell == code.num_checks - 2 * size
                     checked += 1
     assert checked > 30

@@ -106,6 +106,27 @@ def test_budget_exit_code(code_dir):
     assert json.loads(out)["error"]["type"] == "budget"
 
 
+def test_demo_over_the_state_budget_exits_2_before_compiling(tmp_path, monkeypatch):
+    """A 14-qubit GHZ code passes the access-table budget, but its 2**14
+    amplitudes exceed the default state budget: the demo refuses it before
+    any generator table is built."""
+    from advshare import sim
+
+    def refuse(*args):
+        raise AssertionError("compiled the generators of an over-budget state")
+
+    monkeypatch.setattr(sim, "compile_paulis", refuse)
+    path = tmp_path / "ghz14.code"
+    path.write_text("p=2 n=14\n" + "1 " * 14 + "| " + "0 " * 14 + "\n" + "0 " * 14 + "| " + "1 " * 14 + "\n")
+    status, out, err = run_cli(["demo", str(path), "--trials", "1", "--json-only"])
+    assert status == 2
+    assert json.loads(out)["error"] == {
+        "type": "budget",
+        "message": "state size 2**14 exceeds budget 4096",
+    }
+    assert err == "budget exceeded: state size 2**14 exceeds budget 4096\n"
+
+
 def test_access_table_budget_names_the_table(code_dir):
     # The distance walk visits 5 + 10 + 10 = 25 sets; the table needs 2^5 = 32.
     status, out, err = run_cli(

@@ -789,6 +789,27 @@ def test_erase_and_decode_budget_names_its_stage(four_qubit_pipeline, rng):
     assert fidelity(result.state, shared) > 1 - 1e-9
 
 
+def test_state_budget_refuses_before_compiling_the_generators(
+    four_qubit_pipeline, rng, monkeypatch
+):
+    """The generator tables grow with p**n, so every entry point refuses a
+    state over the budget before it compiles them."""
+    code, plan, circuit = four_qubit_pipeline
+    secret = random_state(2, 2, rng)
+
+    def refuse(*args):
+        raise AssertionError("compiled the generators of an over-budget state")
+
+    monkeypatch.setattr(sim, "compile_paulis", refuse)
+    for trials in (0, 1):
+        with pytest.raises(BudgetExceededError, match=r"^state size 2\*\*4 exceeds budget 15$"):
+            simulate_protocol(code, [4], plan, circuit, 3, trials, [(1, 2, 3)], budget=15)
+    with pytest.raises(BudgetExceededError, match=r"^state size 2\*\*4 exceeds budget 15$"):
+        encode_advance(code, [4], plan, circuit, secret, budget=15)
+    with pytest.raises(BudgetExceededError, match=r"^state size 2\*\*4 x 4 exceeds budget 63$"):
+        encode_with_reference(code, [4], plan, circuit, budget=63)
+
+
 # ---------------------------------------------------------------------------
 # compiled Pauli kernels against the slow references
 
