@@ -481,6 +481,10 @@ def run(argv: list[str] | None = None, stdout=None, stderr=None) -> int:
     try:
         _check_counts(args)
         code = _load(args.file)
+        if args.command == "demo" and 1 << code.n <= enum_budget:
+            # Ranked first, the table's sizes also answer the distance walk's complements.
+            for w in range(code.n + 1):
+                code.share_structure().level(w)
         report["code"] = _code_section(code, enum_budget)
         if args.command == "analyze":
             report["advance_shareable"] = _analyze_section(

@@ -18,29 +18,33 @@ diag(1, i^g).  Conjugating a Pauli through a circuit therefore stays inside
 the group generated by zeta = exp(i*pi/p) (a 2p-th root of unity): phases
 are tracked exactly as integer exponents of zeta, which are even whenever
 the result is a plain w power.  Each gate's action on (x | z) and on that
-exponent, powers included, is written once in :func:`_conjugate_wires`:
-:func:`conjugate_pauli` runs it on the integers of one Pauli,
-:func:`symplectic_matrix` on the rows of a 2m x 2m matrix whose columns are
-f-images, and the synthesis reduction on each such column as the integers
-of one Pauli.  Operators become f-image rows, and rows become operators,
-only through :func:`advshare.pauli.f_map` and :func:`advshare.pauli.f_inv`.
+exponent, powers included, is written once in :func:`_conjugate_wires`,
+which runs it on a batch of Paulis, each a pair of int lists: one Pauli in
+:func:`conjugate_pauli`, the 2m unit columns in :func:`symplectic_matrix`,
+the unfinished columns in the synthesis reduction, and every tracked
+generator in one walk of a circuit (the synthesis phase residues, the
+simulator's plan check).  Operators become f-image rows, and rows become
+operators, only through :func:`advshare.pauli.f_map` and
+:func:`advshare.pauli.f_inv`.
 
 A circuit keeps its gates as maximal runs of equal consecutive gates
-(:attr:`CliffordCircuit.runs`, built once), and everything that walks a
-circuit walks the runs, one gate power per run: conjugation, the
-symplectic matrix, the inverse, the dense compiler and the kind, wire and
-parameter checks a circuit makes when it is built.  The inverse of a circuit
-and the gates of a decomposition are both undone runs, one helper's work.
-The text form rejects a line without its kind's integer fields.
+(:attr:`CliffordCircuit.runs`, built once by the one splitter
+:func:`_runs`), and everything that walks a circuit walks the runs, one
+gate power per run: conjugation, the symplectic matrix, the inverse, the
+dense compiler and the kind, wire and parameter checks a circuit makes
+when it is built.  The inverse of a circuit and the gates of a
+decomposition are both undone runs, one helper's work.  The text form
+rejects a line without its kind's integer fields.
 
 Synthesis reduces the common Gram of two generator tuples with equal
 commutation structure once, completes each tuple's f-images to a
-symplectic basis in one Gauss-Jordan elimination (which also refuses a
-dependent tuple), forms the change-of-basis matrix, peels it into
-elementary gates column pair by column pair, and finishes with a Pauli
-layer that zeroes every representable phase.  The returned circuit U
-satisfies U g_i U^dag = phase_i * b_i for each source/target pair, with
-phase_i an exact root of unity.
+symplectic basis in one Gauss-Jordan elimination on int lists (which also
+refuses a dependent tuple), forms the change-of-basis matrix, peels it
+into elementary gates column pair by column pair, and finishes with a
+Pauli layer that zeroes every representable phase, read off the gates
+before the one circuit it returns is built.  That circuit U satisfies
+U g_i U^dag = phase_i * b_i for each source/target pair, with phase_i an
+exact root of unity.
 
 The dense realization compiles a circuit once, on first use, into kernels
 on the p**m wire register and keeps them on the (immutable) circuit: each
@@ -129,18 +133,7 @@ class CliffordCircuit:
     @cached_property
     def runs(self) -> tuple[tuple[Gate, int], ...]:
         """The gates as maximal runs of equal consecutive gates, ``(gate, count)``."""
-        runs: list[tuple[Gate, int]] = []
-        last, count = None, 0
-        for g in self.gates:
-            if g is last or g == last:
-                count += 1
-                continue
-            if count:
-                runs.append((last, count))
-            last, count = g, 1
-        if count:
-            runs.append((last, count))
-        return tuple(runs)
+        return _runs(self.gates)
 
     @cached_property
     def _kernels(self) -> tuple:
@@ -172,6 +165,22 @@ class CliffordCircuit:
             nums = [int(f) for f in fields]
             gates_.append(Gate(kind, tuple(nums[:wires]), *nums[wires:]))
         return cls(p, m, tuple(gates_))
+
+
+def _runs(gates: Sequence[Gate]) -> tuple[tuple[Gate, int], ...]:
+    """Maximal runs of equal consecutive gates, ``(gate, count)``."""
+    runs: list[tuple[Gate, int]] = []
+    last, count = None, 0
+    for g in gates:
+        if g is last or g == last:
+            count += 1
+            continue
+        if count:
+            runs.append((last, count))
+        last, count = g, 1
+    if count:
+        runs.append((last, count))
+    return tuple(runs)
 
 
 def _inverse_gates(g: Gate, p: int) -> list[Gate]:
@@ -250,61 +259,71 @@ def conjugate_pauli(
     cur = PhasedPauli.from_pauli(op) if isinstance(op, PauliOperator) else op
     if cur.p != circuit.p or cur.x.shape[0] != circuit.m:
         raise ValueError("operator and circuit must share p and wire count")
-    p = cur.p
-    x, z, tau = [int(v) for v in cur.x], [int(v) for v in cur.z], cur.tau
-    for g, count in circuit.runs:
-        tau += _conjugate_wires(g, x, z, p, count)
-    return PhasedPauli(p, x, z, tau)
+    x, z = cur.x.tolist(), cur.z.tolist()
+    (tau,) = _conjugate_runs(circuit.runs, [(x, z)], cur.p)
+    return PhasedPauli(cur.p, x, z, cur.tau + tau)
 
 
-def _conjugate_wires(g: Gate, x, z, p: int, times: int = 1):
-    """Conjugate (x | z) through g**times in place; return the tau increment.
+def _conjugate_runs(runs: Sequence[tuple[Gate, int]], paulis, p: int) -> list[int]:
+    """Conjugate each (x | z) of ``paulis`` through ``(gate, times)`` runs in
+    place, in one walk; return each one's tau increment."""
+    taus = [0] * len(paulis)
+    for g, times in runs:
+        if any(steps := _conjugate_wires(g, paulis, p, times)):
+            taus = [t + d for t, d in zip(taus, steps)]
+    return taus
 
-    x and z are indexed by wire: lists of ints for one Pauli, or the x and z
-    row blocks of an integer matrix whose columns are f-images, where the
-    increment comes back per column and the matrix callers ignore it.  F
-    goes by ``times % 4``, F^2 being a sign flip that adds nothing to tau;
-    ``P``, ``SUM``, ``X`` and ``Z`` powers multiply their parameter, and
-    a ``MUL`` power raises it.
+
+def _conjugate_wires(g: Gate, paulis, p: int, times: int = 1) -> list[int]:
+    """Conjugate each (x | z) of ``paulis`` through g**times in place; return
+    each one's tau increment.
+
+    ``paulis`` is a list of (x, z) pairs of int lists indexed by wire: one
+    Pauli, the generators a circuit is checked on, or the columns of a
+    symplectic matrix.  F goes by ``times % 4``, F^2 being a sign flip that
+    adds nothing to tau; ``P``, ``SUM``, ``X`` and ``Z`` powers multiply
+    their parameter, and a ``MUL`` power raises it.
     """
     q = g.qudits[0]
     if g.kind == "F":
         turns = times % 4
-        if not turns:
-            return 0
-        a, b = x[q] * 1, z[q] * 1  # copies: rows of an array are views
-        if turns >= 2:
-            a, b = -a, -b
-        if turns % 2:
-            x[q], z[q] = (-b) % p, a % p
-            return -2 * a * b
-        x[q], z[q] = a % p, b % p
-        return 0
+        sign = -1 if turns >= 2 else 1
+        taus = []
+        for x, z in paulis:
+            a, b = sign * x[q], sign * z[q]
+            x[q], z[q] = ((-b) % p, a % p) if turns % 2 else (a % p, b % p)
+            taus.append(-2 * a * b if turns % 2 else 0)
+        return taus
     if g.kind == "P":
-        a, c = x[q], g.param * times
-        z[q] = (z[q] + c * a) % p
-        return c * a if p == 2 else c * a * (a - 1)
+        c = g.param * times
+        taus = []
+        for x, z in paulis:
+            a = x[q]
+            z[q] = (z[q] + c * a) % p
+            taus.append(c * a if p == 2 else c * a * (a - 1))
+        return taus
     if g.kind == "MUL":
-        x[q] = (x[q] * pow(g.param, times, p)) % p
-        z[q] = (z[q] * pow(g.param, -times, p)) % p
-        return 0
+        up, down = pow(g.param, times, p), pow(g.param, -times, p)
+        for x, z in paulis:
+            x[q], z[q] = (x[q] * up) % p, (z[q] * down) % p
+        return [0] * len(paulis)
     if g.kind == "SUM":
         qt = g.qudits[1]
-        x[qt] = (x[qt] + times * x[q]) % p
-        z[q] = (z[q] - times * z[qt]) % p
-        return 0
+        for x, z in paulis:
+            x[qt] = (x[qt] + times * x[q]) % p
+            z[q] = (z[q] - times * z[qt]) % p
+        return [0] * len(paulis)
     if g.kind == "X":
-        return -2 * times * g.param * z[q]
-    return 2 * times * g.param * x[q]  # Z
+        return [-2 * times * g.param * z[q] for _, z in paulis]
+    return [2 * times * g.param * x[q] for x, _ in paulis]  # Z
 
 
 def symplectic_matrix(circuit: CliffordCircuit) -> np.ndarray:
     """The 2m x 2m matrix of the circuit's action on f-images (columns)."""
-    m, p = circuit.m, circuit.p
-    out = np.eye(2 * m, dtype=np.int64)
-    for g, count in circuit.runs:
-        _conjugate_wires(g, out[:m], out[m:], p, count)
-    return out
+    m = circuit.m
+    cols = [(unit[:m], unit[m:]) for unit in np.eye(2 * m, dtype=np.int64).tolist()]
+    _conjugate_runs(circuit.runs, cols, circuit.p)
+    return np.array([x + z for x, z in cols], dtype=np.int64).reshape(2 * m, 2 * m).T
 
 
 # ---------------------------------------------------------------------------
@@ -499,41 +518,45 @@ class _OrthogonalityForm:
 
     Constraint i enters as its orthogonality row next to the unit vector
     e_i, so every row operation keeps ``R = E @ A`` for the rows A added so
-    far.  The first ``rank`` rows of ``rows`` each hold a pivot 1 in a
-    column that is zero in every other of them: they are the reduced row
-    echelon form of A, which is unique, so what is read off them does not
-    depend on the order the constraints came in.  A constraint that
-    reduces to a zero row of R is dependent; its E part goes to
-    ``dependent``.
+    far.  The rows of ``rows`` are lists of ints, each with a pivot 1 in
+    the column ``cols`` names, zero in every other of them: they are the
+    reduced row echelon form of A, which is unique, so what is read off
+    them does not depend on the order the constraints came in.  A pivot
+    whose coefficient is 0 is skipped, so a unit constraint touches one or
+    two rows.  A constraint that reduces to a zero row of R is dependent;
+    its E part goes to ``dependent``.
     """
 
     def __init__(self, two_m: int, capacity: int, p: int):
-        self.p, self.two_m, self.count, self.rank = p, two_m, 0, 0
-        self.rows = np.zeros((capacity, two_m + capacity), dtype=np.int64)
-        self.cols = np.zeros(two_m, dtype=np.intp)
-        self.dependent: list[np.ndarray] = []
+        self.p, self.two_m, self.width, self.count = p, two_m, two_m + capacity, 0
+        self.rows: list[list[int]] = []
+        self.cols: list[int] = []
+        self.dependent: list[list[int]] = []
 
-    def add(self, v: np.ndarray) -> int:
+    def add(self, v: list[int]) -> int:
         """Reduce v's orthogonality row against the stored pivots; its index."""
-        p, two_m, k = self.p, self.two_m, self.rank
-        row = np.zeros(self.rows.shape[1], dtype=np.int64)
-        row[:two_m] = orthogonality_rows(v, p)
-        row[two_m + self.count] = 1
-        pivots = self.rows[:k]
-        row = (row - row[self.cols[:k]] @ pivots) % p
-        nonzero = np.flatnonzero(row[:two_m])
-        if nonzero.size:
-            c = nonzero[0]
-            row = (row * gfp.inv_scalar(int(row[c]), p)) % p
-            pivots[:] = (pivots - pivots[:, c, None] * row) % p
-            self.rows[k], self.cols[k] = row, c
-            self.rank += 1
+        p, half = self.p, self.two_m // 2
+        # [-v_z | v_x], as in symplectic.orthogonality_rows, then E's columns.
+        row = [(-a) % p for a in v[half:]] + v[:half] + [0] * (self.width - self.two_m)
+        row[self.two_m + self.count] = 1
+        for piv, c in zip(self.rows, self.cols):
+            if f := row[c]:
+                row = [(a - f * b) % p for a, b in zip(row, piv)]
+        c = next((c for c in range(self.two_m) if row[c]), None)
+        if c is None:
+            self.dependent.append(row[self.two_m :])
         else:
-            self.dependent.append(row[two_m:])
+            if (inv := gfp.inv_scalar(row[c], p)) != 1:
+                row = [(a * inv) % p for a in row]
+            for i, piv in enumerate(self.rows):
+                if f := piv[c]:
+                    self.rows[i] = [(a - f * b) % p for a, b in zip(piv, row)]
+            self.rows.append(row)
+            self.cols.append(c)
         self.count += 1
         return self.count - 1
 
-    def partner(self, i: int) -> np.ndarray | None:
+    def partner(self, i: int) -> list[int] | None:
         """The d that ``gfp.solve`` finds with <v_i, d> = 1 and <v_j, d> = 0
         for every other constraint j, or None if there is none.
 
@@ -543,21 +566,19 @@ class _OrthogonalityForm:
         """
         if any(e[i] for e in self.dependent):
             return None
-        k = self.rank
-        d = np.zeros(self.two_m, dtype=np.int64)
-        d[self.cols[:k]] = self.rows[:k, self.two_m + i]
+        d = [0] * self.two_m
+        for row, c in zip(self.rows, self.cols):
+            d[c] = row[self.two_m + i]
         return d
 
-    def fresh(self) -> np.ndarray:
+    def fresh(self) -> list[int]:
         """``gfp.kernel(A)[0]``: 1 at the first free column c and -R[row, c]
         at each pivot column."""
-        k = self.rank
-        free = np.ones(self.two_m, dtype=bool)
-        free[self.cols[:k]] = False
-        c = np.argmax(free)
-        e = np.zeros(self.two_m, dtype=np.int64)
+        c = min(set(range(self.two_m)).difference(self.cols))
+        e = [0] * self.two_m
         e[c] = 1
-        e[self.cols[:k]] = (-self.rows[:k, c]) % self.p
+        for row, col in zip(self.rows, self.cols):
+            e[col] = (-row[c]) % self.p
         return e
 
 
@@ -583,8 +604,8 @@ def _complete_basis(
     returns.
     """
     two_m = vectors.shape[1]
-    basis = [(w @ vectors) % p for pair in pairs for w in pair]
-    radical_vecs = [(c @ vectors) % p for c in radical]
+    basis = [((w @ vectors) % p).tolist() for pair in pairs for w in pair]
+    radical_vecs = [((c @ vectors) % p).tolist() for c in radical]
     form = _OrthogonalityForm(two_m, max(len(basis) + 2 * len(radical_vecs), two_m), p)
     first = len(basis)
     for v in basis + radical_vecs:
@@ -617,8 +638,8 @@ def _decompose_symplectic(matrix: np.ndarray, m: int, p: int) -> list[Gate]:
     Reduces the matrix to the identity by left-applying gate actions, one
     column pair per wire, then returns the inverses in reverse order.  The
     working matrix is its 2m columns, each the (x, z) lists of ints of an
-    f-image.  A gate applied ``times`` times conjugates each unfinished
-    column once through :func:`_conjugate_wires`: step q's gates act on
+    f-image.  A gate applied ``times`` times conjugates the unfinished
+    columns in one :func:`_conjugate_wires` call: step q's gates act on
     wires q and up, and columns j and m + j (j < q) are units on wire j.
     """
     reduced = np.asarray(matrix) % p
@@ -626,11 +647,11 @@ def _decompose_symplectic(matrix: np.ndarray, m: int, p: int) -> list[Gate]:
     ops: list[tuple[Gate, int]] = []
 
     def apply(g: Gate, times: int = 1):
-        for x, z in cols[q:m] + cols[m + q :]:
-            _conjugate_wires(g, x, z, p, times)
+        _conjugate_wires(g, live, p, times)
         ops.append((g, times))
 
     for q in range(m):
+        live = cols[q:m] + cols[m + q :]
         x, z = cols[q]
         if not any(x[q:]):
             apply(Gate("F", (next(w for w in range(q, m) if z[w]),)))
@@ -699,7 +720,10 @@ def synthesize(
         U with ``U source_i U^dag = phase_i * target_i``.  Phases are exact
         roots of unity and are normalized to 1 whenever the two operators
         have compatible spectra (always, for plan-derived generator pairs);
-        query them with :func:`conjugate_pauli`.
+        query them with :func:`conjugate_pauli`.  The sources go through
+        the decomposition's gates in one walk, which checks each image
+        against its target and gives the phases the Pauli layer fixes; the
+        returned circuit is the only one built.
 
     Raises
     ------
@@ -751,16 +775,18 @@ def synthesize(
             raise InvariantError("change of basis does not map source images to target")
 
     gates_ = tuple(_decompose_symplectic(t_matrix, m, p))
-    circuit = CliffordCircuit(p, m, gates_)
 
-    # Zero out every representable phase with a trailing Pauli layer.
+    # Zero out every representable phase with a trailing Pauli layer.  The
+    # sources go through the gates in one walk, before any circuit exists.
+    images = [(a.x.tolist(), a.z.tolist()) for a in source]
+    taus = _conjugate_runs(_runs(gates_), images, p)
     residues = []
-    for src, tgt in zip(source, target):
-        img = conjugate_pauli(circuit, src)
-        if not (np.array_equal(img.x, tgt.x) and np.array_equal(img.z, tgt.z)):
+    for (x, z), src, tgt, tau in zip(images, source, target, taus):
+        if x != tgt.x.tolist() or z != tgt.z.tolist():
             raise InvariantError("decomposed circuit does not realize the basis change")
-        residues.append((img.tau - 2 * tgt.phase) % (2 * p))
+        residues.append((2 * src.phase + tau - 2 * tgt.phase) % (2 * p))
     fixable = [i for i, r in enumerate(residues) if r % 2 == 0]
+    extra = ()
     if fixable:
         rows = orthogonality_rows(v_rows[fixable], p)
         # Conjugating an operator with image v by the Pauli layer of image w
@@ -776,8 +802,7 @@ def synthesize(
             for kind, e in (("X", layer.x[q]), ("Z", layer.z[q]))
             if e
         )
-        circuit = CliffordCircuit(p, m, gates_ + extra)
-    return circuit
+    return CliffordCircuit(p, m, gates_ + extra)
 
 
 def encoding_circuit(plan) -> CliffordCircuit:

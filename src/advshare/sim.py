@@ -74,11 +74,11 @@ from .access import AccessLabel
 from .advance import EAQECCPlan, construct_eaqecc
 from .clifford import (
     CliffordCircuit,
+    _conjugate_runs,
     _place_digits,
     _register,
     _unregister,
     apply_circuit_tensor,
-    conjugate_pauli,
     encoding_circuit,
 )
 from .errors import BudgetExceededError, InvariantError, UncorrectableErasureError
@@ -348,9 +348,10 @@ def _check_plan_matches(
         raise ValueError("plan check rows span a different stabilizer")
     if circuit.p != plan.p or circuit.m != plan.n - plan.c:
         raise ValueError("circuit shape does not match the plan")
-    for src, tgt in zip(plan.source_generators, plan.target_generators):
-        img = conjugate_pauli(circuit, tgt)
-        if not (np.array_equal(img.x, src.x) and np.array_equal(img.z, src.z)):
+    images = [(a.x.tolist(), a.z.tolist()) for a in plan.target_generators]
+    _conjugate_runs(circuit.runs, images, circuit.p)
+    for (x, z), src in zip(images, plan.source_generators):
+        if x != src.x.tolist() or z != src.z.tolist():
             raise ValueError("circuit does not map the preparation frame to the code frame")
 
 

@@ -744,6 +744,27 @@ def test_analyze_walks_the_dual_weight_once(code_dir, monkeypatch):
         assert stages.count("dual minimum weight") == 1
 
 
+@pytest.mark.parametrize("p, n", [(2, 7), (3, 6), (5, 5), (2, 8)])
+def test_demo_ranks_each_size_once(tmp_path, monkeypatch, p, n):
+    """With its table within the budget, ``demo`` ranks the sizes 1..n once
+    each, one elimination per size: the distance walk reads the complements
+    of its deficient sets from the table's sizes.  On these codes the walk
+    meets deficient sets whose complements' size is not ranked before it."""
+    code = random_stabilizer(p, n, n - 1, np.random.default_rng([p, n]))
+    path = tmp_path / "random.code"
+    path.write_text(format_code_file(code), encoding="utf-8")
+    calls = []
+    eliminate = ShareStructure._eliminate
+    monkeypatch.setattr(
+        ShareStructure,
+        "_eliminate",
+        lambda self, sets, outside: calls.append(outside) or eliminate(self, sets, outside),
+    )
+    status, _, _ = run_cli(["demo", str(path), "--J", "none", "--trials", "0"])
+    assert status == 0
+    assert calls == [False] * n
+
+
 @pytest.mark.parametrize("p, n, trials", [(2, 12, 0), (3, 9, 0), (5, 7, 0), (7, 6, 0), (3, 4, 1)])
 def test_large_access_tables_are_written_as_json_dumps(tmp_path, monkeypatch, p, n, trials):
     """Random codes wider than any shipped one: the written report is

@@ -372,15 +372,20 @@ def loop_conjugate_pauli(circuit, op):
     p = circuit.p
     x, z, tau = [int(v) for v in cur.x], [int(v) for v in cur.z], cur.tau
     for g in circuit.gates:
-        tau += clifford._conjugate_wires(g, x, z, p)
+        (step,) = clifford._conjugate_wires(g, [(x, z)], p)
+        tau += step
     return PhasedPauli(p, x, z, tau)
 
 
 def loop_symplectic_matrix(circuit):
+    """Reference: each unit column conjugated alone, one gate at a time."""
     m, p = circuit.m, circuit.p
     out = np.eye(2 * m, dtype=np.int64)
-    for g in circuit.gates:
-        clifford._conjugate_wires(g, out[:m], out[m:], p)
+    for j in range(2 * m):
+        x, z = out[:m, j].tolist(), out[m:, j].tolist()
+        for g in circuit.gates:
+            clifford._conjugate_wires(g, [(x, z)], p)
+        out[:, j] = x + z
     return out
 
 
@@ -439,6 +444,40 @@ def test_runs_and_powers_match_the_gate_by_gate_walk(p, data):
     assert list(circuit.inverse().gates) == loop_inverse(circuit)
     if p**circuit.m <= DENSE_UNITARY_LIMIT:
         assert np.abs(to_unitary(circuit) - slow_to_unitary(circuit)).max() < 1e-12
+
+
+@pytest.mark.parametrize("p", gfp.PRIMES)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_batch_walk_matches_one_pauli_walks(p, data):
+    """0-6 Paulis, repeats allowed, conjugated through the circuit in one
+    walk: each comes out as it does alone, in x, z and tau."""
+    circuit, seed = data.draw(run_circuits(p))
+    rng = np.random.default_rng(seed)
+    pool = [random_pauli(p, circuit.m, rng) for _ in range(3)]
+    ops = [pool[i] for i in data.draw(st.lists(st.integers(0, 2), max_size=6))]
+    batch = [(a.x.tolist(), a.z.tolist()) for a in ops]
+    taus = clifford._conjugate_runs(circuit.runs, batch, p)
+    assert len(taus) == len(ops)
+    for a, (x, z), tau in zip(ops, batch, taus):
+        want = conjugate_pauli(circuit, a)
+        assert x == want.x.tolist() and z == want.z.tolist()
+        assert (2 * a.phase + tau) % (2 * p) == want.tau
+
+
+def test_synthesize_builds_one_circuit(five_qubit, monkeypatch):
+    """The phase residues are read off the decomposition's gates, so the
+    returned circuit, Pauli layer included, is the only one built."""
+    built = []
+    check = CliffordCircuit.__post_init__
+    monkeypatch.setattr(
+        CliffordCircuit, "__post_init__", lambda self: built.append(self) or check(self)
+    )
+    for shares in ([], [1]):
+        built.clear()
+        circuit = encoding_circuit(construct_eaqecc(five_qubit, shares))
+        assert len(built) == 1 and built[0] is circuit
+        assert circuit.gates[-1].kind in ("X", "Z")
 
 
 @pytest.mark.parametrize("dependent", ["source", "target"])
@@ -609,7 +648,9 @@ def loop_decompose_symplectic(matrix, m, p):
 
     def apply(g, times=1):
         for _ in range(times % (4 * p)):
-            clifford._conjugate_wires(g, cur[:m], cur[m:], p)
+            cols = [(cur[:m, j].tolist(), cur[m:, j].tolist()) for j in range(2 * m)]
+            clifford._conjugate_wires(g, cols, p)
+            cur[:] = np.array([x + z for x, z in cols]).T
             ops.append(g)
 
     for q in range(m):
