@@ -27,6 +27,9 @@ shares (parsed, in range and advance shareable) and ``--trials`` on a
 k = 0 code, which the protocol cannot run yet: it has only the trivial
 secret, and the simulator draws it with a random global phase that the
 encoder rejects.  Any error raised after those checks is internal.
+``--budget`` bounds the share sets a ``demo``'s trials visit (qualified
+sets times ``--trials``) as it bounds the other walks, so a huge
+``--trials`` exits 2 with the code section and the budget error.
 Every refusal writes the usual JSON report; an argparse usage error prints
 argparse's message on stderr, writes no report and also exits 1.
 """
@@ -350,6 +353,7 @@ def _demo_section(
     section["access_table"] = _AccessTable(sizes)
     if trials > 0:
         qualified = [s for sets, codes, _ in sizes for s in sets[codes == 0].tolist()]
+        check_budget(len(qualified) * trials, enum_budget, "protocol trials")
         transcript = sim.simulate_protocol(
             code, shares, plan, circuit, seed, trials, qualified, budget=budget
         )
@@ -440,7 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=None,
             help="cap on share sets visited by the distance, dual-weight and "
-            "access-table walks, and on dense state sizes",
+            "access-table walks and the protocol trials (--trials per "
+            "qualified set), and on dense state sizes",
         )
         cmd.add_argument("--json-only", action="store_true")
         if name == "analyze":

@@ -21,10 +21,10 @@ the result is a plain w power.  Each gate's action on (x | z) and on that
 exponent, powers included, is written once in :func:`_conjugate_wires`,
 which runs it on a batch of Paulis, each a pair of int lists: one Pauli in
 :func:`conjugate_pauli`, the 2m unit columns in :func:`symplectic_matrix`,
-the unfinished columns in the synthesis reduction, and every tracked
-generator in one walk of a circuit (the synthesis phase residues, the
-simulator's plan check).  Operators become f-image rows, and rows become
-operators, only through :func:`advshare.pauli.f_map` and
+the unfinished columns in the synthesis reduction, the synthesis targets
+walked back through that reduction's gate powers, and the simulator's
+generators in one walk of a circuit.  Operators become f-image rows, and
+rows become operators, only through :func:`advshare.pauli.f_map` and
 :func:`advshare.pauli.f_inv`.
 
 A circuit keeps its gates as maximal runs of equal consecutive gates
@@ -40,11 +40,11 @@ Synthesis reduces the common Gram of two generator tuples with equal
 commutation structure once, completes each tuple's f-images to a
 symplectic basis in one Gauss-Jordan elimination on int lists (which also
 refuses a dependent tuple), forms the change-of-basis matrix, peels it
-into elementary gates column pair by column pair, and finishes with a
-Pauli layer that zeroes every representable phase, read off the gates
-before the one circuit it returns is built.  That circuit U satisfies
-U g_i U^dag = phase_i * b_i for each source/target pair, with phase_i an
-exact root of unity.
+into gate powers column pair by column pair, undoes those into the gates,
+and finishes with a Pauli layer that zeroes every representable phase,
+read off by walking the targets back through the same powers.  The one
+circuit it returns, the only runs split, satisfies U g_i U^dag = phase_i *
+b_i for each source/target pair, with phase_i an exact root of unity.
 
 The dense realization compiles a circuit once, on first use, into kernels
 on the p**m wire register and keeps them on the (immutable) circuit: each
@@ -57,7 +57,6 @@ tests as the reference the compiled kernels are checked against.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Sequence
@@ -342,14 +341,22 @@ def _place_digits(p: int, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _wire_order(ndim: int, m: int, axes: Sequence[int] | None) -> list[int]:
     """Axis permutation putting the register's m axes first, the rest after in order."""
-    wires = list(range(m)) if axes is None else [a % ndim for a in axes]
+    wires = list(range(m)) if axes is None else [a + ndim if a < 0 else a for a in axes]
     return wires + [a for a in range(ndim) if a not in wires]
 
 
-def _register(arr: np.ndarray, m: int, axes: Sequence[int] | None) -> np.ndarray:
-    """The (p**m, rest) matrix of a tensor whose m-wire register sits on axes."""
-    moved = arr.transpose(_wire_order(arr.ndim, m, axes))
-    return moved.reshape(math.prod(moved.shape[:m]), -1)
+def _register(arr: np.ndarray, p: int, m: int, axes: Sequence[int] | None) -> np.ndarray:
+    """The (p**m, rest) matrix of a tensor whose m-wire register sits on axes,
+    which must be m distinct axes of size p."""
+    wires = list(range(m) if axes is None else axes)
+    order = _wire_order(arr.ndim, m, wires)
+    if len(wires) != m or sorted(order) != list(range(arr.ndim)) or any(
+        arr.shape[a] != p for a in order[:m]
+    ):
+        raise ValueError(
+            f"register axes {wires} are not {m} distinct axes of size {p} in shape {arr.shape}"
+        )
+    return arr.transpose(order).reshape(p**m, -1)
 
 
 def _unregister(
@@ -450,7 +457,7 @@ def apply_circuit_tensor(
     kernels = circuit._kernels
     if not kernels:
         return out
-    flat = _register(out, circuit.m, axes)
+    flat = _register(out, circuit.p, circuit.m, axes)
     for kernel in kernels:
         flat = kernel(flat)
     return _unregister(flat, out, circuit.m, axes)
@@ -517,18 +524,18 @@ class _OrthogonalityForm:
     list of constraint vectors.
 
     Constraint i enters as its orthogonality row next to the unit vector
-    e_i, so every row operation keeps ``R = E @ A`` for the rows A added so
-    far.  The rows of ``rows`` are lists of ints, each with a pivot 1 in
-    the column ``cols`` names, zero in every other of them: they are the
-    reduced row echelon form of A, which is unique, so what is read off
-    them does not depend on the order the constraints came in.  A pivot
-    whose coefficient is 0 is skipped, so a unit constraint touches one or
-    two rows.  A constraint that reduces to a zero row of R is dependent;
-    its E part goes to ``dependent``.
+    e_i, a new E column that is zero in every earlier row, so every row
+    operation keeps ``R = E @ A`` for the rows A added so far.  The rows of
+    ``rows`` are lists of ints, each with a pivot 1 in the column ``cols``
+    names, zero in every other of them: they are the reduced row echelon
+    form of A, which is unique, so what is read off them does not depend on
+    the order the constraints came in.  A pivot whose coefficient is 0 is
+    skipped, so a unit constraint touches one or two rows.  A constraint
+    reducing to a zero row of R is dependent; its E part goes to ``dependent``.
     """
 
-    def __init__(self, two_m: int, capacity: int, p: int):
-        self.p, self.two_m, self.width, self.count = p, two_m, two_m + capacity, 0
+    def __init__(self, two_m: int, p: int):
+        self.p, self.two_m, self.count = p, two_m, 0
         self.rows: list[list[int]] = []
         self.cols: list[int] = []
         self.dependent: list[list[int]] = []
@@ -536,9 +543,10 @@ class _OrthogonalityForm:
     def add(self, v: list[int]) -> int:
         """Reduce v's orthogonality row against the stored pivots; its index."""
         p, half = self.p, self.two_m // 2
+        for stored in self.rows + self.dependent:
+            stored.append(0)  # E's new column, zero in every earlier row
         # [-v_z | v_x], as in symplectic.orthogonality_rows, then E's columns.
-        row = [(-a) % p for a in v[half:]] + v[:half] + [0] * (self.width - self.two_m)
-        row[self.two_m + self.count] = 1
+        row = [(-a) % p for a in v[half:]] + v[:half] + [0] * self.count + [1]
         for piv, c in zip(self.rows, self.cols):
             if f := row[c]:
                 row = [(a - f * b) % p for a, b in zip(row, piv)]
@@ -593,20 +601,20 @@ def _complete_basis(
     fresh pairs from the orthogonal complement.  The arrangement (hence the
     Gram of the result) depends only on the input Gram.
 
-    One Gauss-Jordan form of the orthogonality rows serves the whole
-    completion: the pair and radical vectors enter first, then each partner
-    and fresh vector as it is found, each by one reduction against the
-    stored pivots.  The pair and radical vectors are an invertible change
-    of the input rows, so a dependent tuple leaves a dependent row there,
-    and raises ``DependentRowsError`` before any partner is solved.
-    Partners and fresh vectors are read off the form; they are exactly what
-    one ``gfp.solve`` or ``gfp.kernel`` call per vector on the same rows
-    returns.
+    One Gauss-Jordan form of the orthogonality rows, one E column per
+    vector, serves the whole completion: the pair and radical vectors enter
+    first, then each partner and fresh vector as it is found, each by one
+    reduction against the stored pivots.  The pair and radical vectors are
+    an invertible change of the input rows, so a dependent tuple leaves a
+    dependent row there, and raises ``DependentRowsError`` before any
+    partner is solved.  Partners and fresh vectors are read off the form;
+    they are exactly what one ``gfp.solve`` or ``gfp.kernel`` call per
+    vector on the same rows returns.
     """
     two_m = vectors.shape[1]
     basis = [((w @ vectors) % p).tolist() for pair in pairs for w in pair]
     radical_vecs = [((c @ vectors) % p).tolist() for c in radical]
-    form = _OrthogonalityForm(two_m, max(len(basis) + 2 * len(radical_vecs), two_m), p)
+    form = _OrthogonalityForm(two_m, p)
     first = len(basis)
     for v in basis + radical_vecs:
         form.add(v)
@@ -632,15 +640,15 @@ def _complete_basis(
 # decomposition of a symplectic matrix into gates
 
 
-def _decompose_symplectic(matrix: np.ndarray, m: int, p: int) -> list[Gate]:
-    """Elementary gates realizing a symplectic matrix.
+def _decompose_symplectic(matrix: np.ndarray, m: int, p: int) -> list[tuple[Gate, int]]:
+    """The ``(gate, times)`` powers reducing a symplectic matrix to the identity.
 
-    Reduces the matrix to the identity by left-applying gate actions, one
-    column pair per wire, then returns the inverses in reverse order.  The
-    working matrix is its 2m columns, each the (x, z) lists of ints of an
-    f-image.  A gate applied ``times`` times conjugates the unfinished
-    columns in one :func:`_conjugate_wires` call: step q's gates act on
-    wires q and up, and columns j and m + j (j < q) are units on wire j.
+    Left-applies gate actions, one column pair per wire, and returns the
+    powers in order; they realize the inverse exactly (:func:`_undo` gives
+    the gates).  The working matrix is 2m columns, each the (x, z) int
+    lists of an f-image.  A gate applied ``times`` times conjugates the
+    unfinished columns in one :func:`_conjugate_wires` call: step q's gates
+    act on wires q and up, and columns j and m + j (j < q) are units on wire j.
     """
     reduced = np.asarray(matrix) % p
     cols = [(reduced[:m, j].tolist(), reduced[m:, j].tolist()) for j in range(2 * m)]
@@ -690,7 +698,7 @@ def _decompose_symplectic(matrix: np.ndarray, m: int, p: int) -> list[Gate]:
 
     if [x + z for x, z in cols] != np.eye(2 * m, dtype=np.int64).tolist():
         raise InvariantError("reduction did not reach the identity")
-    return _undo(ops, p)
+    return ops
 
 
 # ---------------------------------------------------------------------------
@@ -720,10 +728,10 @@ def synthesize(
         U with ``U source_i U^dag = phase_i * target_i``.  Phases are exact
         roots of unity and are normalized to 1 whenever the two operators
         have compatible spectra (always, for plan-derived generator pairs);
-        query them with :func:`conjugate_pauli`.  The sources go through
-        the decomposition's gates in one walk, which checks each image
-        against its target and gives the phases the Pauli layer fixes; the
-        returned circuit is the only one built.
+        query them with :func:`conjugate_pauli`.  The targets go back
+        through the decomposition's gate powers in one walk, which checks
+        each against its source and gives the phases the Pauli layer fixes;
+        the returned circuit is the only one built and the only runs split.
 
     Raises
     ------
@@ -774,17 +782,18 @@ def synthesize(
         if not np.array_equal((t_matrix @ u) % p, v):
             raise InvariantError("change of basis does not map source images to target")
 
-    gates_ = tuple(_decompose_symplectic(t_matrix, m, p))
+    ops = _decompose_symplectic(t_matrix, m, p)
+    gates_ = tuple(_undo(ops, p))
 
-    # Zero out every representable phase with a trailing Pauli layer.  The
-    # sources go through the gates in one walk, before any circuit exists.
-    images = [(a.x.tolist(), a.z.tolist()) for a in source]
-    taus = _conjugate_runs(_runs(gates_), images, p)
+    # Zero out every representable phase with a trailing Pauli layer.  ops
+    # realize U^-1 exactly: each target walks back to its source with -tau.
+    images = [(a.x.tolist(), a.z.tolist()) for a in target]
+    taus = _conjugate_runs(ops, images, p)
     residues = []
     for (x, z), src, tgt, tau in zip(images, source, target, taus):
-        if x != tgt.x.tolist() or z != tgt.z.tolist():
+        if x != src.x.tolist() or z != src.z.tolist():
             raise InvariantError("decomposed circuit does not realize the basis change")
-        residues.append((2 * src.phase + tau - 2 * tgt.phase) % (2 * p))
+        residues.append((2 * src.phase - tau - 2 * tgt.phase) % (2 * p))
     fixable = [i for i, r in enumerate(residues) if r % 2 == 0]
     extra = ()
     if fixable:

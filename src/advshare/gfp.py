@@ -201,7 +201,7 @@ def pack_bits(m) -> np.ndarray:
     bytes_ = np.packbits(a.astype(np.uint8), axis=-1, bitorder="little")
     words = -(-a.shape[-1] // 64)
     pad = [(0, 0)] * (a.ndim - 1) + [(0, 8 * words - bytes_.shape[-1])]
-    return np.pad(bytes_, pad).view("<u8").astype(np.uint64)
+    return np.ascontiguousarray(np.pad(bytes_, pad)).view("<u8").astype(np.uint64)
 
 
 def packed_rank(stack) -> np.ndarray:

@@ -228,10 +228,7 @@ def apply_circuit(
 
 def reduced_density(state: QuditState, keep: Sequence[int]) -> np.ndarray:
     """Density matrix of the listed axes (0-based), tracing out the rest."""
-    keep = list(keep)
-    rest = [q for q in range(state.m) if q not in keep]
-    arr = np.transpose(state.tensor(), keep + rest)
-    mat = arr.reshape(state.p ** len(keep), state.p ** len(rest))
+    mat = _register(state.tensor(), state.p, len(keep), keep)
     return mat @ mat.conj().T
 
 
@@ -331,7 +328,7 @@ def measure_pauli(
     Outcomes follow the Born rule under the supplied generator.
     """
     arr = np.asarray(arr, dtype=complex)
-    tau, flat = _measure(_register(arr, op.n, axes), compile_paulis(op.p, op.n, [op]), 0, rng)
+    tau, flat = _measure(_register(arr, op.p, op.n, axes), compile_paulis(op.p, op.n, [op]), 0, rng)
     return tau, _unregister(flat, arr, op.n, axes)
 
 

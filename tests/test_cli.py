@@ -139,6 +139,37 @@ def test_access_table_budget_names_the_table(code_dir):
     assert "(access table)" in err
 
 
+def test_huge_trials_exit_2_naming_the_protocol_trials(code_dir):
+    """Each of the 16 qualified sets of the five-qubit code runs --trials
+    times; the budget bounds that count before any run is listed."""
+    status, out, err = run_cli(
+        ["demo", str(code_dir / "five_qubit.code"), "--J", "1",
+         "--trials", "99999999999", "--json-only"]
+    )
+    assert status == 2
+    report = json.loads(out)
+    assert "code" in report and "demo" not in report
+    assert report["error"] == {
+        "type": "budget",
+        "message": "enumeration limit: 1599999999984 share sets exceed budget "
+        "1048576 (protocol trials)",
+    }
+    assert "(protocol trials)" in err
+
+
+@pytest.mark.parametrize("trials, budget, status", [(3, 48, 0), (3, 47, 2), (4, 64, 0)])
+def test_trials_run_at_a_budget_of_qualified_sets_times_trials(code_dir, trials, budget, status):
+    got, out, _ = run_cli(
+        ["demo", str(code_dir / "five_qubit.code"), "--J", "1", "--trials", str(trials),
+         "--budget", str(budget), "--json-only"]
+    )
+    assert got == status
+    report = json.loads(out)
+    if status:
+        assert report["error"]["message"].endswith(f"exceed budget {budget} (protocol trials)")
+    else:
+        assert sum(t["trials"] for t in report["demo"]["transcripts"]) == 16 * trials
+
 def test_ghz20_passes_under_default_budget(tmp_path, schema):
     # Its dual span has 2^38 vectors; the walks visit 20 and 20 + 190 share sets.
     path = tmp_path / "ghz20.code"

@@ -699,10 +699,48 @@ def test_decomposition_matches_the_gate_by_gate_loop(p, n, rows_short, seed):
     circuit = encoding_circuit(construct_eaqecc(code, shares))
     # The trailing X/Z layer acts trivially on f-images.
     matrix = symplectic_matrix(circuit)
-    gates = clifford._decompose_symplectic(matrix, circuit.m, p)
+    gates = clifford._undo(clifford._decompose_symplectic(matrix, circuit.m, p), p)
     assert gates == loop_decompose_symplectic(matrix, circuit.m, p)
     assert np.array_equal(symplectic_matrix(CliffordCircuit(p, circuit.m, tuple(gates))), matrix)
 
+
+@pytest.mark.parametrize("p", gfp.PRIMES)
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.integers(1, 6), rows_short=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+def test_the_decomposition_powers_walk_each_pauli_back(p, n, rows_short, seed):
+    """The powers ``_decompose_symplectic`` applied realize the inverse of
+    the encoder's gates exactly: a Pauli walked forward through the
+    encoder's runs and back through those powers returns with tau_back =
+    -tau_forward (mod 2p), which is what synthesis reads its residues from."""
+    rng = np.random.default_rng(seed)
+    code = random_stabilizer(p, n, max(0, n - rows_short), rng)
+    shares = [1] if is_advance_shareable(code, [1]) else []
+    encoder = encoding_circuit(construct_eaqecc(code, shares))
+    # Dropping the trailing X/Z layer leaves the gates undone from the powers.
+    body = CliffordCircuit(
+        p, encoder.m, tuple(g for g in encoder.gates if g.kind not in ("X", "Z"))
+    )
+    ops = clifford._decompose_symplectic(symplectic_matrix(encoder), encoder.m, p)
+    assert list(body.gates) == clifford._undo(ops, p)
+    paulis = [random_pauli(p, encoder.m, rng) for _ in range(4)]
+    walked = [(a.x.tolist(), a.z.tolist()) for a in paulis]
+    forward = clifford._conjugate_runs(body.runs, walked, p)
+    back = clifford._conjugate_runs(ops, walked, p)
+    for a, (x, z), tau_f, tau_b in zip(paulis, walked, forward, back):
+        assert x == a.x.tolist() and z == a.z.tolist()
+        assert (tau_f + tau_b) % (2 * p) == 0
+
+
+def test_synthesize_splits_the_encoder_once(five_qubit, monkeypatch):
+    """The residues come from walking the decomposition's own powers, so the
+    only runs split is the returned circuit's."""
+    calls = []
+    split = clifford._runs
+    monkeypatch.setattr(clifford, "_runs", lambda gates: calls.append(1) or split(gates))
+    for shares in ([], [1]):
+        calls.clear()
+        encoding_circuit(construct_eaqecc(five_qubit, shares))
+        assert len(calls) == 1
 
 def test_encoding_circuit_example_contract(four_qubit):
     plan = construct_eaqecc(four_qubit, [4])

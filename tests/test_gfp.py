@@ -270,6 +270,25 @@ def test_packed_rank_matches_rank_per_slice(stack):
         assert rk == gfp.rank(mat, 2)
 
 
+@pytest.mark.parametrize(
+    "layout",
+    [
+        lambda bits: bits[:15, :32].T,
+        lambda bits: np.asfortranarray(bits[:15, :32]),
+        lambda bits: bits[:9, :4].T,
+        lambda bits: bits.reshape(-1)[:210].reshape(70, 3).T,
+        lambda bits: np.asfortranarray(bits.reshape(-1)[:210].reshape(3, 70)),
+        lambda bits: bits[:5, 0, ::-1],
+        lambda bits: bits[:4, :6, ::-1],
+    ],
+    ids=["T-15x32", "F-15x32", "T-9x4", "T-70x3", "F-3x70", "reversed-5x66", "reversed-4x6x66"],
+)
+def test_pack_bits_reads_any_memory_layout(layout):
+    """Transposed, Fortran-order and reversed-column views pack as their
+    C-contiguous copies do."""
+    m = layout(RANDOM_BITS)
+    assert np.array_equal(gfp.pack_bits(m), gfp.pack_bits(np.ascontiguousarray(m)))
+
 @pytest.mark.parametrize("shape", [(3, 0, 1), (3, 4, 0), (0, 2, 2), (2, 0, 0)])
 def test_packed_rank_empty_shapes(shape):
     assert gfp.packed_rank(np.zeros(shape, dtype=np.uint64)).tolist() == [0] * shape[0]

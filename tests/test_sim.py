@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 from advshare import gfp, sim
 from advshare.access import share_sets
 from advshare.advance import construct_eaqecc, is_advance_shareable
-from advshare.clifford import CliffordCircuit, _register, _unregister, encoding_circuit
+from advshare.clifford import (
+    CliffordCircuit,
+    _register,
+    _unregister,
+    apply_circuit_tensor,
+    encoding_circuit,
+    gate,
+)
 from advshare.codefile import parse_code_file
 from advshare.errors import (
     AdvShareError,
@@ -95,7 +102,7 @@ def slow_eigenvalue_exponent(arr, op, axes=None):
 def eigenvalue_exponent(arr, op, axes=None):
     """The compiled batched check :func:`sim._exponents`, for one Pauli."""
     kernels = sim.compile_paulis(op.p, op.n, [op])
-    return sim._exponents(_register(np.asarray(arr, dtype=complex), op.n, axes), kernels)[0, 0]
+    return sim._exponents(_register(np.asarray(arr, dtype=complex), op.p, op.n, axes), kernels)[0, 0]
 
 
 def slow_measure_pauli(arr, op, rng, axes=None):
@@ -290,6 +297,50 @@ def test_measure_pauli_statistics(rng):
     frac = outcomes.count(0) / len(outcomes)
     assert 0.35 < frac < 0.65
 
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda rng: apply_circuit_tensor(np.ones((2, 2)), CliffordCircuit(3, 2, (gate("F", 0),))),
+            r"register axes \[0, 1\] are not 2 distinct axes of size 3 in shape \(2, 2\)",
+        ),
+        (
+            lambda rng: measure_pauli(np.ones(27) / np.sqrt(27), PauliOperator(3, [1, 0], [0, 1]), rng),
+            r"register axes \[0, 1\] are not 2 distinct axes of size 3 in shape \(27,\)",
+        ),
+        (
+            lambda rng: measure_pauli(np.ones((3, 3, 3)), single(2, 3, 0, x=1), rng),
+            r"register axes \[0, 1, 2\] are not 3 distinct axes of size 2 in shape \(3, 3, 3\)",
+        ),
+        (
+            lambda rng: reduced_density(make_epr(2), [0, 0]),
+            r"register axes \[0, 0\] are not 2 distinct axes of size 2 in shape \(2, 2\)",
+        ),
+        (
+            lambda rng: measure_pauli(np.ones((2, 2)), single(2, 1, 0, x=1), rng, axes=[2]),
+            r"register axes \[2\] are not 1 distinct axes of size 2 in shape \(2, 2\)",
+        ),
+        (
+            lambda rng: measure_pauli(np.ones((2, 2)), single(2, 1, 0, x=1), rng, axes=[0, 1]),
+            r"register axes \[0, 1\] are not 1 distinct axes of size 2 in shape \(2, 2\)",
+        ),
+    ],
+    ids=["wrong-size", "too-few-axes", "wrong-p", "repeated-axis", "out-of-range", "extra-axis"],
+)
+def test_a_register_off_the_tensor_is_refused_with_its_axes_and_shape(rng, call, message):
+    """A wrong size, too few axes, a repeated, out-of-range or extra axis."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(rng)
+
+
+def test_reduced_density_reads_the_register_view(rng):
+    """Negative and unordered axes name the same register as their positives."""
+    state = random_state(3, 3, rng)
+    rho = reduced_density(state, [2, 0])
+    assert np.array_equal(reduced_density(state, [-1, 0]), rho)
+    mat = np.transpose(state.tensor(), [2, 0, 1]).reshape(9, 3)
+    assert np.array_equal(rho, mat @ mat.conj().T)
 
 def test_encode_produces_joint_eigenstate(four_qubit_pipeline, rng):
     code, plan, circuit = four_qubit_pipeline
@@ -826,7 +877,7 @@ def test_compiled_powers_match_dense_matrix_powers(p, data):
     arr /= np.linalg.norm(arr)
     before = arr.copy()
     kernels = sim.compile_paulis(p, n, [op])
-    flat = _register(arr, n, axes)
+    flat = _register(arr, p, n, axes)
     powers = [flat] + [
         flat[src] * phases[:, None] for src, phases in zip(kernels.src[0], kernels.phases[0])
     ]
