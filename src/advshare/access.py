@@ -89,8 +89,10 @@ def _row_index(sets: np.ndarray, n: int) -> np.ndarray:
 def check_budget(count: int, budget: int, stage: str, scope: str = "") -> None:
     """Refuse a stage that would visit ``count`` share sets over ``budget``."""
     if count > budget:
+        # From 2**64 on, the power of 2 it reaches: no huge int goes to decimal.
+        sets = count if count < 1 << 64 else f"at least 2**{count.bit_length() - 1}"
         raise BudgetExceededError(
-            f"enumeration limit: {count} share sets{scope} exceed budget {budget} ({stage})"
+            f"enumeration limit: {sets} share sets{scope} exceed budget {budget} ({stage})"
         )
 
 

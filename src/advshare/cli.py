@@ -30,8 +30,10 @@ encoder rejects.  Any error raised after those checks is internal.
 ``--budget`` bounds the share sets a ``demo``'s trials visit (qualified
 sets times ``--trials``) as it bounds the other walks, so a huge
 ``--trials`` exits 2 with the code section and the budget error.
-Every refusal writes the usual JSON report; an argparse usage error prints
-argparse's message on stderr, writes no report and also exits 1.
+Every refusal writes the usual JSON report, its type, exit code and stderr
+lead read from one table; an argparse usage error prints argparse's message
+on stderr, writes no report and also exits 1.  A count of 2**64 or more is
+written as a power of 2, so a huge n exits 2, never 3.
 """
 
 from __future__ import annotations
@@ -65,6 +67,11 @@ EXIT_INVALID = 1
 EXIT_BUDGET = 2
 EXIT_INTERNAL = 3
 
+
+class _InputError(Exception):
+    """Bad input, found by an input check; :func:`run` exits 1 on it."""
+
+
 _INPUT_ERRORS = (
     CodeFileError,
     NotCommutativeError,
@@ -76,9 +83,12 @@ _INPUT_ERRORS = (
 
 _REPORTED_ERRORS = (AdvShareError, ValueError, OSError, RuntimeError, AssertionError)
 
-
-class _InputError(Exception):
-    """Bad input, found by an input check; :func:`run` exits 1 on it."""
+#: How :func:`run` reports an error, first match wins: type, exit code, stderr lead.
+_REFUSALS = (
+    (_InputError, "invalid-input", EXIT_INVALID, "error"),
+    (BudgetExceededError, "budget", EXIT_BUDGET, "budget exceeded"),
+    (_REPORTED_ERRORS, "internal", EXIT_INTERNAL, "internal error"),
+)
 
 
 def _input_check(check):
@@ -313,6 +323,7 @@ def _demo_section(
 ) -> dict:
     plan = advance.construct_eaqecc(code, shares)
     circuit = encoding_circuit(plan)
+    length, logical, pairs = plan.parameters()
     nf = plan.normal
     section: dict = {
         "shares": list(shares),
@@ -324,10 +335,10 @@ def _demo_section(
             "h_prime": nf.h_prime.tolist(),
         },
         "plan": {
-            "parameters": _parameters_string(code, distance, plan.c),
-            "length": code.n - plan.c,
-            "logical": code.k,
-            "pairs": plan.c,
+            "parameters": _parameters_string(code, distance, pairs),
+            "length": length,
+            "logical": logical,
+            "pairs": pairs,
             "ancillas": plan.ell,
             "source_generators": [str(g) for g in plan.source_generators],
             "target_generators": [str(g) for g in plan.target_generators],
@@ -336,11 +347,12 @@ def _demo_section(
             "secret_shares": list(plan.secret_shares),
         },
         "circuit": {
-            "wires": code.n - plan.c,
+            "wires": circuit.m,
             "gates": [text for g, count in circuit.runs for text in [str(g)] * count],
         },
     }
-    check_budget(1 << code.n, enum_budget, "access table")
+    if code.n >= enum_budget.bit_length():
+        check_budget(1 << code.n, enum_budget, "access table")
     # Sets run by size, each size in lexicographic share order; one level of
     # ranks per size, read forwards and reversed, gives every label and, when
     # trials run, the mutual information and the qualified sets.
@@ -486,7 +498,7 @@ def run(argv: list[str] | None = None, stdout=None, stderr=None) -> int:
     try:
         _check_counts(args)
         code = _load(args.file)
-        if args.command == "demo" and 1 << code.n <= enum_budget:
+        if args.command == "demo" and code.n < enum_budget.bit_length():
             # Ranked first, the table's sizes also answer the distance walk's complements.
             for w in range(code.n + 1):
                 code.share_structure().level(w)
@@ -501,21 +513,12 @@ def run(argv: list[str] | None = None, stdout=None, stderr=None) -> int:
             report["demo"] = _demo_section(
                 code, shares, args.seed, args.trials, enum_budget, state_budget, distance
             )
-    except _InputError as exc:
-        report["error"] = {"type": "invalid-input", "message": str(exc)}
+    except (_InputError, *_REPORTED_ERRORS) as exc:
+        kind, status, lead = next(row[1:] for row in _REFUSALS if isinstance(exc, row[0]))
+        report["error"] = {"type": kind, "message": str(exc)}
         _emit(report, stdout)
-        print(f"error: {exc}", file=stderr)
-        return EXIT_INVALID
-    except BudgetExceededError as exc:
-        report["error"] = {"type": "budget", "message": str(exc)}
-        _emit(report, stdout)
-        print(f"budget exceeded: {exc}", file=stderr)
-        return EXIT_BUDGET
-    except _REPORTED_ERRORS as exc:
-        report["error"] = {"type": "internal", "message": str(exc)}
-        _emit(report, stdout)
-        print(f"internal error: {exc}", file=stderr)
-        return EXIT_INTERNAL
+        print(f"{lead}: {exc}", file=stderr)
+        return status
     _emit(report, stdout)
     if not args.json_only:
         _summarize(report, stderr)

@@ -469,7 +469,9 @@ def to_unitary(
     """Dense unitary of the circuit, dimension p**m."""
     dim = circuit.p**circuit.m
     if dim > budget:
-        raise BudgetExceededError(f"dense dimension {dim} exceeds budget {budget}")
+        raise BudgetExceededError(
+            f"dense dimension {circuit.p}**{circuit.m} exceeds budget {budget}"
+        )
     eye = np.eye(dim, dtype=complex).reshape((circuit.p,) * circuit.m + (dim,))
     out = apply_circuit_tensor(eye, circuit)
     return out.reshape(dim, dim)

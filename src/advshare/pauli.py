@@ -184,9 +184,8 @@ def _single_qudit_matrices(p: int) -> tuple[np.ndarray, np.ndarray]:
 
 def to_matrix(a: PauliOperator, budget: int = gfp.DEFAULT_STATE_BUDGET) -> np.ndarray:
     """Dense complex matrix of the operator; dimension p**n must fit budget."""
-    dim = a.p**a.n
-    if dim > budget:
-        raise BudgetExceededError(f"dense dimension {dim} exceeds budget {budget}")
+    if a.p**a.n > budget:
+        raise BudgetExceededError(f"dense dimension {a.p}**{a.n} exceeds budget {budget}")
     xm, zm = _single_qudit_matrices(a.p)
     out = np.array([[omega(a.p) ** a.phase]])
     for q in range(a.n):

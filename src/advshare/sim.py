@@ -55,7 +55,8 @@ The protocol pipeline:
 :func:`encode_with_reference` is the Choi state, the secret wires
 maximally entangled with a k-qudit reference R: V transposed and scaled by
 p**(-k/2).  :func:`entropic_audit` is one row of
-:func:`mutual_information_table`, I(R : A) from that encoding.
+:func:`mutual_information_table`, I(R : A) from that encoding.  Every oracle
+here runs the plan and circuit its caller gives it; none plans or synthesizes.
 
 Eigenvalues of generators are exact roots of unity written zeta**tau with
 zeta = exp(i*pi/p); tau is even (a plain w power) unless p = 2 and a
@@ -71,7 +72,7 @@ import numpy as np
 
 from . import gfp
 from .access import AccessLabel
-from .advance import EAQECCPlan, construct_eaqecc
+from .advance import EAQECCPlan
 from .clifford import (
     CliffordCircuit,
     _conjugate_runs,
@@ -79,7 +80,6 @@ from .clifford import (
     _register,
     _unregister,
     apply_circuit_tensor,
-    encoding_circuit,
 )
 from .errors import BudgetExceededError, InvariantError, UncorrectableErasureError
 from .gfp import DEFAULT_STATE_BUDGET
@@ -113,7 +113,7 @@ class QuditState:
                 f"expected {self.p ** self.m} amplitudes, got {amp.shape[0]}"
             )
         norm = np.linalg.norm(amp)
-        if abs(norm - 1.0) > 1e-8:
+        if not abs(norm - 1.0) <= 1e-8:  # a NaN norm fails this test too
             raise ValueError(f"state norm {norm} is not 1")
         object.__setattr__(self, "amplitudes", amp / norm)
 
@@ -218,11 +218,9 @@ def apply_pauli(state: QuditState, op: PauliOperator) -> QuditState:
     return QuditState(state.p, state.m, flat[:, 0] * omega(op.p) ** op.phase)
 
 
-def apply_circuit(
-    state: QuditState, circuit: CliffordCircuit, wires: Sequence[int] | None = None
-) -> QuditState:
-    """Apply a circuit; wires[w] is the state axis carrying circuit wire w."""
-    arr = apply_circuit_tensor(state.tensor(), circuit, axes=wires)
+def apply_circuit(state: QuditState, circuit: CliffordCircuit) -> QuditState:
+    """Apply a circuit, wire w on qudit w."""
+    arr = apply_circuit_tensor(state.tensor(), circuit)
     return QuditState(state.p, state.m, arr.reshape(-1))
 
 
@@ -302,20 +300,6 @@ def _branches(flat: np.ndarray, kernels: PauliKernels, i: int) -> np.ndarray:
     return (kernels.branch[i] @ stacked.reshape(p, -1)).reshape((p,) + flat.shape)
 
 
-def _measure(
-    flat: np.ndarray, kernels: PauliKernels, i: int, rng: np.random.Generator
-) -> tuple[int, np.ndarray]:
-    """Projectively measure P_i on a (p**n, rest) register matrix, one state.
-
-    Born weights are the squared branch norms; one ``rng.random()`` picks.
-    """
-    branches = _branches(flat, kernels, i)
-    rows = branches.reshape(kernels.p, -1)
-    weights = np.einsum("tj,tj->t", rows.conj(), rows).real
-    pick = int(_pick(weights, rng.random(), "generator measurement"))
-    return int(kernels.taus[i, pick]), branches[pick] / np.sqrt(weights[pick])
-
-
 def measure_pauli(
     arr: np.ndarray,
     op: PauliOperator,
@@ -325,11 +309,17 @@ def measure_pauli(
     """Projective measurement of a Pauli's eigenvalue on a state tensor.
 
     Returns ``(tau, collapsed)`` with the realized eigenvalue zeta**tau.
-    Outcomes follow the Born rule under the supplied generator.
+    Born weights are the squared branch norms, summed over the rest axes;
+    one ``rng.random()`` picks.
     """
     arr = np.asarray(arr, dtype=complex)
-    tau, flat = _measure(_register(arr, op.p, op.n, axes), compile_paulis(op.p, op.n, [op]), 0, rng)
-    return tau, _unregister(flat, arr, op.n, axes)
+    kernels = compile_paulis(op.p, op.n, [op])
+    branches = _branches(_register(arr, op.p, op.n, axes), kernels, 0)
+    rows = branches.reshape(op.p, -1)
+    weights = np.einsum("tj,tj->t", rows.conj(), rows).real
+    pick = int(_pick(weights, rng.random(), "generator measurement"))
+    flat = branches[pick] / np.sqrt(weights[pick])
+    return int(kernels.taus[0, pick]), _unregister(flat, arr, op.n, axes)
 
 
 # ---------------------------------------------------------------------------
@@ -667,8 +657,8 @@ def entropic_audit(
     code: StabilizerCode,
     shares: Iterable[int],
     accessible: Iterable[int],
-    plan: EAQECCPlan | None = None,
-    circuit: CliffordCircuit | None = None,
+    plan: EAQECCPlan,
+    circuit: CliffordCircuit,
     budget: int = DEFAULT_STATE_BUDGET,
 ) -> float:
     """Mutual information I(R : A) between reference and a share set.
@@ -676,7 +666,7 @@ def entropic_audit(
     The secret is maximally entangled with a k-qudit reference R before
     encoding; the returned value is S(R) + S(A) - S(RA) in units of log p.
     2k means A reconstructs perfectly, 0 means A holds nothing.  This is
-    the one-row :func:`mutual_information_table`.
+    the one-row :func:`mutual_information_table` of the given encoding.
     """
     acc = validated_shares(accessible, code.n)
     return mutual_information_table(code, shares, [acc], plan, circuit, budget)[acc]
@@ -686,20 +676,18 @@ def mutual_information_table(
     code: StabilizerCode,
     shares: Iterable[int],
     subsets: Sequence[Iterable[int]],
-    plan: EAQECCPlan | None = None,
-    circuit: CliffordCircuit | None = None,
+    plan: EAQECCPlan,
+    circuit: CliffordCircuit,
     budget: int = DEFAULT_STATE_BUDGET,
 ) -> dict[tuple[int, ...], float]:
     """I(R : A) for many share sets from a single reference encoding.
 
-    Keys are the sorted distinct shares of each subset.
+    The encoding is the caller's plan and circuit, which
+    :func:`encode_with_reference` checks.  Keys are the sorted distinct
+    shares of each subset.
     """
     js = validated_shares(shares, code.n)
     accs = [validated_shares(subset, code.n) for subset in subsets]
-    if plan is None:
-        plan = construct_eaqecc(code, js)
-    if circuit is None:
-        circuit = encoding_circuit(plan)
     state, _ = encode_with_reference(code, js, plan, circuit, budget=budget)
     k = code.k
     ref_axes = list(range(k))

@@ -165,11 +165,9 @@ def min_symplectic_weight(
     """
     if code.dim == 0:
         raise ValueError("minimum weight of the zero space is undefined")
-    total = code.p**code.dim
-    if total > budget:
+    if code.p**code.dim > budget:
         raise BudgetExceededError(
-            f"enumeration limit: {code.p}**{code.dim} = {total} codewords "
-            f"exceeds budget {budget}"
+            f"enumeration limit: {code.p}**{code.dim} codewords exceeds budget {budget}"
         )
     best = code.n + 1
     for block in gfp.iter_span(code.generators, code.p):

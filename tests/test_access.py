@@ -250,6 +250,19 @@ def test_walk_budget_names_its_stage(walk, stage, needed):
     assert walk(code, budget=needed) == 3
 
 
+@pytest.mark.parametrize(
+    "count, spelled",
+    [(2**64 - 1, "18446744073709551615"), (2**64, "at least 2**64"), (3 << 20000, "at least 2**20001")],
+    ids=["below-2**64", "2**64", "20002-bit"],
+)
+def test_budget_refusal_spells_a_huge_count_as_a_power_of_2(count, spelled):
+    message = f"enumeration limit: {spelled} share sets up to size 9 exceed budget 5 (stage)"
+    with pytest.raises(BudgetExceededError) as err:
+        access.check_budget(count, 5, "stage", " up to size 9")
+    assert str(err.value) == message
+    access.check_budget(5, 5, "stage")
+
+
 
 
 def rank_on(h, shares, p):

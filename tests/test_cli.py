@@ -822,3 +822,43 @@ def test_large_access_tables_are_written_as_json_dumps(tmp_path, monkeypatch, p,
             counts[label.value] = counts.get(label.value, 0) + 1
     line = "access table: " + ", ".join(f"{v} {k}" for k, v in sorted(counts.items()))
     assert line in err.splitlines()
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("p=4 n=2\n", 1, "p must be one of (2, 3, 5, 7), got 4"),
+        ("p=2 n=0\n", 1, "n must be positive, got 0"),
+        ("p=2 n=2\n1 x | 0 0\n", 2, "exponents must be integers"),
+        ("p=2 n=2\n1 | 0 0\n", 2, "expected 2 x and 2 z exponents, got 1 and 2"),
+        ("# two rows on one qudit\np=2 n=1\n1 | 0\n0 | 1\n", 4, "more than n = 1 generator rows"),
+    ],
+)
+def test_code_file_refusals_name_their_line(tmp_path, text, line, message):
+    """The code file is the CLI's outside input: each refusal names its
+    line, and the CLI reports it as invalid input."""
+    with pytest.raises(CodeFileError) as err:
+        parse_code_file(text)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+    path = tmp_path / "bad.code"
+    path.write_text(text)
+    status, out, err_text = run_cli(["validate", str(path), "--json-only"])
+    assert status == 1
+    error = {"type": "invalid-input", "message": f"line {line}: {message}"}
+    assert json.loads(out)["error"] == error
+    assert err_text == f"error: line {line}: {message}\n"
+
+
+@pytest.mark.parametrize("n", [15000, 30000])
+def test_a_huge_access_table_is_refused_with_a_short_count(tmp_path, n):
+    """2**n has more than 4300 decimal digits, which Python refuses to
+    format; the refusal spells the count as a power of 2 and exits 2."""
+    path = tmp_path / "rowless.code"
+    path.write_text(f"p=2 n={n}\n")
+    status, out, err = run_cli(["demo", str(path), "--J", "none", "--trials", "0", "--json-only"])
+    assert status == 2
+    message = f"enumeration limit: at least 2**{n} share sets exceed budget 1048576 (access table)"
+    assert json.loads(out)["error"] == {"type": "budget", "message": message}
+    assert len(message) < 200
+    assert err == f"budget exceeded: {message}\n"

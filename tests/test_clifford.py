@@ -767,3 +767,30 @@ def test_phased_pauli_odd_phase_not_a_plain_pauli():
     for z in ([1], [1, 1, 1]):
         with pytest.raises(ValueError, match="must have equal length"):
             PhasedPauli(2, [1, 0], z)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: synthesize([single(2, 1, 0, x=1)], []), "source and target must have equal length"),
+        (lambda: synthesize([], []), "empty tuples require explicit m and p"),
+        (lambda: synthesize([single(2, 1, 0, x=1)], [single(3, 1, 0, x=1)]),
+         "all operators must share p and wire count"),
+        (lambda: synthesize([single(2, 1, 0, x=1), single(2, 1, 0, z=1)] * 2, [single(2, 1, 0, x=1)] * 4),
+         "4 generators cannot be independent on 1 wires"),
+        (lambda: conjugate_pauli(CliffordCircuit(2, 2), single(2, 3, 0, x=1)),
+         "operator and circuit must share p and wire count"),
+    ],
+    ids=["lengths", "empty", "shapes", "too-many", "conjugate"],
+)
+def test_refusals_name_the_mismatch(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_to_unitary_refuses_a_huge_register_by_its_power():
+    # 2**15000 has more decimal digits than Python formats by default.
+    with pytest.raises(BudgetExceededError) as err:
+        to_unitary(CliffordCircuit(2, 15000))
+    assert str(err.value) == "dense dimension 2**15000 exceeds budget 4096"

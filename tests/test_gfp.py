@@ -323,3 +323,24 @@ def test_solution_maps_give_the_solve_particular_solution(sp, seed):
                 assert ((mat @ y - b) % p).any()
             else:
                 assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: gfp.as_matrix([1, 0], 2), ValueError, "expected a 2-d array, got shape (2,)"),
+        (lambda: gfp.as_vector([[1]], 2), ValueError, "expected a 1-d array, got shape (1, 1)"),
+        (lambda: gfp.inv_scalar(3, 3), ZeroDivisionError, "0 has no inverse"),
+        (lambda: gfp.batched_rank(np.zeros((2, 2)), 2), ValueError,
+         "expected a 3-d stack, got shape (2, 2)"),
+        (lambda: gfp.packed_rank(np.zeros((2, 2))), ValueError,
+         "expected a 3-d stack, got shape (2, 2)"),
+        (lambda: gfp.solution_maps(np.zeros((1, 2, 2, 1)), 3), ValueError,
+         "expected a 3-d stack, got shape (1, 2, 2, 1)"),
+    ],
+    ids=["as_matrix", "as_vector", "inv_scalar", "batched_rank", "packed_rank", "solution_maps"],
+)
+def test_refusals_name_the_bad_argument(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message

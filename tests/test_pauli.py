@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from advshare.errors import DependentRowsError, NotCommutativeError
+from advshare.errors import BudgetExceededError, DependentRowsError, NotCommutativeError
 from advshare.pauli import (
     PauliOperator,
     code_distance,
@@ -245,3 +245,27 @@ def test_random_stabilizer_is_seed_deterministic():
     a = random_stabilizer(3, 4, 3, np.random.default_rng(5))
     b = random_stabilizer(3, 4, 3, np.random.default_rng(5))
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: pauli_mul(identity(2, 2), identity(2, 3)), "operands must share modulus and qudit count"),
+        (lambda: commutation_exponent(identity(2, 1), identity(3, 1)),
+         "operands must share modulus and qudit count"),
+        (lambda: random_stabilizer(2, 2, 3, np.random.default_rng(0)), "need 0 <= num_checks <= n"),
+        (lambda: random_stabilizer(2, 2, -1, np.random.default_rng(0)), "need 0 <= num_checks <= n"),
+    ],
+    ids=["pauli_mul", "commutation_exponent", "too-many-checks", "negative-checks"],
+)
+def test_refusals_name_the_mismatch(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_to_matrix_refuses_a_huge_operator_by_its_power():
+    # 2**15000 has more decimal digits than Python formats by default.
+    with pytest.raises(BudgetExceededError) as err:
+        to_matrix(identity(2, 15000))
+    assert str(err.value) == "dense dimension 2**15000 exceeds budget 4096"

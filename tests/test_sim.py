@@ -1244,3 +1244,32 @@ def test_reference_encoding_holds_each_basis_secret(p, data):
             shared, alone = encode_advance(code, shares, plan, circuit, QuditState(p, k, basis))
             assert alone == syndrome
             assert np.abs(rows[s] - shared.amplitudes).max() < 1e-12
+
+
+@pytest.mark.parametrize("amplitudes", [[np.nan, 0], [np.nan, np.nan]])
+def test_state_refuses_nan_amplitudes(amplitudes):
+    # A NaN norm is not within any tolerance of 1.
+    with pytest.raises(ValueError) as err:
+        QuditState(2, 1, amplitudes)
+    assert str(err.value) == "state norm nan is not 1"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda code, plan, circuit: fidelity(QuditState(2, 1, [1, 0]), QuditState(3, 1, [1, 0, 0])),
+         "states must have identical shape"),
+        (lambda code, plan, circuit: apply_pauli(QuditState(2, 1, [1, 0]), single(2, 2, 0, x=1)),
+         "operator and state must share p and qudit count"),
+        (lambda code, plan, circuit: encode_advance(code, [4], plan, circuit, QuditState(2, 1, [1, 0])),
+         "secret must be 2 qudits of dimension 2"),
+        (lambda code, plan, circuit: erase_and_decode(
+            QuditState(2, 3, np.eye(8)[0]), code, (0, 0), [1], np.random.default_rng(0)),
+         "state does not match the code"),
+    ],
+    ids=["fidelity", "apply_pauli", "secret", "erase_and_decode"],
+)
+def test_refusals_name_the_mismatch(four_qubit_pipeline, call, message):
+    with pytest.raises(ValueError) as err:
+        call(*four_qubit_pipeline)
+    assert str(err.value) == message

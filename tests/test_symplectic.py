@@ -293,3 +293,9 @@ def test_orthogonality_rows_give_the_symplectic_product(data):
     for v, row in zip(vectors, rows):
         assert int(row @ d % p) == symplectic_product(v, d, p)
         assert np.array_equal(orthogonality_rows(v, p), row)
+
+
+def test_symplectic_code_refuses_the_wrong_column_count():
+    with pytest.raises(ValueError) as err:
+        SymplecticCode(2, 2, [[1, 0, 0]])
+    assert str(err.value) == "expected 4 columns, got 3"
