@@ -31,7 +31,11 @@ query on given sets reads a kept level by row index.  Everything else is
 eliminated in batches of at most :data:`CHUNK_ENTRIES` entries, by a kernel
 that loops over the cheaper side of each set's matrix in narrow words:
 :func:`advshare.gfp.packed_rank` on bit-packed columns at p = 2,
-:func:`advshare.gfp.batched_rank` on uint8 columns at odd p.
+:func:`advshare.gfp.batched_rank` on uint8 columns at odd p.  At p = 2 a
+batch of fewer than :data:`advshare.gfp.INT_RANK_BATCH` sets, such as the
+few complements a walk asks for, is ranked one set at a time on Python
+ints, since a numpy step costs about the same for one set as for a
+thousand.
 :meth:`advshare.pauli.StabilizerCode.share_structure` keeps one per code.
 """
 

@@ -321,6 +321,9 @@ def _demo_section(
     budget: int,
     distance: int | None,
 ) -> dict:
+    # A table that cannot fit is refused before the plan and circuit are built.
+    if code.n >= enum_budget.bit_length():
+        check_budget(1 << code.n, enum_budget, "access table")
     plan = advance.construct_eaqecc(code, shares)
     circuit = encoding_circuit(plan)
     length, logical, pairs = plan.parameters()
@@ -351,8 +354,6 @@ def _demo_section(
             "gates": [text for g, count in circuit.runs for text in [str(g)] * count],
         },
     }
-    if code.n >= enum_budget.bit_length():
-        check_budget(1 << code.n, enum_budget, "access table")
     # Sets run by size, each size in lexicographic share order; one level of
     # ranks per size, read forwards and reversed, gives every label and, when
     # trials run, the mutual information and the qualified sets.

@@ -11,9 +11,14 @@ so they cap problem sizes long before larger fields become interesting.
 Those ranks come from two forward eliminations that loop over the cheaper
 side of each matrix in narrow words: :func:`batched_rank` on uint8 entries
 at odd p, and at p = 2 :func:`packed_rank`, which holds each row as uint64
-words, one bit per entry, and eliminates by XOR.  :func:`solution_maps`
-runs the batched int64 Gauss-Jordan core :func:`_reduce`, which returns
-each matrix's pivot rows; :func:`rref` keeps its own single-matrix loop.
+words, one bit per entry, and eliminates by XOR.  A numpy step costs about
+the same for one matrix as for a thousand, so at p = 2 a batch of fewer
+than :data:`INT_RANK_BATCH` matrices, and the single matrix of
+:func:`rank`, is ranked on Python ints instead (:func:`_xor_rank`): one
+XOR per row per matrix, against one numpy step per row for the batch.
+:func:`solution_maps` runs the batched int64 Gauss-Jordan core
+:func:`_reduce`, which returns each matrix's pivot rows; :func:`rref` keeps
+its own single-matrix loop.
 
 Reduced forms are deterministic: the pivot for each column is the first row
 with a nonzero entry, and pivots are normalized to 1, so they are
@@ -38,6 +43,14 @@ DEFAULT_STATE_BUDGET = 2**12
 
 #: Vectors per block that :func:`iter_span` yields.
 SPAN_BLOCK = 1 << 14
+
+#: Batches of fewer matrices than this are ranked by :func:`packed_rank` one
+#: matrix at a time on Python ints, about one XOR per row per matrix, rather
+#: than by a numpy elimination, one step of about 10 us per row whatever the
+#: batch.  Of 8, 16 and 32, timed in-process on the benchmark ladders (one
+#: 2-vCPU VM), 8 was the fastest; 16 was within noise of it and 32 slower
+#: on ``access``.
+INT_RANK_BATCH = 8
 
 
 def check_modulus(p: int) -> int:
@@ -103,7 +116,31 @@ def rref(m, p: int) -> tuple[np.ndarray, int, list[int]]:
 
 
 def rank(m, p: int) -> int:
-    return rref(m, p)[1]
+    if p != 2:
+        return rref(m, p)[1]
+    rows = np.packbits(as_matrix(m, 2).astype(np.uint8), axis=1, bitorder="little")
+    return _xor_rank(int.from_bytes(row, "little") for row in rows.tolist())
+
+
+def _xor_rank(rows) -> int:
+    """F_2 rank of rows given as Python ints, entry c in bit c.
+
+    Each row is reduced by the kept rows, keyed by their lowest set bit:
+    XORing in the kept row whose key is the row's lowest bit clears that bit
+    and leaves only higher ones.  A row left nonzero is kept under its new
+    lowest bit, so kept rows have distinct lowest bits and are independent,
+    and every row lies in their span.
+    """
+    kept: dict[int, int] = {}
+    for row in rows:
+        while row:
+            low = row & -row
+            pivot = kept.get(low)
+            if pivot is None:
+                kept[low] = row
+                break
+            row ^= pivot
+    return len(kept)
 
 
 def _reduce(a: np.ndarray, p: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
@@ -208,9 +245,11 @@ def packed_rank(stack) -> np.ndarray:
     """F_2 rank of every matrix in a ``(batch, rows, words)`` stack of rows
     packed by :func:`pack_bits`.
 
-    One forward elimination runs over the whole batch at once, along the
-    side of the stack that costs less: its rows, or the bits that some row
-    carries.
+    A batch of fewer than :data:`INT_RANK_BATCH` matrices is ranked one
+    matrix at a time by :func:`_xor_rank`, each row read as the Python int
+    ``sum(word << 64 * i)``.  Otherwise one forward elimination runs over the
+    whole batch at once, along the side of the stack that costs less: its
+    rows, or the bits that some row carries.
 
     * Row by row, when rows fit one word and are fewer than twice those
       bits: row i's lowest set bit is its pivot, and row i is XORed into
@@ -227,6 +266,10 @@ def packed_rank(stack) -> np.ndarray:
     if a.ndim != 3:
         raise ValueError(f"expected a 3-d stack, got shape {a.shape}")
     batch, rows, words = a.shape
+    if batch < INT_RANK_BATCH:
+        # tolist() gives Python ints, which never mix with uint64 on NumPy 1.x.
+        ints = ((sum(w << 64 * i for i, w in enumerate(row)) for row in mat) for mat in a.tolist())
+        return np.array([_xor_rank(mat) for mat in ints], dtype=np.int64)
     ranks = np.zeros(batch, dtype=np.int64)
     if a.size == 0:
         return ranks

@@ -139,6 +139,27 @@ def test_access_table_budget_names_the_table(code_dir):
     assert "(access table)" in err
 
 
+def test_demo_refuses_an_unfit_table_before_planning(tmp_path, monkeypatch):
+    """A rowless code on 15000 shares can never fit its 2**15000-row access
+    table, so the demo refuses it before it plans or synthesizes."""
+    from advshare import advance
+
+    def refuse(*args):
+        raise AssertionError("planned or synthesized for a table that cannot fit")
+
+    monkeypatch.setattr(advance, "construct_eaqecc", refuse)
+    monkeypatch.setattr(cli, "encoding_circuit", refuse)
+    path = tmp_path / "rowless.code"
+    path.write_text("p=2 n=15000\n")
+    status, out, err = run_cli(["demo", str(path), "--J", "none", "--trials", "0", "--json-only"])
+    assert status == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "budget"
+    assert error["message"].endswith("(access table)")
+    assert "demo" not in json.loads(out)
+    assert "(access table)" in err
+
+
 def test_huge_trials_exit_2_naming_the_protocol_trials(code_dir):
     """Each of the 16 qualified sets of the five-qubit code runs --trials
     times; the budget bounds that count before any run is listed."""

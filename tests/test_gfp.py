@@ -231,11 +231,17 @@ def test_batched_rank_empty_shapes(shape):
     assert gfp.batched_rank(np.zeros(shape, dtype=np.int64), 5).tolist() == [0] * shape[0]
 
 
+#: The fewest matrices that packed_rank eliminates with numpy, not on ints.
+SMALL = gfp.INT_RANK_BATCH
+
+
 @st.composite
 def bit_stacks(draw):
     """0/1 stacks whose row length hits one word, a full word and several,
-    with rows on either side of the row-by-row / bit-by-bit choice."""
-    batch, rows = draw(st.integers(0, 6)), draw(st.integers(0, 12))
+    in batches on either side of :data:`advshare.gfp.INT_RANK_BATCH`, with
+    rows on either side of the row-by-row / bit-by-bit choice."""
+    batch = draw(st.integers(0, 6) | st.sampled_from([SMALL - 1, SMALL, SMALL + 1, 40]))
+    rows = draw(st.integers(0, 12))
     cols = draw(st.sampled_from([0, 1, 63, 64, 65, 130]) | st.integers(0, 9))
     inner = draw(st.integers(0, 7))  # below min(rows, cols) forces rank deficiency
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -254,7 +260,10 @@ RANDOM_BITS = np.random.default_rng(5).integers(0, 2, size=(30, 40, 66))
 @example(RANDOM_BITS[:, :, :64])  # row by row
 @example(RANDOM_BITS[:, :, :20])  # bit by bit
 @example(np.concatenate([np.ones((30, 12, 64), dtype=np.int64), RANDOM_BITS[:, :12]], axis=2))  # several words
+@example(np.concatenate([np.ones((3, 12, 64), dtype=np.int64), RANDOM_BITS[:3, :12]], axis=2))  # on ints
 def test_packed_rank_matches_rank_per_slice(stack):
+    """Every branch of packed_rank agrees with rref's numpy Gauss-Jordan,
+    which shares no code with it."""
     words = gfp.pack_bits(stack)
     assert words.dtype == np.uint64
     assert words.shape == stack.shape[:2] + (-(-stack.shape[2] // 64),)
@@ -267,7 +276,19 @@ def test_packed_rank_matches_rank_per_slice(stack):
     assert np.array_equal(words, before)
     assert got.shape == (stack.shape[0],)
     for mat, rk in zip(stack, got):
-        assert rk == gfp.rank(mat, 2)
+        assert rk == gfp.rref(mat, 2)[1]
+
+
+@pytest.mark.parametrize("cols", [0, 7, 8, 9, 63, 64, 65, 129])
+def test_rank_at_p2_matches_rref(cols):
+    """rank(m, 2) packs each row into a Python int: across the byte and word
+    boundaries of the packing, on unreduced entries, and on 0-row and
+    0-column shapes (a rowless code sends (0, 2n) through validation)."""
+    rng = np.random.default_rng(cols)
+    for rows, inner in [(0, 0), (1, 1), (5, 3), (12, 12), (20, 8), (70, 70), (140, 140)]:
+        m = (rng.integers(0, 2, size=(rows, inner)) @ rng.integers(0, 2, size=(inner, cols))) % 2
+        assert gfp.rank(m, 2) == gfp.rref(m, 2)[1]
+        assert gfp.rank(m + 2 * rng.integers(-3, 4, size=m.shape), 2) == gfp.rref(m, 2)[1]
 
 
 @pytest.mark.parametrize(
@@ -289,19 +310,25 @@ def test_pack_bits_reads_any_memory_layout(layout):
     m = layout(RANDOM_BITS)
     assert np.array_equal(gfp.pack_bits(m), gfp.pack_bits(np.ascontiguousarray(m)))
 
-@pytest.mark.parametrize("shape", [(3, 0, 1), (3, 4, 0), (0, 2, 2), (2, 0, 0)])
+@pytest.mark.parametrize(
+    "shape", [(3, 0, 1), (3, 4, 0), (0, 2, 2), (2, 0, 0), (SMALL, 0, 1), (SMALL, 4, 0)]
+)
 def test_packed_rank_empty_shapes(shape):
     assert gfp.packed_rank(np.zeros(shape, dtype=np.uint64)).tolist() == [0] * shape[0]
 
 
 def test_packed_rank_uses_the_top_bit_of_a_word():
+    """On Python ints, and on numpy once the stack is repeated past
+    INT_RANK_BATCH matrices."""
     top = np.uint64(1) << np.uint64(63)
     stack = np.array([[[top, 0], [top, 1]], [[top, 1], [top, 1]]], dtype=np.uint64)
     assert gfp.packed_rank(stack).tolist() == [2, 1]
-    # Two one-word rows carrying three bits go row by row; in the first
-    # matrix the only pivot is bit 63, which clears the second row.
+    assert gfp.packed_rank(np.tile(stack, (SMALL, 1, 1))).tolist() == [2, 1] * SMALL
+    # On numpy, two one-word rows carrying three bits go row by row; in the
+    # first matrix the only pivot is bit 63, which clears the second row.
     stack = np.array([[[top], [top]], [[3], [top]], [[top | np.uint64(2)], [top]]], dtype=np.uint64)
     assert gfp.packed_rank(stack).tolist() == [1, 2, 2]
+    assert gfp.packed_rank(np.tile(stack, (SMALL, 1, 1))).tolist() == [1, 2, 2] * SMALL
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
