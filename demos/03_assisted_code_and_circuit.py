@@ -6,6 +6,7 @@ generate a smaller non-commuting group (the plan's source generators).
 Pairing it with single-wire generators of identical commutation structure
 (the targets) yields an assisted code with |J| pre-shared entangled pairs,
 and a Clifford circuit conjugating targets into sources is the encoder.
+The plan is the pair (code, J); everything printed below is derived from it.
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ code = validate_stabilizer(
     [[1, 1, 1, 1, 0, 0, 0, 0], [0, 0, 0, 0, 1, 1, 1, 1]], p=2, n=4
 )
 plan = construct_eaqecc(code, [4])
+print(f"plan: J = {plan.shares} on a [[{plan.n},{plan.k}]]_{plan.p} code")
 
 n_eff, k, c = plan.parameters()
 print(f"assisted code: length {n_eff}, logical {k}, pairs {c}, ancillas {plan.ell}")

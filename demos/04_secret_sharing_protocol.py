@@ -36,9 +36,10 @@ circuit = encoding_circuit(plan)
 rng = np.random.default_rng(2024)
 
 # Step 1 happens before the secret: participant 4 already holds a pair half.
-# Step 2: the secret arrives and is encoded.
+# Step 2: the secret arrives and is encoded.  The plan holds the code and J,
+# so the encoder, the reconstruction and the audit take the plan and circuit.
 secret = random_state(2, 2, rng)
-shared, syndrome = encode_advance(code, [4], plan, circuit, secret)
+shared, syndrome = encode_advance(plan, circuit, secret)
 print("recorded syndrome exponents:", syndrome)
 
 # The advance share alone is exactly maximally mixed, secret or not.
@@ -58,7 +59,7 @@ except UncorrectableErasureError as err:
 
 # Every 3-participant set restores the secret perfectly.
 for group in itertools.combinations(range(1, 5), 3):
-    recovered = reconstruct(shared, code, syndrome, plan, circuit, group, rng)
+    recovered = reconstruct(shared, syndrome, plan, circuit, group, rng)
     print(f"participants {group}: fidelity {fidelity(recovered, secret):.12f}")
 
 # The access structure, quantitatively: mutual information with a
@@ -67,5 +68,5 @@ print("\naccess structure (label, leaked information):")
 for size in range(5):
     for group in itertools.combinations(range(1, 5), size):
         label = classify_access(code, group).value
-        info = entropic_audit(code, [4], group, plan=plan, circuit=circuit)
+        info = entropic_audit(plan, circuit, group)
         print(f"  {str(group):14s} {label:12s} I = {max(info, 0.0):.6f}")

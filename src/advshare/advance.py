@@ -10,7 +10,8 @@ J's columns (value ``mu_j``) and one row carrying the only nonzero z entry
 yields the generators of a smaller, non-commuting group; pairing it with a
 sparse single-wire group of identical commutation structure gives an
 entanglement-assisted code that corrects erasures exactly as well as the
-original stabilizer.
+original stabilizer.  That code depends on the stabilizer and J alone, so
+an :class:`EAQECCPlan` is the pair (code, J) and derives the rest.
 
 A cheaper sufficient test: J is shareable whenever |J| is strictly below the
 minimum symplectic weight of the dual of the row space.  The converse fails
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -98,6 +100,12 @@ class NormalForm:
     def m(self) -> int:
         return len(self.shares)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, NormalForm):
+            return NotImplemented
+        same = (self.p, self.n, self.shares, self.mu) == (other.p, other.n, other.shares, other.mu)
+        return same and np.array_equal(self.h_prime, other.h_prime)
+
 
 def _mu_from_rows(
     x_row: np.ndarray, z_row: np.ndarray, n: int, skip_share: int, p: int
@@ -150,7 +158,11 @@ def normal_form(code: StabilizerCode, shares: Iterable[int]) -> NormalForm:
 
 @dataclass(frozen=True)
 class EAQECCPlan:
-    """Everything needed to encode with |J| pre-shared entangled pairs.
+    """The encoding with |J| pre-shared entangled pairs: a code and its J.
+
+    The constructor sorts and validates J; the rest is derived once from
+    (code, J), so a plan cannot disagree with its code, and plans compare
+    by (code, J).  :func:`construct_eaqecc` builds a plan and checks it.
 
     ``source_generators`` are the normal-form rows restricted to the
     complement of J: they generate the group the encoding unitary must
@@ -164,13 +176,42 @@ class EAQECCPlan:
     the ell zero shares, then the secret shares.
     """
 
-    p: int
-    n: int
-    k: int
+    code: StabilizerCode
     shares: tuple[int, ...]
-    normal: NormalForm
-    source_generators: tuple[PauliOperator, ...]
-    target_generators: tuple[PauliOperator, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "shares", validated_shares(self.shares, self.code.n))
+
+    @property
+    def p(self) -> int:
+        return self.code.p
+
+    @property
+    def n(self) -> int:
+        return self.code.n
+
+    @property
+    def k(self) -> int:
+        return self.code.k
+
+    @cached_property
+    def normal(self) -> NormalForm:
+        return normal_form(self.code, self.shares)
+
+    @cached_property
+    def source_generators(self) -> tuple[PauliOperator, ...]:
+        restricted = self.normal.h_prime[:, owned_columns(self.complement, self.n)]
+        return tuple(f_inv(row, self.p) for row in restricted)
+
+    @cached_property
+    def target_generators(self) -> tuple[PauliOperator, ...]:
+        # Pair i sits on wire i, and the bare Z of row r on wire r - c.
+        p, m, c, mu = self.p, self.n - self.c, self.c, self.normal.mu
+        return tuple(
+            [single(p, m, i, x=mu[i]) for i in range(c)]
+            + [single(p, m, i, z=1) for i in range(c)]
+            + [single(p, m, r - c, z=1) for r in range(2 * c, self.code.num_checks)]
+        )
 
     @property
     def c(self) -> int:
@@ -212,37 +253,15 @@ def gram_matrix(generators: Sequence[PauliOperator]) -> np.ndarray:
 
 
 def construct_eaqecc(code: StabilizerCode, shares: Iterable[int]) -> EAQECCPlan:
-    """Build the entanglement-assisted encoding plan for share set J.
+    """Build the entanglement-assisted encoding plan for share set J, and
+    check that its source and target generators commute alike.
 
-    Wire positions are assigned greedily: the smallest complement shares
-    host the pair wires (in J order), the next smallest host the bare-Z
-    ancilla wires, and whatever remains carries the secret.
+    An unshareable J raises :class:`NotAdvanceShareableError` here.  Wire
+    positions are assigned greedily: the smallest complement shares host
+    the pair wires (in J order), the next smallest host the bare-Z ancilla
+    wires, and whatever remains carries the secret.
     """
-    nf = normal_form(code, shares)
-    p, n, c = nf.p, nf.n, nf.m
-    js = nf.shares
-    rows = code.num_checks
-    wires = complement(js, n)
-    m = len(wires)
-    restricted = nf.h_prime[:, owned_columns(wires, n)]
-    source = tuple(f_inv(row, p) for row in restricted)
-
-    # Pair i sits on wire i, and the bare Z of row r on wire r - c.
-    target = (
-        [single(p, m, i, x=nf.mu[i]) for i in range(c)]
-        + [single(p, m, i, z=1) for i in range(c)]
-        + [single(p, m, r - c, z=1) for r in range(2 * c, rows)]
-    )
-
-    plan = EAQECCPlan(
-        p=p,
-        n=n,
-        k=code.k,
-        shares=js,
-        normal=nf,
-        source_generators=source,
-        target_generators=tuple(target),
-    )
+    plan = EAQECCPlan(code, shares)
     if not np.array_equal(gram_matrix(plan.source_generators), gram_matrix(plan.target_generators)):
         raise InvariantError(
             "commutation structure of restricted generators does not match the"

@@ -27,9 +27,11 @@ shares (parsed, in range and advance shareable) and ``--trials`` on a
 k = 0 code, which the protocol cannot run yet: it has only the trivial
 secret, and the simulator draws it with a random global phase that the
 encoder rejects.  Any error raised after those checks is internal.
-``--budget`` bounds the share sets a ``demo``'s trials visit (qualified
-sets times ``--trials``) as it bounds the other walks, so a huge
-``--trials`` exits 2 with the code section and the budget error.
+``--budget`` bounds the share sets that every walk visits: the distance,
+dual-weight and access-table walks, ``analyze``'s advance-shareable
+candidate sets, and a ``demo``'s trials (qualified sets times
+``--trials``), so a huge ``--trials`` exits 2 with the code section and
+the budget error.
 Every refusal writes the usual JSON report, its type, exit code and stderr
 lead read from one table; an argparse usage error prints argparse's message
 on stderr, writes no report and also exits 1.  A count of 2**64 or more is
@@ -367,9 +369,7 @@ def _demo_section(
     if trials > 0:
         qualified = [s for sets, codes, _ in sizes for s in sets[codes == 0].tolist()]
         check_budget(len(qualified) * trials, enum_budget, "protocol trials")
-        transcript = sim.simulate_protocol(
-            code, shares, plan, circuit, seed, trials, qualified, budget=budget
-        )
+        transcript = sim.simulate_protocol(plan, circuit, seed, trials, qualified, budget=budget)
         section["syndrome"] = list(transcript.syndrome)
         grouped: dict[tuple[int, ...], list] = {}
         for rec in transcript.trials:
@@ -457,8 +457,9 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=None,
             help="cap on share sets visited by the distance, dual-weight and "
-            "access-table walks and the protocol trials (--trials per "
-            "qualified set), and on dense state sizes",
+            "access-table walks, analyze's advance-shareable candidate sets "
+            "and the protocol trials (--trials per qualified set), and on "
+            "dense state sizes",
         )
         cmd.add_argument("--json-only", action="store_true")
         if name == "analyze":

@@ -367,14 +367,6 @@ def in_row_space(m, v, p: int) -> bool:
     return solve(as_matrix(m, p).T, v, p) is not None
 
 
-def row_space_equal(a, b, p: int) -> bool:
-    ra = rref(a, p)[0]
-    rb = rref(b, p)[0]
-    ra = ra[np.any(ra, axis=1)]
-    rb = rb[np.any(rb, axis=1)]
-    return ra.shape == rb.shape and bool(np.array_equal(ra, rb))
-
-
 def iter_span(basis, p: int) -> Iterator[np.ndarray]:
     """Yield all p**dim vectors of the span of ``basis`` in blocks of
     :data:`SPAN_BLOCK`.

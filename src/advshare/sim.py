@@ -57,6 +57,8 @@ maximally entangled with a k-qudit reference R: V transposed and scaled by
 p**(-k/2).  :func:`entropic_audit` is one row of
 :func:`mutual_information_table`, I(R : A) from that encoding.  Every oracle
 here runs the plan and circuit its caller gives it; none plans or synthesizes.
+A plan is its code and share set, so an oracle takes neither beside it and
+checks only that the circuit carries the plan's targets onto its sources.
 
 Eigenvalues of generators are exact roots of unity written zeta**tau with
 zeta = exp(i*pi/p); tau is even (a plain w power) unless p = 2 and a
@@ -97,9 +99,9 @@ NORM_TOL = 1e-10
 EIGEN_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuditState:
-    """A pure state of m qudits of dimension p, unit norm."""
+    """A pure state of m qudits of dimension p, unit norm; compare by :func:`fidelity`."""
 
     p: int
     m: int
@@ -326,13 +328,7 @@ def measure_pauli(
 # encoding
 
 
-def _check_plan_matches(
-    code: StabilizerCode, shares: tuple[int, ...], plan: EAQECCPlan, circuit: CliffordCircuit
-) -> None:
-    if plan.p != code.p or plan.n != code.n or plan.shares != shares:
-        raise ValueError("plan does not match the code and share set")
-    if not gfp.row_space_equal(plan.normal.h_prime, code.check_matrix, code.p):
-        raise ValueError("plan check rows span a different stabilizer")
+def _check_plan_matches(plan: EAQECCPlan, circuit: CliffordCircuit) -> None:
     if circuit.p != plan.p or circuit.m != plan.n - plan.c:
         raise ValueError("circuit shape does not match the plan")
     images = [(a.x.tolist(), a.z.tolist()) for a in plan.target_generators]
@@ -358,7 +354,6 @@ def _check_state_fits(p: int, n: int, width: int, budget: int) -> None:
 
 
 def _encode(
-    code: StabilizerCode,
     plan: EAQECCPlan,
     circuit: CliffordCircuit,
     secrets: np.ndarray,
@@ -371,10 +366,10 @@ def _encode(
     index rides along as a trailing axis.  Returns the (p**n, b) encoded
     columns and their syndrome: every column must be an eigenstate of every
     generator, all with the same eigenvalues.  The caller has checked the
-    plan and circuit against the code and the b columns against the budget
-    with :func:`_check_state_fits`, before compiling ``kernels``.
+    circuit against the plan and the b columns against the budget with
+    :func:`_check_state_fits`, before compiling ``kernels``.
     """
-    p, n = code.p, code.n
+    p, n, k = plan.p, plan.n, plan.k
     width = secrets.shape[1]
     # einsum's integer labels: share s is label s, the column index label 0.
     pair, ket0 = make_epr(p).tensor(), np.eye(p)[0]
@@ -383,7 +378,7 @@ def _encode(
         operands += [pair, [j, partner]]
     for z_share in plan.zero_shares:
         operands += [ket0, [z_share]]
-    operands += [secrets.reshape((p,) * code.k + (width,)), [*plan.secret_shares, 0]]
+    operands += [secrets.reshape((p,) * k + (width,)), [*plan.secret_shares, 0]]
     easy = np.einsum(*operands, [*range(1, n + 1), 0])
     arr = apply_circuit_tensor(easy, circuit, axes=[s - 1 for s in plan.complement])
     flat = arr.reshape(p**n, width)
@@ -394,31 +389,27 @@ def _encode(
 
 
 def encode_advance(
-    code: StabilizerCode,
-    shares: Iterable[int],
     plan: EAQECCPlan,
     circuit: CliffordCircuit,
     secret: QuditState,
     budget: int = DEFAULT_STATE_BUDGET,
 ) -> tuple[QuditState, tuple[int, ...]]:
-    """Encode a k-qudit secret into the n shares, J pairs pre-distributed.
+    """Encode a k-qudit secret into the plan's n shares, J pairs pre-distributed.
 
     Returns the shared state (share s on axis s-1) and the recorded
     eigenvalue exponents of the check generators (the syndrome reference
     for later decoding).  The output is an exact joint eigenstate; each
     advance share alone is maximally mixed.
     """
-    _check_plan_matches(code, validated_shares(shares, code.n), plan, circuit)
-    _check_secret(code, secret)
-    _check_state_fits(code.p, code.n, 1, budget)
-    kernels = compile_paulis(code.p, code.n, code.generators())
-    flat, syndrome = _encode(code, plan, circuit, secret.amplitudes[:, None], kernels)
-    return QuditState(code.p, code.n, flat[:, 0]), syndrome
+    _check_plan_matches(plan, circuit)
+    _check_secret(plan.code, secret)
+    _check_state_fits(plan.p, plan.n, 1, budget)
+    kernels = compile_paulis(plan.p, plan.n, plan.code.generators())
+    flat, syndrome = _encode(plan, circuit, secret.amplitudes[:, None], kernels)
+    return QuditState(plan.p, plan.n, flat[:, 0]), syndrome
 
 
 def encode_with_reference(
-    code: StabilizerCode,
-    shares: Iterable[int],
     plan: EAQECCPlan,
     circuit: CliffordCircuit,
     budget: int = DEFAULT_STATE_BUDGET,
@@ -430,16 +421,15 @@ def encode_with_reference(
     secret information a share set holds.  This Choi state is
     sum_s |s> V|s> / sqrt(p**k), the encoding isometry V transposed.
     """
-    _check_plan_matches(code, validated_shares(shares, code.n), plan, circuit)
-    _check_state_fits(code.p, code.n, code.p**code.k, budget)
-    kernels = compile_paulis(code.p, code.n, code.generators())
-    v, syndrome = _encoding_isometry(code, plan, circuit, kernels)
+    _check_plan_matches(plan, circuit)
+    _check_state_fits(plan.p, plan.n, plan.p**plan.k, budget)
+    kernels = compile_paulis(plan.p, plan.n, plan.code.generators())
+    v, syndrome = _encoding_isometry(plan, circuit, kernels)
     choi = v.T.reshape(-1) / np.sqrt(v.shape[1])
-    return QuditState(code.p, code.k + code.n, choi), syndrome
+    return QuditState(plan.p, plan.k + plan.n, choi), syndrome
 
 
 def _encoding_isometry(
-    code: StabilizerCode,
     plan: EAQECCPlan,
     circuit: CliffordCircuit,
     kernels: PauliKernels,
@@ -449,8 +439,8 @@ def _encoding_isometry(
     Column s is V|s>: one circuit call encodes every basis secret and one
     eigenvalue check covers every column.
     """
-    eye = np.eye(code.p**code.k, dtype=complex)
-    v, syndrome = _encode(code, plan, circuit, eye, kernels)
+    eye = np.eye(plan.p**plan.k, dtype=complex)
+    v, syndrome = _encode(plan, circuit, eye, kernels)
     if np.abs(v.conj().T @ v - eye).max() > NORM_TOL:
         raise InvariantError("encoding is not an isometry (V^dagger V != I)")
     return v, syndrome
@@ -471,7 +461,7 @@ def correctable_erasure(code: StabilizerCode, erased: Iterable[int]) -> bool:
     return bool(structure.correctable(*structure.pair([validated_shares(erased, code.n)]))[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecodeResult:
     state: QuditState
     measured_syndrome: tuple[int, ...]
@@ -654,11 +644,9 @@ def classify_access(code: StabilizerCode, accessible: Iterable[int]) -> AccessLa
 
 
 def entropic_audit(
-    code: StabilizerCode,
-    shares: Iterable[int],
-    accessible: Iterable[int],
     plan: EAQECCPlan,
     circuit: CliffordCircuit,
+    accessible: Iterable[int],
     budget: int = DEFAULT_STATE_BUDGET,
 ) -> float:
     """Mutual information I(R : A) between reference and a share set.
@@ -668,16 +656,14 @@ def entropic_audit(
     2k means A reconstructs perfectly, 0 means A holds nothing.  This is
     the one-row :func:`mutual_information_table` of the given encoding.
     """
-    acc = validated_shares(accessible, code.n)
-    return mutual_information_table(code, shares, [acc], plan, circuit, budget)[acc]
+    acc = validated_shares(accessible, plan.n)
+    return mutual_information_table(plan, circuit, [acc], budget)[acc]
 
 
 def mutual_information_table(
-    code: StabilizerCode,
-    shares: Iterable[int],
-    subsets: Sequence[Iterable[int]],
     plan: EAQECCPlan,
     circuit: CliffordCircuit,
+    subsets: Sequence[Iterable[int]],
     budget: int = DEFAULT_STATE_BUDGET,
 ) -> dict[tuple[int, ...], float]:
     """I(R : A) for many share sets from a single reference encoding.
@@ -686,24 +672,22 @@ def mutual_information_table(
     :func:`encode_with_reference` checks.  Keys are the sorted distinct
     shares of each subset.
     """
-    js = validated_shares(shares, code.n)
-    accs = [validated_shares(subset, code.n) for subset in subsets]
-    state, _ = encode_with_reference(code, js, plan, circuit, budget=budget)
-    k = code.k
+    p, k = plan.p, plan.k
+    accs = [validated_shares(subset, plan.n) for subset in subsets]
+    state, _ = encode_with_reference(plan, circuit, budget=budget)
     ref_axes = list(range(k))
-    s_r = entropy(reduced_density(state, ref_axes), code.p)
+    s_r = entropy(reduced_density(state, ref_axes), p)
     table: dict[tuple[int, ...], float] = {}
     for acc in accs:
         acc_axes = [k + j - 1 for j in acc]
-        s_a = entropy(reduced_density(state, acc_axes), code.p)
-        s_ra = entropy(reduced_density(state, ref_axes + acc_axes), code.p)
+        s_a = entropy(reduced_density(state, acc_axes), p)
+        s_ra = entropy(reduced_density(state, ref_axes + acc_axes), p)
         table[acc] = s_r + s_a - s_ra
     return table
 
 
 def reconstruct(
     state: QuditState,
-    code: StabilizerCode,
     syndrome: tuple[int, ...],
     plan: EAQECCPlan,
     circuit: CliffordCircuit,
@@ -713,12 +697,13 @@ def reconstruct(
 ) -> QuditState:
     """Recover the secret from a qualified share set.
 
-    Checks the plan and circuit against the code, erases the complement,
-    decodes back to the recorded eigenspace, undoes the encoding circuit,
-    and returns the secret register (which must come out pure and
+    Checks the circuit against the plan, erases the complement, decodes
+    back to the recorded eigenspace, undoes the encoding circuit, and
+    returns the secret register (which must come out pure and
     disentangled).
     """
-    _check_plan_matches(code, plan.shares, plan, circuit)
+    code = plan.code
+    _check_plan_matches(plan, circuit)
     acc = validated_shares(accessible, code.n)
     erased = complement(acc, code.n)
     decoded = erase_and_decode(state, code, syndrome, erased, rng, budget=budget)
@@ -763,8 +748,6 @@ class ProtocolTranscript:
 
 
 def simulate_protocol(
-    code: StabilizerCode,
-    shares: Iterable[int],
     plan: EAQECCPlan,
     circuit: CliffordCircuit,
     seed: int,
@@ -776,7 +759,7 @@ def simulate_protocol(
 
     Each accessible set gets ``trials`` independent random secrets; every
     draw comes from one seeded generator, so transcripts rerun bit-exactly.
-    The plan and circuit are checked, one rank query per set size checks
+    The circuit is checked, one rank query per set size checks
     every erased set, and one p**n column is checked against the budget;
     only then are the generators compiled, once per run, before any draw.
     Each trial draws its secret, then ``e + r`` uniforms for its
@@ -786,7 +769,8 @@ def simulate_protocol(
     call.  The fidelity of a decoded column is its overlap with the encoded
     column.
     """
-    _check_plan_matches(code, validated_shares(shares, code.n), plan, circuit)
+    code = plan.code
+    _check_plan_matches(plan, circuit)
     p, n, k = code.p, code.n, code.k
     runs: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     for acc in accessible_sets:
@@ -798,12 +782,12 @@ def simulate_protocol(
     kernels = compile_paulis(p, n, code.generators())
     isometry = None
     if p ** (n + k) <= budget:
-        isometry, image_syndrome = _encoding_isometry(code, plan, circuit, kernels)
+        isometry, image_syndrome = _encoding_isometry(plan, circuit, kernels)
 
     def encode(secrets: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
         if isometry is not None:
             return isometry @ secrets, image_syndrome
-        return _encode(code, plan, circuit, secrets, kernels)
+        return _encode(plan, circuit, secrets, kernels)
 
     rng = np.random.default_rng(seed)
 

@@ -95,18 +95,16 @@ def test_criterion_5_end_to_end_ramp(four_qubit):
     circuit = encoding_circuit(plan)
     rng = np.random.default_rng(20240607)
     secret = random_state(2, 2, rng)
-    shared, syndrome = encode_advance(four_qubit, [4], plan, circuit, secret)
+    shared, syndrome = encode_advance(plan, circuit, secret)
     worst = 1.0
     for subset in itertools.combinations(range(1, 5), 3):
-        recovered = reconstruct(
-            shared, four_qubit, syndrome, plan, circuit, subset, rng
-        )
+        recovered = reconstruct(shared, syndrome, plan, circuit, subset, rng)
         worst = min(worst, fidelity(recovered, secret))
     assert worst >= 1 - FIDELITY_TOL
     leak = 0.0
     for share in range(1, 5):
         leak = max(
-            leak, abs(entropic_audit(four_qubit, [4], [share], plan=plan, circuit=circuit))
+            leak, abs(entropic_audit(plan, circuit, [share]))
         )
     assert leak <= AUDIT_TOL
     elapsed = time.perf_counter() - start
@@ -218,9 +216,7 @@ def test_criterion_9_access_cross_validation(four_qubit, five_qubit):
             for size in range(code.n + 1)
             for s in itertools.combinations(range(1, code.n + 1), size)
         ]
-        table = mutual_information_table(
-            code, shares, subsets, plan=plan, circuit=circuit
-        )
+        table = mutual_information_table(plan, circuit, subsets)
         top = 2 * code.k
         for subset in subsets:
             label = classify_access(code, subset)
@@ -240,12 +236,8 @@ def test_criterion_10_baseline_equivalence(four_qubit):
     ]
     plan0 = construct_eaqecc(four_qubit, [])
     plan4 = construct_eaqecc(four_qubit, [4])
-    t0 = mutual_information_table(
-        four_qubit, [], subsets, plan=plan0, circuit=encoding_circuit(plan0)
-    )
-    t4 = mutual_information_table(
-        four_qubit, [4], subsets, plan=plan4, circuit=encoding_circuit(plan4)
-    )
+    t0 = mutual_information_table(plan0, encoding_circuit(plan0), subsets)
+    t4 = mutual_information_table(plan4, encoding_circuit(plan4), subsets)
     worst = max(abs(t0[s] - t4[s]) for s in subsets)
     assert worst < AUDIT_TOL
     _passline(

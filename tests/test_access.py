@@ -197,9 +197,7 @@ def test_mutual_information_matches_dense_reference(p, data):
     singles = [(j,) for j in range(1, code.n + 1) if is_advance_shareable(code, [j])]
     for shares in [()] + singles[:1]:
         plan = construct_eaqecc(code, shares)
-        dense = mutual_information_table(
-            code, shares, subsets, plan=plan, circuit=encoding_circuit(plan)
-        )
+        dense = mutual_information_table(plan, encoding_circuit(plan), subsets)
         for subset, value in zip(subsets, closed):
             assert isinstance(value, int)
             assert abs(dense[subset] - value) < 1e-9, (shares, subset)

@@ -1,5 +1,6 @@
 import dataclasses
 import enum
+import hashlib
 import io
 import json
 from importlib import resources
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from advshare import cli
+from advshare import cli, gfp
 from advshare.access import ShareStructure, share_sets
 from advshare.codefile import format_code_file, parse_code_file
 from advshare.errors import CodeFileError, UncorrectableErasureError
@@ -883,3 +884,79 @@ def test_a_huge_access_table_is_refused_with_a_short_count(tmp_path, n):
     assert json.loads(out)["error"] == {"type": "budget", "message": message}
     assert len(message) < 200
     assert err == f"budget exceeded: {message}\n"
+
+
+# ---------------------------------------------------------------------------
+# the CLI's contract under random input
+
+#: Rowless share counts whose 2**n has more than Python's 4300 printable digits.
+HUGE_N = (14300, 2**16, 10**5)
+
+
+@st.composite
+def code_texts(draw):
+    """A random valid code file (p in PRIMES, n <= 5, rowless included), or
+    one text mutation of it: a repeated row, a changed entry (possibly out of
+    the field), a wrong header, or a rowless file on a huge n."""
+    p = draw(st.sampled_from(gfp.PRIMES))
+    n = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lines = format_code_file(random_stabilizer(p, n, draw(st.integers(0, n)), rng)).splitlines()
+    mutation = draw(st.sampled_from(["none", "repeat-row", "change-entry", "header", "huge"]))
+    if mutation == "repeat-row" and len(lines) > 1:
+        row = draw(st.integers(1, len(lines) - 1))
+        lines.insert(row, lines[row])
+    elif mutation == "change-entry" and len(lines) > 1:
+        row = draw(st.integers(1, len(lines) - 1))
+        at = draw(st.sampled_from([i for i, ch in enumerate(lines[row]) if ch.isdigit()]))
+        lines[row] = lines[row][:at] + str(draw(st.integers(0, p))) + lines[row][at + 1 :]
+    elif mutation == "header":
+        headers = [f"p={p} n={n + 1}", f"p={p} n=0", f"p=4 n={n}", f"p={p}", f"n={n} p={p}", "p=2 n=x"]
+        lines[0] = draw(st.sampled_from(headers))
+    elif mutation == "huge":
+        lines = [f"p={p} n={draw(st.sampled_from(HUGE_N))}"]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def cli_argvs(draw, path):
+    """One command on ``path`` with random counts, J lists and seeds.  A
+    trial count past the budget is drawn only beside a budget that refuses it."""
+    command = draw(st.sampled_from(["validate", "analyze", "demo"]))
+    argv = [command, path]
+    budget = draw(st.none() | st.integers(-1, 64) | st.sampled_from([2**12, 2**20, 2**64]))
+    if budget is not None:
+        argv += ["--budget", str(budget)]
+    if command == "analyze" and draw(st.booleans()):
+        argv += ["--max-size", str(draw(st.integers(-1, 6) | st.just(2**100)))]
+    if command == "demo":
+        shares = st.lists(st.integers(0, 6), max_size=3).map(lambda js: ",".join(map(str, js)))
+        argv += ["--J", draw(st.sampled_from(["none", ""]) | shares)]
+        huge = 10**12 if budget is None or budget <= 2**20 else 3
+        argv += ["--trials", str(draw(st.integers(-1, 3) | st.just(huge)))]
+        argv += ["--seed", str(draw(st.integers(-1, 5) | st.just(2**70)))]
+    if draw(st.booleans()):
+        argv.append("--json-only")
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzz_the_cli_contract(fuzz_dir, schema, data):
+    """Whatever the input, the CLI exits 0, 1 or 2 (never 3, an internal
+    error), writes one JSON report that matches the schema, and writes the
+    same bytes when run again."""
+    text = data.draw(code_texts())
+    path = fuzz_dir / f"{hashlib.sha256(text.encode()).hexdigest()[:16]}.code"
+    path.write_text(text)
+    argv = data.draw(cli_argvs(str(path)))
+    first = run_cli(argv)
+    status, out, _ = first
+    assert status in (0, 1, 2), (argv, text, out)
+    jsonschema.validate(json.loads(out), schema)
+    assert run_cli(argv) == first

@@ -11,9 +11,12 @@ DEMOS = sorted((REPO / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo):
+    # A subprocess does not inherit pytest's filterwarnings; -W error makes
+    # any warning a demo raises fail it, as it would fail a test.
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=REPO, env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-W", "error", str(demo)],
+        cwd=REPO, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from advshare import gfp, sim
 from advshare.access import share_sets
-from advshare.advance import construct_eaqecc, is_advance_shareable
+from advshare.advance import EAQECCPlan, construct_eaqecc, is_advance_shareable, normal_form
 from advshare.clifford import (
     CliffordCircuit,
     _register,
@@ -158,15 +158,16 @@ def slow_erase_and_decode(state, code, syndrome, erased, rng):
     return QuditState(p, n, arr.reshape(-1)), tuple(measured), full
 
 
-def slow_simulate_protocol(code, plan, circuit, seed, trials, accessible_sets):
+def slow_simulate_protocol(plan, circuit, seed, trials, accessible_sets):
     """Reference transcript: the draws of simulate_protocol, decoded by the references."""
+    code = plan.code
     inverse = circuit.inverse()
     rng = np.random.default_rng(seed)
     out = []
     for acc in accessible_sets:
         for _ in range(trials):
             secret = random_state(code.p, code.k, rng)
-            shared, _ = encode_advance(code, plan.shares, plan, circuit, secret, 4096)
+            shared, _ = encode_advance(plan, circuit, secret, 4096)
             syndrome = tuple(
                 slow_eigenvalue_exponent(shared.tensor(), g) for g in code.generators()
             )
@@ -345,7 +346,7 @@ def test_reduced_density_reads_the_register_view(rng):
 def test_encode_produces_joint_eigenstate(four_qubit_pipeline, rng):
     code, plan, circuit = four_qubit_pipeline
     secret = random_state(2, 2, rng)
-    shared, syndrome = encode_advance(code, [4], plan, circuit, secret)
+    shared, syndrome = encode_advance(plan, circuit, secret)
     assert len(syndrome) == 2
     zp = np.exp(1j * np.pi / 2)
     for i in range(2):
@@ -359,14 +360,14 @@ def test_encode_produces_joint_eigenstate(four_qubit_pipeline, rng):
 def test_encode_advance_share_maximally_mixed(four_qubit_pipeline, rng):
     code, plan, circuit = four_qubit_pipeline
     secret = random_state(2, 2, rng)
-    shared, _ = encode_advance(code, [4], plan, circuit, secret)
+    shared, _ = encode_advance(plan, circuit, secret)
     rho = reduced_density(shared, [3])
     assert np.abs(rho - np.eye(2) / 2).max() < 1e-10
 
 
 def test_encode_with_reference_single_share_mixed(four_qubit_pipeline):
     code, plan, circuit = four_qubit_pipeline
-    state, _ = encode_with_reference(code, [4], plan, circuit)
+    state, _ = encode_with_reference(plan, circuit)
     for share in range(1, 5):
         rho = reduced_density(state, [2 + share - 1])
         assert np.abs(rho - np.eye(2) / 2).max() < 1e-10
@@ -376,34 +377,29 @@ def test_encode_budget(four_qubit_pipeline, rng):
     code, plan, circuit = four_qubit_pipeline
     secret = random_state(2, 2, rng)
     with pytest.raises(BudgetExceededError):
-        encode_advance(code, [4], plan, circuit, secret, budget=8)
+        encode_advance(plan, circuit, secret, budget=8)
 
 
 def test_encode_rejects_mismatched_circuit(four_qubit_pipeline, rng):
     code, plan, _ = four_qubit_pipeline
     wrong = CliffordCircuit(2, 3)
     with pytest.raises(ValueError, match="does not map"):
-        encode_advance(code, [4], plan, wrong, random_state(2, 2, rng))
+        encode_advance(plan, wrong, random_state(2, 2, rng))
 
 
 def test_encode_rejects_a_plan_or_circuit_built_for_something_else(four_qubit_pipeline, rng):
-    """The plan must be built for these shares and span this stabilizer, and
-    the circuit must run on the plan's n - c wires."""
-    code, plan, circuit = four_qubit_pipeline
+    """A plan is its code and shares, so only the circuit can disagree: it
+    must run on the plan's n - c wires."""
+    _, plan, _ = four_qubit_pipeline
     secret = random_state(2, 2, rng)
-    with pytest.raises(ValueError, match="plan does not match the code and share set"):
-        encode_advance(code, [4], construct_eaqecc(code, [3]), circuit, secret)
-    zero = dataclasses.replace(plan.normal, h_prime=np.zeros_like(plan.normal.h_prime))
-    with pytest.raises(ValueError, match="plan check rows span a different stabilizer"):
-        encode_advance(code, [4], dataclasses.replace(plan, normal=zero), circuit, secret)
     with pytest.raises(ValueError, match="circuit shape does not match the plan"):
-        encode_advance(code, [4], plan, CliffordCircuit(2, 4), secret)
+        encode_advance(plan, CliffordCircuit(2, 4), secret)
 
 
 def test_erase_nothing_is_identity(four_qubit_pipeline, rng):
     code, plan, circuit = four_qubit_pipeline
     secret = random_state(2, 2, rng)
-    shared, syndrome = encode_advance(code, [4], plan, circuit, secret)
+    shared, syndrome = encode_advance(plan, circuit, secret)
     result = erase_and_decode(shared, code, syndrome, [], rng)
     assert fidelity(result.state, shared) > 1 - 1e-12
     assert not result.correction.any()
@@ -412,7 +408,7 @@ def test_erase_nothing_is_identity(four_qubit_pipeline, rng):
 def test_erase_one_share_recovers(four_qubit_pipeline, rng):
     code, plan, circuit = four_qubit_pipeline
     secret = random_state(2, 2, rng)
-    shared, syndrome = encode_advance(code, [4], plan, circuit, secret)
+    shared, syndrome = encode_advance(plan, circuit, secret)
     for lost in range(1, 5):
         result = erase_and_decode(shared, code, syndrome, [lost], rng)
         assert fidelity(result.state, shared) > 1 - 1e-9
@@ -428,14 +424,14 @@ def test_erase_one_share_recovers(four_qubit_pipeline, rng):
 def test_erase_two_shares_refused(four_qubit_pipeline, rng):
     code, plan, circuit = four_qubit_pipeline
     secret = random_state(2, 2, rng)
-    shared, syndrome = encode_advance(code, [4], plan, circuit, secret)
+    shared, syndrome = encode_advance(plan, circuit, secret)
     with pytest.raises(UncorrectableErasureError):
         erase_and_decode(shared, code, syndrome, [1, 2], rng)
 
 
 def test_erase_and_decode_validates_its_erased_set_once(four_qubit_pipeline, rng, monkeypatch):
     code, plan, circuit = four_qubit_pipeline
-    shared, syndrome = encode_advance(code, [4], plan, circuit, random_state(2, 2, rng))
+    shared, syndrome = encode_advance(plan, circuit, random_state(2, 2, rng))
     calls = []
     validated = sim.validated_shares
 
@@ -508,17 +504,17 @@ def test_classify_complementarity(four_qubit, five_qubit):
 def test_entropic_audit_extremes(four_qubit_pipeline):
     code, plan, circuit = four_qubit_pipeline
     assert (
-        abs(entropic_audit(code, [4], [1, 2, 3, 4], plan=plan, circuit=circuit) - 4.0)
+        abs(entropic_audit(plan, circuit, [1, 2, 3, 4]) - 4.0)
         < 1e-9
     )
     for share in range(1, 5):
-        assert abs(entropic_audit(code, [4], [share], plan=plan, circuit=circuit)) < 1e-9
+        assert abs(entropic_audit(plan, circuit, [share])) < 1e-9
 
 
 def test_entropic_audit_two_share_leakage(four_qubit_pipeline):
     code, plan, circuit = four_qubit_pipeline
     for pair in itertools.combinations(range(1, 5), 2):
-        value = entropic_audit(code, [4], pair, plan=plan, circuit=circuit)
+        value = entropic_audit(plan, circuit, pair)
         assert abs(value - TWO_SHARE_LEAKAGE) < 1e-9
         assert 1e-6 < value < 4.0 - 1e-6
 
@@ -528,7 +524,7 @@ def test_audit_agrees_with_labels(four_qubit_pipeline):
     subsets = [
         s for size in range(5) for s in itertools.combinations(range(1, 5), size)
     ]
-    table = mutual_information_table(code, [4], subsets, plan=plan, circuit=circuit)
+    table = mutual_information_table(plan, circuit, subsets)
     for subset in subsets:
         label = classify_access(code, subset)
         value = table[subset]
@@ -555,7 +551,7 @@ def test_audit_agrees_with_labels(four_qubit_pipeline):
 def test_share_sets_are_validated_and_canonical(four_qubit_pipeline, name, bad):
     code, plan, circuit = four_qubit_pipeline
     secret = random_state(2, 2, np.random.default_rng(1))
-    shared, syndrome = encode_advance(code, [4], plan, circuit, secret)
+    shared, syndrome = encode_advance(plan, circuit, secret)
 
     def amplitudes(state):
         return tuple(state.amplitudes)
@@ -564,7 +560,7 @@ def test_share_sets_are_validated_and_canonical(four_qubit_pipeline, name, bad):
     cases = {
         "reconstruct": (
             lambda js: amplitudes(
-                reconstruct(shared, code, syndrome, plan, circuit, js, np.random.default_rng(7))
+                reconstruct(shared, syndrome, plan, circuit, js, np.random.default_rng(7))
             ),
             [1, 2, 3],
             [3, 1, 2, 1],
@@ -577,22 +573,22 @@ def test_share_sets_are_validated_and_canonical(four_qubit_pipeline, name, bad):
             [2, 2],
         ),
         "entropic_audit": (
-            lambda js: entropic_audit(code, [4], js, plan=plan, circuit=circuit),
+            lambda js: entropic_audit(plan, circuit, js),
             [1, 2],
             [2, 1, 2],
         ),
         "mutual_information_table": (
-            lambda js: mutual_information_table(code, [4], [js], plan=plan, circuit=circuit),
+            lambda js: mutual_information_table(plan, circuit, [js]),
             [1, 3],
             [3, 3, 1],
         ),
         "encode_with_reference": (
-            lambda js: amplitudes(encode_with_reference(code, js, plan, circuit)[0]),
+            lambda js: amplitudes(encode_with_reference(construct_eaqecc(code, js), circuit)[0]),
             [4],
             [4, 4],
         ),
         "simulate_protocol": (
-            lambda js: simulate_protocol(code, [4], plan, circuit, 7, 1, [js]),
+            lambda js: simulate_protocol(plan, circuit, 7, 1, [js]),
             [1, 2, 4],
             [4, 2, 1, 2],
         ),
@@ -606,28 +602,28 @@ def test_share_sets_are_validated_and_canonical(four_qubit_pipeline, name, bad):
 def test_reconstruct_qualified_sets(four_qubit_pipeline, rng):
     code, plan, circuit = four_qubit_pipeline
     secret = random_state(2, 2, rng)
-    shared, syndrome = encode_advance(code, [4], plan, circuit, secret)
+    shared, syndrome = encode_advance(plan, circuit, secret)
     for subset in itertools.combinations(range(1, 5), 3):
-        recovered = reconstruct(shared, code, syndrome, plan, circuit, subset, rng)
+        recovered = reconstruct(shared, syndrome, plan, circuit, subset, rng)
         assert fidelity(recovered, secret) > 1 - 1e-9
-    full = reconstruct(shared, code, syndrome, plan, circuit, [1, 2, 3, 4], rng)
+    full = reconstruct(shared, syndrome, plan, circuit, [1, 2, 3, 4], rng)
     assert fidelity(full, secret) > 1 - 1e-9
 
 
 def test_reconstruct_rejects_mismatched_circuit(four_qubit_pipeline, rng):
     code, plan, circuit = four_qubit_pipeline
-    shared, syndrome = encode_advance(code, [4], plan, circuit, random_state(2, 2, rng))
+    shared, syndrome = encode_advance(plan, circuit, random_state(2, 2, rng))
     with pytest.raises(ValueError, match="does not map"):
-        reconstruct(shared, code, syndrome, plan, CliffordCircuit(2, 3), [1, 2, 3], rng)
+        reconstruct(shared, syndrome, plan, CliffordCircuit(2, 3), [1, 2, 3], rng)
 
 
 def test_reconstruct_five_qubit(five_qubit, rng):
     plan = construct_eaqecc(five_qubit, [5])
     circuit = encoding_circuit(plan)
     secret = random_state(2, 1, rng)
-    shared, syndrome = encode_advance(five_qubit, [5], plan, circuit, secret)
+    shared, syndrome = encode_advance(plan, circuit, secret)
     for subset in itertools.combinations(range(1, 6), 4):
-        recovered = reconstruct(shared, five_qubit, syndrome, plan, circuit, subset, rng)
+        recovered = reconstruct(shared, syndrome, plan, circuit, subset, rng)
         assert fidelity(recovered, secret) > 1 - 1e-9
 
 
@@ -635,8 +631,8 @@ def test_reconstruct_qutrit(qutrit, rng):
     plan = construct_eaqecc(qutrit, [3])
     circuit = encoding_circuit(plan)
     secret = random_state(3, 1, rng)
-    shared, syndrome = encode_advance(qutrit, [3], plan, circuit, secret)
-    recovered = reconstruct(shared, qutrit, syndrome, plan, circuit, [1, 2], rng)
+    shared, syndrome = encode_advance(plan, circuit, secret)
+    recovered = reconstruct(shared, syndrome, plan, circuit, [1, 2], rng)
     assert fidelity(recovered, secret) > 1 - 1e-9
 
 
@@ -650,14 +646,12 @@ def test_two_pair_advance_sharing(rng):
     assert plan.epr_pairs == ((1, 2), (3, 4))
     circuit = encoding_circuit(plan)
     secret = random_state(2, 1, rng)
-    shared, syndrome = encode_advance(code, [1, 3], plan, circuit, secret)
+    shared, syndrome = encode_advance(plan, circuit, secret)
     # both advance shares together are maximally mixed before distribution
     rho = reduced_density(shared, [0, 2])
     assert np.abs(rho - np.eye(4) / 4).max() < 1e-10
     assert abs(entropy(rho, 2) - 2.0) < 1e-9
-    recovered = reconstruct(
-        shared, code, syndrome, plan, circuit, [2, 3, 4, 5], rng
-    )
+    recovered = reconstruct(shared, syndrome, plan, circuit, [2, 3, 4, 5], rng)
     assert fidelity(recovered, secret) > 1 - 1e-9
 
 
@@ -669,8 +663,8 @@ def test_baseline_and_advance_have_same_audits(four_qubit):
     subsets = [
         s for size in range(5) for s in itertools.combinations(range(1, 5), size)
     ]
-    t0 = mutual_information_table(four_qubit, [], subsets, plan=plan0, circuit=circ0)
-    t4 = mutual_information_table(four_qubit, [4], subsets, plan=plan4, circuit=circ4)
+    t0 = mutual_information_table(plan0, circ0, subsets)
+    t4 = mutual_information_table(plan4, circ4, subsets)
     for subset in subsets:
         assert abs(t0[subset] - t4[subset]) < 1e-9
 
@@ -678,8 +672,8 @@ def test_baseline_and_advance_have_same_audits(four_qubit):
 def test_simulate_protocol_deterministic(four_qubit_pipeline):
     code, plan, circuit = four_qubit_pipeline
     sets = [(1, 2, 3), (2, 3, 4)]
-    a = simulate_protocol(code, [4], plan, circuit, seed=42, trials=2, accessible_sets=sets)
-    b = simulate_protocol(code, [4], plan, circuit, seed=42, trials=2, accessible_sets=sets)
+    a = simulate_protocol(plan, circuit, seed=42, trials=2, accessible_sets=sets)
+    b = simulate_protocol(plan, circuit, seed=42, trials=2, accessible_sets=sets)
     assert a == b
     assert all(rec.fidelity > 1 - 1e-9 for rec in a.trials)
     for rec in a.trials:
@@ -718,7 +712,7 @@ def test_simulate_protocol_checks_once_and_never_inverts(four_qubit_pipeline, mo
     for budget, circuit_calls in [(sim.DEFAULT_STATE_BUDGET, 1), (2**6, 1), (2**6 - 1, 4)]:
         calls.update(check=0, inverse=0, circuit=0)
         transcript = simulate_protocol(
-            code, [4], plan, circuit, seed=3, trials=3, accessible_sets=sets, budget=budget
+            plan, circuit, seed=3, trials=3, accessible_sets=sets, budget=budget
         )
         assert len(transcript.trials) == 12
         assert all(rec.fidelity > 1 - 1e-9 for rec in transcript.trials)
@@ -733,11 +727,11 @@ def test_simulate_protocol_refuses_an_uncorrectable_set_before_any_draw(
     monkeypatch.setattr(sim, "random_state", lambda *args: drawn.append(args))
     sets = [(1, 2, 3), (3, 4)]
     with pytest.raises(UncorrectableErasureError, match=r"^shares \(1, 2\) carry undetectable"):
-        simulate_protocol(code, [4], plan, circuit, seed=3, trials=2, accessible_sets=sets)
+        simulate_protocol(plan, circuit, seed=3, trials=2, accessible_sets=sets)
     assert drawn == []
     # Without trials nothing is erased, so nothing is refused.
     monkeypatch.undo()
-    transcript = simulate_protocol(code, [4], plan, circuit, seed=3, trials=0, accessible_sets=sets)
+    transcript = simulate_protocol(plan, circuit, seed=3, trials=0, accessible_sets=sets)
     assert transcript.trials == ()
 
 
@@ -753,7 +747,7 @@ def test_simulate_protocol_refuses_a_non_isometric_encoding(four_qubit_pipeline,
 
     monkeypatch.setattr(sim, "_encode", skewed)
     with pytest.raises(InvariantError, match="not an isometry"):
-        simulate_protocol(code, [4], plan, circuit, seed=3, trials=1, accessible_sets=[(1, 2, 3)])
+        simulate_protocol(plan, circuit, seed=3, trials=1, accessible_sets=[(1, 2, 3)])
 
 
 def test_encode_refuses_columns_with_different_syndromes(four_qubit_pipeline, monkeypatch):
@@ -770,7 +764,7 @@ def test_encode_refuses_columns_with_different_syndromes(four_qubit_pipeline, mo
 
     monkeypatch.setattr(sim, "apply_circuit_tensor", flipped)
     with pytest.raises(InvariantError, match="encoded columns do not share one syndrome"):
-        simulate_protocol(code, [4], plan, circuit, seed=3, trials=1, accessible_sets=[(1, 2, 3)])
+        simulate_protocol(plan, circuit, seed=3, trials=1, accessible_sets=[(1, 2, 3)])
 
 
 def test_protocol_fidelity_is_the_circuit_fidelity_off_the_secret(four_qubit_pipeline, monkeypatch):
@@ -793,7 +787,7 @@ def test_protocol_fidelity_is_the_circuit_fidelity_off_the_secret(four_qubit_pip
 
     monkeypatch.setattr(sim, "_decode_block", off_secret)
     sets = [(1, 2, 3), (2, 3, 4), (1, 2, 3, 4)]
-    transcript = simulate_protocol(code, [4], plan, circuit, 7, 3, sets)
+    transcript = simulate_protocol(plan, circuit, 7, 3, sets)
     inverse = circuit.inverse()
     for rec, (shared, moved) in zip(transcript.trials, seen, strict=True):
         secret = sim._secret_density(shared, plan, inverse)
@@ -810,7 +804,7 @@ def test_simulate_protocol_keeps_the_k0_secret_check(sets):
     plan = construct_eaqecc(code, [])
     circuit = encoding_circuit(plan)
     with pytest.raises(ValueError, match="k = 0 code admits only the trivial secret"):
-        simulate_protocol(code, [], plan, circuit, 1, 1, sets)
+        simulate_protocol(plan, circuit, 1, 1, sets)
 
 
 def test_simulate_protocol_rejects_mismatched_circuit_first(four_qubit_pipeline, monkeypatch):
@@ -819,21 +813,13 @@ def test_simulate_protocol_rejects_mismatched_circuit_first(four_qubit_pipeline,
     monkeypatch.setattr(sim, "random_state", lambda *args: simulated.append(args))
     monkeypatch.setattr(sim, "apply_circuit_tensor", lambda *args, **kw: simulated.append(args))
     with pytest.raises(ValueError, match="does not map"):
-        simulate_protocol(
-            code,
-            [4],
-            plan,
-            CliffordCircuit(2, 3),
-            seed=3,
-            trials=2,
-            accessible_sets=[(1, 2, 3)],
-        )
+        simulate_protocol(plan, CliffordCircuit(2, 3), seed=3, trials=2, accessible_sets=[(1, 2, 3)])
     assert simulated == []
 
 
 def test_erase_and_decode_budget_names_its_stage(four_qubit_pipeline, rng):
     code, plan, circuit = four_qubit_pipeline
-    shared, syndrome = encode_advance(code, [4], plan, circuit, random_state(2, 2, rng))
+    shared, syndrome = encode_advance(plan, circuit, random_state(2, 2, rng))
     with pytest.raises(BudgetExceededError, match=r"2\*\*4 exceeds budget 15 \(erase and decode\)"):
         erase_and_decode(shared, code, syndrome, [1], rng, budget=15)
     result = erase_and_decode(shared, code, syndrome, [1], rng, budget=16)
@@ -854,11 +840,11 @@ def test_state_budget_refuses_before_compiling_the_generators(
     monkeypatch.setattr(sim, "compile_paulis", refuse)
     for trials in (0, 1):
         with pytest.raises(BudgetExceededError, match=r"^state size 2\*\*4 exceeds budget 15$"):
-            simulate_protocol(code, [4], plan, circuit, 3, trials, [(1, 2, 3)], budget=15)
+            simulate_protocol(plan, circuit, 3, trials, [(1, 2, 3)], budget=15)
     with pytest.raises(BudgetExceededError, match=r"^state size 2\*\*4 exceeds budget 15$"):
-        encode_advance(code, [4], plan, circuit, secret, budget=15)
+        encode_advance(plan, circuit, secret, budget=15)
     with pytest.raises(BudgetExceededError, match=r"^state size 2\*\*4 x 4 exceeds budget 63$"):
-        encode_with_reference(code, [4], plan, circuit, budget=63)
+        encode_with_reference(plan, circuit, budget=63)
 
 
 # ---------------------------------------------------------------------------
@@ -921,9 +907,9 @@ def test_batched_syndrome_matches_per_generator_reference(p, data):
     circuit = encoding_circuit(plan)
     # A k = 0 code takes only the trivial secret (random_state adds a phase).
     secret = random_state(p, k, rng) if k else QuditState(p, 0, [1.0])
-    state, syndrome = encode_advance(code, shares, plan, circuit, secret)
+    state, syndrome = encode_advance(plan, circuit, secret)
     assert syndrome == tuple(slow_eigenvalue_exponent(state.tensor(), g) for g in code.generators())
-    state, syndrome = encode_with_reference(code, shares, plan, circuit)
+    state, syndrome = encode_with_reference(plan, circuit)
     share_axes = list(range(k, k + n))
     assert syndrome == tuple(
         slow_eigenvalue_exponent(state.tensor(), g, axes=share_axes)
@@ -956,7 +942,7 @@ def test_each_eigenvalue_check_raises_on_its_own_failure(p):
 def test_erase_and_decode_names_the_broken_invariant(four_qubit_pipeline):
     code, plan, circuit = four_qubit_pipeline
     rng = np.random.default_rng(11)
-    shared, syndrome = encode_advance(code, [4], plan, circuit, random_state(2, 2, rng))
+    shared, syndrome = encode_advance(plan, circuit, random_state(2, 2, rng))
     # X on share 1 flips the all-Z generator; the mixture is no eigenstate of it.
     flipped = apply_pauli(shared, single(2, 4, 0, x=1)).amplitudes
     mixed = 1e-3 * shared.amplitudes + flipped
@@ -971,7 +957,7 @@ def shipped_pipeline(code_dir, name):
     code = validate_stabilizer(rows, p, n)
     shares = next(([j] for j in range(1, n + 1) if is_advance_shareable(code, [j])), [])
     plan = construct_eaqecc(code, shares)
-    return code, shares, plan, encoding_circuit(plan)
+    return code, plan, encoding_circuit(plan)
 
 
 def qualified_sets(code):
@@ -986,10 +972,10 @@ def qualified_sets(code):
 
 @pytest.mark.parametrize("name", ["four_qubit_ghz", "five_qubit", "qutrit_ghz"])
 def test_transcripts_match_the_reference_decoder(code_dir, name):
-    code, shares, plan, circuit = shipped_pipeline(code_dir, name)
+    code, plan, circuit = shipped_pipeline(code_dir, name)
     sets = qualified_sets(code)
-    transcript = simulate_protocol(code, shares, plan, circuit, 9, 3, sets)
-    reference = slow_simulate_protocol(code, plan, circuit, 9, 3, sets)
+    transcript = simulate_protocol(plan, circuit, 9, 3, sets)
+    reference = slow_simulate_protocol(plan, circuit, 9, 3, sets)
     assert len(transcript.trials) == len(reference) == 3 * len(sets)
     assert transcript.syndrome == reference[0][0]
     for rec, (syndrome, measured, correction, fid) in zip(transcript.trials, reference):
@@ -1022,8 +1008,8 @@ def test_correlated_erasures_match_the_reference_decoder():
     circuit = encoding_circuit(plan)
     losses = [(1, 2), (2, 3), (4, 6), (7, 9)]
     sets = [tuple(j for j in range(1, 10) if j not in lost) for lost in losses]
-    transcript = simulate_protocol(code, [], plan, circuit, 9, 3, sets)
-    reference = slow_simulate_protocol(code, plan, circuit, 9, 3, sets)
+    transcript = simulate_protocol(plan, circuit, 9, 3, sets)
+    reference = slow_simulate_protocol(plan, circuit, 9, 3, sets)
     for rec, (syndrome, measured, correction, fid) in zip(transcript.trials, reference, strict=True):
         assert syndrome == transcript.syndrome
         assert rec.measured_syndrome == measured
@@ -1032,7 +1018,7 @@ def test_correlated_erasures_match_the_reference_decoder():
 
 
 def test_generator_kernels_compiled_once_per_run(code_dir, monkeypatch):
-    code, shares, plan, circuit = shipped_pipeline(code_dir, "five_qubit")
+    code, plan, circuit = shipped_pipeline(code_dir, "five_qubit")
     compiled = []
     compile_paulis = sim.compile_paulis
 
@@ -1042,8 +1028,8 @@ def test_generator_kernels_compiled_once_per_run(code_dir, monkeypatch):
 
     monkeypatch.setattr(sim, "compile_paulis", counted)
     sets = [(1, 2, 3, 4), (2, 3, 4, 5), (1, 2, 3, 4, 5)]
-    simulate_protocol(code, shares, plan, circuit, 4, 3, sets)
-    simulate_protocol(code, shares, plan, circuit, 5, 2, sets)
+    simulate_protocol(plan, circuit, 4, 3, sets)
+    simulate_protocol(plan, circuit, 5, 2, sets)
     # One compile of the four generators per run; corrections compile nothing.
     assert compiled == [code.num_checks] * 2
 
@@ -1079,7 +1065,7 @@ def test_pick_spends_one_draw_as_choice_does(p):
 
 def test_zero_or_nan_weights_raise_naming_the_step(four_qubit_pipeline, rng):
     code, plan, circuit = four_qubit_pipeline
-    shared, syndrome = encode_advance(code, [4], plan, circuit, random_state(2, 2, rng))
+    shared, syndrome = encode_advance(plan, circuit, random_state(2, 2, rng))
     # A defect upstream could hand the decoder such a state; QuditState would not build it.
     nan_state = QuditState(2, 4, shared.amplitudes)
     object.__setattr__(nan_state, "amplitudes", np.full(16, np.nan + 0j))
@@ -1104,7 +1090,7 @@ def test_zero_or_nan_weights_raise_naming_the_step(four_qubit_pipeline, rng):
 def test_transcripts_do_not_depend_on_the_block_width(code_dir, name, monkeypatch):
     """One column per block (budget p**n), two or more, and the default
     budget give the same transcript; no block's register exceeds the budget."""
-    code, shares, plan, circuit = shipped_pipeline(code_dir, name)
+    code, plan, circuit = shipped_pipeline(code_dir, name)
     sets = qualified_sets(code)
     decode = sim._decode_block
     registers = []
@@ -1118,7 +1104,7 @@ def test_transcripts_do_not_depend_on_the_block_width(code_dir, name, monkeypatc
     transcripts = []
     for budget in (size, 2 * size, sim.DEFAULT_STATE_BUDGET):
         registers.clear()
-        transcripts.append(simulate_protocol(code, shares, plan, circuit, 9, 3, sets, budget))
+        transcripts.append(simulate_protocol(plan, circuit, 9, 3, sets, budget))
         assert max(registers) <= budget
         assert sum(registers) == size * 3 * len(sets)
         if budget == size:
@@ -1210,10 +1196,10 @@ def test_protocol_sweep_matches_the_reference_at_both_budgets(p, data):
     for shares in [[]] + [shareable[:1]] * bool(shareable):
         plan = construct_eaqecc(code, shares)
         circuit = encoding_circuit(plan)
-        fast = simulate_protocol(code, shares, plan, circuit, seed, 2, sets)
+        fast = simulate_protocol(plan, circuit, seed, 2, sets)
         # At p**n the isometry does not fit, and each secret runs the circuit.
-        unfit = simulate_protocol(code, shares, plan, circuit, seed, 2, sets, budget=p**n)
-        reference = slow_simulate_protocol(code, plan, circuit, seed, 2, sets)
+        unfit = simulate_protocol(plan, circuit, seed, 2, sets, budget=p**n)
+        reference = slow_simulate_protocol(plan, circuit, seed, 2, sets)
         assert fast.syndrome == unfit.syndrome == reference[0][0]
         assert len(fast.trials) == len(unfit.trials) == len(reference) == 2 * len(sets)
         for rec, other, (_, measured, correction, fid) in zip(
@@ -1238,12 +1224,27 @@ def test_reference_encoding_holds_each_basis_secret(p, data):
     for shares in [[]] + [shareable[:1]] * bool(shareable):
         plan = construct_eaqecc(code, shares)
         circuit = encoding_circuit(plan)
-        choi, syndrome = encode_with_reference(code, shares, plan, circuit)
+        choi, syndrome = encode_with_reference(plan, circuit)
         rows = np.sqrt(p**k) * choi.amplitudes.reshape(p**k, p**n)
         for s, basis in enumerate(np.eye(p**k)):
-            shared, alone = encode_advance(code, shares, plan, circuit, QuditState(p, k, basis))
+            shared, alone = encode_advance(plan, circuit, QuditState(p, k, basis))
             assert alone == syndrome
             assert np.abs(rows[s] - shared.amplitudes).max() < 1e-12
+
+
+def test_equal_instances_compare_without_raising(four_qubit_pipeline):
+    """Plans and normal forms compare by value, their arrays exactly; states
+    and decode results compare by identity (states compare by fidelity)."""
+    code, plan, _ = four_qubit_pipeline
+    same_code = validate_stabilizer(code.check_matrix.tolist(), 2, 4)
+    assert plan == construct_eaqecc(code, (4,)) == EAQECCPlan(same_code, [4, 4])
+    assert plan != construct_eaqecc(code, [3])
+    assert plan.normal == normal_form(same_code, (4,)) != normal_form(code, [3])
+    state = QuditState(2, 1, [1, 0])
+    assert state == state and state != QuditState(2, 1, [1, 0])
+    result = sim.DecodeResult(state, (0,), np.zeros(2, dtype=np.int64))
+    assert result == result
+    assert result != sim.DecodeResult(state, (0,), np.zeros(2, dtype=np.int64))
 
 
 @pytest.mark.parametrize("amplitudes", [[np.nan, 0], [np.nan, np.nan]])
@@ -1261,7 +1262,7 @@ def test_state_refuses_nan_amplitudes(amplitudes):
          "states must have identical shape"),
         (lambda code, plan, circuit: apply_pauli(QuditState(2, 1, [1, 0]), single(2, 2, 0, x=1)),
          "operator and state must share p and qudit count"),
-        (lambda code, plan, circuit: encode_advance(code, [4], plan, circuit, QuditState(2, 1, [1, 0])),
+        (lambda code, plan, circuit: encode_advance(plan, circuit, QuditState(2, 1, [1, 0])),
          "secret must be 2 qudits of dimension 2"),
         (lambda code, plan, circuit: erase_and_decode(
             QuditState(2, 3, np.eye(8)[0]), code, (0, 0), [1], np.random.default_rng(0)),
