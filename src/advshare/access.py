@@ -144,9 +144,16 @@ class ShareStructure:
         return self._levels[self.n - sets.shape[1]][::-1][_row_index(sets, self.n)]
 
     def pair(self, sets) -> tuple[int, np.ndarray, np.ndarray]:
-        """(w, r_E, r_E') of m sorted w-sets, given as for :meth:`ranks`."""
+        """(w, r_E, r_E') of m sorted w-sets, given as for :meth:`ranks`.
+
+        Row i of level w and row C(n, w) - 1 - i of level n - w are
+        complements, so when both levels are kept one row index reads both."""
         sets = np.asarray(sets, dtype=np.intp)
-        return sets.shape[1], self.ranks(sets), self.complement_ranks(sets)
+        w = sets.shape[1]
+        if w in self._levels and self.n - w in self._levels:
+            rows = _row_index(sets, self.n)
+            return w, self._levels[w][rows], self._levels[self.n - w][::-1][rows]
+        return w, self.ranks(sets), self.complement_ranks(sets)
 
     def _eliminate(self, sets: np.ndarray, outside: bool) -> np.ndarray:
         """r_E of each row, or r_E' if ``outside``, in chunks of at most

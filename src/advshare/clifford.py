@@ -37,10 +37,12 @@ decomposition are both undone runs, one helper's work.  The text form
 rejects a line without its kind's integer fields.
 
 Synthesis reduces the common Gram of two generator tuples with equal
-commutation structure once, completes each tuple's f-images to a
-symplectic basis in one Gauss-Jordan elimination on int lists (which also
-refuses a dependent tuple), forms the change-of-basis matrix, peels it
-into gate powers column pair by column pair, undoes those into the gates,
+commutation structure once, on int lists, completes each tuple's f-images
+to a symplectic basis in one :class:`advshare.gfp.GaussJordan` form (which
+also refuses a dependent tuple), forms the change-of-basis matrix, checks
+in one comparison each that it is symplectic and maps the source images to
+the targets, peels it into gate powers column pair by column pair, undoes
+those into the gates,
 and finishes with a Pauli layer that zeroes every representable phase,
 read off by walking the targets back through the same powers.  The one
 circuit it returns, the only runs split, satisfies U g_i U^dag = phase_i *
@@ -481,115 +483,42 @@ def to_unitary(
 # symplectic basis completion
 
 
-def _sp(gram: np.ndarray, u: np.ndarray, v: np.ndarray, p: int) -> int:
-    return int((u @ gram @ v) % p)
-
-
 def _span_reduction(gram: np.ndarray, p: int):
     """Hyperbolic pairs and radical of a tuple, in coefficient space.
 
-    Works entirely from the Gram matrix, so running it on two tuples with
-    equal Grams yields identical coefficients.
+    Works entirely from the Gram matrix G, so running it on two tuples with
+    equal Grams yields identical coefficients.  Each coefficient vector u is
+    an int list kept beside its image ``u @ G``, so that a product
+    ``<u, v> = u @ G @ v`` is one dot product, and every combination of
+    vectors combines their images alike.  Vector i enters with coefficient
+    1 at i, where no earlier vector has any, so it never reduces to zero.
     """
-    r = gram.shape[0]
-    pairs: list[tuple[np.ndarray, np.ndarray]] = []
-    radical: list[np.ndarray] = []
+    g = gram.tolist()
+    r = len(g)
+
+    def sp(u, v) -> int:
+        return sum(a * b for a, b in zip(u[1], v[0])) % p
+
+    def combine(u, s, a, t, b):
+        """u - s a + t b, vector and image."""
+        return tuple([(x - s * y + t * z) % p for x, y, z in zip(*parts)] for parts in zip(u, a, b))
+
+    pairs: list = []
+    radical: list = []
     for i in range(r):
-        w = np.zeros(r, dtype=np.int64)
-        w[i] = 1
+        w = ([int(j == i) for j in range(r)], g[i])
         for a, b in pairs:
-            w = (w - _sp(gram, w, b, p) * a + _sp(gram, w, a, p) * b) % p
-        partner = None
-        for idx, c in enumerate(radical):
-            gam = _sp(gram, c, w, p)
-            if gam:
-                partner = (idx, gam)
-                break
-        if partner is not None:
-            idx, gam = partner
-            c = radical.pop(idx)
-            b_new = (w * gfp.inv_scalar(gam, p)) % p
-            radical = [
-                (d - _sp(gram, d, b_new, p) * c + _sp(gram, d, c, p) * b_new) % p
-                for d in radical
-            ]
-            pairs.append((c, b_new))
-        elif w.any():
+            w = combine(w, sp(w, b), a, sp(w, a), b)
+        idx = next((idx for idx, c in enumerate(radical) if sp(c, w)), None)
+        if idx is None:
             radical.append(w)
-        else:
-            raise DependentRowsError("generator f-images are linearly dependent")
-    return pairs, radical
-
-
-class _OrthogonalityForm:
-    """Gauss-Jordan form ``[R | E]`` of the orthogonality rows of a growing
-    list of constraint vectors.
-
-    Constraint i enters as its orthogonality row next to the unit vector
-    e_i, a new E column that is zero in every earlier row, so every row
-    operation keeps ``R = E @ A`` for the rows A added so far.  The rows of
-    ``rows`` are lists of ints, each with a pivot 1 in the column ``cols``
-    names, zero in every other of them: they are the reduced row echelon
-    form of A, which is unique, so what is read off them does not depend on
-    the order the constraints came in.  A pivot whose coefficient is 0 is
-    skipped, so a unit constraint touches one or two rows.  A constraint
-    reducing to a zero row of R is dependent; its E part goes to ``dependent``.
-    """
-
-    def __init__(self, two_m: int, p: int):
-        self.p, self.two_m, self.count = p, two_m, 0
-        self.rows: list[list[int]] = []
-        self.cols: list[int] = []
-        self.dependent: list[list[int]] = []
-
-    def add(self, v: list[int]) -> int:
-        """Reduce v's orthogonality row against the stored pivots; its index."""
-        p, half = self.p, self.two_m // 2
-        for stored in self.rows + self.dependent:
-            stored.append(0)  # E's new column, zero in every earlier row
-        # [-v_z | v_x], as in symplectic.orthogonality_rows, then E's columns.
-        row = [(-a) % p for a in v[half:]] + v[:half] + [0] * self.count + [1]
-        for piv, c in zip(self.rows, self.cols):
-            if f := row[c]:
-                row = [(a - f * b) % p for a, b in zip(row, piv)]
-        c = next((c for c in range(self.two_m) if row[c]), None)
-        if c is None:
-            self.dependent.append(row[self.two_m :])
-        else:
-            if (inv := gfp.inv_scalar(row[c], p)) != 1:
-                row = [(a * inv) % p for a in row]
-            for i, piv in enumerate(self.rows):
-                if f := piv[c]:
-                    self.rows[i] = [(a - f * b) % p for a, b in zip(piv, row)]
-            self.rows.append(row)
-            self.cols.append(c)
-        self.count += 1
-        return self.count - 1
-
-    def partner(self, i: int) -> list[int] | None:
-        """The d that ``gfp.solve`` finds with <v_i, d> = 1 and <v_j, d> = 0
-        for every other constraint j, or None if there is none.
-
-        The reduced right-hand side is column i of E: each pivot variable
-        takes its row's entry and each free variable is 0.  The system is
-        inconsistent when a dependent row has a nonzero entry there.
-        """
-        if any(e[i] for e in self.dependent):
-            return None
-        d = [0] * self.two_m
-        for row, c in zip(self.rows, self.cols):
-            d[c] = row[self.two_m + i]
-        return d
-
-    def fresh(self) -> list[int]:
-        """``gfp.kernel(A)[0]``: 1 at the first free column c and -R[row, c]
-        at each pivot column."""
-        c = min(set(range(self.two_m)).difference(self.cols))
-        e = [0] * self.two_m
-        e[c] = 1
-        for row, col in zip(self.rows, self.cols):
-            e[col] = (-row[c]) % self.p
-        return e
+            continue
+        c = radical.pop(idx)
+        inv = gfp.inv_scalar(sp(c, w), p)
+        b_new = tuple([x * inv % p for x in part] for part in w)
+        radical = [combine(d, sp(d, b_new), c, sp(d, c), b_new) for d in radical]
+        pairs.append((c, b_new))
+    return [(a[0], b[0]) for a, b in pairs], [c[0] for c in radical]
 
 
 def _complete_basis(
@@ -603,37 +532,55 @@ def _complete_basis(
     fresh pairs from the orthogonal complement.  The arrangement (hence the
     Gram of the result) depends only on the input Gram.
 
-    One Gauss-Jordan form of the orthogonality rows, one E column per
-    vector, serves the whole completion: the pair and radical vectors enter
-    first, then each partner and fresh vector as it is found, each by one
-    reduction against the stored pivots.  The pair and radical vectors are
-    an invertible change of the input rows, so a dependent tuple leaves a
-    dependent row there, and raises ``DependentRowsError`` before any
-    partner is solved.  Partners and fresh vectors are read off the form;
-    they are exactly what one ``gfp.solve`` or ``gfp.kernel`` call per
-    vector on the same rows returns.
+    One :class:`advshare.gfp.GaussJordan` form serves the whole completion:
+    constraint i enters as its orthogonality row beside unit column i of an
+    identity block, one column per constraint, so the form carries
+    ``[R | E]`` with ``R = E @ A`` for the constraints A so far.  The pair
+    and radical vectors enter first, then each partner and fresh vector as
+    it is found.  The pair and radical vectors are an invertible change of
+    the input rows, so a dependent tuple leaves a dependent row there, and
+    raises ``DependentRowsError`` before any partner is solved.  A partner
+    is the form's solution for the unit right-hand side of its vector, and
+    a fresh vector its null vector at the first free column: exactly what
+    one ``gfp.solve`` or ``gfp.kernel`` call per vector on the same rows
+    returns.
     """
-    two_m = vectors.shape[1]
-    basis = [((w @ vectors) % p).tolist() for pair in pairs for w in pair]
-    radical_vecs = [((c @ vectors) % p).tolist() for c in radical]
-    form = _OrthogonalityForm(two_m, p)
-    first = len(basis)
-    for v in basis + radical_vecs:
-        form.add(v)
+    count, two_m = vectors.shape
+    half = two_m // 2
+    coeffs = [w for pair in pairs for w in pair] + radical
+    images = (np.array(coeffs, dtype=np.int64).reshape(len(coeffs), count) @ vectors % p).tolist()
+    first = 2 * len(pairs)
+    basis, radical_vecs = images[:first], images[first:]
+    form = gfp.GaussJordan(two_m, p)
+    # One unit column per constraint: 2m of them, unless a dependent tuple
+    # brings more.
+    block = max(two_m, len(images))
+
+    def constrain(v: list[int]) -> int:
+        """Add v's orthogonality row, [-v_z | v_x] as in
+        symplectic.orthogonality_rows, with the next unit column; its index."""
+        i = len(form.rows) + len(form.dependent)
+        unit = [0] * block
+        unit[i] = 1
+        form.add([-a % p for a in v[half:]] + v[:half] + unit)
+        return i
+
+    for v in images:
+        constrain(v)
     if form.dependent:
         raise DependentRowsError("generator f-images are linearly dependent")
     for j, c in enumerate(radical_vecs):
-        d = form.partner(first + j)  # <c, d> = 1, everything else orthogonal
+        d = form.solution(first + j)  # <c, d> = 1, everything else orthogonal
         if d is None:
             raise InvariantError("symplectic completion failed: partner system inconsistent")
-        form.add(d)
+        constrain(d)
         basis += [c, d]
     while len(basis) < two_m:
-        e = form.fresh()
-        f = form.partner(form.add(e))
+        e = form.null_vector(form.free_columns()[0])
+        f = form.solution(constrain(e))
         if f is None:
             raise InvariantError("symplectic completion failed: no partner for fresh vector")
-        form.add(f)
+        constrain(f)
         basis += [e, f]
     return np.array(basis, dtype=np.int64)
 
@@ -780,9 +727,8 @@ def synthesize(
     preserved = product_matrix(t_matrix.T, t_matrix.T, p) == product_matrix(unit, unit, p)
     if not preserved.all():
         raise InvariantError("change of basis is not symplectic")
-    for u, v in zip(u_rows, v_rows):
-        if not np.array_equal((t_matrix @ u) % p, v):
-            raise InvariantError("change of basis does not map source images to target")
+    if not np.array_equal(u_rows @ t_matrix.T % p, v_rows):
+        raise InvariantError("change of basis does not map source images to target")
 
     ops = _decompose_symplectic(t_matrix, m, p)
     gates_ = tuple(_undo(ops, p))

@@ -3,10 +3,17 @@
 Scalars are plain Python ints in ``[0, p)``, vectors and matrices are integer
 numpy arrays taken modulo ``p``.  Every routine takes the modulus explicitly,
 except the F_2 pair :func:`pack_bits` / :func:`packed_rank`, and returns
-freshly allocated arrays; nothing is mutated in place.
+freshly allocated arrays; no argument is mutated in place.
 
-Supported moduli are the small primes 2, 3, 5 and 7.  The share-set walks
-of :mod:`advshare.access` visit up to sum_w C(n, w) sets and rank each one,
+Supported moduli are the small primes 2, 3, 5 and 7.
+
+A single matrix goes through one elimination on Python ints,
+:class:`GaussJordan`: :func:`rref`, :func:`kernel`, :func:`solve`,
+:func:`in_row_space` and :func:`rank` at odd p read their answers off it,
+and so does the symplectic completion of :mod:`advshare.clifford`.
+
+Batches go to narrow kernels.  The share-set walks of
+:mod:`advshare.access` visit up to sum_w C(n, w) sets and rank each one,
 so they cap problem sizes long before larger fields become interesting.
 Those ranks come from two forward eliminations that loop over the cheaper
 side of each matrix in narrow words: :func:`batched_rank` on uint8 entries
@@ -17,18 +24,13 @@ than :data:`INT_RANK_BATCH` matrices, and the single matrix of
 :func:`rank`, is ranked on Python ints instead (:func:`_xor_rank`): one
 XOR per row per matrix, against one numpy step per row for the batch.
 :func:`solution_maps` runs the batched int64 Gauss-Jordan core
-:func:`_reduce`, which returns each matrix's pivot rows; :func:`rref` keeps
-its own single-matrix loop.
-
-Reduced forms are deterministic: the pivot for each column is the first row
-with a nonzero entry, and pivots are normalized to 1, so they are
-reproducible across runs.  A rank does not depend on the pivots, so the
-rank kernels pick whichever is cheapest.
+:func:`_reduce`, which returns each matrix's pivot rows.  A rank does not
+depend on the pivots, so the rank kernels pick whichever is cheapest.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -84,6 +86,118 @@ def inv_scalar(a: int, p: int) -> int:
     return pow(a, p - 2, p)
 
 
+#: ``_RESIDUES[p]`` maps each byte to its residue mod p, for ``bytes.translate``.
+_RESIDUES = {p: bytes(v % p for v in range(256)) for p in PRIMES}
+
+
+class GaussJordan:
+    """Gauss-Jordan form of a matrix whose rows arrive one at a time, on
+    Python ints: the one elimination for a single matrix.
+
+    A row is kept as the bytes of its entries, to read, and as their int,
+    to compute with.  Entries are below p, so a row plus ``p - f`` times
+    another carries no byte into the next, and ``bytes.translate`` takes
+    each byte back below p: a row operation is a few calls whatever the
+    row's length, where numpy pays several calls per pivot.
+
+    Pivots are searched only in the first ``width`` columns; the columns
+    after them ride along, so rows ``[A | T]`` reduce to ``[E @ A | E @ T]``
+    for the row operations E so far (T: a right-hand side, an identity
+    block, or nothing).  An entering row is reduced by the stored rows; its
+    first nonzero entry among the first ``width`` becomes its pivot, is
+    scaled to 1 and is cleared from every stored row, which changes a
+    stored row only right of its own pivot.  So each row of ``rows`` leads
+    with a 1 in the column ``cols`` names and is 0 in every other pivot
+    column: sorted by pivot, they are the reduced row echelon form of A,
+    which is unique whatever order the rows came in.  A row that reduces
+    to 0 among the first ``width`` columns is dependent, and its trailing
+    part goes to ``dependent``.
+    """
+
+    def __init__(self, width: int, p: int):
+        self.p, self.width = p, width
+        self.rows: list[bytes] = []
+        self.cols: list[int] = []
+        self.dependent: list[bytes] = []
+        self._values: list[int] = []
+        self._first = (1 << 8 * width) - 1
+
+    def _residues(self, v: int, length: int) -> tuple[bytes, int]:
+        """The bytes of v, each taken to its residue mod p, and their int."""
+        data = v.to_bytes(length, "little").translate(_RESIDUES[self.p])
+        return data, int.from_bytes(data, "little")
+
+    def add(self, row: Sequence[int]) -> None:
+        """Reduce a row, entries in ``[0, p)``, by the stored pivot rows and keep it."""
+        p = self.p
+        data = bytes(row)
+        length = len(data)
+        v = int.from_bytes(data, "little")
+        # Each stored row is 0 in every other pivot column, so the row's entry
+        # in a pivot column is its own until that pivot's row clears it.
+        # Bytes grow by (p - 1)**2 a step, and are reduced before they could
+        # pass 255.
+        bound = p - 1
+        for piv, c in zip(self._values, self.cols):
+            if f := data[c]:
+                if bound + (p - 1) ** 2 > 255:
+                    v, bound = self._residues(v, length)[1], p - 1
+                v += (p - f) * piv
+                bound += (p - 1) ** 2
+        data, v = self._residues(v, length)
+        lead = v & self._first
+        if not lead:
+            self.dependent.append(data[self.width :])
+            return
+        c = ((lead & -lead).bit_length() - 1) // 8
+        if (inv := pow(data[c], p - 2, p)) != 1:
+            data, v = self._residues(v * inv, length)
+        for i, piv in enumerate(self.rows):
+            if f := piv[c]:
+                self.rows[i], self._values[i] = self._residues(self._values[i] + (p - f) * v, length)
+        self.rows.append(data)
+        self._values.append(v)
+        self.cols.append(c)
+
+    def solution(self, j: int) -> Optional[list[int]]:
+        """The x with ``A @ x = T[:, j]`` that :func:`solve` returns, or None
+        if there is none.
+
+        The reduced right-hand side is column j of ``E @ T``: each pivot
+        variable takes its row's entry and each free variable is 0.  The
+        system is inconsistent when a dependent row is nonzero there.
+        """
+        if any(t[j] for t in self.dependent):
+            return None
+        x = [0] * self.width
+        for row, c in zip(self.rows, self.cols):
+            x[c] = row[self.width + j]
+        return x
+
+    def free_columns(self) -> list[int]:
+        """The columns among the first ``width`` that hold no pivot, in order."""
+        return sorted(set(range(self.width)).difference(self.cols))
+
+    def null_vector(self, c: int) -> list[int]:
+        """The kernel vector of A with 1 at free column c, 0 at every other
+        free column and ``-R[row, c]`` at each pivot column."""
+        x = [0] * self.width
+        x[c] = 1
+        for row, col in zip(self.rows, self.cols):
+            x[col] = -row[c] % self.p
+        return x
+
+
+def _form(a: np.ndarray, p: int) -> GaussJordan:
+    """The :class:`GaussJordan` form of a reduced int64 matrix, on all its columns."""
+    form = GaussJordan(a.shape[1], p)
+    for row in a.tolist():
+        form.add(row)
+        if len(form.cols) == form.width:
+            break  # every later row is dependent
+    return form
+
+
 def rref(m, p: int) -> tuple[np.ndarray, int, list[int]]:
     """Reduced row echelon form.
 
@@ -92,27 +206,12 @@ def rref(m, p: int) -> tuple[np.ndarray, int, list[int]]:
     (if any) at the bottom.  ``pivot_columns`` is strictly increasing.
     """
     a = as_matrix(m, p)
-    rows, cols = a.shape
-    a = a.copy()
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        pivot_row = r + int(nz[0])
-        if pivot_row != r:
-            a[[r, pivot_row]] = a[[pivot_row, r]]
-        a[r] = (a[r] * inv_scalar(int(a[r, c]), p)) % p
-        # Clear the column everywhere else in one vectorized pass.
-        factors = a[:, c].copy()
-        factors[r] = 0
-        a = (a - np.outer(factors, a[r])) % p
-        pivots.append(c)
-        r += 1
-    return a, len(pivots), pivots
+    form = _form(a, p)
+    order = sorted(range(len(form.cols)), key=form.cols.__getitem__)
+    r = np.zeros_like(a)
+    if order:
+        r[: len(order)] = [list(form.rows[i]) for i in order]
+    return r, len(order), [form.cols[i] for i in order]
 
 
 def rank(m, p: int) -> int:
@@ -306,15 +405,9 @@ def kernel(m, p: int) -> np.ndarray:
     reduced form; the row count is ``cols - rank(m)``.
     """
     a = as_matrix(m, p)
-    rows, cols = a.shape
-    r, rk, pivots = rref(a, p)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for row_idx, pc in enumerate(pivots):
-            basis[i, pc] = (-r[row_idx, fc]) % p
-    return basis
+    form = _form(a, p)
+    basis = [form.null_vector(c) for c in form.free_columns()]
+    return np.array(basis, dtype=np.int64).reshape(len(basis), a.shape[1])
 
 
 def solve(m, b, p: int) -> Optional[np.ndarray]:
@@ -323,15 +416,11 @@ def solve(m, b, p: int) -> Optional[np.ndarray]:
     rhs = as_vector(b, p)
     if rhs.shape[0] != a.shape[0]:
         raise ValueError(f"rhs length {rhs.shape[0]} != row count {a.shape[0]}")
-    aug = np.concatenate([a, rhs[:, None]], axis=1)
-    r, _, pivots = rref(aug, p)
-    cols = a.shape[1]
-    if cols in pivots:
-        return None
-    x = np.zeros(cols, dtype=np.int64)
-    for row_idx, pc in enumerate(pivots):
-        x[pc] = r[row_idx, cols]
-    return x
+    form = GaussJordan(a.shape[1], p)
+    for row, t in zip(a.tolist(), rhs.tolist()):
+        form.add(row + [t])
+    x = form.solution(0)
+    return None if x is None else np.array(x, dtype=np.int64)
 
 
 def solution_maps(stack, p: int) -> np.ndarray:

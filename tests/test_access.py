@@ -415,6 +415,40 @@ def test_kept_levels_and_direct_eliminations_match_rank_per_set(p, fewest_checks
             assert got_direct[1][i] == got_kept[1][i] == outside
 
 
+@pytest.mark.parametrize("p", gfp.PRIMES)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_pair_reads_both_kept_levels_with_one_row_index(p, data):
+    """pair(sets) is (w, ranks(sets), complement_ranks(sets)) whichever of
+    levels w and n - w are kept, and with both kept it lists one row index."""
+    n = data.draw(st.integers(1, 8))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    h = rng.integers(0, p, size=(data.draw(st.integers(0, n)), 2 * n))
+    w = data.draw(st.integers(0, n))
+    picks = [rng.choice(np.arange(1, n + 1), size=w, replace=False) for _ in range(6)]
+    sets = np.sort(np.array(picks, dtype=np.intp).reshape(6, w), axis=1)
+    indexed = []
+    row_index = access._row_index
+
+    def counted(sets, n):
+        indexed.append(len(sets))
+        return row_index(sets, n)
+
+    for kept in ([], [w], [n - w], [w, n - w]):
+        structure = ShareStructure(p, n, h)
+        for size in kept:
+            structure.level(size)
+        want = structure.ranks(sets), structure.complement_ranks(sets)
+        indexed.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(access, "_row_index", counted)
+            got_w, inside, outside = structure.pair(sets)
+        assert got_w == w
+        assert np.array_equal(inside, want[0]) and np.array_equal(outside, want[1])
+        held = [size in structure._levels for size in (w, n - w)]
+        assert len(indexed) == (1 if all(held) else sum(held))
+
+
 def five_qudit_code(p):
     """The [[5,1,3]]_p code: cyclic shifts of X Z Z^-1 X^-1 I."""
     x, z = np.array([1, 0, 0, p - 1, 0]), np.array([0, 1, p - 1, 0, 0])

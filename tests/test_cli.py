@@ -895,17 +895,21 @@ HUGE_N = (14300, 2**16, 10**5)
 
 @st.composite
 def code_texts(draw):
-    """A random valid code file (p in PRIMES, n <= 5, rowless included), or
-    one text mutation of it: a repeated row, a changed entry (possibly out of
-    the field), a wrong header, or a rowless file on a huge n."""
+    """The bytes of a random valid code file (p in PRIMES, n <= 5, rowless
+    included), or of one mutation of it: a repeated or dropped row, a changed
+    entry (possibly out of the field), a wrong header, a rowless file on a
+    huge n, a byte that is not UTF-8, or an empty file."""
     p = draw(st.sampled_from(gfp.PRIMES))
     n = draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     lines = format_code_file(random_stabilizer(p, n, draw(st.integers(0, n)), rng)).splitlines()
-    mutation = draw(st.sampled_from(["none", "repeat-row", "change-entry", "header", "huge"]))
+    mutations = ["none", "repeat-row", "drop-row", "change-entry", "header", "huge", "not-utf8", "empty"]
+    mutation = draw(st.sampled_from(mutations))
     if mutation == "repeat-row" and len(lines) > 1:
         row = draw(st.integers(1, len(lines) - 1))
         lines.insert(row, lines[row])
+    elif mutation == "drop-row" and len(lines) > 1:
+        del lines[draw(st.integers(1, len(lines) - 1))]
     elif mutation == "change-entry" and len(lines) > 1:
         row = draw(st.integers(1, len(lines) - 1))
         at = draw(st.sampled_from([i for i, ch in enumerate(lines[row]) if ch.isdigit()]))
@@ -915,7 +919,13 @@ def code_texts(draw):
         lines[0] = draw(st.sampled_from(headers))
     elif mutation == "huge":
         lines = [f"p={p} n={draw(st.sampled_from(HUGE_N))}"]
-    return "\n".join(lines) + "\n"
+    elif mutation == "empty":
+        return b""
+    data = ("\n".join(lines) + "\n").encode()
+    if mutation == "not-utf8":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\x80", b"\xc3("])) + data[at:]
+    return data
 
 
 @st.composite
@@ -952,8 +962,8 @@ def test_fuzz_the_cli_contract(fuzz_dir, schema, data):
     error), writes one JSON report that matches the schema, and writes the
     same bytes when run again."""
     text = data.draw(code_texts())
-    path = fuzz_dir / f"{hashlib.sha256(text.encode()).hexdigest()[:16]}.code"
-    path.write_text(text)
+    path = fuzz_dir / f"{hashlib.sha256(text).hexdigest()[:16]}.code"
+    path.write_bytes(text)
     argv = data.draw(cli_argvs(str(path)))
     first = run_cli(argv)
     status, out, _ = first

@@ -29,6 +29,7 @@ from advshare.errors import (
 from advshare.pauli import PauliOperator, omega, random_stabilizer, single, to_matrix, zeta
 from advshare.symplectic import orthogonality_rows, product_matrix
 from tests_util_circuits import random_circuit
+from tests_util_gfp import ref_kernel, ref_rank, ref_solve
 
 #: Wire registers of the fused-versus-reference sweep hold at most this many
 #: amplitudes; unitaries are compared up to DENSE_UNITARY_LIMIT.
@@ -92,10 +93,10 @@ def slow_to_unitary(circuit):
 
 
 def slow_complete_basis(vectors, pairs, radical, p):
-    """Reference: complete a tuple to a symplectic basis with one
-    ``gfp.solve`` or ``gfp.kernel`` elimination per completed vector."""
+    """Reference: complete a tuple to a symplectic basis with one numpy
+    ``ref_solve`` or ``ref_kernel`` elimination per completed vector."""
     two_m = vectors.shape[1]
-    if gfp.rank(vectors, p) < vectors.shape[0]:
+    if ref_rank(vectors, p) < vectors.shape[0]:
         raise DependentRowsError("generator f-images are linearly dependent")
 
     def rows_of(constraints):
@@ -111,20 +112,20 @@ def slow_complete_basis(vectors, pairs, radical, p):
         constraints = basis + radical_vecs[j:]
         rhs = np.zeros(len(constraints), dtype=np.int64)
         rhs[len(basis)] = 1  # <c, d> = 1, everything else orthogonal
-        d = gfp.solve(rows_of(constraints), rhs, p)
+        d = ref_solve(rows_of(constraints), rhs, p)
         if d is None:
             raise InvariantError("symplectic completion failed: partner system inconsistent")
         basis.append(c)
         basis.append(d)
     while len(basis) < two_m:
         if basis:
-            e = gfp.kernel(rows_of(basis), p)[0]
+            e = ref_kernel(rows_of(basis), p)[0]
         else:
             e = np.zeros(two_m, dtype=np.int64)
             e[0] = 1
         rhs = np.zeros(len(basis) + 1, dtype=np.int64)
         rhs[-1] = 1
-        f = gfp.solve(rows_of(basis + [e]), rhs, p)
+        f = ref_solve(rows_of(basis + [e]), rhs, p)
         if f is None:
             raise InvariantError("symplectic completion failed: no partner for fresh vector")
         basis.append(e)
@@ -347,6 +348,25 @@ def completion_cases(draw, p):
             combo = rng.integers(0, p, rows.shape[0]) @ rows % p
             rows = np.insert(rows, draw(st.integers(0, rows.shape[0])), combo, axis=0)
     return rows
+
+
+@pytest.mark.parametrize("p", gfp.PRIMES)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_span_reduction_splits_the_gram_into_pairs_and_radical(p, data):
+    """The coefficient vectors, pairs first, are a basis of coefficient
+    space in which the Gram is the hyperbolic form on the pairs and 0 on
+    the radical, checked with numpy products."""
+    rows = data.draw(completion_cases(p))
+    gram = product_matrix(rows, rows, p)
+    pairs, radical = _span_reduction(gram, p)
+    r = rows.shape[0]
+    coeffs = np.array([w for pair in pairs for w in pair] + radical, dtype=np.int64).reshape(r, r)
+    assert ref_rank(coeffs, p) == r
+    want = np.zeros((r, r), dtype=np.int64)
+    for i in range(len(pairs)):
+        want[2 * i, 2 * i + 1], want[2 * i + 1, 2 * i] = 1, p - 1
+    assert np.array_equal(coeffs @ gram @ coeffs.T % p, want)
 
 
 @pytest.mark.parametrize("p", gfp.PRIMES)

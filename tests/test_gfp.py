@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from advshare import gfp
+from tests_util_gfp import ref_kernel, ref_rank, ref_rref, ref_solve
 
 
 def brute_kernel_dim(m, p):
@@ -132,6 +133,46 @@ def test_solve_substitution(mp, pyrandom):
     assert np.array_equal((m @ x) % p, b)
 
 
+@st.composite
+def unreduced_matrices(draw):
+    """(m, b, p): 0-12 rows by 0-30 columns of rank at most ``inner``, with
+    entries shifted by multiples of p into [-3p, 4p), and a right-hand side
+    that is solvable or drawn at random, shifted alike."""
+    p = draw(st.sampled_from(gfp.PRIMES))
+    rows, cols, inner = draw(st.integers(0, 12)), draw(st.integers(0, 30)), draw(st.integers(0, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = rng.integers(0, p, size=(rows, inner)) @ rng.integers(0, p, size=(inner, cols)) % p
+    b = m @ rng.integers(0, p, size=cols) if draw(st.booleans()) else rng.integers(0, p, size=rows)
+    return m + p * rng.integers(-3, 4, size=m.shape), b + p * rng.integers(-3, 4, size=b.shape), p
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(unreduced_matrices())
+@example((np.zeros((0, 0), dtype=np.int64), np.zeros(0, dtype=np.int64), 3))
+@example((np.zeros((4, 0), dtype=np.int64), np.array([0, 0, 7, 0]), 7))
+@example((np.full((12, 30), -1, dtype=np.int64), np.full(12, -1), 5))
+@example((np.vstack([np.hstack([np.eye(11, dtype=np.int64), np.full((11, 1), 6)]), [1] * 11 + [6]]), np.ones(12), 7))
+def test_single_matrix_routines_match_the_numpy_reference(mbp):
+    """rref, rank, solve and kernel on one Gauss-Jordan form of Python ints
+    return what the numpy reference does, values, shapes and dtypes.  In the
+    last example the last row takes 6 times each of eleven pivot rows, each
+    6 in the last column: that byte would pass 255 if never reduced."""
+    m, b, p = mbp
+    r, rank, pivots = gfp.rref(m, p)
+    want_r, want_rank, want_pivots = ref_rref(m, p)
+    assert r.dtype == want_r.dtype and np.array_equal(r, want_r)
+    assert (rank, pivots) == (want_rank, want_pivots)
+    assert gfp.rank(m, p) == want_rank
+    basis, want_basis = gfp.kernel(m, p), ref_kernel(m, p)
+    assert basis.dtype == want_basis.dtype and basis.shape == want_basis.shape
+    assert np.array_equal(basis, want_basis)
+    x, want_x = gfp.solve(m, b, p), ref_solve(m, b, p)
+    if want_x is None:
+        assert x is None
+    else:
+        assert x.dtype == want_x.dtype and np.array_equal(x, want_x)
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_in_row_space_of_no_rows(p):
     # Only the zero vector lies in the span of no rows, whatever p is.
@@ -209,8 +250,8 @@ def test_batched_rank_matches_rank_per_slice(sp):
 @example((np.zeros((3, 4, 0), dtype=np.int64), 3))
 @example((np.ones((2, 3, 3), dtype=np.int64), 2))
 def test_reduce_pivot_rows_scale_to_the_rref_rows(sp):
-    """The core's pivot columns are rref's, and each pivot row times the
-    inverse of its pivot is the matching row of rref's reduced form."""
+    """The core's pivot columns are the reference rref's, and each pivot row
+    times the inverse of its pivot is the matching row of its reduced form."""
     stack, p = sp
     batch, rows, cols = stack.shape
     a = stack.astype(np.int64)
@@ -218,7 +259,7 @@ def test_reduce_pivot_rows_scale_to_the_rref_rows(sp):
     assert reduced is a
     assert pivot_row.shape == (batch, cols)
     for mat, mat_reduced, where in zip(stack, reduced, pivot_row):
-        r, rank, pivots = gfp.rref(mat, p)
+        r, rank, pivots = ref_rref(mat, p)
         assert np.flatnonzero(where >= 0).tolist() == pivots
         pivots = np.array(pivots, dtype=np.intp)
         held = mat_reduced[where[pivots]]
@@ -262,8 +303,8 @@ RANDOM_BITS = np.random.default_rng(5).integers(0, 2, size=(30, 40, 66))
 @example(np.concatenate([np.ones((30, 12, 64), dtype=np.int64), RANDOM_BITS[:, :12]], axis=2))  # several words
 @example(np.concatenate([np.ones((3, 12, 64), dtype=np.int64), RANDOM_BITS[:3, :12]], axis=2))  # on ints
 def test_packed_rank_matches_rank_per_slice(stack):
-    """Every branch of packed_rank agrees with rref's numpy Gauss-Jordan,
-    which shares no code with it."""
+    """Every branch of packed_rank agrees with the reference numpy
+    Gauss-Jordan, which shares no code with it."""
     words = gfp.pack_bits(stack)
     assert words.dtype == np.uint64
     assert words.shape == stack.shape[:2] + (-(-stack.shape[2] // 64),)
@@ -276,19 +317,20 @@ def test_packed_rank_matches_rank_per_slice(stack):
     assert np.array_equal(words, before)
     assert got.shape == (stack.shape[0],)
     for mat, rk in zip(stack, got):
-        assert rk == gfp.rref(mat, 2)[1]
+        assert rk == ref_rank(mat, 2)
 
 
 @pytest.mark.parametrize("cols", [0, 7, 8, 9, 63, 64, 65, 129])
 def test_rank_at_p2_matches_rref(cols):
     """rank(m, 2) packs each row into a Python int: across the byte and word
     boundaries of the packing, on unreduced entries, and on 0-row and
-    0-column shapes (a rowless code sends (0, 2n) through validation)."""
+    0-column shapes (a rowless code sends (0, 2n) through validation).  The
+    reference is the numpy Gauss-Jordan of the tests."""
     rng = np.random.default_rng(cols)
     for rows, inner in [(0, 0), (1, 1), (5, 3), (12, 12), (20, 8), (70, 70), (140, 140)]:
         m = (rng.integers(0, 2, size=(rows, inner)) @ rng.integers(0, 2, size=(inner, cols))) % 2
-        assert gfp.rank(m, 2) == gfp.rref(m, 2)[1]
-        assert gfp.rank(m + 2 * rng.integers(-3, 4, size=m.shape), 2) == gfp.rref(m, 2)[1]
+        assert gfp.rank(m, 2) == ref_rank(m, 2)
+        assert gfp.rank(m + 2 * rng.integers(-3, 4, size=m.shape), 2) == ref_rank(m, 2)
 
 
 @pytest.mark.parametrize(
