@@ -15,6 +15,13 @@ complement of E:
   maximally entangled with a k-qudit reference R (Fattal, Cubitt, Yamamoto,
   Bravyi and Chuang, "Entanglement in the stabilizer formalism", 2004).
 
+The same questions read off the normalizer N(S) = S^perp, the 2n - r
+dual vectors of the checks, with generator matrix G.  Puncturing and
+shortening swap under duality, ``(S|_E)^perp = (S^perp)_E`` (MacWilliams
+and Sloane, ch. 1 section 9), so ``g_E``, the rank of G on E's columns,
+gives ``r_E' = r - 2|E| + g_E`` exactly.  Hence E is correctable iff
+``r_E = g_E``, ``I(R:A) = g_A - r_A``, and ``0 <= g_E - r_E <= 2k``.
+
 The code distance and the dual minimum weight are the smallest |E| at which
 some E fails to be a correctable erasure, respectively has ``r_E < 2|E|``;
 :meth:`ShareStructure.smallest_size` finds them by walking share-set sizes,
@@ -27,10 +34,13 @@ of size w and row ``C(n, w) - 1 - i`` of size ``n - w`` are complements.
 :class:`ShareStructure` keeps each size's listing and array of r_E
 (:meth:`ShareStructure.sets`, :meth:`ShareStructure.level`), so every walk
 lists a size once per code and reads r_E' as ``level(n - w)[::-1]``; a
-query on given sets reads a kept level by row index.  Everything else is
-eliminated in batches of at most :data:`CHUNK_ENTRIES` entries, by a kernel
-that loops over the cheaper side of each set's matrix in narrow words:
-:func:`advshare.gfp.packed_rank` on bit-packed columns at p = 2,
+query on given sets reads a kept level by row index.  The whole access
+table (:meth:`ShareStructure.table`) ranks each size w < n/2 on H and G
+together and fills size n - w from the identity above, so no size above
+n/2 is eliminated.  Everything else is eliminated on H alone.
+Eliminations run in batches of at most :data:`CHUNK_ENTRIES` entries, by a
+kernel that loops over the cheaper side of each set's matrix in narrow
+words: :func:`advshare.gfp.packed_rank` on bit-packed columns at p = 2,
 :func:`advshare.gfp.batched_rank` on uint8 columns at odd p.  At p = 2 a
 batch of fewer than :data:`advshare.gfp.INT_RANK_BATCH` sets, such as the
 few complements a walk asks for, is ranked one set at a time on Python
@@ -42,6 +52,7 @@ thousand.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from typing import Callable, Optional
@@ -49,12 +60,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import gfp
-from .errors import BudgetExceededError
-from .symplectic import owned_columns
+from .errors import BudgetExceededError, InvariantError
+from .symplectic import orthogonality_rows, owned_columns
 
 #: Most entries one batched elimination allocates: per share set of size
-#: |E|, 2|E| column indices and 2|E| stack rows, plus n membership flags
-#: when the sets are complements.  Bounds the memory of a rank query
+#: |E|, 2|E| column indices and 2|E| stack rows per matrix ranked on them
+#: (two in :meth:`ShareStructure.table`), plus n membership flags when the
+#: sets are complements.  Bounds the memory of a rank query
 #: whatever its sets' sizes.
 CHUNK_ENTRIES = 1 << 20
 
@@ -110,11 +122,26 @@ class ShareStructure:
         # share set's columns, and the transpose has the same rank.  Entries
         # are below 7, so a uint8 gather feeds the narrow kernels directly.
         self._columns = gfp.as_matrix(check_matrix, p).T.astype(np.uint8, order="C")
-        # At p = 2 each column is also one row of uint64 words, a bit per check.
-        self._words = gfp.pack_bits(self._columns) if p == 2 else None
-        self._row_entries = (self._words if p == 2 else self._columns).shape[1]
+        # What the kernels gather from: one matrix's columns on a leading axis.
+        self._checks = self._narrow(self._columns[None])
         self._sets: dict[int, np.ndarray] = {}
         self._levels: dict[int, np.ndarray] = {0: np.zeros(1, dtype=np.int64)}
+
+    def _narrow(self, columns: np.ndarray) -> np.ndarray:
+        """Columns as the kernels take them: at p = 2 each one a row of
+        uint64 words, a bit per entry; at odd p as they are."""
+        return gfp.pack_bits(columns) if self.p == 2 else columns
+
+    @functools.cached_property
+    def _with_normalizer(self) -> np.ndarray:
+        """H's columns and G's, stacked as ``_checks`` holds H's alone, each
+        zero-padded to the longer: G generates the normalizer, 2n - r rows."""
+        h = self._columns.T.astype(np.int64)
+        g = gfp.kernel(orthogonality_rows(h, self.p), self.p).T
+        both = np.zeros((2, 2 * self.n, max(h.shape[0], g.shape[1])), dtype=np.uint8)
+        both[0, :, : h.shape[0]] = self._columns
+        both[1, :, : g.shape[1]] = g
+        return self._narrow(both)
 
     def sets(self, w: int) -> np.ndarray:
         """``share_sets(n, w)``, listed once and kept beside ``level(w)``."""
@@ -125,22 +152,48 @@ class ShareStructure:
     def level(self, w: int) -> np.ndarray:
         """r_E of every w-set, in :func:`share_sets` order; ranked once and kept."""
         if w not in self._levels:
-            self._levels[w] = self._eliminate(self.sets(w), False)
+            self._levels[w] = self._eliminate(self.sets(w), False)[0]
         return self._levels[w]
+
+    def table(self) -> None:
+        """Keep every size 0..n, for a stabilizer's check matrix (independent,
+        commuting rows).
+
+        Each size w < n/2 is ranked on H and G in one elimination per chunk,
+        and size n - w is filled as ``r - 2w + g_E``, reversed; the sizes
+        left, the middle size of an even n among them, are ranked on H
+        alone.  A stacked size with some ``g_E - r_E`` outside ``0..2k``
+        raises :class:`InvariantError`.
+        """
+        n, r = self.n, self.num_checks
+        self._levels[n] = np.full(1, r, dtype=np.int64)
+        # Stacked, sizes w and n - w take 2w elimination steps; on H alone
+        # they take min(2w, r) + r, no more once w >= r (rowless codes).
+        for w in range(1, min(r, (n + 1) // 2)):
+            inside, normal = self._eliminate(self.sets(w), False, self._with_normalizer)
+            gap = normal - inside
+            if gap.min() < 0 or gap.max() > 2 * (n - r):
+                raise InvariantError(
+                    f"normalizer rank minus check rank of a {w}-set leaves 0..{2 * (n - r)}"
+                )
+            self._levels[w] = inside
+            self._levels[n - w] = (r - 2 * w + normal)[::-1]
+        for w in range(1, n):
+            self.level(w)
 
     def ranks(self, sets) -> np.ndarray:
         """r_E of each of m sorted w-sets, given as an ``(m, w)`` array or a
         list of m tuples: read from a kept level by row index, else eliminated."""
         sets = np.asarray(sets, dtype=np.intp)
         if sets.shape[1] not in self._levels:
-            return self._eliminate(sets, False)
+            return self._eliminate(sets, False)[0]
         return self._levels[sets.shape[1]][_row_index(sets, self.n)]
 
     def complement_ranks(self, sets) -> np.ndarray:
         """r_E' of each of m sorted w-sets, given as for :meth:`ranks`."""
         sets = np.asarray(sets, dtype=np.intp)
         if self.n - sets.shape[1] not in self._levels:
-            return self._eliminate(sets, True)
+            return self._eliminate(sets, True)[0]
         return self._levels[self.n - sets.shape[1]][::-1][_row_index(sets, self.n)]
 
     def pair(self, sets) -> tuple[int, np.ndarray, np.ndarray]:
@@ -155,29 +208,36 @@ class ShareStructure:
             return w, self._levels[w][rows], self._levels[self.n - w][::-1][rows]
         return w, self.ranks(sets), self.complement_ranks(sets)
 
-    def _eliminate(self, sets: np.ndarray, outside: bool) -> np.ndarray:
+    def _eliminate(
+        self, sets: np.ndarray, outside: bool, source: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """r_E of each row, or r_E' if ``outside``, in chunks of at most
-        :data:`CHUNK_ENTRIES` entries."""
+        :data:`CHUNK_ENTRIES` entries: one row of ranks for each matrix whose
+        columns ``source`` stacks, H's alone (``_checks``) unless given."""
+        source = self._checks if source is None else source
         count, w = sets.shape
         size = self.n - w if outside else w
-        per_set = (self.n if outside else 0) + 2 * size * (1 + self._row_entries)
+        per_set = (self.n if outside else 0) + 2 * size * (1 + source.shape[0] * source.shape[2])
         step = max(1, CHUNK_ENTRIES // max(1, per_set))
-        out = np.empty(count, dtype=np.int64)
+        out = np.empty((source.shape[0], count), dtype=np.int64)
         for start in range(0, count, step):
             chunk = sets[start : start + step]
             if outside:
                 member = np.zeros((len(chunk), self.n), dtype=bool)
                 member[np.arange(len(chunk))[:, None], chunk - 1] = True
                 chunk = np.nonzero(~member)[1].reshape(len(chunk), size) + 1
-            out[start : start + step] = self._chunk_ranks(chunk)
+            out[:, start : start + step] = self._chunk_ranks(chunk, source)
         return out
 
-    def _chunk_ranks(self, sets: np.ndarray) -> np.ndarray:
-        """r_E for the rows of one chunk of equally sized sets."""
+    def _chunk_ranks(self, sets: np.ndarray, source: np.ndarray) -> np.ndarray:
+        """For the rows of one chunk of equally sized sets, the rank of each
+        matrix whose columns ``source`` stacks, one row per matrix: every
+        matrix's sets go along one batch."""
         owned = owned_columns(sets, self.n)
-        if self._words is not None:
-            return gfp.packed_rank(self._words[owned])
-        return gfp.batched_rank(self._columns[owned], self.p)
+        halves, _, entries = source.shape
+        stack = source[:, owned].reshape(halves * len(sets), owned.shape[1], entries)
+        ranks = gfp.packed_rank(stack) if self.p == 2 else gfp.batched_rank(stack, self.p)
+        return ranks.reshape(halves, len(sets))
 
     def smallest_size(
         self,

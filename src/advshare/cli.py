@@ -502,8 +502,7 @@ def run(argv: list[str] | None = None, stdout=None, stderr=None) -> int:
         code = _load(args.file)
         if args.command == "demo" and code.n < enum_budget.bit_length():
             # Ranked first, the table's sizes also answer the distance walk's complements.
-            for w in range(code.n + 1):
-                code.share_structure().level(w)
+            code.share_structure().table()
         report["code"] = _code_section(code, enum_budget)
         if args.command == "analyze":
             report["advance_shareable"] = _analyze_section(

@@ -335,9 +335,9 @@ def pack_bits(m) -> np.ndarray:
     """
     a = np.asarray(m, dtype=np.int64) % 2
     bytes_ = np.packbits(a.astype(np.uint8), axis=-1, bitorder="little")
-    words = -(-a.shape[-1] // 64)
-    pad = [(0, 0)] * (a.ndim - 1) + [(0, 8 * words - bytes_.shape[-1])]
-    return np.ascontiguousarray(np.pad(bytes_, pad)).view("<u8").astype(np.uint64)
+    padded = np.zeros(a.shape[:-1] + (8 * -(-a.shape[-1] // 64),), dtype=np.uint8)
+    padded[..., : bytes_.shape[-1]] = bytes_
+    return padded.view("<u8").astype(np.uint64)
 
 
 def packed_rank(stack) -> np.ndarray:

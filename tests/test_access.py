@@ -1,5 +1,6 @@
 import io
 import itertools
+import json
 import re
 
 import numpy as np
@@ -18,18 +19,20 @@ from advshare.advance import (
 )
 from advshare.clifford import encoding_circuit
 from advshare.codefile import parse_code_file
-from advshare.errors import BudgetExceededError
+from advshare.errors import BudgetExceededError, InvariantError
 from advshare.pauli import code_distance, random_stabilizer, validate_stabilizer
 from advshare.sim import classify_access, correctable_erasure, mutual_information_table
 from advshare.symplectic import (
     min_symplectic_weight,
+    orthogonality_rows,
     puncture,
     shorten,
     symplectic_dual,
     symplectic_weight,
 )
-from conftest import FIVE_QUBIT_ROWS
+from conftest import FIVE_QUBIT_ROWS, REPO
 from test_pauli import group_level_distance
+from tests_util_gfp import ref_kernel, ref_rank
 
 ENTRY_POINTS = {
     "is_advance_shareable": is_advance_shareable,
@@ -290,15 +293,15 @@ def test_rank_chunks_stay_within_the_entry_limit(p, checks, monkeypatch):
     n = 12
     h = np.random.default_rng([p, checks]).integers(0, p, size=(checks, 2 * n))
     structure = ShareStructure(p, n, h)
-    row_entries = (structure._words if p == 2 else structure._columns).shape[1]
+    row_entries = structure._checks.shape[2]
     per_set = n + 2 * (n - 1) * (1 + row_entries)
     monkeypatch.setattr(access, "CHUNK_ENTRIES", 3 * per_set)
     chunks = []
     chunk_ranks = structure._chunk_ranks
 
-    def recorded(sets):
+    def recorded(sets, source):
         chunks.append(sets.shape)
-        return chunk_ranks(sets)
+        return chunk_ranks(sets, source)
 
     monkeypatch.setattr(structure, "_chunk_ranks", recorded)
     for w in (1, 2):
@@ -315,13 +318,15 @@ def test_rank_chunks_stay_within_the_entry_limit(p, checks, monkeypatch):
 
 
 def record_eliminations(monkeypatch):
-    """The size of the sets ranked by each batched elimination, in call order."""
+    """The size of the sets ranked by each batched elimination, and how many
+    matrices it ranks on them (1: H alone, 2: H and the normalizer's G), in
+    call order."""
     sizes = []
     chunk_ranks = ShareStructure._chunk_ranks
 
-    def recorded(self, sets):
-        sizes.append(sets.shape[1])
-        return chunk_ranks(self, sets)
+    def recorded(self, sets, source):
+        sizes.append((sets.shape[1], source.shape[0]))
+        return chunk_ranks(self, sets, source)
 
     monkeypatch.setattr(ShareStructure, "_chunk_ranks", recorded)
     return sizes
@@ -336,7 +341,7 @@ def test_distance_skips_complements_of_sets_beyond_the_check_count(monkeypatch):
         code = validate_stabilizer(np.zeros((0, 2 * n), dtype=np.int64), 2, n)
         assert code_distance(code) == 1
         assert sorted(code.share_structure()._levels) == [0, 1]
-        assert sizes == [1]
+        assert sizes == [(1, 1)]
         sizes.clear()
 
 
@@ -461,8 +466,10 @@ def five_qudit_code(p):
 def test_demo_without_trials_eliminates_each_size_once(p, shares, tmp_path, monkeypatch):
     """The distance walk, the J query and the access table read one set of
     kept levels.  On the [[5,1,3]]_p codes the walk finds every r_E' it
-    needs in a kept level too, so `demo --trials 0` eliminates each size
-    1..5 exactly once (size 0 is never eliminated)."""
+    needs in a kept level too, so `demo --trials 0` eliminates sizes 1 and
+    2 once each, on H and G together, and no other size: sizes 3..5 are
+    filled from the identity r_E' = r - 2|E| + g_E (size 0 is never
+    eliminated)."""
     code = five_qudit_code(p)
     assert code_distance(code) == 3
     lines = [f"p={p} n=5"] + [
@@ -474,4 +481,129 @@ def test_demo_without_trials_eliminates_each_size_once(p, shares, tmp_path, monk
     sizes = record_eliminations(monkeypatch)
     argv = ["demo", str(path), "--J", shares, "--trials", "0"]
     assert cli.run(argv, stdout=io.StringIO(), stderr=io.StringIO()) == 0
-    assert sorted(sizes) == [1, 2, 3, 4, 5]
+    assert sorted(sizes) == [(1, 2), (2, 2)]
+
+
+# ---------------------------------------------------------------------------
+# the whole table: H and the normalizer's G ranked together
+
+
+def ref_rank_on(m, shares, p):
+    """Reference rank of the columns the 1-based shares own in m, by
+    ``ref_rank``, which shares no code with :mod:`advshare.gfp`."""
+    n = m.shape[1] // 2
+    return ref_rank(m[:, [j - 1 for j in shares] + [n + j - 1 for j in shares]], p)
+
+
+def checked_table(code, patch):
+    """Run :meth:`ShareStructure.table` on a fresh structure of ``code`` and
+    check it against references set by set: every size's r_E against
+    ``ref_rank`` of H, and at each stacked size g_E against ``ref_rank`` of
+    G, the normalizer's generators by ``ref_kernel``, and r_E' against
+    ``r - 2|E| + g_E``.  Returns the stacked sizes and each elimination's
+    (sets, size, matrices ranked on them, entries per column)."""
+    p, n, h, r = code.p, code.n, code.check_matrix, code.num_checks
+    normal, chunks = {}, []
+    eliminate, chunk_ranks = ShareStructure._eliminate, ShareStructure._chunk_ranks
+
+    def recorded_eliminate(self, sets, outside, source=None):
+        ranks = eliminate(self, sets, outside, source)
+        if source is not None:
+            normal[sets.shape[1]] = ranks[1]
+        return ranks
+
+    def recorded_chunk(self, sets, source):
+        chunks.append((*sets.shape, source.shape[0], source.shape[2]))
+        return chunk_ranks(self, sets, source)
+
+    patch.setattr(ShareStructure, "_eliminate", recorded_eliminate)
+    patch.setattr(ShareStructure, "_chunk_ranks", recorded_chunk)
+    structure = ShareStructure(p, n, h)
+    structure.table()
+    assert sorted(structure._levels) == list(range(n + 1))
+    for w in range(n + 1):
+        level = structure._levels[w]
+        sets = share_sets(n, w).tolist()
+        assert len(level) == len(sets)
+        assert level.tolist() == [ref_rank_on(h, shares, p) for shares in sets]
+    g = ref_kernel(orthogonality_rows(h, p), p)
+    assert g.shape == (2 * n - r, 2 * n)
+    assert not (h @ orthogonality_rows(g, p).T % p).any()
+    for w, normal_ranks in normal.items():
+        outside = structure._levels[n - w][::-1]
+        for shares, g_e, r_out in zip(share_sets(n, w).tolist(), normal_ranks, outside):
+            assert g_e == ref_rank_on(g, shares, p)
+            assert r_out == r - 2 * w + g_e
+    return sorted(normal), chunks
+
+
+@pytest.mark.parametrize("p", gfp.PRIMES)
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_table_matches_references_and_the_normalizer_identity(p, data):
+    """Random codes with n <= 8 and every check count 0..n, so rowless and
+    k = 0 codes too: each size w < min(r, n/2) is stacked, and every size
+    matches the references."""
+    n = data.draw(st.integers(1, 8))
+    r = data.draw(st.integers(0, n))
+    code = random_stabilizer(p, n, r, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+    with pytest.MonkeyPatch.context() as patch:
+        stacked, chunks = checked_table(code, patch)
+    assert stacked == list(range(1, min(r, (n + 1) // 2)))
+    assert all(matrices == 2 for _, size, matrices, _ in chunks if size in stacked)
+
+
+@pytest.mark.parametrize("name", ["five_qubit", "four_qubit_ghz", "qutrit_ghz"])
+def test_table_matches_references_on_shipped_codes(name, monkeypatch):
+    p, n, rows = parse_code_file((REPO / "codes" / f"{name}.code").read_text())
+    code = validate_stabilizer(np.asarray(rows), p, n)
+    stacked, _ = checked_table(code, monkeypatch)
+    assert stacked == list(range(1, min(code.num_checks, (n + 1) // 2)))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_stacked_chunks_split_within_the_entry_limit(p, monkeypatch):
+    """With the entry limit at three sets of the largest stacked size, both
+    matrices' columns counted, stacked sizes 2 and 3 split into chunks of 4
+    and 3 sets, each within the limit, and the table still matches the
+    references."""
+    n = 8
+    code = random_stabilizer(p, n, n - 1, np.random.default_rng([p, n]))
+    source = ShareStructure(p, n, code.check_matrix)._with_normalizer
+    monkeypatch.setattr(access, "CHUNK_ENTRIES", 3 * 2 * 3 * (1 + 2 * source.shape[2]))
+    stacked, chunks = checked_table(code, monkeypatch)
+    assert stacked == [1, 2, 3]
+    for w in stacked:
+        counts = [count for count, size, matrices, _ in chunks if size == w and matrices == 2]
+        assert sum(counts) == len(share_sets(n, w))
+        assert len(counts) == (1 if w == 1 else -(-len(share_sets(n, w)) // (9 // w)))
+    for count, size, matrices, entries in chunks:
+        assert count * 2 * size * (1 + matrices * entries) <= access.CHUNK_ENTRIES
+
+
+@pytest.mark.parametrize("off", ["one-too-many", "one-too-few"])
+def test_a_normalizer_rank_out_of_bounds_is_an_invariant_error(off, tmp_path, monkeypatch):
+    """A kernel that returns a normalizer rank one past 2k above r_E, or one
+    below it, makes the table raise InvariantError and `demo` exit 3 with
+    an internal-error report."""
+    chunk_ranks = ShareStructure._chunk_ranks
+
+    def broken(self, sets, source):
+        ranks = chunk_ranks(self, sets, source)
+        if source.shape[0] == 2:
+            k = self.n - self.num_checks
+            ranks[1, 0] = ranks[0, 0] + (2 * k + 1 if off == "one-too-many" else -1)
+        return ranks
+
+    monkeypatch.setattr(ShareStructure, "_chunk_ranks", broken)
+    code = validate_stabilizer(FIVE_QUBIT_ROWS, 2, 5)
+    message = "normalizer rank minus check rank of a 1-set leaves 0..2"
+    with pytest.raises(InvariantError, match=re.escape(message)):
+        ShareStructure(code.p, code.n, code.check_matrix).table()
+    path = tmp_path / "five_qubit.code"
+    path.write_text((REPO / "codes" / "five_qubit.code").read_text())
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.run(["demo", str(path), "--J", "none", "--trials", "0"], stdout=out, stderr=err) == 3
+    report = json.loads(out.getvalue())
+    assert report["error"] == {"type": "internal", "message": message}
+    assert err.getvalue() == f"internal error: {message}\n"

@@ -2,6 +2,7 @@ import dataclasses
 import enum
 import hashlib
 import io
+import itertools
 import json
 from importlib import resources
 from pathlib import Path
@@ -17,6 +18,8 @@ from advshare.access import ShareStructure, share_sets
 from advshare.codefile import format_code_file, parse_code_file
 from advshare.errors import CodeFileError, UncorrectableErasureError
 from advshare.pauli import random_stabilizer, validate_stabilizer
+from advshare.symplectic import min_symplectic_weight, symplectic_dual
+from test_access import SPAN_LIMIT, ref_rank_on, span_code_distance
 
 
 def run_cli(argv):
@@ -799,23 +802,29 @@ def test_analyze_walks_the_dual_weight_once(code_dir, monkeypatch):
 
 @pytest.mark.parametrize("p, n", [(2, 7), (3, 6), (5, 5), (2, 8)])
 def test_demo_ranks_each_size_once(tmp_path, monkeypatch, p, n):
-    """With its table within the budget, ``demo`` ranks the sizes 1..n once
-    each, one elimination per size: the distance walk reads the complements
-    of its deficient sets from the table's sizes.  On these codes the walk
-    meets deficient sets whose complements' size is not ranked before it."""
+    """With its table within the budget, ``demo`` eliminates each size below
+    n/2 once, on H and the normalizer's G stacked in one elimination, and
+    the middle size of an even n once on H alone; every larger size is read
+    off r_E' = r - 2|E| + g_E.  The distance walk reads the complements of
+    its deficient sets from the table's sizes, so no complement is
+    eliminated.  On these codes the walk meets deficient sets whose
+    complements' size is not ranked before it."""
     code = random_stabilizer(p, n, n - 1, np.random.default_rng([p, n]))
     path = tmp_path / "random.code"
     path.write_text(format_code_file(code), encoding="utf-8")
     calls = []
     eliminate = ShareStructure._eliminate
-    monkeypatch.setattr(
-        ShareStructure,
-        "_eliminate",
-        lambda self, sets, outside: calls.append(outside) or eliminate(self, sets, outside),
-    )
+
+    def recorded(self, sets, outside, source=None):
+        matrices = 1 if source is None else source.shape[0]
+        calls.append((sets.shape[1], outside, matrices))
+        return eliminate(self, sets, outside, source)
+
+    monkeypatch.setattr(ShareStructure, "_eliminate", recorded)
     status, _, _ = run_cli(["demo", str(path), "--J", "none", "--trials", "0"])
     assert status == 0
-    assert calls == [False] * n
+    middle = [(n // 2, False, 1)] if n % 2 == 0 else []
+    assert calls == [(w, False, 2) for w in range(1, (n + 1) // 2)] + middle
 
 
 @pytest.mark.parametrize("p, n, trials", [(2, 12, 0), (3, 9, 0), (5, 7, 0), (7, 6, 0), (3, 4, 1)])
@@ -955,12 +964,69 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+def check_exact_answers(report, argv):
+    """An exit-0 report against references: r_E of every share set by
+    ``ref_rank``, which shares no code with :mod:`advshare.gfp`, for the
+    access labels, the mutual information and the shareable sets; the span
+    scans for the distance and the dual weight, or the same r_E where the
+    span passes :data:`SPAN_LIMIT`."""
+    code = report["code"]
+    p, n, k = code["p"], code["n"], code["k"]
+    r = n - k
+    if n > 5:
+        # A rowless file on a huge n: every share alone is an uncorrectable
+        # erasure that holds a dual vector, and no set is shareable.
+        assert r == 0 and code["distance"] == 1 and "demo" not in report
+        if "advance_shareable" in report:
+            assert report["advance_shareable"]["dual_min_weight"] == 1
+            assert report["advance_shareable"]["sets"] == []
+        return
+    h = np.array(code["check_matrix"], dtype=np.int64).reshape(r, 2 * n)
+    subsets = [e for w in range(n + 1) for e in itertools.combinations(range(1, n + 1), w)]
+    rank = {e: ref_rank_on(h, e, p) for e in subsets}
+
+    def outside(e):
+        return rank[tuple(j for j in range(1, n + 1) if j not in e)]
+
+    def correctable(e):
+        return 2 * len(e) - rank[e] == r - outside(e)
+
+    small = p ** (n + k) <= SPAN_LIMIT
+    stabilizer = validate_stabilizer(h, p, n)
+    if k:
+        uncorrectable = min(len(e) for e in subsets if not correctable(e))
+        assert code["distance"] == (span_code_distance(stabilizer) if small else uncorrectable)
+    if "advance_shareable" in report:
+        section = report["advance_shareable"]
+        if small:
+            dual = min_symplectic_weight(symplectic_dual(stabilizer.f_space()))
+        else:
+            dual = min(len(e) for e in subsets if rank[e] < 2 * len(e))
+        assert section["dual_min_weight"] == dual
+        max_size = int(argv[argv.index("--max-size") + 1]) if "--max-size" in argv else 1
+        shareable = [
+            list(e) for e in sorted(subsets) if 1 <= len(e) <= max_size and rank[e] == 2 * len(e)
+        ]
+        assert [row["shares"] for row in section["sets"]] == shareable
+    if "demo" in report:
+        table = report["demo"]["access_table"]
+        assert [tuple(row["shares"]) for row in table] == subsets
+        for row in table:
+            e = tuple(row["shares"])
+            complement = tuple(j for j in range(1, n + 1) if j not in e)
+            label = "forbidden" if correctable(e) else "intermediate"
+            label = "qualified" if correctable(complement) else label
+            assert row["label"] == label, e
+            if "mutual_information" in row:
+                assert row["mutual_information"] == 2 * len(e) - r + outside(e) - rank[e], e
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_fuzz_the_cli_contract(fuzz_dir, schema, data):
     """Whatever the input, the CLI exits 0, 1 or 2 (never 3, an internal
     error), writes one JSON report that matches the schema, and writes the
-    same bytes when run again."""
+    same bytes when run again; an exit-0 report holds the exact answers."""
     text = data.draw(code_texts())
     path = fuzz_dir / f"{hashlib.sha256(text).hexdigest()[:16]}.code"
     path.write_bytes(text)
@@ -968,5 +1034,8 @@ def test_fuzz_the_cli_contract(fuzz_dir, schema, data):
     first = run_cli(argv)
     status, out, _ = first
     assert status in (0, 1, 2), (argv, text, out)
-    jsonschema.validate(json.loads(out), schema)
+    report = json.loads(out)
+    jsonschema.validate(report, schema)
+    if status == 0:
+        check_exact_answers(report, argv)
     assert run_cli(argv) == first
