@@ -46,7 +46,7 @@ batch of fewer than :data:`advshare.gfp.INT_RANK_BATCH` sets, such as the
 few complements a walk asks for, is ranked one set at a time on Python
 ints, since a numpy step costs about the same for one set as for a
 thousand.
-:meth:`advshare.pauli.StabilizerCode.share_structure` keeps one per code.
+:attr:`advshare.pauli.StabilizerCode.share_structure` keeps one per code.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ import numpy as np
 
 from . import gfp
 from .errors import BudgetExceededError, InvariantError
-from .symplectic import orthogonality_rows, owned_columns
+from .symplectic import orthogonality_rows, owned_columns, qudit_count
 
 #: Most entries one batched elimination allocates: per share set of size
 #: |E|, 2|E| column indices and 2|E| stack rows per matrix ranked on them
@@ -115,13 +115,13 @@ def check_budget(count: int, budget: int, stage: str, scope: str = "") -> None:
 class ShareStructure:
     """Ranks of column-restricted check matrices, kept one size at a time."""
 
-    def __init__(self, p: int, n: int, check_matrix: np.ndarray):
-        self.p, self.n = p, n
-        self.num_checks = int(check_matrix.shape[0])
+    def __init__(self, p: int, check_matrix: np.ndarray):
+        h = gfp.as_matrix(check_matrix, p)
+        self.p, self.n, self.num_checks = p, qudit_count(h), h.shape[0]
         # Row c of the transpose is column c of H: stacking rows selects a
         # share set's columns, and the transpose has the same rank.  Entries
         # are below 7, so a uint8 gather feeds the narrow kernels directly.
-        self._columns = gfp.as_matrix(check_matrix, p).T.astype(np.uint8, order="C")
+        self._columns = h.T.astype(np.uint8, order="C")
         # What the kernels gather from: one matrix's columns on a leading axis.
         self._checks = self._narrow(self._columns[None])
         self._sets: dict[int, np.ndarray] = {}

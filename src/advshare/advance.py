@@ -11,7 +11,8 @@ yields the generators of a smaller, non-commuting group; pairing it with a
 sparse single-wire group of identical commutation structure gives an
 entanglement-assisted code that corrects erasures exactly as well as the
 original stabilizer.  That code depends on the stabilizer and J alone, so
-an :class:`EAQECCPlan` is the pair (code, J) and derives the rest.
+an :class:`EAQECCPlan` is the pair (code, J), checks it when built (an
+unshareable J raises there) and derives the rest.
 
 A cheaper sufficient test: J is shareable whenever |J| is strictly below the
 minimum symplectic weight of the dual of the row space.  The converse fails
@@ -41,7 +42,7 @@ def is_advance_shareable(code: StabilizerCode, shares: Iterable[int]) -> bool:
     matrix; the code's cached share structure answers from that rank.
     """
     js = validated_shares(shares, code.n)
-    return bool(code.share_structure().ranks([js])[0] == 2 * len(js))
+    return bool(code.share_structure.ranks([js])[0] == 2 * len(js))
 
 
 def dual_min_weight(
@@ -60,7 +61,7 @@ def dual_min_weight(
     def deficient(w: int, sets: np.ndarray, ranks: np.ndarray) -> bool:
         return bool((ranks < 2 * w).any())
 
-    found = code.share_structure().smallest_size(
+    found = code.share_structure.smallest_size(
         deficient, last, "dual minimum weight", budget
     )
     return last + 1 if found is None else found
@@ -160,9 +161,10 @@ def normal_form(code: StabilizerCode, shares: Iterable[int]) -> NormalForm:
 class EAQECCPlan:
     """The encoding with |J| pre-shared entangled pairs: a code and its J.
 
-    The constructor sorts and validates J; the rest is derived once from
-    (code, J), so a plan cannot disagree with its code, and plans compare
-    by (code, J).  :func:`construct_eaqecc` builds a plan and checks it.
+    The constructor, ``dataclasses.replace`` too, sorts and validates J,
+    raises :class:`NotAdvanceShareableError` on an unshareable J and checks
+    that source and target generators commute alike.  The rest is derived
+    once from (code, J), so plans compare by (code, J).
 
     ``source_generators`` are the normal-form rows restricted to the
     complement of J: they generate the group the encoding unitary must
@@ -181,18 +183,16 @@ class EAQECCPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "shares", validated_shares(self.shares, self.code.n))
+        source, target = gram_matrix(self.source_generators), gram_matrix(self.target_generators)
+        if not np.array_equal(source, target):
+            raise InvariantError(
+                "commutation structure of restricted generators does not match the"
+                " single-wire pattern; normal form is inconsistent"
+            )
 
-    @property
-    def p(self) -> int:
-        return self.code.p
-
-    @property
-    def n(self) -> int:
-        return self.code.n
-
-    @property
-    def k(self) -> int:
-        return self.code.k
+    p = property(lambda self: self.code.p)
+    n = property(lambda self: self.code.n)
+    k = property(lambda self: self.code.k)
 
     @cached_property
     def normal(self) -> NormalForm:
@@ -253,21 +253,8 @@ def gram_matrix(generators: Sequence[PauliOperator]) -> np.ndarray:
 
 
 def construct_eaqecc(code: StabilizerCode, shares: Iterable[int]) -> EAQECCPlan:
-    """Build the entanglement-assisted encoding plan for share set J, and
-    check that its source and target generators commute alike.
-
-    An unshareable J raises :class:`NotAdvanceShareableError` here.  Wire
-    positions are assigned greedily: the smallest complement shares host
-    the pair wires (in J order), the next smallest host the bare-Z ancilla
-    wires, and whatever remains carries the secret.
-    """
-    plan = EAQECCPlan(code, shares)
-    if not np.array_equal(gram_matrix(plan.source_generators), gram_matrix(plan.target_generators)):
-        raise InvariantError(
-            "commutation structure of restricted generators does not match the"
-            " single-wire pattern; normal form is inconsistent"
-        )
-    return plan
+    """The plan for share set J, an :class:`EAQECCPlan`, which checks itself."""
+    return EAQECCPlan(code, shares)
 
 
 @dataclass(frozen=True)
@@ -291,7 +278,7 @@ def shareable_sets(
     last = min(max_size, code.num_checks // 2)
     candidates = sum(math.comb(code.n, size) for size in range(1, last + 1))
     check_budget(candidates, budget, "advance-shareable sets", f" up to size {last}")
-    structure = code.share_structure()
+    structure = code.share_structure
     levels = (structure.sets(w)[structure.level(w) == 2 * w] for w in range(1, last + 1))
     return sorted(js for sets in levels for js in map(tuple, sets.tolist()))
 

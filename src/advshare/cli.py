@@ -359,7 +359,7 @@ def _demo_section(
     # Sets run by size, each size in lexicographic share order; one level of
     # ranks per size, read forwards and reversed, gives every label and, when
     # trials run, the mutual information and the qualified sets.
-    structure = code.share_structure()
+    structure = code.share_structure
     sizes = []
     for w in range(code.n + 1):
         ranks = w, structure.level(w), structure.level(code.n - w)[::-1]
@@ -502,7 +502,7 @@ def run(argv: list[str] | None = None, stdout=None, stderr=None) -> int:
         code = _load(args.file)
         if args.command == "demo" and code.n < enum_budget.bit_length():
             # Ranked first, the table's sizes also answer the distance walk's complements.
-            code.share_structure().table()
+            code.share_structure.table()
         report["code"] = _code_section(code, enum_budget)
         if args.command == "analyze":
             report["advance_shareable"] = _analyze_section(

@@ -18,13 +18,15 @@ through them.  Commutation is then read off the symplectic product:
 
 Wire order for dense matrices matches tensor-factor order: qudit 0 is the
 leftmost Kronecker factor.
+
+A :class:`StabilizerCode` is its modulus and check matrix alone: it checks
+itself when built, and derives n, k and its cached share-set rank oracle.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -196,20 +198,38 @@ def to_matrix(a: PauliOperator, budget: int = gfp.DEFAULT_STATE_BUDGET) -> np.nd
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class StabilizerCode:
-    """A validated stabilizer over F_p given by its check matrix.
+    """A stabilizer over F_p: its check matrix, checked when built.
 
-    The check matrix has one row per independent generator and 2n columns
-    in ``(x | z)`` order; rows are pairwise symplectically orthogonal.
-    ``k = n - rows`` logical qudits.  Use :func:`validate_stabilizer` to
-    construct one from untrusted input.
+    One row per generator, 2n columns in ``(x | z)`` order; ``k = n - rows``.
+    The constructor reduces the matrix mod p, refuses an odd width, more
+    rows than qudits, dependent rows and non-commuting rows, in that order,
+    and keeps it read-only, so n, k and the cached :attr:`share_structure`
+    answer for it; ``dataclasses.replace``, copies and pickles build anew.
     """
 
     p: int
-    n: int
     check_matrix: np.ndarray = field(repr=False)
-    _shares: Optional[ShareStructure] = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        h = gfp.as_matrix(self.check_matrix, self.p)
+        n = symplectic.qudit_count(h)
+        if h.shape[0] > n:
+            raise DependentRowsError(
+                f"{h.shape[0]} generators on {n} qudits cannot be independent and commuting"
+            )
+        if gfp.rank(h, self.p) != h.shape[0]:
+            raise DependentRowsError("rows dependent: remove redundant generators")
+        bad = np.argwhere(symplectic.product_matrix(h, h, self.p) != 0)
+        if bad.size:
+            raise NotCommutativeError(*sorted(int(i) + 1 for i in bad[0]))
+        h.setflags(write=False)
+        object.__setattr__(self, "check_matrix", h)
+
+    @property
+    def n(self) -> int:
+        return self.check_matrix.shape[1] // 2
 
     @property
     def num_checks(self) -> int:
@@ -226,51 +246,37 @@ class StabilizerCode:
     def generators(self) -> list[PauliOperator]:
         return [self.generator(i) for i in range(self.num_checks)]
 
+    @functools.cached_property
     def share_structure(self) -> ShareStructure:
-        """The share-set rank oracle of this code, built once and cached."""
-        if self._shares is None:
-            self._shares = ShareStructure(self.p, self.n, self.check_matrix)
-        return self._shares
+        """The share-set rank oracle of this code, built on first use and kept."""
+        return ShareStructure(self.p, self.check_matrix)
 
     def f_space(self) -> SymplecticCode:
         """Row space of the check matrix as a symplectic code."""
-        return SymplecticCode(self.p, self.n, self.check_matrix)
+        return SymplecticCode(self.p, self.check_matrix)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StabilizerCode):
             return NotImplemented
-        return (
-            self.p == other.p
-            and self.n == other.n
-            and np.array_equal(self.check_matrix, other.check_matrix)
-        )
+        return self.p == other.p and np.array_equal(self.check_matrix, other.check_matrix)
+
+    def __reduce__(self):
+        return StabilizerCode, (self.p, self.check_matrix)
 
 
 def validate_stabilizer(check_matrix, p: int, n: int) -> StabilizerCode:
-    """Validate a candidate check matrix and wrap it.
+    """The code of a check matrix on n qudits, as a code file gives it.
 
-    Rejects dependent rows outright (the row count defines k downstream, so
-    silently reducing would hide caller errors) and reports the first
-    non-commuting row pair by 1-based indices.  An empty 1-d input (``[]``)
-    means no rows; a 2-d input keeps its shape.
+    An empty 1-d input (``[]``) means no rows; a 2-d input needs 2n columns.
+    :class:`StabilizerCode` checks the rest: dependent rows are refused (the
+    row count defines k), and the first non-commuting pair is named 1-based.
     """
     if np.ndim(check_matrix) == 1 and not np.size(check_matrix):
         check_matrix = np.zeros((0, 2 * n), dtype=np.int64)
     h = gfp.as_matrix(check_matrix, p)
     if h.shape[1] != 2 * n:
         raise ValueError(f"check matrix needs {2 * n} columns, got {h.shape[1]}")
-    if h.shape[0] > n:
-        raise DependentRowsError(
-            f"{h.shape[0]} generators on {n} qudits cannot be independent and commuting"
-        )
-    if gfp.rank(h, p) != h.shape[0]:
-        raise DependentRowsError("rows dependent: remove redundant generators")
-    products = symplectic.product_matrix(h, h, p)
-    bad = np.argwhere(products != 0)
-    if bad.size:
-        i, j = int(bad[0][0]), int(bad[0][1])
-        raise NotCommutativeError(min(i, j) + 1, max(i, j) + 1)
-    return StabilizerCode(p, n, h)
+    return StabilizerCode(p, h)
 
 
 def code_distance(
@@ -290,7 +296,7 @@ def code_distance(
     """
     if code.k < 1:
         raise ValueError("distance undefined for k = 0 (no logical qudits)")
-    structure = code.share_structure()
+    structure = code.share_structure
 
     def uncorrectable(w: int, sets: np.ndarray, ranks: np.ndarray) -> bool:
         if 2 * w - ranks.min() > code.num_checks:

@@ -457,7 +457,7 @@ def correctable_erasure(code: StabilizerCode, erased: Iterable[int]) -> bool:
     in the check row space (no undetectable damage fits in the hole); the
     code's cached share structure compares the two dimensions.
     """
-    structure = code.share_structure()
+    structure = code.share_structure
     return bool(structure.correctable(*structure.pair([validated_shares(erased, code.n)]))[0])
 
 
@@ -491,7 +491,7 @@ def _erasures(
     by_size: dict[int, list[tuple[int, ...]]] = {}
     for err in distinct:
         by_size.setdefault(len(err), []).append(err)
-    structure = code.share_structure()
+    structure = code.share_structure
     ok: dict[tuple[int, ...], bool] = {}
     for group in by_size.values():
         ok.update(zip(group, structure.correctable(*structure.pair(group)).tolist()))
@@ -639,7 +639,7 @@ def classify_access(code: StabilizerCode, accessible: Iterable[int]) -> AccessLa
     set itself could be erased (its complement reconstructs, so by purity
     the set holds nothing); intermediate otherwise.
     """
-    structure = code.share_structure()
+    structure = code.share_structure
     return structure.labels(*structure.pair([validated_shares(accessible, code.n)]))[0]
 
 

@@ -65,24 +65,34 @@ def symplectic_weight(vectors: np.ndarray, n: int) -> np.ndarray:
     return np.count_nonzero((x != 0) | (z != 0), axis=-1)
 
 
+def qudit_count(rows: np.ndarray) -> int:
+    """The n of (x | z) rows 2n wide; an odd width raises ValueError."""
+    width = rows.shape[-1]
+    if width % 2:
+        raise ValueError(f"(x | z) rows need an even number of columns, got {width}")
+    return width // 2
+
+
 @dataclass(frozen=True)
 class SymplecticCode:
     """An F_p-linear subspace of F_p^{2n} with paired (x | z) coordinates.
 
     ``generators`` is kept in reduced row echelon form with zero rows
-    dropped, so equal subspaces compare equal.
+    dropped, so equal subspaces compare equal; n is half its width.
     """
 
     p: int
-    n: int
     generators: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         g = gfp.as_matrix(self.generators, self.p)
-        if g.shape[1] != 2 * self.n:
-            raise ValueError(f"expected {2 * self.n} columns, got {g.shape[1]}")
+        qudit_count(g)
         r, rk, _ = gfp.rref(g, self.p)
         object.__setattr__(self, "generators", r[:rk])
+
+    @property
+    def n(self) -> int:
+        return self.generators.shape[1] // 2
 
     @property
     def dim(self) -> int:
@@ -94,11 +104,7 @@ class SymplecticCode:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymplecticCode):
             return NotImplemented
-        return (
-            self.p == other.p
-            and self.n == other.n
-            and np.array_equal(self.generators, other.generators)
-        )
+        return self.p == other.p and np.array_equal(self.generators, other.generators)
 
 
 def validated_shares(shares: Iterable[int], n: int) -> tuple[int, ...]:
@@ -130,8 +136,8 @@ def symplectic_dual(code: SymplecticCode) -> SymplecticCode:
     """All vectors with zero symplectic product against every codeword."""
     p, n = code.p, code.n
     if code.dim == 0:
-        return SymplecticCode(p, n, np.eye(2 * n, dtype=np.int64))
-    return SymplecticCode(p, n, gfp.kernel(orthogonality_rows(code.generators, p), p))
+        return SymplecticCode(p, np.eye(2 * n, dtype=np.int64))
+    return SymplecticCode(p, gfp.kernel(orthogonality_rows(code.generators, p), p))
 
 
 def shorten(code: SymplecticCode, shares: Iterable[int]) -> SymplecticCode:
@@ -143,7 +149,7 @@ def shorten(code: SymplecticCode, shares: Iterable[int]) -> SymplecticCode:
     coeffs = gfp.kernel(sub.T, code.p)
     selected = (coeffs @ code.generators) % code.p
     keep = owned_columns(complement(js, code.n), code.n)
-    return SymplecticCode(code.p, code.n - len(js), selected[:, keep])
+    return SymplecticCode(code.p, selected[:, keep])
 
 
 def puncture(code: SymplecticCode, shares: Iterable[int]) -> SymplecticCode:
@@ -152,7 +158,7 @@ def puncture(code: SymplecticCode, shares: Iterable[int]) -> SymplecticCode:
     if not js:
         return code
     keep = owned_columns(complement(js, code.n), code.n)
-    return SymplecticCode(code.p, code.n - len(js), code.generators[:, keep])
+    return SymplecticCode(code.p, code.generators[:, keep])
 
 
 def min_symplectic_weight(

@@ -124,7 +124,7 @@ def test_oracle_matches_shortening_and_dual_reference(p, data):
     code = data.draw(codes(p))
     r = code.num_checks
     subsets = all_subsets(code.n)
-    structure = code.share_structure()
+    structure = code.share_structure
     shareable, correctable, labels = [], [], []
     for w in range(code.n + 1):
         inside, outside = structure.level(w), structure.level(code.n - w)[::-1]
@@ -168,20 +168,20 @@ def test_label_codes_match_the_select_reference(p, data):
     code = data.draw(codes(p))
     n = code.n
     k0 = random_stabilizer(p, n, n, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
-    for structure in (code.share_structure(), k0.share_structure()):
+    for structure in (code.share_structure, k0.share_structure):
         for w in range(n + 1):
             ranks = w, structure.level(w), structure.level(n - w)[::-1]
             got = structure.label_codes(*ranks)
             assert got.dtype.kind == "i"
             assert np.array_equal(got, select_label_codes(structure, *ranks))
-            if structure is k0.share_structure():
+            if structure is k0.share_structure:
                 assert structure.correctable(*ranks).all() and not got.any()
     w = data.draw(st.integers(0, n))
     inside, outside = (
         np.array(data.draw(st.lists(st.integers(0, 2 * n), min_size=6, max_size=6)))
         for _ in range(2)
     )
-    structure = code.share_structure()
+    structure = code.share_structure
     got = structure.label_codes(w, inside, outside)
     assert np.array_equal(got, select_label_codes(structure, w, inside, outside))
 
@@ -192,7 +192,7 @@ def test_label_codes_match_the_select_reference(p, data):
 def test_mutual_information_matches_dense_reference(p, data):
     code = data.draw(codes(p, max_qudits=max_qudits(p, DENSE_LIMIT)))
     subsets = all_subsets(code.n)
-    structure = code.share_structure()
+    structure = code.share_structure
     closed = []
     for w in range(code.n + 1):
         inside, outside = structure.level(w), structure.level(code.n - w)[::-1]
@@ -280,7 +280,7 @@ def test_chunked_ranks_match_rank_per_set(five_qubit, monkeypatch):
     """Every level of the five-qubit code, at most three sets to an elimination."""
     monkeypatch.setattr(access, "CHUNK_ENTRIES", 12)
     h, n = five_qubit.check_matrix, five_qubit.n
-    structure = ShareStructure(five_qubit.p, n, h)
+    structure = ShareStructure(five_qubit.p, h)
     for w in range(n + 1):
         for shares, rank in zip(share_sets(n, w).tolist(), structure.level(w)):
             assert rank == rank_on(h, shares, five_qubit.p)
@@ -292,7 +292,7 @@ def test_rank_chunks_stay_within_the_entry_limit(p, checks, monkeypatch):
     many of them as fit the entry limit, and the ranks do not change."""
     n = 12
     h = np.random.default_rng([p, checks]).integers(0, p, size=(checks, 2 * n))
-    structure = ShareStructure(p, n, h)
+    structure = ShareStructure(p, h)
     row_entries = structure._checks.shape[2]
     per_set = n + 2 * (n - 1) * (1 + row_entries)
     monkeypatch.setattr(access, "CHUNK_ENTRIES", 3 * per_set)
@@ -340,7 +340,7 @@ def test_distance_skips_complements_of_sets_beyond_the_check_count(monkeypatch):
     for n in (6, 30000):
         code = validate_stabilizer(np.zeros((0, 2 * n), dtype=np.int64), 2, n)
         assert code_distance(code) == 1
-        assert sorted(code.share_structure()._levels) == [0, 1]
+        assert sorted(code.share_structure._levels) == [0, 1]
         assert sizes == [(1, 1)]
         sizes.clear()
 
@@ -352,7 +352,7 @@ def test_packed_ranks_match_rank_per_set_past_one_word(checks, n, monkeypatch):
     rng = np.random.default_rng([checks, n])
     h = rng.integers(0, 2, size=(checks, 2 * n))
     h[checks // 2] = h[0] ^ h[1]  # a dependent row
-    structure = ShareStructure(2, n, h)
+    structure = ShareStructure(2, h)
     for size in [0, 1, 2, 17, checks // 2, checks // 2 + 3, n - 1, n]:
         picks = [rng.choice(np.arange(1, n + 1), size=size, replace=False) for _ in range(4)]
         sets = np.sort(np.array(picks, dtype=np.intp).reshape(4, size), axis=1)
@@ -368,7 +368,7 @@ def test_packed_ranks_match_rank_per_set_on_shipped_codes(name, code_dir, monkey
     p, n, rows = parse_code_file((code_dir / f"{name}.code").read_text())
     assert p == 2
     h = np.asarray(rows)
-    structure = ShareStructure(p, n, h)
+    structure = ShareStructure(p, h)
     for w in range(n + 1):
         inside, outside = structure.level(w), structure.level(n - w)[::-1]
         for shares, rank, rank_out in zip(share_sets(n, w).tolist(), inside, outside):
@@ -383,14 +383,14 @@ def test_share_sets_pair_each_row_with_its_complement(p):
     level n - w holds r_E' of level w's sets, and a set's row index finds it."""
     for n in range(1, 11):
         h = np.random.default_rng([p, n]).integers(0, p, size=(min(n, 3), 2 * n))
-        structure = ShareStructure(p, n, h)
+        structure = ShareStructure(p, h)
         for w in range(n + 1):
             sets = share_sets(n, w)
             assert sets.tolist() == [list(c) for c in itertools.combinations(range(1, n + 1), w)]
             for row, other in zip(sets.tolist(), share_sets(n, n - w)[::-1].tolist()):
                 assert sorted(row + other) == list(range(1, n + 1))
             assert np.array_equal(access._row_index(sets, n), np.arange(len(sets)))
-            direct = ShareStructure(p, n, h).complement_ranks(sets)
+            direct = ShareStructure(p, h).complement_ranks(sets)
             assert np.array_equal(direct, structure.level(n - w)[::-1])
 
 
@@ -408,10 +408,10 @@ def test_kept_levels_and_direct_eliminations_match_rank_per_set(p, fewest_checks
     for w in sorted({0, data.draw(st.integers(0, n)), n}):
         picks = [rng.choice(np.arange(1, n + 1), size=w, replace=False) for _ in range(5)]
         sets = np.sort(np.array(picks, dtype=np.intp).reshape(5, w), axis=1)
-        direct = ShareStructure(p, n, h)
+        direct = ShareStructure(p, h)
         got_direct = direct.ranks(sets), direct.complement_ranks(sets)
         assert sorted(direct._levels) == [0]
-        kept = ShareStructure(p, n, h)
+        kept = ShareStructure(p, h)
         kept.level(w), kept.level(n - w)
         got_kept = kept.ranks(sets), kept.complement_ranks(sets)
         for i, shares in enumerate(sets.tolist()):
@@ -440,7 +440,7 @@ def test_pair_reads_both_kept_levels_with_one_row_index(p, data):
         return row_index(sets, n)
 
     for kept in ([], [w], [n - w], [w, n - w]):
-        structure = ShareStructure(p, n, h)
+        structure = ShareStructure(p, h)
         for size in kept:
             structure.level(size)
         want = structure.ranks(sets), structure.complement_ranks(sets)
@@ -518,7 +518,7 @@ def checked_table(code, patch):
 
     patch.setattr(ShareStructure, "_eliminate", recorded_eliminate)
     patch.setattr(ShareStructure, "_chunk_ranks", recorded_chunk)
-    structure = ShareStructure(p, n, h)
+    structure = ShareStructure(p, h)
     structure.table()
     assert sorted(structure._levels) == list(range(n + 1))
     for w in range(n + 1):
@@ -569,7 +569,7 @@ def test_stacked_chunks_split_within_the_entry_limit(p, monkeypatch):
     references."""
     n = 8
     code = random_stabilizer(p, n, n - 1, np.random.default_rng([p, n]))
-    source = ShareStructure(p, n, code.check_matrix)._with_normalizer
+    source = ShareStructure(p, code.check_matrix)._with_normalizer
     monkeypatch.setattr(access, "CHUNK_ENTRIES", 3 * 2 * 3 * (1 + 2 * source.shape[2]))
     stacked, chunks = checked_table(code, monkeypatch)
     assert stacked == [1, 2, 3]
@@ -599,7 +599,7 @@ def test_a_normalizer_rank_out_of_bounds_is_an_invariant_error(off, tmp_path, mo
     code = validate_stabilizer(FIVE_QUBIT_ROWS, 2, 5)
     message = "normalizer rank minus check rank of a 1-set leaves 0..2"
     with pytest.raises(InvariantError, match=re.escape(message)):
-        ShareStructure(code.p, code.n, code.check_matrix).table()
+        ShareStructure(code.p, code.check_matrix).table()
     path = tmp_path / "five_qubit.code"
     path.write_text((REPO / "codes" / "five_qubit.code").read_text())
     out, err = io.StringIO(), io.StringIO()

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import re
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from advshare import gfp
 from advshare.advance import (
+    EAQECCPlan,
     construct_eaqecc,
     dual_min_weight,
     enumerate_advance_shareable,
@@ -180,6 +182,19 @@ def test_plan_empty_share_set(four_qubit):
     assert plan.zero_shares == (1, 2)
     assert plan.secret_shares == (3, 4)
     assert_wire_layout(plan)
+
+
+def test_an_unshareable_plan_is_refused_when_built(four_qubit):
+    # r = 2 checks cannot give up the 4 columns of two shares.
+    with pytest.raises(NotAdvanceShareableError, match=re.escape("shares (1, 2)")):
+        EAQECCPlan(four_qubit, [1, 2])
+    plan = EAQECCPlan(four_qubit, [4, 4])
+    assert plan == construct_eaqecc(four_qubit, [4])
+    with pytest.raises(NotAdvanceShareableError):
+        dataclasses.replace(plan, shares=[1, 2])
+    with pytest.raises(ValueError, match="share index 5 outside 1..4"):
+        dataclasses.replace(plan, shares=[5])
+    assert dataclasses.replace(plan, shares=[]) == construct_eaqecc(four_qubit, [])
 
 
 def assert_wire_layout(plan):

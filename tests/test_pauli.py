@@ -1,11 +1,16 @@
+import copy
+import dataclasses
 import itertools
+import pickle
 
 import numpy as np
 import pytest
 
+from advshare.advance import is_advance_shareable
 from advshare.errors import BudgetExceededError, DependentRowsError, NotCommutativeError
 from advshare.pauli import (
     PauliOperator,
+    StabilizerCode,
     code_distance,
     commutation_exponent,
     f_inv,
@@ -21,6 +26,7 @@ from advshare.pauli import (
     weight,
 )
 from advshare.symplectic import symplectic_weight
+from conftest import FIVE_QUBIT_ROWS, FOUR_QUBIT_ROWS
 
 
 def random_pauli(p, n, rng):
@@ -197,6 +203,74 @@ def test_validate_rejects_the_wrong_shape():
         validate_stabilizer([[1, 0, 0, 0]], 2, 3)
     with pytest.raises(DependentRowsError, match="3 generators on 2 qudits"):
         validate_stabilizer(np.eye(3, 4, dtype=int), 2, 2)
+
+
+#: X on share 1 alone, on four qubits: distance 1, and {1} is not shareable.
+X1_ROWS = [[1, 0, 0, 0, 0, 0, 0, 0]]
+
+
+def answers(code):
+    """(n, k, distance, is {1} shareable), each read through the code's oracle."""
+    return code.n, code.k, code_distance(code), is_advance_shareable(code, [1])
+
+
+def test_replace_answers_like_a_fresh_code():
+    code = validate_stabilizer(FOUR_QUBIT_ROWS, 2, 4)
+    assert answers(code) == (4, 2, 2, True)  # the share structure is now cached
+    replaced = dataclasses.replace(code, check_matrix=np.array(X1_ROWS))
+    fresh = validate_stabilizer(X1_ROWS, 2, 4)
+    assert replaced == fresh
+    assert answers(replaced) == answers(fresh) == (4, 3, 1, False)
+    wider = dataclasses.replace(code, check_matrix=np.array(FIVE_QUBIT_ROWS))
+    assert answers(wider) == answers(validate_stabilizer(FIVE_QUBIT_ROWS, 2, 5)) == (5, 1, 3, True)
+
+
+def test_check_matrix_cannot_be_written():
+    code = validate_stabilizer(FOUR_QUBIT_ROWS, 2, 4)
+    assert answers(code) == (4, 2, 2, True)
+    with pytest.raises(ValueError, match="read-only"):
+        code.check_matrix[1] = X1_ROWS[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        code.check_matrix = np.array(X1_ROWS)
+    assert answers(code) == (4, 2, 2, True)
+    # Copies and pickles are rebuilt, so they are read-only too.
+    for copied in (copy.deepcopy(code), pickle.loads(pickle.dumps(code))):
+        assert copied == code and not copied.check_matrix.flags.writeable
+        assert answers(copied) == (4, 2, 2, True)
+    # The code keeps its own copy: writing into the caller's rows changes nothing.
+    rows = np.array(FOUR_QUBIT_ROWS)
+    code = StabilizerCode(2, rows)
+    rows[1] = X1_ROWS[0]
+    assert np.array_equal(code.check_matrix, FOUR_QUBIT_ROWS)
+
+
+@pytest.mark.parametrize(
+    "rows, error, message",
+    [
+        ([[1, 0, 0]], ValueError, "(x | z) rows need an even number of columns, got 3"),
+        (np.eye(3, 4, dtype=int), DependentRowsError,
+         "3 generators on 2 qudits cannot be independent and commuting"),
+        ([[1, 1, 1, 1, 0, 0, 0, 0]] * 2, DependentRowsError,
+         "rows dependent: remove redundant generators"),
+        ([[1, 0, 0, 0], [0, 0, 1, 0]], NotCommutativeError, None),
+    ],
+    ids=["odd-width", "too-many-rows", "dependent", "anticommuting"],
+)
+def test_the_constructor_checks_the_code(rows, error, message):
+    with pytest.raises(error) as err:
+        StabilizerCode(2, rows)
+    if message is not None:
+        assert str(err.value) == message
+    else:
+        assert (err.value.row_a, err.value.row_b) == (1, 2)
+
+
+def test_a_width_that_disagrees_with_n_is_refused():
+    # Eight columns are four qubits: the code derives n, and a code file's
+    # header must agree with it.
+    assert StabilizerCode(2, FOUR_QUBIT_ROWS).n == 4
+    with pytest.raises(ValueError, match="check matrix needs 6 columns, got 8"):
+        validate_stabilizer(FOUR_QUBIT_ROWS, 2, 3)
 
 
 def test_distance_four_qubit(four_qubit):

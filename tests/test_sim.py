@@ -1180,7 +1180,7 @@ def test_protocol_sweep_matches_the_reference_at_both_budgets(p, data):
     n, k, seed = data.draw(protocol_cases(p))
     rng = np.random.default_rng(seed)
     code = random_stabilizer(p, n, n - k, rng)
-    structure = code.share_structure()
+    structure = code.share_structure
     qualified = [
         tuple(acc)
         for w in range(n + 1)

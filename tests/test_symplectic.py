@@ -42,7 +42,7 @@ def brute_dual(code):
         ) % code.p
         if not prods.any():
             vecs.append(v)
-    return SymplecticCode(code.p, code.n, np.array(vecs).reshape(len(vecs), -1))
+    return SymplecticCode(code.p, np.array(vecs).reshape(len(vecs), -1))
 
 
 def brute_shorten(code, shares):
@@ -57,7 +57,7 @@ def brute_shorten(code, shares):
             )
             if zeroed:
                 rows.append(v[cols])
-    return SymplecticCode(code.p, len(keep), np.array(rows).reshape(len(rows), -1))
+    return SymplecticCode(code.p, np.array(rows).reshape(len(rows), -1))
 
 
 def support_min_weight(code):
@@ -89,7 +89,7 @@ def random_code(p, n, dim, rng):
         stacked = np.vstack([rows, cand])
         if gfp.rank(stacked, p) == stacked.shape[0]:
             rows = stacked
-    return SymplecticCode(p, n, rows)
+    return SymplecticCode(p, rows)
 
 
 def test_self_product_vanishes(rng):
@@ -125,7 +125,7 @@ def test_antisymmetry(rng):
 
 
 def test_dual_of_zero_space():
-    dual = symplectic_dual(SymplecticCode(3, 2, np.zeros((0, 4))))
+    dual = symplectic_dual(SymplecticCode(3, np.zeros((0, 4))))
     assert dual.dim == 4
 
 
@@ -134,7 +134,7 @@ def test_dual_of_four_qubit_matches_printed_basis(four_qubit):
     assert dual.dim == 6
     for row in EXAMPLE6_DUAL_BASIS:
         assert dual.contains(row)
-    assert dual == SymplecticCode(2, 4, EXAMPLE6_DUAL_BASIS)
+    assert dual == SymplecticCode(2, EXAMPLE6_DUAL_BASIS)
 
 
 def test_dual_dimensions_and_double_dual(rng):
@@ -182,7 +182,7 @@ def test_shorten_matches_exhaustive_and_dimension_bound(rng):
 
 
 def test_puncture_plain_deletion():
-    code = SymplecticCode(2, 4, [[0, 0, 1, 1, 0, 0, 0, 0]])
+    code = SymplecticCode(2, [[0, 0, 1, 1, 0, 0, 0, 0]])
     punc = puncture(code, [4])
     assert punc.n == 3
     assert np.array_equal(punc.generators, [[0, 0, 1, 0, 0, 0]])
@@ -214,7 +214,7 @@ def test_min_weight_four_qubit_dual(four_qubit):
 
 
 def test_min_weight_single_generator():
-    code = SymplecticCode(2, 4, [[1, 1, 1, 1, 0, 0, 0, 0]])
+    code = SymplecticCode(2, [[1, 1, 1, 1, 0, 0, 0, 0]])
     assert min_symplectic_weight(code) == 4
 
 
@@ -232,7 +232,7 @@ def test_min_weight_budget_refusal(five_qubit):
 
 def test_min_weight_zero_space_rejected():
     with pytest.raises(ValueError):
-        min_symplectic_weight(SymplecticCode(2, 2, np.zeros((0, 4))))
+        min_symplectic_weight(SymplecticCode(2, np.zeros((0, 4))))
 
 
 def test_min_weight_against_support_oracle(rng, four_qubit, five_qubit):
@@ -297,5 +297,5 @@ def test_orthogonality_rows_give_the_symplectic_product(data):
 
 def test_symplectic_code_refuses_the_wrong_column_count():
     with pytest.raises(ValueError) as err:
-        SymplecticCode(2, 2, [[1, 0, 0]])
-    assert str(err.value) == "expected 4 columns, got 3"
+        SymplecticCode(2, [[1, 0, 0]])
+    assert str(err.value) == "(x | z) rows need an even number of columns, got 3"
