@@ -88,7 +88,8 @@ class NormalForm:
     the original order), row ``i`` (0-based, ``i < m``) holds the x pivot
     ``mu[i]`` on share ``shares[i]`` and zeros on every other J-owned
     column; row ``m + i`` holds the z pivot ``-1`` on share ``shares[i]``;
-    all later rows vanish on J-owned columns.
+    all later rows vanish on J-owned columns.  :func:`normal_form` returns
+    ``h_prime`` read-only.
     """
 
     p: int
@@ -154,6 +155,7 @@ def normal_form(code: StabilizerCode, shares: Iterable[int]) -> NormalForm:
                 f"pivot {pivot}, forced value {forced}"
             )
         mu.append(pivot)
+    h_prime.setflags(write=False)
     return NormalForm(p, n, js, h_prime, tuple(mu))
 
 

@@ -64,7 +64,7 @@ def exponent_vectors(x, z, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class PauliOperator:
-    """Canonical form w^phase * X(x) Z(z) on n qudits."""
+    """Canonical form w^phase * X(x) Z(z) on n qudits; x and z are read-only."""
 
     p: int
     x: np.ndarray
@@ -73,6 +73,8 @@ class PauliOperator:
 
     def __post_init__(self):
         x, z = exponent_vectors(self.x, self.z, self.p)
+        x.setflags(write=False)
+        z.setflags(write=False)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "phase", int(self.phase) % self.p)

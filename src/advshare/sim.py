@@ -38,15 +38,21 @@ The protocol pipeline:
    (p**n, b) columns of b trials at once, and :func:`erase_and_decode` is
    its one-column call.  :func:`simulate_protocol` checks every erased set
    with one rank query per set size (the access table's kept levels answer
-   it by row index) and eliminates each distinct set once, into a plain
-   (2n x r) array that maps syndrome shifts to the correction
+   it by row index) and eliminates every distinct set in one
+   :func:`gfp.solution_maps` call per run, each zero-padded to the widest,
+   into a plain (2n x r) array that maps syndrome shifts to the correction
    :func:`gfp.solve` would return; a block stacks its columns' maps and
-   applies them with one product.  It draws each trial's randomness in a
-   fixed order: the secret, then one uniform per erased qudit (ascending)
-   and one per generator.  An outcome is count(cdf <= u) over the
-   normalised cumulative Born weights, which is how ``Generator.choice``
-   spends one ``random()`` draw.  Blocks are max(1, budget // p**n) columns wide, so no block
-   exceeds the state budget.
+   applies them with one product.  A correction X(x) Z(z) is then one
+   gather and one exact phase per column: the source index is
+   place.((d - x) mod p), from the int8 register digits d shifted once,
+   and the phase exponent d.z - x.z mod p comes from one integer matmul;
+   the compiled kernels carry the digits, so a run forms them once.  It
+   draws each trial's randomness in a fixed order: the secret, then one
+   uniform per erased qudit (ascending) and one per generator.  An outcome
+   is count(cdf <= u) over the normalised cumulative Born weights, which is
+   how ``Generator.choice`` spends one ``random()`` draw.  Blocks are
+   max(1, budget // p**n) columns wide, so no block exceeds the state
+   budget.
 3. :func:`reconstruct` undoes the encoding and extracts the secret register.
    :func:`simulate_protocol` needs no inverse circuit: a decoded state lies
    in the recorded eigenspace, which is the image of V, so its fidelity is
@@ -68,6 +74,7 @@ generator has odd x.z overlap.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -160,6 +167,9 @@ class PauliKernels:
     ``branch[i, j, t] = lambda_ij**-t / p`` are the exact coefficients of
     the projector onto lambda_ij in the powers of P_i.  The table holds
     r * (p-1) * p**n entries of 20 bytes (int32 index, complex phase).
+    The register's ``place`` values and (n, p**n) int8 ``digits``
+    (:func:`clifford._place_digits`) ride along for corrections, and
+    ``rows`` (r x 2n) times an (x | z) vector is each <f(Q), f(P_i)>_s.
     """
 
     p: int
@@ -167,6 +177,9 @@ class PauliKernels:
     phases: np.ndarray = field(repr=False)
     taus: np.ndarray = field(repr=False)
     branch: np.ndarray = field(repr=False)
+    place: np.ndarray = field(repr=False)
+    digits: np.ndarray = field(repr=False)
+    rows: np.ndarray = field(repr=False)
 
 
 def compile_paulis(p: int, n: int, ops: Sequence[PauliOperator]) -> PauliKernels:
@@ -209,14 +222,16 @@ def compile_paulis(p: int, n: int, ops: Sequence[PauliOperator]) -> PauliKernels
     taus = (2 * np.arange(p)[None, :] + parity[:, None]) % (2 * p)
     turns = (-taus[:, :, None] * np.arange(p)) % (2 * p)
     branch = (zeta(p) ** np.arange(2 * p))[turns] / p
-    return PauliKernels(p, src, phases, taus, branch)
+    vectors = np.array([f_map(op) for op in ops], dtype=np.int64).reshape(r, 2 * n)
+    rows = _symplectic_rows(vectors, p)
+    return PauliKernels(p, src, phases, taus, branch, place, digits, rows)
 
 
 def apply_pauli(state: QuditState, op: PauliOperator) -> QuditState:
     if op.p != state.p or op.n != state.m:
         raise ValueError("operator and state must share p and qudit count")
     xz = f_map(op)[:, None]
-    flat = _apply_corrections(state.amplitudes[:, None], xz, op.p)
+    flat = _apply_corrections(state.amplitudes[:, None], xz, op.p, *_place_digits(op.p, op.n))
     return QuditState(state.p, state.m, flat[:, 0] * omega(op.p) ** op.phase)
 
 
@@ -249,14 +264,22 @@ def _exponents(flat: np.ndarray, kernels: PauliKernels) -> np.ndarray:
     and every unit column of the (p**n, b) matrix ``flat``.
 
     All P_i|psi_c> come from one batched gather and all
-    lambda_ic = <psi_c|P_i|psi_c> from one product.  The first failing
-    column, generators in order, raises the first of the three checks it
-    fails.
+    lambda_ic = <psi_c|P_i|psi_c> from one product; the residuals
+    P_i|psi_c> - lambda_ic |psi_c> are formed in the same buffer.  The
+    first failing column, generators in order, raises the first of the
+    three checks it fails.
     """
     p = kernels.p
-    moved = flat[kernels.src[:, 0]] * kernels.phases[:, 0, :, None]
+    moved = flat[kernels.src[:, 0]]
+    moved *= kernels.phases[:, 0, :, None]
     lams = np.einsum("ijc,jc->ic", moved, flat.conj())
-    residuals = np.linalg.norm(moved - lams[:, None, :] * flat, axis=1)
+    # One generator at a time, so no (r, p**n, b) temporary is allocated.
+    for i, lam in enumerate(lams):
+        moved[i] -= lam * flat
+    # Squared norms summed over (real, imaginary) pairs: no conjugate copy.
+    parts = moved.view(np.float64)
+    squares = np.einsum("ijk,ijk->ik", parts, parts).reshape(lams.shape + (2,))
+    residuals = np.sqrt(squares.sum(axis=-1))
     taus = np.rint(np.angle(lams) / (np.pi / p)).astype(np.int64) % (2 * p)
     off = np.abs(np.abs(lams) - 1.0) > EIGEN_TOL
     loose = residuals > 1e-7
@@ -468,9 +491,9 @@ class DecodeResult:
     correction: np.ndarray = field(repr=False)
 
 
-def _symplectic_rows(code: StabilizerCode) -> np.ndarray:
+def _symplectic_rows(vectors: np.ndarray, p: int) -> np.ndarray:
     """[h_z | -h_x]: the row i times an (x | z) vector is <f(Q), h_i>_s."""
-    return (-orthogonality_rows(code.check_matrix, code.p)) % code.p
+    return (-orthogonality_rows(vectors, p)) % p
 
 
 def _erasures(
@@ -484,8 +507,10 @@ def _erasures(
     particular solution :func:`gfp.solve` returns; its rows off the erased
     shares are 0.  One share-structure query per set size checks that every
     set is correctable before any elimination, and the first failing set in
-    input order is named; then one :func:`gfp.solution_maps` call per set
-    size eliminates every set of that size.
+    input order is named; then one :func:`gfp.solution_maps` call
+    eliminates every set.  Each set's columns are zero-padded to the widest
+    set's: a zero column never holds a pivot, so each map is the one an
+    elimination of its own size alone gives.
     """
     distinct = list(dict.fromkeys(sets))
     by_size: dict[int, list[tuple[int, ...]]] = {}
@@ -500,26 +525,43 @@ def _erasures(
             raise UncorrectableErasureError(
                 f"shares {err} carry undetectable damage for this code"
             )
-    n, rows = code.n, _symplectic_rows(code)
+    n, r = code.n, code.num_checks
+    rows = _symplectic_rows(code.check_matrix, code.p)
+    groups = list(by_size.values())
+    # Row g of a group: the x slots of set g's erased qudits, then their z slots.
+    slots = [owned_columns(group, n) for group in groups]
+    bounds = np.cumsum([0] + [len(group) for group in groups])
+    stack = np.zeros((len(distinct), r, 2 * max(by_size, default=0)), dtype=np.int64)
+    for start, end, group_slots in zip(bounds, bounds[1:], slots):
+        stack[start:end, :, : group_slots.shape[1]] = rows[:, group_slots].transpose(1, 0, 2)
+    maps = gfp.solution_maps(stack, code.p)
     out = {}
-    for group in by_size.values():
-        # Row g: the x slots of set g's erased qudits, then their z slots.
-        slots = owned_columns(group, n)
-        maps = gfp.solution_maps(rows[:, slots].transpose(1, 0, 2), code.p)
-        for err, slot, solver in zip(group, slots, maps):
-            out[err] = np.zeros((2 * n, rows.shape[0]), dtype=np.int64)
-            out[err][slot] = solver
+    for start, end, group, group_slots in zip(bounds, bounds[1:], groups, slots):
+        full = np.zeros((len(group), 2 * n, r), dtype=np.int64)
+        full[np.arange(len(group))[:, None], group_slots] = maps[start:end, : group_slots.shape[1]]
+        out.update(zip(group, full))
     return out
 
 
-def _apply_corrections(flat: np.ndarray, corrections: np.ndarray, p: int) -> np.ndarray:
+def _apply_corrections(
+    flat: np.ndarray, corrections: np.ndarray, p: int, place: np.ndarray, digits: np.ndarray
+) -> np.ndarray:
     """Column c of ``flat`` times X(x_c) Z(z_c), (x_c | z_c) column c of
-    ``corrections``: one gather index and one exact phase vector for all."""
+    ``corrections``: one gather index and one exact phase vector for all.
+
+    X(x) Z(z)|d> = w**(z.d) |d + x>, so entry j of column c reads entry
+    place.((d_j - x_c) mod p) with phase exponent
+    z_c.(d_j - x_c) = d_j.z_c - x_c.z_c mod p.  ``place`` and the int8
+    ``digits`` are the register's (:func:`clifford._place_digits`).  The
+    digits are shifted once, in int8, with p added back where the
+    difference is negative, and every exponent comes from one integer matmul.
+    """
     n = corrections.shape[0] // 2
-    place, digits = _place_digits(p, n)
-    shifted = (digits[:, :, None] - corrections[:n, None, :]) % p
-    src = np.tensordot(place, shifted, axes=1)
-    exps = np.einsum("qc,qjc->jc", corrections[n:], shifted) % p
+    x, z = corrections[:n], corrections[n:]
+    shifted = digits[:, :, None] - x.astype(np.int8)[:, None, :]
+    np.add(shifted, p, out=shifted, where=shifted < 0)
+    src = np.einsum("q,qjc->jc", place, shifted)
+    exps = (digits.T @ z - np.einsum("qc,qc->c", x, z)) % p
     return flat[src, np.arange(flat.shape[1])] * (omega(p) ** np.arange(p))[exps]
 
 
@@ -537,23 +579,27 @@ def _decode_block(
     Column c loses the shares ``erased[c]``, corrects by the map
     ``maps[c]`` from :func:`_erasures` and spends ``uniforms[c]``:
     one uniform per erased qudit in ascending order, then one per
-    generator, each picking an outcome by :func:`_pick`.  Per qudit, one
-    einsum weighs every column that loses it and one slice assignment
-    resets it to |0>; per generator, one gather and one p x p matmul give
-    every column's branches.  Returns the decoded columns, the (r, b)
-    measured exponents and the (2n, b) corrections; ``flat`` is not
-    modified.
+    generator, each picking an outcome by :func:`_pick`.  The lost qudits
+    and both kinds of uniform are spread over the block by one fancy index
+    each.  Per qudit, one einsum weighs every column that loses it and one
+    slice assignment resets it to |0>; per generator, one gather and one
+    p x p matmul give every column's branches.  Returns the decoded
+    columns, the (r, b) measured exponents and the (2n, b) corrections;
+    ``flat`` is not modified.
     """
     p, n, r = code.p, code.n, code.num_checks
     b = flat.shape[1]
     every = np.arange(b)
+    draws = np.concatenate(uniforms)
+    sizes = np.fromiter(map(len, erased), dtype=np.intp, count=b)
+    owners = np.repeat(every, sizes)
+    qudits = np.fromiter(chain.from_iterable(erased), dtype=np.intp, count=owners.size) - 1
     lost = np.zeros((n, b), dtype=bool)
-    erase_u, measure_u = np.zeros((n, b)), np.empty((r, b))
-    for c, (shares, u) in enumerate(zip(erased, uniforms)):
-        qudits = [j - 1 for j in shares]
-        lost[qudits, c] = True
-        erase_u[qudits, c] = u[: len(qudits)]
-        measure_u[:, c] = u[len(qudits) :]
+    lost[qudits, owners] = True
+    # Column c's draws start at sum(sizes[:c]) + r * c: its erasures, then r measurements.
+    erase_u = np.zeros((n, b))
+    erase_u[qudits, owners] = draws[np.arange(owners.size) + r * owners]
+    measure_u = draws[np.cumsum(sizes) + r * every + np.arange(r)[:, None]]
     flat = flat.copy()
     for q in range(n):
         cols = np.flatnonzero(lost[q])
@@ -580,9 +626,9 @@ def _decode_block(
         raise InvariantError("measured syndrome has incompatible phase parity")
     rhs = (-(diff // 2)) % p
     corrections = np.einsum("cqr,rc->qc", maps, rhs) % p
-    if ((_symplectic_rows(code) @ corrections - rhs) % p).any():
+    if ((kernels.rows @ corrections - rhs) % p).any():
         raise InvariantError("no correction supported on the erased shares solves the syndrome")
-    flat = _apply_corrections(flat, corrections, p)
+    flat = _apply_corrections(flat, corrections, p, kernels.place, kernels.digits)
     if (_exponents(flat, kernels) != want).any():
         raise InvariantError("correction failed to restore the recorded eigenspace")
     return flat, measured, corrections
@@ -814,16 +860,11 @@ def simulate_protocol(
             code, encoded, syndrome, lost, maps, uniforms, kernels
         )
         fidelities = np.abs(np.einsum("jc,jc->c", encoded.conj(), decoded)) ** 2
-        for c, (acc, erased) in enumerate(block):
-            records.append(
-                TrialRecord(
-                    accessible=acc,
-                    erased=erased,
-                    measured_syndrome=tuple(int(t) for t in measured[:, c]),
-                    correction=tuple(int(v) for v in corrections[:, c]),
-                    fidelity=float(fidelities[c]),
-                )
-            )
+        columns = zip(block, measured.T.tolist(), corrections.T.tolist(), fidelities.tolist())
+        records += [
+            TrialRecord(acc, erased, tuple(syndrome_c), tuple(correction_c), fidelity_c)
+            for (acc, erased), syndrome_c, correction_c, fidelity_c in columns
+        ]
     if reference_syndrome is None:
         _, reference_syndrome = encode(draw_secret()[:, None])
     return ProtocolTranscript(syndrome=reference_syndrome, trials=tuple(records))

@@ -197,6 +197,25 @@ def test_an_unshareable_plan_is_refused_when_built(four_qubit):
     assert dataclasses.replace(plan, shares=[]) == construct_eaqecc(four_qubit, [])
 
 
+def test_a_plan_s_normal_form_and_generators_are_read_only(four_qubit):
+    """After the plan's checks ran, none of the arrays it reports can be
+    written: the normal form's rows and every source and target generator's
+    exponents.  Each comes fresh from reduction mod p, so a caller's own
+    array stays writable."""
+    plan = construct_eaqecc(four_qubit, [4])
+    with pytest.raises(ValueError, match="read-only"):
+        plan.normal.h_prime[1] = 0
+    for op in (plan.source_generators[0], plan.target_generators[0]):
+        with pytest.raises(ValueError, match="read-only"):
+            op.x[0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            op.z[0] = 1
+    assert plan.normal == construct_eaqecc(four_qubit, [4]).normal
+    x = np.array([1, 0])
+    PauliOperator(2, x, x)
+    x[0] = 0
+
+
 def assert_wire_layout(plan):
     """Each Z target sits on one wire; read back as shares, those wires are
     the pair partners, then the zero shares, and the wires no target

@@ -12,6 +12,7 @@ from advshare.access import share_sets
 from advshare.advance import EAQECCPlan, construct_eaqecc, is_advance_shareable, normal_form
 from advshare.clifford import (
     CliffordCircuit,
+    _place_digits,
     _register,
     _unregister,
     apply_circuit_tensor,
@@ -57,6 +58,7 @@ from advshare.sim import (
     reduced_density,
     simulate_protocol,
 )
+from advshare.symplectic import owned_columns
 
 #: Registers of the compiled-Pauli sweep hold at most this many amplitudes.
 KERNEL_REGISTER_LIMIT = 256
@@ -268,6 +270,36 @@ def test_apply_pauli_matches_dense(rng):
         assert np.abs(direct - dense).max() < 1e-12
 
 
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_corrections_read_the_shifted_digits_and_their_exact_phase(data):
+    """Column c of a correction block reads entry place @ ((d - x_c) % p) of
+    column c with phase exponent z_c @ ((d - x_c) % p) % p, both formed here
+    one column at a time: every output entry must be exactly that entry
+    times exactly that root, and apply_pauli must match its dense reference."""
+    p = data.draw(st.sampled_from(gfp.PRIMES), label="p")
+    n = data.draw(st.integers(1, 5), label="n")
+    b = data.draw(st.integers(1, 5), label="columns")
+    entries = st.lists(st.integers(0, p - 1), min_size=2 * n * b, max_size=2 * n * b)
+    corrections = np.array(data.draw(entries, label="corrections")).reshape(2 * n, b)
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    flat = rng.normal(size=(p**n, b)) + 1j * rng.normal(size=(p**n, b))
+    place, digits = _place_digits(p, n)
+    out = sim._apply_corrections(flat, corrections, p, place, digits)
+    roots = omega(p) ** np.arange(p)
+    d = np.indices((p,) * n).reshape(n, -1)
+    for c in range(b):
+        x, z = corrections[:n, c], corrections[n:, c]
+        src = place @ ((d - x[:, None]) % p)
+        exps = z @ ((d - x[:, None]) % p) % p
+        assert np.array_equal(out[:, c], flat[src, c] * roots[exps])
+    op = PauliOperator(p, corrections[:n, 0], corrections[n:, 0], seed % p)
+    state = QuditState(p, n, flat[:, 0] / np.linalg.norm(flat[:, 0]))
+    dense = slow_apply_pauli_tensor(state.tensor(), op).reshape(-1)
+    assert np.abs(apply_pauli(state, op).amplitudes - dense).max() < 1e-12
+
+
 def test_norm_preserved_by_circuits(rng):
     from tests_util_circuits import random_circuit  # local helper below
 
@@ -459,6 +491,38 @@ def test_erasures_name_the_first_uncorrectable_set_in_input_order(p):
     with pytest.raises(UncorrectableErasureError, match=r"^shares \(3,\) carry"):
         sim._erasures(code, [(1, 2), (1,), (3,), (1, 3)])
     assert list(sim._erasures(code, [(1,), (1, 2), (2,), (1,)])) == [(1,), (2,), (1, 2)]
+
+
+@pytest.mark.parametrize("p", gfp.PRIMES)
+def test_one_elimination_gives_every_erased_set_its_own_size_s_map(p):
+    """One zero-padded elimination of every distinct erased set gives each
+    set the map gfp.solution_maps gives on its own size group, and map @ rhs
+    solves the erased columns' system for every right-hand side in the
+    image.  Sets of mixed sizes come in a shuffled input order, with the
+    empty set and the largest correctable set among them."""
+    rng = np.random.default_rng(p)
+    for n, r in ((3, 2), (4, 3), (5, 3), (5, 4)):
+        code = random_stabilizer(p, n, r, rng)
+        subsets = (itertools.combinations(range(1, n + 1), w) for w in range(n + 1))
+        sets = [e for e in itertools.chain.from_iterable(subsets) if correctable_erasure(code, e)]
+        largest = max(sets, key=len)
+        order = [sets[i] for i in rng.permutation(len(sets))]
+        order += [(), largest, order[0]]
+        maps = sim._erasures(code, order)
+        by_size: dict[int, list] = {}
+        for err in dict.fromkeys(order):
+            by_size.setdefault(len(err), []).append(err)
+        assert list(maps) == [err for group in by_size.values() for err in group]
+        rows = sim._symplectic_rows(code.check_matrix, p)
+        for group in by_size.values():
+            slots = owned_columns(group, n)
+            own = gfp.solution_maps(rows[:, slots].transpose(1, 0, 2), p)
+            for err, slot, solver in zip(group, slots, own):
+                want = np.zeros((2 * n, r), dtype=np.int64)
+                want[slot] = solver
+                assert np.array_equal(maps[err], want), err
+                image = np.concatenate(list(gfp.iter_span(rows[:, slot].T, p))).T
+                assert not ((rows @ (maps[err] @ image % p) - image) % p).any(), err
 
 
 def test_correctable_erasure_thresholds(five_qubit):
