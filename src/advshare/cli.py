@@ -14,12 +14,13 @@ unless ``--json-only``.  The report's bytes are ``json.dumps(report,
 indent=2)``'s, written by :func:`_json_text`: recursively, except that a
 list of plain ints or plain strings (matrix rows, syndromes, the circuit's
 gates, one ``str`` per run of equal gates) goes in one ``str.join``.  The
-access table (held per set size as columns) and the advance-shareable sets
-(one list in lexicographic order) are written from one ``%``-template per
-set size, which :func:`_json_text` itself writes from a row whose varying
-fields are unquoted slots (:class:`_Slot`).  :func:`_emit` sends the report
-out piece by piece, the access table one size at a time, so no string of
-the whole report is built.  Share indices are 1-based.  Exit codes: 0 success,
+access table (held per set size as columns), the advance-shareable sets
+(one list in lexicographic order) and the protocol transcripts (the trial
+records, ``--trials`` in a row per qualified set) are held rows, written
+from one ``%``-template per row shape, which :func:`_json_text` itself
+writes from a row whose varying fields are unquoted slots (:class:`_Slot`).
+:func:`_emit` sends the report out piece by piece, the access table one
+size at a time, so no string of the whole report is built.  Share indices are 1-based.  Exit codes: 0 success,
 1 invalid input, 2 budget exceeded, 3 internal error.  Only the inputs are
 checked as input: the counts (a negative ``--budget``, ``--max-size``,
 ``--trials`` or ``--seed``), the code file, and for ``demo`` the ``--J``
@@ -42,7 +43,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -178,6 +181,56 @@ class _ShareableSets(_HeldRows):
             row = {"shares": [_Slot("%d")] * w, "certificates": certificates}
             templates[w] = _json_text(row, inner)
         return [[templates[len(s)] % s for s in self.sets]] if self.sets else []
+
+
+class _Transcripts(_HeldRows):
+    """The ``demo`` transcripts: the protocol's trial records, ``trials`` in
+    a row per qualified set, each run of records written as one row.
+
+    A row is written from one template per shape, filled with the run's
+    fields in order; fidelities are spelled as ``json`` spells them, a
+    non-finite one through :func:`_json_text`.
+    """
+
+    def __init__(self, records: tuple[sim.TrialRecord, ...], trials: int):
+        self.runs = [records[i : i + trials] for i in range(0, len(records), trials)]
+
+    @staticmethod
+    def _row(trials: int, accessible: int, erased: int, checks: int, corrections: int) -> dict:
+        """A row of the given shape with slots for its varying fields."""
+        number, fidelity = _Slot("%d"), _Slot("%s")
+        return {
+            "accessible": [number] * accessible,
+            "erased": [number] * erased,
+            "trials": trials,
+            "fidelities": [fidelity] * trials,
+            "min_fidelity": fidelity,
+            "measured_syndromes": [[number] * checks] * trials,
+            "corrections": [[number] * corrections] * trials,
+        }
+
+    def _blocks(self, inner: str):
+        templates, rows = {}, []
+        for run in self.runs:
+            first = run[0]
+            shape = (len(run), len(first.accessible), len(first.erased),
+                     len(first.measured_syndrome), len(first.correction))
+            if shape not in templates:
+                templates[shape] = _json_text(self._row(*shape), inner)
+            fidelities = [rec.fidelity for rec in run]
+            worst = min(fidelities)
+            if not math.isfinite(sum(fidelities)):
+                fidelities, worst = [*map(_json_text, fidelities)], _json_text(worst)
+            rows.append(templates[shape] % (
+                *first.accessible, *first.erased, *fidelities, worst,
+                *chain.from_iterable(rec.measured_syndrome for rec in run),
+                *chain.from_iterable(rec.correction for rec in run),
+            ))
+        return [rows] if rows else []
+
+    def min_fidelity(self) -> float:
+        """The least of the rows' ``min_fidelity`` values, taken as ``min`` takes them."""
+        return min(min(rec.fidelity for rec in run) for run in self.runs)
 
 
 _PLAIN_INTS, _PLAIN_STRS = {int}, {str}
@@ -371,21 +424,8 @@ def _demo_section(
         check_budget(len(qualified) * trials, enum_budget, "protocol trials")
         transcript = sim.simulate_protocol(plan, circuit, seed, trials, qualified, budget=budget)
         section["syndrome"] = list(transcript.syndrome)
-        grouped: dict[tuple[int, ...], list] = {}
-        for rec in transcript.trials:
-            grouped.setdefault(rec.accessible, []).append(rec)
-        section["transcripts"] = [
-            {
-                "accessible": list(acc),
-                "erased": list(records[0].erased),
-                "trials": len(records),
-                "fidelities": [r.fidelity for r in records],
-                "min_fidelity": min(r.fidelity for r in records),
-                "measured_syndromes": [list(r.measured_syndrome) for r in records],
-                "corrections": [list(r.correction) for r in records],
-            }
-            for acc, records in grouped.items()
-        ]
+        # Each qualified set's trials run back to back, so a run of records is one row.
+        section["transcripts"] = _Transcripts(transcript.trials, trials)
     return section
 
 
@@ -413,10 +453,10 @@ def _summarize(report: dict, stream) -> None:
         labels = sorted(zip(_LABEL_NAMES, counts.tolist()))
         print("access table: " + ", ".join(f"{v} {k}" for k, v in labels if v), file=stream)
         if "transcripts" in demo:
-            worst = min(t["min_fidelity"] for t in demo["transcripts"])
+            transcripts = demo["transcripts"]
             print(
-                f"reconstruction over {len(demo['transcripts'])} qualified sets: "
-                f"min fidelity {worst:.12f}",
+                f"reconstruction over {len(transcripts.runs)} qualified sets: "
+                f"min fidelity {transcripts.min_fidelity():.12f}",
                 file=stream,
             )
 

@@ -47,10 +47,12 @@ The protocol pipeline:
    place.((d - x) mod p), from the int8 register digits d shifted once,
    and the phase exponent d.z - x.z mod p comes from one integer matmul;
    the compiled kernels carry the digits, so a run forms them once.  It
-   draws each trial's randomness in a fixed order: the secret, then one
-   uniform per erased qudit (ascending) and one per generator.  An outcome
-   is count(cdf <= u) over the normalised cumulative Born weights, which is
-   how ``Generator.choice`` spends one ``random()`` draw.  Blocks are
+   draws each trial's randomness in a fixed order: the secret, as one normal
+   draw of 2 * p**k values (the real parts, then the imaginary parts) with
+   no :class:`QuditState` built, then one uniform per erased qudit
+   (ascending) and one per generator.  An outcome is count(cdf <= u) over
+   the normalised cumulative Born weights, which is how
+   ``Generator.choice`` spends one ``random()`` draw.  Blocks are
    max(1, budget // p**n) columns wide, so no block exceeds the state
    budget.
 3. :func:`reconstruct` undoes the encoding and extracts the secret register.
@@ -121,19 +123,27 @@ class QuditState:
             raise ValueError(
                 f"expected {self.p ** self.m} amplitudes, got {amp.shape[0]}"
             )
-        norm = np.linalg.norm(amp)
-        if not abs(norm - 1.0) <= 1e-8:  # a NaN norm fails this test too
-            raise ValueError(f"state norm {norm} is not 1")
-        object.__setattr__(self, "amplitudes", amp / norm)
+        object.__setattr__(self, "amplitudes", _unit(amp))
 
     def tensor(self) -> np.ndarray:
         return self.amplitudes.reshape((self.p,) * self.m)
 
 
+def _unit(amp: np.ndarray, checked: bool = True) -> np.ndarray:
+    """``amp`` divided by its norm.  When ``checked``, a norm further than
+    1e-8 from 1, or NaN, raises ``ValueError``."""
+    norm = np.linalg.norm(amp)
+    if checked and not abs(norm - 1.0) <= 1e-8:
+        raise ValueError(f"state norm {norm} is not 1")
+    return amp / norm
+
+
 def random_state(p: int, m: int, rng: np.random.Generator) -> QuditState:
-    """Haar-ish random pure state (normalized complex Gaussian)."""
+    """Haar-ish random pure state: complex Gaussian amplitudes, the real
+    parts drawn first, normalised here and again, checked, by
+    :class:`QuditState`."""
     amp = rng.normal(size=p**m) + 1j * rng.normal(size=p**m)
-    return QuditState(p, m, amp / np.linalg.norm(amp))
+    return QuditState(p, m, _unit(amp, checked=False))
 
 
 def make_epr(p: int) -> QuditState:
@@ -267,7 +277,7 @@ def _exponents(flat: np.ndarray, kernels: PauliKernels) -> np.ndarray:
     lambda_ic = <psi_c|P_i|psi_c> from one product; the residuals
     P_i|psi_c> - lambda_ic |psi_c> are formed in the same buffer.  The
     first failing column, generators in order, raises the first of the
-    three checks it fails.
+    three checks it fails; a NaN fails them, so a non-finite column raises.
     """
     p = kernels.p
     moved = flat[kernels.src[:, 0]]
@@ -280,9 +290,11 @@ def _exponents(flat: np.ndarray, kernels: PauliKernels) -> np.ndarray:
     parts = moved.view(np.float64)
     squares = np.einsum("ijk,ijk->ik", parts, parts).reshape(lams.shape + (2,))
     residuals = np.sqrt(squares.sum(axis=-1))
-    taus = np.rint(np.angle(lams) / (np.pi / p)).astype(np.int64) % (2 * p)
-    off = np.abs(np.abs(lams) - 1.0) > EIGEN_TOL
-    loose = residuals > 1e-7
+    off = ~(np.abs(np.abs(lams) - 1.0) <= EIGEN_TOL)
+    loose = ~(residuals <= 1e-7)
+    steps = np.rint(np.angle(lams) / (np.pi / p))
+    steps[off] = 0  # no NaN reaches the integer cast
+    taus = steps.astype(np.int64) % (2 * p)
     skew = np.abs(zeta(p) ** taus - lams) > 1e-6
     failed = np.argwhere((off | loose | skew).T)
     if failed.size:
@@ -464,7 +476,7 @@ def _encoding_isometry(
     """
     eye = np.eye(plan.p**plan.k, dtype=complex)
     v, syndrome = _encode(plan, circuit, eye, kernels)
-    if np.abs(v.conj().T @ v - eye).max() > NORM_TOL:
+    if not np.abs(v.conj().T @ v - eye).max() <= NORM_TOL:  # a NaN fails too
         raise InvariantError("encoding is not an isometry (V^dagger V != I)")
     return v, syndrome
 
@@ -808,7 +820,8 @@ def simulate_protocol(
     The circuit is checked, one rank query per set size checks
     every erased set, and one p**n column is checked against the budget;
     only then are the generators compiled, once per run, before any draw.
-    Each trial draws its secret, then ``e + r`` uniforms for its
+    Each trial draws its secret (2 * p**k normals in one call, the values
+    :func:`random_state` draws in two), then ``e + r`` uniforms for its
     decoder.  Trials run in blocks of ``max(1, budget // p**n)`` columns: a
     block is encoded as ``V @ secrets`` when the isometry V (p**(n+k)) fits
     the budget, else by one circuit call, and decoded by one block-decoder
@@ -836,11 +849,16 @@ def simulate_protocol(
         return _encode(plan, circuit, secrets, kernels)
 
     rng = np.random.default_rng(seed)
+    size = p**k
 
     def draw_secret() -> np.ndarray:
-        secret = random_state(p, k, rng)
-        _check_secret(code, secret)
-        return secret.amplitudes
+        if not k:  # the trivial secret, whose random phase _check_secret refuses
+            secret = random_state(p, k, rng)
+            _check_secret(code, secret)
+            return secret.amplitudes
+        # random_state's amplitudes from one draw: its real parts, then its imaginary parts.
+        parts = rng.normal(size=2 * size)
+        return _unit(_unit(parts[:size] + 1j * parts[size:], checked=False))
 
     width = max(1, budget // p**n)
     records: list[TrialRecord] = []

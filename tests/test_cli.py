@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from advshare import cli, gfp
+from advshare import cli, gfp, sim
 from advshare.access import ShareStructure, share_sets
 from advshare.codefile import format_code_file, parse_code_file
 from advshare.errors import CodeFileError, UncorrectableErasureError
@@ -644,6 +644,24 @@ def plain_rows(value):
             }
             for shares in value.sets
         ]
+    if isinstance(value, cli._Transcripts):
+        # The records grouped by accessible set, as demo reports wrote them
+        # before the transcripts were held.
+        grouped = {}
+        for rec in (rec for run in value.runs for rec in run):
+            grouped.setdefault(rec.accessible, []).append(rec)
+        return [
+            {
+                "accessible": list(acc),
+                "erased": list(records[0].erased),
+                "trials": len(records),
+                "fidelities": [r.fidelity for r in records],
+                "min_fidelity": min(r.fidelity for r in records),
+                "measured_syndromes": [list(r.measured_syndrome) for r in records],
+                "corrections": [list(r.correction) for r in records],
+            }
+            for acc, records in grouped.items()
+        ]
     if isinstance(value, dict):
         return {key: plain_rows(v) for key, v in value.items()}
     if isinstance(value, list):
@@ -780,6 +798,80 @@ def test_shareable_rows_are_written_as_json_dumps(sets, depth):
     assert text == json.dumps(nest(rows), indent=2)
     assert text == cli._json_text(nest(rows))
     assert text == "".join(cli._pieces(nest(sets)))
+
+
+@st.composite
+def transcripts(draw):
+    """``demo`` trial records on n shares at any p: ``trials`` from 1 to 3
+    per set, any distinct accessible sets (none gives the empty list), r
+    from 0 (a rowless code, so empty syndrome lists) to n, and fidelities
+    that include NaN and +-Infinity."""
+    p = draw(st.sampled_from(gfp.PRIMES))
+    n = draw(st.integers(1, 5))
+    r = draw(st.integers(0, n))
+    trials = draw(st.integers(1, 3))
+    listing = [tuple(s) for w in range(n + 1) for s in share_sets(n, w).tolist()]
+    sets = draw(st.lists(st.sampled_from(listing), unique=True, max_size=6))
+    fidelity = st.floats(0, 1) | st.sampled_from([float("nan"), float("inf"), -float("inf")])
+    records = []
+    for acc in sets:
+        erased = tuple(j for j in range(1, n + 1) if j not in acc)
+        for _ in range(trials):
+            syndrome = draw(st.lists(st.integers(0, 2 * p - 1), min_size=r, max_size=r))
+            correction = draw(st.lists(st.integers(0, p - 1), min_size=2 * n, max_size=2 * n))
+            records.append(
+                sim.TrialRecord(acc, erased, tuple(syndrome), tuple(correction), draw(fidelity))
+            )
+    return cli._Transcripts(tuple(records), trials)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(held=transcripts(), depth=st.sampled_from(["bare", "list", "report"]))
+def test_transcript_rows_are_written_as_json_dumps(held, depth):
+    """The transcript templates write what json.dumps and the generic path
+    write for the records grouped by accessible set as plain dicts, NaN and
+    +-Infinity spelled as ``json`` spells them, at three nesting depths,
+    whole or streamed; the summary's worst fidelity is the rows' least."""
+    nest = {
+        "bare": lambda t: t,
+        "list": lambda t: [t, {"a": t}],
+        "report": lambda t: {"demo": {"syndrome": [], "transcripts": t}, "x": 1},
+    }[depth]
+    rows = plain_rows(held)
+    assert "".join(held.pieces("\n")) == json.dumps(rows, indent=2)
+    text = cli._json_text(nest(held))
+    assert text == json.dumps(nest(rows), indent=2)
+    assert text == cli._json_text(nest(rows))
+    assert text == "".join(cli._pieces(nest(held)))
+    if rows:
+        worst = min(row["min_fidelity"] for row in rows)
+        assert repr(held.min_fidelity()) == repr(worst)
+
+
+@pytest.mark.parametrize("trials", [1, 2, 3])
+@pytest.mark.parametrize("p, n, k", [(2, 5, 1), (2, 4, 2), (3, 4, 1), (3, 4, 2), (5, 3, 1),
+                                     (5, 4, 2), (7, 3, 1), (7, 4, 2), (3, 2, 2)])
+def test_demo_transcripts_are_written_as_json_dumps(tmp_path, p, n, k, trials):
+    """``demo`` on a random [[n, k]]_p code, the [[2,2]]_3 one rowless: the
+    report's bytes, summary included, are those of its transcripts written
+    as plain dicts."""
+    code = random_stabilizer(p, n, n - k, np.random.default_rng([p, n, k]))
+    path = tmp_path / "random.code"
+    path.write_text(format_code_file(code), encoding="utf-8")
+    argv = ["demo", str(path), "--J", "none", "--trials", str(trials), "--seed", "7"]
+    reports = []
+    emit = cli._emit
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_emit", lambda report, out: reports.append(report) or emit(report, out))
+        status, out, err = run_cli(argv)
+    assert status == 0
+    rows = plain_rows(reports[0])
+    assert out == json.dumps(rows, indent=2) + "\n"
+    transcripts = rows["demo"]["transcripts"]
+    assert {t["trials"] for t in transcripts} == {trials}
+    assert all(len(t["measured_syndromes"][0]) == n - k for t in transcripts)
+    worst = min(t["min_fidelity"] for t in transcripts)
+    assert f"reconstruction over {len(transcripts)} qualified sets: min fidelity {worst:.12f}" in err
 
 
 def test_analyze_walks_the_dual_weight_once(code_dir, monkeypatch):

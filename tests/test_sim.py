@@ -788,7 +788,8 @@ def test_simulate_protocol_refuses_an_uncorrectable_set_before_any_draw(
 ):
     code, plan, circuit = four_qubit_pipeline
     drawn = []
-    monkeypatch.setattr(sim, "random_state", lambda *args: drawn.append(args))
+    # Every draw comes from the generator simulate_protocol makes from its seed.
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: drawn.append(args))
     sets = [(1, 2, 3), (3, 4)]
     with pytest.raises(UncorrectableErasureError, match=r"^shares \(1, 2\) carry undetectable"):
         simulate_protocol(plan, circuit, seed=3, trials=2, accessible_sets=sets)
@@ -812,6 +813,59 @@ def test_simulate_protocol_refuses_a_non_isometric_encoding(four_qubit_pipeline,
     monkeypatch.setattr(sim, "_encode", skewed)
     with pytest.raises(InvariantError, match="not an isometry"):
         simulate_protocol(plan, circuit, seed=3, trials=1, accessible_sets=[(1, 2, 3)])
+
+
+def test_simulate_protocol_refuses_a_nan_encoding(four_qubit_pipeline, monkeypatch):
+    """A NaN column makes V^dagger V - I NaN, which no tolerance admits."""
+    code, plan, circuit = four_qubit_pipeline
+    encode = sim._encode
+
+    def poisoned(*args):
+        columns, syndrome = encode(*args)
+        columns = columns.copy()
+        columns[:, 1] = np.nan
+        return columns, syndrome
+
+    monkeypatch.setattr(sim, "_encode", poisoned)
+    with pytest.raises(InvariantError, match="not an isometry"):
+        simulate_protocol(plan, circuit, seed=3, trials=1, accessible_sets=[(1, 2, 3)])
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("p", gfp.PRIMES)
+def test_simulate_protocol_draws_the_secrets_of_random_state(p, k, monkeypatch):
+    """Each secret is one normal draw of 2 * p**k values, and equals bit for
+    bit what ``random_state`` draws with two on the same generator, while
+    NumPy fills normals in order; each trial's decoder uniforms follow it."""
+    n = k + 2
+    code = random_stabilizer(p, n, n - k, np.random.default_rng([p, k]))
+    plan = construct_eaqecc(code, [])
+    circuit = encoding_circuit(plan)
+    sets = [
+        tuple(s)
+        for w in range(n + 1)
+        for s in share_sets(n, w).tolist()
+        if classify_access(code, s) is AccessLabel.QUALIFIED
+    ]
+    drawn = []
+    encode = sim._encode
+
+    def recorded(plan, circuit, secrets, kernels):
+        drawn.extend(secrets.T.copy())
+        return encode(plan, circuit, secrets, kernels)
+
+    monkeypatch.setattr(sim, "_encode", recorded)
+    # At a budget of p**n the isometry does not fit: every block of one
+    # column runs the circuit on its secret.
+    transcript = simulate_protocol(plan, circuit, 5, 3, sets, budget=p**n)
+    rng = np.random.default_rng(5)
+    want = []
+    for rec in transcript.trials:
+        want.append(random_state(p, k, rng).amplitudes)
+        rng.random(len(rec.erased) + code.num_checks)
+    assert len(drawn) == len(want) == 3 * len(sets)
+    for got, expected in zip(drawn, want):
+        assert got.tobytes() == expected.tobytes()
 
 
 def test_encode_refuses_columns_with_different_syndromes(four_qubit_pipeline, monkeypatch):
@@ -874,7 +928,7 @@ def test_simulate_protocol_keeps_the_k0_secret_check(sets):
 def test_simulate_protocol_rejects_mismatched_circuit_first(four_qubit_pipeline, monkeypatch):
     code, plan, _ = four_qubit_pipeline
     simulated = []
-    monkeypatch.setattr(sim, "random_state", lambda *args: simulated.append(args))
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: simulated.append(args))
     monkeypatch.setattr(sim, "apply_circuit_tensor", lambda *args, **kw: simulated.append(args))
     with pytest.raises(ValueError, match="does not map"):
         simulate_protocol(plan, CliffordCircuit(2, 3), seed=3, trials=2, accessible_sets=[(1, 2, 3)])
@@ -1001,6 +1055,18 @@ def test_each_eigenvalue_check_raises_on_its_own_failure(p):
     skewed = dataclasses.replace(kernels, phases=kernels.phases * np.exp(0.1j))
     with pytest.raises(InvariantError, match="is not a 2p-th root of unity"):
         sim._exponents(eigen.reshape(-1, 1), skewed)
+
+
+def test_eigenvalue_check_refuses_a_nan_column():
+    """A NaN column is no eigenvector: it raises, with no cast of NaN to an
+    integer exponent on the way, even behind a good column."""
+    code = random_stabilizer(2, 4, 3, np.random.default_rng(4))
+    plan = construct_eaqecc(code, [])
+    good, _ = encode_advance(plan, encoding_circuit(plan), random_state(2, 1, np.random.default_rng(5)))
+    kernels = sim.compile_paulis(2, 4, code.generators())
+    flat = np.stack([good.amplitudes, np.full(16, np.nan + 0j)], axis=1)
+    with pytest.raises(InvariantError, match=r"not an eigenvector \(\|<G>\| = nan\)"):
+        sim._exponents(flat, kernels)
 
 
 def test_erase_and_decode_names_the_broken_invariant(four_qubit_pipeline):
