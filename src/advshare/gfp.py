@@ -10,7 +10,8 @@ Supported moduli are the small primes 2, 3, 5 and 7.
 A single matrix goes through one elimination on Python ints,
 :class:`GaussJordan`: :func:`rref`, :func:`kernel`, :func:`solve`,
 :func:`in_row_space` and :func:`rank` at odd p read their answers off it,
-and so does the symplectic completion of :mod:`advshare.clifford`.
+and so do the symplectic completion of :mod:`advshare.clifford` and each
+erased set's correction map in :mod:`advshare.sim`.
 
 Batches go to narrow kernels.  The share-set walks of
 :mod:`advshare.access` visit up to sum_w C(n, w) sets and rank each one,
@@ -23,9 +24,8 @@ the same for one matrix as for a thousand, so at p = 2 a batch of fewer
 than :data:`INT_RANK_BATCH` matrices, and the single matrix of
 :func:`rank`, is ranked on Python ints instead (:func:`_xor_rank`): one
 XOR per row per matrix, against one numpy step per row for the batch.
-:func:`solution_maps` runs the batched int64 Gauss-Jordan core
-:func:`_reduce`, which returns each matrix's pivot rows.  A rank does not
-depend on the pivots, so the rank kernels pick whichever is cheapest.
+A rank does not depend on which lines hold the pivots, so each rank
+kernel steps along whichever side is cheaper.
 """
 
 from __future__ import annotations
@@ -242,42 +242,6 @@ def _xor_rank(rows) -> int:
     return len(kept)
 
 
-def _reduce(a: np.ndarray, p: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Jordan elimination of the first ``cols`` columns of every matrix
-    in a ``(batch, rows, width)`` int64 stack reduced mod p, in place: the
-    core of :func:`solution_maps`, which needs the reduced rows, not only
-    their number (ranks come from :func:`batched_rank`).
-
-    For each column, every matrix picks its first row with a nonzero entry
-    that holds no earlier pivot and clears that column from all its other
-    rows.  Rows are neither swapped nor normalised: ``pivot_row[b, c]`` is
-    the row of matrix b holding column c's pivot, or -1 if it has none, and
-    that row times the inverse of its pivot entry, ``v ** (p - 2)`` by
-    Fermat, is a row of the reduced row echelon form.  Returns
-    ``(a, pivot_row)``.
-    """
-    batch, rows, _ = a.shape
-    pivot_row = np.full((batch, cols), -1, dtype=np.intp)
-    every = np.arange(batch)
-    used = np.zeros((batch, rows), dtype=bool)
-    for c in range(cols):
-        candidates = (a[:, :, c] != 0) & ~used
-        found = candidates.any(axis=1)
-        if not found.any():
-            continue
-        pivot = candidates.argmax(axis=1)
-        row = a[every, pivot, c:]
-        # A matrix without a pivot here scales by 0 and clears nothing.  The
-        # pivot row is 0 left of c, so only columns c.. change.  Factors stay
-        # unreduced (below p**(p-1)), and the update reduces once.
-        factors = a[:, :, c] * (row[:, 0] ** (p - 2) * found)[:, None]
-        factors[every, pivot] = 0
-        a[:, :, c:] = (a[:, :, c:] - factors[:, :, None] * row[:, None, :]) % p
-        used[every[found], pivot[found]] = True
-        pivot_row[found, c] = pivot[found]
-    return a, pivot_row
-
-
 #: ``_INVERSES[p][v]`` is the inverse of v mod p, and 0 for v = 0.
 _INVERSES = {
     p: np.array([0] + [inv_scalar(v, p) for v in range(1, p)], dtype=np.uint8) for p in PRIMES
@@ -421,34 +385,6 @@ def solve(m, b, p: int) -> Optional[np.ndarray]:
         form.add(row + [t])
     x = form.solution(0)
     return None if x is None else np.array(x, dtype=np.int64)
-
-
-def solution_maps(stack, p: int) -> np.ndarray:
-    """For each matrix m of a ``(batch, rows, cols)`` stack, the (cols, rows)
-    matrix S with ``S @ b % p == solve(m, b, p)`` for every b that has a
-    solution.
-
-    One Gauss-Jordan elimination (:func:`_reduce`) of every ``[m | I]``
-    runs over the whole batch at once.  Each pivot row, times the inverse
-    of its pivot, is a row of the reduced row echelon form of m, which is
-    unique, so for b = m x the reduced b is that form applied to x whatever
-    the pivot order: each pivot variable takes its pivot row of the
-    identity part and each free variable is 0, as in :func:`solve`.  S says
-    nothing about solvability: check ``m @ x == b`` before using x.
-    """
-    check_modulus(p)
-    a = np.asarray(stack, dtype=np.int64) % p
-    if a.ndim != 3:
-        raise ValueError(f"expected a 3-d stack, got shape {a.shape}")
-    batch, rows, cols = a.shape
-    eye = np.broadcast_to(np.eye(rows, dtype=np.int64), (batch, rows, rows))
-    a, pivot_row = _reduce(np.concatenate([a, eye], axis=2), p, cols)
-    which, col = np.nonzero(pivot_row >= 0)
-    pivots = a[which, pivot_row[which, col]]
-    scale = pivots[np.arange(col.size), col] ** (p - 2)
-    maps = np.zeros((batch, cols, rows), dtype=np.int64)
-    maps[which, col] = pivots[:, cols:] * scale[:, None] % p
-    return maps
 
 
 def in_row_space(m, v, p: int) -> bool:

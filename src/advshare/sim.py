@@ -38,23 +38,22 @@ The protocol pipeline:
    (p**n, b) columns of b trials at once, and :func:`erase_and_decode` is
    its one-column call.  :func:`simulate_protocol` checks every erased set
    with one rank query per set size (the access table's kept levels answer
-   it by row index) and eliminates every distinct set in one
-   :func:`gfp.solution_maps` call per run, each zero-padded to the widest,
-   into a plain (2n x r) array that maps syndrome shifts to the correction
-   :func:`gfp.solve` would return; a block stacks its columns' maps and
-   applies them with one product.  A correction X(x) Z(z) is then one
-   gather and one exact phase per column: the source index is
-   place.((d - x) mod p), from the int8 register digits d shifted once,
-   and the phase exponent d.z - x.z mod p comes from one integer matmul;
-   the compiled kernels carry the digits, so a run forms them once.  It
-   draws each trial's randomness in a fixed order: the secret, as one normal
-   draw of 2 * p**k values (the real parts, then the imaginary parts) with
-   no :class:`QuditState` built, then one uniform per erased qudit
-   (ascending) and one per generator.  An outcome is count(cdf <= u) over
-   the normalised cumulative Born weights, which is how
-   ``Generator.choice`` spends one ``random()`` draw.  Blocks are
-   max(1, budget // p**n) columns wide, so no block exceeds the state
-   budget.
+   it by row index) and eliminates each distinct set in one
+   :class:`gfp.GaussJordan` form into a plain (2n x r) array that maps
+   syndrome shifts to the correction :func:`gfp.solve` would return; a
+   block stacks its columns' maps and applies them with one product.  A
+   correction X(x) Z(z) is then one gather and one exact phase per column:
+   the source index is place.((d - x) mod p), from the int8 register
+   digits d shifted once, and the phase exponent d.z - x.z mod p comes
+   from one integer matmul; the compiled kernels carry the digits, so a
+   run forms them once.  It draws each trial's randomness in a fixed
+   order: the secret, as one normal draw of 2 * p**k values (the real
+   parts, then the imaginary parts) with no :class:`QuditState` built,
+   then one uniform per erased qudit (ascending) and one per generator.
+   An outcome is count(cdf <= u) over the normalised cumulative Born
+   weights, which is how ``Generator.choice`` spends one ``random()``
+   draw.  Blocks are max(1, budget // p**n) columns wide, so no block
+   exceeds the state budget.
 3. :func:`reconstruct` undoes the encoding and extracts the secret register.
    :func:`simulate_protocol` needs no inverse circuit: a decoded state lies
    in the recorded eigenspace, which is the image of V, so its fidelity is
@@ -519,10 +518,11 @@ def _erasures(
     particular solution :func:`gfp.solve` returns; its rows off the erased
     shares are 0.  One share-structure query per set size checks that every
     set is correctable before any elimination, and the first failing set in
-    input order is named; then one :func:`gfp.solution_maps` call
-    eliminates every set.  Each set's columns are zero-padded to the widest
-    set's: a zero column never holds a pivot, so each map is the one an
-    elimination of its own size alone gives.
+    input order is named.  Then each set's map is read off one
+    :class:`gfp.GaussJordan` form of ``[m | I]``, m its generator rows on
+    its columns, as :func:`gfp.solve` reads x; a row that is 0 on those
+    columns, or comes once each holds a pivot, is dependent and not added.
+    A size group is gathered, and its maps written, at once, not set by set.
     """
     distinct = list(dict.fromkeys(sets))
     by_size: dict[int, list[tuple[int, ...]]] = {}
@@ -534,24 +534,28 @@ def _erasures(
         ok.update(zip(group, structure.correctable(*structure.pair(group)).tolist()))
     for err in distinct:
         if not ok[err]:
-            raise UncorrectableErasureError(
-                f"shares {err} carry undetectable damage for this code"
-            )
-    n, r = code.n, code.num_checks
-    rows = _symplectic_rows(code.check_matrix, code.p)
-    groups = list(by_size.values())
-    # Row g of a group: the x slots of set g's erased qudits, then their z slots.
-    slots = [owned_columns(group, n) for group in groups]
-    bounds = np.cumsum([0] + [len(group) for group in groups])
-    stack = np.zeros((len(distinct), r, 2 * max(by_size, default=0)), dtype=np.int64)
-    for start, end, group_slots in zip(bounds, bounds[1:], slots):
-        stack[start:end, :, : group_slots.shape[1]] = rows[:, group_slots].transpose(1, 0, 2)
-    maps = gfp.solution_maps(stack, code.p)
+            raise UncorrectableErasureError(f"shares {err} carry undetectable damage for this code")
+    p, n, r = code.p, code.n, code.num_checks
+    rows = _symplectic_rows(code.check_matrix, p)
+    units = np.eye(r, dtype=np.int64).tolist()
     out = {}
-    for start, end, group, group_slots in zip(bounds, bounds[1:], groups, slots):
-        full = np.zeros((len(group), 2 * n, r), dtype=np.int64)
-        full[np.arange(len(group))[:, None], group_slots] = maps[start:end, : group_slots.shape[1]]
-        out.update(zip(group, full))
+    for group in by_size.values():
+        # Column j of set g: the x slots of its erased qudits, then their z slots.
+        slots = owned_columns(group, n)
+        width = slots.shape[1]
+        owners, pivots, solved = [], [], bytearray()
+        for g, mat in enumerate(rows[:, slots].transpose(1, 0, 2).tolist()):
+            form = gfp.GaussJordan(width, p)
+            for row, unit in zip(mat, units):
+                if len(form.cols) < width and any(row):
+                    form.add(row + unit)
+            owners += [g] * len(form.cols)
+            pivots += form.cols
+            solved += b"".join(form.rows)
+        picked = np.frombuffer(solved, np.uint8).reshape(len(owners), width + r)[:, width:]
+        maps = np.zeros((len(group), 2 * n, r), dtype=np.int64)
+        maps[owners, slots[owners, pivots]] = picked
+        out.update(zip(group, maps))
     return out
 
 
@@ -826,8 +830,10 @@ def simulate_protocol(
     block is encoded as ``V @ secrets`` when the isometry V (p**(n+k)) fits
     the budget, else by one circuit call, and decoded by one block-decoder
     call.  The fidelity of a decoded column is its overlap with the encoded
-    column.
+    column.  A negative ``trials`` raises ValueError before any work.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be at least 0, got {trials}")
     code = plan.code
     _check_plan_matches(plan, circuit)
     p, n, k = code.p, code.n, code.k

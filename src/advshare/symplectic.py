@@ -21,6 +21,7 @@ only through :func:`advshare.pauli.f_inv`.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -107,9 +108,16 @@ class SymplecticCode:
         return self.p == other.p and np.array_equal(self.generators, other.generators)
 
 
+def _share_index(j) -> int:
+    try:
+        return operator.index(j)
+    except TypeError:
+        raise ValueError(f"share index {j} is not an integer") from None
+
+
 def validated_shares(shares: Iterable[int], n: int) -> tuple[int, ...]:
-    """Sorted distinct 1-based share indices; raises ValueError outside 1..n."""
-    js = tuple(sorted(set(int(j) for j in shares)))
+    """Sorted distinct 1-based share indices; ValueError unless each is an integer in 1..n."""
+    js = tuple(sorted(set(map(_share_index, shares))))
     for j in js:
         if not 1 <= j <= n:
             raise ValueError(f"share index {j} outside 1..{n}")

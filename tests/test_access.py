@@ -55,11 +55,18 @@ SPAN_LIMIT = 2**14
 GROUP_LIMIT = 7**4
 
 
-@pytest.mark.parametrize("bad", ["zero", "n+1"])
+@pytest.mark.parametrize("bad", ["zero", "n+1", "1.5", "float64"])
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_share_index_out_of_range(five_qubit, entry, bad):
-    index = 0 if bad == "zero" else five_qubit.n + 1
-    message = f"share index {index} outside 1..{five_qubit.n}"
+    """An index outside 1..n, or one that is not an integer even when its
+    value is whole, is refused by name rather than truncated."""
+    n = five_qubit.n
+    index, message = {
+        "zero": (0, f"share index 0 outside 1..{n}"),
+        "n+1": (n + 1, f"share index {n + 1} outside 1..{n}"),
+        "1.5": (1.5, "share index 1.5 is not an integer"),
+        "float64": (np.float64(2.0), "share index 2.0 is not an integer"),
+    }[bad]
     with pytest.raises(ValueError, match=re.escape(message)):
         ENTRY_POINTS[entry](five_qubit, [1, index])
 

@@ -171,6 +171,12 @@ def test_single_matrix_routines_match_the_numpy_reference(mbp):
         assert x is None
     else:
         assert x.dtype == want_x.dtype and np.array_equal(x, want_x)
+    # The reference solves each column of a matrix right-hand side alike.
+    both = ref_solve(m, np.stack([b, m @ np.ones(m.shape[1], dtype=np.int64)], axis=1), p)
+    assert (both is None) == (want_x is None)
+    if both is not None:
+        assert np.array_equal(both[:, 0], want_x)
+        assert np.array_equal(both[:, 1], ref_solve(m, m.sum(axis=1), p))
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -241,30 +247,6 @@ def test_batched_rank_matches_rank_per_slice(sp):
     assert got.shape == (stack.shape[0],)
     for mat, rk in zip(stack, got):
         assert rk == gfp.rank(mat, p)
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(stacks() | stacks(wide=True))
-@example((np.zeros((0, 3, 4), dtype=np.int64), 7))
-@example((np.zeros((3, 0, 4), dtype=np.int64), 5))
-@example((np.zeros((3, 4, 0), dtype=np.int64), 3))
-@example((np.ones((2, 3, 3), dtype=np.int64), 2))
-def test_reduce_pivot_rows_scale_to_the_rref_rows(sp):
-    """The core's pivot columns are the reference rref's, and each pivot row
-    times the inverse of its pivot is the matching row of its reduced form."""
-    stack, p = sp
-    batch, rows, cols = stack.shape
-    a = stack.astype(np.int64)
-    reduced, pivot_row = gfp._reduce(a, p, cols)
-    assert reduced is a
-    assert pivot_row.shape == (batch, cols)
-    for mat, mat_reduced, where in zip(stack, reduced, pivot_row):
-        r, rank, pivots = ref_rref(mat, p)
-        assert np.flatnonzero(where >= 0).tolist() == pivots
-        pivots = np.array(pivots, dtype=np.intp)
-        held = mat_reduced[where[pivots]]
-        inverses = [gfp.inv_scalar(int(v), p) for v in held[np.arange(rank), pivots]]
-        assert np.array_equal(held * np.array(inverses, dtype=np.int64)[:, None] % p, r[:rank])
 
 
 @pytest.mark.parametrize("shape", [(3, 0, 4), (3, 4, 0), (0, 2, 2), (2, 0, 0)])
@@ -373,27 +355,6 @@ def test_packed_rank_uses_the_top_bit_of_a_word():
     assert gfp.packed_rank(np.tile(stack, (SMALL, 1, 1))).tolist() == [1, 2, 2] * SMALL
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(stacks(), st.integers(0, 2**32 - 1))
-def test_solution_maps_give_the_solve_particular_solution(sp, seed):
-    """S @ b is the very solution gfp.solve returns for a solvable b, and
-    fails the substitution check for an unsolvable one."""
-    stack, p = sp
-    batch, rows, cols = stack.shape
-    maps = gfp.solution_maps(stack, p)
-    assert maps.shape == (batch, cols, rows)
-    rng = np.random.default_rng(seed)
-    for mat, s in zip(stack, maps):
-        solvable = (mat @ rng.integers(0, p, size=(cols, 3))) % p
-        for b in [*solvable.T, *rng.integers(0, p, size=(3, rows))]:
-            x = gfp.solve(mat, b, p)
-            y = (s @ b) % p
-            if x is None:
-                assert ((mat @ y - b) % p).any()
-            else:
-                assert np.array_equal(x, y)
-
-
 @pytest.mark.parametrize(
     "call, error, message",
     [
@@ -404,10 +365,8 @@ def test_solution_maps_give_the_solve_particular_solution(sp, seed):
          "expected a 3-d stack, got shape (2, 2)"),
         (lambda: gfp.packed_rank(np.zeros((2, 2))), ValueError,
          "expected a 3-d stack, got shape (2, 2)"),
-        (lambda: gfp.solution_maps(np.zeros((1, 2, 2, 1)), 3), ValueError,
-         "expected a 3-d stack, got shape (1, 2, 2, 1)"),
     ],
-    ids=["as_matrix", "as_vector", "inv_scalar", "batched_rank", "packed_rank", "solution_maps"],
+    ids=["as_matrix", "as_vector", "inv_scalar", "batched_rank", "packed_rank"],
 )
 def test_refusals_name_the_bad_argument(call, error, message):
     with pytest.raises(error) as err:

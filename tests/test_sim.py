@@ -59,6 +59,7 @@ from advshare.sim import (
     simulate_protocol,
 )
 from advshare.symplectic import owned_columns
+from tests_util_gfp import ref_rref, ref_solve
 
 #: Registers of the compiled-Pauli sweep hold at most this many amplitudes.
 KERNEL_REGISTER_LIMIT = 256
@@ -495,14 +496,23 @@ def test_erasures_name_the_first_uncorrectable_set_in_input_order(p):
 
 @pytest.mark.parametrize("p", gfp.PRIMES)
 def test_one_elimination_gives_every_erased_set_its_own_size_s_map(p):
-    """One zero-padded elimination of every distinct erased set gives each
-    set the map gfp.solution_maps gives on its own size group, and map @ rhs
-    solves the erased columns' system for every right-hand side in the
-    image.  Sets of mixed sizes come in a shuffled input order, with the
-    empty set and the largest correctable set among them."""
+    """Every erased set's map is 0 off its set's slots, and map @ rhs is
+    ref_solve's solution for every right-hand side in the image of the
+    set's columns.  Sets of mixed sizes come in a shuffled input order, with
+    the empty set and the largest correctable set among them, and the maps
+    come back grouped by size.  Two Bell pairs on shares (1, 2) and (3, 4)
+    join the random codes, so that the sweep holds sets on which some
+    generator vanishes, sets whose columns hold a pivot each before the
+    rows run out (r_E = 2|E| < r) and sets with free columns (r_E < 2|E|)."""
     rng = np.random.default_rng(p)
-    for n, r in ((3, 2), (4, 3), (5, 3), (5, 4)):
-        code = random_stabilizer(p, n, r, rng)
+    bell_pairs = validate_stabilizer(
+        np.array([[0, 0, 0, 0, 1, 1, 0, 0], [1, p - 1, 0, 0, 0, 0, 0, 0],
+                  [0, 0, 0, 0, 0, 0, 1, 1], [0, 0, 1, p - 1, 0, 0, 0, 0]]), p, 4
+    )
+    codes = [random_stabilizer(p, n, r, rng) for n, r in ((3, 2), (4, 3), (5, 3), (5, 4))]
+    vanishes = pivot_each = free_column = False
+    for code in [*codes, bell_pairs]:
+        n, r = code.n, code.num_checks
         subsets = (itertools.combinations(range(1, n + 1), w) for w in range(n + 1))
         sets = [e for e in itertools.chain.from_iterable(subsets) if correctable_erasure(code, e)]
         largest = max(sets, key=len)
@@ -514,15 +524,18 @@ def test_one_elimination_gives_every_erased_set_its_own_size_s_map(p):
             by_size.setdefault(len(err), []).append(err)
         assert list(maps) == [err for group in by_size.values() for err in group]
         rows = sim._symplectic_rows(code.check_matrix, p)
-        for group in by_size.values():
-            slots = owned_columns(group, n)
-            own = gfp.solution_maps(rows[:, slots].transpose(1, 0, 2), p)
-            for err, slot, solver in zip(group, slots, own):
-                want = np.zeros((2 * n, r), dtype=np.int64)
-                want[slot] = solver
-                assert np.array_equal(maps[err], want), err
-                image = np.concatenate(list(gfp.iter_span(rows[:, slot].T, p))).T
-                assert not ((rows @ (maps[err] @ image % p) - image) % p).any(), err
+        for err, full in maps.items():
+            slot = owned_columns([err], n)[0]
+            assert not np.delete(full, slot, axis=0).any(), err
+            m = rows[:, slot]
+            basis, rank, _ = ref_rref(m.T, p)
+            if err:
+                vanishes |= not m.any(axis=1).all()
+                pivot_each |= rank == len(slot) < r
+                free_column |= rank < len(slot)
+            image = np.concatenate(list(gfp.iter_span(basis[:rank], p))).T
+            assert np.array_equal(full[slot] @ image % p, ref_solve(m, image, p)), err
+    assert vanishes and pivot_each and free_column
 
 
 def test_correctable_erasure_thresholds(five_qubit):
@@ -933,6 +946,21 @@ def test_simulate_protocol_rejects_mismatched_circuit_first(four_qubit_pipeline,
     with pytest.raises(ValueError, match="does not map"):
         simulate_protocol(plan, CliffordCircuit(2, 3), seed=3, trials=2, accessible_sets=[(1, 2, 3)])
     assert simulated == []
+
+
+def test_simulate_protocol_refuses_negative_trials_before_any_work(
+    four_qubit_pipeline, monkeypatch
+):
+    """trials = -1 once gave a transcript with a syndrome and no trials.  It
+    is refused ahead of every check, even of a circuit that does not match."""
+    code, plan, circuit = four_qubit_pipeline
+    work = []
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: work.append(args))
+    monkeypatch.setattr(sim, "_erasures", lambda *args: work.append(args))
+    for candidate in (circuit, CliffordCircuit(2, 3)):
+        with pytest.raises(ValueError, match=r"^trials must be at least 0, got -1$"):
+            simulate_protocol(plan, candidate, seed=3, trials=-1, accessible_sets=[(1, 2, 3)])
+    assert work == []
 
 
 def test_erase_and_decode_budget_names_its_stage(four_qubit_pipeline, rng):

@@ -2,7 +2,7 @@
 
 ``ref_rref`` is a column-by-column Gauss-Jordan elimination with one
 vectorized numpy update per pivot.  It shares no code with
-:class:`advshare.gfp.GaussJordan`, the rank kernels or ``_reduce``, so the
+:class:`advshare.gfp.GaussJordan` or the rank kernels, so the
 tests check those fast paths against it, and ``ref_rank``, ``ref_solve``
 and ``ref_kernel`` read their answers off it.
 """
@@ -56,14 +56,18 @@ def ref_kernel(m, p):
 
 
 def ref_solve(m, b, p):
-    """The solution of ``m @ x = b`` with every free variable 0, or None."""
+    """The solution of ``m @ x = b`` with every free variable 0, or None.
+
+    A 2-d ``b`` holds one right-hand side per column: one elimination of
+    ``[m | b]`` gives each column's solution as a column of x, or None if
+    some column has none."""
     a = gfp.as_matrix(m, p)
-    rhs = gfp.as_vector(b, p)
-    r, _, pivots = ref_rref(np.concatenate([a, rhs[:, None]], axis=1), p)
+    rhs = gfp.as_matrix(b, p) if np.ndim(b) == 2 else gfp.as_vector(b, p)[:, None]
+    r, _, pivots = ref_rref(np.concatenate([a, rhs], axis=1), p)
     cols = a.shape[1]
-    if cols in pivots:
+    if any(pc >= cols for pc in pivots):
         return None
-    x = np.zeros(cols, dtype=np.int64)
+    x = np.zeros((cols, rhs.shape[1]), dtype=np.int64)
     for row_idx, pc in enumerate(pivots):
-        x[pc] = r[row_idx, cols]
-    return x
+        x[pc] = r[row_idx, cols:]
+    return x if np.ndim(b) == 2 else x[:, 0]
