@@ -33,19 +33,23 @@ here), and a query takes the rows of m sets of one size w.
 of size w and row ``C(n, w) - 1 - i`` of size ``n - w`` are complements.
 :class:`ShareStructure` keeps each size's listing and array of r_E
 (:meth:`ShareStructure.sets`, :meth:`ShareStructure.level`), so every walk
-lists a size once per code and reads r_E' as ``level(n - w)[::-1]``; a
-query on given sets reads a kept level by row index.  The whole access
-table (:meth:`ShareStructure.table`) ranks each size w < n/2 on H and G
-together and fills size n - w from the identity above, so no size above
-n/2 is eliminated.  Everything else is eliminated on H alone.
-Eliminations run in batches of at most :data:`CHUNK_ENTRIES` entries, by a
-kernel that loops over the cheaper side of each set's matrix in narrow
-words: :func:`advshare.gfp.packed_rank` on bit-packed columns at p = 2,
-:func:`advshare.gfp.batched_rank` on uint8 columns at odd p.  At p = 2 a
-batch of fewer than :data:`advshare.gfp.INT_RANK_BATCH` sets, such as the
-few complements a walk asks for, is ranked one set at a time on Python
-ints, since a numpy step costs about the same for one set as for a
-thousand.
+lists a size once per code and reads r_E' as ``level(n - w)[::-1]``.  A
+size of at least :data:`LIST_FROM_BELOW` sets is listed from the kept size
+below it, each set extended by every share above its last, which keeps
+the order; a smaller size, or one whose size below is not kept, is listed
+by ``itertools.combinations``.  A query on given sets reads a kept level
+by row index.  The whole access table (:meth:`ShareStructure.table`)
+ranks each size w < n/2 on H and G together and fills size n - w from the
+identity above, so no size above n/2 is eliminated.  Everything else is
+eliminated on H alone.  Eliminations run in batches of at most
+:data:`CHUNK_ENTRIES` entries, by a kernel that loops over the cheaper
+side of each set's matrix in narrow words: :func:`advshare.gfp.packed_rank`
+on bit-packed columns at p = 2, :func:`advshare.gfp.batched_rank` on uint8
+columns at odd p, which are below p already and so skip its division
+pass.  At p = 2 a batch of fewer than :data:`advshare.gfp.INT_RANK_BATCH`
+sets, such as the few complements a walk asks for, is ranked one set at a
+time on Python ints, since a numpy step costs about the same for one set
+as for a thousand.
 :attr:`advshare.pauli.StabilizerCode.share_structure` keeps one per code.
 """
 
@@ -70,6 +74,16 @@ from .symplectic import orthogonality_rows, owned_columns, qudit_count
 #: whatever its sets' sizes.
 CHUNK_ENTRIES = 1 << 20
 
+#: Levels of at least this many share sets are listed from the kept level
+#: below by one ``np.repeat`` (:func:`_extended`, about 12 us plus 15 ns a
+#: set); smaller ones by ``np.fromiter`` over ``itertools.combinations``
+#: (:func:`share_sets`, about 4 us plus 28 ns an entry), which costs less
+#: there.  Of 0, 32, 128, 512 and never, timed in-process on the benchmark's
+#: ``scan`` and ``access`` ladders (one 2-vCPU VM, alternated per op), 128
+#: was the fastest on both; 512 was within noise of it, and never listing
+#: from below was 2-4% slower.
+LIST_FROM_BELOW = 128
+
 
 class AccessLabel(enum.Enum):
     QUALIFIED = "qualified"
@@ -85,6 +99,21 @@ def share_sets(n: int, w: int) -> np.ndarray:
     count = math.comb(n, w)
     flat = itertools.chain.from_iterable(itertools.combinations(range(1, n + 1), w))
     return np.fromiter(flat, dtype=np.intp, count=count * w).reshape(count, w)
+
+
+def _extended(sets: np.ndarray, n: int) -> np.ndarray:
+    """``share_sets(n, w + 1)`` from ``sets``, the listing of size w: each
+    w-set followed by each share above its last, which keeps the order
+    lexicographic."""
+    last = sets[:, -1] if sets.shape[1] else np.zeros(len(sets), dtype=np.intp)
+    counts = n - last
+    out = np.empty((int(counts.sum()), sets.shape[1] + 1), dtype=np.intp)
+    out[:, :-1] = np.repeat(sets, counts, axis=0)
+    # Extension j of set i is last_i + 1 + j; set i's extensions start at
+    # row sum(counts[:i]).
+    first = np.cumsum(counts) - counts - last - 1
+    out[:, -1] = np.arange(len(out)) - np.repeat(first, counts)
+    return out
 
 
 def _row_index(sets: np.ndarray, n: int) -> np.ndarray:
@@ -144,9 +173,15 @@ class ShareStructure:
         return self._narrow(both)
 
     def sets(self, w: int) -> np.ndarray:
-        """``share_sets(n, w)``, listed once and kept beside ``level(w)``."""
+        """``share_sets(n, w)``, listed once and kept beside ``level(w)``:
+        from the kept size w - 1 when there are at least
+        :data:`LIST_FROM_BELOW` sets, else directly."""
         if w not in self._sets:
-            self._sets[w] = share_sets(self.n, w)
+            below = self._sets.get(w - 1)
+            if below is not None and math.comb(self.n, w) >= LIST_FROM_BELOW:
+                self._sets[w] = _extended(below, self.n)
+            else:
+                self._sets[w] = share_sets(self.n, w)
         return self._sets[w]
 
     def level(self, w: int) -> np.ndarray:
@@ -235,7 +270,7 @@ class ShareStructure:
         matrix's sets go along one batch."""
         owned = owned_columns(sets, self.n)
         halves, _, entries = source.shape
-        stack = source[:, owned].reshape(halves * len(sets), owned.shape[1], entries)
+        stack = np.take(source, owned, axis=1).reshape(halves * len(sets), owned.shape[1], entries)
         ranks = gfp.packed_rank(stack) if self.p == 2 else gfp.batched_rank(stack, self.p)
         return ranks.reshape(halves, len(sets))
 

@@ -109,14 +109,19 @@ class SymplecticCode:
 
 
 def _share_index(j) -> int:
-    try:
-        return operator.index(j)
-    except TypeError:
-        raise ValueError(f"share index {j} is not an integer") from None
+    # Python's bool is an int, and NumPy 1.x still indexes with np.bool_
+    # (with a DeprecationWarning), but a flag is not a share.
+    if not isinstance(j, (bool, np.bool_)):
+        try:
+            return operator.index(j)
+        except TypeError:
+            pass
+    raise ValueError(f"share index {j} is not an integer")
 
 
 def validated_shares(shares: Iterable[int], n: int) -> tuple[int, ...]:
-    """Sorted distinct 1-based share indices; ValueError unless each is an integer in 1..n."""
+    """Sorted distinct 1-based share indices; ValueError unless each is an
+    integer, not a bool, in 1..n."""
     js = tuple(sorted(set(map(_share_index, shares))))
     for j in js:
         if not 1 <= j <= n:

@@ -55,17 +55,20 @@ SPAN_LIMIT = 2**14
 GROUP_LIMIT = 7**4
 
 
-@pytest.mark.parametrize("bad", ["zero", "n+1", "1.5", "float64"])
+@pytest.mark.parametrize("bad", ["zero", "n+1", "1.5", "float64", "True", "np.True_"])
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_share_index_out_of_range(five_qubit, entry, bad):
     """An index outside 1..n, or one that is not an integer even when its
-    value is whole, is refused by name rather than truncated."""
+    value is whole, is refused by name rather than truncated.  A bool is
+    not an index either, Python's or NumPy's, though Python's is an int."""
     n = five_qubit.n
     index, message = {
         "zero": (0, f"share index 0 outside 1..{n}"),
         "n+1": (n + 1, f"share index {n + 1} outside 1..{n}"),
         "1.5": (1.5, "share index 1.5 is not an integer"),
         "float64": (np.float64(2.0), "share index 2.0 is not an integer"),
+        "True": (True, "share index True is not an integer"),
+        "np.True_": (np.True_, "share index True is not an integer"),
     }[bad]
     with pytest.raises(ValueError, match=re.escape(message)):
         ENTRY_POINTS[entry](five_qubit, [1, index])
@@ -399,6 +402,41 @@ def test_share_sets_pair_each_row_with_its_complement(p):
             assert np.array_equal(access._row_index(sets, n), np.arange(len(sets)))
             direct = ShareStructure(p, h).complement_ranks(sets)
             assert np.array_equal(direct, structure.level(n - w)[::-1])
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_kept_listings_equal_share_sets_in_any_request_order(p, order, monkeypatch):
+    """``sets(w)`` is ``share_sets(n, w)`` for every n <= 14 and w, whichever
+    order the sizes are asked in.  Ascending sizes list each level of at
+    least LIST_FROM_BELOW sets from the kept level below; descending sizes
+    never have it, so every level is listed directly; shuffled sizes mix
+    the two."""
+    extended, original = [], access._extended
+
+    def counted(sets, n):
+        extended.append(n)
+        return original(sets, n)
+
+    monkeypatch.setattr(access, "_extended", counted)
+    rng = np.random.default_rng([p, len(order)])
+    for n in range(15):
+        h = rng.integers(0, p, size=(min(n, 3), 2 * n))
+        structure = ShareStructure(p, h)
+        sizes = list(range(n + 1))
+        if order == "descending":
+            sizes.reverse()
+        elif order == "shuffled":
+            rng.shuffle(sizes)
+        for w in sizes:
+            listed = structure.sets(w)
+            assert listed.dtype == np.intp
+            assert np.array_equal(listed, share_sets(n, w)), (n, w)
+            assert listed is structure.sets(w)
+    if order == "descending":
+        assert not extended
+    else:
+        assert extended
 
 
 @pytest.mark.parametrize("p, fewest_checks", [(2, 0), (2, 65), (3, 0), (5, 0), (7, 0)])

@@ -213,33 +213,51 @@ def stacks(draw, wide=False):
 def test_inverse_tables_match_inv_scalar(p):
     table = gfp._INVERSES[p]
     assert table.dtype == np.uint8
-    assert table.tolist() == [0] + [gfp.inv_scalar(v, p) for v in range(1, p)]
+    assert table.tolist() == [gfp.inv_scalar(v, p) if v % p else 0 for v in range(256)]
 
 
-def upper_triangular(size, p):
-    """Full rank, with p - 1 above the diagonal: each pivot line scales to
-    p - 1 entries that every later line takes p times, so uint8 entries grow
-    by p * (p - 1) a step until the kernel reduces them."""
-    m = np.triu(np.full((size, size), p - 1, dtype=np.int64), 1) + np.eye(size, dtype=np.int64)
+def growing(size, p):
+    """Entries that grow as fast as the kernel's bound allows.  The kernel
+    steps along the rows of this wide matrix; its first size columns, 1 on
+    the diagonal and p - 1 below, put the pivot of step c in column c and
+    scale each later row's pivot entry to p - 1.  The last column is
+    congruent to 1 in row c when step c comes, so it takes p - 1 times each
+    of those, and its uint8 entries grow by (p - 1)**2 a step, to within
+    two of the kernel's bound, until the kernel reduces them.  In the
+    second matrix the last row is minus the sum of the others: it reduces
+    to zero only if no entry wrapped on the way."""
+    square = np.tril(np.full((size, size), p - 1, dtype=np.int64), -1) + np.eye(size, dtype=np.int64)
+    m = np.concatenate([square, (1 - np.arange(size))[:, None] % p], axis=1)
     deficient = m.copy()
-    deficient[-1] = deficient[0]
-    return np.stack([m, deficient, m.T])
+    deficient[-1] = -m[:-1].sum(axis=0) % p
+    return np.stack([m, deficient])
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(stacks() | stacks(wide=True))
 @example((np.full((2, 6, 9), 6, dtype=np.int64), 7))
-@example((upper_triangular(16, 7), 7))
-@example((upper_triangular(16, 5), 5))
-@example((upper_triangular(20, 3), 3))
+@example((growing(16, 7), 7))
+@example((growing(16, 7).transpose(0, 2, 1), 7))  # tall: steps along the columns
+@example((growing(20, 5), 5))
+@example((growing(70, 3), 3))
 @example((np.random.default_rng(3).integers(-300, 300, size=(4, 5, 6)), 5))
 @example((np.array([[[1, 2], [-6, -5]], [[1, 1], [260, 1]]]), 7))  # rank 2 if narrowed unreduced
 @example((np.random.default_rng(4).integers(0, 3, size=(3, 2, 11)).astype(np.uint8), 3))
+@example((np.full((3, 5, 4), 255, dtype=np.uint8), 7))  # left unreduced, an update would wrap it
+@example((np.random.default_rng(6).integers(0, 256, size=(6, 5, 7)).astype(np.uint8), 7))
+@example((np.random.default_rng(7).choice(np.array([0, 1, 200, 255], dtype=np.uint8), size=(6, 8, 5)), 3))
+@example((np.asfortranarray(np.random.default_rng(8).integers(0, 5, size=(5, 6, 4)).astype(np.uint8)), 5))
+@example((np.random.default_rng(9).integers(0, 7, size=(4, 9, 6)).astype(np.uint8).transpose(2, 0, 1), 7))
+@example((-np.random.default_rng(10).integers(0, 1000, size=(5, 4, 6)), 5))  # int64 negatives
 def test_batched_rank_matches_rank_per_slice(sp):
     """Ranks on uint8 entries: every entry 6 at p = 7, and many unreduced
-    steps that take entries up to 216 (upper_triangular); entries that are
-    negative or at least p, which must not wrap when narrowed; and wide
-    stacks, which the kernel transposes.  The input stays as it was."""
+    steps that take entries to the kernel's bound (growing); entries that are
+    negative or at least p, in int64 or in uint8, which must be reduced
+    before the first update and must not wrap when narrowed; and wide,
+    Fortran-ordered and transposed stacks.  A stack already below p in
+    uint8 skips the reduction, and one whose batch-last view is
+    C-contiguous (the Fortran-ordered and the transposed example) must
+    still be copied, not eliminated in place: the input stays as it was."""
     stack, p = sp
     before = stack.copy()
     got = gfp.batched_rank(stack, p)
