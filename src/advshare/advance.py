@@ -12,7 +12,10 @@ sparse single-wire group of identical commutation structure gives an
 entanglement-assisted code that corrects erasures exactly as well as the
 original stabilizer.  That code depends on the stabilizer and J alone, so
 an :class:`EAQECCPlan` is the pair (code, J), checks it when built (an
-unshareable J raises there) and derives the rest.
+unshareable J raises there) and derives the rest.  Both groups are kept
+as f-image rows, which the encoder, the report and the simulator read;
+their :class:`~advshare.pauli.PauliOperator` views are built only when
+asked for.
 
 A cheaper sufficient test: J is shareable whenever |J| is strictly below the
 minimum symplectic weight of the dual of the row space.  The converse fails
@@ -31,7 +34,7 @@ import numpy as np
 from . import gfp
 from .access import check_budget
 from .errors import InvariantError, NotAdvanceShareableError
-from .pauli import PauliOperator, StabilizerCode, f_inv, f_map, single
+from .pauli import PauliOperator, StabilizerCode, f_inv, f_map
 from .symplectic import complement, owned_columns, product_matrix, validated_shares
 
 
@@ -165,15 +168,18 @@ class EAQECCPlan:
 
     The constructor, ``dataclasses.replace`` too, sorts and validates J,
     raises :class:`NotAdvanceShareableError` on an unshareable J and checks
-    that source and target generators commute alike.  The rest is derived
-    once from (code, J), so plans compare by (code, J).
+    that source and target rows have equal symplectic Grams, so the
+    generators they stand for commute alike.  The rest is derived once from
+    (code, J), so plans compare by (code, J).
 
-    ``source_generators`` are the normal-form rows restricted to the
-    complement of J: they generate the group the encoding unitary must
-    realize.  ``target_generators`` live on the same ``n - |J|`` wires but
-    act on single wires only: X^{mu_i} and Z on wire i for pair i, plus a
-    bare Z on wire r - c for every remaining row r >= 2c.  Both tuples have
-    identical pairwise commutation exponents.
+    ``source_rows`` are the normal-form rows restricted to the complement
+    of J: the f-images of the generators the encoding unitary must realize.
+    ``target_rows`` live on the same ``n - |J|`` wires but act on single
+    wires only: X^{mu_i} and Z on wire i for pair i, plus a bare Z on wire
+    r - c for every remaining row r >= 2c.  Both are read-only (r x 2(n -
+    |J|)) arrays, and they are what the encoder, the report and the
+    simulator read.  ``source_generators`` and ``target_generators`` are
+    the same rows as :class:`PauliOperator` tuples, built only when asked.
 
     Wire ``w`` of the smaller system is share ``complement[w]``, so the
     wire layout is a slicing of the complement: the c sender shares, then
@@ -185,7 +191,7 @@ class EAQECCPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "shares", validated_shares(self.shares, self.code.n))
-        source, target = gram_matrix(self.source_generators), gram_matrix(self.target_generators)
+        source, target = _row_gram(self.source_rows, self.p), _row_gram(self.target_rows, self.p)
         if not np.array_equal(source, target):
             raise InvariantError(
                 "commutation structure of restricted generators does not match the"
@@ -201,19 +207,29 @@ class EAQECCPlan:
         return normal_form(self.code, self.shares)
 
     @cached_property
+    def source_rows(self) -> np.ndarray:
+        rows = self.normal.h_prime[:, owned_columns(self.complement, self.n)]
+        rows.setflags(write=False)
+        return rows
+
+    @cached_property
+    def target_rows(self) -> np.ndarray:
+        # Pair i's X^{mu_i} sits on wire i; row c + t's Z on wire t, which is
+        # pair t's wire for t < c and row r's wire r - c after.
+        m, c, r = self.n - self.c, self.c, self.code.num_checks
+        rows = np.zeros((r, 2 * m), dtype=np.int64)
+        rows[np.arange(c), np.arange(c)] = self.normal.mu
+        rows[np.arange(c, r), m + np.arange(r - c)] = 1
+        rows.setflags(write=False)
+        return rows
+
+    @cached_property
     def source_generators(self) -> tuple[PauliOperator, ...]:
-        restricted = self.normal.h_prime[:, owned_columns(self.complement, self.n)]
-        return tuple(f_inv(row, self.p) for row in restricted)
+        return tuple(f_inv(row, self.p) for row in self.source_rows)
 
     @cached_property
     def target_generators(self) -> tuple[PauliOperator, ...]:
-        # Pair i sits on wire i, and the bare Z of row r on wire r - c.
-        p, m, c, mu = self.p, self.n - self.c, self.c, self.normal.mu
-        return tuple(
-            [single(p, m, i, x=mu[i]) for i in range(c)]
-            + [single(p, m, i, z=1) for i in range(c)]
-            + [single(p, m, r - c, z=1) for r in range(2 * c, self.code.num_checks)]
-        )
+        return tuple(f_inv(row, self.p) for row in self.target_rows)
 
     @property
     def c(self) -> int:
@@ -249,8 +265,12 @@ def gram_matrix(generators: Sequence[PauliOperator]) -> np.ndarray:
     """Commutation exponents e_ij with g_i g_j = w^e_ij g_j g_i."""
     if not generators:
         return np.zeros((0, 0), dtype=np.int64)
-    p = generators[0].p
-    rows = np.array([f_map(g) for g in generators])
+    return _row_gram(np.array([f_map(g) for g in generators]), generators[0].p)
+
+
+def _row_gram(rows: np.ndarray, p: int) -> np.ndarray:
+    """:func:`gram_matrix` of the operators whose f-images are ``rows``:
+    commutation exponents are the negated symplectic products."""
     return (-product_matrix(rows, rows, p)) % p
 
 

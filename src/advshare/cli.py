@@ -63,7 +63,7 @@ from .errors import (
     NotCommutativeError,
 )
 from .gfp import DEFAULT_ENUM_BUDGET
-from .pauli import StabilizerCode, code_distance, validate_stabilizer
+from .pauli import StabilizerCode, code_distance, row_text, validate_stabilizer
 
 SCHEMA_VERSION = "1"
 
@@ -398,8 +398,8 @@ def _demo_section(
             "logical": logical,
             "pairs": pairs,
             "ancillas": plan.ell,
-            "source_generators": [str(g) for g in plan.source_generators],
-            "target_generators": [str(g) for g in plan.target_generators],
+            "source_generators": [row_text(row) for row in plan.source_rows.tolist()],
+            "target_generators": [row_text(row) for row in plan.target_rows.tolist()],
             "epr_pairs": [list(pair) for pair in plan.epr_pairs],
             "zero_shares": list(plan.zero_shares),
             "secret_shares": list(plan.secret_shares),

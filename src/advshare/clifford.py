@@ -23,9 +23,9 @@ which runs it on a batch of Paulis, each a pair of int lists: one Pauli in
 :func:`conjugate_pauli`, the 2m unit columns in :func:`symplectic_matrix`,
 the unfinished columns in the synthesis reduction, the synthesis targets
 walked back through that reduction's gate powers, and the simulator's
-generators in one walk of a circuit.  Operators become f-image rows, and
-rows become operators, only through :func:`advshare.pauli.f_map` and
-:func:`advshare.pauli.f_inv`.
+generators in one walk of a circuit.  Operators become f-image rows only
+through :func:`advshare.pauli.f_map`; synthesis works on rows, and builds
+no operator.
 
 A circuit keeps its gates as maximal runs of equal consecutive gates
 (:attr:`CliffordCircuit.runs`, built once by the one splitter
@@ -36,15 +36,18 @@ when it is built.  The inverse of a circuit and the gates of a
 decomposition are both undone runs, one helper's work.  The text form
 rejects a line without its kind's integer fields.
 
-Synthesis reduces the common Gram of two generator tuples with equal
-commutation structure once, on int lists, completes each tuple's f-images
-to a symplectic basis in one :class:`advshare.gfp.GaussJordan` form (which
-also refuses a dependent tuple), forms the change-of-basis matrix, checks
-in one comparison each that it is symplectic and maps the source images to
-the targets, peels it into gate powers column pair by column pair, undoes
-those into the gates,
-and finishes with a Pauli layer that zeroes every representable phase,
-read off by walking the targets back through the same powers.  The one
+Synthesis runs on f-image rows: :func:`synthesize` converts its two
+operator tuples to rows and phases, and :func:`encoding_circuit` passes a
+plan's ``target_rows`` and ``source_rows`` as they are, to one row core.
+It reduces the common Gram of two tuples with equal commutation structure
+once, on int lists, completes each tuple's rows to a symplectic basis in
+one :class:`advshare.gfp.GaussJordan` form (which also refuses a
+dependent tuple), forms the change-of-basis matrix, checks in one
+comparison each that it is symplectic and maps the source rows to the
+targets, peels it into gate powers column pair by column pair, undoes
+those into the gates, and finishes with a Pauli layer that zeroes every
+representable phase, read off by walking the targets back through the
+same powers and solved for by :func:`advshare.gfp.solve`.  The one
 circuit it returns, the only runs split, satisfies U g_i U^dag = phase_i *
 b_i for each source/target pair, with phase_i an exact root of unity.
 
@@ -72,7 +75,7 @@ from .errors import (
     GramMismatchError,
     InvariantError,
 )
-from .pauli import PauliOperator, exponent_vectors, f_inv, f_map, omega, zeta
+from .pauli import PauliOperator, exponent_vectors, f_map, omega, zeta
 from .symplectic import orthogonality_rows, product_matrix
 
 #: kind -> (wire count, whether the text form carries a parameter)
@@ -705,23 +708,38 @@ def synthesize(
 
     u_rows = np.array([f_map(a) for a in source])
     v_rows = np.array([f_map(a) for a in target])
-    gram_u = product_matrix(u_rows, u_rows, p)
-    gram_v = product_matrix(v_rows, v_rows, p)
-    if not np.array_equal(gram_u, gram_v):
+    gram = product_matrix(u_rows, u_rows, p)
+    if not np.array_equal(gram, product_matrix(v_rows, v_rows, p)):
         raise GramMismatchError(
             "source and target commutation-exponent matrices differ"
         )
+    phases = [2 * (a.phase - b.phase) for a, b in zip(source, target)]
+    return _synthesize_rows(u_rows, v_rows, p, gram, phases)
 
+
+def _synthesize_rows(
+    u_rows: np.ndarray, v_rows: np.ndarray, p: int, gram: np.ndarray, phases: Sequence[int]
+) -> CliffordCircuit:
+    """The circuit of :func:`synthesize` from f-image rows, reduced mod p.
+
+    ``u_rows`` and ``v_rows`` are the (r x 2m) images of the source and the
+    target tuple, ``gram`` is their common ``product_matrix``, and
+    ``phases[i]`` is ``2 * (phase of source_i - phase of target_i)``, the
+    zeta exponent the Pauli layer must absorb beside the decomposition's.
+    """
+    m = u_rows.shape[1] // 2
+    if not len(u_rows):
+        return CliffordCircuit(p, m)
     # Commutation exponents are the negated symplectic products, so equal
     # Grams of f-images and equal commutation matrices coincide, and one
     # reduction of the Gram serves both completions.
-    pairs, radical = _span_reduction(gram_u, p)
+    pairs, radical = _span_reduction(gram, p)
     basis_u = _complete_basis(u_rows, pairs, radical, p)
     basis_v = _complete_basis(v_rows, pairs, radical, p)
     # Hyperbolic pairs give a Gram G with G^-1 = G^T, so the inverse of
     # basis_u^T is G^T times basis_u's orthogonality rows.
-    gram = product_matrix(basis_u, basis_u, p)
-    t_matrix = (basis_v.T @ gram.T @ orthogonality_rows(basis_u, p)) % p
+    basis_gram = product_matrix(basis_u, basis_u, p)
+    t_matrix = (basis_v.T @ basis_gram.T @ orthogonality_rows(basis_u, p)) % p
     # t^T Omega t == Omega, with Omega read from the symplectic product.
     unit = np.eye(2 * m, dtype=np.int64)
     preserved = product_matrix(t_matrix.T, t_matrix.T, p) == product_matrix(unit, unit, p)
@@ -735,13 +753,13 @@ def synthesize(
 
     # Zero out every representable phase with a trailing Pauli layer.  ops
     # realize U^-1 exactly: each target walks back to its source with -tau.
-    images = [(a.x.tolist(), a.z.tolist()) for a in target]
+    images = [(row[:m], row[m:]) for row in v_rows.tolist()]
     taus = _conjugate_runs(ops, images, p)
     residues = []
-    for (x, z), src, tgt, tau in zip(images, source, target, taus):
-        if x != src.x.tolist() or z != src.z.tolist():
+    for (x, z), src, tau, phase in zip(images, u_rows.tolist(), taus, phases):
+        if x + z != src:
             raise InvariantError("decomposed circuit does not realize the basis change")
-        residues.append((2 * src.phase - tau - 2 * tgt.phase) % (2 * p))
+        residues.append((phase - tau) % (2 * p))
     fixable = [i for i, r in enumerate(residues) if r % 2 == 0]
     extra = ()
     if fixable:
@@ -752,11 +770,10 @@ def synthesize(
         correction = gfp.solve(rows, rhs, p)
         if correction is None:
             raise InvariantError("phase correction system inconsistent")
-        layer = f_inv(correction, p)
         extra = tuple(
             Gate(kind, (q,), int(e))
             for q in range(m)
-            for kind, e in (("X", layer.x[q]), ("Z", layer.z[q]))
+            for kind, e in (("X", correction[q]), ("Z", correction[m + q]))
             if e
         )
     return CliffordCircuit(p, m, gates_ + extra)
@@ -769,9 +786,6 @@ def encoding_circuit(plan) -> CliffordCircuit:
     generators, so applying the circuit to the easily prepared state (pair
     halves, |0> ancillas, secret) yields a codeword frame.
     """
-    return synthesize(
-        plan.target_generators,
-        plan.source_generators,
-        m=plan.n - plan.c,
-        p=plan.p,
-    )
+    rows = plan.target_rows
+    gram = product_matrix(rows, rows, plan.p)
+    return _synthesize_rows(rows, plan.source_rows, plan.p, gram, [0] * len(rows))

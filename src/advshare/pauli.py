@@ -13,7 +13,11 @@ Stripping the phase gives the homomorphism f onto F_p^{2n}: ``w^t X(a) Z(b)``
 maps to the plain array ``(a | b)`` in the ``(x | z)`` layout of
 :mod:`advshare.symplectic`.  :func:`f_map` and :func:`f_inv` are the one
 bridge between operators and rows: every conversion in the library goes
-through them.  Commutation is then read off the symplectic product:
+through them, and the engine paths (plans, synthesis, the simulator's
+kernels) work on rows and convert nothing.  :func:`row_text` writes a
+row's operator, for :meth:`PauliOperator.__str__` and the reports alike,
+and :func:`half_turn_parities` reads the eigenvalue parity off rows.
+Commutation is then read off the symplectic product:
 ``P Q = w^e Q P`` with ``e = -<f(P), f(Q)>_s``.
 
 Wire order for dense matrices matches tensor-factor order: qudit 0 is the
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -94,19 +99,26 @@ class PauliOperator:
         )
 
     def __str__(self) -> str:
-        terms = []
-        for a, b in zip(self.x, self.z):
-            if a == 0 and b == 0:
-                terms.append("I")
-            else:
-                s = ""
-                if a:
-                    s += "X" if a == 1 else f"X^{a}"
-                if b:
-                    s += "Z" if b == 1 else f"Z^{b}"
-                terms.append(s)
-        head = "" if self.phase == 0 else f"w^{self.phase} "
-        return head + "(" + " ".join(terms) + ")"
+        return row_text(f_map(self).tolist(), self.phase)
+
+
+def row_text(row: Sequence[int], phase: int = 0) -> str:
+    """The text of w^phase X(a) Z(b) from its f-image ``(a | b)`` as ints:
+    one term per qudit, ``I``, ``X``, ``Z^2``, ``X^2Z`` and so on."""
+    n = len(row) // 2
+    terms = []
+    for a, b in zip(row[:n], row[n:]):
+        if a == 0 and b == 0:
+            terms.append("I")
+        else:
+            s = ""
+            if a:
+                s += "X" if a == 1 else f"X^{a}"
+            if b:
+                s += "Z" if b == 1 else f"Z^{b}"
+            terms.append(s)
+    head = "" if phase == 0 else f"w^{phase} "
+    return head + "(" + " ".join(terms) + ")"
 
 
 def identity(p: int, n: int) -> PauliOperator:
@@ -167,14 +179,22 @@ def weight(a: PauliOperator) -> int:
 
 
 def half_turn_parity(a: PauliOperator) -> int:
-    """1 if the operator's eigenvalues are i * <w>, else 0.
+    """1 if the operator's eigenvalues are i * <w>, else 0: the
+    :func:`half_turn_parities` of its f-image."""
+    return int(half_turn_parities(f_map(a)[None], a.p)[0])
+
+
+def half_turn_parities(rows: np.ndarray, p: int) -> np.ndarray:
+    """For the operator w^t X(x) Z(z) of each f-image row (x | z), 1 if its
+    eigenvalues are i * <w>, else 0.
 
     Only p = 2 operators with odd x.z overlap have the extra factor of i;
     every eigenvalue of a Pauli is zeta**(2j + parity) for some j.
     """
-    if a.p != 2:
-        return 0
-    return int(a.x @ a.z) % 2
+    if p != 2:
+        return np.zeros(len(rows), dtype=np.int64)
+    n = rows.shape[1] // 2
+    return (rows[:, :n] * rows[:, n:]).sum(axis=1) % 2
 
 
 @functools.lru_cache(maxsize=None)
@@ -291,8 +311,9 @@ def code_distance(
     k >= 1.  Walks share sets E by size and stops at the first size with
     an uncorrectable erasure, ``2|E| - r_E > r - r_E'``; r_E' is only
     queried for sets with ``r_E < 2|E|``, since the others hold no dual
-    vector, and not at all at a size where some set has ``2|E| - r_E > r``,
-    since ``r - r_E' <= r`` makes that set uncorrectable.  ``budget`` caps
+    vector, so not at all at a size without such a set, nor at a size
+    where some set has ``2|E| - r_E > r``, since ``r - r_E' <= r`` makes
+    that set uncorrectable.  ``budget`` caps
     the share sets visited, at most 2^n - 1; a repeated call re-reads the
     levels the share structure kept.
     """
@@ -304,6 +325,8 @@ def code_distance(
         if 2 * w - ranks.min() > code.num_checks:
             return True
         deficient = ranks < 2 * w
+        if not deficient.any():
+            return False
         outside = structure.complement_ranks(sets[deficient])
         return not structure.correctable(w, ranks[deficient], outside).all()
 

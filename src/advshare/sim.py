@@ -28,9 +28,10 @@ The protocol pipeline:
    and resetting them to |0>, measures every generator projectively, solves
    an F_p linear system for a correction supported on the lost shares, and
    applies it, returning to the recorded eigenspace.  A Pauli is monomial,
-   so :func:`compile_paulis` turns each generator into one gather index and
-   one exact phase vector per power t = 1..p-1, once per protocol run and
-   only after the state is known to fit the budget.
+   so each generator becomes one gather index and one exact phase vector
+   per power t = 1..p-1, compiled from the check matrix's rows once per
+   protocol run and only after the state is known to fit the budget
+   (:func:`compile_paulis` converts operators to rows for the same core).
    Measuring a generator is one gather that stacks its p powers
    and one p x p matmul with the projector coefficients lambda**-t / p;
    every eigenvalue check (after encoding, after correction) is one batched
@@ -65,7 +66,8 @@ p**(-k/2).  :func:`entropic_audit` is one row of
 :func:`mutual_information_table`, I(R : A) from that encoding.  Every oracle
 here runs the plan and circuit its caller gives it; none plans or synthesizes.
 A plan is its code and share set, so an oracle takes neither beside it and
-checks only that the circuit carries the plan's targets onto its sources.
+checks only that the circuit carries the plan's target rows onto its
+source rows; no oracle builds a Pauli operator on the protocol path.
 
 Eigenvalues of generators are exact roots of unity written zeta**tau with
 zeta = exp(i*pi/p); tau is even (a plain w power) unless p = 2 and a
@@ -97,7 +99,7 @@ from .pauli import (
     PauliOperator,
     StabilizerCode,
     f_map,
-    half_turn_parity,
+    half_turn_parities,
     omega,
     zeta,
 )
@@ -192,7 +194,18 @@ class PauliKernels:
 
 
 def compile_paulis(p: int, n: int, ops: Sequence[PauliOperator]) -> PauliKernels:
-    """Compile the powers t = 1..p-1 of each Pauli on the p**n register.
+    """Compile the powers t = 1..p-1 of each Pauli on the p**n register:
+    :func:`_compile_rows` of the operators' f-images and phases."""
+    rows = np.array([f_map(op) for op in ops], dtype=np.int64).reshape(len(ops), 2 * n)
+    return _compile_rows(p, n, rows, [op.phase for op in ops])
+
+
+def _compile_rows(
+    p: int, n: int, rows: np.ndarray, phases: Sequence[int] | None = None
+) -> PauliKernels:
+    """Compile the powers t = 1..p-1 of the Pauli w**phase X(x) Z(z) of
+    each f-image row (x | z), reduced mod p, on the p**n register; every
+    phase is 0 when ``phases`` is None, as for a code's check rows.
 
     P|d> = w**(phase + z.d) |d + x>, so (P v)[j] = w**e[j] v[s[j]] with
     digits(s[j]) = digits(j) - x and e[j] = phase + z.(digits(j) - x).
@@ -201,17 +214,17 @@ def compile_paulis(p: int, n: int, ops: Sequence[PauliOperator]) -> PauliKernels
     int8 and each power is written straight into the table, so compiling
     needs little beyond the table itself.
     """
-    r = len(ops)
+    r = len(rows)
     place, digits = _place_digits(p, n)
     roots = omega(p) ** np.arange(p)
     src = np.empty((r, p - 1, p**n), dtype=np.int32)
-    phases = np.empty((r, p - 1, p**n), dtype=complex)
-    shifts = np.array([op.x for op in ops], dtype=np.int8).reshape(r, n, 1)
+    phase_vectors = np.empty((r, p - 1, p**n), dtype=complex)
+    shifts = rows[:, :n].astype(np.int8).reshape(r, n, 1)
     weights = np.empty((r, 2, n), dtype=np.int64)
     weights[:, 0] = place
-    weights[:, 1] = np.reshape([op.z for op in ops], (r, n))
+    weights[:, 1] = rows[:, n:]
     shifted = np.empty_like(digits)
-    for i, op in enumerate(ops):
+    for i in range(r):
         np.subtract(digits, shifts[i], out=shifted)
         shifted %= p
         # einsum widens the int8 digits to int32 one buffer at a time, never
@@ -219,21 +232,19 @@ def compile_paulis(p: int, n: int, ops: Sequence[PauliOperator]) -> PauliKernels
         step_src, step_exp = np.einsum(
             "aq,qj->aj", weights[i], shifted, dtype=np.int32, casting="same_kind"
         )
-        step_exp = (step_exp + op.phase) % p
+        step_exp = (step_exp + (0 if phases is None else phases[i])) % p
         power_src, power_exp = step_src, step_exp
         for t in range(p - 1):
             if t:
                 power_src = power_src[step_src]
                 power_exp = (step_exp + power_exp[step_src]) % p
             src[i, t] = power_src
-            np.take(roots, power_exp, out=phases[i, t])
-    parity = np.array([half_turn_parity(op) for op in ops], dtype=np.int64)
+            np.take(roots, power_exp, out=phase_vectors[i, t])
+    parity = half_turn_parities(rows, p)
     taus = (2 * np.arange(p)[None, :] + parity[:, None]) % (2 * p)
     turns = (-taus[:, :, None] * np.arange(p)) % (2 * p)
     branch = (zeta(p) ** np.arange(2 * p))[turns] / p
-    vectors = np.array([f_map(op) for op in ops], dtype=np.int64).reshape(r, 2 * n)
-    rows = _symplectic_rows(vectors, p)
-    return PauliKernels(p, src, phases, taus, branch, place, digits, rows)
+    return PauliKernels(p, src, phase_vectors, taus, branch, place, digits, _symplectic_rows(rows, p))
 
 
 def apply_pauli(state: QuditState, op: PauliOperator) -> QuditState:
@@ -365,11 +376,11 @@ def measure_pauli(
 def _check_plan_matches(plan: EAQECCPlan, circuit: CliffordCircuit) -> None:
     if circuit.p != plan.p or circuit.m != plan.n - plan.c:
         raise ValueError("circuit shape does not match the plan")
-    images = [(a.x.tolist(), a.z.tolist()) for a in plan.target_generators]
+    m = circuit.m
+    images = [(row[:m], row[m:]) for row in plan.target_rows.tolist()]
     _conjugate_runs(circuit.runs, images, circuit.p)
-    for (x, z), src in zip(images, plan.source_generators):
-        if x != src.x.tolist() or z != src.z.tolist():
-            raise ValueError("circuit does not map the preparation frame to the code frame")
+    if [x + z for x, z in images] != plan.source_rows.tolist():
+        raise ValueError("circuit does not map the preparation frame to the code frame")
 
 
 def _check_secret(code: StabilizerCode, secret: QuditState) -> None:
@@ -438,7 +449,7 @@ def encode_advance(
     _check_plan_matches(plan, circuit)
     _check_secret(plan.code, secret)
     _check_state_fits(plan.p, plan.n, 1, budget)
-    kernels = compile_paulis(plan.p, plan.n, plan.code.generators())
+    kernels = _compile_rows(plan.p, plan.n, plan.code.check_matrix)
     flat, syndrome = _encode(plan, circuit, secret.amplitudes[:, None], kernels)
     return QuditState(plan.p, plan.n, flat[:, 0]), syndrome
 
@@ -457,7 +468,7 @@ def encode_with_reference(
     """
     _check_plan_matches(plan, circuit)
     _check_state_fits(plan.p, plan.n, plan.p**plan.k, budget)
-    kernels = compile_paulis(plan.p, plan.n, plan.code.generators())
+    kernels = _compile_rows(plan.p, plan.n, plan.code.check_matrix)
     v, syndrome = _encoding_isometry(plan, circuit, kernels)
     choi = v.T.reshape(-1) / np.sqrt(v.shape[1])
     return QuditState(plan.p, plan.k + plan.n, choi), syndrome
@@ -679,7 +690,7 @@ def erase_and_decode(
         )
     maps = _erasures(code, [err])[err][None]
     uniforms = rng.random(len(err) + code.num_checks)
-    kernels = compile_paulis(code.p, code.n, code.generators())
+    kernels = _compile_rows(code.p, code.n, code.check_matrix)
     flat, measured, corrections = _decode_block(
         code, state.amplitudes[:, None], syndrome, [err], maps, [uniforms], kernels
     )
@@ -844,7 +855,7 @@ def simulate_protocol(
     erasures = _erasures(code, [erased for _, erased in runs])
     # One column must fit; blocks of max(1, budget // p**n) then fit too.
     _check_state_fits(p, n, 1, budget)
-    kernels = compile_paulis(p, n, code.generators())
+    kernels = _compile_rows(p, n, code.check_matrix)
     isometry = None
     if p ** (n + k) <= budget:
         isometry, image_syndrome = _encoding_isometry(plan, circuit, kernels)

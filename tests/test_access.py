@@ -220,23 +220,27 @@ def test_mutual_information_matches_dense_reference(p, data):
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_walks_match_span_and_group_references(p, data):
-    code = data.draw(codes(p, max_qudits=max_qudits(p, SPAN_LIMIT)))
-    span = p ** (code.n + code.k)
-    weight = dual_min_weight(code, budget=span)
-    assert weight == min_symplectic_weight(symplectic_dual(code.f_space()))
-    if code.k:
-        d = code_distance(code, budget=span)
-        assert d == span_code_distance(code)
-        assert weight <= d
-        if p ** (2 * code.n) <= GROUP_LIMIT:
-            assert d == group_level_distance(code)
-    # Past the span references: the parent's exact count never refuses.
-    big = data.draw(codes(p))
-    span = p ** (big.n + big.k)
-    weight = dual_min_weight(big, budget=span)
-    assert 1 <= weight <= big.num_checks // 2 + 1
-    if big.k:
-        assert weight <= code_distance(big, budget=span) <= big.n
+    """The walks match the span and group references; the distance walk
+    asks for no complement ranks of an empty batch of sets."""
+    with pytest.MonkeyPatch.context() as patch:
+        refuse_empty_complement_queries(patch)
+        code = data.draw(codes(p, max_qudits=max_qudits(p, SPAN_LIMIT)))
+        span = p ** (code.n + code.k)
+        weight = dual_min_weight(code, budget=span)
+        assert weight == min_symplectic_weight(symplectic_dual(code.f_space()))
+        if code.k:
+            d = code_distance(code, budget=span)
+            assert d == span_code_distance(code)
+            assert weight <= d
+            if p ** (2 * code.n) <= GROUP_LIMIT:
+                assert d == group_level_distance(code)
+        # Past the span references: the parent's exact count never refuses.
+        big = data.draw(codes(p))
+        span = p ** (big.n + big.k)
+        weight = dual_min_weight(big, budget=span)
+        assert 1 <= weight <= big.num_checks // 2 + 1
+        if big.k:
+            assert weight <= code_distance(big, budget=span) <= big.n
 
 
 @pytest.mark.parametrize("p", gfp.PRIMES)
@@ -353,6 +357,44 @@ def test_distance_skips_complements_of_sets_beyond_the_check_count(monkeypatch):
         assert sorted(code.share_structure._levels) == [0, 1]
         assert sizes == [(1, 1)]
         sizes.clear()
+
+
+def refuse_empty_complement_queries(patch):
+    """Make ``ShareStructure.complement_ranks`` fail on a query without
+    sets; the sizes of the queries it answers, in call order."""
+    queried = []
+    complement_ranks = ShareStructure.complement_ranks
+
+    def checked(self, sets):
+        assert len(sets), "complement ranks asked for no sets"
+        queried.append(np.shape(sets)[1])
+        return complement_ranks(self, sets)
+
+    patch.setattr(ShareStructure, "complement_ranks", checked)
+    return queried
+
+
+#: (p, n, k) of the benchmark ladders' codes with k >= 1: validate and
+#: analyze on the first eight, demo on the last four.
+LADDER_SHAPES = [
+    (2, 16, 1), (2, 15, 2), (3, 10, 1), (3, 9, 2), (5, 7, 1), (5, 6, 2), (7, 6, 1), (7, 5, 2),
+    (2, 9, 1), (2, 8, 2), (3, 8, 1), (3, 7, 2),
+]
+
+
+@pytest.mark.parametrize("p, n, k", LADDER_SHAPES)
+def test_distance_asks_no_empty_complement_query(p, n, k, monkeypatch):
+    """The distance walk asks r_E' only at a size with a deficient set
+    (r_E < 2|E|); at a size without one every set is correctable.  No set
+    of these random codes smaller than the distance holds a dual vector,
+    so the walk asks once, for the deficient sets of size d, and the
+    distance matches the span reference where the span is small."""
+    code = random_stabilizer(p, n, n - k, np.random.default_rng([p, n, k]))
+    queried = refuse_empty_complement_queries(monkeypatch)
+    d = code_distance(code)
+    assert queried == [d]
+    if p ** (n + k) <= SPAN_LIMIT * 2:
+        assert d == span_code_distance(code)
 
 
 @pytest.mark.parametrize("checks, n", [(70, 40), (130, 70)])

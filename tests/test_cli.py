@@ -119,7 +119,7 @@ def test_demo_over_the_state_budget_exits_2_before_compiling(tmp_path, monkeypat
     def refuse(*args):
         raise AssertionError("compiled the generators of an over-budget state")
 
-    monkeypatch.setattr(sim, "compile_paulis", refuse)
+    monkeypatch.setattr(sim, "_compile_rows", refuse)
     path = tmp_path / "ghz14.code"
     path.write_text("p=2 n=14\n" + "1 " * 14 + "| " + "0 " * 14 + "\n" + "0 " * 14 + "| " + "1 " * 14 + "\n")
     status, out, err = run_cli(["demo", str(path), "--trials", "1", "--json-only"])
@@ -428,13 +428,13 @@ def test_demo_mutual_information_is_exact(code_dir, name, shares):
 def test_broken_invariant_exits_3_as_internal_error(code_dir, monkeypatch):
     from advshare import sim
 
-    compile_paulis = sim.compile_paulis
+    compile_rows = sim._compile_rows
 
     def skewed(*args, **kwargs):
-        kernels = compile_paulis(*args, **kwargs)
+        kernels = compile_rows(*args, **kwargs)
         return dataclasses.replace(kernels, phases=kernels.phases * np.exp(0.1j))
 
-    monkeypatch.setattr(sim, "compile_paulis", skewed)
+    monkeypatch.setattr(sim, "_compile_rows", skewed)
     status, out, err = run_cli(
         ["demo", str(code_dir / "four_qubit_ghz.code"), "--J", "4", "--trials", "1", "--json-only"]
     )

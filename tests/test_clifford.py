@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from advshare import clifford, gfp
-from advshare.advance import construct_eaqecc, is_advance_shareable
+from advshare.advance import construct_eaqecc, is_advance_shareable, shareable_sets
 from advshare.clifford import (
     GATE_KINDS,
     CliffordCircuit,
@@ -26,7 +26,7 @@ from advshare.errors import (
     GramMismatchError,
     InvariantError,
 )
-from advshare.pauli import PauliOperator, omega, random_stabilizer, single, to_matrix, zeta
+from advshare.pauli import PauliOperator, f_map, omega, random_stabilizer, single, to_matrix, zeta
 from advshare.symplectic import orthogonality_rows, product_matrix
 from tests_util_circuits import random_circuit
 from tests_util_gfp import ref_kernel, ref_rank, ref_solve
@@ -761,6 +761,33 @@ def test_synthesize_splits_the_encoder_once(five_qubit, monkeypatch):
         calls.clear()
         encoding_circuit(construct_eaqecc(five_qubit, shares))
         assert len(calls) == 1
+
+
+@pytest.mark.parametrize("p", gfp.PRIMES)
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_encoder_from_rows_is_synthesize_on_the_operator_views(p, data):
+    """The encoder reads the plan's f-image rows; ``synthesize`` on the
+    plan's operator views, which convert those rows, emits the same gates.
+    Each view's f-image is its row, and the rows are read-only.  Sweeps
+    |J| in {0, 1, 2} and k in {0, 1, 2}."""
+    c, k = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+    n = data.draw(st.integers(max(1, 2 * c + k), 2 * c + k + 3))
+    code = random_stabilizer(p, n, n - k, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+    candidates = [js for js in shareable_sets(code, c) if len(js) == c] if c else [()]
+    assume(candidates)
+    plan = construct_eaqecc(code, data.draw(st.sampled_from(candidates)))
+    circuit = encoding_circuit(plan)
+    views = synthesize(plan.target_generators, plan.source_generators, m=n - c, p=p)
+    assert circuit.gates == views.gates and (circuit.p, circuit.m) == (p, n - c)
+    for rows, ops in ((plan.source_rows, plan.source_generators), (plan.target_rows, plan.target_generators)):
+        assert rows.shape == (n - k, 2 * (n - c)) and not rows.flags.writeable
+        assert len(ops) == len(rows)
+        for row, op in zip(rows, ops):
+            assert np.array_equal(f_map(op), row) and op.phase == 0
+        with pytest.raises(ValueError, match="read-only"):
+            rows[...] = 0
+
 
 def test_encoding_circuit_example_contract(four_qubit):
     plan = construct_eaqecc(four_qubit, [4])

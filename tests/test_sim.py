@@ -29,6 +29,7 @@ from advshare.errors import (
 from advshare.pauli import (
     PauliOperator,
     f_inv,
+    f_map,
     half_turn_parity,
     omega,
     random_stabilizer,
@@ -59,6 +60,7 @@ from advshare.sim import (
     simulate_protocol,
 )
 from advshare.symplectic import owned_columns
+from test_clifford import random_pauli
 from tests_util_gfp import ref_rref, ref_solve
 
 #: Registers of the compiled-Pauli sweep hold at most this many amplitudes.
@@ -983,7 +985,7 @@ def test_state_budget_refuses_before_compiling_the_generators(
     def refuse(*args):
         raise AssertionError("compiled the generators of an over-budget state")
 
-    monkeypatch.setattr(sim, "compile_paulis", refuse)
+    monkeypatch.setattr(sim, "_compile_rows", refuse)
     for trials in (0, 1):
         with pytest.raises(BudgetExceededError, match=r"^state size 2\*\*4 exceeds budget 15$"):
             simulate_protocol(plan, circuit, 3, trials, [(1, 2, 3)], budget=15)
@@ -1175,21 +1177,46 @@ def test_correlated_erasures_match_the_reference_decoder():
         assert abs(rec.fidelity - fid) < 1e-12
 
 
+@pytest.mark.parametrize("p", gfp.PRIMES)
+def test_compile_paulis_converts_and_delegates_to_the_row_core(p, rng):
+    """``compile_paulis`` on operators, phases included, and the row core
+    on their f-images and phases give equal kernels; on a code's check
+    rows the core's default phases are zero, as the generators' are."""
+    n = 3 if p < 5 else 2
+    ops = [random_pauli(p, n, rng) for _ in range(3)]
+    rows = np.array([f_map(op) for op in ops])
+    code = random_stabilizer(p, n, n - 1, rng)
+    pairs = [
+        (sim.compile_paulis(p, n, ops), sim._compile_rows(p, n, rows, [op.phase for op in ops])),
+        (sim.compile_paulis(p, n, code.generators()), sim._compile_rows(p, n, code.check_matrix)),
+    ]
+    for got, want in pairs:
+        for name in ("src", "phases", "taus", "branch", "place", "digits", "rows"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
 def test_generator_kernels_compiled_once_per_run(code_dir, monkeypatch):
+    """A run compiles the check rows themselves, phase-free, once, and
+    builds no Pauli operator: the kernels, the plan check and the
+    corrections all read rows."""
     code, plan, circuit = shipped_pipeline(code_dir, "five_qubit")
     compiled = []
-    compile_paulis = sim.compile_paulis
+    compile_rows = sim._compile_rows
 
-    def counted(p, n, ops):
-        compiled.append(len(ops))
-        return compile_paulis(p, n, ops)
+    def counted(p, n, rows, phases=None):
+        compiled.append((rows is code.check_matrix, phases))
+        return compile_rows(p, n, rows, phases)
 
-    monkeypatch.setattr(sim, "compile_paulis", counted)
+    built = []
+    check = PauliOperator.__post_init__
+    monkeypatch.setattr(sim, "_compile_rows", counted)
+    monkeypatch.setattr(PauliOperator, "__post_init__", lambda self: built.append(self) or check(self))
     sets = [(1, 2, 3, 4), (2, 3, 4, 5), (1, 2, 3, 4, 5)]
     simulate_protocol(plan, circuit, 4, 3, sets)
     simulate_protocol(plan, circuit, 5, 2, sets)
-    # One compile of the four generators per run; corrections compile nothing.
-    assert compiled == [code.num_checks] * 2
+    # One compile of the check matrix per run; corrections compile nothing.
+    assert compiled == [(True, None)] * 2
+    assert built == []
 
 
 # ---------------------------------------------------------------------------
