@@ -191,8 +191,8 @@ class EAQECCPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "shares", validated_shares(self.shares, self.code.n))
-        source, target = _row_gram(self.source_rows, self.p), _row_gram(self.target_rows, self.p)
-        if not np.array_equal(source, target):
+        source = product_matrix(self.source_rows, self.source_rows, self.p)
+        if not np.array_equal(source, self._target_gram):
             raise InvariantError(
                 "commutation structure of restricted generators does not match the"
                 " single-wire pattern; normal form is inconsistent"
@@ -222,6 +222,11 @@ class EAQECCPlan:
         rows[np.arange(c, r), m + np.arange(r - c)] = 1
         rows.setflags(write=False)
         return rows
+
+    @cached_property
+    def _target_gram(self) -> np.ndarray:
+        """The target rows' symplectic products, for the Gram check and the encoder."""
+        return product_matrix(self.target_rows, self.target_rows, self.p)
 
     @cached_property
     def source_generators(self) -> tuple[PauliOperator, ...]:
@@ -262,15 +267,11 @@ class EAQECCPlan:
 
 
 def gram_matrix(generators: Sequence[PauliOperator]) -> np.ndarray:
-    """Commutation exponents e_ij with g_i g_j = w^e_ij g_j g_i."""
+    """Commutation exponents e_ij with g_i g_j = w^e_ij g_j g_i: the
+    negated symplectic products of the generators' f-images."""
     if not generators:
         return np.zeros((0, 0), dtype=np.int64)
-    return _row_gram(np.array([f_map(g) for g in generators]), generators[0].p)
-
-
-def _row_gram(rows: np.ndarray, p: int) -> np.ndarray:
-    """:func:`gram_matrix` of the operators whose f-images are ``rows``:
-    commutation exponents are the negated symplectic products."""
+    rows, p = np.array([f_map(g) for g in generators]), generators[0].p
     return (-product_matrix(rows, rows, p)) % p
 
 

@@ -38,7 +38,7 @@ rejects a line without its kind's integer fields.
 
 Synthesis runs on f-image rows: :func:`synthesize` converts its two
 operator tuples to rows and phases, and :func:`encoding_circuit` passes a
-plan's ``target_rows`` and ``source_rows`` as they are, to one row core.
+plan's rows, and the target Gram its constructor checked, to one row core.
 It reduces the common Gram of two tuples with equal commutation structure
 once, on int lists, completes each tuple's rows to a symplectic basis in
 one :class:`advshare.gfp.GaussJordan` form (which also refuses a
@@ -787,5 +787,4 @@ def encoding_circuit(plan) -> CliffordCircuit:
     halves, |0> ancillas, secret) yields a codeword frame.
     """
     rows = plan.target_rows
-    gram = product_matrix(rows, rows, plan.p)
-    return _synthesize_rows(rows, plan.source_rows, plan.p, gram, [0] * len(rows))
+    return _synthesize_rows(rows, plan.source_rows, plan.p, plan._target_gram, [0] * len(rows))

@@ -27,34 +27,34 @@ The protocol pipeline:
 2. :func:`erase_and_decode` models share loss by measuring the lost qudits
    and resetting them to |0>, measures every generator projectively, solves
    an F_p linear system for a correction supported on the lost shares, and
-   applies it, returning to the recorded eigenspace.  A Pauli is monomial,
-   so each generator becomes one gather index and one exact phase vector
-   per power t = 1..p-1, compiled from the check matrix's rows once per
-   protocol run and only after the state is known to fit the budget
-   (:func:`compile_paulis` converts operators to rows for the same core).
-   Measuring a generator is one gather that stacks its p powers
-   and one p x p matmul with the projector coefficients lambda**-t / p;
-   every eigenvalue check (after encoding, after correction) is one batched
-   gather over all generators.  One block decoder does this for the
-   (p**n, b) columns of b trials at once, and :func:`erase_and_decode` is
-   its one-column call.  :func:`simulate_protocol` checks every erased set
+   applies it, returning to the recorded eigenspace.  A Pauli is monomial:
+   one rule, :func:`_pauli_gather`, writes w**offset X(x) Z(z) on the
+   register as one gather index and one exact phase vector per column.  A
+   generator's power t = 1..p-1 is that rule on (t x | t z) in closed form,
+   compiled from the check matrix's rows once per protocol run and only
+   after the state is known to fit the budget (:func:`compile_paulis`
+   converts operators to rows for the same core).  Measuring a generator
+   is one gather that stacks its p powers and one p x p matmul with the
+   projector coefficients lambda**-t / p; every eigenvalue check (after
+   encoding, after correction) is one batched gather over all generators.
+   One block decoder does this for the (p**n, b) columns of b trials at
+   once, and :func:`erase_and_decode` is its one-column call.
+   :func:`simulate_protocol` checks every erased set
    with one rank query per set size (the access table's kept levels answer
    it by row index) and eliminates each distinct set in one
    :class:`gfp.GaussJordan` form into a plain (2n x r) array that maps
    syndrome shifts to the correction :func:`gfp.solve` would return; a
-   block stacks its columns' maps and applies them with one product.  A
-   correction X(x) Z(z) is then one gather and one exact phase per column:
-   the source index is place.((d - x) mod p), from the int8 register
-   digits d shifted once, and the phase exponent d.z - x.z mod p comes
-   from one integer matmul; the compiled kernels carry the digits, so a
-   run forms them once.  It draws each trial's randomness in a fixed
-   order: the secret, as one normal draw of 2 * p**k values (the real
-   parts, then the imaginary parts) with no :class:`QuditState` built,
-   then one uniform per erased qudit (ascending) and one per generator.
-   An outcome is count(cdf <= u) over the normalised cumulative Born
-   weights, which is how ``Generator.choice`` spends one ``random()``
-   draw.  Blocks are max(1, budget // p**n) columns wide, so no block
-   exceeds the state budget.
+   block stacks its columns' maps and applies them with one product, and
+   its corrections are the same rule with offset 0, one column each; the
+   compiled kernels carry the register digits, so a run forms them once.
+   It draws each trial's randomness in a fixed order: the secret, as one
+   normal draw of 2 * p**k values (the real parts, then the imaginary
+   parts) with no :class:`QuditState` built, then one uniform per erased
+   qudit (ascending) and one per generator.  An outcome is count(cdf <= u)
+   over the normalised cumulative Born weights, which is how
+   ``Generator.choice`` spends one ``random()`` draw.  Blocks are
+   max(1, budget // p**n) columns wide, so no block exceeds the state
+   budget.
 3. :func:`reconstruct` undoes the encoding and extracts the secret register.
    :func:`simulate_protocol` needs no inverse circuit: a decoded state lies
    in the recorded eigenspace, which is the image of V, so its fidelity is
@@ -200,46 +200,57 @@ def compile_paulis(p: int, n: int, ops: Sequence[PauliOperator]) -> PauliKernels
     return _compile_rows(p, n, rows, [op.phase for op in ops])
 
 
+def _pauli_gather(
+    columns: np.ndarray, offset: int, p: int, place: np.ndarray, digits: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """w**offset X(x_c) Z(z_c) on the p**n register as a gather, for each
+    column (x_c | z_c) of the 2n x b ``columns`` (entries 0..p-1).
+
+    X(x) Z(z)|d> = w**(z.d) |d + x>, so entry j of column c reads entry
+    place.((d_j - x_c) mod p) times w**e, e = z_c.((d_j - x_c) mod p) +
+    offset mod p.  Returns the (p**n, b) int32 sources and the exact phases.
+    The int8 ``digits`` (:func:`clifford._place_digits`) are shifted once,
+    and one einsum widens them to int32 a buffer at a time, never as a
+    whole copy the way a matmul would.
+    """
+    n = digits.shape[0]
+    shifted = digits[:, None, :] - columns[:n].astype(np.int8)[:, :, None]
+    shifted %= p
+    weights = np.empty((columns.shape[1], 2, n), dtype=np.int64)
+    weights[:, 0] = place
+    weights[:, 1] = columns[n:].T
+    src, exps = np.einsum("caq,qcj->ajc", weights, shifted, dtype=np.int32, casting="same_kind")
+    exps += offset % p
+    exps %= p
+    return src, (omega(p) ** np.arange(p))[exps]
+
+
 def _compile_rows(
     p: int, n: int, rows: np.ndarray, phases: Sequence[int] | None = None
 ) -> PauliKernels:
     """Compile the powers t = 1..p-1 of the Pauli w**phase X(x) Z(z) of
-    each f-image row (x | z), reduced mod p, on the p**n register; every
+    each f-image row (x | z), entries 0..p-1, on the p**n register; every
     phase is 0 when ``phases`` is None, as for a code's check rows.
 
-    P|d> = w**(phase + z.d) |d + x>, so (P v)[j] = w**e[j] v[s[j]] with
-    digits(s[j]) = digits(j) - x and e[j] = phase + z.(digits(j) - x).
-    P**t = P P**(t-1) composes the gathers step by step and adds the integer
-    exponents mod p; no float phase is rounded along the way.  Digits are
-    int8 and each power is written straight into the table, so compiling
-    needs little beyond the table itself.
+    Z(z) X(x) = w**(x.z) X(x) Z(z), so power t is the closed form
+    w**(t*phase + x.z*t(t-1)/2) X(t x) Z(t z), one :func:`_pauli_gather`;
+    each power is written into the table before the next one forms, so
+    compiling needs little beyond the table itself.
     """
     r = len(rows)
     place, digits = _place_digits(p, n)
-    roots = omega(p) ** np.arange(p)
     src = np.empty((r, p - 1, p**n), dtype=np.int32)
     phase_vectors = np.empty((r, p - 1, p**n), dtype=complex)
-    shifts = rows[:, :n].astype(np.int8).reshape(r, n, 1)
-    weights = np.empty((r, 2, n), dtype=np.int64)
-    weights[:, 0] = place
-    weights[:, 1] = rows[:, n:]
-    shifted = np.empty_like(digits)
-    for i in range(r):
-        np.subtract(digits, shifts[i], out=shifted)
-        shifted %= p
-        # einsum widens the int8 digits to int32 one buffer at a time, never
-        # as a whole (n, p**n) copy the way a matmul would.
-        step_src, step_exp = np.einsum(
-            "aq,qj->aj", weights[i], shifted, dtype=np.int32, casting="same_kind"
-        )
-        step_exp = (step_exp + (0 if phases is None else phases[i])) % p
-        power_src, power_exp = step_src, step_exp
-        for t in range(p - 1):
-            if t:
-                power_src = power_src[step_src]
-                power_exp = (step_exp + power_exp[step_src]) % p
-            src[i, t] = power_src
-            np.take(roots, power_exp, out=phase_vectors[i, t])
+    overlaps = (rows[:, :n] * rows[:, n:]).sum(axis=1).tolist()
+    for i, row in enumerate(rows):
+        phase = 0 if phases is None else phases[i]
+        for t in range(1, p):
+            column = (t * row % p)[:, None]
+            offset = t * phase + overlaps[i] * t * (t - 1) // 2
+            # Unpacked straight into the table: no power is alive while the next forms.
+            src[i, t - 1], phase_vectors[i, t - 1] = (
+                a[:, 0] for a in _pauli_gather(column, offset, p, place, digits)
+            )
     parity = half_turn_parities(rows, p)
     taus = (2 * np.arange(p)[None, :] + parity[:, None]) % (2 * p)
     turns = (-taus[:, :, None] * np.arange(p)) % (2 * p)
@@ -250,9 +261,8 @@ def _compile_rows(
 def apply_pauli(state: QuditState, op: PauliOperator) -> QuditState:
     if op.p != state.p or op.n != state.m:
         raise ValueError("operator and state must share p and qudit count")
-    xz = f_map(op)[:, None]
-    flat = _apply_corrections(state.amplitudes[:, None], xz, op.p, *_place_digits(op.p, op.n))
-    return QuditState(state.p, state.m, flat[:, 0] * omega(op.p) ** op.phase)
+    src, phases = _pauli_gather(f_map(op)[:, None], op.phase, op.p, *_place_digits(op.p, op.n))
+    return QuditState(state.p, state.m, state.amplitudes[src[:, 0]] * phases[:, 0])
 
 
 def apply_circuit(state: QuditState, circuit: CliffordCircuit) -> QuditState:
@@ -574,22 +584,10 @@ def _apply_corrections(
     flat: np.ndarray, corrections: np.ndarray, p: int, place: np.ndarray, digits: np.ndarray
 ) -> np.ndarray:
     """Column c of ``flat`` times X(x_c) Z(z_c), (x_c | z_c) column c of
-    ``corrections``: one gather index and one exact phase vector for all.
-
-    X(x) Z(z)|d> = w**(z.d) |d + x>, so entry j of column c reads entry
-    place.((d_j - x_c) mod p) with phase exponent
-    z_c.(d_j - x_c) = d_j.z_c - x_c.z_c mod p.  ``place`` and the int8
-    ``digits`` are the register's (:func:`clifford._place_digits`).  The
-    digits are shifted once, in int8, with p added back where the
-    difference is negative, and every exponent comes from one integer matmul.
-    """
-    n = corrections.shape[0] // 2
-    x, z = corrections[:n], corrections[n:]
-    shifted = digits[:, :, None] - x.astype(np.int8)[:, None, :]
-    np.add(shifted, p, out=shifted, where=shifted < 0)
-    src = np.einsum("q,qjc->jc", place, shifted)
-    exps = (digits.T @ z - np.einsum("qc,qc->c", x, z)) % p
-    return flat[src, np.arange(flat.shape[1])] * (omega(p) ** np.arange(p))[exps]
+    ``corrections``: :func:`_pauli_gather` with offset 0, then one gather
+    and one product for every column."""
+    src, phases = _pauli_gather(corrections, 0, p, place, digits)
+    return flat[src, np.arange(flat.shape[1])] * phases
 
 
 def _decode_block(

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advshare import gfp
+from advshare import advance, clifford, gfp
 from advshare.advance import (
     EAQECCPlan,
     construct_eaqecc,
@@ -17,16 +17,17 @@ from advshare.advance import (
     is_advance_shareable,
     is_advance_shareable_sufficient,
     normal_form,
+    shareable_sets,
 )
 from advshare.codefile import parse_code_file
-from advshare.errors import BudgetExceededError, NotAdvanceShareableError
+from advshare.errors import BudgetExceededError, InvariantError, NotAdvanceShareableError
 from advshare.pauli import (
     PauliOperator,
     commutation_exponent,
     random_stabilizer,
     validate_stabilizer,
 )
-from advshare.symplectic import shorten
+from advshare.symplectic import product_matrix, shorten
 
 # Sufficient-check converse failure: two independent XX/ZZ blocks plus an
 # idle share.  The idle share puts weight-1 vectors in the dual, so the
@@ -251,6 +252,44 @@ def test_plan_gram_preservation_randomized(rng):
                     assert plan.ell == code.num_checks - 2 * size
                     checked += 1
     assert checked > 30
+
+
+def test_plan_and_encoder_share_one_target_gram(code_dir, monkeypatch):
+    """``construct_eaqecc`` and then ``encoding_circuit`` take one symplectic
+    product over the plan's target rows between them: the Gram the plan
+    checks is the one the encoder reads."""
+    rng = np.random.default_rng(35)
+    cases = []
+    for path in sorted(code_dir.glob("*.code")):
+        p, n, rows = parse_code_file(path.read_text())
+        code = validate_stabilizer(rows, p, n)
+        cases += [(code, ()), (code, shareable_sets(code, 1)[0])]
+    for p in gfp.PRIMES:
+        code = random_stabilizer(p, 5, 4, rng)
+        cases += [(code, shares) for shares in shareable_sets(code, 2)[-2:]]
+    operands = []
+    for module in (advance, clifford):
+        product = module.product_matrix
+
+        def spy(a, b, p, product=product):
+            operands.append(a)
+            return product(a, b, p)
+
+        monkeypatch.setattr(module, "product_matrix", spy)
+    for code, shares in cases:
+        operands.clear()
+        plan = construct_eaqecc(code, shares)
+        clifford.encoding_circuit(plan)
+        assert sum(a is plan.target_rows for a in operands) == 1, (code.p, shares)
+
+
+def test_plan_refuses_a_target_gram_unlike_its_source_gram(four_qubit, monkeypatch):
+    def skewed(plan):
+        return (product_matrix(plan.target_rows, plan.target_rows, plan.p) + 1) % plan.p
+
+    monkeypatch.setattr(EAQECCPlan, "_target_gram", property(skewed))
+    with pytest.raises(InvariantError, match="^commutation structure of restricted generators"):
+        construct_eaqecc(four_qubit, [1])
 
 
 def test_enumerate_on_example(four_qubit):

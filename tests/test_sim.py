@@ -30,6 +30,7 @@ from advshare.pauli import (
     PauliOperator,
     f_inv,
     f_map,
+    half_turn_parities,
     half_turn_parity,
     omega,
     random_stabilizer,
@@ -184,6 +185,46 @@ def slow_simulate_protocol(plan, circuit, seed, trials, accessible_sets):
             fid = float(np.real(secret.amplitudes.conj() @ rho @ secret.amplitudes))
             out.append((syndrome, measured, tuple(int(v) for v in correction), fid))
     return out
+
+
+def slow_compile_rows(p, n, rows, phases=None):
+    """Reference tables: each generator's powers composed gather by gather.
+
+    P|d> = w**(phase + z.d) |d + x>, so (P v)[j] = w**e[j] v[s[j]] with
+    digits(s[j]) = digits(j) - x and e[j] = phase + z.(digits(j) - x);
+    P**t = P P**(t-1) composes the gathers step by step and adds the integer
+    exponents mod p.
+    """
+    r = len(rows)
+    place, digits = _place_digits(p, n)
+    roots = omega(p) ** np.arange(p)
+    src = np.empty((r, p - 1, p**n), dtype=np.int32)
+    phase_vectors = np.empty((r, p - 1, p**n), dtype=complex)
+    shifts = rows[:, :n].astype(np.int8).reshape(r, n, 1)
+    weights = np.empty((r, 2, n), dtype=np.int64)
+    weights[:, 0] = place
+    weights[:, 1] = rows[:, n:]
+    shifted = np.empty_like(digits)
+    for i in range(r):
+        np.subtract(digits, shifts[i], out=shifted)
+        shifted %= p
+        step_src, step_exp = np.einsum(
+            "aq,qj->aj", weights[i], shifted, dtype=np.int32, casting="same_kind"
+        )
+        step_exp = (step_exp + (0 if phases is None else phases[i])) % p
+        power_src, power_exp = step_src, step_exp
+        for t in range(p - 1):
+            if t:
+                power_src = power_src[step_src]
+                power_exp = (step_exp + power_exp[step_src]) % p
+            src[i, t] = power_src
+            np.take(roots, power_exp, out=phase_vectors[i, t])
+    parity = half_turn_parities(rows, p)
+    taus = (2 * np.arange(p)[None, :] + parity[:, None]) % (2 * p)
+    turns = (-taus[:, :, None] * np.arange(p)) % (2 * p)
+    branch = (zeta(p) ** np.arange(2 * p))[turns] / p
+    rows_s = sim._symplectic_rows(rows, p)
+    return sim.PauliKernels(p, src, phase_vectors, taus, branch, place, digits, rows_s)
 
 
 def register_layout(p, n, extra, order):
@@ -1193,6 +1234,50 @@ def test_compile_paulis_converts_and_delegates_to_the_row_core(p, rng):
     for got, want in pairs:
         for name in ("src", "phases", "taus", "branch", "place", "digits", "rows"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+#: Registers of the table sweep hold at most this many amplitudes.
+TABLE_REGISTER_LIMIT = 4096
+
+
+@st.composite
+def table_cases(draw, p):
+    """0 to n + 1 f-image rows on n qudits, p**n within the table sweep's
+    limit: random rows, zero rows, repeats of an earlier row and rows with
+    x.z = a*b != 0 mod p on one qudit; phases None or random integers."""
+    cap = 1
+    while p ** (cap + 1) <= TABLE_REGISTER_LIMIT:
+        cap += 1
+    n = draw(st.integers(1, cap), label="n")
+    rows = []
+    for _ in range(draw(st.integers(0, n + 1), label="count")):
+        kind = draw(st.sampled_from(["random", "zero", "repeat", "overlap"]))
+        row = [0] * (2 * n)
+        if kind == "random":
+            row = draw(st.lists(st.integers(0, p - 1), min_size=2 * n, max_size=2 * n))
+        elif kind == "repeat" and rows:
+            row = list(draw(st.sampled_from(rows)))
+        elif kind == "overlap":
+            q = draw(st.integers(0, n - 1))
+            row[q], row[n + q] = draw(st.integers(1, p - 1)), draw(st.integers(1, p - 1))
+        rows.append(row)
+    random_phases = st.lists(st.integers(-2 * p, 2 * p), min_size=len(rows), max_size=len(rows))
+    phases = draw(st.one_of(st.none(), random_phases), label="phases")
+    return n, np.array(rows, dtype=np.int64).reshape(len(rows), 2 * n), phases
+
+
+@pytest.mark.parametrize("p", gfp.PRIMES)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_closed_form_tables_equal_the_composed_reference(p, data):
+    """Every table entry of the closed-form powers is the integer, and the
+    root, that composing each power from the one before gives: the same
+    bytes, not only the same amplitudes within a tolerance."""
+    n, rows, phases = data.draw(table_cases(p))
+    got, want = sim._compile_rows(p, n, rows, phases), slow_compile_rows(p, n, rows, phases)
+    for name in ("src", "phases", "taus", "branch", "rows", "place", "digits"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype, name
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def test_generator_kernels_compiled_once_per_run(code_dir, monkeypatch):
