@@ -17,7 +17,6 @@ from advshare import (
     classify_access,
     construct_eaqecc,
     encode_advance,
-    encoding_circuit,
     entropic_audit,
     erase_and_decode,
     fidelity,
@@ -32,14 +31,14 @@ code = validate_stabilizer(
     [[1, 1, 1, 1, 0, 0, 0, 0], [0, 0, 0, 0, 1, 1, 1, 1]], p=2, n=4
 )
 plan = construct_eaqecc(code, [4])
-circuit = encoding_circuit(plan)
 rng = np.random.default_rng(2024)
 
 # Step 1 happens before the secret: participant 4 already holds a pair half.
-# Step 2: the secret arrives and is encoded.  The plan holds the code and J,
-# so the encoder, the reconstruction and the audit take the plan and circuit.
+# Step 2: the secret arrives and is encoded.  The plan holds the code, J and
+# the encoding circuit they fix, so the encoder, the reconstruction and the
+# audit take the plan alone.
 secret = random_state(2, 2, rng)
-shared, syndrome = encode_advance(plan, circuit, secret)
+shared, syndrome = encode_advance(plan, secret)
 print("recorded syndrome exponents:", syndrome)
 
 # The advance share alone is exactly maximally mixed, secret or not.
@@ -59,7 +58,7 @@ except UncorrectableErasureError as err:
 
 # Every 3-participant set restores the secret perfectly.
 for group in itertools.combinations(range(1, 5), 3):
-    recovered = reconstruct(shared, syndrome, plan, circuit, group, rng)
+    recovered = reconstruct(shared, syndrome, plan, group, rng)
     print(f"participants {group}: fidelity {fidelity(recovered, secret):.12f}")
 
 # The access structure, quantitatively: mutual information with a
@@ -68,5 +67,5 @@ print("\naccess structure (label, leaked information):")
 for size in range(5):
     for group in itertools.combinations(range(1, 5), size):
         label = classify_access(code, group).value
-        info = entropic_audit(plan, circuit, group)
+        info = entropic_audit(plan, group)
         print(f"  {str(group):14s} {label:12s} I = {max(info, 0.0):.6f}")

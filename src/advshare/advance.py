@@ -10,12 +10,13 @@ J's columns (value ``mu_j``) and one row carrying the only nonzero z entry
 yields the generators of a smaller, non-commuting group; pairing it with a
 sparse single-wire group of identical commutation structure gives an
 entanglement-assisted code that corrects erasures exactly as well as the
-original stabilizer.  That code depends on the stabilizer and J alone, so
-an :class:`EAQECCPlan` is the pair (code, J), checks it when built (an
-unshareable J raises there) and derives the rest.  Both groups are kept
-as f-image rows, which the encoder, the report and the simulator read;
-their :class:`~advshare.pauli.PauliOperator` views are built only when
-asked for.
+original stabilizer.  That code, and so its encoding unitary, depends on
+the stabilizer and J alone, so an :class:`EAQECCPlan` is the pair (code,
+J), checks it when built (an unshareable J raises there) and derives the
+rest, the encoding circuit included.  Both groups are kept as f-image
+rows, which the encoder, the report and the simulator read; their
+:class:`~advshare.pauli.PauliOperator` views are built only when asked
+for.
 
 A cheaper sufficient test: J is shareable whenever |J| is strictly below the
 minimum symplectic weight of the dual of the row space.  The converse fails
@@ -31,7 +32,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import gfp
+from . import clifford, gfp
 from .access import check_budget
 from .errors import InvariantError, NotAdvanceShareableError
 from .pauli import PauliOperator, StabilizerCode, f_inv, f_map
@@ -180,6 +181,9 @@ class EAQECCPlan:
     |J|)) arrays, and they are what the encoder, the report and the
     simulator read.  ``source_generators`` and ``target_generators`` are
     the same rows as :class:`PauliOperator` tuples, built only when asked.
+    ``circuit`` is the encoding unitary that conjugates each target row's
+    Pauli into its source row's, :func:`advshare.clifford.encoding_circuit`
+    of the plan, synthesized once, on first use.
 
     Wire ``w`` of the smaller system is share ``complement[w]``, so the
     wire layout is a slicing of the complement: the c sender shares, then
@@ -227,6 +231,10 @@ class EAQECCPlan:
     def _target_gram(self) -> np.ndarray:
         """The target rows' symplectic products, for the Gram check and the encoder."""
         return product_matrix(self.target_rows, self.target_rows, self.p)
+
+    @cached_property
+    def circuit(self) -> clifford.CliffordCircuit:
+        return clifford.encoding_circuit(self)
 
     @cached_property
     def source_generators(self) -> tuple[PauliOperator, ...]:

@@ -25,9 +25,9 @@ size at a time, so no string of the whole report is built.  Share indices are 1-
 checked as input: the counts (a negative ``--budget``, ``--max-size``,
 ``--trials`` or ``--seed``), the code file, and for ``demo`` the ``--J``
 shares (parsed, in range and advance shareable) and ``--trials`` on a
-k = 0 code, which the protocol cannot run yet: it has only the trivial
-secret, and the simulator draws it with a random global phase that the
-encoder rejects.  Any error raised after those checks is internal.
+k = 0 code, which the CLI refuses: such a code's only secret is a unit
+scalar, which carries nothing, though :func:`advshare.sim.simulate_protocol`
+runs it.  Any error raised after those checks is internal.
 ``--budget`` bounds the share sets that every walk visits: the distance,
 dual-weight and access-table walks, ``analyze``'s advance-shareable
 candidate sets, and a ``demo``'s trials (qualified sets times
@@ -53,7 +53,6 @@ import numpy as np
 
 from . import advance, codefile, sim
 from .access import AccessLabel, check_budget
-from .clifford import encoding_circuit
 from .errors import (
     AdvShareError,
     BudgetExceededError,
@@ -380,7 +379,7 @@ def _demo_section(
     if code.n >= enum_budget.bit_length():
         check_budget(1 << code.n, enum_budget, "access table")
     plan = advance.construct_eaqecc(code, shares)
-    circuit = encoding_circuit(plan)
+    circuit = plan.circuit
     length, logical, pairs = plan.parameters()
     nf = plan.normal
     section: dict = {
@@ -422,7 +421,7 @@ def _demo_section(
     if trials > 0:
         qualified = [s for sets, codes, _ in sizes for s in sets[codes == 0].tolist()]
         check_budget(len(qualified) * trials, enum_budget, "protocol trials")
-        transcript = sim.simulate_protocol(plan, circuit, seed, trials, qualified, budget=budget)
+        transcript = sim.simulate_protocol(plan, seed, trials, qualified, budget=budget)
         section["syndrome"] = list(transcript.syndrome)
         # Each qualified set's trials run back to back, so a run of records is one row.
         section["transcripts"] = _Transcripts(transcript.trials, trials)

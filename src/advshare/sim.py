@@ -64,10 +64,10 @@ The protocol pipeline:
 maximally entangled with a k-qudit reference R: V transposed and scaled by
 p**(-k/2).  :func:`entropic_audit` is one row of
 :func:`mutual_information_table`, I(R : A) from that encoding.  Every oracle
-here runs the plan and circuit its caller gives it; none plans or synthesizes.
-A plan is its code and share set, so an oracle takes neither beside it and
-checks only that the circuit carries the plan's target rows onto its
-source rows; no oracle builds a Pauli operator on the protocol path.
+here takes the plan alone and runs its encoding circuit,
+:attr:`EAQECCPlan.circuit`, which the plan synthesizes once, on first use;
+none plans.  A plan is its code and share set, so an oracle takes neither
+beside it, and no oracle builds a Pauli operator on the protocol path.
 
 Eigenvalues of generators are exact roots of unity written zeta**tau with
 zeta = exp(i*pi/p); tau is even (a plain w power) unless p = 2 and a
@@ -87,7 +87,6 @@ from .access import AccessLabel
 from .advance import EAQECCPlan
 from .clifford import (
     CliffordCircuit,
-    _conjugate_runs,
     _place_digits,
     _register,
     _unregister,
@@ -383,21 +382,10 @@ def measure_pauli(
 # encoding
 
 
-def _check_plan_matches(plan: EAQECCPlan, circuit: CliffordCircuit) -> None:
-    if circuit.p != plan.p or circuit.m != plan.n - plan.c:
-        raise ValueError("circuit shape does not match the plan")
-    m = circuit.m
-    images = [(row[:m], row[m:]) for row in plan.target_rows.tolist()]
-    _conjugate_runs(circuit.runs, images, circuit.p)
-    if [x + z for x, z in images] != plan.source_rows.tolist():
-        raise ValueError("circuit does not map the preparation frame to the code frame")
-
-
 def _check_secret(code: StabilizerCode, secret: QuditState) -> None:
+    """Refuse a secret of the wrong shape; a 0-qudit secret is any unit scalar."""
     if secret.p != code.p or secret.m != code.k:
         raise ValueError(f"secret must be {code.k} qudits of dimension {code.p}")
-    if not code.k and not np.allclose(secret.amplitudes, [1.0]):
-        raise ValueError("k = 0 code admits only the trivial secret")
 
 
 def _check_state_fits(p: int, n: int, width: int, budget: int) -> None:
@@ -409,20 +397,18 @@ def _check_state_fits(p: int, n: int, width: int, budget: int) -> None:
 
 
 def _encode(
-    plan: EAQECCPlan,
-    circuit: CliffordCircuit,
-    secrets: np.ndarray,
-    kernels: PauliKernels,
+    plan: EAQECCPlan, secrets: np.ndarray, kernels: PauliKernels
 ) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Encode each column of a (p**k, b) secret matrix with one circuit call.
+    """Encode each column of a (p**k, b) secret matrix with one call of the
+    plan's circuit.
 
     The easy state holds a maximally entangled pair per advance share, |0>
     on each zero share and the secret on the secret shares; the column
     index rides along as a trailing axis.  Returns the (p**n, b) encoded
     columns and their syndrome: every column must be an eigenstate of every
     generator, all with the same eigenvalues.  The caller has checked the
-    circuit against the plan and the b columns against the budget with
-    :func:`_check_state_fits`, before compiling ``kernels``.
+    b columns against the budget with :func:`_check_state_fits`, before
+    compiling ``kernels``.
     """
     p, n, k = plan.p, plan.n, plan.k
     width = secrets.shape[1]
@@ -435,7 +421,7 @@ def _encode(
         operands += [ket0, [z_share]]
     operands += [secrets.reshape((p,) * k + (width,)), [*plan.secret_shares, 0]]
     easy = np.einsum(*operands, [*range(1, n + 1), 0])
-    arr = apply_circuit_tensor(easy, circuit, axes=[s - 1 for s in plan.complement])
+    arr = apply_circuit_tensor(easy, plan.circuit, axes=[s - 1 for s in plan.complement])
     flat = arr.reshape(p**n, width)
     taus = _exponents(flat, kernels)
     if (taus != taus[:, :1]).any():
@@ -444,10 +430,7 @@ def _encode(
 
 
 def encode_advance(
-    plan: EAQECCPlan,
-    circuit: CliffordCircuit,
-    secret: QuditState,
-    budget: int = DEFAULT_STATE_BUDGET,
+    plan: EAQECCPlan, secret: QuditState, budget: int = DEFAULT_STATE_BUDGET
 ) -> tuple[QuditState, tuple[int, ...]]:
     """Encode a k-qudit secret into the plan's n shares, J pairs pre-distributed.
 
@@ -456,18 +439,15 @@ def encode_advance(
     for later decoding).  The output is an exact joint eigenstate; each
     advance share alone is maximally mixed.
     """
-    _check_plan_matches(plan, circuit)
     _check_secret(plan.code, secret)
     _check_state_fits(plan.p, plan.n, 1, budget)
     kernels = _compile_rows(plan.p, plan.n, plan.code.check_matrix)
-    flat, syndrome = _encode(plan, circuit, secret.amplitudes[:, None], kernels)
+    flat, syndrome = _encode(plan, secret.amplitudes[:, None], kernels)
     return QuditState(plan.p, plan.n, flat[:, 0]), syndrome
 
 
 def encode_with_reference(
-    plan: EAQECCPlan,
-    circuit: CliffordCircuit,
-    budget: int = DEFAULT_STATE_BUDGET,
+    plan: EAQECCPlan, budget: int = DEFAULT_STATE_BUDGET
 ) -> tuple[QuditState, tuple[int, ...]]:
     """Encode half of a maximally entangled secret, keeping the reference.
 
@@ -476,18 +456,15 @@ def encode_with_reference(
     secret information a share set holds.  This Choi state is
     sum_s |s> V|s> / sqrt(p**k), the encoding isometry V transposed.
     """
-    _check_plan_matches(plan, circuit)
     _check_state_fits(plan.p, plan.n, plan.p**plan.k, budget)
     kernels = _compile_rows(plan.p, plan.n, plan.code.check_matrix)
-    v, syndrome = _encoding_isometry(plan, circuit, kernels)
+    v, syndrome = _encoding_isometry(plan, kernels)
     choi = v.T.reshape(-1) / np.sqrt(v.shape[1])
     return QuditState(plan.p, plan.k + plan.n, choi), syndrome
 
 
 def _encoding_isometry(
-    plan: EAQECCPlan,
-    circuit: CliffordCircuit,
-    kernels: PauliKernels,
+    plan: EAQECCPlan, kernels: PauliKernels
 ) -> tuple[np.ndarray, tuple[int, ...]]:
     """The encoding isometry V (p**n x p**k) and the syndrome of its image.
 
@@ -495,7 +472,7 @@ def _encoding_isometry(
     eigenvalue check covers every column.
     """
     eye = np.eye(plan.p**plan.k, dtype=complex)
-    v, syndrome = _encode(plan, circuit, eye, kernels)
+    v, syndrome = _encode(plan, eye, kernels)
     if not np.abs(v.conj().T @ v - eye).max() <= NORM_TOL:  # a NaN fails too
         raise InvariantError("encoding is not an isometry (V^dagger V != I)")
     return v, syndrome
@@ -715,37 +692,29 @@ def classify_access(code: StabilizerCode, accessible: Iterable[int]) -> AccessLa
 
 
 def entropic_audit(
-    plan: EAQECCPlan,
-    circuit: CliffordCircuit,
-    accessible: Iterable[int],
-    budget: int = DEFAULT_STATE_BUDGET,
+    plan: EAQECCPlan, accessible: Iterable[int], budget: int = DEFAULT_STATE_BUDGET
 ) -> float:
     """Mutual information I(R : A) between reference and a share set.
 
     The secret is maximally entangled with a k-qudit reference R before
     encoding; the returned value is S(R) + S(A) - S(RA) in units of log p.
     2k means A reconstructs perfectly, 0 means A holds nothing.  This is
-    the one-row :func:`mutual_information_table` of the given encoding.
+    the one-row :func:`mutual_information_table` of the plan's encoding.
     """
     acc = validated_shares(accessible, plan.n)
-    return mutual_information_table(plan, circuit, [acc], budget)[acc]
+    return mutual_information_table(plan, [acc], budget)[acc]
 
 
 def mutual_information_table(
-    plan: EAQECCPlan,
-    circuit: CliffordCircuit,
-    subsets: Sequence[Iterable[int]],
-    budget: int = DEFAULT_STATE_BUDGET,
+    plan: EAQECCPlan, subsets: Sequence[Iterable[int]], budget: int = DEFAULT_STATE_BUDGET
 ) -> dict[tuple[int, ...], float]:
-    """I(R : A) for many share sets from a single reference encoding.
-
-    The encoding is the caller's plan and circuit, which
-    :func:`encode_with_reference` checks.  Keys are the sorted distinct
+    """I(R : A) for many share sets from a single reference encoding, the
+    plan's :func:`encode_with_reference`.  Keys are the sorted distinct
     shares of each subset.
     """
     p, k = plan.p, plan.k
     accs = [validated_shares(subset, plan.n) for subset in subsets]
-    state, _ = encode_with_reference(plan, circuit, budget=budget)
+    state, _ = encode_with_reference(plan, budget=budget)
     ref_axes = list(range(k))
     s_r = entropy(reduced_density(state, ref_axes), p)
     table: dict[tuple[int, ...], float] = {}
@@ -761,24 +730,21 @@ def reconstruct(
     state: QuditState,
     syndrome: tuple[int, ...],
     plan: EAQECCPlan,
-    circuit: CliffordCircuit,
     accessible: Iterable[int],
     rng: np.random.Generator,
     budget: int = DEFAULT_STATE_BUDGET,
 ) -> QuditState:
     """Recover the secret from a qualified share set.
 
-    Checks the circuit against the plan, erases the complement, decodes
-    back to the recorded eigenspace, undoes the encoding circuit, and
-    returns the secret register (which must come out pure and
-    disentangled).
+    Erases the complement, decodes back to the recorded eigenspace, undoes
+    the plan's encoding circuit, and returns the secret register (which
+    must come out pure and disentangled).
     """
     code = plan.code
-    _check_plan_matches(plan, circuit)
     acc = validated_shares(accessible, code.n)
     erased = complement(acc, code.n)
     decoded = erase_and_decode(state, code, syndrome, erased, rng, budget=budget)
-    rho = _secret_density(decoded.state, plan, circuit.inverse())
+    rho = _secret_density(decoded.state, plan)
     eigvals, eigvecs = np.linalg.eigh(rho)
     top = float(eigvals[-1])
     if top < 1 - 1e-6:
@@ -786,12 +752,10 @@ def reconstruct(
     return QuditState(code.p, code.k, eigvecs[:, -1])
 
 
-def _secret_density(
-    decoded: QuditState, plan: EAQECCPlan, inverse: CliffordCircuit
-) -> np.ndarray:
+def _secret_density(decoded: QuditState, plan: EAQECCPlan) -> np.ndarray:
     """Undo the encoding of a decoded state; density of the secret register."""
     arr = apply_circuit_tensor(
-        decoded.tensor(), inverse, axes=[s - 1 for s in plan.complement]
+        decoded.tensor(), plan.circuit.inverse(), axes=[s - 1 for s in plan.complement]
     )
     return reduced_density(
         QuditState(decoded.p, decoded.m, arr.reshape(-1)),
@@ -820,7 +784,6 @@ class ProtocolTranscript:
 
 def simulate_protocol(
     plan: EAQECCPlan,
-    circuit: CliffordCircuit,
     seed: int,
     trials: int,
     accessible_sets: Sequence[tuple[int, ...]],
@@ -830,12 +793,11 @@ def simulate_protocol(
 
     Each accessible set gets ``trials`` independent random secrets; every
     draw comes from one seeded generator, so transcripts rerun bit-exactly.
-    The circuit is checked, one rank query per set size checks
-    every erased set, and one p**n column is checked against the budget;
-    only then are the generators compiled, once per run, before any draw.
-    Each trial draws its secret (2 * p**k normals in one call, the values
-    :func:`random_state` draws in two), then ``e + r`` uniforms for its
-    decoder.  Trials run in blocks of ``max(1, budget // p**n)`` columns: a
+    One rank query per set size checks every erased set, and one p**n
+    column is checked against the budget; only then are the generators
+    compiled, once per run, before any draw.  Each trial draws its secret
+    (2 * p**k normals in one call, the values :func:`random_state` draws in
+    two), then ``e + r`` uniforms for its decoder.  Trials run in blocks of ``max(1, budget // p**n)`` columns: a
     block is encoded as ``V @ secrets`` when the isometry V (p**(n+k)) fits
     the budget, else by one circuit call, and decoded by one block-decoder
     call.  The fidelity of a decoded column is its overlap with the encoded
@@ -844,7 +806,6 @@ def simulate_protocol(
     if trials < 0:
         raise ValueError(f"trials must be at least 0, got {trials}")
     code = plan.code
-    _check_plan_matches(plan, circuit)
     p, n, k = code.p, code.n, code.k
     runs: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     for acc in accessible_sets:
@@ -856,21 +817,17 @@ def simulate_protocol(
     kernels = _compile_rows(p, n, code.check_matrix)
     isometry = None
     if p ** (n + k) <= budget:
-        isometry, image_syndrome = _encoding_isometry(plan, circuit, kernels)
+        isometry, image_syndrome = _encoding_isometry(plan, kernels)
 
     def encode(secrets: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
         if isometry is not None:
             return isometry @ secrets, image_syndrome
-        return _encode(plan, circuit, secrets, kernels)
+        return _encode(plan, secrets, kernels)
 
     rng = np.random.default_rng(seed)
     size = p**k
 
     def draw_secret() -> np.ndarray:
-        if not k:  # the trivial secret, whose random phase _check_secret refuses
-            secret = random_state(p, k, rng)
-            _check_secret(code, secret)
-            return secret.amplitudes
         # random_state's amplitudes from one draw: its real parts, then its imaginary parts.
         parts = rng.normal(size=2 * size)
         return _unit(_unit(parts[:size] + 1j * parts[size:], checked=False))

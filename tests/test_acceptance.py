@@ -18,7 +18,7 @@ from advshare.advance import (
     is_advance_shareable_sufficient,
     normal_form,
 )
-from advshare.clifford import conjugate_pauli, encoding_circuit, to_unitary
+from advshare.clifford import conjugate_pauli, to_unitary
 from advshare.codefile import parse_code_file
 from advshare.errors import NotAdvanceShareableError
 from advshare.pauli import (
@@ -92,19 +92,18 @@ def test_criterion_4_plan_reproduces_worked_example(four_qubit):
 def test_criterion_5_end_to_end_ramp(four_qubit):
     start = time.perf_counter()
     plan = construct_eaqecc(four_qubit, [4])
-    circuit = encoding_circuit(plan)
     rng = np.random.default_rng(20240607)
     secret = random_state(2, 2, rng)
-    shared, syndrome = encode_advance(plan, circuit, secret)
+    shared, syndrome = encode_advance(plan, secret)
     worst = 1.0
     for subset in itertools.combinations(range(1, 5), 3):
-        recovered = reconstruct(shared, syndrome, plan, circuit, subset, rng)
+        recovered = reconstruct(shared, syndrome, plan, subset, rng)
         worst = min(worst, fidelity(recovered, secret))
     assert worst >= 1 - FIDELITY_TOL
     leak = 0.0
     for share in range(1, 5):
         leak = max(
-            leak, abs(entropic_audit(plan, circuit, [share]))
+            leak, abs(entropic_audit(plan, [share]))
         )
     assert leak <= AUDIT_TOL
     elapsed = time.perf_counter() - start
@@ -190,7 +189,7 @@ def test_criterion_8_conjugation_contract(four_qubit, five_qubit, qutrit):
     total = 0
     for code, shares in cases:
         plan = construct_eaqecc(code, shares)
-        circuit = encoding_circuit(plan)
+        circuit = plan.circuit
         u = to_unitary(circuit)
         zp = np.exp(1j * np.pi / code.p)
         for easy, coded in zip(plan.target_generators, plan.source_generators):
@@ -210,13 +209,12 @@ def test_criterion_8_conjugation_contract(four_qubit, five_qubit, qutrit):
 def test_criterion_9_access_cross_validation(four_qubit, five_qubit):
     for code, shares in ((four_qubit, (4,)), (five_qubit, (5,))):
         plan = construct_eaqecc(code, shares)
-        circuit = encoding_circuit(plan)
         subsets = [
             s
             for size in range(code.n + 1)
             for s in itertools.combinations(range(1, code.n + 1), size)
         ]
-        table = mutual_information_table(plan, circuit, subsets)
+        table = mutual_information_table(plan, subsets)
         top = 2 * code.k
         for subset in subsets:
             label = classify_access(code, subset)
@@ -236,8 +234,8 @@ def test_criterion_10_baseline_equivalence(four_qubit):
     ]
     plan0 = construct_eaqecc(four_qubit, [])
     plan4 = construct_eaqecc(four_qubit, [4])
-    t0 = mutual_information_table(plan0, encoding_circuit(plan0), subsets)
-    t4 = mutual_information_table(plan4, encoding_circuit(plan4), subsets)
+    t0 = mutual_information_table(plan0, subsets)
+    t4 = mutual_information_table(plan4, subsets)
     worst = max(abs(t0[s] - t4[s]) for s in subsets)
     assert worst < AUDIT_TOL
     _passline(

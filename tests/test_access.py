@@ -17,7 +17,6 @@ from advshare.advance import (
     is_advance_shareable_sufficient,
     normal_form,
 )
-from advshare.clifford import encoding_circuit
 from advshare.codefile import parse_code_file
 from advshare.errors import BudgetExceededError, InvariantError
 from advshare.pauli import code_distance, random_stabilizer, validate_stabilizer
@@ -210,7 +209,7 @@ def test_mutual_information_matches_dense_reference(p, data):
     singles = [(j,) for j in range(1, code.n + 1) if is_advance_shareable(code, [j])]
     for shares in [()] + singles[:1]:
         plan = construct_eaqecc(code, shares)
-        dense = mutual_information_table(plan, encoding_circuit(plan), subsets)
+        dense = mutual_information_table(plan, subsets)
         for subset, value in zip(subsets, closed):
             assert isinstance(value, int)
             assert abs(dense[subset] - value) < 1e-9, (shares, subset)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from advshare import cli, gfp, sim
+from advshare import cli, clifford, gfp, sim
 from advshare.access import ShareStructure, share_sets
 from advshare.codefile import format_code_file, parse_code_file
 from advshare.errors import CodeFileError, UncorrectableErasureError
@@ -152,7 +152,7 @@ def test_demo_refuses_an_unfit_table_before_planning(tmp_path, monkeypatch):
         raise AssertionError("planned or synthesized for a table that cannot fit")
 
     monkeypatch.setattr(advance, "construct_eaqecc", refuse)
-    monkeypatch.setattr(cli, "encoding_circuit", refuse)
+    monkeypatch.setattr(clifford, "encoding_circuit", refuse)
     path = tmp_path / "rowless.code"
     path.write_text("p=2 n=15000\n")
     status, out, err = run_cli(["demo", str(path), "--J", "none", "--trials", "0", "--json-only"])
@@ -463,7 +463,7 @@ def _raise(error):
 def test_errors_after_the_input_checks_exit_3_as_internal(code_dir, monkeypatch, target, error):
     """A ValueError or UncorrectableErasureError raised once the counts,
     the code file and --J have passed is a fault, not invalid input."""
-    monkeypatch.setattr(cli if target == "encoding_circuit" else cli.sim, target, _raise(error))
+    monkeypatch.setattr(clifford if target == "encoding_circuit" else cli.sim, target, _raise(error))
     argv = ["demo", str(code_dir / "five_qubit.code"), "--J", "1", "--trials", "1", "--json-only"]
     status, out, err = run_cli(argv)
     assert status == 3

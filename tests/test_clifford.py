@@ -26,7 +26,18 @@ from advshare.errors import (
     GramMismatchError,
     InvariantError,
 )
-from advshare.pauli import PauliOperator, f_map, omega, random_stabilizer, single, to_matrix, zeta
+from advshare.codefile import parse_code_file
+from advshare.pauli import (
+    PauliOperator,
+    f_inv,
+    f_map,
+    omega,
+    random_stabilizer,
+    single,
+    to_matrix,
+    validate_stabilizer,
+    zeta,
+)
 from advshare.symplectic import orthogonality_rows, product_matrix
 from tests_util_circuits import random_circuit
 from tests_util_gfp import ref_kernel, ref_rank, ref_solve
@@ -763,21 +774,39 @@ def test_synthesize_splits_the_encoder_once(five_qubit, monkeypatch):
         assert len(calls) == 1
 
 
+def check_plan_circuit(plan):
+    """The plan keeps its encoder: ``plan.circuit`` is ``encoding_circuit``'s
+    circuit, and each target row's Pauli, conjugated through it, has its
+    source row's x and z, with phase 1.  At p = 2 a source row of odd x.z
+    overlap is no Hermitian Pauli's (its eigenvalues are +-i), so there the
+    phase is an odd power of zeta = i."""
+    p, m = plan.p, plan.n - plan.c
+    circuit = plan.circuit
+    assert circuit == encoding_circuit(plan)
+    for t, s in zip(plan.target_rows, plan.source_rows):
+        img = conjugate_pauli(circuit, f_inv(t, p))
+        assert img.x.tolist() == s[:m].tolist() and img.z.tolist() == s[m:].tolist()
+        odd = p == 2 and int(s[:m] @ s[m:]) % 2
+        assert img.tau % 2 == 1 if odd else img.tau == 0
+
+
 @pytest.mark.parametrize("p", gfp.PRIMES)
 @settings(max_examples=15, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_encoder_from_rows_is_synthesize_on_the_operator_views(p, data):
     """The encoder reads the plan's f-image rows; ``synthesize`` on the
     plan's operator views, which convert those rows, emits the same gates.
-    Each view's f-image is its row, and the rows are read-only.  Sweeps
-    |J| in {0, 1, 2} and k in {0, 1, 2}."""
+    Each view's f-image is its row, the rows are read-only, and the plan's
+    circuit carries its targets onto its sources.  Sweeps |J| in {0, 1, 2}
+    and k in {0, 1, 2}."""
     c, k = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
     n = data.draw(st.integers(max(1, 2 * c + k), 2 * c + k + 3))
     code = random_stabilizer(p, n, n - k, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
     candidates = [js for js in shareable_sets(code, c) if len(js) == c] if c else [()]
     assume(candidates)
     plan = construct_eaqecc(code, data.draw(st.sampled_from(candidates)))
-    circuit = encoding_circuit(plan)
+    check_plan_circuit(plan)
+    circuit = plan.circuit
     views = synthesize(plan.target_generators, plan.source_generators, m=n - c, p=p)
     assert circuit.gates == views.gates and (circuit.p, circuit.m) == (p, n - c)
     for rows, ops in ((plan.source_rows, plan.source_generators), (plan.target_rows, plan.target_generators)):
@@ -787,6 +816,16 @@ def test_encoder_from_rows_is_synthesize_on_the_operator_views(p, data):
             assert np.array_equal(f_map(op), row) and op.phase == 0
         with pytest.raises(ValueError, match="read-only"):
             rows[...] = 0
+
+
+def test_each_shipped_plan_circuit_carries_its_targets_onto_its_sources(code_dir):
+    paths = sorted(code_dir.glob("*.code"))
+    assert paths
+    for path in paths:
+        p, n, rows = parse_code_file(path.read_text(encoding="utf-8"))
+        code = validate_stabilizer(rows, p, n)
+        for shares in [(), *shareable_sets(code, code.n)]:
+            check_plan_circuit(construct_eaqecc(code, shares))
 
 
 def test_encoding_circuit_example_contract(four_qubit):

@@ -7,8 +7,12 @@ An op is an argv (``CODE`` stands for the code file) and the sha256 of
 ``validate``, ``analyze --max-size 0..3`` and ``demo --trials 0``, with and
 without ``--json-only``; ``--J`` that is shareable, not shareable, out of
 range or ``none``; and small ``--budget`` values, so that exit 2 and its
-message appear.  ``demo`` with trials is left out: its fidelities come from
-BLAS, and the golden demo reports cover them within a tolerance.
+message appear.  Each code also runs ``demo --trials 1`` and ``--trials 2``
+with ``--json-only``, its shareable ``--J`` and ``none``, which pins the
+protocol's integer fields: the syndromes, the corrections and the draw
+order that picks them.  Its fidelities come from BLAS, so :func:`digest`
+hashes them rounded to 9 decimals; the golden demo reports cover them
+within a tolerance.
 
 To regenerate the file after an announced change of the report bytes, call
 :func:`write_digests`, e.g. ``python3 tests/test_report_digests.py`` with
@@ -33,10 +37,21 @@ CODES_PER_PRIME = 8
 
 
 def digest(argv: list[str]) -> str:
-    """sha256 of the exit code, stdout and stderr of one CLI run."""
+    """sha256 of the exit code, stdout and stderr of one CLI run.
+
+    A report with transcripts is hashed with each ``fidelities`` entry and
+    each ``min_fidelity`` rounded to 9 decimals.
+    """
     out, err = io.StringIO(), io.StringIO()
     status = cli.run(argv, stdout=out, stderr=err)
-    return hashlib.sha256(json.dumps([status, out.getvalue(), err.getvalue()]).encode()).hexdigest()
+    text = out.getvalue()
+    if '"transcripts"' in text:
+        report = json.loads(text)
+        for row in report["demo"]["transcripts"]:
+            row["fidelities"] = [round(f, 9) for f in row["fidelities"]]
+            row["min_fidelity"] = round(row["min_fidelity"], 9)
+        text = json.dumps(report, indent=2) + "\n"
+    return hashlib.sha256(json.dumps([status, text, err.getvalue()]).encode()).hexdigest()
 
 
 def _ops(code, rng: np.random.Generator) -> list[list[str]]:
@@ -49,8 +64,10 @@ def _ops(code, rng: np.random.Generator) -> list[list[str]]:
     ]
     refused = [js for js in others if js not in shareable]
     shares = ["none", str(n + 1), "0," + str(n)]
+    protocol = ["none"]
     if shareable:
         shares.append(",".join(map(str, shareable[rng.integers(len(shareable))])))
+        protocol.append(shares[-1])
     if refused:
         shares.append(",".join(map(str, refused[rng.integers(len(refused))])))
     ops = [["validate", "CODE"]]
@@ -60,7 +77,10 @@ def _ops(code, rng: np.random.Generator) -> list[list[str]]:
         budget = str(rng.integers(0, 2**n + 1))
         extra = ["--trials", "0", "--J", "none"] if command == "demo" else []
         ops.append([command, "CODE", "--budget", budget, *extra])
-    return [op + ["--json-only"] if rng.random() < 0.5 else op for op in ops]
+    ops = [op + ["--json-only"] if rng.random() < 0.5 else op for op in ops]
+    for js in protocol:
+        ops += [["demo", "CODE", "--trials", trials, "--J", js, "--json-only"] for trials in "12"]
+    return ops
 
 
 def _cases() -> list[tuple[str, list[list[str]]]]:

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import itertools
 import tracemalloc
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advshare import gfp, sim
+from advshare import clifford, gfp, sim
 from advshare.access import share_sets
 from advshare.advance import EAQECCPlan, construct_eaqecc, is_advance_shareable, normal_form
 from advshare.clifford import (
@@ -16,7 +17,6 @@ from advshare.clifford import (
     _register,
     _unregister,
     apply_circuit_tensor,
-    encoding_circuit,
     gate,
 )
 from advshare.codefile import parse_code_file
@@ -164,16 +164,15 @@ def slow_erase_and_decode(state, code, syndrome, erased, rng):
     return QuditState(p, n, arr.reshape(-1)), tuple(measured), full
 
 
-def slow_simulate_protocol(plan, circuit, seed, trials, accessible_sets):
+def slow_simulate_protocol(plan, seed, trials, accessible_sets):
     """Reference transcript: the draws of simulate_protocol, decoded by the references."""
     code = plan.code
-    inverse = circuit.inverse()
     rng = np.random.default_rng(seed)
     out = []
     for acc in accessible_sets:
         for _ in range(trials):
             secret = random_state(code.p, code.k, rng)
-            shared, _ = encode_advance(plan, circuit, secret, 4096)
+            shared, _ = encode_advance(plan, secret, 4096)
             syndrome = tuple(
                 slow_eigenvalue_exponent(shared.tensor(), g) for g in code.generators()
             )
@@ -181,7 +180,7 @@ def slow_simulate_protocol(plan, circuit, seed, trials, accessible_sets):
             state, measured, correction = slow_erase_and_decode(
                 shared, code, syndrome, erased, rng
             )
-            rho = sim._secret_density(state, plan, inverse)
+            rho = sim._secret_density(state, plan)
             fid = float(np.real(secret.amplitudes.conj() @ rho @ secret.amplitudes))
             out.append((syndrome, measured, tuple(int(v) for v in correction), fid))
     return out
@@ -265,8 +264,7 @@ def pauli_cases(draw, p):
 @pytest.fixture
 def four_qubit_pipeline(four_qubit):
     plan = construct_eaqecc(four_qubit, [4])
-    circuit = encoding_circuit(plan)
-    return four_qubit, plan, circuit
+    return four_qubit, construct_eaqecc(four_qubit, [4])
 
 
 def test_epr_qubit_amplitudes():
@@ -420,9 +418,9 @@ def test_reduced_density_reads_the_register_view(rng):
     assert np.array_equal(rho, mat @ mat.conj().T)
 
 def test_encode_produces_joint_eigenstate(four_qubit_pipeline, rng):
-    code, plan, circuit = four_qubit_pipeline
+    code, plan = four_qubit_pipeline
     secret = random_state(2, 2, rng)
-    shared, syndrome = encode_advance(plan, circuit, secret)
+    shared, syndrome = encode_advance(plan, secret)
     assert len(syndrome) == 2
     zp = np.exp(1j * np.pi / 2)
     for i in range(2):
@@ -434,57 +432,41 @@ def test_encode_produces_joint_eigenstate(four_qubit_pipeline, rng):
 
 
 def test_encode_advance_share_maximally_mixed(four_qubit_pipeline, rng):
-    code, plan, circuit = four_qubit_pipeline
+    code, plan = four_qubit_pipeline
     secret = random_state(2, 2, rng)
-    shared, _ = encode_advance(plan, circuit, secret)
+    shared, _ = encode_advance(plan, secret)
     rho = reduced_density(shared, [3])
     assert np.abs(rho - np.eye(2) / 2).max() < 1e-10
 
 
 def test_encode_with_reference_single_share_mixed(four_qubit_pipeline):
-    code, plan, circuit = four_qubit_pipeline
-    state, _ = encode_with_reference(plan, circuit)
+    code, plan = four_qubit_pipeline
+    state, _ = encode_with_reference(plan)
     for share in range(1, 5):
         rho = reduced_density(state, [2 + share - 1])
         assert np.abs(rho - np.eye(2) / 2).max() < 1e-10
 
 
 def test_encode_budget(four_qubit_pipeline, rng):
-    code, plan, circuit = four_qubit_pipeline
+    code, plan = four_qubit_pipeline
     secret = random_state(2, 2, rng)
     with pytest.raises(BudgetExceededError):
-        encode_advance(plan, circuit, secret, budget=8)
-
-
-def test_encode_rejects_mismatched_circuit(four_qubit_pipeline, rng):
-    code, plan, _ = four_qubit_pipeline
-    wrong = CliffordCircuit(2, 3)
-    with pytest.raises(ValueError, match="does not map"):
-        encode_advance(plan, wrong, random_state(2, 2, rng))
-
-
-def test_encode_rejects_a_plan_or_circuit_built_for_something_else(four_qubit_pipeline, rng):
-    """A plan is its code and shares, so only the circuit can disagree: it
-    must run on the plan's n - c wires."""
-    _, plan, _ = four_qubit_pipeline
-    secret = random_state(2, 2, rng)
-    with pytest.raises(ValueError, match="circuit shape does not match the plan"):
-        encode_advance(plan, CliffordCircuit(2, 4), secret)
+        encode_advance(plan, secret, budget=8)
 
 
 def test_erase_nothing_is_identity(four_qubit_pipeline, rng):
-    code, plan, circuit = four_qubit_pipeline
+    code, plan = four_qubit_pipeline
     secret = random_state(2, 2, rng)
-    shared, syndrome = encode_advance(plan, circuit, secret)
+    shared, syndrome = encode_advance(plan, secret)
     result = erase_and_decode(shared, code, syndrome, [], rng)
     assert fidelity(result.state, shared) > 1 - 1e-12
     assert not result.correction.any()
 
 
 def test_erase_one_share_recovers(four_qubit_pipeline, rng):
-    code, plan, circuit = four_qubit_pipeline
+    code, plan = four_qubit_pipeline
     secret = random_state(2, 2, rng)
-    shared, syndrome = encode_advance(plan, circuit, secret)
+    shared, syndrome = encode_advance(plan, secret)
     for lost in range(1, 5):
         result = erase_and_decode(shared, code, syndrome, [lost], rng)
         assert fidelity(result.state, shared) > 1 - 1e-9
@@ -498,16 +480,16 @@ def test_erase_one_share_recovers(four_qubit_pipeline, rng):
 
 
 def test_erase_two_shares_refused(four_qubit_pipeline, rng):
-    code, plan, circuit = four_qubit_pipeline
+    code, plan = four_qubit_pipeline
     secret = random_state(2, 2, rng)
-    shared, syndrome = encode_advance(plan, circuit, secret)
+    shared, syndrome = encode_advance(plan, secret)
     with pytest.raises(UncorrectableErasureError):
         erase_and_decode(shared, code, syndrome, [1, 2], rng)
 
 
 def test_erase_and_decode_validates_its_erased_set_once(four_qubit_pipeline, rng, monkeypatch):
-    code, plan, circuit = four_qubit_pipeline
-    shared, syndrome = encode_advance(plan, circuit, random_state(2, 2, rng))
+    code, plan = four_qubit_pipeline
+    shared, syndrome = encode_advance(plan, random_state(2, 2, rng))
     calls = []
     validated = sim.validated_shares
 
@@ -622,29 +604,29 @@ def test_classify_complementarity(four_qubit, five_qubit):
 
 
 def test_entropic_audit_extremes(four_qubit_pipeline):
-    code, plan, circuit = four_qubit_pipeline
+    code, plan = four_qubit_pipeline
     assert (
-        abs(entropic_audit(plan, circuit, [1, 2, 3, 4]) - 4.0)
+        abs(entropic_audit(plan, [1, 2, 3, 4]) - 4.0)
         < 1e-9
     )
     for share in range(1, 5):
-        assert abs(entropic_audit(plan, circuit, [share])) < 1e-9
+        assert abs(entropic_audit(plan, [share])) < 1e-9
 
 
 def test_entropic_audit_two_share_leakage(four_qubit_pipeline):
-    code, plan, circuit = four_qubit_pipeline
+    code, plan = four_qubit_pipeline
     for pair in itertools.combinations(range(1, 5), 2):
-        value = entropic_audit(plan, circuit, pair)
+        value = entropic_audit(plan, pair)
         assert abs(value - TWO_SHARE_LEAKAGE) < 1e-9
         assert 1e-6 < value < 4.0 - 1e-6
 
 
 def test_audit_agrees_with_labels(four_qubit_pipeline):
-    code, plan, circuit = four_qubit_pipeline
+    code, plan = four_qubit_pipeline
     subsets = [
         s for size in range(5) for s in itertools.combinations(range(1, 5), size)
     ]
-    table = mutual_information_table(plan, circuit, subsets)
+    table = mutual_information_table(plan, subsets)
     for subset in subsets:
         label = classify_access(code, subset)
         value = table[subset]
@@ -669,9 +651,9 @@ def test_audit_agrees_with_labels(four_qubit_pipeline):
     ],
 )
 def test_share_sets_are_validated_and_canonical(four_qubit_pipeline, name, bad):
-    code, plan, circuit = four_qubit_pipeline
+    code, plan = four_qubit_pipeline
     secret = random_state(2, 2, np.random.default_rng(1))
-    shared, syndrome = encode_advance(plan, circuit, secret)
+    shared, syndrome = encode_advance(plan, secret)
 
     def amplitudes(state):
         return tuple(state.amplitudes)
@@ -680,7 +662,7 @@ def test_share_sets_are_validated_and_canonical(four_qubit_pipeline, name, bad):
     cases = {
         "reconstruct": (
             lambda js: amplitudes(
-                reconstruct(shared, syndrome, plan, circuit, js, np.random.default_rng(7))
+                reconstruct(shared, syndrome, plan, js, np.random.default_rng(7))
             ),
             [1, 2, 3],
             [3, 1, 2, 1],
@@ -693,22 +675,22 @@ def test_share_sets_are_validated_and_canonical(four_qubit_pipeline, name, bad):
             [2, 2],
         ),
         "entropic_audit": (
-            lambda js: entropic_audit(plan, circuit, js),
+            lambda js: entropic_audit(plan, js),
             [1, 2],
             [2, 1, 2],
         ),
         "mutual_information_table": (
-            lambda js: mutual_information_table(plan, circuit, [js]),
+            lambda js: mutual_information_table(plan, [js]),
             [1, 3],
             [3, 3, 1],
         ),
         "encode_with_reference": (
-            lambda js: amplitudes(encode_with_reference(construct_eaqecc(code, js), circuit)[0]),
+            lambda js: amplitudes(encode_with_reference(construct_eaqecc(code, js))[0]),
             [4],
             [4, 4],
         ),
         "simulate_protocol": (
-            lambda js: simulate_protocol(plan, circuit, 7, 1, [js]),
+            lambda js: simulate_protocol(plan, 7, 1, [js]),
             [1, 2, 4],
             [4, 2, 1, 2],
         ),
@@ -720,39 +702,30 @@ def test_share_sets_are_validated_and_canonical(four_qubit_pipeline, name, bad):
 
 
 def test_reconstruct_qualified_sets(four_qubit_pipeline, rng):
-    code, plan, circuit = four_qubit_pipeline
+    code, plan = four_qubit_pipeline
     secret = random_state(2, 2, rng)
-    shared, syndrome = encode_advance(plan, circuit, secret)
+    shared, syndrome = encode_advance(plan, secret)
     for subset in itertools.combinations(range(1, 5), 3):
-        recovered = reconstruct(shared, syndrome, plan, circuit, subset, rng)
+        recovered = reconstruct(shared, syndrome, plan, subset, rng)
         assert fidelity(recovered, secret) > 1 - 1e-9
-    full = reconstruct(shared, syndrome, plan, circuit, [1, 2, 3, 4], rng)
+    full = reconstruct(shared, syndrome, plan, [1, 2, 3, 4], rng)
     assert fidelity(full, secret) > 1 - 1e-9
-
-
-def test_reconstruct_rejects_mismatched_circuit(four_qubit_pipeline, rng):
-    code, plan, circuit = four_qubit_pipeline
-    shared, syndrome = encode_advance(plan, circuit, random_state(2, 2, rng))
-    with pytest.raises(ValueError, match="does not map"):
-        reconstruct(shared, syndrome, plan, CliffordCircuit(2, 3), [1, 2, 3], rng)
 
 
 def test_reconstruct_five_qubit(five_qubit, rng):
     plan = construct_eaqecc(five_qubit, [5])
-    circuit = encoding_circuit(plan)
     secret = random_state(2, 1, rng)
-    shared, syndrome = encode_advance(plan, circuit, secret)
+    shared, syndrome = encode_advance(plan, secret)
     for subset in itertools.combinations(range(1, 6), 4):
-        recovered = reconstruct(shared, syndrome, plan, circuit, subset, rng)
+        recovered = reconstruct(shared, syndrome, plan, subset, rng)
         assert fidelity(recovered, secret) > 1 - 1e-9
 
 
 def test_reconstruct_qutrit(qutrit, rng):
     plan = construct_eaqecc(qutrit, [3])
-    circuit = encoding_circuit(plan)
     secret = random_state(3, 1, rng)
-    shared, syndrome = encode_advance(plan, circuit, secret)
-    recovered = reconstruct(shared, syndrome, plan, circuit, [1, 2], rng)
+    shared, syndrome = encode_advance(plan, secret)
+    recovered = reconstruct(shared, syndrome, plan, [1, 2], rng)
     assert fidelity(recovered, secret) > 1 - 1e-9
 
 
@@ -764,36 +737,33 @@ def test_two_pair_advance_sharing(rng):
     plan = construct_eaqecc(code, [1, 3])
     assert plan.parameters() == (3, 1, 2)
     assert plan.epr_pairs == ((1, 2), (3, 4))
-    circuit = encoding_circuit(plan)
     secret = random_state(2, 1, rng)
-    shared, syndrome = encode_advance(plan, circuit, secret)
+    shared, syndrome = encode_advance(plan, secret)
     # both advance shares together are maximally mixed before distribution
     rho = reduced_density(shared, [0, 2])
     assert np.abs(rho - np.eye(4) / 4).max() < 1e-10
     assert abs(entropy(rho, 2) - 2.0) < 1e-9
-    recovered = reconstruct(shared, syndrome, plan, circuit, [2, 3, 4, 5], rng)
+    recovered = reconstruct(shared, syndrome, plan, [2, 3, 4, 5], rng)
     assert fidelity(recovered, secret) > 1 - 1e-9
 
 
 def test_baseline_and_advance_have_same_audits(four_qubit):
     plan0 = construct_eaqecc(four_qubit, [])
-    circ0 = encoding_circuit(plan0)
     plan4 = construct_eaqecc(four_qubit, [4])
-    circ4 = encoding_circuit(plan4)
     subsets = [
         s for size in range(5) for s in itertools.combinations(range(1, 5), size)
     ]
-    t0 = mutual_information_table(plan0, circ0, subsets)
-    t4 = mutual_information_table(plan4, circ4, subsets)
+    t0 = mutual_information_table(plan0, subsets)
+    t4 = mutual_information_table(plan4, subsets)
     for subset in subsets:
         assert abs(t0[subset] - t4[subset]) < 1e-9
 
 
 def test_simulate_protocol_deterministic(four_qubit_pipeline):
-    code, plan, circuit = four_qubit_pipeline
+    code, plan = four_qubit_pipeline
     sets = [(1, 2, 3), (2, 3, 4)]
-    a = simulate_protocol(plan, circuit, seed=42, trials=2, accessible_sets=sets)
-    b = simulate_protocol(plan, circuit, seed=42, trials=2, accessible_sets=sets)
+    a = simulate_protocol(plan, seed=42, trials=2, accessible_sets=sets)
+    b = simulate_protocol(plan, seed=42, trials=2, accessible_sets=sets)
     assert a == b
     assert all(rec.fidelity > 1 - 1e-9 for rec in a.trials)
     for rec in a.trials:
@@ -805,59 +775,84 @@ def test_simulate_protocol_deterministic(four_qubit_pipeline):
         assert support <= set(rec.erased)
 
 
-def test_simulate_protocol_checks_once_and_never_inverts(four_qubit_pipeline, monkeypatch):
-    code, plan, circuit = four_qubit_pipeline
-    calls = {"check": 0, "inverse": 0, "circuit": 0}
-    check, inverse, apply = sim._check_plan_matches, CliffordCircuit.inverse, sim.apply_circuit_tensor
+def test_one_plan_synthesizes_once_and_the_protocol_never_inverts(four_qubit, monkeypatch):
+    """The oracles take the plan alone and run its circuit: on one plan,
+    every oracle together synthesizes once, every circuit applied is
+    ``plan.circuit`` itself or, in ``reconstruct``, its inverse, and
+    ``simulate_protocol`` never inverts."""
+    for oracle in (
+        encode_advance,
+        encode_with_reference,
+        entropic_audit,
+        mutual_information_table,
+        reconstruct,
+        simulate_protocol,
+    ):
+        assert "circuit" not in inspect.signature(oracle).parameters, oracle.__name__
+    synthesize, inverse, apply = clifford._synthesize_rows, CliffordCircuit.inverse, sim.apply_circuit_tensor
+    synthesized, inverted, applied = [], [], []
 
-    def counted_check(*args):
-        calls["check"] += 1
-        return check(*args)
+    def counted_synthesize(*args):
+        synthesized.append(args)
+        return synthesize(*args)
 
     def counted_inverse(self):
-        calls["inverse"] += 1
+        inverted.append(self)
         return inverse(self)
 
-    def counted_apply(*args, **kw):
-        calls["circuit"] += 1
-        return apply(*args, **kw)
+    def counted_apply(arr, circuit, **kw):
+        applied.append(circuit)
+        return apply(arr, circuit, **kw)
 
-    monkeypatch.setattr(sim, "_check_plan_matches", counted_check)
+    monkeypatch.setattr(clifford, "_synthesize_rows", counted_synthesize)
     monkeypatch.setattr(CliffordCircuit, "inverse", counted_inverse)
     monkeypatch.setattr(sim, "apply_circuit_tensor", counted_apply)
+    plan = construct_eaqecc(four_qubit, [4])
+    rng = np.random.default_rng(3)
+    secret = random_state(2, 2, rng)
+    shared, syndrome = encode_advance(plan, secret)
+    encode_with_reference(plan)
+    mutual_information_table(plan, [(1, 2, 3), (4,)])
+    recovered = reconstruct(shared, syndrome, plan, [1, 2, 3], rng)
+    assert fidelity(recovered, secret) > 1 - 1e-9
+    assert [c is plan.circuit for c in inverted] == [True]
+    assert [c is plan.circuit for c in applied] == [True, True, True, False]
+    assert applied[-1] == inverse(plan.circuit)
     sets = [(1, 2, 3), (2, 3, 4), (1, 3, 4), (1, 2, 3, 4)]
     # 2**(4+2) amplitudes fit a budget of 2**6 or more: one circuit call
     # builds V.  Below, blocks of 63 // 2**4 = 3 trials run the circuit once
     # each, 4 calls for the 12 trials.
     for budget, circuit_calls in [(sim.DEFAULT_STATE_BUDGET, 1), (2**6, 1), (2**6 - 1, 4)]:
-        calls.update(check=0, inverse=0, circuit=0)
-        transcript = simulate_protocol(
-            plan, circuit, seed=3, trials=3, accessible_sets=sets, budget=budget
-        )
+        applied.clear()
+        inverted.clear()
+        transcript = simulate_protocol(plan, seed=3, trials=3, accessible_sets=sets, budget=budget)
         assert len(transcript.trials) == 12
         assert all(rec.fidelity > 1 - 1e-9 for rec in transcript.trials)
-        assert calls == {"check": 1, "inverse": 0, "circuit": circuit_calls}
+        assert inverted == []
+        assert len(applied) == circuit_calls
+        assert all(c is plan.circuit for c in applied)
+    assert len(synthesized) == 1
 
 
 def test_simulate_protocol_refuses_an_uncorrectable_set_before_any_draw(
     four_qubit_pipeline, monkeypatch
 ):
-    code, plan, circuit = four_qubit_pipeline
+    code, plan = four_qubit_pipeline
     drawn = []
     # Every draw comes from the generator simulate_protocol makes from its seed.
     monkeypatch.setattr(np.random, "default_rng", lambda *args: drawn.append(args))
     sets = [(1, 2, 3), (3, 4)]
     with pytest.raises(UncorrectableErasureError, match=r"^shares \(1, 2\) carry undetectable"):
-        simulate_protocol(plan, circuit, seed=3, trials=2, accessible_sets=sets)
+        simulate_protocol(plan, seed=3, trials=2, accessible_sets=sets)
     assert drawn == []
     # Without trials nothing is erased, so nothing is refused.
     monkeypatch.undo()
-    transcript = simulate_protocol(plan, circuit, seed=3, trials=0, accessible_sets=sets)
+    transcript = simulate_protocol(plan, seed=3, trials=0, accessible_sets=sets)
     assert transcript.trials == ()
 
 
 def test_simulate_protocol_refuses_a_non_isometric_encoding(four_qubit_pipeline, monkeypatch):
-    code, plan, circuit = four_qubit_pipeline
+    code, plan = four_qubit_pipeline
     encode = sim._encode
 
     def skewed(*args):
@@ -868,12 +863,12 @@ def test_simulate_protocol_refuses_a_non_isometric_encoding(four_qubit_pipeline,
 
     monkeypatch.setattr(sim, "_encode", skewed)
     with pytest.raises(InvariantError, match="not an isometry"):
-        simulate_protocol(plan, circuit, seed=3, trials=1, accessible_sets=[(1, 2, 3)])
+        simulate_protocol(plan, seed=3, trials=1, accessible_sets=[(1, 2, 3)])
 
 
 def test_simulate_protocol_refuses_a_nan_encoding(four_qubit_pipeline, monkeypatch):
     """A NaN column makes V^dagger V - I NaN, which no tolerance admits."""
-    code, plan, circuit = four_qubit_pipeline
+    code, plan = four_qubit_pipeline
     encode = sim._encode
 
     def poisoned(*args):
@@ -884,7 +879,7 @@ def test_simulate_protocol_refuses_a_nan_encoding(four_qubit_pipeline, monkeypat
 
     monkeypatch.setattr(sim, "_encode", poisoned)
     with pytest.raises(InvariantError, match="not an isometry"):
-        simulate_protocol(plan, circuit, seed=3, trials=1, accessible_sets=[(1, 2, 3)])
+        simulate_protocol(plan, seed=3, trials=1, accessible_sets=[(1, 2, 3)])
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -896,7 +891,6 @@ def test_simulate_protocol_draws_the_secrets_of_random_state(p, k, monkeypatch):
     n = k + 2
     code = random_stabilizer(p, n, n - k, np.random.default_rng([p, k]))
     plan = construct_eaqecc(code, [])
-    circuit = encoding_circuit(plan)
     sets = [
         tuple(s)
         for w in range(n + 1)
@@ -906,14 +900,14 @@ def test_simulate_protocol_draws_the_secrets_of_random_state(p, k, monkeypatch):
     drawn = []
     encode = sim._encode
 
-    def recorded(plan, circuit, secrets, kernels):
+    def recorded(plan, secrets, kernels):
         drawn.extend(secrets.T.copy())
-        return encode(plan, circuit, secrets, kernels)
+        return encode(plan, secrets, kernels)
 
     monkeypatch.setattr(sim, "_encode", recorded)
     # At a budget of p**n the isometry does not fit: every block of one
     # column runs the circuit on its secret.
-    transcript = simulate_protocol(plan, circuit, 5, 3, sets, budget=p**n)
+    transcript = simulate_protocol(plan, 5, 3, sets, budget=p**n)
     rng = np.random.default_rng(5)
     want = []
     for rec in transcript.trials:
@@ -927,7 +921,7 @@ def test_simulate_protocol_draws_the_secrets_of_random_state(p, k, monkeypatch):
 def test_encode_refuses_columns_with_different_syndromes(four_qubit_pipeline, monkeypatch):
     """X on share 1 keeps an encoded column an eigenstate but flips the
     all-Z generator: a block whose columns disagree must not pass."""
-    code, plan, circuit = four_qubit_pipeline
+    code, plan = four_qubit_pipeline
     apply = sim.apply_circuit_tensor
     flip = sim.compile_paulis(2, 4, [single(2, 4, 0, x=1)])
 
@@ -938,14 +932,14 @@ def test_encode_refuses_columns_with_different_syndromes(four_qubit_pipeline, mo
 
     monkeypatch.setattr(sim, "apply_circuit_tensor", flipped)
     with pytest.raises(InvariantError, match="encoded columns do not share one syndrome"):
-        simulate_protocol(plan, circuit, seed=3, trials=1, accessible_sets=[(1, 2, 3)])
+        simulate_protocol(plan, seed=3, trials=1, accessible_sets=[(1, 2, 3)])
 
 
 def test_protocol_fidelity_is_the_circuit_fidelity_off_the_secret(four_qubit_pipeline, monkeypatch):
     """A logical X on the decoded state keeps it in V's image but moves the
     secret: the overlap fidelity must still equal <secret|rho|secret> from
     the inverse circuit and partial trace."""
-    code, plan, circuit = four_qubit_pipeline
+    code, plan = four_qubit_pipeline
     decode = sim._decode_block
     logical = PauliOperator(2, [1, 1, 0, 0], [0, 0, 0, 0])
     seen = []
@@ -961,54 +955,55 @@ def test_protocol_fidelity_is_the_circuit_fidelity_off_the_secret(four_qubit_pip
 
     monkeypatch.setattr(sim, "_decode_block", off_secret)
     sets = [(1, 2, 3), (2, 3, 4), (1, 2, 3, 4)]
-    transcript = simulate_protocol(plan, circuit, 7, 3, sets)
-    inverse = circuit.inverse()
+    transcript = simulate_protocol(plan, 7, 3, sets)
     for rec, (shared, moved) in zip(transcript.trials, seen, strict=True):
-        secret = sim._secret_density(shared, plan, inverse)
-        rho = sim._secret_density(moved, plan, inverse)
+        secret = sim._secret_density(shared, plan)
+        rho = sim._secret_density(moved, plan)
         assert abs(rec.fidelity - float(np.real(np.trace(secret @ rho)))) < 1e-12
     assert min(rec.fidelity for rec in transcript.trials) < 0.9
 
 
-@pytest.mark.parametrize("sets", [[], [(1, 2, 3)]])
-def test_simulate_protocol_keeps_the_k0_secret_check(sets):
-    # The three-qubit GHZ state: XXX, ZZI, IZZ; k = 0, so V always fits.
+@pytest.mark.parametrize("sets", [[], [(1, 2, 3), (2, 3), (1,)]])
+def test_simulate_protocol_runs_a_k0_plan_as_the_reference_does(sets):
+    """A 0-qudit secret is any unit scalar, drawn with a random phase: a
+    k = 0 transcript equals the reference's, with and without a pair."""
+    # The three-qubit GHZ state: XXX, ZZI, IZZ; k = 0, so every set is qualified.
     rows = [[1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 0], [0, 0, 0, 0, 1, 1]]
     code = validate_stabilizer(rows, 2, 3)
-    plan = construct_eaqecc(code, [])
-    circuit = encoding_circuit(plan)
-    with pytest.raises(ValueError, match="k = 0 code admits only the trivial secret"):
-        simulate_protocol(plan, circuit, 1, 1, sets)
-
-
-def test_simulate_protocol_rejects_mismatched_circuit_first(four_qubit_pipeline, monkeypatch):
-    code, plan, _ = four_qubit_pipeline
-    simulated = []
-    monkeypatch.setattr(np.random, "default_rng", lambda *args: simulated.append(args))
-    monkeypatch.setattr(sim, "apply_circuit_tensor", lambda *args, **kw: simulated.append(args))
-    with pytest.raises(ValueError, match="does not map"):
-        simulate_protocol(plan, CliffordCircuit(2, 3), seed=3, trials=2, accessible_sets=[(1, 2, 3)])
-    assert simulated == []
+    for shares in [(), (1,)]:
+        plan = construct_eaqecc(code, shares)
+        transcript = simulate_protocol(plan, 1, 3, sets)
+        reference = slow_simulate_protocol(plan, 1, 3, sets)
+        assert len(transcript.trials) == len(reference) == 3 * len(sets)
+        if not sets:
+            # Without trials, the syndrome is that of one secret drawn first.
+            _, syndrome = encode_advance(plan, random_state(2, 0, np.random.default_rng(1)))
+            assert transcript.syndrome == syndrome
+        for rec, (syndrome, measured, correction, fid) in zip(transcript.trials, reference):
+            assert syndrome == transcript.syndrome
+            assert rec.measured_syndrome == measured
+            assert rec.correction == correction
+            assert abs(rec.fidelity - 1) < 1e-12 and abs(fid - 1) < 1e-12
 
 
 def test_simulate_protocol_refuses_negative_trials_before_any_work(
     four_qubit_pipeline, monkeypatch
 ):
     """trials = -1 once gave a transcript with a syndrome and no trials.  It
-    is refused ahead of every check, even of a circuit that does not match."""
-    code, plan, circuit = four_qubit_pipeline
+    is refused ahead of every check, and before the plan synthesizes."""
+    code, plan = four_qubit_pipeline
     work = []
     monkeypatch.setattr(np.random, "default_rng", lambda *args: work.append(args))
     monkeypatch.setattr(sim, "_erasures", lambda *args: work.append(args))
-    for candidate in (circuit, CliffordCircuit(2, 3)):
-        with pytest.raises(ValueError, match=r"^trials must be at least 0, got -1$"):
-            simulate_protocol(plan, candidate, seed=3, trials=-1, accessible_sets=[(1, 2, 3)])
+    monkeypatch.setattr(clifford, "_synthesize_rows", lambda *args: work.append(args))
+    with pytest.raises(ValueError, match=r"^trials must be at least 0, got -1$"):
+        simulate_protocol(plan, seed=3, trials=-1, accessible_sets=[(1, 2, 3)])
     assert work == []
 
 
 def test_erase_and_decode_budget_names_its_stage(four_qubit_pipeline, rng):
-    code, plan, circuit = four_qubit_pipeline
-    shared, syndrome = encode_advance(plan, circuit, random_state(2, 2, rng))
+    code, plan = four_qubit_pipeline
+    shared, syndrome = encode_advance(plan, random_state(2, 2, rng))
     with pytest.raises(BudgetExceededError, match=r"2\*\*4 exceeds budget 15 \(erase and decode\)"):
         erase_and_decode(shared, code, syndrome, [1], rng, budget=15)
     result = erase_and_decode(shared, code, syndrome, [1], rng, budget=16)
@@ -1020,7 +1015,7 @@ def test_state_budget_refuses_before_compiling_the_generators(
 ):
     """The generator tables grow with p**n, so every entry point refuses a
     state over the budget before it compiles them."""
-    code, plan, circuit = four_qubit_pipeline
+    code, plan = four_qubit_pipeline
     secret = random_state(2, 2, rng)
 
     def refuse(*args):
@@ -1029,11 +1024,11 @@ def test_state_budget_refuses_before_compiling_the_generators(
     monkeypatch.setattr(sim, "_compile_rows", refuse)
     for trials in (0, 1):
         with pytest.raises(BudgetExceededError, match=r"^state size 2\*\*4 exceeds budget 15$"):
-            simulate_protocol(plan, circuit, 3, trials, [(1, 2, 3)], budget=15)
+            simulate_protocol(plan, 3, trials, [(1, 2, 3)], budget=15)
     with pytest.raises(BudgetExceededError, match=r"^state size 2\*\*4 exceeds budget 15$"):
-        encode_advance(plan, circuit, secret, budget=15)
+        encode_advance(plan, secret, budget=15)
     with pytest.raises(BudgetExceededError, match=r"^state size 2\*\*4 x 4 exceeds budget 63$"):
-        encode_with_reference(plan, circuit, budget=63)
+        encode_with_reference(plan, budget=63)
 
 
 # ---------------------------------------------------------------------------
@@ -1093,12 +1088,9 @@ def test_batched_syndrome_matches_per_generator_reference(p, data):
     shareable = [j for j in range(1, n + 1) if is_advance_shareable(code, [j])]
     shares = shareable[:1] if advance else []
     plan = construct_eaqecc(code, shares)
-    circuit = encoding_circuit(plan)
-    # A k = 0 code takes only the trivial secret (random_state adds a phase).
-    secret = random_state(p, k, rng) if k else QuditState(p, 0, [1.0])
-    state, syndrome = encode_advance(plan, circuit, secret)
+    state, syndrome = encode_advance(plan, random_state(p, k, rng))
     assert syndrome == tuple(slow_eigenvalue_exponent(state.tensor(), g) for g in code.generators())
-    state, syndrome = encode_with_reference(plan, circuit)
+    state, syndrome = encode_with_reference(plan)
     share_axes = list(range(k, k + n))
     assert syndrome == tuple(
         slow_eigenvalue_exponent(state.tensor(), g, axes=share_axes)
@@ -1133,7 +1125,7 @@ def test_eigenvalue_check_refuses_a_nan_column():
     integer exponent on the way, even behind a good column."""
     code = random_stabilizer(2, 4, 3, np.random.default_rng(4))
     plan = construct_eaqecc(code, [])
-    good, _ = encode_advance(plan, encoding_circuit(plan), random_state(2, 1, np.random.default_rng(5)))
+    good, _ = encode_advance(plan, random_state(2, 1, np.random.default_rng(5)))
     kernels = sim.compile_paulis(2, 4, code.generators())
     flat = np.stack([good.amplitudes, np.full(16, np.nan + 0j)], axis=1)
     with pytest.raises(InvariantError, match=r"not an eigenvector \(\|<G>\| = nan\)"):
@@ -1141,9 +1133,9 @@ def test_eigenvalue_check_refuses_a_nan_column():
 
 
 def test_erase_and_decode_names_the_broken_invariant(four_qubit_pipeline):
-    code, plan, circuit = four_qubit_pipeline
+    code, plan = four_qubit_pipeline
     rng = np.random.default_rng(11)
-    shared, syndrome = encode_advance(plan, circuit, random_state(2, 2, rng))
+    shared, syndrome = encode_advance(plan, random_state(2, 2, rng))
     # X on share 1 flips the all-Z generator; the mixture is no eigenstate of it.
     flipped = apply_pauli(shared, single(2, 4, 0, x=1)).amplitudes
     mixed = 1e-3 * shared.amplitudes + flipped
@@ -1158,7 +1150,7 @@ def shipped_pipeline(code_dir, name):
     code = validate_stabilizer(rows, p, n)
     shares = next(([j] for j in range(1, n + 1) if is_advance_shareable(code, [j])), [])
     plan = construct_eaqecc(code, shares)
-    return code, plan, encoding_circuit(plan)
+    return code, plan
 
 
 def qualified_sets(code):
@@ -1173,10 +1165,10 @@ def qualified_sets(code):
 
 @pytest.mark.parametrize("name", ["four_qubit_ghz", "five_qubit", "qutrit_ghz"])
 def test_transcripts_match_the_reference_decoder(code_dir, name):
-    code, plan, circuit = shipped_pipeline(code_dir, name)
+    code, plan = shipped_pipeline(code_dir, name)
     sets = qualified_sets(code)
-    transcript = simulate_protocol(plan, circuit, 9, 3, sets)
-    reference = slow_simulate_protocol(plan, circuit, 9, 3, sets)
+    transcript = simulate_protocol(plan, 9, 3, sets)
+    reference = slow_simulate_protocol(plan, 9, 3, sets)
     assert len(transcript.trials) == len(reference) == 3 * len(sets)
     assert transcript.syndrome == reference[0][0]
     for rec, (syndrome, measured, correction, fid) in zip(transcript.trials, reference):
@@ -1206,11 +1198,10 @@ def test_correlated_erasures_match_the_reference_decoder():
     spends each uniform on the same qudit."""
     code = validate_stabilizer(SHOR_ROWS, 2, 9)
     plan = construct_eaqecc(code, [])
-    circuit = encoding_circuit(plan)
     losses = [(1, 2), (2, 3), (4, 6), (7, 9)]
     sets = [tuple(j for j in range(1, 10) if j not in lost) for lost in losses]
-    transcript = simulate_protocol(plan, circuit, 9, 3, sets)
-    reference = slow_simulate_protocol(plan, circuit, 9, 3, sets)
+    transcript = simulate_protocol(plan, 9, 3, sets)
+    reference = slow_simulate_protocol(plan, 9, 3, sets)
     for rec, (syndrome, measured, correction, fid) in zip(transcript.trials, reference, strict=True):
         assert syndrome == transcript.syndrome
         assert rec.measured_syndrome == measured
@@ -1282,9 +1273,8 @@ def test_closed_form_tables_equal_the_composed_reference(p, data):
 
 def test_generator_kernels_compiled_once_per_run(code_dir, monkeypatch):
     """A run compiles the check rows themselves, phase-free, once, and
-    builds no Pauli operator: the kernels, the plan check and the
-    corrections all read rows."""
-    code, plan, circuit = shipped_pipeline(code_dir, "five_qubit")
+    builds no Pauli operator: the kernels and the corrections read rows."""
+    code, plan = shipped_pipeline(code_dir, "five_qubit")
     compiled = []
     compile_rows = sim._compile_rows
 
@@ -1297,8 +1287,8 @@ def test_generator_kernels_compiled_once_per_run(code_dir, monkeypatch):
     monkeypatch.setattr(sim, "_compile_rows", counted)
     monkeypatch.setattr(PauliOperator, "__post_init__", lambda self: built.append(self) or check(self))
     sets = [(1, 2, 3, 4), (2, 3, 4, 5), (1, 2, 3, 4, 5)]
-    simulate_protocol(plan, circuit, 4, 3, sets)
-    simulate_protocol(plan, circuit, 5, 2, sets)
+    simulate_protocol(plan, 4, 3, sets)
+    simulate_protocol(plan, 5, 2, sets)
     # One compile of the check matrix per run; corrections compile nothing.
     assert compiled == [(True, None)] * 2
     assert built == []
@@ -1334,8 +1324,8 @@ def test_pick_spends_one_draw_as_choice_does(p):
 
 
 def test_zero_or_nan_weights_raise_naming_the_step(four_qubit_pipeline, rng):
-    code, plan, circuit = four_qubit_pipeline
-    shared, syndrome = encode_advance(plan, circuit, random_state(2, 2, rng))
+    code, plan = four_qubit_pipeline
+    shared, syndrome = encode_advance(plan, random_state(2, 2, rng))
     # A defect upstream could hand the decoder such a state; QuditState would not build it.
     nan_state = QuditState(2, 4, shared.amplitudes)
     object.__setattr__(nan_state, "amplitudes", np.full(16, np.nan + 0j))
@@ -1360,7 +1350,7 @@ def test_zero_or_nan_weights_raise_naming_the_step(four_qubit_pipeline, rng):
 def test_transcripts_do_not_depend_on_the_block_width(code_dir, name, monkeypatch):
     """One column per block (budget p**n), two or more, and the default
     budget give the same transcript; no block's register exceeds the budget."""
-    code, plan, circuit = shipped_pipeline(code_dir, name)
+    code, plan = shipped_pipeline(code_dir, name)
     sets = qualified_sets(code)
     decode = sim._decode_block
     registers = []
@@ -1374,7 +1364,7 @@ def test_transcripts_do_not_depend_on_the_block_width(code_dir, name, monkeypatc
     transcripts = []
     for budget in (size, 2 * size, sim.DEFAULT_STATE_BUDGET):
         registers.clear()
-        transcripts.append(simulate_protocol(plan, circuit, 9, 3, sets, budget))
+        transcripts.append(simulate_protocol(plan, 9, 3, sets, budget))
         assert max(registers) <= budget
         assert sum(registers) == size * 3 * len(sets)
         if budget == size:
@@ -1465,11 +1455,10 @@ def test_protocol_sweep_matches_the_reference_at_both_budgets(p, data):
     shareable = [j for j in range(1, n + 1) if is_advance_shareable(code, [j])]
     for shares in [[]] + [shareable[:1]] * bool(shareable):
         plan = construct_eaqecc(code, shares)
-        circuit = encoding_circuit(plan)
-        fast = simulate_protocol(plan, circuit, seed, 2, sets)
+        fast = simulate_protocol(plan, seed, 2, sets)
         # At p**n the isometry does not fit, and each secret runs the circuit.
-        unfit = simulate_protocol(plan, circuit, seed, 2, sets, budget=p**n)
-        reference = slow_simulate_protocol(plan, circuit, seed, 2, sets)
+        unfit = simulate_protocol(plan, seed, 2, sets, budget=p**n)
+        reference = slow_simulate_protocol(plan, seed, 2, sets)
         assert fast.syndrome == unfit.syndrome == reference[0][0]
         assert len(fast.trials) == len(unfit.trials) == len(reference) == 2 * len(sets)
         for rec, other, (_, measured, correction, fid) in zip(
@@ -1493,11 +1482,10 @@ def test_reference_encoding_holds_each_basis_secret(p, data):
     shareable = [j for j in range(1, n + 1) if is_advance_shareable(code, [j])]
     for shares in [[]] + [shareable[:1]] * bool(shareable):
         plan = construct_eaqecc(code, shares)
-        circuit = encoding_circuit(plan)
-        choi, syndrome = encode_with_reference(plan, circuit)
+        choi, syndrome = encode_with_reference(plan)
         rows = np.sqrt(p**k) * choi.amplitudes.reshape(p**k, p**n)
         for s, basis in enumerate(np.eye(p**k)):
-            shared, alone = encode_advance(plan, circuit, QuditState(p, k, basis))
+            shared, alone = encode_advance(plan, QuditState(p, k, basis))
             assert alone == syndrome
             assert np.abs(rows[s] - shared.amplitudes).max() < 1e-12
 
@@ -1505,7 +1493,7 @@ def test_reference_encoding_holds_each_basis_secret(p, data):
 def test_equal_instances_compare_without_raising(four_qubit_pipeline):
     """Plans and normal forms compare by value, their arrays exactly; states
     and decode results compare by identity (states compare by fidelity)."""
-    code, plan, _ = four_qubit_pipeline
+    code, plan = four_qubit_pipeline
     same_code = validate_stabilizer(code.check_matrix.tolist(), 2, 4)
     assert plan == construct_eaqecc(code, (4,)) == EAQECCPlan(same_code, [4, 4])
     assert plan != construct_eaqecc(code, [3])
@@ -1528,13 +1516,13 @@ def test_state_refuses_nan_amplitudes(amplitudes):
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda code, plan, circuit: fidelity(QuditState(2, 1, [1, 0]), QuditState(3, 1, [1, 0, 0])),
+        (lambda code, plan: fidelity(QuditState(2, 1, [1, 0]), QuditState(3, 1, [1, 0, 0])),
          "states must have identical shape"),
-        (lambda code, plan, circuit: apply_pauli(QuditState(2, 1, [1, 0]), single(2, 2, 0, x=1)),
+        (lambda code, plan: apply_pauli(QuditState(2, 1, [1, 0]), single(2, 2, 0, x=1)),
          "operator and state must share p and qudit count"),
-        (lambda code, plan, circuit: encode_advance(plan, circuit, QuditState(2, 1, [1, 0])),
+        (lambda code, plan: encode_advance(plan, QuditState(2, 1, [1, 0])),
          "secret must be 2 qudits of dimension 2"),
-        (lambda code, plan, circuit: erase_and_decode(
+        (lambda code, plan: erase_and_decode(
             QuditState(2, 3, np.eye(8)[0]), code, (0, 0), [1], np.random.default_rng(0)),
          "state does not match the code"),
     ],
